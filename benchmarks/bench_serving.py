@@ -77,7 +77,19 @@ from repro.core.config import UHDConfig
 from repro.core.model import UHDClassifier
 from repro.datasets import synthetic_mnist
 from repro.eval.throughput import write_bench_json
-from repro.serve import HttpTransport, LaneConfig, ServeConfig, UHDServer
+from repro.serve import (
+    DeploymentSpec,
+    HttpTransport,
+    LaneConfig,
+    Router,
+    ServeConfig,
+    UHDServer,
+)
+
+
+def _router(model_path: str, config: ServeConfig) -> Router:
+    """One deployment of one replica — what ``repro-uhd serve`` runs."""
+    return Router({"m": DeploymentSpec(model_path, serve=config)})
 
 
 def _train_model(path: str, dim: int, backend: str, seed: int) -> UHDClassifier:
@@ -188,8 +200,8 @@ def _http_scenario(
     import json
     import threading
 
-    with UHDServer(model_path, config) as server:
-        with HttpTransport(server) as transport:
+    with _router(model_path, config) as router:
+        with HttpTransport(router) as transport:
             host, port = "127.0.0.1", transport.port
 
             def post_range(indices: list[int], answers: dict) -> None:
@@ -244,8 +256,8 @@ def _http_scenario(
                 start = time.perf_counter()
                 one_round()
                 times.append(time.perf_counter() - start)
-            stats = server.stats()
-    return float(np.median(times)), stats.mean_batch_size
+            stats = router.stats()
+    return float(np.median(times)), stats["mean_batch_size"]
 
 
 def _binary_scenario(
@@ -268,8 +280,8 @@ def _binary_scenario(
     """
     from repro.serve import BinaryClient, SocketTransport
 
-    with UHDServer(model_path, config) as server:
-        with SocketTransport(server) as transport:
+    with _router(model_path, config) as router:
+        with SocketTransport(router) as transport:
             with BinaryClient(
                 transport.host, transport.port, timeout_s=60.0
             ) as client:
@@ -294,8 +306,8 @@ def _binary_scenario(
                     start = time.perf_counter()
                     one_round()
                     times.append(time.perf_counter() - start)
-            stats = server.stats()
-    return float(np.median(times)), stats.mean_batch_size
+            stats = router.stats()
+    return float(np.median(times)), stats["mean_batch_size"]
 
 
 def _priority_mixed_scenario(

@@ -1,9 +1,7 @@
 """Named backend registry — the single source of truth for execution backends.
 
 A *backend* bundles the two dispatch decisions the models used to make
-through hardcoded string tuples (the old ``_BACKENDS`` in
-:mod:`repro.core.config` and the ad-hoc helpers in
-:mod:`repro.fastpath.backends`):
+through hardcoded string tuples:
 
 * which **encoder** implements ``encode_batch`` for a given workload, and
 * which **inference kernels** the centroid classifier runs on.
@@ -202,8 +200,7 @@ def get_backend(name: str) -> Backend:
     Raises ``ValueError`` with the available names for typo-friendly
     config validation errors.
 
-    Example — build the encoder a config selects (the supported
-    replacement for the deprecated ``repro.fastpath.backends.make_encoder``)::
+    Example — build the encoder a config selects::
 
         from repro.api import get_backend
 

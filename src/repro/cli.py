@@ -14,9 +14,11 @@ Usage::
     repro-uhd serve-check --model model.npz --batch 64
     repro-uhd serve --model model.npz --workers 2 --rounds 3 --batch 16
     repro-uhd serve --model model.npz --workers 2 --start-method spawn --table-store shm
-    repro-uhd serve --model model.npz --http-port 8080 --serve-forever
-    repro-uhd serve --model model.npz --http-port 0 \
+    repro-uhd serve --model model.npz --http-port 8080 --binary-port 9090 --serve-forever
+    repro-uhd serve --model model.npz --http-port 0 \\
         --lane interactive:16:1:4 --lane bulk:64:50 --deadline-ms 5000
+    repro-uhd route --model mnist=mnist.npz --model fashion=fashion.npz \\
+        --replicas 2 --http-port 0 --reload
 
 Accuracy experiments honour ``REPRO_FULL=1`` for paper-leaning workload
 sizes; ``--backend`` accepts any backend registered with
@@ -24,18 +26,23 @@ sizes; ``--backend`` accepts any backend registered with
 threaded, reference).  ``save``/``load`` round-trip trained models through
 the versioned :mod:`repro.api.persistence` format; ``serve-check`` is the
 serving-readiness probe — it loads a warm model (no retraining) and
-reports prediction latency; ``serve`` stands up the
-:mod:`repro.serve` worker pool (each worker runs the serve-check probe
-before accepting traffic), answers ``--rounds`` predict round-trips
-bit-exactly, prints batching stats, and shuts down cleanly —
-SIGTERM/SIGINT drain in-flight lanes (``--drain-timeout-s``) before the
-workers exit.  ``--http-port`` puts the stdlib threaded HTTP transport
-in front (``/predict``, ``/healthz``, ``/stats``, Prometheus
-``/metrics``): the round-trips then
-go over real HTTP (still verified bit-exact), and ``--serve-forever``
-keeps serving until a signal arrives.  ``--lane NAME[:MAX_BATCH[
-:MAX_WAIT_MS[:WEIGHT]]]`` (repeatable) declares priority lanes; the
-first is the default lane the round-trips use.
+reports prediction latency.
+
+``serve`` and ``route`` are one command: ``route`` stands up a
+:class:`repro.serve.Router` over ``--model NAME=PATH`` deployments of
+``--replicas`` servers each, and ``serve --model PATH`` is the same
+router with one deployment of one replica, named after the file's stem
+(each replica's workers run the serve-check probe before accepting
+traffic).  Both answer ``--rounds`` self-test round-trips verified
+bit-exact — over the binary wire when ``--binary-port`` is set, else
+over HTTP when ``--http-port`` is set, else in-process — print batching
+stats, and shut down cleanly.  ``--http-port`` puts the stdlib HTTP
+transport in front (bare ``/predict`` and ``/stats`` address the default
+model; ``/models/<id>/...``, ``/healthz``, Prometheus ``/metrics``);
+``--serve-forever`` keeps serving until SIGTERM/SIGINT, which drain
+every deployment, and hot-reloads every model on SIGHUP.  ``--lane
+NAME[:MAX_BATCH[:MAX_WAIT_MS[:WEIGHT]]]`` (repeatable) declares priority
+lanes; the first is the default lane the round-trips use.
 """
 
 from __future__ import annotations
@@ -305,7 +312,7 @@ def _graceful_shutdown():
     """Install SIGTERM/SIGINT handlers that request a drain, not a kill.
 
     Yields a ``threading.Event`` set when either signal arrives; the
-    caller's ``with UHDServer(...)`` block then exits normally and
+    caller's ``with Router(...)`` block then exits normally and
     ``close()`` drains in-flight lanes (``ServeConfig.drain_timeout_s``)
     before stopping the workers — instead of the default SIGTERM action
     killing the pool with queued requests.  Handlers are restored on
@@ -330,245 +337,23 @@ def _graceful_shutdown():
             signal.signal(sig, handler)
 
 
-def _http_round_trips(
-    transport, queries, lane: str | None, deadline_ms: float | None,
-    path: str = "/predict",
-):
-    """POST each query batch to ``path`` over real HTTP; returns answers."""
+def _http_predict(http, model_id: str, batch, deadline_ms: float | None):
+    """POST one batch to ``/models/<id>/predict`` as JSON; returns its labels."""
     import json
     import urllib.request
 
     import numpy as np
 
-    answers = []
-    for batch in queries:
-        payload: dict = {"images": batch.tolist()}
-        if lane is not None:
-            payload["lane"] = lane
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        request = urllib.request.Request(
-            transport.address + path,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=60.0) as response:
-            answers.append(np.asarray(json.load(response)["labels"]))
-    return answers
-
-
-def _binary_round_trips(
-    binary, queries, lane: str | None, deadline_ms: float | None,
-    model: str | None = None,
-):
-    """Pipeline each query batch over the framed binary transport."""
-    from .serve import BinaryClient
-
-    answers = []
-    with BinaryClient(binary.host, binary.port) as client:
-        for batch in queries:
-            client.send(
-                batch, lane=lane, model=model, deadline_ms=deadline_ms
-            )
-        # responses for one connection on one lane return in order here;
-        # the bench and loadgen match by request id instead
-        for _ in range(len(queries)):
-            _request_id, labels = client.recv()
-            answers.append(labels)
-    return answers
-
-
-def _cmd_serve(args: argparse.Namespace) -> str:
-    """Start a serving pool, answer predict round-trips, shut down cleanly.
-
-    With ``--verify`` (default) every served label array is compared
-    bit-for-bit against ``UHDClassifier.predict`` on a directly loaded
-    copy of the model — the serving layer's core contract, over both the
-    in-process and the HTTP transport.  SIGTERM/SIGINT drain in-flight
-    lanes before the workers exit.
-    """
-    import json
-    import urllib.request
-
-    import numpy as np
-
-    from .serve import HttpTransport, ServeConfig, SocketTransport, UHDServer
-
-    if args.serve_forever and args.http_port is None and args.binary_port is None:
-        # fail fast: a supervisor that believes it started a daemon must
-        # not get a self-test run that exits after --rounds
-        raise SystemExit(
-            "repro-uhd serve: --serve-forever requires --http-port or "
-            "--binary-port (there is no transport to keep serving "
-            "without one)"
-        )
-    config = ServeConfig(
-        workers=args.workers,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        lanes=tuple(args.lane or ()),
-        backend=args.backend,
-        start_method=args.start_method,
-        table_store=args.table_store,
-        drain_timeout_s=args.drain_timeout_s,
+    payload: dict = {"images": batch.tolist()}
+    if deadline_ms is not None:
+        payload["deadline_ms"] = deadline_ms
+    request = urllib.request.Request(
+        f"{http.address}/models/{model_id}/predict",
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
     )
-    rng = np.random.default_rng(args.seed)
-    lines: list[str] = []
-    start = time.perf_counter()
-    with _graceful_shutdown() as stop:
-        with UHDServer(args.model, config) as server:
-            startup_s = time.perf_counter() - start
-            stats = server.stats()
-            mode = "in-process fallback" if config.workers == 0 else (
-                f"{config.workers} worker process(es)"
-            )
-            lane_names = ", ".join(lane.name for lane in server.lanes)
-            lines.append(
-                f"serve: {args.model} up in {startup_s:.2f}s ({mode}, "
-                f"max_batch={config.max_batch}, "
-                f"max_wait={config.max_wait_ms:g}ms, lanes: {lane_names})"
-            )
-            builds = stats.worker_table_builds
-            for slot, probe_ms in enumerate(stats.worker_probe_ms):
-                warm = ""
-                if slot < len(builds):
-                    warm = (
-                        ", tables attached (0 builds)" if builds[slot] == 0
-                        else f", tables built ({builds[slot]})"
-                    )
-                lines.append(
-                    f"  worker {slot}: ready, serve-check probe median "
-                    f"{probe_ms:.3f} ms{warm}"
-                )
-            transport = None
-            binary = None
-            if args.http_port is not None:
-                transport = HttpTransport(
-                    server, host=args.http_host, port=args.http_port
-                ).start()
-                lines.append(
-                    f"  http: listening on {transport.address} "
-                    "(POST /predict, GET /healthz, GET /stats, GET /metrics)"
-                )
-            if args.binary_port is not None:
-                # both transports feed the same scheduler — the binary
-                # fast lane coexists with HTTP on one server
-                binary = SocketTransport(
-                    server, host=args.http_host, port=args.binary_port
-                ).start()
-                lines.append(
-                    f"  binary: listening on {binary.address} "
-                    "(framed predict protocol; repro.serve.BinaryClient)"
-                )
-            try:
-                if (transport is not None or binary is not None) and \
-                        args.serve_forever:
-                    # daemon mode: print what we have, then block until a
-                    # signal asks for the drain-and-exit path
-                    print("\n".join(lines), flush=True)
-                    lines = []
-                    stop.wait()
-                    lines.append("  signal received: draining lanes")
-                else:
-                    lines.extend(
-                        _serve_round_trips(
-                            args, server, transport, rng, stop, binary=binary
-                        )
-                    )
-                if transport is not None:
-                    health = json.load(
-                        urllib.request.urlopen(
-                            transport.address + "/healthz", timeout=10.0
-                        )
-                    )
-                    http_stats = json.load(
-                        urllib.request.urlopen(
-                            transport.address + "/stats", timeout=10.0
-                        )
-                    )
-                    lane_report = ", ".join(
-                        f"{lane['name']}: served {lane['served_rows']} "
-                        f"row(s), expired {lane['expired']}"
-                        for lane in http_stats["lanes"]
-                    )
-                    lines.append(
-                        f"  healthz: {health['status']} "
-                        f"({health['workers_live']}/{health['workers']} "
-                        "workers live)"
-                    )
-                    lines.append(f"  stats: {lane_report}")
-            finally:
-                if binary is not None:
-                    binary.close()
-                if transport is not None:
-                    transport.close()
-            final = server.stats()
-            lines.append(
-                f"  batching: {final.batches} batch(es) for {final.requests} "
-                f"request(s), mean batch {final.mean_batch_size:.1f}, "
-                f"max {final.max_batch_seen}"
-            )
-    lines.append("  shutdown clean")
-    return "\n".join(lines)
-
-
-def _serve_round_trips(
-    args, server, transport, rng, stop, binary=None
-) -> list[str]:
-    """The self-test rounds: submit, time, verify bit-exactness."""
-    import numpy as np
-
-    lines: list[str] = []
-    queries = rng.integers(
-        0, 256,
-        size=(args.rounds, args.batch, server.num_pixels),
-        dtype=np.uint8,
-    )
-    t0 = time.perf_counter()
-    if binary is not None:
-        # over the framed socket: one persistent pipelined connection
-        answers = _binary_round_trips(
-            binary, queries, lane=None, deadline_ms=args.deadline_ms
-        )
-        via = " via binary"
-    elif transport is not None:
-        # over real HTTP: loopback socket, handler threads, JSON codec
-        answers = _http_round_trips(
-            transport, queries, lane=None, deadline_ms=args.deadline_ms
-        )
-        via = " via HTTP"
-    else:
-        handles = [
-            server.submit(batch, deadline_ms=args.deadline_ms)
-            for batch in queries
-            if not stop.is_set()  # a signal stops new submissions
-        ]
-        answers = [handle.result(timeout=60.0) for handle in handles]
-        via = ""
-    elapsed = time.perf_counter() - t0
-    total = len(answers) * args.batch
-    lines.append(
-        f"  served {len(answers)} request(s) x {args.batch} image(s) in "
-        f"{elapsed * 1e3:.2f} ms ({total / max(elapsed, 1e-9):.0f} "
-        f"images/s){via}"
-    )
-    if args.verify:
-        from .api import load_model
-
-        # load_model, not UHDClassifier.load: the server fronts any
-        # persisted image model (StreamingUHD included), and the
-        # backend= re-home is the same path the workers took
-        direct = load_model(args.model, backend=args.backend)
-        for batch, answer in zip(queries, answers):
-            if not np.array_equal(direct.predict(batch), answer):
-                raise AssertionError(
-                    "served labels differ from UHDClassifier.predict"
-                )
-        lines.append(
-            f"  verify OK: all {total} labels bit-exact with "
-            "UHDClassifier.predict"
-        )
-    return lines
+    with urllib.request.urlopen(request, timeout=60.0) as response:
+        return np.asarray(json.load(response)["labels"])
 
 
 @contextlib.contextmanager
@@ -615,21 +400,38 @@ def _parse_model_spec(spec: str) -> tuple[str, str]:
     return name, path
 
 
+def _stem_model_spec(path: str) -> tuple[str, str]:
+    """``PATH`` -> (file stem, path): ``serve``'s one deployment id."""
+    from pathlib import Path
+
+    return Path(path).stem, path
+
+
+def _reload_all(router) -> list[str]:
+    """Rolling hot reload of every deployment; one report line each."""
+    lines = []
+    for model_id in router.deployments:
+        report = router.reload(model_id)
+        lines.append(
+            f"  reload: {model_id} generation {report['from_generation']} -> "
+            f"{report['to_generation']} ({report['replaced']} replica(s) "
+            f"swapped in {report['duration_s']:.2f}s)"
+        )
+    return lines
+
+
 def _cmd_route(args: argparse.Namespace) -> str:
-    """Start a multi-model router, mix traffic across models, shut down.
+    """Start a router, answer self-test round-trips (or serve), shut down.
 
-    Each ``--model NAME=PATH`` becomes a deployment of ``--replicas``
-    servers with least-loaded dispatch.  The self-test rounds cycle
-    through every model (optionally performing a rolling hot reload
-    halfway with ``--reload``) and, with ``--verify`` (default), compare
-    every answer bit-for-bit against a directly loaded copy of that
-    model.  Daemon mode (``--serve-forever``) reloads every deployment
-    on SIGHUP and drains all deployments **concurrently** on
-    SIGTERM/SIGINT — total shutdown is bounded by the slowest
-    deployment's drain window, not the sum.
+    ``serve`` is this command with one deployment of one replica whose
+    id is the model file's stem.  Each ``route --model NAME=PATH``
+    becomes a deployment of ``--replicas`` servers with least-loaded
+    dispatch.  The self-test rounds are :func:`_round_trips`.  Daemon
+    mode (``--serve-forever``) hot-reloads every deployment on SIGHUP
+    and drains all deployments **concurrently** on SIGTERM/SIGINT —
+    total shutdown is bounded by the slowest deployment's drain window,
+    not the sum.
     """
-    import numpy as np
-
     from .serve import (
         DeploymentSpec,
         HttpTransport,
@@ -639,22 +441,25 @@ def _cmd_route(args: argparse.Namespace) -> str:
     )
 
     if args.serve_forever and args.http_port is None and args.binary_port is None:
+        # fail fast: a supervisor that believes it started a daemon must
+        # not get a self-test run that exits after --rounds
         raise SystemExit(
-            "repro-uhd route: --serve-forever requires --http-port or "
-            "--binary-port (there is no transport to keep serving "
+            f"repro-uhd {args.command}: --serve-forever requires --http-port "
+            "or --binary-port (there is no transport to keep serving "
             "without one)"
         )
     config = ServeConfig(
         workers=args.workers,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
+        lanes=tuple(args.lane or ()),
         backend=args.backend,
         start_method=args.start_method,
         table_store=args.table_store,
         drain_timeout_s=args.drain_timeout_s,
     )
     specs: dict[str, DeploymentSpec] = {}
-    for name, path in args.model:
+    for name, path in args.model if args.command == "route" else [args.model]:
         if name in specs:
             raise SystemExit(f"repro-uhd route: duplicate model id {name!r}")
         specs[name] = DeploymentSpec(
@@ -663,171 +468,188 @@ def _cmd_route(args: argparse.Namespace) -> str:
             min_ready=args.min_ready,
             serve=config,
         )
-    rng = np.random.default_rng(args.seed)
     lines: list[str] = []
     start = time.perf_counter()
-    with _graceful_shutdown() as stop, _reload_on_sighup() as hup:
-        with Router(specs) as router:
-            startup_s = time.perf_counter() - start
-            mode = "in-process fallback" if config.workers == 0 else (
-                f"{config.workers} worker process(es) per replica"
+    with contextlib.ExitStack() as stack:
+        stop = stack.enter_context(_graceful_shutdown())
+        hup = stack.enter_context(_reload_on_sighup())
+        router = stack.enter_context(Router(specs))
+        startup_s = time.perf_counter() - start
+        mode = "in-process fallback" if config.workers == 0 else (
+            f"{config.workers} worker process(es) per replica"
+        )
+        lane_names = ", ".join(lane.name for lane in config.effective_lanes())
+        lines.append(
+            f"{args.command}: {len(specs)} model(s) x {args.replicas} "
+            f"replica(s) up in {startup_s:.2f}s ({mode}, "
+            f"max_batch={config.max_batch}, max_wait={config.max_wait_ms:g}ms, "
+            f"lanes: {lane_names})"
+        )
+        for row in router.models():
+            lines.append(
+                f"  model {row['model']}: generation {row['generation']}, "
+                f"{row['ready']}/{row['replicas']} replica(s) ready "
+                f"({row['path']})"
+            )
+            doc = router.stats(row["model"])
+            builds = doc["worker_table_builds"]
+            for slot, probe_ms in enumerate(doc["worker_probe_ms"]):
+                warm = ""
+                if slot < len(builds):
+                    warm = (
+                        ", tables attached (0 builds)" if builds[slot] == 0
+                        else f", tables built ({builds[slot]})"
+                    )
+                lines.append(
+                    f"  {row['model']} worker {slot}: ready, serve-check "
+                    f"probe median {probe_ms:.3f} ms{warm}"
+                )
+        # transports enter the stack after the router, so they close
+        # (answering what they accepted) before the router drains
+        http = binary = None
+        if args.http_port is not None:
+            http = stack.enter_context(
+                HttpTransport(router, host=args.http_host, port=args.http_port)
             )
             lines.append(
-                f"route: {len(specs)} model(s) x {args.replicas} replica(s) "
-                f"up in {startup_s:.2f}s ({mode})"
+                f"  http: listening on {http.address} (POST /predict, "
+                "POST /models/<id>/predict, GET /models, GET /healthz, "
+                "GET /stats, GET /metrics)"
             )
-            for row in router.models():
-                lines.append(
-                    f"  model {row['model']}: generation {row['generation']}, "
-                    f"{row['ready']}/{row['replicas']} replica(s) ready "
-                    f"({row['path']})"
-                )
-            transport = None
-            binary = None
-            if args.http_port is not None:
-                transport = HttpTransport(
-                    router, host=args.http_host, port=args.http_port
-                ).start()
-                lines.append(
-                    f"  http: listening on {transport.address} "
-                    "(POST /models/<id>/predict, GET /models, GET /healthz, "
-                    "GET /metrics)"
-                )
-            if args.binary_port is not None:
-                binary = SocketTransport(
+        if args.binary_port is not None:
+            binary = stack.enter_context(
+                SocketTransport(
                     router, host=args.http_host, port=args.binary_port
-                ).start()
-                lines.append(
-                    f"  binary: listening on {binary.address} "
-                    "(framed predict protocol, model id in-frame; "
-                    "repro.serve.BinaryClient)"
                 )
-            try:
-                if (transport is not None or binary is not None) and \
-                        args.serve_forever:
-                    print("\n".join(lines), flush=True)
-                    lines = []
-                    while not stop.wait(0.2):
-                        if hup.is_set():
-                            hup.clear()
-                            for model_id in list(router.deployments):
-                                report = router.reload(model_id)
-                                print(
-                                    f"  reload: {model_id} generation "
-                                    f"{report['from_generation']} -> "
-                                    f"{report['to_generation']} "
-                                    f"({report['replaced']} replica(s) "
-                                    f"swapped in {report['duration_s']:.2f}s)",
-                                    flush=True,
-                                )
-                    lines.append("  signal received: draining deployments")
-                    # one-line per-lane latency summary at drain time —
-                    # the last chance an operator has to see the run's
-                    # tail before the process exits (merged across every
-                    # replica and retired generation)
-                    for model_id, deployment in router.deployments.items():
-                        for lane, snap in deployment.lane_snapshots().items():
-                            lines.append(
-                                f"  drain {model_id}/{lane}: "
-                                f"{snap.count} served, "
-                                f"p50 {snap.p50_ms:.2f}ms, "
-                                f"p95 {snap.p95_ms:.2f}ms, "
-                                f"{snap.excluded} expired"
-                            )
-                else:
-                    lines.extend(
-                        _route_round_trips(
-                            args, router, transport, rng, stop, binary=binary
-                        )
-                    )
-                health = router.healthz()
-                lines.append(
-                    f"  healthz: {health['status']} "
-                    f"({health['ready_replicas']} replica(s) ready across "
-                    f"{health['deployments']} deployment(s))"
-                )
-                for dep in router.stats()["models"]:
+            )
+            lines.append(
+                f"  binary: listening on {binary.address} (framed predict "
+                "protocol, model id in-frame; repro.serve.BinaryClient)"
+            )
+        if args.serve_forever:
+            print("\n".join(lines), flush=True)
+            lines = []
+            while not stop.wait(0.2):
+                if hup.is_set():
+                    hup.clear()
+                    print("\n".join(_reload_all(router)), flush=True)
+            lines.append("  signal received: draining deployments")
+            # per-lane latency at drain time — the operator's last look at
+            # the run's tail before the process exits (merged across
+            # every replica and retired generation)
+            for model_id, deployment in router.deployments.items():
+                for lane in deployment.snapshot()[0].lanes:
+                    snap = lane.latency
                     lines.append(
-                        f"  stats {dep['model']}: generation "
-                        f"{dep['generation']}, {dep['requests']} request(s), "
-                        f"{dep['images']} image(s), {dep['retired_replicas']} "
-                        "retired replica(s)"
+                        f"  drain {model_id}/{lane.name}: {snap.count} served, "
+                        f"p50 {snap.p50_ms:.2f}ms, p95 {snap.p95_ms:.2f}ms, "
+                        f"{snap.excluded} expired"
                     )
-            finally:
-                if binary is not None:
-                    binary.close()
-                if transport is not None:
-                    transport.close()
+        else:
+            lines.extend(_round_trips(args, router, http, binary, stop))
+        health = router.healthz()
+        lines.append(
+            f"  healthz: {health['status']} ({health['ready_replicas']} "
+            f"replica(s) ready across {health['deployments']} deployment(s))"
+        )
+        for model_id in router.deployments:
+            doc = router.stats(model_id)
+            lines.append(
+                f"  stats {model_id}: generation {doc['generation']}, "
+                f"{doc['requests']} request(s), {doc['images']} image(s) in "
+                f"{doc['batches']} batch(es) (mean {doc['mean_batch_size']:.1f}, "
+                f"max {doc['max_batch_seen']}), {doc['retired_replicas']} "
+                "retired replica(s)"
+            )
+            for lane in doc["lanes"]:
+                lines.append(
+                    f"  stats {model_id}/{lane['name']}: served "
+                    f"{lane['served_rows']} row(s), expired {lane['expired']}"
+                )
     lines.append("  shutdown clean")
     return "\n".join(lines)
 
 
-def _route_round_trips(
-    args, router, transport, rng, stop, binary=None
-) -> list[str]:
-    """Mixed-model self-test rounds, optionally reloading mid-run."""
+def _round_trips(args, router, http, binary, stop) -> list[str]:
+    """The self-test rounds: one batch per model per round, timed, verified.
+
+    Rounds go over the binary wire when it is up, else over HTTP, else
+    in-process, and the report names the wire it used.  ``--reload``
+    hot-reloads every deployment halfway.  With ``--verify`` (default)
+    every answer is compared bit-for-bit with ``predict`` on a directly
+    loaded copy of its model — the serving layer's core contract.
+    """
     import numpy as np
 
-    lines: list[str] = []
+    from .serve import BinaryClient
+
+    rng = np.random.default_rng(args.seed)
     model_ids = list(router.deployments)
-    direct = {}
+    lines: list[str] = []
+    sent = []  # (model id, batch, served labels)
+    with contextlib.ExitStack() as stack:
+        if binary is not None:
+            # one persistent connection; the model id travels in-frame
+            client = stack.enter_context(BinaryClient(binary.host, binary.port))
+            via = " via binary"
+
+            def ask(model_id, batch):
+                return client.predict(
+                    batch, model=model_id, deadline_ms=args.deadline_ms
+                )
+        elif http is not None:
+            via = " via HTTP"
+
+            def ask(model_id, batch):
+                return _http_predict(http, model_id, batch, args.deadline_ms)
+        else:
+            via = ""
+
+            def ask(model_id, batch):
+                return router.predict(
+                    model_id, batch, timeout=60.0, deadline_ms=args.deadline_ms
+                )
+
+        t0 = time.perf_counter()
+        for round_idx in range(args.rounds):
+            if stop.is_set():  # a signal stops new submissions
+                break
+            if args.reload and round_idx == args.rounds // 2:
+                lines.extend(_reload_all(router))
+            for model_id in model_ids:
+                pixels = router.deployment(model_id).num_pixels
+                batch = rng.integers(
+                    0, 256, size=(args.batch, pixels), dtype=np.uint8
+                )
+                sent.append((model_id, batch, ask(model_id, batch)))
+        elapsed = time.perf_counter() - t0
+    total = len(sent) * args.batch
+    lines.append(
+        f"  served {len(sent)} request(s) x {args.batch} image(s) across "
+        f"{len(model_ids)} model(s) in {elapsed * 1e3:.2f} ms "
+        f"({total / max(elapsed, 1e-9):.0f} images/s){via}"
+    )
     if args.verify:
         from .api import load_model
 
+        # load_model, not UHDClassifier.load: the router fronts any
+        # persisted image model (StreamingUHD included), and the
+        # backend= re-home is the same path the workers took
         direct = {
-            model_id: load_model(router.deployment(model_id).model_path)
+            model_id: load_model(
+                router.deployment(model_id).model_path, backend=args.backend
+            )
             for model_id in model_ids
         }
-    reload_round = args.rounds // 2 if args.reload else None
-    total = 0
-    t0 = time.perf_counter()
-    for round_idx in range(args.rounds):
-        if stop.is_set():
-            break
-        if reload_round is not None and round_idx == reload_round:
-            for model_id in model_ids:
-                report = router.reload(model_id)
-                lines.append(
-                    f"  reload: {model_id} generation "
-                    f"{report['from_generation']} -> "
-                    f"{report['to_generation']} ({report['replaced']} "
-                    "replica(s) swapped)"
-                )
-        for model_id in model_ids:
-            pixels = router.deployment(model_id).num_pixels
-            batch = rng.integers(
-                0, 256, size=(args.batch, pixels), dtype=np.uint8
-            )
-            if binary is not None:
-                answer = _binary_round_trips(
-                    binary, [batch], lane=None, deadline_ms=None,
-                    model=model_id,
-                )[0]
-            elif transport is not None:
-                answer = _http_round_trips(
-                    transport, [batch], lane=None, deadline_ms=None,
-                    path=f"/models/{model_id}/predict",
-                )[0]
-            else:
-                answer = router.predict(model_id, batch, timeout=60.0)
-            total += args.batch
-            if args.verify and not np.array_equal(
-                direct[model_id].predict(batch), answer
-            ):
+        for model_id, batch, answer in sent:
+            if not np.array_equal(direct[model_id].predict(batch), answer):
                 raise AssertionError(
-                    f"routed labels for {model_id!r} differ from "
+                    f"served labels for {model_id!r} differ from "
                     "UHDClassifier.predict"
                 )
-    elapsed = time.perf_counter() - t0
-    via = " via HTTP" if transport is not None else ""
-    lines.append(
-        f"  served {total} image(s) across {len(model_ids)} model(s) in "
-        f"{elapsed * 1e3:.2f} ms{via}"
-    )
-    if args.verify:
         lines.append(
-            "  verify OK: all labels bit-exact with UHDClassifier.predict "
-            "per model"
+            f"  verify OK: all {total} labels bit-exact with "
+            "UHDClassifier.predict"
         )
     return lines
 
@@ -873,109 +695,45 @@ def _configure_serve_check(parser: argparse.ArgumentParser) -> None:
     _backend_arg(parser, default=None)
 
 
-def _configure_serve(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="saved model (.npz) path")
+def _configure_route(
+    parser: argparse.ArgumentParser, one_model: bool = False
+) -> None:
+    """``route``'s flags; ``one_model`` swaps in ``serve``'s ``--model PATH``.
+
+    Everything after the model flags is shared by both commands.
+    """
+    if one_model:
+        parser.add_argument(
+            "--model", required=True, type=_stem_model_spec, metavar="PATH",
+            help="saved model (.npz) path; served as the one deployment, "
+            "named after the file's stem",
+        )
+        parser.set_defaults(replicas=1, min_ready=1, reload=False)
+    else:
+        parser.add_argument(
+            "--model", action="append", required=True,
+            type=_parse_model_spec, metavar="NAME=PATH",
+            help="deployment spec: model id and saved .npz path "
+            "(repeatable; the id becomes the /models/<id>/... URL segment)",
+        )
+        parser.add_argument(
+            "--replicas", type=int, default=1,
+            help="servers per model deployment (least-loaded dispatch)",
+        )
+        parser.add_argument(
+            "--min-ready", type=int, default=1,
+            help="healthz floor: a deployment stays healthy while at least "
+            "this many replicas are ready (rolling reload never drops below)",
+        )
+        parser.add_argument(
+            "--reload", action="store_true",
+            help="self-test mode: rolling-hot-reload every model halfway "
+            "through the rounds (daemon mode reloads on SIGHUP instead)",
+        )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (0 = synchronous in-process fallback)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=64,
-        help="micro-batching bound: images per dispatched batch",
-    )
-    parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="micro-batching window before a partial batch flushes",
-    )
-    parser.add_argument(
-        "--start-method", default="auto",
-        choices=("auto", "fork", "spawn", "forkserver"),
-        help="multiprocessing start method (auto = fork where available)",
-    )
-    parser.add_argument(
-        "--table-store", default="heap",
-        choices=("heap", "mmap", "shm"),
-        help="where the warm gather tables are published for workers to "
-        "attach: heap (fork shares copy-on-write; spawn rebuilds), mmap "
-        "(versioned table file, np.memmap attach) or shm "
-        "(multiprocessing.shared_memory) — mmap/shm make spawn workers "
-        "warm-start without rebuilding tables",
-    )
-    parser.add_argument(
-        "--lane", action="append", type=_parse_lane, metavar="SPEC",
-        help="declare a priority lane: NAME[:MAX_BATCH[:MAX_WAIT_MS[:WEIGHT]]]"
-        " (repeatable; empty fields inherit --max-batch/--max-wait-ms; the"
-        " first lane is the default one round-trips use)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="per-request queueing deadline for the self-test round-trips; "
-        "requests still queued when it passes fail loudly instead of "
-        "being served late",
-    )
-    parser.add_argument(
-        "--drain-timeout-s", type=float, default=10.0,
-        help="how long shutdown (close / SIGTERM / SIGINT) waits for "
-        "in-flight lanes to drain before failing the stragglers",
-    )
-    parser.add_argument(
-        "--http-port", type=int, default=None, metavar="PORT",
-        help="put the stdlib threaded HTTP transport in front (POST "
-        "/predict, GET /healthz, GET /stats, GET /metrics); 0 binds an "
-        "ephemeral port; the self-test round-trips then go over real HTTP",
-    )
-    parser.add_argument(
-        "--binary-port", type=int, default=None, metavar="PORT",
-        help="put the framed binary transport in front (length-prefixed "
-        "predict frames over persistent connections; see repro.serve."
-        "BinaryClient); 0 binds an ephemeral port; may coexist with "
-        "--http-port — both feed the same scheduler; when set, the "
-        "self-test round-trips go over the binary wire",
-    )
-    parser.add_argument(
-        "--http-host", default="127.0.0.1",
-        help="interface the HTTP and binary transports bind "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--serve-forever", action="store_true",
-        help="with --http-port/--binary-port: skip the self-test rounds "
-        "and serve until SIGTERM/SIGINT, then drain and exit",
-    )
-    parser.add_argument(
-        "--rounds", type=int, default=3,
-        help="predict requests to serve before shutting down",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=16, help="images per served request"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="query seed")
-    parser.add_argument(
-        "--no-verify", dest="verify", action="store_false",
-        help="skip the bit-exactness check against UHDClassifier.predict",
-    )
-    _backend_arg(parser, default=None)
-
-
-def _configure_route(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model", action="append", required=True, type=_parse_model_spec,
-        metavar="NAME=PATH",
-        help="deployment spec: model id and saved .npz path (repeatable; "
-        "the id becomes the /models/<id>/... URL segment)",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=1,
-        help="servers per model deployment (least-loaded dispatch)",
-    )
-    parser.add_argument(
-        "--min-ready", type=int, default=1,
-        help="healthz floor: a deployment stays healthy while at least "
-        "this many replicas are ready (rolling reload never drops below)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes per replica (0 = in-process fallback)",
+        help="worker processes per replica (0 = synchronous in-process "
+        "fallback)",
     )
     parser.add_argument(
         "--max-batch", type=int, default=64,
@@ -994,24 +752,44 @@ def _configure_route(parser: argparse.ArgumentParser) -> None:
         "--table-store", default="heap",
         choices=("heap", "mmap", "shm"),
         help="where each replica publishes its warm gather tables for "
-        "workers to attach (see `serve --table-store`)",
+        "workers to attach: heap (fork shares copy-on-write; spawn "
+        "rebuilds), mmap (versioned table file, np.memmap attach) or shm "
+        "(multiprocessing.shared_memory) — mmap/shm make spawn workers "
+        "warm-start without rebuilding tables",
+    )
+    parser.add_argument(
+        "--lane", action="append", type=_parse_lane, metavar="SPEC",
+        help="declare a priority lane: NAME[:MAX_BATCH[:MAX_WAIT_MS[:WEIGHT]]]"
+        " (repeatable; empty fields inherit --max-batch/--max-wait-ms; the"
+        " first lane is the default one round-trips use)",
+    )
+    parser.add_argument(
+        "--deadline-ms", type=float, default=None,
+        help="per-request queueing deadline for the self-test round-trips; "
+        "requests still queued when it passes fail loudly instead of "
+        "being served late",
     )
     parser.add_argument(
         "--drain-timeout-s", type=float, default=10.0,
-        help="per-deployment drain window on shutdown; deployments drain "
-        "concurrently, so total shutdown is bounded by the max, not the sum",
+        help="how long shutdown (close / SIGTERM / SIGINT) waits for "
+        "in-flight lanes to drain before failing the stragglers; "
+        "deployments drain concurrently, so total shutdown is bounded by "
+        "the max, not the sum",
     )
     parser.add_argument(
         "--http-port", type=int, default=None, metavar="PORT",
-        help="put the HTTP transport in front (POST /models/<id>/predict, "
-        "GET /models, GET /models/<id>/stats, GET /healthz); 0 binds an "
-        "ephemeral port; the self-test round-trips then go over real HTTP",
+        help="put the stdlib threaded HTTP transport in front (POST "
+        "/predict, POST /models/<id>/predict, GET /models, /healthz, "
+        "/stats, /metrics); 0 binds an ephemeral port; the self-test "
+        "round-trips then go over real HTTP",
     )
     parser.add_argument(
         "--binary-port", type=int, default=None, metavar="PORT",
-        help="put the framed binary transport in front (model id travels "
-        "in-frame; see repro.serve.BinaryClient); 0 binds an ephemeral "
-        "port; may coexist with --http-port — both feed the same router",
+        help="put the framed binary transport in front (length-prefixed "
+        "predict frames over persistent connections, model id in-frame; "
+        "see repro.serve.BinaryClient); 0 binds an ephemeral port; may "
+        "coexist with --http-port — both feed the same router; when set, "
+        "the self-test round-trips go over the binary wire",
     )
     parser.add_argument(
         "--http-host", default="127.0.0.1",
@@ -1020,18 +798,13 @@ def _configure_route(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--serve-forever", action="store_true",
-        help="with --http-port/--binary-port: serve until SIGTERM/SIGINT "
-        "(concurrent drain), performing a rolling hot reload of every "
-        "model on SIGHUP",
-    )
-    parser.add_argument(
-        "--reload", action="store_true",
-        help="self-test mode: rolling-hot-reload every model halfway "
-        "through the rounds (daemon mode reloads on SIGHUP instead)",
+        help="with --http-port/--binary-port: skip the self-test rounds "
+        "and serve until SIGTERM/SIGINT (concurrent drain), hot-reloading "
+        "every model on SIGHUP",
     )
     parser.add_argument(
         "--rounds", type=int, default=3,
-        help="round-trip rounds; each round sends one batch per model",
+        help="self-test rounds; each round sends one request per model",
     )
     parser.add_argument(
         "--batch", type=int, default=16, help="images per served request"
@@ -1048,7 +821,7 @@ _MODEL_COMMANDS = {
     "save": (_cmd_save, _configure_save),
     "load": (_cmd_load, _configure_load),
     "serve-check": (_cmd_serve_check, _configure_serve_check),
-    "serve": (_cmd_serve, _configure_serve),
+    "serve": (_cmd_route, lambda parser: _configure_route(parser, True)),
     "route": (_cmd_route, _configure_route),
 }
 

@@ -58,13 +58,6 @@ use :func:`numpy.bitwise_count` when NumPy >= 2.0 and fall back to a byte
 LUT otherwise (``repro.fastpath.bitops.HAS_BITWISE_COUNT``).
 """
 
-from .backends import (
-    BACKENDS,
-    encoder_backend,
-    make_encoder,
-    use_packed_inference,
-    validate_backend,
-)
 from .execution import AutoBackend, PackedBackend, ReferenceBackend
 from .bitops import (
     HAS_BITWISE_COUNT,
@@ -101,7 +94,6 @@ from .threaded import ThreadedBackend, ThreadedLevelEncoder, threaded_packed_ham
 
 __all__ = [
     "AutoBackend",
-    "BACKENDS",
     "HAS_BITWISE_COUNT",
     "HeapStore",
     "MmapStore",
@@ -116,8 +108,6 @@ __all__ = [
     "ThreadedBackend",
     "ThreadedLevelEncoder",
     "attach_handle",
-    "encoder_backend",
-    "make_encoder",
     "make_store",
     "read_table_file",
     "table_key",
@@ -134,6 +124,4 @@ __all__ = [
     "threaded_packed_hamming",
     "unpack_bipolar",
     "unpack_bits",
-    "use_packed_inference",
-    "validate_backend",
 ]

@@ -2,8 +2,7 @@
 
 Each class bundles the two decisions a backend owns — which encoder to
 build and which inference kernels the centroid classifier runs — behind
-the :class:`repro.api.registry.Backend` protocol.  The resolution rules
-are exactly the ones :mod:`repro.fastpath.backends` used to hardcode:
+the :class:`repro.api.registry.Backend` protocol.  The resolution rules:
 
 * ``reference`` — always the original elementwise NumPy paths.
 * ``packed`` — force packed *encoding*, raising where it cannot apply

@@ -24,7 +24,6 @@ are single-pass, so it is off by default everywhere.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 import numpy as np
@@ -83,19 +82,7 @@ class CentroidClassifier:
         self.dim = dim
         self.binarize = binarize
         self.center = center
-        if backend is None:
-            self._backend = get_backend("auto")
-        elif isinstance(backend, str):
-            warnings.warn(
-                "passing a backend name string directly to CentroidClassifier "
-                "is deprecated; resolve it through the registry instead: "
-                "CentroidClassifier(..., backend=repro.api.get_backend(name))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._backend = get_backend(backend)
-        else:
-            self._backend = resolve_backend(backend)  # type-checks the instance
+        self._backend = resolve_backend("auto" if backend is None else backend)
         self._accumulators = np.zeros((num_classes, dim), dtype=np.int64)
         self._fitted = False
         self._packed_classes: np.ndarray | None = None

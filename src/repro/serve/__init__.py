@@ -8,28 +8,34 @@ re-fitting), proves readiness with the ``serve-check`` probe, and can be
 killed and respawned at any time without losing anything but the batch
 it was holding — which the front-end re-queues.
 
-The request path is three explicit layers (see ``docs/serving.md`` for
-the operator guide and ``docs/ARCHITECTURE.md`` for the full picture):
+One serving path, four layers (see ``docs/serving.md`` for the operator
+guide and ``docs/ARCHITECTURE.md`` for the full picture)::
+
+    transports -> Router -> ModelDeployment -> UHDServer (scheduler + workers)
 
 * **Transport** (:mod:`repro.serve.transport` /
-  :mod:`repro.serve.binary`) — how requests arrive:
-  :class:`InProcessTransport` (plain Python calls),
-  :class:`HttpTransport` (stdlib-only threaded HTTP: ``POST /predict``,
-  ``GET /healthz`` backed by the readiness probe, ``GET /stats``, and a
-  Prometheus ``GET /metrics`` rendered by :mod:`repro.serve.metrics`
-  from the per-lane latency histograms in :mod:`repro.serve.histogram`),
-  or :class:`SocketTransport` — the **binary fast lane**: a framed
-  length-prefixed protocol over persistent connections driven by one
-  ``selectors`` event loop, pixels zero-copied from the receive buffer
-  into scheduler batch assembly (:class:`BinaryClient` is the matching
-  pipelining-capable client).  Transports can coexist: HTTP and binary
-  ports can front the *same* server, feeding one scheduler.
+  :mod:`repro.serve.binary`) — how requests arrive, always in front of
+  a :class:`Router`: :class:`HttpTransport` (stdlib-only threaded HTTP:
+  ``POST /predict``, ``GET /healthz``, ``GET /stats``, ``GET /models``,
+  and a Prometheus ``GET /metrics`` rendered by
+  :mod:`repro.serve.metrics`) or :class:`SocketTransport` — the
+  **binary fast lane**: a framed length-prefixed protocol over
+  persistent connections driven by one ``selectors`` event loop, pixels
+  zero-copied from the receive buffer into scheduler batch assembly
+  (:class:`BinaryClient` is the matching pipelining-capable client).
+  Both wires can front the *same* router.
+* **Router** (:mod:`repro.serve.router` + :mod:`repro.serve.replica`)
+  — named :class:`ModelDeployment`\\ s, each a replica group of N
+  servers with least-loaded dispatch, one merged stats document, and
+  rolling hot reload (``router.reload(model_id, path)`` swaps in a fresh
+  model generation add-before-remove, never dropping below
+  ``min_ready`` ready replicas and never dropping a request).
+  ``repro-uhd serve`` is a router with one deployment of one replica.
 * **Scheduler** (:mod:`repro.serve.scheduler`) — queueing/coalescing
   policy: named priority lanes (:class:`LaneConfig`) with per-lane
   ``max_batch``/``max_wait_ms``, weighted anti-starvation draining, and
   per-request deadlines that fail expired requests loudly
-  (:class:`DeadlineExpiredError`).  :class:`MicroBatcher` remains as a
-  single-lane compatibility shim.
+  (:class:`DeadlineExpiredError`).
 * **Workers** (:class:`UHDServer` + :mod:`repro.serve.worker`) — the
   front-end owns one warm encoder per ``(pixels, config)`` key
   (:class:`EncoderCache`), publishes gather tables through
@@ -37,28 +43,21 @@ the operator guide and ``docs/ARCHITECTURE.md`` for the full picture):
   rebuild, fans batches out to the pool, and restarts crashed workers.
   ``ServeConfig(workers=0)`` is the synchronous in-process fallback.
 
-Above the single server sits the **fleet layer**
-(:mod:`repro.serve.router` + :mod:`repro.serve.replica`): a
-:class:`Router` owns named :class:`ModelDeployment`\\ s, each a replica
-group of N servers with least-loaded dispatch, aggregated stats, and
-rolling hot reload (``router.reload(model_id, path)`` swaps in a fresh
-model generation add-before-remove, never dropping below ``min_ready``
-ready replicas and never dropping a request).  :class:`HttpTransport`
-accepts a ``Router`` and grows ``/models/<id>/...`` endpoints.
-
 Quickstart::
 
-    from repro.serve import HttpTransport, LaneConfig, ServeConfig, UHDServer
+    from repro.serve import (
+        DeploymentSpec, HttpTransport, LaneConfig, Router, ServeConfig,
+    )
 
     config = ServeConfig(
         workers=2,
         lanes=(LaneConfig("interactive", max_batch=16, max_wait_ms=1, weight=4),
                LaneConfig("bulk", max_wait_ms=50)),
     )
-    with UHDServer("mnist-2048.npz", config) as server:
-        labels = server.predict(images, lane="interactive")
-        with HttpTransport(server, port=8080) as http:
-            print("listening on", http.address)  # POST /predict, /healthz, /stats
+    with Router({"mnist": DeploymentSpec("mnist-2048.npz", serve=config)}) as router:
+        labels = router.predict("mnist", images, lane="interactive")
+        with HttpTransport(router, port=8080) as http:
+            print("listening on", http.address)  # POST /predict, /stats, ...
             ...
 
 Everything is bit-exact with calling the model directly — over every
@@ -66,7 +65,6 @@ transport, on every lane: the serving layer splits, coalesces and
 routes, but never transforms data.
 """
 
-from .batcher import MicroBatcher
 from .binary import BinaryClient, SocketTransport
 from .cache import CacheStats, EncoderCache, encoder_cache
 from .histogram import HistogramSnapshot, LatencyHistogram
@@ -78,7 +76,6 @@ from .scheduler import LaneConfig, LaneStats, ScheduledBatch, Scheduler
 from .server import UHDServer
 from .transport import (
     HttpTransport,
-    InProcessTransport,
     Transport,
     TransportSnapshot,
     TransportStats,
@@ -100,11 +97,9 @@ __all__ = [
     "EncoderCache",
     "HistogramSnapshot",
     "HttpTransport",
-    "InProcessTransport",
     "LaneConfig",
     "LaneStats",
     "LatencyHistogram",
-    "MicroBatcher",
     "ModelDeployment",
     "PredictionHandle",
     "ProbeResult",

@@ -5,7 +5,8 @@ almost none of it is inference: JSON encode/parse of pixel arrays plus
 thread-per-connection HTTP handling dominate.  This module is the cure
 the ROADMAP calls for — requests stay **binary from socket to kernel**:
 
-* :class:`SocketTransport` — a stdlib-only server front-end speaking a
+* :class:`SocketTransport` — a stdlib-only front-end to a
+  :class:`~repro.serve.router.Router`, speaking a
   versioned length-prefixed frame protocol over **persistent
   connections multiplexed by a single** :mod:`selectors` **event loop**.
   No thread-per-connection, no JSON on the hot path.  A frame's pixel
@@ -75,7 +76,7 @@ from .transport import TransportStats
 from .types import DeadlineExpiredError, PredictionHandle, ServeError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .server import UHDServer
+    from .router import Router
 
 __all__ = [
     "MAGIC",
@@ -110,7 +111,7 @@ FRAME_EXPIRED = 4  #: server -> client: deadline passed while queued (504)
 
 ERR_MALFORMED = 1  #: unparseable/invalid request (HTTP 400)
 ERR_UNAVAILABLE = 2  #: server closed, draining, or failed (HTTP 503)
-ERR_UNKNOWN_MODEL = 3  #: router mode: no such model id (HTTP 404)
+ERR_UNKNOWN_MODEL = 3  #: no such model id (HTTP 404)
 ERR_INTERNAL = 4  #: unexpected server-side failure (HTTP 500)
 
 _FRAME_TYPES = (FRAME_PREDICT, FRAME_LABELS, FRAME_ERROR, FRAME_EXPIRED)
@@ -564,30 +565,30 @@ class _Connection:
 
 
 class SocketTransport:
-    """Framed binary front-end over a :class:`UHDServer` or ``Router``.
+    """Framed binary front-end over a :class:`~repro.serve.router.Router`.
 
     One daemon thread runs a :mod:`selectors` event loop multiplexing
     the listener and every client connection; predictions complete via
     :meth:`PredictionHandle.add_done_callback`, so the loop never blocks
     on a result.  ``port=0`` binds an ephemeral port (read
     :attr:`port` / :attr:`address` after :meth:`start`).  Like
-    :class:`HttpTransport` the transport *borrows* the server: ``close``
+    :class:`HttpTransport` the transport *borrows* the router: ``close``
     drains in-flight responses (bounded by ``drain_timeout_s``) and
-    stops the loop, but never closes the server.
+    stops the loop, but never closes the router.
 
     Backpressure: a full lane blocks ``submit`` on the loop thread (the
     scheduler's usual contract, bounded by ``request_timeout_s``), which
     pauses intake for *every* connection — the binary wire applies
     server-wide backpressure instead of buffering unbounded requests.
 
-    Passing a :class:`~repro.serve.router.Router` enables multi-model
-    dispatch: a frame's model id selects the deployment (empty id =
-    default model), unknown ids answer ``ERR_UNKNOWN_MODEL``.
+    A frame's model id selects the deployment (empty id = the default
+    model, like bare HTTP ``/predict``); unknown ids answer
+    ``ERR_UNKNOWN_MODEL``.
     """
 
     def __init__(
         self,
-        server: Any,
+        router: "Router",
         host: str = "127.0.0.1",
         port: int = 0,
         request_timeout_s: float = 30.0,
@@ -602,17 +603,13 @@ class SocketTransport:
             raise ValueError(
                 f"max_payload_bytes must be >= 1, got {max_payload_bytes}"
             )
-        self._server = server
+        self._router = router
         self._host = host
         self._requested_port = port
         self.request_timeout_s = request_timeout_s
         self.max_payload_bytes = max_payload_bytes
         self.drain_timeout_s = drain_timeout_s
-        self._is_router = hasattr(server, "deployment") and hasattr(
-            server, "models"
-        )
         self.stats = TransportStats("binary")
-        self._attached = False
         self._listener: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
         self._thread: threading.Thread | None = None
@@ -629,11 +626,7 @@ class SocketTransport:
         """Bind, start the event loop thread, begin accepting frames."""
         if self._thread is not None:
             return self
-        if not self._attached:
-            attach = getattr(self._server, "attach_transport", None)
-            if attach is not None:
-                attach(self.stats)
-            self._attached = True
+        self._router.attach_transport(self.stats)  # idempotent
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._requested_port))
@@ -696,17 +689,9 @@ class SocketTransport:
     # ----------------------------------------------------------- internals
     def _resolve_target(self, model: "str | None"):
         """(submit, num_pixels) for a frame's model id; LookupError on miss."""
-        if not self._is_router:
-            if model is not None:
-                raise LookupError(
-                    f"this server routes no models; drop the model id "
-                    f"{model!r} (same contract as HTTP /models/... paths "
-                    "404ing in single-server mode)"
-                )
-            return self._server.submit, self._server.num_pixels
-        model_id = model if model is not None else self._server.default_model
+        model_id = model if model is not None else self._router.default_model
         try:
-            deployment = self._server.deployment(model_id)
+            deployment = self._router.deployment(model_id)
         except ValueError as exc:
             raise LookupError(str(exc)) from None
         return deployment.submit, deployment.num_pixels

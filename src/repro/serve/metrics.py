@@ -1,13 +1,13 @@
 """Prometheus text exposition for the serving stack (stdlib-only).
 
-:func:`render_metrics` turns a live :class:`~repro.serve.server.UHDServer`
-or :class:`~repro.serve.router.Router` into the Prometheus text format
-0.0.4 the ``GET /metrics`` endpoint serves — ``# HELP`` / ``# TYPE``
-headers, counters/gauges, and one classic histogram per lane whose
-``_bucket{le=...}`` lines are the *cumulative* view of the fixed
-log-spaced buckets in :mod:`repro.serve.histogram`.  Everything is
-derived from the same :meth:`stats` snapshots ``/stats`` serves, so the
-two endpoints can never disagree.
+:func:`render_metrics` turns a live :class:`~repro.serve.router.Router`
+into the Prometheus text format 0.0.4 the ``GET /metrics`` endpoint
+serves — ``# HELP`` / ``# TYPE`` headers, counters/gauges, and one
+classic histogram per lane whose ``_bucket{le=...}`` lines are the
+*cumulative* view of the fixed log-spaced buckets in
+:mod:`repro.serve.histogram`.  Everything is derived from the same
+deployment snapshots ``/stats`` serves, so the two endpoints can never
+disagree.
 
 :func:`parse_exposition` is the matching strict parser.  It exists so
 tests and CI can validate conformance without a Prometheus binary:
@@ -17,7 +17,8 @@ it checks HELP/TYPE placement, label syntax, histogram completeness
 
 Metric names
 ------------
-Single-server mode (no labels unless noted):
+Per-deployment families carry a ``model`` label (per-lane ones also
+``lane``); transport and cache families are router- and process-wide:
 
 ====================================  =======  =====================================
 ``uhd_requests_total``                counter  ``submit()`` calls accepted
@@ -43,21 +44,22 @@ Single-server mode (no labels unless noted):
 ``uhd_cache_publications``            gauge    live table-store publications
 ====================================  =======  =====================================
 
-Router mode keeps the same families but adds a ``model`` label to every
-per-model/per-lane sample (lane latency histograms are **merged across
-live replicas and retired generations**, so quantiles survive hot
-reloads) and grows the fleet gauges:
-
+Lane latency histograms are **merged across live replicas and retired
+generations**, so quantiles survive hot reloads.  The fleet gauges are
 ``uhd_deployment_generation{model}``, ``uhd_deployment_target_replicas
-{model}``, ``uhd_deployment_ready_replicas{model}``,
+{model}``, ``uhd_deployment_ready_replicas{model}`` and
 ``uhd_deployment_retired_replicas_total{model}``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .histogram import BUCKET_BOUNDS_S, HistogramSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .router import Router
+    from .scheduler import LaneStats
 
 __all__ = ["render_metrics", "parse_exposition"]
 
@@ -187,43 +189,18 @@ class _Exposition:
         return "\n".join(lines) + "\n"
 
 
-def _server_counters(exp: _Exposition, stats: Any, labels: dict[str, str]) -> None:
-    """Top-level counters/gauges shared by server mode and per-model rows.
-
-    ``stats`` duck-types: a ``ServerStats`` dataclass (single server) or
-    a deployment's aggregated dict (router) — both carry the same keys.
-    """
-    get = (
-        stats.get
-        if isinstance(stats, dict)
-        else lambda key, default=None: getattr(stats, key, default)
-    )
-    exp.add("uhd_requests_total", labels, get("requests", 0))
-    exp.add("uhd_images_total", labels, get("images", 0))
-    exp.add("uhd_batches_total", labels, get("batches", 0))
-    exp.add("uhd_expired_total", labels, get("expired", 0))
-    exp.add("uhd_restarts_total", labels, get("restarts", 0))
-
-
 def _lane_rows(
-    exp: _Exposition, lanes: Iterable[Any], labels: dict[str, str]
+    exp: _Exposition, lanes: Iterable[LaneStats], labels: dict[str, str]
 ) -> None:
-    """Per-lane gauges/counters/histogram; accepts LaneStats or dicts."""
+    """Per-lane gauges/counters/histogram."""
     for lane in lanes:
-        get = (
-            lane.get
-            if isinstance(lane, dict)
-            else lambda key, default=None, _l=lane: getattr(_l, key, default)
-        )
-        lane_labels = {**labels, "lane": get("name")}
-        exp.add("uhd_lane_queue_depth", lane_labels, get("depth", 0))
-        exp.add("uhd_lane_queued_rows", lane_labels, get("queued_rows", 0))
-        exp.add("uhd_lane_served_total", lane_labels, get("served", 0))
-        exp.add("uhd_lane_served_rows_total", lane_labels, get("served_rows", 0))
-        exp.add("uhd_lane_expired_total", lane_labels, get("expired", 0))
-        latency = get("latency")
-        if isinstance(latency, HistogramSnapshot):
-            exp.add_histogram("uhd_lane_latency_seconds", lane_labels, latency)
+        lane_labels = {**labels, "lane": lane.name}
+        exp.add("uhd_lane_queue_depth", lane_labels, lane.depth)
+        exp.add("uhd_lane_queued_rows", lane_labels, lane.queued_rows)
+        exp.add("uhd_lane_served_total", lane_labels, lane.served)
+        exp.add("uhd_lane_served_rows_total", lane_labels, lane.served_rows)
+        exp.add("uhd_lane_expired_total", lane_labels, lane.expired)
+        exp.add_histogram("uhd_lane_latency_seconds", lane_labels, lane.latency)
 
 
 def _transport_rows(exp: _Exposition, snapshots: Iterable[Any]) -> None:
@@ -260,59 +237,42 @@ def _transport_rows(exp: _Exposition, snapshots: Iterable[Any]) -> None:
 
 
 def _cache_rows(exp: _Exposition, cache: Any) -> None:
-    if cache is None:
-        return
     exp.add("uhd_cache_encoders", {}, cache.entries)
     exp.add("uhd_cache_table_bytes", {}, cache.table_bytes)
     exp.add("uhd_cache_publications", {}, len(cache.published))
 
 
-def render_metrics(server: Any) -> str:
-    """Prometheus text exposition (0.0.4) for a server or router.
+def render_metrics(router: "Router") -> str:
+    """Prometheus text exposition (0.0.4) for a router.
 
-    ``server`` is duck-typed exactly like the HTTP transport does it: a
-    ``Router`` exposes ``deployment``/``models``, anything else is
-    treated as a single :class:`UHDServer`.  Always ends in a newline;
-    serve with ``Content-Type: text/plain; version=0.0.4``.
+    One ``model``-labelled row set per deployment, from the same merged
+    snapshot its ``/stats`` document serializes.  Always ends in a
+    newline; serve with ``Content-Type: text/plain; version=0.0.4``.
     """
     exp = _Exposition()
-    is_router = hasattr(server, "deployment") and hasattr(server, "models")
-    if not is_router:
-        stats = server.stats()
-        _server_counters(exp, stats, {})
-        exp.add("uhd_workers", {}, stats.workers)
-        exp.add("uhd_mean_batch_size", {}, stats.mean_batch_size)
-        _lane_rows(exp, stats.lanes, {})
-        _transport_rows(exp, getattr(stats, "transports", ()))
-        _cache_rows(exp, getattr(stats, "cache", None))
-        return exp.render()
-
-    for model_id, deployment in server.deployments.items():
+    for model_id, deployment in router.deployments.items():
         labels = {"model": model_id}
-        stats = deployment.stats()
-        _server_counters(exp, stats, labels)
-        exp.add("uhd_deployment_generation", labels, stats["generation"])
+        stats, fleet = deployment.snapshot()
+        exp.add("uhd_requests_total", labels, stats.requests)
+        exp.add("uhd_images_total", labels, stats.images)
+        exp.add("uhd_batches_total", labels, stats.batches)
+        exp.add("uhd_expired_total", labels, stats.expired)
+        exp.add("uhd_restarts_total", labels, stats.restarts)
+        exp.add("uhd_workers", labels, stats.workers)
+        exp.add("uhd_mean_batch_size", labels, stats.mean_batch_size)
+        exp.add("uhd_deployment_generation", labels, fleet["generation"])
         exp.add(
-            "uhd_deployment_target_replicas", labels, stats["target_replicas"]
+            "uhd_deployment_target_replicas", labels, fleet["target_replicas"]
         )
-        exp.add("uhd_deployment_ready_replicas", labels, stats["ready_replicas"])
+        exp.add("uhd_deployment_ready_replicas", labels, fleet["ready_replicas"])
         exp.add(
             "uhd_deployment_retired_replicas_total",
             labels,
-            stats["retired_replicas"],
+            fleet["retired_replicas"],
         )
-        # lane dicts from deployment.stats() carry serialized latency; use
-        # the un-serialized merged snapshots for the histogram buckets
-        snapshots = deployment.lane_snapshots()
-        lanes = [
-            {**lane, "latency": snapshots.get(lane["name"])}
-            for lane in stats["lanes"]
-        ]
-        _lane_rows(exp, lanes, labels)
+        _lane_rows(exp, stats.lanes, labels)
     # transports front the router as a whole, not any one deployment
-    transport_stats = getattr(server, "transport_stats", None)
-    if transport_stats is not None:
-        _transport_rows(exp, transport_stats())
+    _transport_rows(exp, router.transport_stats())
     # the encoder cache is process-wide, not per-deployment
     from .cache import encoder_cache
 

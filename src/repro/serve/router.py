@@ -10,9 +10,10 @@ store) and provides:
   with the fewest in-flight requests, with transparent failover to a
   sibling if a replica's server has died (the PR-3 crash-respawn story,
   generalized from workers within one server to servers within a group);
-* **per-deployment stats aggregation** — counters are summed across
-  live replicas *plus* an accumulator carried over from retired
-  generations, so a hot reload never resets a deployment's totals;
+* **one stats document per deployment** — one
+  :meth:`~repro.serve.types.ServerStats.merge` over the live replicas
+  *plus* an accumulator carried over from retired generations, so a hot
+  reload never resets a deployment's totals or latency histograms;
 * **rolling hot reload** — ``reload(model_id, path)`` brings up a fresh
   model *generation* one replica at a time behind the readiness probe
   (start new → ready → shift traffic → drain one old → retire it),
@@ -34,12 +35,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .histogram import HistogramSnapshot
 from .replica import Replica, RoutedHandle
-from .types import ServeConfig, ServeError
+from .types import ServeConfig, ServeError, ServerStats
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -97,19 +97,10 @@ class ModelDeployment:
         self._closed = False
         self._reloading = False
         self._retired_generations = 0
-        self._retired_totals = {
-            "requests": 0,
-            "images": 0,
-            "batches": 0,
-            "restarts": 0,
-            "expired": 0,
-        }
-        #: per-lane accumulation carried over from retired generations:
-        #: lane name -> {"served", "served_rows", "expired",
-        #: "latency": HistogramSnapshot} — merged (fixed shared buckets,
-        #: element-wise addition, no bucket loss) so a hot reload never
-        #: resets a deployment's latency distributions
-        self._retired_lanes: dict[str, dict] = {}
+        #: counters of every retired replica, merged as they retire (see
+        #: ServerStats.merge) so a hot reload never resets the totals or
+        #: the latency distributions; worker gauges are zeroed first
+        self._retired: ServerStats | None = None
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "ModelDeployment":
@@ -420,29 +411,15 @@ class ModelDeployment:
             replica.close(max(0.0, drain_deadline - time.monotonic()))
         except Exception:
             pass
+        final = replace(
+            replica.server.stats(),
+            workers=0,
+            worker_probe_ms=(),
+            worker_table_builds=(),
+        )
         with self._cv:
-            stats = replica.server.stats()
-            self._retired_totals["requests"] += stats.requests
-            self._retired_totals["images"] += stats.images
-            self._retired_totals["batches"] += stats.batches
-            self._retired_totals["restarts"] += stats.restarts
-            self._retired_totals["expired"] += stats.expired
-            for lane in stats.lanes:
-                acc = self._retired_lanes.setdefault(
-                    lane.name,
-                    {
-                        "served": 0,
-                        "served_rows": 0,
-                        "expired": 0,
-                        "latency": HistogramSnapshot.empty(),
-                    },
-                )
-                acc["served"] += lane.served
-                acc["served_rows"] += lane.served_rows
-                acc["expired"] += lane.expired
-                acc["latency"] = HistogramSnapshot.merge(
-                    (acc["latency"], lane.latency)
-                )
+            retired = [final] if self._retired is None else [self._retired, final]
+            self._retired = ServerStats.merge(retired, mode=self._mode)
             self._retired_generations += 1
             replica.state = "retired"
             if replica in self._replicas:
@@ -459,8 +436,9 @@ class ModelDeployment:
         above the floor (e.g. a failed replica awaiting the next reload).
         """
         with self._cv:
+            replicas = list(self._replicas)
             states = {name: 0 for name in ("starting", "ready", "draining", "failed")}
-            for replica in self._replicas:
+            for replica in replicas:
                 if replica.state in states:
                     states[replica.state] += 1
             ready = states["ready"]
@@ -469,7 +447,7 @@ class ModelDeployment:
             status = "ok" if ok else "unavailable"
             if degraded:
                 status = "degraded"
-            return {
+            health = {
                 "model": self.model_id,
                 "ok": bool(ok),
                 "status": status,
@@ -483,98 +461,57 @@ class ModelDeployment:
                 "failed": states["failed"],
                 "reloading": self._reloading,
             }
-
-    def stats(self) -> dict:
-        """Aggregated counters (live replicas + retired generations).
-
-        ``lanes`` carries one row per lane name with the latency
-        histogram **merged across every live replica and every retired
-        generation** — fixed shared buckets make the merge an
-        element-wise sum, so the merged count always equals the sum of
-        the per-generation counts (no bucket loss) and quantiles stay
-        consistent across hot reloads.
-        """
-        with self._cv:
-            replicas = list(self._replicas)
-            totals = dict(self._retired_totals)
-            retired_generations = self._retired_generations
-            generation = self.generation
-            path = self.model_path
-            lane_acc: dict[str, dict] = {
-                name: {
-                    "served": acc["served"],
-                    "served_rows": acc["served_rows"],
-                    "expired": acc["expired"],
-                    "latency": acc["latency"],
-                }
-                for name, acc in self._retired_lanes.items()
-            }
-        rows = []
-        for replica in replicas:
-            server_stats = replica.server.stats()
-            rows.append(replica.summary(server_stats))
-            for lane in server_stats.lanes:
-                acc = lane_acc.setdefault(
-                    lane.name,
-                    {
-                        "served": 0,
-                        "served_rows": 0,
-                        "expired": 0,
-                        "latency": HistogramSnapshot.empty(),
-                    },
-                )
-                acc["served"] += lane.served
-                acc["served_rows"] += lane.served_rows
-                acc["expired"] += lane.expired
-                acc["latency"] = HistogramSnapshot.merge(
-                    (acc["latency"], lane.latency)
-                )
-        for row in rows:
-            for key in ("requests", "images", "batches", "restarts", "expired"):
-                totals[key] += row[key]
-        lanes = [
-            {
-                "name": name,
-                "served": acc["served"],
-                "served_rows": acc["served_rows"],
-                "expired": acc["expired"],
-                "latency": acc["latency"].as_dict(),
-            }
-            for name, acc in lane_acc.items()
+        # each replica's own liveness and readiness-probe result, read
+        # outside the deployment lock (servers are never called under it)
+        health["replicas"] = [
+            {"name": replica.name, **replica.server.healthz()}
+            for replica in replicas
         ]
-        return {
-            "model": self.model_id,
-            "path": path,
-            "generation": generation,
-            "target_replicas": self.spec.replicas,
-            "ready_replicas": sum(1 for r in rows if r["state"] == "ready"),
-            "retired_replicas": retired_generations,
-            **totals,
-            "lanes": lanes,
-            "replicas": rows,
-        }
+        return health
 
-    def lane_snapshots(self) -> dict[str, HistogramSnapshot]:
-        """Merged per-lane latency snapshots (live + retired), un-serialized.
+    @property
+    def _mode(self) -> str:
+        return "inproc" if self.spec.serve.workers == 0 else "pool"
 
-        The ``/metrics`` renderer and the CLI drain summary want the
-        actual :class:`~repro.serve.histogram.HistogramSnapshot` objects
-        (for bucket lines and quantile math), not the JSON view
-        :meth:`stats` emits.
+    def snapshot(self, transports: tuple = ()) -> tuple[ServerStats, dict]:
+        """The merged :class:`ServerStats` of the deployment, plus its fleet keys.
+
+        The snapshot is one :meth:`ServerStats.merge` over every live
+        replica and the retired generations, so counters and per-lane
+        latency histograms carry across hot reloads without loss.
+        ``transports`` are the wire counters of the router in front.
+        The fleet dict holds ``model``, ``path``, ``generation``,
+        ``target_replicas``, ``ready_replicas``, ``retired_replicas``
+        and one ``replicas`` row per live replica.
         """
         with self._cv:
             replicas = list(self._replicas)
-            merged: dict[str, list[HistogramSnapshot]] = {
-                name: [acc["latency"]]
-                for name, acc in self._retired_lanes.items()
+            retired = [] if self._retired is None else [self._retired]
+            fleet = {
+                "model": self.model_id,
+                "path": self.model_path,
+                "generation": self.generation,
+                "target_replicas": self.spec.replicas,
+                "retired_replicas": self._retired_generations,
             }
-        for replica in replicas:
-            for lane in replica.server.stats().lanes:
-                merged.setdefault(lane.name, []).append(lane.latency)
-        return {
-            name: HistogramSnapshot.merge(snaps)
-            for name, snaps in merged.items()
-        }
+        live = [replica.server.stats() for replica in replicas]
+        rows = [replica.summary(s) for replica, s in zip(replicas, live)]
+        fleet["ready_replicas"] = sum(row["state"] == "ready" for row in rows)
+        fleet["replicas"] = rows
+        merged = ServerStats.merge(
+            live + retired, mode=self._mode, transports=tuple(transports)
+        )
+        return merged, fleet
+
+    def stats(self, transports: tuple = ()) -> dict:
+        """The deployment's stats document (``GET /models/<id>/stats``).
+
+        The :meth:`ServerStats.as_dict` keys of :meth:`snapshot`'s merged
+        counters, plus its fleet keys — the one stats shape the serving
+        layer has.
+        """
+        merged, fleet = self.snapshot(transports)
+        return {**merged.as_dict(), **fleet}
 
     def listing(self) -> dict:
         """Compact row for ``GET /models``."""
@@ -766,7 +703,14 @@ class Router:
         }
 
     def attach_transport(self, stats: Any) -> None:
-        """Register a fronting transport's wire counters (same as UHDServer)."""
+        """Register a :class:`~repro.serve.transport.TransportStats`.
+
+        Transports call this from ``start()`` so their wire counters
+        (connections, frames, bytes, malformed) surface in every stats
+        document and in ``/metrics``.  Counters persist after the
+        transport closes (they are totals); attaching the same object
+        twice is a no-op.
+        """
         with self._lock:
             if all(existing is not stats for existing in self._transports):
                 self._transports.append(stats)
@@ -779,11 +723,14 @@ class Router:
             transports = list(self._transports)
         return TransportSnapshot.merged(t.snapshot() for t in transports)
 
-    def stats(self) -> dict:
-        """Aggregated stats for every deployment (``GET /stats``)."""
-        return {
-            "models": [d.stats() for d in self._deployments.values()],
-            "transports": [
-                asdict(snap) for snap in self.transport_stats()
-            ],
-        }
+    def stats(self, model_id: str | None = None) -> dict:
+        """One deployment's stats document, with this router's wire counters.
+
+        ``model_id=None`` means the default model, the same way bare
+        ``/predict`` predicts on it: bare ``GET /stats`` and
+        ``GET /models/<id>/stats`` serve this one shape.
+        """
+        deployment = self.deployment(
+            self.default_model if model_id is None else model_id
+        )
+        return deployment.stats(self.transport_stats())

@@ -1,9 +1,7 @@
 """Priority-lane scheduler: the queueing/coalescing policy of the request path.
 
-Extracted from :class:`~repro.serve.batcher.MicroBatcher` (which is now a
-single-lane compatibility shim over this class), the :class:`Scheduler`
-owns every decision about *when* a queued request becomes a dispatched
-batch and *which* traffic class gets served first:
+The :class:`Scheduler` owns every decision about *when* a queued request
+becomes a dispatched batch and *which* traffic class gets served first:
 
 * **Named priority lanes.**  Each :class:`LaneConfig` is an independent
   FIFO with its own ``max_batch`` (rows per dispatched batch),
@@ -30,11 +28,10 @@ batch and *which* traffic class gets served first:
   and handed to the ``on_expired`` callback, and counted per lane in
   :meth:`stats`.
 
-FIFO order within a lane, the bounded/backpressure ``put``, the empty
-heartbeat, and close-is-drain-then-stop semantics are all inherited
-verbatim from the original batcher — with a single lane and no
-deadlines this class *is* the old ``MicroBatcher``, which is how the
-shim keeps its existing test matrix bit-for-bit green.
+Within a lane, items leave in FIFO order and are never split (an item
+that would overflow the forming batch waits for the next one); ``put``
+is bounded and applies backpressure; an empty poll window returns an
+empty heartbeat batch; and close is drain-then-stop.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Generic, Protocol, Sequence, TypeVar
 
 from .histogram import HistogramSnapshot, LatencyHistogram
@@ -139,6 +136,24 @@ class LaneStats:
     expired: int  #: items failed on deadline while queued (never served)
     #: latency distribution of served items (expired ones excluded)
     latency: HistogramSnapshot = field(default_factory=HistogramSnapshot.empty)
+
+    @classmethod
+    def merge(cls, rows: Sequence["LaneStats"]) -> "LaneStats":
+        """One lane's counters summed over several schedulers.
+
+        The histograms share one bucket layout, so the merged
+        ``latency`` loses nothing (:meth:`HistogramSnapshot.merge`).
+        """
+        counters = {
+            f.name: sum(getattr(row, f.name) for row in rows)
+            for f in fields(cls)
+            if f.name not in ("name", "latency")
+        }
+        return cls(
+            name=rows[0].name,
+            latency=HistogramSnapshot.merge(row.latency for row in rows),
+            **counters,
+        )
 
 
 class ScheduledBatch(Generic[ItemT]):

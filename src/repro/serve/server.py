@@ -29,10 +29,10 @@ calling ``UHDClassifier.predict`` on the same rows directly, whatever
 they were coalesced with (``tests/serve/test_server.py`` asserts this
 against every built-in backend).
 
-How requests *reach* ``submit`` is the transport layer's business
-(:mod:`repro.serve.transport`): in-process calls and the threaded HTTP
-front-end both feed this same scheduler, so the contract above covers
-them identically.
+How requests *reach* ``submit`` is the business of the layers above:
+a :class:`~repro.serve.router.Router` dispatches to its replicas'
+servers, and the HTTP and binary transports front only a router, so
+the contract above covers every wire identically.
 """
 
 from __future__ import annotations
@@ -173,8 +173,6 @@ class UHDServer:
         self._table_handle: Any = None
         #: test hook — the next N dispatched batches kill their worker
         self._crash_next = 0
-        #: wire counters of transports fronting this server (attach_transport)
-        self._transports: list[Any] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -792,42 +790,19 @@ class UHDServer:
         """The resolved lane set (after start()); first entry is default."""
         return self._lanes
 
-    def attach_transport(self, stats: Any) -> None:
-        """Register a transport's :class:`~repro.serve.transport.TransportStats`.
-
-        Transports call this from ``start()`` so their wire counters
-        (connections, frames, bytes, malformed) surface through
-        :meth:`stats` and ``/metrics`` — the server stays wire-agnostic,
-        it only aggregates.  Counters persist after the transport
-        closes (they are totals); attaching the same object twice is a
-        no-op.
-        """
-        with self._lock:
-            if all(existing is not stats for existing in self._transports):
-                self._transports.append(stats)
-
-    def transport_stats(self) -> tuple:
-        """Per-kind merged wire counters of every attached transport."""
-        from .transport import TransportSnapshot
-
-        with self._lock:
-            transports = list(self._transports)
-        return TransportSnapshot.merged(t.snapshot() for t in transports)
-
     def stats(self) -> ServerStats:
         """A :class:`ServerStats` snapshot of the counters so far.
 
-        One-stop observability: request/batch counters, per-lane
-        scheduler depth/served/expired, and the process-wide encoder
-        cache (table bytes, live publications) — exactly what the HTTP
-        ``/stats`` endpoint serializes.
+        Request/batch counters, per-lane scheduler depth/served/expired,
+        and the process-wide encoder cache (table bytes, live
+        publications).  A deployment merges its replicas' snapshots
+        into the document the HTTP ``/stats`` endpoint serves.
         """
         scheduler = self._scheduler
         lane_stats = (
             scheduler.stats() if scheduler is not None else ()
         )
         cache_stats = encoder_cache().stats()
-        transports = self.transport_stats()
         with self._lock:
             if scheduler is None:
                 lane_stats = self._stats.inproc_lane_stats(self._lanes)
@@ -836,7 +811,6 @@ class UHDServer:
                 workers=self.config.workers,
                 lanes=lane_stats,
                 cache=cache_stats,
-                transports=transports,
             )
 
     def healthz(self) -> dict:

@@ -1,86 +1,65 @@
-"""Transports: how requests reach :meth:`UHDServer.submit`.
+"""Transports: how requests reach a :class:`~repro.serve.router.Router`.
 
-The serving front-end is deliberately transport-agnostic — the
+The serving stack is deliberately transport-agnostic — the router,
 scheduler and worker pool neither know nor care whether a request
-arrived as a Python call or over a socket.  This module makes that
-boundary explicit:
+arrived as a Python call or over a socket.  Every transport fronts a
+``Router``; ``repro-uhd serve`` is a router with one deployment of one
+replica, so there is exactly one serving path.
 
 * :class:`Transport` — the tiny protocol every transport satisfies
   (``start`` / ``close`` / ``address``).
-* :class:`InProcessTransport` — today's Python API, unchanged
-  semantics: a thin named wrapper around ``server.submit`` /
-  ``server.predict`` for code that wants to treat "call the server
-  directly" as just another transport choice.
 * :class:`HttpTransport` — a **stdlib-only** threaded HTTP front-end
   (``http.server.ThreadingHTTPServer``): each connection gets a handler
-  thread whose ``POST /predict`` blocks on ``server.submit(...).result()``
-  — many concurrent requests therefore feed the scheduler
+  thread whose predict request blocks on ``submit(...).result()`` —
+  many concurrent requests therefore feed the scheduler
   *concurrently* and coalesce into wide batches exactly like in-process
   callers.  No third-party framework, no event loop.
 
 HTTP endpoints
 --------------
-``POST /predict``
-    (also ``POST /models/<id>/predict`` when fronting a ``Router``)
-    JSON body ``{"images": [[...], ...], "lane": "interactive",
+``POST /predict`` and ``POST /models/<id>/predict``
+    Bare ``/predict`` addresses the router's *default* (first declared)
+    model.  JSON body ``{"images": [[...], ...], "lane": "interactive",
     "deadline_ms": 50}`` (``lane``/``deadline_ms`` optional, also
     accepted as query parameters), or raw ``application/octet-stream``
     uint8 bytes — row count inferred from the model's pixel count, or
     pinned with an ``X-UHD-Rows`` header.  Responds
-    ``{"labels": [...], "rows": N, "lane": ...}`` — or, with
-    ``Accept: application/octet-stream``, raw little-endian int64 label
-    bytes (``X-UHD-Rows`` response header carries the count) so a bulk
-    client can skip JSON entirely in both directions.  Labels are
+    ``{"labels": [...], "rows": N, "lane": ..., "model": ...}`` — or,
+    with ``Accept: application/octet-stream``, raw little-endian int64
+    label bytes (``X-UHD-Rows`` / ``X-UHD-Model`` response headers) so
+    a bulk client can skip JSON entirely in both directions.  Labels are
     **bit-exact** with ``UHDClassifier.predict``: the transport decodes
     bytes into the same uint8 arrays an in-process caller would pass,
-    and the server only routes (contract 5 in ``docs/ARCHITECTURE.md``).
+    and the stack only routes (contract 5 in ``docs/ARCHITECTURE.md``).
     Errors: 400 (malformed payload, unknown lane, wrong pixel count),
-    503 (server closed/failed), 504 (deadline expired while queued, or
-    the transport's ``request_timeout_s`` elapsed).
-``GET /healthz``
-    200/503 with :meth:`UHDServer.healthz` — liveness plus the
-    front-end's ``readiness_probe`` result (the same deterministic-
-    predictions check ``serve-check`` runs).
-``GET /stats``
-    200 with :meth:`UHDServer.stats` serialized via
-    ``ServerStats.as_dict()`` — request/batch counters, per-lane
-    depth/served/expired plus latency quantiles, encoder-cache table
-    bytes and publications.
-``GET /metrics``
-    200 with the Prometheus text exposition (0.0.4) rendered by
-    :func:`repro.serve.metrics.render_metrics` — the same counters as
-    ``/stats`` plus one classic histogram per lane
-    (``uhd_lane_latency_seconds``); router mode adds ``model`` labels
-    and the deployment generation/replica gauges.
-
-Router mode
------------
-Constructed over a :class:`~repro.serve.router.Router` instead of a
-single server, the transport grows path-based multi-model routing:
-
+    404 (unknown model id), 503 (closed/failed), 504 (deadline expired
+    while queued, or the transport's ``request_timeout_s`` elapsed).
+``GET /stats`` and ``GET /models/<id>/stats``
+    A deployment's stats document (:meth:`Router.stats`) — bare
+    ``/stats`` serves the default model's.  Request/batch counters,
+    per-lane depth/served/expired plus latency quantiles, encoder-cache
+    table bytes, this router's wire counters, and the fleet keys
+    (generation, replica counts and rows).
+``GET /healthz`` and ``GET /models/<id>/healthz``
+    200 while **every** deployment (or the named one) is at or above its
+    ``min_ready`` floor — a deployment mid-reload stays healthy — else
+    503.  The body carries ``status`` (``ok`` / ``degraded`` /
+    ``unavailable``) and each replica's liveness and readiness-probe
+    result (the same deterministic-predictions check ``serve-check``
+    runs).
 ``GET /models``
     200 with ``{"models": [...]}`` — one listing row per deployment
     (id, path, generation, ready/target replicas, status).
-``POST /models/<id>/predict``
-    Same request/response contract as ``/predict``, dispatched to the
-    named deployment's least-loaded ready replica; the response gains a
-    ``"model"`` field.  404 for unknown model ids.  Bare ``/predict``
-    keeps working and routes to the router's *default* (first declared)
-    model, so single-model clients need no changes.
-``GET /models/<id>/stats`` / ``GET /models/<id>/healthz``
-    Per-deployment aggregated stats (includes retired generations) and
-    readiness (200 when at/above ``min_ready``, else 503).
-``GET /healthz``
-    Router-aware: 200 while **every** deployment is at or above its
-    ``min_ready`` floor — a deployment mid-reload stays healthy; the
-    body carries ``status`` (``ok`` / ``degraded`` / ``unavailable``)
-    and an explicit ``degraded`` flag when a group is below target but
-    above minimum.  ``GET /stats`` returns all deployments.
+``GET /metrics``
+    200 with the Prometheus text exposition (0.0.4) rendered by
+    :func:`repro.serve.metrics.render_metrics` — the same counters as
+    ``/stats`` with a ``model`` label, one histogram per lane
+    (``uhd_lane_latency_seconds``) and the deployment fleet gauges.
 
-Lifecycle: the transport *borrows* the server — ``close()`` stops
+Lifecycle: the transport *borrows* the router — ``close()`` stops
 accepting connections and joins in-flight handler threads, but never
-closes the ``UHDServer`` (or ``Router``; its owner does, usually a
-``with`` block around both).
+closes the ``Router`` (its owner does, usually a ``with`` block around
+both).
 """
 
 from __future__ import annotations
@@ -96,13 +75,12 @@ import numpy as np
 from .types import DeadlineExpiredError, ServeError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .server import UHDServer
+    from .router import Router
 
 __all__ = [
     "Transport",
     "TransportSnapshot",
     "TransportStats",
-    "InProcessTransport",
     "HttpTransport",
 ]
 
@@ -131,7 +109,7 @@ class TransportSnapshot:
     ) -> "tuple[TransportSnapshot, ...]":
         """Sum counters per transport name, preserving first-seen order.
 
-        Two transports of the same kind over one server (possible in
+        Two transports of the same kind over one router (possible in
         tests) must not emit duplicate Prometheus series — merging here
         keeps ``/metrics`` one row per ``{transport=...}`` label value.
         """
@@ -155,9 +133,9 @@ class TransportSnapshot:
 class TransportStats:
     """Thread-safe mutable counters behind :class:`TransportSnapshot`.
 
-    Each transport owns one and registers it with the server it fronts
-    (``server.attach_transport``) so ``/stats`` and ``/metrics`` can
-    report per-wire traffic without the server knowing wire details.
+    Each transport owns one and registers it with the router it fronts
+    (``Router.attach_transport``) so ``/stats`` and ``/metrics`` can
+    report per-wire traffic without the router knowing wire details.
     """
 
     def __init__(self, name: str) -> None:
@@ -210,7 +188,7 @@ class TransportStats:
 
 @runtime_checkable
 class Transport(Protocol):
-    """Anything that can feed requests to a running :class:`UHDServer`."""
+    """Anything that can feed requests to a running ``Router``."""
 
     def start(self) -> "Transport": ...
 
@@ -220,67 +198,19 @@ class Transport(Protocol):
     def address(self) -> str: ...
 
 
-class InProcessTransport:
-    """The null transport: requests are plain Python calls.
-
-    Exists so deployment code can select "in-process" and "HTTP" through
-    one interface; ``submit``/``predict`` delegate to the server with
-    identical semantics (same handles, same lanes, same deadlines).
-    """
-
-    def __init__(self, server: "UHDServer") -> None:
-        self._server = server
-
-    def start(self) -> "InProcessTransport":
-        return self
-
-    def close(self) -> None:
-        pass  # the server's owner closes the server
-
-    @property
-    def address(self) -> str:
-        return "inproc://uhd-server"
-
-    def submit(
-        self,
-        images: Any,
-        timeout: float | None = None,
-        *,
-        lane: str | None = None,
-        deadline_ms: float | None = None,
-    ):
-        return self._server.submit(
-            images, timeout=timeout, lane=lane, deadline_ms=deadline_ms
-        )
-
-    def predict(
-        self,
-        images: Any,
-        timeout: float | None = None,
-        *,
-        lane: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> np.ndarray:
-        return self._server.predict(
-            images, timeout=timeout, lane=lane, deadline_ms=deadline_ms
-        )
-
-
 class HttpTransport:
-    """Threaded HTTP front-end over a :class:`UHDServer` or ``Router``.
+    """Threaded HTTP front-end over a :class:`~repro.serve.router.Router`.
 
     ``port=0`` (the default) binds an ephemeral port — read it back
     from :attr:`port` / :attr:`address` after :meth:`start`.  Handler
     threads block on ``submit(...).result(request_timeout_s)``, so
     concurrent connections coalesce in the scheduler like any other
-    concurrent submitters.  Passing a
-    :class:`~repro.serve.router.Router` as ``server`` enables the
-    multi-model endpoints (see the module docstring's *Router mode*).
+    concurrent submitters.  Endpoints: see the module docstring.
     """
 
     def __init__(
         self,
-        server: "UHDServer",
+        router: "Router",
         host: str = "127.0.0.1",
         port: int = 0,
         request_timeout_s: float = 30.0,
@@ -289,15 +219,14 @@ class HttpTransport:
             raise ValueError(
                 f"request_timeout_s must be > 0, got {request_timeout_s}"
             )
-        self._server = server
+        self._router = router
         self._host = host
         self._requested_port = port
         self._request_timeout_s = request_timeout_s
         self._httpd: Any = None
         self._thread: threading.Thread | None = None
-        #: wire counters surfaced through ``server.stats().transports``
+        #: wire counters surfaced through ``router.stats()["transports"]``
         self.stats = TransportStats("http")
-        self._attached = False
 
     def start(self) -> "HttpTransport":
         """Bind the socket and start accepting connections."""
@@ -305,13 +234,9 @@ class HttpTransport:
             return self
         from http.server import ThreadingHTTPServer
 
-        if not self._attached:
-            attach = getattr(self._server, "attach_transport", None)
-            if attach is not None:
-                attach(self.stats)
-            self._attached = True
+        self._router.attach_transport(self.stats)  # idempotent
         handler = _make_handler(
-            self._server, self._request_timeout_s, self.stats
+            self._router, self._request_timeout_s, self.stats
         )
         self._httpd = ThreadingHTTPServer(
             (self._host, self._requested_port), handler
@@ -369,26 +294,18 @@ class HttpTransport:
         self.close()
 
 
-#: ``/models/<id>/predict|stats|healthz`` (router mode); ids are slash-free
+#: ``/models/<id>/predict|stats|healthz``; model ids are slash-free
 _MODEL_PATH_RE = re.compile(r"^/models/([^/]+)/(predict|stats|healthz)$")
 
 
-def _make_handler(
-    server: Any, request_timeout_s: float, stats: TransportStats | None = None
-):
-    """Build the request-handler class bound to ``server``.
+def _make_handler(router: "Router", request_timeout_s: float, wire: TransportStats):
+    """Build the request-handler class bound to ``router``.
 
-    ``server`` is either a :class:`UHDServer` or a ``Router`` (duck-typed
-    on ``deployment``/``models``); router mode adds the ``/models/...``
-    endpoints.  A fresh class per transport keeps two transports over
-    different servers in one process from sharing state through class
-    attributes.  ``stats`` receives per-connection/request/byte counters
-    when provided.
+    A fresh class per transport keeps two transports over different
+    routers in one process from sharing state through class attributes.
+    ``wire`` receives the per-connection/request/byte counters.
     """
     from http.server import BaseHTTPRequestHandler
-
-    is_router = hasattr(server, "deployment") and hasattr(server, "models")
-    wire = stats if stats is not None else TransportStats("http")
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -436,17 +353,14 @@ def _make_handler(
             wire.frame_in(0)
             path = self.path.split("?", 1)[0]
             if path == "/healthz":
-                health = server.healthz()
+                health = router.healthz()
                 self._send_json(200 if health["ok"] else 503, health)
             elif path == "/stats":
-                stats = server.stats()
-                if hasattr(stats, "as_dict"):
-                    stats = stats.as_dict()
-                self._send_json(200, stats)
+                self._send_json(200, router.stats())
             elif path == "/metrics":
                 from .metrics import render_metrics
 
-                body = render_metrics(server).encode("utf-8")
+                body = render_metrics(router).encode("utf-8")
                 self.send_response(200)
                 self.send_header(
                     "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
@@ -457,68 +371,51 @@ def _make_handler(
                 self.end_headers()
                 self.wfile.write(body)
                 wire.frame_out(len(body))
-            elif is_router and path == "/models":
-                self._send_json(200, {"models": server.models()})
-            elif is_router and (match := _MODEL_PATH_RE.match(path)):
+            elif path == "/models":
+                self._send_json(200, {"models": router.models()})
+            elif match := _MODEL_PATH_RE.match(path):
                 model_id, verb = match.group(1), match.group(2)
                 if verb == "predict":
                     self._send_error_json(405, "predict requires POST")
                     return
                 try:
-                    deployment = server.deployment(model_id)
+                    if verb == "stats":
+                        self._send_json(200, router.stats(model_id))
+                        return
+                    health = router.deployment(model_id).healthz()
                 except ValueError as exc:
                     self._send_error_json(404, str(exc))
                     return
-                if verb == "stats":
-                    self._send_json(200, deployment.stats())
-                else:  # healthz
-                    health = deployment.healthz()
-                    self._send_json(200 if health["ok"] else 503, health)
+                self._send_json(200 if health["ok"] else 503, health)
             else:
                 self._send_error_json(404, f"unknown path {path!r}")
 
         # -------------------------------------------------- POST
-        def _resolve_predict_target(self, path: str):
-            """Resolve ``path`` to a predict target.
-
-            Returns ``((submit, num_pixels, model_id), None, None)`` on
-            success, or ``(None, status, message)`` for an error reply;
-            ``model_id`` is ``None`` in single-server mode.
-            """
-            if not is_router:
-                if path != "/predict":
-                    return None, 404, f"unknown path {path!r}"
-                return (server.submit, server.num_pixels, None), None, None
-            if path == "/predict":
-                model_id = server.default_model
-            else:
-                match = _MODEL_PATH_RE.match(path)
-                if match is None or match.group(2) != "predict":
-                    return None, 404, f"unknown path {path!r}"
-                model_id = match.group(1)
-            try:
-                deployment = server.deployment(model_id)
-            except ValueError as exc:
-                return None, 404, str(exc)
-            return (deployment.submit, deployment.num_pixels, model_id), None, None
-
         def do_POST(self) -> None:
             wire.frame_in(int(self.headers.get("Content-Length") or 0))
             path = self.path.split("?", 1)[0]
-            target, status, message = self._resolve_predict_target(path)
-            if target is None:
-                self._send_error_json(status, message)
+            match = _MODEL_PATH_RE.match(path)
+            if path == "/predict":
+                model_id = router.default_model
+            elif match is not None and match.group(2) == "predict":
+                model_id = match.group(1)
+            else:
+                self._send_error_json(404, f"unknown path {path!r}")
                 return
-            submit, num_pixels, model_id = target
+            try:
+                deployment = router.deployment(model_id)
+            except ValueError as exc:
+                self._send_error_json(404, str(exc))
+                return
             try:
                 images, lane, deadline_ms = self._parse_predict_request(
-                    num_pixels
+                    deployment.num_pixels
                 )
             except ValueError as exc:
                 self._send_error_json(400, str(exc))
                 return
             try:
-                labels = submit(
+                labels = deployment.submit(
                     images,
                     timeout=request_timeout_s,
                     lane=lane,
@@ -548,22 +445,19 @@ def _make_handler(
                 self.send_header("Content-Type", "application/octet-stream")
                 self.send_header("Content-Length", str(len(body)))
                 self.send_header("X-UHD-Rows", str(int(labels.shape[0])))
-                if model_id is not None:
-                    self.send_header("X-UHD-Model", model_id)
+                self.send_header("X-UHD-Model", model_id)
                 if self.close_connection:
                     self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
                 wire.frame_out(len(body))
                 return
-            payload = {
+            self._send_json(200, {
                 "labels": [int(label) for label in labels],
                 "rows": int(labels.shape[0]),
                 "lane": lane,
-            }
-            if model_id is not None:
-                payload["model"] = model_id
-            self._send_json(200, payload)
+                "model": model_id,
+            })
 
         # -------------------------------------------------- parsing
         def _query_params(self) -> dict[str, str]:

@@ -24,7 +24,7 @@ from .histogram import HistogramSnapshot, LatencyHistogram
 from .scheduler import LaneConfig, LaneStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from typing import Callable
+    from typing import Callable, Iterable
 
     import numpy as np
 
@@ -210,9 +210,10 @@ class ServerStats:
     ``lanes`` carries one :class:`~repro.serve.scheduler.LaneStats` per
     configured lane (depth, served, expired-deadline counts) and
     ``cache`` the process-wide :class:`~repro.serve.cache.CacheStats`
-    (encoder entries, gather-table bytes, live publications) — together
-    the one-stop operator view the ``/stats`` HTTP endpoint serializes
-    via :meth:`as_dict`.
+    (encoder entries, gather-table bytes, live publications).  A
+    deployment's ``/stats`` document is the :meth:`merge` of its
+    replicas' snapshots serialized via :meth:`as_dict`, plus the fleet
+    keys (see :meth:`~repro.serve.router.ModelDeployment.stats`).
     """
 
     mode: str  #: ``"pool"`` (worker processes) or ``"inproc"`` (fallback)
@@ -235,9 +236,52 @@ class ServerStats:
     #: process-wide encoder-cache snapshot (entries, table bytes, publications)
     cache: "CacheStats | None" = None
     #: per-transport wire counters (connections, frames, bytes, malformed),
-    #: one row per attached transport kind — empty when no transport is
-    #: attached (plain in-process callers)
+    #: one row per transport kind fronting the router — a bare server's
+    #: own snapshot has none (transports front a Router, never a server)
     transports: "tuple[TransportSnapshot, ...]" = ()
+
+    @classmethod
+    def merge(
+        cls,
+        parts: "Iterable[ServerStats]",
+        *,
+        mode: str,
+        transports: "tuple[TransportSnapshot, ...]" = (),
+    ) -> "ServerStats":
+        """One snapshot for several servers (a deployment's replicas).
+
+        Counters are summed and each lane's rows are joined with
+        :meth:`LaneStats.merge`, so per-lane histograms merge losslessly
+        across replicas and retired generations.  ``max_batch_seen`` is
+        the maximum, ``mean_batch_size`` is re-weighted by batch count,
+        and the per-worker tuples are concatenated.
+        """
+        parts = list(parts)
+        batches = sum(p.batches for p in parts)
+        batched = sum(round(p.mean_batch_size * p.batches) for p in parts)
+        by_lane: dict[str, list[LaneStats]] = {}
+        for part in parts:
+            for lane in part.lanes:
+                by_lane.setdefault(lane.name, []).append(lane)
+        lanes = tuple(LaneStats.merge(rows) for rows in by_lane.values())
+        return cls(
+            mode=mode,
+            workers=sum(p.workers for p in parts),
+            requests=sum(p.requests for p in parts),
+            images=sum(p.images for p in parts),
+            batches=batches,
+            max_batch_seen=max((p.max_batch_seen for p in parts), default=0),
+            mean_batch_size=batched / batches if batches else 0.0,
+            restarts=sum(p.restarts for p in parts),
+            worker_probe_ms=tuple(ms for p in parts for ms in p.worker_probe_ms),
+            worker_table_builds=tuple(
+                n for p in parts for n in p.worker_table_builds
+            ),
+            lanes=lanes,
+            expired=sum(lane.expired for lane in lanes),
+            cache=next((p.cache for p in parts if p.cache is not None), None),
+            transports=transports,
+        )
 
     def as_dict(self) -> dict:
         """A JSON-serializable view (nested dataclasses become dicts).
@@ -411,7 +455,6 @@ class _StatCounters:
         workers: int,
         lanes: tuple[LaneStats, ...] = (),
         cache: "CacheStats | None" = None,
-        transports: "tuple[TransportSnapshot, ...]" = (),
     ) -> ServerStats:
         mean = self.batched_images / self.batches if self.batches else 0.0
         return ServerStats(
@@ -432,5 +475,4 @@ class _StatCounters:
             lanes=lanes,
             expired=sum(lane.expired for lane in lanes),
             cache=cache,
-            transports=transports,
         )

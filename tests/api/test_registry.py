@@ -1,4 +1,4 @@
-"""Backend registry: lookup, registration, config validation, deprecations."""
+"""Backend registry: lookup, registration, config validation, ported shims."""
 
 import numpy as np
 import pytest
@@ -146,33 +146,27 @@ class TestEstimatorProtocol:
 
 
 class TestDeprecatedSurface:
-    def test_make_encoder_still_works_but_warns(self):
-        from repro.fastpath.backends import make_encoder
+    """What the removed compatibility helpers answered, via the registry."""
 
+    def test_get_backend_builds_the_config_encoder(self):
         config = UHDConfig(dim=64)
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            encoder = make_encoder(16, config)
+        encoder = get_backend(config.backend).make_encoder(16, config)
         assert isinstance(encoder, PackedLevelEncoder)
 
-    def test_classifier_string_backend_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            clf = CentroidClassifier(3, 64, backend="packed")
+    def test_classifier_string_backend_resolves_without_warning(self, recwarn):
+        clf = CentroidClassifier(3, 64, backend="packed")
         assert clf.backend == "packed"
+        assert not [w for w in recwarn if w.category is DeprecationWarning]
 
     def test_classifier_default_backend_does_not_warn(self, recwarn):
         CentroidClassifier(3, 64)
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_legacy_helpers_delegate_to_registry(self):
-        from repro.fastpath.backends import (
-            encoder_backend,
-            use_packed_inference,
-            validate_backend,
-        )
-
-        assert validate_backend("threaded") == "threaded"
-        assert encoder_backend(UHDConfig(dim=64, backend="threaded"), 16) == "packed"
-        assert use_packed_inference("threaded", binarize=True)
-        assert not use_packed_inference("reference", binarize=True)
+    def test_registry_answers_the_backend_policy(self):
+        threaded = get_backend("threaded")
+        config = UHDConfig(dim=64, backend="threaded")
+        assert threaded.encoder_kind(config, 16) == "packed"
+        assert threaded.use_packed_inference(binarize=True)
+        assert not get_backend("reference").use_packed_inference(binarize=True)
         with pytest.raises(ValueError):
-            validate_backend("gpu")
+            get_backend("gpu")

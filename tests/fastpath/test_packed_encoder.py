@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core import SobolLevelEncoder, UHDConfig
-from repro.fastpath import PackedLevelEncoder, encoder_backend, make_encoder
+from repro.api import get_backend
+from repro.fastpath import PackedLevelEncoder
 
 
 def _images(rng, n, pixels):
@@ -106,23 +107,25 @@ class TestValidationAndSelection:
 
     def test_auto_selects_packed_when_quantized(self):
         config = UHDConfig(dim=32)
-        assert encoder_backend(config, 16) == "packed"
-        assert isinstance(make_encoder(16, config), PackedLevelEncoder)
+        backend = get_backend(config.backend)
+        assert backend.encoder_kind(config, 16) == "packed"
+        assert isinstance(backend.make_encoder(16, config), PackedLevelEncoder)
 
     def test_auto_falls_back_when_not_quantized(self):
         config = UHDConfig(dim=32, quantized=False)
-        assert encoder_backend(config, 16) == "reference"
-        encoder = make_encoder(16, config)
+        backend = get_backend(config.backend)
+        assert backend.encoder_kind(config, 16) == "reference"
+        encoder = backend.make_encoder(16, config)
         assert not isinstance(encoder, PackedLevelEncoder)
 
     def test_forced_packed_without_quantization_raises(self):
         config = UHDConfig(dim=32, quantized=False, backend="packed")
         with pytest.raises(ValueError, match="quantized"):
-            encoder_backend(config, 16)
+            get_backend(config.backend).encoder_kind(config, 16)
 
     def test_reference_backend_respected(self):
         config = UHDConfig(dim=32, backend="reference")
-        assert encoder_backend(config, 16) == "reference"
+        assert get_backend(config.backend).encoder_kind(config, 16) == "reference"
 
     def test_config_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import get_backend
 from repro.core import StreamingUHD, UHDClassifier, UHDConfig
-from repro.fastpath import use_packed_inference
 from repro.fastpath.inference import (
     pack_accumulators,
     packed_cosine,
@@ -154,10 +154,10 @@ class TestPackedPredict:
 
 class TestBackendPolicy:
     def test_non_binarized_stays_on_reference(self):
-        assert not use_packed_inference("auto", binarize=False)
-        assert not use_packed_inference("packed", binarize=False)
-        assert use_packed_inference("auto", binarize=True)
-        assert not use_packed_inference("reference", binarize=True)
+        assert not get_backend("auto").use_packed_inference(binarize=False)
+        assert not get_backend("packed").use_packed_inference(binarize=False)
+        assert get_backend("auto").use_packed_inference(binarize=True)
+        assert not get_backend("reference").use_packed_inference(binarize=True)
 
     def test_classifier_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):

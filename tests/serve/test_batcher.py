@@ -1,4 +1,8 @@
-"""Micro-batcher semantics: coalescing, windows, bounds, close."""
+"""One-lane scheduler semantics: coalescing, windows, bounds, close.
+
+The single-lane view of :class:`Scheduler` the server's dispatcher
+relies on; ``test_scheduler.py`` covers what several lanes add.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import time
 
 import pytest
 
-from repro.serve.batcher import MicroBatcher
+from repro.serve.scheduler import LaneConfig, Scheduler
 
 
 class Item:
@@ -18,117 +22,131 @@ class Item:
         self.tag = tag
 
 
+def single_lane(
+    max_batch: int, max_wait_s: float, queue_depth: int = 256
+) -> Scheduler:
+    return Scheduler([
+        LaneConfig(
+            "default",
+            max_batch=max_batch,
+            max_wait_ms=max_wait_s * 1e3,
+            queue_depth=queue_depth,
+        )
+    ])
+
+
 class TestValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            MicroBatcher(max_batch=0, max_wait_s=0.0)
+            single_lane(max_batch=0, max_wait_s=0.0)
         with pytest.raises(ValueError):
-            MicroBatcher(max_batch=1, max_wait_s=-1.0)
+            single_lane(max_batch=1, max_wait_s=-1.0)
         with pytest.raises(ValueError):
-            MicroBatcher(max_batch=1, max_wait_s=0.0, queue_depth=0)
+            single_lane(max_batch=1, max_wait_s=0.0, queue_depth=0)
 
     def test_oversized_item_rejected_at_put(self):
-        batcher = MicroBatcher(max_batch=4, max_wait_s=0.0)
+        scheduler = single_lane(max_batch=4, max_wait_s=0.0)
         with pytest.raises(ValueError, match="split it before"):
-            batcher.put(Item(5))
+            scheduler.put(Item(5))
 
 
 class TestCoalescing:
     def test_empty_flush_on_timeout_returns_empty_list(self):
-        batcher = MicroBatcher(max_batch=8, max_wait_s=0.05)
+        scheduler = single_lane(max_batch=8, max_wait_s=0.05)
         start = time.monotonic()
-        assert batcher.next_batch(poll_s=0.02) == []
+        heartbeat = scheduler.next_batch(poll_s=0.02)
+        assert heartbeat.items == [] and heartbeat.lane is None
         assert time.monotonic() - start < 1.0  # bounded wait, not a hang
 
     def test_single_item_batch(self):
-        batcher = MicroBatcher(max_batch=8, max_wait_s=0.0)
+        scheduler = single_lane(max_batch=8, max_wait_s=0.0)
         item = Item(1, tag="only")
-        batcher.put(item)
-        batch = batcher.next_batch(poll_s=0.1)
+        scheduler.put(item)
+        batch = scheduler.next_batch(poll_s=0.1)
         assert [entry.tag for entry in batch] == ["only"]
 
     def test_queued_items_coalesce_up_to_max_batch(self):
-        batcher = MicroBatcher(max_batch=4, max_wait_s=0.0)
+        scheduler = single_lane(max_batch=4, max_wait_s=0.0)
         for index in range(6):
-            batcher.put(Item(1, tag=index))
-        first = batcher.next_batch(poll_s=0.1)
-        second = batcher.next_batch(poll_s=0.1)
+            scheduler.put(Item(1, tag=index))
+        first = scheduler.next_batch(poll_s=0.1)
+        second = scheduler.next_batch(poll_s=0.1)
         assert [i.tag for i in first] == [0, 1, 2, 3]  # FIFO, full batch
         assert [i.tag for i in second] == [4, 5]
 
     def test_overflow_item_left_for_next_batch(self):
-        batcher = MicroBatcher(max_batch=4, max_wait_s=0.0)
-        batcher.put(Item(3, tag="a"))
-        batcher.put(Item(2, tag="b"))  # 3 + 2 > 4: must not join "a"
-        assert [i.tag for i in batcher.next_batch(poll_s=0.1)] == ["a"]
-        assert [i.tag for i in batcher.next_batch(poll_s=0.1)] == ["b"]
+        scheduler = single_lane(max_batch=4, max_wait_s=0.0)
+        scheduler.put(Item(3, tag="a"))
+        scheduler.put(Item(2, tag="b"))  # 3 + 2 > 4: must not join "a"
+        assert [i.tag for i in scheduler.next_batch(poll_s=0.1)] == ["a"]
+        assert [i.tag for i in scheduler.next_batch(poll_s=0.1)] == ["b"]
 
     def test_wait_window_collects_late_items(self):
-        batcher = MicroBatcher(max_batch=4, max_wait_s=0.5)
+        scheduler = single_lane(max_batch=4, max_wait_s=0.5)
 
         def late_put():
             time.sleep(0.05)
-            batcher.put(Item(1, tag="late"))
+            scheduler.put(Item(1, tag="late"))
 
         thread = threading.Thread(target=late_put)
-        batcher.put(Item(1, tag="early"))
+        scheduler.put(Item(1, tag="early"))
         thread.start()
-        batch = batcher.next_batch(poll_s=0.1)
+        batch = scheduler.next_batch(poll_s=0.1)
         thread.join()
         assert [i.tag for i in batch] == ["early", "late"]
 
     def test_zero_wait_flushes_immediately(self):
-        batcher = MicroBatcher(max_batch=64, max_wait_s=0.0)
-        batcher.put(Item(1, tag="a"))
+        scheduler = single_lane(max_batch=64, max_wait_s=0.0)
+        scheduler.put(Item(1, tag="a"))
         start = time.monotonic()
-        batch = batcher.next_batch(poll_s=0.1)
+        batch = scheduler.next_batch(poll_s=0.1)
         assert time.monotonic() - start < 0.5
         assert [i.tag for i in batch] == ["a"]
 
 
 class TestBoundsAndClose:
     def test_put_blocks_when_full_then_times_out(self):
-        batcher = MicroBatcher(max_batch=1, max_wait_s=0.0, queue_depth=1)
-        batcher.put(Item(1))
+        scheduler = single_lane(max_batch=1, max_wait_s=0.0, queue_depth=1)
+        scheduler.put(Item(1))
         with pytest.raises(TimeoutError):
-            batcher.put(Item(1), timeout=0.05)
+            scheduler.put(Item(1), timeout=0.05)
 
     def test_put_unblocks_when_batch_drained(self):
-        batcher = MicroBatcher(max_batch=1, max_wait_s=0.0, queue_depth=1)
-        batcher.put(Item(1, tag="first"))
+        scheduler = single_lane(max_batch=1, max_wait_s=0.0, queue_depth=1)
+        scheduler.put(Item(1, tag="first"))
         unblocked = threading.Event()
 
         def blocked_put():
-            batcher.put(Item(1, tag="second"), timeout=5.0)
+            scheduler.put(Item(1, tag="second"), timeout=5.0)
             unblocked.set()
 
         thread = threading.Thread(target=blocked_put)
         thread.start()
-        assert batcher.next_batch(poll_s=0.5)[0].tag == "first"
+        assert scheduler.next_batch(poll_s=0.5).items[0].tag == "first"
         assert unblocked.wait(5.0)
         thread.join()
-        assert batcher.next_batch(poll_s=0.5)[0].tag == "second"
+        assert scheduler.next_batch(poll_s=0.5).items[0].tag == "second"
 
     def test_close_rejects_put_but_drains_queue(self):
-        batcher = MicroBatcher(max_batch=8, max_wait_s=0.0)
-        batcher.put(Item(1, tag="queued"))
-        batcher.close()
+        scheduler = single_lane(max_batch=8, max_wait_s=0.0)
+        scheduler.put(Item(1, tag="queued"))
+        scheduler.close()
         with pytest.raises(RuntimeError, match="closed"):
-            batcher.put(Item(1))
-        assert [i.tag for i in batcher.next_batch(poll_s=0.1)] == ["queued"]
-        assert batcher.next_batch(poll_s=0.01) is None  # closed and drained
+            scheduler.put(Item(1))
+        assert [i.tag for i in scheduler.next_batch(poll_s=0.1)] == ["queued"]
+        assert scheduler.next_batch(poll_s=0.01) is None  # closed and drained
 
     def test_close_wakes_blocked_consumer(self):
-        batcher = MicroBatcher(max_batch=8, max_wait_s=5.0)
+        scheduler = single_lane(max_batch=8, max_wait_s=5.0)
         result = []
 
         def consume():
-            result.append(batcher.next_batch(poll_s=5.0))
+            result.append(scheduler.next_batch(poll_s=5.0))
 
         thread = threading.Thread(target=consume)
         thread.start()
         time.sleep(0.05)
-        batcher.close()
+        scheduler.close()
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert result == [None]

@@ -28,13 +28,13 @@ import pytest
 from repro.serve import (
     BinaryClient,
     DeadlineExpiredError,
+    DeploymentSpec,
     HttpTransport,
-    InProcessTransport,
     LaneConfig,
+    Router,
     ServeConfig,
     ServeError,
     SocketTransport,
-    UHDServer,
 )
 from repro.serve.binary import (
     ERR_MALFORMED,
@@ -144,12 +144,17 @@ class TestCodec:
 # -------------------------------------------------------- live-wire fuzz
 
 
+def _router(model_path, config: ServeConfig) -> Router:
+    """One deployment of one replica: the router ``repro-uhd serve`` runs."""
+    return Router({"m": DeploymentSpec(model_path, serve=config)})
+
+
 @pytest.fixture()
 def live(model_path):
-    """A workers=0 server fronted by a SocketTransport, torn down clean."""
-    with UHDServer(model_path, ServeConfig(workers=0)) as server:
-        with SocketTransport(server) as transport:
-            yield server, transport
+    """A workers=0 router fronted by a SocketTransport, torn down clean."""
+    with _router(model_path, ServeConfig(workers=0)) as router:
+        with SocketTransport(router) as transport:
+            yield router, transport
 
 
 def _raw_connection(transport: SocketTransport) -> socket.socket:
@@ -182,7 +187,7 @@ def _connection_is_closed(sock: socket.socket) -> bool:
 
 class TestServerSurvivesBadInput:
     def _server_still_works(self, live, serve_data, direct_labels):
-        server, transport = live
+        _, transport = live
         with BinaryClient(transport.host, transport.port) as client:
             labels = client.predict(serve_data.test_images[:4])
         assert np.array_equal(labels, direct_labels[:4])
@@ -347,12 +352,12 @@ class TestWireSemantics:
             max_wait_ms=0.0,
             lanes=(LaneConfig("slow", max_batch=1), LaneConfig("other")),
         )
-        with UHDServer(model_path, config) as server:
-            with SocketTransport(server) as transport:
+        with _router(model_path, config) as router:
+            with SocketTransport(router) as transport:
                 # a deep single-row backlog makes a 1 ms deadline
                 # unmeetable for the request queued behind it
                 flood = [
-                    server.submit(serve_data.test_images[i % 8], lane="slow")
+                    router.submit("m", serve_data.test_images[i % 8], lane="slow")
                     for i in range(60)
                 ]
                 with BinaryClient(transport.host, transport.port) as client:
@@ -364,16 +369,16 @@ class TestWireSemantics:
                         )
                 for handle in flood:
                     handle.result(timeout=60.0)
-                stats = server.stats()
-        by_name = {lane.name: lane for lane in stats.lanes}
-        assert by_name["slow"].expired == 1
-        assert by_name["slow"].latency.excluded == 1  # expired == excluded
-        assert by_name["other"].expired == 0
-        assert by_name["other"].latency.excluded == 0
+                stats = router.stats()
+        by_name = {lane["name"]: lane for lane in stats["lanes"]}
+        assert by_name["slow"]["expired"] == 1
+        assert by_name["slow"]["latency"]["excluded"] == 1  # expired == excluded
+        assert by_name["other"]["expired"] == 0
+        assert by_name["other"]["latency"]["excluded"] == 0
 
     def test_draining_server_refuses_new_predicts(self, model_path, serve_data):
-        with UHDServer(model_path, ServeConfig(workers=0)) as server:
-            transport = SocketTransport(server).start()
+        with _router(model_path, ServeConfig(workers=0)) as router:
+            transport = SocketTransport(router).start()
             client = BinaryClient(transport.host, transport.port)
             try:
                 client.predict(serve_data.test_images[:1])
@@ -387,17 +392,17 @@ class TestWireSemantics:
     def test_transport_counters_reach_server_stats(
         self, live, serve_data
     ):
-        server, transport = live
+        router, transport = live
         with BinaryClient(transport.host, transport.port) as client:
             client.predict(serve_data.test_images[:2])
             client.predict(serve_data.test_images[:2])
-            (snap,) = server.stats().transports
-            assert snap.name == "binary"
-            assert snap.connections_open == 1
-            assert snap.frames_in == 2
-            assert snap.frames_out == 2
-            assert snap.bytes_in > 2 * serve_data.num_pixels
-            assert snap.bytes_out > 0
+            (snap,) = router.stats()["transports"]
+            assert snap["name"] == "binary"
+            assert snap["connections_open"] == 1
+            assert snap["frames_in"] == 2
+            assert snap["frames_out"] == 2
+            assert snap["bytes_in"] > 2 * serve_data.num_pixels
+            assert snap["bytes_out"] > 0
 
 
 # --------------------------------------------------------- bit-exactness
@@ -408,20 +413,19 @@ class TestBitExactAcrossTransports:
     def test_all_three_transports_agree_with_direct_predict(
         self, model_path, serve_data, direct_labels, start_method, backend
     ):
-        """Contract 5 extends to the binary wire: InProcess, HTTP and
-        Socket transports must serve byte-identical labels on every
+        """Contract 5 extends to the binary wire: in-process submit, HTTP
+        and Socket transports must serve byte-identical labels on every
         backend under every start method."""
         config = ServeConfig(
             workers=1, start_method=start_method, backend=backend
         )
         images = serve_data.test_images[:16]
         want = direct_labels[:16]
-        with UHDServer(model_path, config) as server:
-            inproc = InProcessTransport(server).start()
-            got_inproc = inproc.submit(images).result(timeout=60.0)
-            with HttpTransport(server) as http:
+        with _router(model_path, config) as router:
+            got_inproc = router.submit("m", images).result(timeout=60.0)
+            with HttpTransport(router) as http:
                 got_http = _http_predict(http, images)
-            with SocketTransport(server) as binary:
+            with SocketTransport(router) as binary:
                 with BinaryClient(binary.host, binary.port) as client:
                     got_binary = client.predict(images)
         assert np.array_equal(got_inproc, want)

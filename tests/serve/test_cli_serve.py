@@ -95,6 +95,19 @@ class TestServeHttpCli:
         assert "interactive: served 8 row(s), expired 0" in out
         assert "shutdown clean" in out
 
+    def test_binary_round_trip_names_the_binary_wire(self, model_path, capsys):
+        """With both ports up, the rounds go over the binary wire and the
+        report says so — it must not claim HTTP."""
+        assert main([
+            "serve", "--model", model_path, "--workers", "0",
+            "--rounds", "2", "--batch", "4", "--http-port", "0",
+            "--binary-port", "0",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "binary: listening on uhd://127.0.0.1:" in out
+        assert "via binary" in out and "via HTTP" not in out
+        assert "verify OK" in out
+
     def test_http_in_process_fallback(self, model_path, capsys):
         assert main([
             "serve", "--model", model_path, "--workers", "0",
@@ -254,3 +267,107 @@ class TestRouteDaemonDrainSummary:
         assert float(drain.group(3)) >= float(drain.group(2)) >= 0.0
         assert int(drain.group(4)) == 0
         assert "shutdown clean" in out
+
+
+class TestServeDaemonReconciles:
+    def test_stats_and_metrics_match_client_counts_over_both_wires(
+        self, model_path, serve_data
+    ):
+        """A ``serve`` daemon with both wires: per lane, bare ``/stats``
+        and ``/metrics`` must agree with what the client sent, got back
+        and saw expire."""
+        import json
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+
+        from repro.serve import BinaryClient, DeadlineExpiredError
+        from repro.serve.metrics import parse_exposition
+
+        process = subprocess.Popen(
+            [
+                sys.executable, "-c",
+                "from repro.cli import main; raise SystemExit(main("
+                f"['serve', '--model', {model_path!r}, '--workers', '1',"
+                " '--http-port', '0', '--binary-port', '0',"
+                " '--lane', 'interactive:16:1:4', '--lane', 'bulk:1:0',"
+                " '--serve-forever']))",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,  # so a failure can kill the workers too
+        )
+        images = serve_data.test_images.reshape(
+            len(serve_data.test_images), -1
+        )
+        sent = {"interactive": 0, "bulk": 0}
+        rows = {"interactive": 0, "bulk": 0}
+        expired = {"interactive": 0, "bulk": 0}
+        try:
+            wires = {}
+            while len(wires) < 2:
+                line = process.stdout.readline()
+                assert line, "daemon exited before listening"
+                match = re.search(
+                    r"(http|binary): listening on \w+://([\d.]+):(\d+)", line
+                )
+                if match:
+                    wires[match.group(1)] = (match.group(2), int(match.group(3)))
+            http = "http://%s:%d" % wires["http"]
+            for count in (1, 2, 3):  # interactive over HTTP
+                request = urllib.request.Request(
+                    http + "/predict?lane=interactive",
+                    data=json.dumps(
+                        {"images": images[:count].tolist()}
+                    ).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                with urllib.request.urlopen(request, timeout=30.0) as reply:
+                    rows["interactive"] += json.load(reply)["rows"]
+                sent["interactive"] += 1
+            # bulk over binary: a pipelined one-row flood, then a request
+            # whose 1 ms deadline cannot be met behind it
+            with BinaryClient(*wires["binary"]) as client:
+                for i in range(40):
+                    client.send(images[i % 8], lane="bulk")
+                client.send(images[0], lane="bulk", deadline_ms=1.0)
+                sent["bulk"] += 41
+                for _ in range(41):
+                    try:
+                        _, labels = client.recv()
+                        rows["bulk"] += len(labels)
+                    except DeadlineExpiredError:
+                        expired["bulk"] += 1
+            with urllib.request.urlopen(http + "/stats", timeout=30.0) as reply:
+                stats = json.load(reply)
+            with urllib.request.urlopen(http + "/metrics", timeout=30.0) as reply:
+                families = parse_exposition(reply.read().decode())
+            process.send_signal(signal.SIGTERM)
+            out, _ = process.communicate(timeout=60.0)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.communicate()
+        assert process.returncode == 0 and "shutdown clean" in out
+
+        def metric(family, lane):
+            (value,) = [
+                v for _, labels, v in families[family]["samples"]
+                if labels.get("lane") == lane
+            ]
+            return value
+
+        lanes = {lane["name"]: lane for lane in stats["lanes"]}
+        assert set(lanes) == set(sent)
+        for name in sent:
+            assert lanes[name]["submitted"] == sent[name]
+            assert lanes[name]["served_rows"] == rows[name]
+            assert lanes[name]["expired"] == expired[name]
+            assert metric("uhd_lane_served_rows_total", name) == rows[name]
+            assert metric("uhd_lane_expired_total", name) == expired[name]
+        assert rows["interactive"] == 6
+        assert {t["name"] for t in stats["transports"]} == {"http", "binary"}

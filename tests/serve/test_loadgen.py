@@ -22,10 +22,11 @@ if str(BENCHMARKS_DIR) not in sys.path:
 import loadgen  # noqa: E402  (needs the path bootstrap above)
 
 from repro.serve import (  # noqa: E402
+    DeploymentSpec,
     HttpTransport,
     LaneConfig,
+    Router,
     ServeConfig,
-    UHDServer,
 )
 
 
@@ -148,8 +149,8 @@ class TestLiveSmoke:
             ),
         )
         csv_path = tmp_path / "run_table.csv"
-        with UHDServer(model_path, config) as server:
-            with HttpTransport(server) as transport:
+        with Router({"m": DeploymentSpec(model_path, serve=config)}) as router:
+            with HttpTransport(router) as transport:
                 rc = loadgen.main([
                     "--url", transport.address,
                     "--smoke",
@@ -160,7 +161,7 @@ class TestLiveSmoke:
                     "--dim", "256",
                     "--csv", str(csv_path),
                 ])
-                stats = server.stats()
+                stats = router.stats()
         assert rc == 0
         with open(csv_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -174,7 +175,7 @@ class TestLiveSmoke:
         assert float(total["p95_ms"]) > 0.0
         assert float(total["joules_per_request"]) > 0.0
         # client- and server-side accounting agree on request count
-        assert int(total["ok"]) == stats.requests
+        assert int(total["ok"]) == stats["requests"]
 
     def test_smoke_run_over_the_binary_transport(
         self, model_path, serve_data, tmp_path
@@ -184,8 +185,9 @@ class TestLiveSmoke:
         from repro.serve import SocketTransport
 
         csv_path = tmp_path / "run_table.csv"
-        with UHDServer(model_path, ServeConfig(workers=0)) as server:
-            with SocketTransport(server) as transport:
+        spec = DeploymentSpec(model_path, serve=ServeConfig(workers=0))
+        with Router({"m": spec}) as router:
+            with SocketTransport(router) as transport:
                 rc = loadgen.main([
                     "--url", transport.address,  # uhd://host:port
                     "--transport", "binary",
@@ -196,7 +198,7 @@ class TestLiveSmoke:
                     "--dim", "256",
                     "--csv", str(csv_path),
                 ])
-                stats = server.stats()
+                stats = router.stats()
         assert rc == 0
         with open(csv_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -206,10 +208,10 @@ class TestLiveSmoke:
         total = next(r for r in rows if r["lane"] == loadgen.ALL_LANES)
         assert int(total["failed"]) == 0
         assert int(total["ok"]) >= 1
-        assert int(total["ok"]) == stats.requests
-        (snap,) = stats.transports
-        assert snap.name == "binary"
-        assert snap.frames_in == stats.requests
+        assert int(total["ok"]) == stats["requests"]
+        (snap,) = stats["transports"]
+        assert snap["name"] == "binary"
+        assert snap["frames_in"] == stats["requests"]
 
     def test_smoke_fails_loudly_when_requests_fail(self, tmp_path):
         """Against a dead endpoint every request fails -> exit code 1."""

@@ -1,7 +1,8 @@
 """``/metrics``: exposition conformance, HTTP serving, expiry accounting.
 
 The renderer is validated through the strict parser (the same gate CI
-runs), over both a single server and a router fleet; the parser itself
+runs), over both a one-deployment router (``repro-uhd serve``) and a
+two-model fleet; the parser itself
 is then attacked with malformed documents.  The deadline-expiry tests
 pin the accounting contract end to end over HTTP: one 504 == exactly
 one lane's ``expired`` increment == exactly one ``latency.excluded``,
@@ -23,7 +24,6 @@ from repro.serve import (
     LaneConfig,
     Router,
     ServeConfig,
-    UHDServer,
     parse_exposition,
     render_metrics,
 )
@@ -32,6 +32,11 @@ TWO_LANES = (
     LaneConfig("interactive", max_batch=16, max_wait_ms=1.0, weight=4.0),
     LaneConfig("bulk", max_wait_ms=20.0),
 )
+
+
+def _router(model_path, config: ServeConfig) -> Router:
+    """One deployment of one replica: the router ``repro-uhd serve`` runs."""
+    return Router({"m": DeploymentSpec(model_path, serve=config)})
 
 
 def _get(address: str, path: str, timeout: float = 30.0):
@@ -57,11 +62,11 @@ class TestRenderSingleServer:
         self, model_path, serve_data
     ):
         config = ServeConfig(workers=0, lanes=TWO_LANES)
-        with UHDServer(model_path, config) as server:
-            server.predict(serve_data.test_images[:8], lane="interactive")
-            server.predict(serve_data.test_images[:4], lane="bulk")
-            text = render_metrics(server)
-            stats = server.stats()
+        with _router(model_path, config) as router:
+            router.predict("m", serve_data.test_images[:8], lane="interactive")
+            router.predict("m", serve_data.test_images[:4], lane="bulk")
+            text = render_metrics(router)
+            stats, _ = router.deployment("m").snapshot()
         families = parse_exposition(text)  # raises on any violation
         assert _sample(families, "uhd_requests_total") == stats.requests
         assert _sample(families, "uhd_images_total") == stats.images
@@ -80,8 +85,8 @@ class TestRenderSingleServer:
             assert count == lane.latency.count
 
     def test_families_are_typed_and_helped(self, model_path):
-        with UHDServer(model_path, ServeConfig(workers=0)) as server:
-            families = parse_exposition(render_metrics(server))
+        with _router(model_path, ServeConfig(workers=0)) as router:
+            families = parse_exposition(render_metrics(router))
         for family, entry in families.items():
             assert entry["help"], f"{family} has no HELP"
             assert entry["type"] != "untyped", f"{family} has no TYPE"
@@ -90,8 +95,8 @@ class TestRenderSingleServer:
         assert families["uhd_lane_latency_seconds"]["type"] == "histogram"
 
     def test_cache_gauges_present(self, model_path):
-        with UHDServer(model_path, ServeConfig(workers=0)) as server:
-            families = parse_exposition(render_metrics(server))
+        with _router(model_path, ServeConfig(workers=0)) as router:
+            families = parse_exposition(render_metrics(router))
         assert _sample(families, "uhd_cache_encoders") >= 1
         assert _sample(families, "uhd_cache_table_bytes") > 0
 
@@ -101,9 +106,9 @@ class TestMetricsOverHttp:
         self, model_path, serve_data
     ):
         config = ServeConfig(workers=0, lanes=TWO_LANES)
-        with UHDServer(model_path, config) as server:
-            with HttpTransport(server) as transport:
-                server.predict(serve_data.test_images[:8], lane="interactive")
+        with _router(model_path, config) as router:
+            with HttpTransport(router) as transport:
+                router.predict("m", serve_data.test_images[:8], lane="interactive")
                 status, headers, body = _get(transport.address, "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
@@ -210,8 +215,8 @@ class TestParserStrictness:
     def test_renderer_escapes_hostile_lane_names(self, model_path):
         hostile = 'la"ne\\x'
         config = ServeConfig(workers=0, lanes=(LaneConfig(hostile),))
-        with UHDServer(model_path, config) as server:
-            families = parse_exposition(render_metrics(server))
+        with _router(model_path, config) as router:
+            families = parse_exposition(render_metrics(router))
         assert _sample(families, "uhd_lane_queue_depth", lane=hostile) == 0
 
 
@@ -229,10 +234,10 @@ class TestExpiryAccountingOverHttp:
                 LaneConfig("bulk", max_batch=1, max_wait_ms=0.0),
             ),
         )
-        with UHDServer(model_path, config) as server:
-            with HttpTransport(server) as transport:
+        with _router(model_path, config) as router:
+            with HttpTransport(router) as transport:
                 flood = [
-                    server.submit(serve_data.test_images[i % 8], lane="bulk")
+                    router.submit("m", serve_data.test_images[i % 8], lane="bulk")
                     for i in range(60)
                 ]
                 request = urllib.request.Request(
@@ -247,7 +252,7 @@ class TestExpiryAccountingOverHttp:
                 assert excinfo.value.code == 504
                 for handle in flood:
                     handle.result(timeout=60.0)
-                stats = server.stats()
+                stats, _ = router.deployment("m").snapshot()
                 status, _, body = _get(transport.address, "/metrics")
         lanes = {lane.name: lane for lane in stats.lanes}
         assert lanes["bulk"].expired == 1
@@ -277,16 +282,19 @@ class TestExpiryAccountingOverHttp:
     ):
         """The JSON view exposes the same accounting (`/stats` endpoint)."""
         config = ServeConfig(workers=1, max_batch=1, max_wait_ms=0.0)
-        with UHDServer(model_path, config) as server:
+        with _router(model_path, config) as router:
             flood = [
-                server.submit(serve_data.test_images[i % 8]) for i in range(40)
+                router.submit("m", serve_data.test_images[i % 8])
+                for i in range(40)
             ]
-            doomed = server.submit(serve_data.test_images[0], deadline_ms=1.0)
+            doomed = router.submit(
+                "m", serve_data.test_images[0], deadline_ms=1.0
+            )
             with pytest.raises(Exception, match="expired"):
                 doomed.result(timeout=30.0)
             for handle in flood:
                 handle.result(timeout=60.0)
-            payload = server.stats().as_dict()
+            payload = router.stats()
         (lane,) = payload["lanes"]
         assert lane["expired"] == 1
         assert lane["latency"]["excluded"] == 1

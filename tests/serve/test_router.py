@@ -353,8 +353,9 @@ class TestHttpRouting:
             health = _get_json(transport.address, "/healthz")
             assert health["ok"] and health["status"] == "ok"
             assert len(health["models"]) == len(zoo_router.deployments)
+            # bare /stats is the default model's document, like /predict
             stats = _get_json(transport.address, "/stats")
-            assert len(stats["models"]) == len(zoo_router.deployments)
+            assert stats["model"] == zoo_router.default_model
 
     def test_unknown_model_404(self, zoo_router, zoo_data):
         name = next(iter(zoo_data))

@@ -1,8 +1,8 @@
 """Scheduler policy: lanes, weighted draining, urgency, deadlines, close.
 
 The single-lane FIFO/coalescing/bounds/close semantics are covered by
-``tests/serve/test_batcher.py`` running unchanged against the
-:class:`MicroBatcher` shim; this file covers everything the lanes add.
+``tests/serve/test_batcher.py``; this file covers everything the lanes
+add.
 """
 
 from __future__ import annotations
@@ -324,28 +324,3 @@ class TestCloseAndStats:
         scheduler.put(Item(1), lane="a")
         scheduler.put(Item(1), lane="b")
         assert len(scheduler) == 2
-
-
-class TestMicroBatcherShim:
-    """The compatibility shim really is a single-lane scheduler."""
-
-    def test_shim_is_backed_by_one_default_lane(self):
-        from repro.serve.batcher import MicroBatcher
-
-        batcher = MicroBatcher(max_batch=4, max_wait_s=0.1, queue_depth=7)
-        assert batcher._scheduler.lane_names == ("default",)
-        config = batcher._scheduler.lane_config()
-        assert config.max_batch == 4
-        assert config.max_wait_ms == pytest.approx(100.0)
-        assert config.queue_depth == 7
-
-    def test_shim_attributes_preserved(self):
-        from repro.serve.batcher import MicroBatcher
-
-        batcher = MicroBatcher(max_batch=4, max_wait_s=0.5)
-        assert batcher.max_batch == 4
-        assert batcher.max_wait_s == 0.5
-        assert batcher.queue_depth == 256
-        assert not batcher.closed
-        batcher.close()
-        assert batcher.closed

@@ -2,10 +2,11 @@
 
 Dashboards, the Prometheus renderer, and the load harness all key into
 ``/stats`` JSON by name — a silently dropped or renamed key breaks them
-without any test noticing.  These golden key-sets pin every section of
-``ServerStats.as_dict()`` and the router's ``stats()`` documents:
-adding a key is a deliberate one-line test update, removing one is a
-loud failure.
+without any test noticing.  The serving layer has one stats document (a
+deployment's: the ``ServerStats`` keys plus the fleet keys, served by
+bare ``/stats`` and ``/models/<id>/stats`` alike); these golden key
+sets pin every section of it: adding a key is a deliberate one-line
+test update, removing one is a loud failure.
 
 ``TestGenerationMerge`` pins the cross-hot-reload invariant: a
 deployment's per-lane histogram is the lossless element-wise merge of
@@ -19,15 +20,10 @@ import json
 
 import pytest
 
-from repro.serve import (
-    DeploymentSpec,
-    LaneConfig,
-    Router,
-    ServeConfig,
-    UHDServer,
-)
+from repro.serve import DeploymentSpec, LaneConfig, Router, ServeConfig
 
-SERVER_STATS_KEYS = {
+#: the ``ServerStats.as_dict()`` keys ...
+SERVER_KEYS = {
     "mode",
     "workers",
     "requests",
@@ -70,23 +66,16 @@ LATENCY_KEYS = {
 
 CACHE_KEYS = {"entries", "table_bytes", "published"}
 
-DEPLOYMENT_STATS_KEYS = {
+#: ... plus the fleet keys make the one stats document
+DOCUMENT_KEYS = SERVER_KEYS | {
     "model",
     "path",
     "generation",
     "target_replicas",
     "ready_replicas",
     "retired_replicas",
-    "requests",
-    "images",
-    "batches",
-    "restarts",
-    "expired",
-    "lanes",
     "replicas",
 }
-
-DEPLOYMENT_LANE_KEYS = {"name", "served", "served_rows", "expired", "latency"}
 
 REPLICA_ROW_KEYS = {
     "name",
@@ -111,12 +100,12 @@ class TestServerStatsSchema:
             workers=0,
             lanes=(LaneConfig("interactive", weight=4.0), LaneConfig("bulk")),
         )
-        with UHDServer(model_path, config) as server:
-            server.predict(serve_data.test_images[:8], lane="interactive")
-            return server.stats().as_dict()
+        with Router({"m": DeploymentSpec(model_path, serve=config)}) as router:
+            router.predict("m", serve_data.test_images[:8], lane="interactive")
+            return router.stats()
 
     def test_top_level_keys(self, payload):
-        assert set(payload) == SERVER_STATS_KEYS
+        assert set(payload) == DOCUMENT_KEYS
 
     def test_lane_section_keys(self, payload):
         assert len(payload["lanes"]) == 2
@@ -129,7 +118,7 @@ class TestServerStatsSchema:
 
     def test_document_is_json_serializable(self, payload):
         round_tripped = json.loads(json.dumps(payload))
-        assert set(round_tripped) == SERVER_STATS_KEYS
+        assert set(round_tripped) == DOCUMENT_KEYS
 
 
 class TestRouterStatsSchema:
@@ -140,23 +129,23 @@ class TestRouterStatsSchema:
         )
         with Router({"m": spec}) as router:
             router.predict("m", serve_data.test_images[:4])
-            return router.stats(), router.deployment("m").stats()
+            return router.stats(), router.stats("m")
 
     def test_router_document(self, documents):
-        router_stats, _ = documents
-        assert set(router_stats) == {"models", "transports"}
-        assert len(router_stats["models"]) == 1
-        assert router_stats["transports"] == []  # no transport attached
+        """Bare ``router.stats()`` is the default deployment's document."""
+        router_stats, deployment_stats = documents
+        assert router_stats == deployment_stats
+        assert not router_stats["transports"]  # no transport attached
 
     def test_deployment_document(self, documents):
         _, deployment_stats = documents
-        assert set(deployment_stats) == DEPLOYMENT_STATS_KEYS
+        assert set(deployment_stats) == DOCUMENT_KEYS
 
     def test_deployment_lane_rows(self, documents):
         _, deployment_stats = documents
         assert deployment_stats["lanes"], "expected at least the default lane"
         for lane in deployment_stats["lanes"]:
-            assert set(lane) == DEPLOYMENT_LANE_KEYS
+            assert set(lane) == LANE_KEYS
             assert set(lane["latency"]) == LATENCY_KEYS
 
     def test_replica_rows(self, documents):
@@ -185,7 +174,7 @@ class TestGenerationMerge:
             deployment = router.deployment("m")
             for _ in range(6):
                 router.predict("m", serve_data.test_images[:4])
-            gen1 = deployment.lane_snapshots()["default"]
+            (gen1,) = (lane.latency for lane in deployment.snapshot()[0].lanes)
             assert gen1.count == 6
 
             report = router.reload("m")  # same path, new generation
@@ -193,7 +182,7 @@ class TestGenerationMerge:
 
             for _ in range(4):
                 router.predict("m", serve_data.test_images[:2])
-            merged = deployment.lane_snapshots()["default"]
+            (merged,) = (lane.latency for lane in deployment.snapshot()[0].lanes)
             stats = deployment.stats()
 
         live = deployment_live = merged.count - gen1.count
@@ -227,7 +216,9 @@ class TestGenerationMerge:
             for generation in range(3):
                 for _ in range(per_generation):
                     router.predict("m", serve_data.test_images[:1])
-                snap = deployment.lane_snapshots()["default"]
+                (snap,) = (
+                    lane.latency for lane in deployment.snapshot()[0].lanes
+                )
                 assert snap.count == per_generation * (generation + 1)
                 if generation < 2:
                     router.reload("m")

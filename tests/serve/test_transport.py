@@ -2,8 +2,10 @@
 
 The HTTP transport must be a pure pipe: labels served over the socket
 are bit-exact with ``UHDClassifier.predict`` (and therefore with
-in-process ``submit``) on every backend and start method — the server
-routes, the transport only encodes/decodes.
+in-process ``submit``) on every backend and start method — the router
+routes, the transport only encodes/decodes.  Transports front only a
+``Router``; here it is the one-deployment router ``repro-uhd serve``
+builds.
 """
 
 from __future__ import annotations
@@ -19,13 +21,18 @@ import pytest
 
 from repro.serve import (
     DeadlineExpiredError,
+    DeploymentSpec,
     HttpTransport,
-    InProcessTransport,
     LaneConfig,
+    Router,
     ServeConfig,
-    Transport,
     UHDServer,
 )
+
+
+def _router(model_path, config: ServeConfig) -> Router:
+    """One deployment of one replica: the router ``repro-uhd serve`` runs."""
+    return Router({"m": DeploymentSpec(model_path, serve=config)})
 
 
 def _post_json(address: str, payload: dict, timeout: float = 30.0) -> dict:
@@ -54,9 +61,9 @@ def inproc_http(model_path):
             LaneConfig("bulk", max_wait_ms=20.0),
         ),
     )
-    with UHDServer(model_path, config) as server:
-        with HttpTransport(server) as transport:
-            yield server, transport
+    with _router(model_path, config) as router:
+        with HttpTransport(router) as transport:
+            yield router, transport
 
 
 class TestHttpPredict:
@@ -115,7 +122,7 @@ class TestHttpPredict:
     def test_lane_selected_via_body_and_query(
         self, inproc_http, serve_data, direct_labels
     ):
-        server, transport = inproc_http
+        router, transport = inproc_http
         reply = _post_json(
             transport.address,
             {"images": serve_data.test_images[:2].tolist(), "lane": "bulk"},
@@ -132,8 +139,8 @@ class TestHttpPredict:
         )
         with urllib.request.urlopen(request, timeout=30.0) as response:
             assert json.load(response)["lane"] == "bulk"
-        lanes = {s.name: s for s in server.stats().lanes}
-        assert lanes["bulk"].served_rows == 4
+        lanes = {lane["name"]: lane for lane in router.stats()["lanes"]}
+        assert lanes["bulk"]["served_rows"] == 4
 
     def test_unknown_lane_is_400(self, inproc_http, serve_data):
         _, transport = inproc_http
@@ -241,8 +248,8 @@ class TestHttpPredict:
         # a long coalescing window holds the lone request in flight: the
         # dispatcher waits ~300ms for more traffic before dispatching it
         config = ServeConfig(workers=1, max_batch=64, max_wait_ms=300.0)
-        with UHDServer(model_path, config) as server:
-            transport = HttpTransport(server).start()
+        with _router(model_path, config) as router:
+            transport = HttpTransport(router).start()
             reply: dict = {}
 
             def slow_post():
@@ -271,10 +278,11 @@ class TestHttpObservability:
         _, transport = inproc_http
         health = _get_json(transport.address, "/healthz")
         assert health["ok"] is True and health["status"] == "ok"
-        assert health["mode"] == "inproc"
-        assert health["lanes"] == ["interactive", "bulk"]
-        assert health["probe"]["deterministic"] is True
-        assert health["probe"]["median_ms"] > 0
+        (replica,) = health["models"][0]["replicas"]
+        assert replica["mode"] == "inproc"
+        assert replica["lanes"] == ["interactive", "bulk"]
+        assert replica["probe"]["deterministic"] is True
+        assert replica["probe"]["median_ms"] > 0
 
     def test_stats_exposes_lanes_and_cache(
         self, inproc_http, serve_data
@@ -293,10 +301,10 @@ class TestHttpObservability:
         assert stats["cache"]["table_bytes"] > 0
 
     def test_healthz_unavailable_after_close(self, model_path):
-        server = UHDServer(model_path, ServeConfig(workers=0)).start()
-        transport = HttpTransport(server).start()
+        router = _router(model_path, ServeConfig(workers=0)).start()
+        transport = HttpTransport(router).start()
         try:
-            server.close()
+            router.close()
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get_json(transport.address, "/healthz")
             assert err.value.code == 503
@@ -314,8 +322,8 @@ class TestHttpPool:
             workers=2, max_batch=16, max_wait_ms=1.0, start_method=start_method,
             table_store="shm" if start_method == "spawn" else "heap",
         )
-        with UHDServer(model_path, config) as server:
-            with HttpTransport(server) as transport:
+        with _router(model_path, config) as router:
+            with HttpTransport(router) as transport:
                 reply = _post_json(
                     transport.address,
                     {"images": serve_data.test_images.tolist()},
@@ -323,15 +331,16 @@ class TestHttpPool:
                 )
                 health = _get_json(transport.address, "/healthz")
         assert np.array_equal(np.asarray(reply["labels"]), direct_labels)
-        assert health["mode"] == "pool" and health["workers_live"] == 2
+        (replica,) = health["models"][0]["replicas"]
+        assert replica["mode"] == "pool" and replica["workers_live"] == 2
 
     @pytest.mark.parametrize("backend", ["packed", "threaded"])
     def test_backends_bit_exact_over_http(
         self, model_path, serve_data, direct_labels, backend
     ):
         config = ServeConfig(workers=1, backend=backend)
-        with UHDServer(model_path, config) as server:
-            with HttpTransport(server) as transport:
+        with _router(model_path, config) as router:
+            with HttpTransport(router) as transport:
                 reply = _post_json(
                     transport.address,
                     {"images": serve_data.test_images.tolist()},
@@ -345,8 +354,8 @@ class TestHttpPool:
         """Many handler threads feed the scheduler at once — answers must
         come back bit-exact and matched to their own request."""
         config = ServeConfig(workers=1, max_batch=64, max_wait_ms=20.0)
-        with UHDServer(model_path, config) as server:
-            with HttpTransport(server) as transport:
+        with _router(model_path, config) as router:
+            with HttpTransport(router) as transport:
                 results: dict[int, np.ndarray] = {}
                 errors: list[Exception] = []
 
@@ -368,12 +377,12 @@ class TestHttpPool:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60.0)
-                stats = server.stats()
+                stats = router.stats()
         assert not errors
         for index, labels in results.items():
             assert np.array_equal(labels, direct_labels[index:index + 1])
         assert len(results) == 16
-        assert stats.batches < 16  # concurrency actually coalesced
+        assert stats["batches"] < 16  # concurrency actually coalesced
 
 
 class TestDeadlinesThroughTheServer:
@@ -460,20 +469,6 @@ class TestLaneServing:
         assert lanes["interactive"].served_rows == 8
         assert lanes["bulk"].served_rows == 4
         assert stats.as_dict()["lanes"][0]["name"] == "interactive"
-
-
-class TestInProcessTransport:
-    def test_satisfies_protocol_and_delegates(
-        self, model_path, serve_data, direct_labels
-    ):
-        with UHDServer(model_path, ServeConfig(workers=0)) as server:
-            transport = InProcessTransport(server).start()
-            assert isinstance(transport, Transport)
-            assert isinstance(HttpTransport(server), Transport)
-            assert transport.address.startswith("inproc://")
-            got = transport.predict(serve_data.test_images[:4])
-            transport.close()
-        assert np.array_equal(got, direct_labels[:4])
 
 
 class TestGracefulShutdown:
