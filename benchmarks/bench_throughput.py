@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import SobolLevelEncoder, UHDConfig
 from repro.api import get_backend
-from repro.fastpath import PackedLevelEncoder, ThreadedLevelEncoder
+from repro.fastpath import PackedLevelEncoder
 from repro.hardware import Simulator
 from repro.hardware.circuits import (
     build_unary_comparator,
@@ -55,18 +55,6 @@ def test_uhd_packed_encode_throughput(benchmark, images):
         encoder.encode_batch(images)
     result = benchmark(encoder.encode_batch, images)
     np.testing.assert_array_equal(result, reference.encode_batch(images))
-
-
-def test_uhd_threaded_encode_throughput(benchmark, images):
-    """Threaded backend on a multi-chunk batch (fans out on >= 2 cores)."""
-    large = np.concatenate([images] * 8, axis=0)
-    packed = PackedLevelEncoder(784, UHDConfig(dim=1024))
-    encoder = ThreadedLevelEncoder(784, UHDConfig(dim=1024))
-    for _ in range(2):  # warm past pair-table promotion
-        encoder.encode_batch(large)
-        packed.encode_batch(large)
-    result = benchmark(encoder.encode_batch, large)
-    np.testing.assert_array_equal(result, packed.encode_batch(large))
 
 
 def test_uhd_predict_binarized_throughput(benchmark, encoded_queries):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Throughput benchmark runner: writes the machine-readable perf trajectory.
 
-Executes the reference-vs-packed-vs-threaded encode and binarized-predict
+Executes the reference-vs-packed encode and binarized-predict
 benchmarks (the same hot paths ``bench_throughput.py`` measures under
 pytest-benchmark, without needing the plugin) and writes
 ``BENCH_throughput.json``: name, median seconds, ops/s and speedup ratios
@@ -19,12 +19,6 @@ baseline — every recorded speedup must hold to within ``--min-ratio``
 machine).  Smoke mode never overwrites the baseline; it exits non-zero on
 regression.
 
-``--threaded-gate`` is the separate multi-core check for the ROADMAP's
-threaded rung: on hosts with >= 4 cores the threaded encoder must clear
-1.5x over single-threaded packed on the large batch (run it at the
-criterion workload, e.g. ``--dim 8192``); on fewer cores it reports
-SKIPPED rather than guessing.  It needs no baseline file.
-
 Also exposed as ``repro-uhd bench`` (without the guards).
 """
 
@@ -35,11 +29,6 @@ import json
 import sys
 
 from repro.eval.throughput import render_results, run_throughput_suite, write_bench_json
-
-#: threaded-vs-packed encode target on hosts with at least this many cores
-THREADED_MIN_CORES = 4
-THREADED_MIN_SPEEDUP = 1.5
-
 
 #: workload keys that must match the baseline for speedup ratios to be
 #: commensurate (machine keys like numpy/cpu_count legitimately differ)
@@ -67,29 +56,20 @@ def check_smoke(results: dict, baseline: dict, min_ratio: float) -> list[str]:
         old = recorded.get(bench["name"])
         if old is None:
             continue  # benchmark added after the baseline was recorded
-        for key in ("speedup_vs_reference", "speedup_vs_packed"):
-            # thread-fan-out ratios only transfer between same-shaped hosts
-            # (a 1-core recording of speedup_vs_packed measures serial noise)
-            if key == "speedup_vs_packed" and (
-                results["config"].get("cpu_count")
-                != baseline.get("config", {}).get("cpu_count")
-            ):
-                continue
-            old_speedup = old.get(key)
-            new_speedup = bench.get(key)
-            if not old_speedup or not new_speedup:
-                continue
-            compared += 1
-            if new_speedup < min_ratio * old_speedup:
-                failures.append(
-                    f"{bench['name']}: {key} regressed to {new_speedup:.2f}x "
-                    f"(recorded {old_speedup:.2f}x, floor "
-                    f"{min_ratio * old_speedup:.2f}x)"
-                )
+        old_speedup = old.get("speedup_vs_reference")
+        new_speedup = bench.get("speedup_vs_reference")
+        if not old_speedup or not new_speedup:
+            continue
+        compared += 1
+        if new_speedup < min_ratio * old_speedup:
+            failures.append(
+                f"{bench['name']}: speedup_vs_reference regressed to "
+                f"{new_speedup:.2f}x (recorded {old_speedup:.2f}x, floor "
+                f"{min_ratio * old_speedup:.2f}x)"
+            )
     # a rename/removal must not turn the guard into a vacuous pass
     for name, old in recorded.items():
-        has_speedup = old.get("speedup_vs_reference") or old.get("speedup_vs_packed")
-        if has_speedup and name not in result_names:
+        if old.get("speedup_vs_reference") and name not in result_names:
             failures.append(
                 f"baseline row {name!r} has no matching result — renamed or "
                 "removed benchmark? regenerate the baseline"
@@ -102,30 +82,6 @@ def check_smoke(results: dict, baseline: dict, min_ratio: float) -> list[str]:
     return failures
 
 
-def check_threaded_gate(results: dict) -> tuple[list[str], str | None]:
-    """(failures, skip_reason) for the >=1.5x-on->=4-cores threaded check."""
-    cpu_count = results["config"].get("cpu_count") or 1
-    if cpu_count < THREADED_MIN_CORES:
-        return [], (
-            f"host has {cpu_count} core(s) < {THREADED_MIN_CORES}; the "
-            "threaded rung target only applies on multi-core hosts"
-        )
-    threaded = next(
-        (b for b in results["benchmarks"] if b["name"] == "uhd_encode_threaded_large"),
-        None,
-    )
-    if threaded is None:
-        return ["uhd_encode_threaded_large missing from results"], None
-    speedup = threaded.get("speedup_vs_packed") or 0.0
-    if speedup < THREADED_MIN_SPEEDUP:
-        return [
-            f"uhd_encode_threaded_large: {speedup:.2f}x vs packed on "
-            f"{cpu_count} cores (threaded rung requires >= "
-            f"{THREADED_MIN_SPEEDUP}x on >= {THREADED_MIN_CORES} cores)"
-        ], None
-    return [], None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -135,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--repeats", type=int, default=None,
         help="timing repeats per benchmark, median reported "
-             "(default: 25, or 5 under --smoke/--threaded-gate)",
+             "(default: 25, or 5 under --smoke)",
     )
     parser.add_argument(
         "--dim", "--dims", type=int, default=1024, dest="dim",
@@ -145,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch", type=int, default=32, help="encode batch size")
     parser.add_argument(
         "--thread-batch", type=int, default=256,
-        help="large-batch size for the threaded-vs-packed encode comparison",
+        help="batch size of the multi-chunk (thread fan-out) packed encode row",
     )
     parser.add_argument(
         "--queries", type=int, default=512, help="inference query count"
@@ -153,11 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="quick CI guard: compare against --baseline instead of writing",
-    )
-    parser.add_argument(
-        "--threaded-gate", action="store_true",
-        help="enforce the >=1.5x threaded-vs-packed encode target on >=4 "
-             "cores (SKIPPED on smaller hosts); no baseline needed",
     )
     parser.add_argument(
         "--baseline", default="BENCH_throughput.json",
@@ -169,8 +120,7 @@ def main(argv: list[str] | None = None) -> int:
              "the recorded one (default: %(default)s)",
     )
     args = parser.parse_args(argv)
-    quick = args.smoke or args.threaded_gate
-    repeats = args.repeats if args.repeats is not None else (5 if quick else 25)
+    repeats = args.repeats if args.repeats is not None else (5 if args.smoke else 25)
     results = run_throughput_suite(
         pixels=args.pixels,
         dim=args.dim,
@@ -180,7 +130,6 @@ def main(argv: list[str] | None = None) -> int:
         repeats=repeats,
     )
     print(render_results(results))
-    failures: list[str] = []
     if args.smoke:
         try:
             with open(args.baseline, encoding="utf-8") as handle:
@@ -191,22 +140,11 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        smoke_failures = check_smoke(results, baseline, args.min_ratio)
-        for failure in smoke_failures:
+        failures = check_smoke(results, baseline, args.min_ratio)
+        for failure in failures:
             print(f"SMOKE REGRESSION: {failure}", file=sys.stderr)
-        if not smoke_failures:
+        if not failures:
             print(f"smoke check OK against {args.baseline}")
-        failures.extend(smoke_failures)
-    if args.threaded_gate:
-        gate_failures, skip_reason = check_threaded_gate(results)
-        for failure in gate_failures:
-            print(f"THREADED GATE: {failure}", file=sys.stderr)
-        if skip_reason:
-            print(f"threaded gate SKIPPED: {skip_reason}")
-        elif not gate_failures:
-            print("threaded gate OK")
-        failures.extend(gate_failures)
-    if quick:
         return 1 if failures else 0
     write_bench_json(results, args.out)
     print(f"wrote {args.out}")

@@ -19,8 +19,8 @@ in-process, stdlib HTTP, and a framed binary socket fast lane — in
 front of a priority-lane scheduler and a warm-started worker pool,
 readiness probing — see ``docs/serving.md``),
 :mod:`repro.core` (the uHD contribution), :mod:`repro.hdc`
-(baseline HDC substrate), :mod:`repro.fastpath` (bit-packed and threaded
-backends: packed hypervectors, LUT encoding, popcount inference —
+(baseline HDC substrate), :mod:`repro.fastpath` (the bit-packed
+backend: packed hypervectors, LUT encoding, popcount inference —
 bit-exact with the reference and selected via ``UHDConfig.backend``
 through the registry — plus the shared gather-table stores of
 :mod:`repro.fastpath.tablestore`), :mod:`repro.unary` (unary bit-stream
@@ -51,7 +51,7 @@ from .core import (
     masking_binarize,
 )
 from .datasets import ImageDataset, load_dataset
-from .fastpath import PackedLevelEncoder, ThreadedLevelEncoder
+from .fastpath import PackedLevelEncoder
 from .hdc import BaselineConfig, BaselineHDC, CentroidClassifier
 
 __version__ = "1.7.0"
@@ -67,7 +67,6 @@ __all__ = [
     "PackedLevelEncoder",
     "SobolLevelEncoder",
     "StreamingUHD",
-    "ThreadedLevelEncoder",
     "UHDClassifier",
     "UHDConfig",
     "UnaryDomainEncoder",

@@ -6,9 +6,8 @@ This package is the stable surface a serving system builds against:
   protocol every model in repro satisfies.
 * :class:`~repro.api.registry.Backend` and the **backend registry**
   (:func:`register_backend` / :func:`get_backend` / :func:`list_backends`)
-  — named execution backends (``reference``, ``packed``, ``auto``,
-  ``threaded`` built in); third-party backends plug in without touching
-  core code, and ``UHDConfig.backend`` validates against the registry.
+  — named execution backends (``reference``, ``packed`` and ``auto``
+  built in); third-party backends plug in without touching core code, and ``UHDConfig.backend`` validates against the registry.
 * **Model persistence** (:func:`save_model` / :func:`load_model` /
   :class:`ModelFormatError`) — versioned ``.npz`` round-trips that are
   bit-exact and never re-encode training data; ``save_model(...,
@@ -22,7 +21,7 @@ Quickstart::
 
     data = load_dataset("mnist", n_train=2000, n_test=500).grayscale()
     model = UHDClassifier(data.num_pixels, data.num_classes,
-                          UHDConfig(dim=2048, backend="threaded"))
+                          UHDConfig(dim=2048, backend="packed"))
     model.fit(data.train_images, data.train_labels)
     model.save("mnist.npz")
 

@@ -12,8 +12,8 @@ accumulator matrix.  A saved model is therefore just
 ``load`` rebuilds the encoder from the config (construction, not
 training — no training data is ever re-encoded) and injects the
 accumulators, so predictions after a round-trip are **bit-exact** on
-every backend: the packed/threaded class words are re-derived lazily
-from the same integers the reference path compares against.
+every backend: the packed class words are re-derived lazily from the
+same integers the reference path compares against.
 
 File layout notes
 -----------------
@@ -33,6 +33,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
 import zipfile
 from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, Any, BinaryIO, Mapping
@@ -63,6 +64,12 @@ FORMAT_VERSION = 1
 _FORMAT_KEY = "__format__"
 _VERSION_KEY = "__version__"
 _MODEL_KEY = "__model__"
+
+#: np.load parses every .npy header with ast.literal_eval, and CPython
+#: 3.11's AST conversion is not thread-safe: concurrent parses can fail
+#: with "SystemError: AST constructor recursion depth mismatch".  Router
+#: replicas load their model files on concurrent threads.
+_NPZ_READ_LOCK = threading.Lock()
 
 #: model-class registry: name -> lazy importer (keeps this module cycle-free)
 _MODEL_IMPORTS = {
@@ -109,6 +116,11 @@ def config_from_json(payload: str, config_cls: type) -> Any:
         raw = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"config payload is not valid JSON: {exc}") from exc
+    if raw.get("backend") == "threaded":
+        # the retired "threaded" backend ran the packed kernels over
+        # threads; its arithmetic is packed's, bit for bit, so its files
+        # load as packed (which now fans out over threads by itself)
+        raw["backend"] = "packed"
     known = {f.name for f in fields(config_cls)}
     unknown = set(raw) - known
     if unknown:
@@ -174,7 +186,7 @@ def save_model(
     construction *and* re-promotion entirely.  The sidecar is pure
     derived state: deleting it costs a rebuild, never correctness.
     Requires a path (not a file object) and a model whose encoder can
-    export tables (the packed/threaded backends).
+    export tables (the packed and auto backends).
 
     Example::
 
@@ -227,7 +239,7 @@ def _read_arrays(path: Any) -> dict[str, np.ndarray]:
         with open(path, "rb") as handle:  # missing file -> FileNotFoundError as-is
             stream = io.BytesIO(handle.read())
     try:
-        with np.load(stream, allow_pickle=False) as data:
+        with _NPZ_READ_LOCK, np.load(stream, allow_pickle=False) as data:
             return {key: data[key] for key in data.files}
     except (ValueError, OSError, zipfile.BadZipFile, KeyError) as exc:
         raise ModelFormatError(f"not a readable model file: {exc}") from exc
@@ -326,7 +338,7 @@ def _attach_table_sidecar(model: "Estimator", path: Any) -> None:
     Ordered after any backend re-home so the tables land on the encoder
     that will actually serve.  The table key deliberately excludes the
     backend name, so a sidecar written under ``packed`` attaches under
-    ``threaded`` (identical bytes) and is ignored under ``reference``.
+    ``auto`` (identical bytes) and is ignored under ``reference``.
     """
     if hasattr(path, "read"):  # file objects have no sidecar location
         return

@@ -22,7 +22,7 @@ benchmarks without touching core code::
     register_backend("fancy", FancyBackend)
     model = UHDClassifier(784, 10, UHDConfig(backend="fancy"))
 
-Built-in backends (``reference``, ``packed``, ``auto``, ``threaded``) are
+Built-in backends (``reference``, ``packed``, ``auto``) are
 registered here with lazy factories; see :mod:`repro.fastpath.execution`
 for their implementations.
 """
@@ -177,7 +177,7 @@ def list_backends() -> tuple[str, ...]:
 
         >>> from repro.api import list_backends
         >>> sorted(list_backends())
-        ['auto', 'packed', 'reference', 'threaded']
+        ['auto', 'packed', 'reference']
     """
     return tuple(_FACTORIES)
 
@@ -268,13 +268,6 @@ def _auto_factory() -> Backend:
     return AutoBackend()
 
 
-def _threaded_factory() -> Backend:
-    from ..fastpath.threaded import ThreadedBackend
-
-    return ThreadedBackend()
-
-
 register_backend("auto", _auto_factory)
 register_backend("packed", _packed_factory)
 register_backend("reference", _reference_factory)
-register_backend("threaded", _threaded_factory)

@@ -8,7 +8,7 @@ Usage::
     repro-uhd fig6
     repro-uhd checkpoints
     repro-uhd bench --out BENCH_throughput.json
-    repro-uhd save --out model.npz --dataset mnist --dim 2048 --backend threaded
+    repro-uhd save --out model.npz --dataset mnist --dim 2048 --backend packed
     repro-uhd save --out model.npz --dim 2048 --include-tables
     repro-uhd load --model model.npz --dataset mnist
     repro-uhd serve-check --model model.npz --batch 64
@@ -23,7 +23,7 @@ Usage::
 Accuracy experiments honour ``REPRO_FULL=1`` for paper-leaning workload
 sizes; ``--backend`` accepts any backend registered with
 :func:`repro.api.register_backend` (bit-exact built-ins: auto, packed,
-threaded, reference).  ``save``/``load`` round-trip trained models through
+reference).  ``save``/``load`` round-trip trained models through
 the versioned :mod:`repro.api.persistence` format; ``serve-check`` is the
 serving-readiness probe — it loads a warm model (no retraining) and
 reports prediction latency.
@@ -204,7 +204,7 @@ def _cmd_save(args: argparse.Namespace) -> str:
         raise SystemExit(
             f"--include-tables: backend {args.backend!r} resolves to an "
             "encoder without exportable gather tables; use a "
-            "packed-capable backend (auto/packed/threaded)"
+            "packed-capable backend (auto/packed)"
         )
     start = time.perf_counter()
     model.fit(data.train_images, data.train_labels)

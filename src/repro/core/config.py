@@ -48,9 +48,8 @@ class UHDConfig:
         registry.  Built-ins: ``"auto"`` (default; packed fast path
         wherever it is bit-exact and supported), ``"packed"`` (force
         packed *encoding*, raising where it cannot apply; inference
-        additionally needs ``binarize=True``), ``"threaded"`` (packed
-        kernels sharded over a thread pool, bit-exact with ``"packed"``)
-        and ``"reference"`` (always the original elementwise NumPy path).
+        additionally needs ``binarize=True``) and ``"reference"`` (always
+        the original elementwise NumPy path).
         Third-party backends registered via
         :func:`repro.api.register_backend` are accepted by name.
     """

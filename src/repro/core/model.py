@@ -90,7 +90,7 @@ class UHDClassifier:
 
         Backends are bit-exact, so the clone predicts identically; this is
         how a serving layer re-homes a model trained elsewhere (e.g. load a
-        reference-trained file, serve it threaded) without refitting.
+        reference-trained file, serve it packed) without refitting.
         """
         from dataclasses import replace
 

@@ -1,7 +1,7 @@
 """Machine-readable throughput benchmarks across registered backends.
 
 Runs the hot paths a downstream serving system cares about — batch
-encoding and binarized inference — on the reference, packed and threaded
+encoding and binarized inference — on the reference and packed
 backends, checks bit-exactness *before* timing anything, and returns a
 JSON-friendly record so successive PRs accumulate a perf trajectory
 (``BENCH_throughput.json``) to regress against.
@@ -10,12 +10,10 @@ Timings interleave the backends round-robin so machine noise (shared
 cores, frequency drift) hits both distributions equally, and report the
 median, which pytest-benchmark also favours.
 
-The threaded backend only fans out when a batch spans several encode
-chunks, so it is measured on a larger batch (``thread_batch``) against
-the packed encoder on that same batch — its ``speedup_vs_packed`` is the
-number the ROADMAP's threaded rung is judged on (≥ 1.5x expected on
-≥ 4 cores; on fewer cores it degrades to ~1x by design, never below the
-serial path by more than scheduling noise).
+The packed encoder only fans out over threads when a batch spans two or
+more encode chunks, so ``uhd_encode_packed_large`` times a larger batch
+(``thread_batch``) next to the serial 32-image ``uhd_encode_packed`` row;
+``fanout_width`` in the config records how many threads it could use.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from ..api.registry import get_backend
 from ..core.config import UHDConfig
 from ..core.encoder import SobolLevelEncoder
 from ..fastpath import HAS_BITWISE_COUNT, PackedLevelEncoder
+from ..fastpath.encoder import FANOUT_WIDTH
 from ..hdc.classifier import CentroidClassifier
 
 __all__ = ["BenchResult", "run_throughput_suite", "write_bench_json", "render_results"]
@@ -38,13 +37,12 @@ __all__ = ["BenchResult", "run_throughput_suite", "write_bench_json", "render_re
 
 @dataclass(frozen=True)
 class BenchResult:
-    """One benchmark row: timings plus speedup ratios against peers."""
+    """One benchmark row: timings plus the speedup over the reference."""
 
     name: str
     median_s: float
     ops_per_s: float
     speedup_vs_reference: float | None = None
-    speedup_vs_packed: float | None = None
 
 
 def _interleaved_medians(
@@ -82,7 +80,7 @@ def run_throughput_suite(
     """Encode + binarized-predict throughput across backends.
 
     Returns a dict with a ``benchmarks`` list (name, median_s, ops_per_s,
-    speedup_vs_reference, speedup_vs_packed) and the workload ``config``;
+    speedup_vs_reference) and the workload ``config``;
     raises if any fast backend is not bit-exact with its baseline on this
     workload.
     """
@@ -99,20 +97,14 @@ def run_throughput_suite(
     config = UHDConfig(dim=dim, levels=levels)
     reference = SobolLevelEncoder(pixels, config)
     packed = PackedLevelEncoder(pixels, config)
-    threaded = get_backend("threaded").make_encoder(pixels, config)
     # warm past pair-table promotion and first-touch page faults
     warm_batches = max(2, -(-PackedLevelEncoder.PAIR_PROMOTE_IMAGES // batch) + 1)
     for _ in range(warm_batches):
         packed.encode_batch(images)
-    threaded.encode_batch(images_large)
-    threaded.encode_batch(images_large)
+    packed.encode_batch(images_large)
     reference.encode_batch(images)
     if not np.array_equal(reference.encode_batch(images), packed.encode_batch(images)):
         raise AssertionError("packed encoder is not bit-exact with the reference")
-    if not np.array_equal(
-        packed.encode_batch(images_large), threaded.encode_batch(images_large)
-    ):
-        raise AssertionError("threaded encoder is not bit-exact with packed")
 
     encoded = rng.integers(-pixels, pixels + 1, size=(queries, dim), dtype=np.int64)
     labels = rng.integers(0, num_classes, size=queries)
@@ -122,10 +114,7 @@ def run_throughput_suite(
     packed_clf = CentroidClassifier(
         num_classes, dim, binarize=True, backend=get_backend("packed")
     )
-    threaded_clf = CentroidClassifier(
-        num_classes, dim, binarize=True, backend=get_backend("threaded")
-    )
-    for clf in (ref_clf, packed_clf, threaded_clf):
+    for clf in (ref_clf, packed_clf):
         clf.fit(encoded, labels)
         clf.predict(encoded)  # warm the packed class-HV caches
     # compare where the binarized ranking is well-defined; on exact
@@ -143,9 +132,6 @@ def run_throughput_suite(
         packed_clf.predict(encoded)[well_defined],
     ):
         raise AssertionError("packed inference disagrees with the reference")
-    # threaded shards the identical integer kernel: equal on every row
-    if not np.array_equal(packed_clf.predict(encoded), threaded_clf.predict(encoded)):
-        raise AssertionError("threaded inference disagrees with packed")
 
     # interleave each fast benchmark only with its own baseline so both
     # sides of a ratio see identical machine noise; the predict trio's
@@ -160,12 +146,7 @@ def run_throughput_suite(
     )
     medians.update(
         _interleaved_medians(
-            {
-                "uhd_encode_packed_large": lambda: packed.encode_batch(images_large),
-                "uhd_encode_threaded_large": lambda: threaded.encode_batch(
-                    images_large
-                ),
-            },
+            {"uhd_encode_packed_large": lambda: packed.encode_batch(images_large)},
             repeats,
         )
     )
@@ -174,49 +155,29 @@ def run_throughput_suite(
             {
                 "uhd_predict_binarized_reference": lambda: ref_clf.predict(encoded),
                 "uhd_predict_binarized_packed": lambda: packed_clf.predict(encoded),
-                "uhd_predict_binarized_threaded": lambda: threaded_clf.predict(
-                    encoded
-                ),
             },
             repeats,
         )
     )
 
-    def result(
-        name: str,
-        ops: int,
-        reference_name: str | None = None,
-        packed_name: str | None = None,
-    ) -> BenchResult:
+    def result(name: str, ops: int, reference_name: str | None = None) -> BenchResult:
         median = medians[name]
         return BenchResult(
             name,
             median,
             ops / median,
             medians[reference_name] / median if reference_name else None,
-            medians[packed_name] / median if packed_name else None,
         )
 
     benchmarks = [
         result("uhd_encode_reference", batch),
         result("uhd_encode_packed", batch, reference_name="uhd_encode_reference"),
         result("uhd_encode_packed_large", thread_batch),
-        result(
-            "uhd_encode_threaded_large",
-            thread_batch,
-            packed_name="uhd_encode_packed_large",
-        ),
         result("uhd_predict_binarized_reference", queries),
         result(
             "uhd_predict_binarized_packed",
             queries,
             reference_name="uhd_predict_binarized_reference",
-        ),
-        result(
-            "uhd_predict_binarized_threaded",
-            queries,
-            reference_name="uhd_predict_binarized_reference",
-            packed_name="uhd_predict_binarized_packed",
         ),
     ]
     return {
@@ -232,7 +193,7 @@ def run_throughput_suite(
             "numpy": np.__version__,
             "bitwise_count": HAS_BITWISE_COUNT,
             "cpu_count": os.cpu_count(),
-            "threaded_workers": getattr(threaded, "max_workers", 1),
+            "fanout_width": FANOUT_WIDTH,
         },
         "benchmarks": [asdict(b) for b in benchmarks],
     }
@@ -281,8 +242,6 @@ def render_results(results: dict) -> str:
         suffix = ""
         if bench.get("speedup_vs_reference"):
             suffix += f"  ({bench['speedup_vs_reference']:.1f}x vs reference)"
-        if bench.get("speedup_vs_packed"):
-            suffix += f"  ({bench['speedup_vs_packed']:.1f}x vs packed)"
         lines.append(
             f"  {bench['name']:<34} {bench['median_s'] * 1e3:8.3f} ms "
             f"{bench['ops_per_s']:10.0f} ops/s{suffix}"

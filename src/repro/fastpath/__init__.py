@@ -51,9 +51,10 @@ When ``auto`` picks packed
 ``quantized=True`` and ``H <= PackedLevelEncoder.MAX_PIXELS``; inference
 goes packed when ``binarize=True`` (the centered-cosine default policy has
 no packed form).  ``backend="packed"`` forces and raises where impossible;
-``backend="threaded"`` shards the packed kernels over a thread pool
-(:mod:`repro.fastpath.threaded`) and stays bit-exact with ``packed``;
-``backend="reference"`` always runs the original path.  Packed popcounts
+``backend="reference"`` always runs the original path.  The packed encoder
+splits a batch of two or more chunks over threads on its own
+(:data:`repro.fastpath.encoder.FANOUT_WIDTH`), bit-exact with serial
+encoding; there is no setting for it.  Packed popcounts
 use :func:`numpy.bitwise_count` when NumPy >= 2.0 and fall back to a byte
 LUT otherwise (``repro.fastpath.bitops.HAS_BITWISE_COUNT``).
 """
@@ -90,7 +91,6 @@ from .inference import (
     packed_dot_similarity,
     packed_predict,
 )
-from .threaded import ThreadedBackend, ThreadedLevelEncoder, threaded_packed_hamming
 
 __all__ = [
     "AutoBackend",
@@ -105,8 +105,6 @@ __all__ = [
     "TableHandle",
     "TableSet",
     "TableStore",
-    "ThreadedBackend",
-    "ThreadedLevelEncoder",
     "attach_handle",
     "make_store",
     "read_table_file",
@@ -121,7 +119,6 @@ __all__ = [
     "packed_hamming",
     "packed_predict",
     "popcount",
-    "threaded_packed_hamming",
     "unpack_bipolar",
     "unpack_bits",
 ]

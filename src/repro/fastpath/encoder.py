@@ -36,9 +36,22 @@ Two gather tables share the pipeline:
 Both paths are bit-exact with the reference quantized encoder (the tests
 assert it), mirroring the paper's claim that the unary hardware datapath
 substitutes for arithmetic without changing a single output bit.
+
+Thread fan-out
+--------------
+uHD encodes each image on its own (no position hypervectors, no
+multiply), so a batch splits over cores without changing a bit.  NumPy
+releases the GIL inside the gather, the lane adds and the reductions, so
+``encode_batch`` splits a batch spanning two or more chunks over
+``FANOUT_WIDTH`` threads (the caller plus a process-wide pool) that share
+the read-only table and each own their scratch.  Smaller batches, and
+hosts with one core, run serially.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -61,6 +74,42 @@ _SPREAD_STEPS = (
     (np.uint64(6), np.uint64(0x0303030303030303)),
     (np.uint64(3), np.uint64(0x1111111111111111)),
 )
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+#: threads one ``encode_batch`` call splits its chunks over (1 = serial);
+#: capped at 8 because every shard keeps its own scratch workspaces
+FANOUT_WIDTH = min(8, _usable_cores())
+
+#: ``(pid, executor)`` of this process's encode pool, created lazily
+_executor: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _shared_executor() -> ThreadPoolExecutor:
+    """The process's encode pool, recreated after a fork.
+
+    A forked child inherits the executor object but none of its threads,
+    so submitting to it would hang forever; a pid change drops it.  The
+    caller of ``encode_batch`` runs one shard itself, hence one thread
+    fewer than ``FANOUT_WIDTH``.  Deliberately lock-free: two racing first
+    calls each build a pool and the loser's is collected once its shards
+    finish, whereas a lock could be inherited held by a forked child.
+    """
+    global _executor
+    pid = os.getpid()
+    if _executor is None or _executor[0] != pid:
+        threads = max(1, FANOUT_WIDTH - 1)
+        _executor = (
+            pid,
+            ThreadPoolExecutor(threads, thread_name_prefix="uhd-encode"),
+        )
+    return _executor[1]
 
 
 def _spread16(x: np.ndarray) -> np.ndarray:
@@ -153,7 +202,8 @@ class PackedLevelEncoder(SobolLevelEncoder):
         self._spread_words = 4 * self._dim_words
         self._table: _GatherTable | None = None
         self._single_lut: np.ndarray | None = None
-        self._workspaces: dict[int, _Workspace] = {}
+        #: scratch keyed by (shard, rows): each fan-out shard owns its own
+        self._workspaces: dict[tuple[int, int], _Workspace] = {}
         self._images_seen = 0
         #: gather-table constructions this instance performed (the
         #: build-vs-attach observability hook: an encoder that attached a
@@ -255,11 +305,11 @@ class PackedLevelEncoder(SobolLevelEncoder):
             self._workspaces.clear()
         return self._table
 
-    def _workspace(self, table: _GatherTable, batch: int) -> _Workspace:
-        ws = self._workspaces.get(batch)
+    def _workspace(self, table: _GatherTable, shard: int, batch: int) -> _Workspace:
+        ws = self._workspaces.get((shard, batch))
         if ws is None:
             ws = _Workspace(table, batch, self._spread_words)
-            self._workspaces[batch] = ws
+            self._workspaces[shard, batch] = ws
         return ws
 
     # ------------------------------------------------------------------
@@ -415,14 +465,48 @@ class PackedLevelEncoder(SobolLevelEncoder):
 
         Bit-exact with :meth:`SobolLevelEncoder.encode_batch`; ``chunk``
         bounds the gather scratch exactly like the reference tensor chunk.
+        A batch spanning two or more chunks fans out over
+        ``FANOUT_WIDTH`` threads.  Concurrent calls on one instance must be
+        serialized by the caller (the scratch is per instance).
         """
         values = self._normalize(images)
         batch = values.shape[0]
         self._images_seen += batch
+        # promotion happens here, on the calling thread, before any fan-out
         table = self._ensure_table()
         out = np.empty((batch, self.dim), dtype=np.int64)
-        for start in range(0, batch, chunk):
-            stop = min(start + chunk, batch)
-            ws = self._workspace(table, stop - start)
-            out[start:stop] = self._encode_chunk(values[start:stop], table, ws)
+        starts = range(0, batch, chunk)
+        width = min(FANOUT_WIDTH, len(starts))
+        if width < 2:
+            self._encode_shard(values, table, out, starts, chunk, 0)
+            return out
+        pool = _shared_executor()
+        futures = [
+            pool.submit(
+                self._encode_shard, values, table, out, starts[k::width], chunk, k
+            )
+            for k in range(1, width)
+        ]
+        try:  # the calling thread encodes shard 0 itself
+            self._encode_shard(values, table, out, starts[::width], chunk, 0)
+        finally:
+            wait(futures)  # no shard may outlive the call that owns its scratch
+        for future in futures:
+            future.result()  # re-raise a shard's exception here
         return out
+
+    def _encode_shard(
+        self,
+        values: np.ndarray,
+        table: _GatherTable,
+        out: np.ndarray,
+        starts: range,
+        chunk: int,
+        shard: int,
+    ) -> None:
+        """Encode the chunks beginning at ``starts`` into ``out``."""
+        batch = values.shape[0]
+        for start in starts:
+            stop = min(start + chunk, batch)
+            ws = self._workspace(table, shard, stop - start)
+            out[start:stop] = self._encode_chunk(values[start:stop], table, ws)

@@ -12,10 +12,8 @@ the :class:`repro.api.registry.Backend` protocol.  The resolution rules:
 * ``auto`` (default) — packed wherever it is bit-exact and supported,
   reference everywhere else.
 
-``threaded`` (the fourth built-in) lives in
-:mod:`repro.fastpath.threaded`; it subclasses :class:`PackedBackend`
-here, which is itself ordinary registry fare — the point of the registry
-is that backends compose by subclassing or from scratch equally well.
+Thread fan-out is not a backend decision: the packed encoder splits
+large batches over threads itself (see :mod:`repro.fastpath.encoder`).
 
 Backend instances are stateless and shared (the registry caches one per
 name), so everything here must stay safe to call from multiple threads.
@@ -45,32 +43,11 @@ class _BuiltinBackend:
         """Encoder for this backend (packed or reference, per ``encoder_kind``)."""
         from ..core.encoder import SobolLevelEncoder
 
+        from .encoder import PackedLevelEncoder
+
         if self.encoder_kind(config, num_pixels) == "packed":
-            return self._packed_encoder(num_pixels, config)
+            return PackedLevelEncoder(num_pixels, config)
         return SobolLevelEncoder(num_pixels, config)
-
-    def _packed_encoder(
-        self, num_pixels: int, config: "UHDConfig"
-    ) -> "SobolLevelEncoder":
-        from .encoder import PackedLevelEncoder
-
-        return PackedLevelEncoder(num_pixels, config)
-
-    def _force_packed_kind(self, config: "UHDConfig", num_pixels: int) -> str:
-        """Validate a *forced* packed selection (``packed``/``threaded``)."""
-        from .encoder import PackedLevelEncoder
-
-        if not config.quantized:
-            raise ValueError(
-                f"backend={self.name!r} requires quantized=True (the packed "
-                "encoder exploits the xi-level codes)"
-            )
-        if num_pixels > PackedLevelEncoder.MAX_PIXELS:
-            raise ValueError(
-                f"backend={self.name!r} supports up to "
-                f"{PackedLevelEncoder.MAX_PIXELS} pixels, got {num_pixels}"
-            )
-        return "packed"
 
     # -- inference kernels (only reached when use_packed_inference is true)
     def packed_predict(
@@ -106,7 +83,20 @@ class PackedBackend(_BuiltinBackend):
     name = "packed"
 
     def encoder_kind(self, config: "UHDConfig", num_pixels: int) -> str:
-        return self._force_packed_kind(config, num_pixels)
+        """``"packed"``, or ``ValueError`` where the packed encoder cannot run."""
+        from .encoder import PackedLevelEncoder
+
+        if not config.quantized:
+            raise ValueError(
+                f"backend={self.name!r} requires quantized=True (the packed "
+                "encoder exploits the xi-level codes)"
+            )
+        if num_pixels > PackedLevelEncoder.MAX_PIXELS:
+            raise ValueError(
+                f"backend={self.name!r} supports up to "
+                f"{PackedLevelEncoder.MAX_PIXELS} pixels, got {num_pixels}"
+            )
+        return "packed"
 
     def use_packed_inference(self, binarize: bool) -> bool:
         return binarize

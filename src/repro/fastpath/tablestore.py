@@ -42,9 +42,9 @@ The versioned table file
     data          the raw C-order table words
 
 ``key`` holds exactly the config fields the table bytes depend on
-(:func:`table_key`) — note ``backend`` is *not* one of them: ``packed``
-and ``threaded`` encoders build identical tables, so one published table
-serves both.  :func:`read_table_file` validates magic and version and
+(:func:`table_key`) — note ``backend`` is *not* one of them: the
+``packed`` and ``auto`` backends build identical tables, so one published
+table serves both.  :func:`read_table_file` validates magic and version and
 returns a read-only ``np.memmap`` over the data region; the same format
 backs :class:`MmapStore` publications and the optional
 ``save_model(..., include_tables=True)`` sidecar.
@@ -101,7 +101,7 @@ class TableFormatError(Exception):
 def table_key(num_pixels: int, config: "UHDConfig") -> dict:
     """The config fields the gather-table *bytes* are a pure function of.
 
-    Deliberately excludes ``backend`` (packed and threaded build the
+    Deliberately excludes ``backend`` (packed and auto build the
     identical table) and ``binarize`` (an inference policy): a table
     published by one is attachable by the other.  Two encoders with equal
     ``table_key`` build byte-identical tables, so key equality is the

@@ -20,8 +20,8 @@ Two serving-specific consequences:
   workspaces, so concurrent ``encode_batch`` calls on one shared
   instance must be externally serialized — ``UHDServer`` does (its
   in-process mode runs under a lock; worker processes each own a
-  private copy).  The ``threaded`` backend's encoder is internally
-  thread-safe and exempt.
+  private copy).  An encoder may still fan one call out over threads
+  internally; that never needs the caller's help.
 """
 
 from __future__ import annotations

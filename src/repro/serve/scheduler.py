@@ -117,10 +117,12 @@ class LaneConfig:
 class LaneStats:
     """Point-in-time counters for one lane (see :meth:`Scheduler.stats`).
 
-    ``latency`` is the lane's scheduling-latency distribution — the
-    enqueue-to-dispatch wait of every item the lane has served
-    (coalescing window included; in the queue-less in-process server
-    mode it is the request's synchronous service time instead).
+    ``latency`` is the lane's scheduling-latency distribution — each
+    served item's wait from :meth:`Scheduler.put` until its batch is
+    returned by :meth:`Scheduler.next_batch`, so the coalescing window
+    is included for every item, the batch head too (in the queue-less
+    in-process server mode it is the request's synchronous service time
+    instead).
     Expired items never enter it: they are counted in ``expired`` and
     mirrored in ``latency.excluded``, so quantiles are computed over
     served traffic only.
@@ -213,7 +215,7 @@ class _LaneState:
         self.served_rows = 0
         self.batches = 0
         self.expired = 0
-        self.hist = LatencyHistogram()  #: enqueue-to-dispatch wait per item
+        self.hist = LatencyHistogram()  #: put-to-batch-return wait per item
 
     @property
     def max_wait_s(self) -> float:
@@ -409,10 +411,8 @@ class Scheduler(Generic[ItemT]):
 
         state = picked
         cfg = state.config
-        entry = self._pop_head_locked(state, now)
-        batch = [entry.item]
-        rows = entry.rows
-        served = 1
+        entries = [self._pop_head_locked(state)]
+        rows = entries[0].rows
         flush_at = time.monotonic() + state.max_wait_s
         while rows < cfg.max_batch:
             now = time.monotonic()
@@ -438,28 +438,28 @@ class Scheduler(Generic[ItemT]):
             head = state.q[0]
             if rows + head.rows > cfg.max_batch:
                 break  # leave the overflow item for the next batch
-            self._pop_head_locked(state, now)
-            batch.append(head.item)
+            entries.append(self._pop_head_locked(state))
             rows += head.rows
-            served += 1
         # stride accounting: the system clock only moves forward, and a
         # lane's clock is clamped up to it before the drain is charged —
         # so a lane that sat idle re-enters at "now", banking no credit
         self._vclock = max(self._vclock, state.vtime)
         state.vtime = max(state.vtime, self._vclock) + rows / cfg.weight
-        state.served += served
+        state.served += len(entries)
         state.served_rows += rows
         state.batches += 1
+        # queue wait: put() to the batch leaving the scheduler, so every
+        # item's share of the coalescing window counts, the head's too
+        dispatched = time.monotonic()
+        for entry in entries:
+            state.hist.record(dispatched - entry.enqueued)
         self._not_full.notify_all()
-        return ScheduledBatch(cfg.name, batch)
+        return ScheduledBatch(cfg.name, [entry.item for entry in entries])
 
-    def _pop_head_locked(self, state: _LaneState, now: float) -> _Entry:
+    def _pop_head_locked(self, state: _LaneState) -> _Entry:
         entry = state.q.popleft()
         if entry.deadline is not None:
             state.deadlined -= 1
-        # dispatch latency: how long the item waited from put() to being
-        # drained into a batch (the lane's coalescing window included)
-        state.hist.record(now - entry.enqueued)
         return entry
 
     def _expire_locked(self, now: float, expired: list) -> None:

@@ -18,7 +18,7 @@ from repro.core.encoder import SobolLevelEncoder
 from repro.fastpath.encoder import PackedLevelEncoder
 from repro.hdc import BaselineConfig, BaselineHDC, CentroidClassifier
 
-BACKENDS = ("reference", "packed", "threaded")
+BACKENDS = ("reference", "packed", "auto")
 
 
 @pytest.fixture()
@@ -299,8 +299,8 @@ class TestBackendPersistenceEdges:
             tiny_digits.num_pixels, tiny_digits.num_classes,
             UHDConfig(dim=128, backend="reference"),
         ).fit(tiny_digits.train_images, tiny_digits.train_labels)
-        clone = model.with_backend("threaded")
-        assert clone.config.backend == "threaded"
+        clone = model.with_backend("packed")
+        assert clone.config.backend == "packed"
         np.testing.assert_array_equal(
             clone.predict(tiny_digits.test_images),
             model.predict(tiny_digits.test_images),
@@ -313,10 +313,31 @@ class TestBackendPersistenceEdges:
         with pytest.raises(RuntimeError):
             cold.predict(tiny_digits.test_images)
 
+    def test_threaded_file_loads_as_packed(self, tiny_digits, tmp_path):
+        """Files saved under the retired ``threaded`` backend still load."""
+        model = UHDClassifier(
+            tiny_digits.num_pixels, tiny_digits.num_classes,
+            UHDConfig(dim=128, backend="packed", binarize=True),
+        ).fit(tiny_digits.train_images, tiny_digits.train_labels)
+        path = tmp_path / "threaded.npz"
+        model.save(path)
+        arrays = dict(np.load(path, allow_pickle=False))
+        config = json.loads(str(arrays["config_json"]))
+        config["backend"] = "threaded"
+        arrays["config_json"] = np.array(json.dumps(config))
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        loaded = load_model(path)
+        assert loaded.config.backend == "packed"
+        np.testing.assert_array_equal(
+            loaded.predict(tiny_digits.test_images),
+            model.predict(tiny_digits.test_images),
+        )
+
 
 class TestConfigJson:
     def test_round_trip(self):
-        config = UHDConfig(dim=2048, levels=32, backend="threaded", seed=7)
+        config = UHDConfig(dim=2048, levels=32, backend="packed", seed=7)
         assert config_from_json(config_to_json(config), UHDConfig) == config
 
     def test_unknown_field_rejected(self):
@@ -369,12 +390,12 @@ class TestTableSidecar:
         assert loaded.encoder._table.group == 2  # no re-promotion needed
 
     def test_sidecar_serves_rehomed_backend(self, tiny_digits, tmp_path):
-        """The table key excludes backend: a packed sidecar warms a
-        threaded load."""
+        """The table key excludes backend: a packed sidecar warms an
+        auto load."""
         model = self._fitted(tiny_digits)
         path = tmp_path / "model.npz"
         save_model(model, path, include_tables=True)
-        loaded = load_model(path, backend="threaded")
+        loaded = load_model(path, backend="auto")
         assert loaded.encoder.tables_ready
         assert loaded.encoder.table_builds == 0
         np.testing.assert_array_equal(

@@ -16,15 +16,14 @@ from repro.api import (
 from repro.core import StreamingUHD, UHDClassifier, UHDConfig
 from repro.core.encoder import SobolLevelEncoder
 from repro.fastpath.encoder import PackedLevelEncoder
-from repro.fastpath.threaded import ThreadedLevelEncoder
 from repro.hdc import BaselineConfig, BaselineHDC, CentroidClassifier
 
 
 class TestBuiltinRegistry:
     def test_builtins_registered(self):
-        for name in ("auto", "packed", "reference", "threaded"):
+        assert list_backends() == ("auto", "packed", "reference")
+        for name in list_backends():
             assert is_registered_backend(name)
-            assert name in list_backends()
 
     def test_instances_are_cached(self):
         assert get_backend("packed") is get_backend("packed")
@@ -49,11 +48,8 @@ class TestBuiltinRegistry:
         assert isinstance(
             get_backend("reference").make_encoder(16, config), SobolLevelEncoder
         )
-        packed = get_backend("packed").make_encoder(16, config)
-        assert isinstance(packed, PackedLevelEncoder)
-        assert not isinstance(packed, ThreadedLevelEncoder)
         assert isinstance(
-            get_backend("threaded").make_encoder(16, config), ThreadedLevelEncoder
+            get_backend("packed").make_encoder(16, config), PackedLevelEncoder
         )
 
 
@@ -120,8 +116,10 @@ class TestThirdPartyRegistration:
 
 
 class TestConfigValidation:
-    def test_threaded_is_a_valid_config_backend(self):
-        assert UHDConfig(backend="threaded").backend == "threaded"
+    def test_retired_threaded_backend_rejected(self):
+        # saved files naming it still load (as packed): see test_persistence
+        with pytest.raises(ValueError, match="register_backend"):
+            UHDConfig(backend="threaded")
 
     def test_unregistered_backend_rejected(self):
         with pytest.raises(ValueError, match="register_backend"):
@@ -163,10 +161,10 @@ class TestDeprecatedSurface:
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
     def test_registry_answers_the_backend_policy(self):
-        threaded = get_backend("threaded")
-        config = UHDConfig(dim=64, backend="threaded")
-        assert threaded.encoder_kind(config, 16) == "packed"
-        assert threaded.use_packed_inference(binarize=True)
+        packed = get_backend("packed")
+        config = UHDConfig(dim=64, backend="packed")
+        assert packed.encoder_kind(config, 16) == "packed"
+        assert packed.use_packed_inference(binarize=True)
         assert not get_backend("reference").use_packed_inference(binarize=True)
         with pytest.raises(ValueError):
             get_backend("gpu")

@@ -3,8 +3,12 @@
 The property mirrors the paper's hardware-substitution claim the same way
 the unary-domain tests do: every accumulator bit must match, across
 dimensions not divisible by 64, odd/even pixel counts, both gather tables
-and the lazy pair promotion.
+and the lazy pair promotion — serial or fanned out over threads.
 """
+
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from repro.core import SobolLevelEncoder, UHDConfig
 from repro.api import get_backend
 from repro.fastpath import PackedLevelEncoder
+from repro.fastpath import encoder as encoder_module
 
 
 def _images(rng, n, pixels):
@@ -93,6 +98,120 @@ class TestBitExactness:
         np.testing.assert_array_equal(
             packed.encode_batch(images), reference.encode_batch(images)
         )
+
+
+def _encode_in_child(encoder, images, conn):
+    conn.send(encoder.encode_batch(images))
+    conn.close()
+
+
+class TestFanOut:
+    """Batches of two or more chunks split over ``FANOUT_WIDTH`` threads."""
+
+    @pytest.fixture()
+    def rng(self):
+        """Function-scoped stream: leaves the session ``rng`` fixture (and
+        the statistical asserts at fixed positions of it) untouched."""
+        return np.random.default_rng(2718)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("batch", [1, 7, 33, 70])
+    def test_bit_exact_with_reference(self, rng, monkeypatch, width, batch):
+        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", width)
+        config = UHDConfig(dim=128)
+        reference = SobolLevelEncoder(49, config)
+        packed = PackedLevelEncoder(49, config)
+        images = _images(rng, batch, 49)
+        np.testing.assert_array_equal(
+            packed.encode_batch(images, chunk=16),
+            reference.encode_batch(images, chunk=16),
+        )
+        shards = min(width, -(-batch // 16))
+        used = {shard for shard, _ in packed._workspaces}
+        assert used == (set(range(shards)) if shards > 1 else {0})
+
+    def test_bit_exact_across_pair_promotion(self, rng, monkeypatch):
+        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 4)
+        config = UHDConfig(dim=128)
+        reference = SobolLevelEncoder(49, config)
+        packed = PackedLevelEncoder(49, config)
+        for _ in range(3):  # 70, 140, 210 images seen: promotes on the second
+            images = _images(rng, 70, 49)
+            np.testing.assert_array_equal(
+                packed.encode_batch(images, chunk=16),
+                reference.encode_batch(images, chunk=16),
+            )
+        assert packed._table.group == 2
+
+    def test_more_shards_than_cores_under_frequent_switching(
+        self, rng, monkeypatch
+    ):
+        """Eight shards share the workspace dict and write disjoint rows of
+        one output while threads switch every microsecond."""
+        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 8)
+        monkeypatch.setattr(encoder_module, "_executor", None)  # 7 threads
+        config = UHDConfig(dim=128)
+        reference = SobolLevelEncoder(49, config)
+        packed = PackedLevelEncoder(49, config)
+        images = _images(rng, 70, 49)
+        expected = reference.encode_batch(images)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                np.testing.assert_array_equal(
+                    packed.encode_batch(images, chunk=4), expected
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert {shard for shard, _ in packed._workspaces} == set(range(8))
+
+    def test_width_one_never_creates_an_executor(self, rng, monkeypatch):
+        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 1)
+        monkeypatch.setattr(encoder_module, "_executor", None)
+        packed = PackedLevelEncoder(49, UHDConfig(dim=64))
+        packed.encode_batch(_images(rng, 70, 49), chunk=16)
+        assert encoder_module._executor is None
+
+    def test_executor_recreated_when_pid_changes(self, monkeypatch):
+        first = encoder_module._shared_executor()
+        assert encoder_module._shared_executor() is first  # cached per process
+        # what a forked child sees: an executor recorded under another pid
+        monkeypatch.setattr(encoder_module, "_executor", (-1, first))
+        second = encoder_module._shared_executor()
+        assert second is not first
+        assert second.submit(lambda: 21 * 2).result(timeout=5.0) == 42
+
+    @pytest.mark.skipif(
+        bool(os.environ.get("REPRO_FORCE_SPAWN"))
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_child_encodes_after_parent_fanned_out(self, rng, monkeypatch):
+        """A child inherits the parent's executor object but not its
+        threads; it must start its own pool instead of hanging."""
+        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 4)
+        packed = PackedLevelEncoder(49, UHDConfig(dim=128))
+        images = _images(rng, 64, 49)
+        expected = packed.encode_batch(images)  # two chunks: fans out
+        assert encoder_module._executor is not None
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(
+            target=_encode_in_child, args=(packed, images, sender)
+        )
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(30.0), "forked child hung while encoding"
+            got = receiver.recv()
+        finally:
+            child.join(5.0)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        np.testing.assert_array_equal(got, expected)
+        assert child.exitcode == 0
 
 
 class TestValidationAndSelection:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import UHDConfig
-from repro.fastpath import PackedLevelEncoder, ThreadedLevelEncoder
+from repro.fastpath import PackedLevelEncoder, encoder as encoder_module
 from repro.fastpath.tablestore import (
     HeapStore,
     MmapStore,
@@ -66,16 +66,19 @@ class TestStoreRoundTrip:
                 assert np.array_equal(cold.encode_batch(images), expected)
                 assert cold.table_builds == 0  # attached, never built
 
-    def test_threaded_encoder_attaches_packed_tables(self, warm_encoder, tmp_path):
-        """backend is excluded from the table key: packed tables serve
-        threaded encoders byte-for-byte."""
+    def test_fanned_out_encoder_attaches_packed_tables(
+        self, warm_encoder, monkeypatch
+    ):
+        """Fan-out shards share one attached table: a multi-chunk batch
+        over attached shared memory is bit-exact with the serial build."""
+        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 2)
         encoder, images, expected = warm_encoder
         with SharedMemoryStore() as store:
             handle = store.publish(encoder.export_tables())
-            threaded = ThreadedLevelEncoder(PIXELS, CONFIG, max_workers=2)
-            threaded.attach_tables(attach_handle(handle))
-            assert np.array_equal(threaded.encode_batch(images), expected)
-            assert threaded.table_builds == 0
+            attached = PackedLevelEncoder(PIXELS, CONFIG)
+            attached.attach_tables(attach_handle(handle))
+            assert np.array_equal(attached.encode_batch(images), expected)
+            assert attached.table_builds == 0
 
     def test_handles_survive_pickling(self, warm_encoder, tmp_path):
         """Handles cross the worker handshake as pickled tuples."""
@@ -137,8 +140,8 @@ class TestGuards:
             other.attach_tables(exported)
 
     def test_backend_not_part_of_key(self):
-        threaded = UHDConfig(dim=128, backend="threaded", binarize=True)
-        assert table_key(PIXELS, CONFIG) == table_key(PIXELS, threaded)
+        auto = UHDConfig(dim=128, backend="auto", binarize=True)
+        assert table_key(PIXELS, CONFIG) == table_key(PIXELS, auto)
         assert table_key(PIXELS, CONFIG) != table_key(PIXELS + 1, CONFIG)
 
     def test_unknown_store_name_rejected(self):

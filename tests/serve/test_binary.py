@@ -409,7 +409,7 @@ class TestWireSemantics:
 
 
 class TestBitExactAcrossTransports:
-    @pytest.mark.parametrize("backend", ["packed", "threaded"])
+    @pytest.mark.parametrize("backend", ["packed", "reference"])
     def test_all_three_transports_agree_with_direct_predict(
         self, model_path, serve_data, direct_labels, start_method, backend
     ):

@@ -42,7 +42,7 @@ class TestServeCli:
     def test_serve_backend_override(self, model_path, capsys):
         assert main([
             "serve", "--model", model_path, "--workers", "1",
-            "--rounds", "1", "--batch", "4", "--backend", "threaded",
+            "--rounds", "1", "--batch", "4", "--backend", "reference",
         ]) == 0
         assert "verify OK" in capsys.readouterr().out
 

@@ -324,3 +324,13 @@ class TestCloseAndStats:
         scheduler.put(Item(1), lane="a")
         scheduler.put(Item(1), lane="b")
         assert len(scheduler) == 2
+
+    def test_lane_latency_includes_the_coalescing_window(self):
+        """A lone item waits out the whole window before its batch leaves;
+        the recorded wait must say so (not ~0 from the moment of pop)."""
+        scheduler = Scheduler([lane("a", max_wait_ms=30.0)])
+        scheduler.put(Item(1))
+        assert len(scheduler.next_batch(poll_s=1.0)) == 1
+        (stats,) = scheduler.stats()
+        assert stats.latency.count == 1
+        assert stats.latency.p50_ms >= 20.0

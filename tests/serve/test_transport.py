@@ -334,7 +334,7 @@ class TestHttpPool:
         (replica,) = health["models"][0]["replicas"]
         assert replica["mode"] == "pool" and replica["workers_live"] == 2
 
-    @pytest.mark.parametrize("backend", ["packed", "threaded"])
+    @pytest.mark.parametrize("backend", ["packed", "reference"])
     def test_backends_bit_exact_over_http(
         self, model_path, serve_data, direct_labels, backend
     ):

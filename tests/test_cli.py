@@ -64,7 +64,7 @@ class TestCli:
     def test_backend_choices_come_from_registry(self, capsys):
         with pytest.raises(SystemExit):
             main(["table4", "--help"])
-        assert "threaded" in capsys.readouterr().out
+        assert "{auto,packed,reference}" in capsys.readouterr().out
 
 
 class TestModelLifecycleCli:
@@ -94,14 +94,14 @@ class TestModelLifecycleCli:
         saved_accuracy = saved_out.split("test accuracy ")[1].split("%")[0]
         assert main([
             "load", "--model", str(path), "--n-train", "200", "--n-test", "80",
-            "--backend", "threaded",
+            "--backend", "packed",
         ]) == 0
         loaded_out = capsys.readouterr().out
-        assert "backend=threaded" in loaded_out
+        assert "backend=packed" in loaded_out
         assert f"test accuracy on mnist: {saved_accuracy}%" in loaded_out
 
     def test_serve_check(self, tmp_path, capsys):
-        path, _ = self._save(tmp_path, capsys, backend="threaded")
+        path, _ = self._save(tmp_path, capsys, backend="auto")
         assert main([
             "serve-check", "--model", str(path), "--batch", "16",
             "--repeats", "3",
