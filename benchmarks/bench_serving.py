@@ -13,12 +13,10 @@ model and pushes the same stream of small predict requests through both:
   kernels see wide batches and the per-request fixed costs amortize.
 
 It also times **worker warm-start** (start() to every worker ready)
-per start method: ``worker_warmstart_fork`` (tables shared
-copy-on-write) and ``worker_warmstart_spawn`` — the latter measured
-both attaching the published tables (``table_store="shm"``) and
-rebuilding them (``table_store="heap"``), plus the per-worker table
-bytes a rebuild duplicates; the attach-vs-rebuild ratio is what the
-shared gather-table arena buys on spawn platforms.
+per start method: ``worker_warmstart_fork`` (tables inherited
+copy-on-write) and ``worker_warmstart_spawn`` (workers attach the one
+table file the server writes), plus the table bytes each worker shares
+instead of building.
 
 Three request-path rows measure the transport/scheduler layers:
 
@@ -138,17 +136,16 @@ def _time_warmstart(
     num_pixels: int,
     workers: int,
     start_method: str,
-    table_store: str,
     repeats: int,
 ) -> tuple[float, tuple[int, ...], int]:
     """(median start-to-fully-warm seconds, worker_table_builds, table bytes).
 
     "Fully warm" = every worker ready (spawn + model load + table
     attach-or-build + readiness probe) *and* a pair-promotion-sized
-    request served.  Stopping at "ready" would flatter the rebuild
-    path, which lazily builds only the small single table up front and
+    request served.  Stopping at "ready" would flatter a worker that
+    builds, which lazily builds only the small single table up front and
     pays the xi-times-larger pair build on the first real traffic;
-    attach hands workers the promoted table immediately.
+    inheriting or attaching hands workers the promoted table at once.
     """
     from repro.fastpath import PackedLevelEncoder
     from repro.serve import encoder_cache
@@ -162,11 +159,7 @@ def _time_warmstart(
     times: list[float] = []
     builds: tuple[int, ...] = ()
     for _ in range(repeats):
-        config = ServeConfig(
-            workers=workers,
-            start_method=start_method,
-            table_store=table_store,
-        )
+        config = ServeConfig(workers=workers, start_method=start_method)
         start = time.perf_counter()
         server = UHDServer(model_path, config).start()
         server.predict(warm_batch, timeout=120.0)
@@ -527,56 +520,30 @@ def _warmstart_rows(
 ) -> list[dict]:
     """``worker_warmstart_fork`` / ``worker_warmstart_spawn`` rows.
 
-    Fork attaches the front-end's tables copy-on-write; spawn is
-    measured both ways — attach (``table_store="shm"``) vs rebuild
-    (``table_store="heap"``, the handle cannot cross a spawn boundary) —
-    so the record shows exactly what the shared table arena buys on
-    spawn platforms.  ``table_bytes_per_worker`` is what each *rebuild*
-    duplicates and each attach shares.
+    The start method decides how workers get the front-end's warm
+    tables: fork inherits them copy-on-write, spawn attaches the one
+    table file the server writes.  ``table_bytes_per_worker`` is the
+    table each worker shares instead of building.
     """
     import multiprocessing
 
-    methods = multiprocessing.get_all_start_methods()
     rows: list[dict] = []
-    base = {
-        "speedup_vs_reference": None,
-        "speedup_vs_packed": None,
-        "workers": workers,
-    }
-    if "fork" in methods:
-        fork_s, fork_builds, table_bytes = _time_warmstart(
-            model_path, num_pixels, workers, "fork", "heap", repeats
+    for method in ("fork", "spawn"):
+        if method not in multiprocessing.get_all_start_methods():
+            continue
+        median_s, builds, table_bytes = _time_warmstart(
+            model_path, num_pixels, workers, method, repeats
         )
         rows.append(
             {
-                "name": "worker_warmstart_fork",
-                "median_s": fork_s,
-                "ops_per_s": workers / fork_s,
-                **base,
-                "table_store": "heap",
-                "worker_table_builds": list(fork_builds),
+                "name": f"worker_warmstart_{method}",
+                "median_s": median_s,
+                "ops_per_s": workers / median_s,
+                "speedup_vs_reference": None,
+                "speedup_vs_packed": None,
+                "workers": workers,
+                "worker_table_builds": list(builds),
                 "table_bytes_per_worker": table_bytes,
-            }
-        )
-    if "spawn" in methods:
-        attach_s, attach_builds, table_bytes = _time_warmstart(
-            model_path, num_pixels, workers, "spawn", "shm", repeats
-        )
-        rebuild_s, rebuild_builds, _ = _time_warmstart(
-            model_path, num_pixels, workers, "spawn", "heap", repeats
-        )
-        rows.append(
-            {
-                "name": "worker_warmstart_spawn",
-                "median_s": attach_s,
-                "ops_per_s": workers / attach_s,
-                **base,
-                "table_store": "shm",
-                "worker_table_builds": list(attach_builds),
-                "table_bytes_per_worker": table_bytes,
-                "rebuild_median_s": rebuild_s,
-                "rebuild_worker_table_builds": list(rebuild_builds),
-                "speedup_attach_vs_rebuild": rebuild_s / attach_s,
             }
         )
     return rows
@@ -777,16 +744,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             continue
         if row["name"].startswith("worker_warmstart"):
-            extra = ""
-            if "speedup_attach_vs_rebuild" in row:
-                extra = (
-                    f"  (attach {row['speedup_attach_vs_rebuild']:.1f}x vs "
-                    f"rebuild {row['rebuild_median_s'] * 1e3:.0f} ms)"
-                )
             print(
                 f"  {row['name']:<22} {row['median_s'] * 1e3:8.1f} ms to warm "
                 f"builds/worker {row['worker_table_builds']}  "
-                f"table {row['table_bytes_per_worker'] / 1e6:.1f} MB shared{extra}"
+                f"table {row['table_bytes_per_worker'] / 1e6:.1f} MB shared"
             )
             continue
         extra = ""

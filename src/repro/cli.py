@@ -13,7 +13,7 @@ Usage::
     repro-uhd load --model model.npz --dataset mnist
     repro-uhd serve-check --model model.npz --batch 64
     repro-uhd serve --model model.npz --workers 2 --rounds 3 --batch 16
-    repro-uhd serve --model model.npz --workers 2 --start-method spawn --table-store shm
+    repro-uhd serve --model model.npz --workers 2 --start-method spawn
     repro-uhd serve --model model.npz --http-port 8080 --binary-port 9090 --serve-forever
     repro-uhd serve --model model.npz --http-port 0 \\
         --lane interactive:16:1:4 --lane bulk:64:50 --deadline-ms 5000
@@ -455,7 +455,6 @@ def _cmd_route(args: argparse.Namespace) -> str:
         lanes=tuple(args.lane or ()),
         backend=args.backend,
         start_method=args.start_method,
-        table_store=args.table_store,
         drain_timeout_s=args.drain_timeout_s,
     )
     specs: dict[str, DeploymentSpec] = {}
@@ -746,16 +745,9 @@ def _configure_route(
     parser.add_argument(
         "--start-method", default="auto",
         choices=("auto", "fork", "spawn", "forkserver"),
-        help="multiprocessing start method (auto = fork where available)",
-    )
-    parser.add_argument(
-        "--table-store", default="heap",
-        choices=("heap", "mmap", "shm"),
-        help="where each replica publishes its warm gather tables for "
-        "workers to attach: heap (fork shares copy-on-write; spawn "
-        "rebuilds), mmap (versioned table file, np.memmap attach) or shm "
-        "(multiprocessing.shared_memory) — mmap/shm make spawn workers "
-        "warm-start without rebuilding tables",
+        help="multiprocessing start method (auto = fork where available); "
+        "fork workers inherit the warm gather tables, spawn/forkserver "
+        "workers attach one table file",
     )
     parser.add_argument(
         "--lane", action="append", type=_parse_lane, metavar="SPEC",

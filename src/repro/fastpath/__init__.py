@@ -72,15 +72,8 @@ from .bitops import (
 )
 from .encoder import PackedLevelEncoder
 from .tablestore import (
-    HeapStore,
-    MmapStore,
-    SharedMemoryStore,
     TableFormatError,
-    TableHandle,
     TableSet,
-    TableStore,
-    attach_handle,
-    make_store,
     read_table_file,
     table_key,
     write_table_file,
@@ -95,18 +88,11 @@ from .inference import (
 __all__ = [
     "AutoBackend",
     "HAS_BITWISE_COUNT",
-    "HeapStore",
-    "MmapStore",
     "PackedBackend",
     "PackedLevelEncoder",
     "ReferenceBackend",
-    "SharedMemoryStore",
     "TableFormatError",
-    "TableHandle",
     "TableSet",
-    "TableStore",
-    "attach_handle",
-    "make_store",
     "read_table_file",
     "table_key",
     "write_table_file",

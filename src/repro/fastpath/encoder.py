@@ -209,9 +209,6 @@ class PackedLevelEncoder(SobolLevelEncoder):
         #: build-vs-attach observability hook: an encoder that attached a
         #: published table serves with this still at 0)
         self.table_builds = 0
-        #: anything keeping attached table bytes alive (e.g. an open
-        #: SharedMemory segment) — see repro.fastpath.tablestore.TableSet
-        self._table_owner = None
         self._take_index = self._lane_permutation()
         self._intensity_lut = quantize_intensity(
             np.arange(256, dtype=np.uint8), config.levels
@@ -301,7 +298,6 @@ class PackedLevelEncoder(SobolLevelEncoder):
         ):
             self._table = self._build_pair_table(self._single_lut)
             self._single_lut = None  # pair table subsumes it; free the memory
-            self._table_owner = None  # heap-built pair: attached bytes unneeded
             self._workspaces.clear()
         return self._table
 
@@ -359,8 +355,8 @@ class PackedLevelEncoder(SobolLevelEncoder):
         The tables must have been exported by an encoder with the same
         :func:`repro.fastpath.tablestore.table_key` — geometry mismatches
         raise :class:`~repro.fastpath.tablestore.TableFormatError`.
-        Attached bytes are byte-identical to built ones (the stores only
-        move bytes), so every subsequent encode is bit-exact with a
+        Attached bytes are byte-identical to built ones (a table file only
+        moves bytes), so every subsequent encode is bit-exact with a
         freshly built encoder; ``table_builds`` stays untouched.  An
         encoder that already has a table refuses to attach (the warm
         state might be *more* promoted than the publication).
@@ -392,7 +388,6 @@ class PackedLevelEncoder(SobolLevelEncoder):
         # keep the 3-D view for a later (heap-built) pair promotion
         self._single_lut = tables.flat if tables.kind == "single" else None
         self._images_seen = max(self._images_seen, tables.images_seen)
-        self._table_owner = tables.owner
         self._workspaces.clear()
 
     # ------------------------------------------------------------------

@@ -12,10 +12,12 @@ warm-up.
 
 Two serving-specific consequences:
 
-* **Fork-time sharing.**  ``UHDServer`` warms its front-end encoder
-  *before* spawning workers; under the ``fork`` start method the
-  children inherit the promoted tables copy-on-write, so N workers cost
-  one set of gather tables, not N.
+* **One table per server, whatever the start method.**  ``UHDServer``
+  warms its front-end encoder *before* starting workers.  Under
+  ``fork`` the children inherit the promoted tables copy-on-write;
+  under ``spawn``/``forkserver`` the server writes them once to a table
+  file (:meth:`EncoderCache.publish`) that every worker attaches.
+  Either way N workers cost one set of gather tables, not N.
 * **Serialization contract.**  Packed encoders keep per-batch scratch
   workspaces, so concurrent ``encode_batch`` calls on one shared
   instance must be externally serialized — ``UHDServer`` does (its
@@ -26,6 +28,7 @@ Two serving-specific consequences:
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -35,7 +38,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.config import UHDConfig
     from ..core.encoder import SobolLevelEncoder
-    from ..fastpath.tablestore import TableHandle, TableStore
 
 __all__ = ["CacheStats", "EncoderCache", "encoder_cache"]
 
@@ -46,9 +48,9 @@ class CacheStats:
 
     ``table_bytes`` sums the gather-table footprint across cached
     encoders (0 for cold/reference encoders); ``published`` lists one
-    ``(store_name, kind, nbytes)`` tuple per live publication, so a
-    long-lived server can see exactly which tables it is exporting and
-    how big they are.
+    ``(path, kind, nbytes)`` tuple per live table file, so a long-lived
+    server can see exactly which tables it is exporting and how big they
+    are (none under ``fork``, whose workers inherit the table instead).
     """
 
     entries: int
@@ -71,9 +73,9 @@ class EncoderCache:
     def __init__(self) -> None:
         self._encoders: dict[tuple[int, "UHDConfig"], "SobolLevelEncoder"] = {}
         self._encoder_locks: dict[tuple[int, "UHDConfig"], threading.Lock] = {}
-        #: (key, store name) -> (store, handle, kind, nbytes) for every
-        #: table this cache has published and not yet released
-        self._published: dict[tuple, tuple] = {}
+        #: path -> (kind, nbytes) for every table file this cache has
+        #: written and not yet deleted
+        self._published: dict[str, tuple[str, int]] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -163,60 +165,51 @@ class EncoderCache:
         return encoder
 
     # ------------------------------------------------------------------
-    # Table publication (see repro.fastpath.tablestore)
+    # Table files (see repro.fastpath.tablestore)
     # ------------------------------------------------------------------
     def publish(
         self,
         num_pixels: int,
         config: "UHDConfig",
-        store: "TableStore",
+        path: str,
         promote: bool = True,
-    ) -> "TableHandle | None":
-        """Export the shared encoder's gather tables into ``store``.
+    ) -> str | None:
+        """Write the shared encoder's gather table to the table file ``path``.
 
-        Returns the picklable :class:`~repro.fastpath.tablestore.TableHandle`
-        workers attach through, or ``None`` when this key's encoder has no
-        exportable tables (the reference encoder).  Publishing the same
-        ``(key, store)`` twice reuses the first handle — the tables are
-        deterministic, so a second export could only produce the same
-        bytes.  ``promote=True`` forces the pair promotion first so
+        Returns ``path``, which workers attach with
+        :func:`~repro.fastpath.tablestore.read_table_file`, or ``None``
+        when this key's encoder has no exportable tables (the reference
+        encoder).  ``promote=True`` forces the pair promotion first so
         attachers inherit the fully warmed state.
         """
+        from ..fastpath.tablestore import write_table_file
+
         encoder = self.get(num_pixels, config)
         if not hasattr(encoder, "export_tables"):
             return None
-        key = ((int(num_pixels), config), store.name)
-        with self._lock:
-            entry = self._published.get(key)
-            if entry is not None and entry[0] is store:
-                return entry[1]
         with self.lock(num_pixels, config):  # export may build/promote
             tables = encoder.export_tables(promote=promote)
-        handle = store.publish(tables)
+        write_table_file(path, tables)
         with self._lock:
-            self._published[key] = (store, handle, tables.kind, tables.nbytes)
-        return handle
+            self._published[path] = (tables.kind, tables.nbytes)
+        return path
 
-    def release_store(self, store: "TableStore") -> None:
-        """Forget (and close) every publication living in ``store``.
-
-        The store owns the bytes — closing it unlinks shared-memory
-        segments / deletes mmap files — so the cache must stop handing
-        out its handles first.
-        """
+    def unpublish(self, path: str) -> None:
+        """Delete a table file :meth:`publish` wrote (idempotent)."""
         with self._lock:
-            dead = [k for k, entry in self._published.items() if entry[0] is store]
-            for key in dead:
-                del self._published[key]
-        store.close()
+            self._published.pop(path, None)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
 
     def stats(self) -> CacheStats:
-        """Entries, table bytes, and live publications (observability)."""
+        """Entries, table bytes, and live table files (observability)."""
         with self._lock:
             encoders = list(self._encoders.values())
             published = tuple(
-                (store.name, kind, nbytes)
-                for store, _handle, kind, nbytes in self._published.values()
+                (path, kind, nbytes)
+                for path, (kind, nbytes) in self._published.items()
             )
         table_bytes = sum(
             int(getattr(encoder, "table_nbytes", 0)) for encoder in encoders
@@ -226,15 +219,14 @@ class EncoderCache:
         )
 
     def clear(self) -> None:
-        """Drop every cached encoder and release every published store
-        handle (tests / reconfiguration / long-lived server resets)."""
+        """Drop every cached encoder and delete every table file it wrote
+        (tests / reconfiguration / long-lived server resets)."""
         with self._lock:
             self._encoders.clear()
             self._encoder_locks.clear()
-            published = list(self._published.values())
-            self._published.clear()
-        for store, handle, _kind, _nbytes in published:
-            store.release(handle)
+            published = list(self._published)
+        for path in published:
+            self.unpublish(path)
 
 
 _CACHE = EncoderCache()

@@ -41,7 +41,7 @@ Per-deployment families carry a ``model`` label (per-lane ones also
 ``uhd_transport_malformed_frames_total``  counter  unparseable frames, per ``{transport}``
 ``uhd_cache_encoders``                gauge    encoder-cache entries (process-wide)
 ``uhd_cache_table_bytes``             gauge    gather-table bytes cached
-``uhd_cache_publications``            gauge    live table-store publications
+``uhd_cache_publications``            gauge    live table files (spawn/forkserver)
 ====================================  =======  =====================================
 
 Lane latency histograms are **merged across live replicas and retired
@@ -85,7 +85,7 @@ _HELP = {
     ),
     "uhd_cache_encoders": "Warm encoders in the process-wide cache.",
     "uhd_cache_table_bytes": "Gather-table bytes held by cached encoders.",
-    "uhd_cache_publications": "Live gather-table publications (mmap/shm stores).",
+    "uhd_cache_publications": "Live gather-table files (spawn/forkserver workers attach).",
     "uhd_transport_connections": (
         "Client connections currently open, per transport kind."
     ),

@@ -2,7 +2,7 @@
 
 A replica is the router's unit of capacity *and* of replacement.  Each
 one owns a full, independent :class:`~repro.serve.server.UHDServer`
-(its own lanes, worker pool, and published table store) warm-started
+(its own lanes, worker pool, and table file, if any) warm-started
 from a model file; the process-wide
 :class:`~repro.serve.cache.EncoderCache` still deduplicates the
 expensive encoder state, so N replicas of one model geometry share one

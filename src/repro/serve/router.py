@@ -3,8 +3,8 @@
 This is the fleet layer above :class:`~repro.serve.server.UHDServer`.
 A :class:`Router` owns named :class:`ModelDeployment`\\ s; each
 deployment maps a model-id to a **replica group** of N independent
-servers (each with its own lanes, worker pool, and published table
-store) and provides:
+servers (each with its own lanes, worker pool, and table file, if
+any) and provides:
 
 * **least-loaded dispatch** — every request goes to the ready replica
   with the fewest in-flight requests, with transparent failover to a

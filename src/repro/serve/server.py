@@ -6,8 +6,10 @@
   never re-fit) whose encoder comes from the process-wide
   :class:`~repro.serve.cache.EncoderCache` — one set of gather tables
   per ``(pixels, config)`` key no matter how many servers/replicas run
-  in the process, warmed *before* workers spawn so ``fork`` children
-  share it copy-on-write;
+  in the process, warmed *before* workers start.  The start method
+  decides how workers get it: ``fork`` children share it copy-on-write;
+  ``spawn``/``forkserver`` children attach one table file the server
+  writes and deletes;
 * **a priority-lane scheduler**
   (:class:`~repro.serve.scheduler.Scheduler`) coalescing small
   requests into packed-friendly batches per named lane (``max_batch`` /
@@ -39,6 +41,9 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
+import shutil
+import tempfile
 import threading
 import time
 from collections import deque
@@ -166,11 +171,10 @@ class UHDServer:
         self._batch_ids = itertools.count()
         self._ctx: Any = None
         self._threads: list[threading.Thread] = []
-        #: table-store plumbing: the store this server owns (None until
-        #: start(), and forever in workers=0 mode) and the published
-        #: handle workers attach through
-        self._table_store: Any = None
-        self._table_handle: Any = None
+        #: the table file spawn/forkserver workers attach and the temp
+        #: directory holding it (both None under fork and workers=0)
+        self._table_dir: str | None = None
+        self._table_path: str | None = None
         #: test hook — the next N dispatched batches kill their worker
         self._crash_next = 0
 
@@ -189,8 +193,14 @@ class UHDServer:
         self._lane_map = {lane.name: lane for lane in self._lanes}
         self._load_front_end()
         if self.config.workers > 0:
-            self._publish_tables()
-            self._start_pool()
+            method = _resolve_start_method(self.config.start_method)
+            try:
+                if method != "fork":
+                    self._publish_tables()
+                self._start_pool(method)
+            except BaseException:
+                self._release_tables()
+                raise
         self._started = True
         self._accepting = True
         return self
@@ -236,29 +246,28 @@ class UHDServer:
         self._model = model
 
     def _publish_tables(self) -> None:
-        """Publish the warm front-end tables so workers attach, not rebuild.
+        """Write the warm front-end table to a file workers attach.
 
-        Runs after :meth:`_load_front_end` (the encoder is warm and the
-        cache knows its key) and before any worker spawns, so every
-        worker generation — bootstrap and crash-respawn alike — receives
-        a handle to already-materialized tables.  Models without
-        exportable tables (reference encoders) publish nothing and
-        workers build as before.
+        Only for workers that cannot inherit it (``spawn``/``forkserver``;
+        ``fork`` children adopt the warm cached encoder copy-on-write).
+        Runs after :meth:`_load_front_end` (the encoder is warm) and
+        before any worker starts, so every worker generation — bootstrap
+        and crash-respawn alike — attaches the same file.  Models without
+        exportable tables (reference encoders) write nothing and workers
+        build as before.
         """
         model_config = getattr(self._model, "config", None)
         if model_config is None or not hasattr(self._model, "encoder"):
             return
-        from ..fastpath.tablestore import make_store
-
-        self._table_store = make_store(self.config.table_store)
-        self._table_handle = encoder_cache().publish(
-            self._num_pixels, model_config, self._table_store
+        self._table_dir = tempfile.mkdtemp(prefix="uhd-tables-")
+        self._table_path = encoder_cache().publish(
+            self._num_pixels,
+            model_config,
+            os.path.join(self._table_dir, "tables.uhdtbl"),
         )
 
-    def _start_pool(self) -> None:
-        self._ctx = multiprocessing.get_context(
-            _resolve_start_method(self.config.start_method)
-        )
+    def _start_pool(self, method: str) -> None:
+        self._ctx = multiprocessing.get_context(method)
         self._scheduler = Scheduler(self._lanes, on_expired=self._on_expired)
         self._workers = [WorkerHandle(slot) for slot in range(self.config.workers)]
         for handle in self._workers:
@@ -311,7 +320,7 @@ class UHDServer:
             self.model_path,
             self.config.backend,
             self.config.probe_batch,
-            self._table_handle,
+            self._table_path,
         )
 
     def __enter__(self) -> "UHDServer":
@@ -331,14 +340,14 @@ class UHDServer:
         if drain_timeout is None:
             drain_timeout = self.config.drain_timeout_s
         if self._closed or not self._started:
-            # a failed start() may have published tables before dying —
-            # release them even though the server never came up
+            # a failed start() may have written a table file before
+            # dying — delete it even though the server never came up
             self._release_tables()
             self._closed = True
             return
         self._accepting = False
         if self.config.workers == 0:
-            self._release_tables()  # no-op: workers=0 never publishes
+            self._release_tables()  # no-op: workers=0 never writes one
             self._closed = True
             return
         if self._scheduler is not None:
@@ -372,17 +381,18 @@ class UHDServer:
         self._closed = True
 
     def _release_tables(self) -> None:
-        """Tear down this server's published tables (workers are gone).
+        """Delete this server's table file and its directory (idempotent).
 
-        Ordered after worker stop so no live worker reads an unlinked
-        shared-memory segment or a deleted table file; safe either way
-        on POSIX (open mappings survive unlink), but the ordering keeps
-        the lifecycle story simple.
+        Ordered after worker stop so no live worker attaches a deleted
+        file; safe either way on POSIX (open mappings survive unlink),
+        but the ordering keeps the lifecycle story simple.
         """
-        if self._table_store is not None:
-            encoder_cache().release_store(self._table_store)
-            self._table_store = None
-            self._table_handle = None
+        if self._table_path is not None:
+            encoder_cache().unpublish(self._table_path)
+            self._table_path = None
+        if self._table_dir is not None:
+            shutil.rmtree(self._table_dir, ignore_errors=True)
+            self._table_dir = None
 
     # ------------------------------------------------------------------
     # Request path
@@ -794,8 +804,8 @@ class UHDServer:
         """A :class:`ServerStats` snapshot of the counters so far.
 
         Request/batch counters, per-lane scheduler depth/served/expired,
-        and the process-wide encoder cache (table bytes, live
-        publications).  A deployment merges its replicas' snapshots
+        and the process-wide encoder cache (table bytes, live table
+        files).  A deployment merges its replicas' snapshots
         into the document the HTTP ``/stats`` endpoint serves.
         """
         scheduler = self._scheduler

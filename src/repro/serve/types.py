@@ -108,20 +108,13 @@ class ServeConfig:
         a batch failed (:class:`WorkerCrashError`) and refusing to
         respawn further.
     start_method:
-        ``multiprocessing`` start method: ``"fork"`` (shares the
-        front-end's already-warm gather tables copy-on-write),
-        ``"spawn"``, ``"forkserver"``, or ``"auto"`` (fork where the
-        platform offers it, else spawn).
-    table_store:
-        Where the front-end publishes its warm gather tables for workers
-        to *attach* instead of rebuild (:mod:`repro.fastpath.tablestore`):
-        ``"heap"`` (default — process heap; fork children share
-        copy-on-write, spawn children rebuild), ``"mmap"`` (versioned
-        table file in a server-owned temp directory, attached read-only
-        via ``np.memmap``) or ``"shm"`` (``multiprocessing.shared_memory``,
-        unlinked when the server closes).  With ``mmap``/``shm`` a
-        ``spawn``-started worker warm-starts in O(1) table bytes, same
-        as fork.
+        ``multiprocessing`` start method: ``"fork"``, ``"spawn"``,
+        ``"forkserver"``, or ``"auto"`` (fork where the platform offers
+        it, else spawn).  It also decides how workers get the
+        front-end's warm gather tables without rebuilding them:
+        ``fork`` children share them copy-on-write; ``spawn`` and
+        ``forkserver`` children attach one read-only table file the
+        server writes to a temp directory and deletes on close.
     ready_timeout_s:
         How long to wait for every worker's readiness probe at startup
         before failing with :class:`ServeError`.
@@ -138,7 +131,6 @@ class ServeConfig:
     queue_depth: int = 256
     restart_limit: int = 3
     start_method: str = "auto"
-    table_store: str = "heap"
     ready_timeout_s: float = 60.0
     probe_batch: int = 8
     drain_timeout_s: float = 10.0
@@ -182,11 +174,6 @@ class ServeConfig:
                 "start_method must be one of 'auto', 'fork', 'spawn', "
                 f"'forkserver', got {self.start_method!r}"
             )
-        if self.table_store not in ("heap", "mmap", "shm"):
-            raise ValueError(
-                "table_store must be one of 'heap', 'mmap', 'shm', "
-                f"got {self.table_store!r}"
-            )
         if self.probe_batch < 1:
             raise ValueError(f"probe_batch must be >= 1, got {self.probe_batch}")
         if self.drain_timeout_s < 0:
@@ -210,7 +197,7 @@ class ServerStats:
     ``lanes`` carries one :class:`~repro.serve.scheduler.LaneStats` per
     configured lane (depth, served, expired-deadline counts) and
     ``cache`` the process-wide :class:`~repro.serve.cache.CacheStats`
-    (encoder entries, gather-table bytes, live publications).  A
+    (encoder entries, gather-table bytes, live table files).  A
     deployment's ``/stats`` document is the :meth:`merge` of its
     replicas' snapshots serialized via :meth:`as_dict`, plus the fleet
     keys (see :meth:`~repro.serve.router.ModelDeployment.stats`).
@@ -226,14 +213,14 @@ class ServerStats:
     restarts: int  #: worker respawns performed (crash recovery)
     worker_probe_ms: tuple[float, ...]  #: readiness-probe latency per worker
     #: gather-table builds each worker performed during bootstrap — 0 means
-    #: the worker *attached* the published tables (fork copy-on-write, or a
-    #: mmap/shm table store under spawn) instead of rebuilding them
+    #: the worker *attached* the front-end's tables (fork copy-on-write, or
+    #: the server's table file under spawn/forkserver) instead of building
     worker_table_builds: tuple[int, ...] = ()
     #: per-lane scheduler counters, in lane declaration order
     lanes: tuple[LaneStats, ...] = ()
     #: request parts failed on an expired deadline (sum over lanes)
     expired: int = 0
-    #: process-wide encoder-cache snapshot (entries, table bytes, publications)
+    #: process-wide encoder-cache snapshot (entries, table bytes, table files)
     cache: "CacheStats | None" = None
     #: per-transport wire counters (connections, frames, bytes, malformed),
     #: one row per transport kind fronting the router — a bare server's

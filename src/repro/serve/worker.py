@@ -39,14 +39,14 @@ worker -> parent, on the worker's result pipe::
     ("result", slot, batch_id, labels)
     ("error", slot, batch_id, message)   # predict raised; worker lives on
 
-Warm-start economics: the parent passes a
-:class:`repro.fastpath.tablestore.TableHandle` for its already-published
-gather tables.  The worker *attaches* those tables (zero-copy — a
-read-only memmap or shared-memory view) before the readiness probe, so
-bootstrap is O(1) in table size regardless of start method.  Attach
-failure is never fatal: an unresolvable handle (heap handle under
-``spawn``, vanished file) falls back to building the table locally —
-the pre-store behavior — and the build shows up in ``table_builds``.
+Warm-start economics: a worker never rebuilds the parent's warm gather
+tables.  Under ``fork`` it inherits them copy-on-write through the
+encoder cache.  Under ``spawn``/``forkserver`` the parent passes the
+path of the one table file it wrote, and the worker *attaches* it (a
+zero-copy read-only memmap, shared through the page cache) before the
+readiness probe, so bootstrap is O(1) in table size either way.  A
+vanished file is never fatal: the worker builds the table locally and
+the build shows up in ``table_builds``.
 
 ``slot`` is the worker's stable index in the pool; a restarted worker
 reuses its slot (the parent tracks generations).
@@ -76,7 +76,7 @@ def worker_main(
     task_conn: Any,
     result_conn: Any,
     seed: int = 0,
-    table_handle: Any = None,
+    table_path: str | None = None,
 ) -> None:
     """Entry point of one worker process (top-level, hence spawn-picklable).
 
@@ -99,12 +99,12 @@ def worker_main(
         # under fork, this process's encoder cache is a copy-on-write view
         # of the parent's — adopting its (already warm) entry shares the
         # gather tables instead of rebuilding them per worker; under spawn
-        # the cache is cold and the published table handle (if any,
-        # resolvable) is attached so the probe below never triggers a build
+        # the cache is cold and the parent's table file (if any) is
+        # attached so the probe below never triggers a build
         from .cache import encoder_cache
 
         encoder_cache().adopt(model)
-        _attach_published_tables(model, table_handle)
+        _attach_table_file(model, table_path)
         # delta, not the raw counter: a forked worker adopts the parent's
         # encoder whose counter already records the *parent's* builds —
         # only builds from here on happened in this process
@@ -147,27 +147,27 @@ def worker_main(
             result_conn.send(("result", slot, batch_id, labels))
 
 
-def _attach_published_tables(model: Any, table_handle: Any) -> None:
-    """Attach the parent's published gather tables onto ``model``'s encoder.
+def _attach_table_file(model: Any, table_path: str | None) -> None:
+    """Attach the parent's table file onto ``model``'s encoder.
 
-    No-ops (never raises toward the caller's happy path) when there is no
-    handle, the encoder cannot attach, the encoder is already warm (the
-    fork + copy-on-write case), or the handle does not resolve in this
-    process (a heap handle under ``spawn`` — the worker then builds its
-    own table, which is the pre-store behavior).  A *resolvable but
-    mismatched* publication raises: that is a real bug, not a fallback.
+    No-ops when there is no file (fork, reference encoders), the encoder
+    cannot attach or is already warm, or the file has vanished — the
+    worker then builds its own table, slower but never wrong.  A
+    *present but corrupt or mismatched* file raises: that is a real bug,
+    not a fallback.
     """
-    if table_handle is None:
+    if table_path is None:
         return
     encoder = getattr(model, "encoder", None)
     if encoder is None or not hasattr(encoder, "attach_tables"):
         return
     if getattr(encoder, "tables_ready", False):
-        return  # already warm via the forked cache entry
-    from ..fastpath.tablestore import attach_handle
+        return
+    from ..fastpath.tablestore import read_table_file
 
-    tables = attach_handle(table_handle)
-    if tables is None:
+    try:
+        tables = read_table_file(table_path)
+    except FileNotFoundError:
         return
     encoder.attach_tables(tables)
 
@@ -235,7 +235,7 @@ def spawn_worker(
     model_path: str,
     backend: str | None,
     probe_batch: int,
-    table_handle: Any = None,
+    table_path: str | None = None,
 ) -> WorkerHandle:
     """(Re)spawn the process for ``handle``'s slot with fresh pipes.
 
@@ -261,7 +261,7 @@ def spawn_worker(
             task_reader,
             result_writer,
             0,  # probe seed
-            table_handle,
+            table_path,
         ),
         name=f"uhd-serve-worker-{handle.slot}.{handle.generation}",
         daemon=True,

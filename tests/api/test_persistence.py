@@ -433,6 +433,21 @@ class TestTableSidecar:
         with pytest.raises(ModelFormatError, match="sidecar"):
             load_model(path)
 
+    def test_malformed_sidecar_header_rejected(self, tiny_digits, tmp_path):
+        """A sidecar whose header lacks a field fails as ModelFormatError,
+        not as a bare KeyError from deep inside the table reader."""
+        from repro.api import table_sidecar_path
+        from repro.fastpath.tablestore import TABLE_FILE_MAGIC
+
+        path = tmp_path / "model.npz"
+        save_model(self._fitted(tiny_digits), path)
+        header = json.dumps({"format_version": 1, "kind": "pair"}).encode()
+        with open(table_sidecar_path(path), "wb") as handle:
+            handle.write(TABLE_FILE_MAGIC + len(header).to_bytes(8, "little"))
+            handle.write(header)
+        with pytest.raises(ModelFormatError, match="sidecar"):
+            load_model(path)
+
     def test_include_tables_needs_exportable_encoder(self, tiny_digits, tmp_path):
         model = self._fitted(tiny_digits, backend="reference")
         with pytest.raises(ValueError, match="exportable"):

@@ -1,22 +1,21 @@
-"""Table stores: byte-identical round-trips, attach semantics, guards."""
+"""Table files: byte-identical round-trips, attach semantics, guards."""
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import UHDConfig
 from repro.fastpath import PackedLevelEncoder, encoder as encoder_module
 from repro.fastpath.tablestore import (
-    HeapStore,
-    MmapStore,
-    SharedMemoryStore,
+    TABLE_FILE_MAGIC,
     TableFormatError,
-    attach_handle,
-    make_store,
     read_table_file,
     table_key,
     write_table_file,
@@ -37,72 +36,118 @@ def warm_encoder():
     return encoder, images, expected
 
 
-def _stores(tmp_path):
-    return [HeapStore(), MmapStore(tmp_path / "tables"), SharedMemoryStore()]
+@pytest.fixture(scope="module")
+def table_bytes(warm_encoder, tmp_path_factory):
+    """One valid table file's bytes (pair table), for mutation tests."""
+    encoder, _, _ = warm_encoder
+    path = tmp_path_factory.mktemp("valid") / "pair.uhdtbl"
+    write_table_file(path, encoder.export_tables())
+    return path.read_bytes()
+
+
+def _read_bytes(data: bytes):
+    """``read_table_file`` over ``data`` written to a temporary file."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "t.uhdtbl")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        tables = read_table_file(path)
+        tables.flat = np.array(tables.flat)  # detach before the file goes
+        return tables
+
+
+def _header_with(table_bytes: bytes, **changes) -> bytes:
+    """``table_bytes`` with its JSON header fields replaced (or dropped
+    when the value is ``...``), re-laid out as a well-formed file."""
+    offset = len(TABLE_FILE_MAGIC)
+    length = int.from_bytes(table_bytes[offset:offset + 8], "little")
+    header = json.loads(table_bytes[offset + 8:offset + 8 + length])
+    for name, value in changes.items():
+        if value is ...:
+            del header[name]
+        else:
+            header[name] = value
+    return _relayout(table_bytes, json.dumps(header).encode())
+
+
+def _relayout(table_bytes: bytes, header: bytes) -> bytes:
+    offset = len(TABLE_FILE_MAGIC)
+    length = int.from_bytes(table_bytes[offset:offset + 8], "little")
+    old_data = -(-(offset + 8 + length) // 64) * 64
+    prefix = offset + 8 + len(header)
+    padding = b"\x00" * (-(-prefix // 64) * 64 - prefix)
+    return (
+        TABLE_FILE_MAGIC + len(header).to_bytes(8, "little") + header
+        + padding + table_bytes[old_data:]
+    )
 
 
 class TestStoreRoundTrip:
+    """Contract 6 over the one table path: export -> file -> attach."""
+
+    @pytest.mark.filterwarnings("ignore:levels=.*power of two")
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        pixels=st.integers(1, 49),
+        dim=st.integers(1, 200),
+        levels=st.integers(2, 13),
+        pair=st.booleans(),
+        batch=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_attached_encoder_is_bit_exact(
+        self, pixels, dim, levels, pair, batch, seed
+    ):
+        """Odd H, ``dim % 64 != 0``, non-power-of-two ``levels``, single
+        and pair tables: the attached encoder encodes bit-exactly with a
+        built one and never builds a table itself."""
+        config = UHDConfig(dim=dim, levels=levels, seed=seed, backend="packed")
+        exported = PackedLevelEncoder(pixels, config).export_tables(promote=pair)
+        assert exported.kind == ("pair" if pair and pixels >= 2 else "single")
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "t.uhdtbl")
+            write_table_file(path, exported)
+            attached_tables = read_table_file(path)
+            assert attached_tables.kind == exported.kind
+            assert attached_tables.key == exported.key
+            assert np.array_equal(attached_tables.flat, exported.flat)
+            attached = PackedLevelEncoder(pixels, config)
+            attached.attach_tables(attached_tables)
+            rng = np.random.default_rng(seed)
+            images = rng.integers(0, 256, size=(batch, pixels), dtype=np.uint8)
+            built = PackedLevelEncoder(pixels, config).encode_batch(images)
+            assert np.array_equal(attached.encode_batch(images), built)
+            assert attached.table_builds == 0
+            del attached, attached_tables  # release the memmap first
+
     def test_attached_tables_are_byte_identical(self, warm_encoder, tmp_path):
         """The sixth bit-exactness contract, at the byte level."""
         encoder, _, _ = warm_encoder
         exported = encoder.export_tables()
-        for store in _stores(tmp_path):
-            with store:
-                attached = attach_handle(store.publish(exported))
-                assert attached is not None, store.name
-                assert attached.kind == exported.kind
-                assert attached.key == exported.key
-                assert np.array_equal(
-                    np.asarray(attached.flat), np.asarray(exported.flat)
-                ), store.name
-
-    def test_attached_encoder_is_bit_exact(self, warm_encoder, tmp_path):
-        encoder, images, expected = warm_encoder
-        exported = encoder.export_tables()
-        for store in _stores(tmp_path):
-            with store:
-                cold = PackedLevelEncoder(PIXELS, CONFIG)
-                cold.attach_tables(attach_handle(store.publish(exported)))
-                assert np.array_equal(cold.encode_batch(images), expected)
-                assert cold.table_builds == 0  # attached, never built
+        path = tmp_path / "pair.uhdtbl"
+        write_table_file(path, exported)
+        attached = read_table_file(path)
+        assert attached.kind == exported.kind == "pair"
+        assert attached.key == exported.key
+        assert attached.images_seen == exported.images_seen
+        assert np.array_equal(np.asarray(attached.flat), np.asarray(exported.flat))
 
     def test_fanned_out_encoder_attaches_packed_tables(
-        self, warm_encoder, monkeypatch
+        self, warm_encoder, monkeypatch, tmp_path
     ):
         """Fan-out shards share one attached table: a multi-chunk batch
-        over attached shared memory is bit-exact with the serial build."""
+        over an attached table file is bit-exact with the serial build."""
         monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 2)
         encoder, images, expected = warm_encoder
-        with SharedMemoryStore() as store:
-            handle = store.publish(encoder.export_tables())
-            attached = PackedLevelEncoder(PIXELS, CONFIG)
-            attached.attach_tables(attach_handle(handle))
-            assert np.array_equal(attached.encode_batch(images), expected)
-            assert attached.table_builds == 0
-
-    def test_handles_survive_pickling(self, warm_encoder, tmp_path):
-        """Handles cross the worker handshake as pickled tuples."""
-        encoder, _, _ = warm_encoder
-        exported = encoder.export_tables()
-        for store in _stores(tmp_path):
-            with store:
-                handle = store.publish(exported)
-                clone = pickle.loads(pickle.dumps(handle))
-                attached = attach_handle(clone)
-                assert attached is not None
-                assert np.array_equal(
-                    np.asarray(attached.flat), np.asarray(exported.flat)
-                )
-
-    def test_released_handle_attaches_to_none(self, warm_encoder, tmp_path):
-        """A released publication resolves to None — callers build instead."""
-        encoder, _, _ = warm_encoder
-        exported = encoder.export_tables()
-        for store in _stores(tmp_path):
-            handle = store.publish(exported)
-            store.release(handle)
-            assert attach_handle(handle) is None, store.name
-            store.close()
+        path = tmp_path / "fanout.uhdtbl"
+        write_table_file(path, encoder.export_tables())
+        attached = PackedLevelEncoder(PIXELS, CONFIG)
+        attached.attach_tables(read_table_file(path))
+        assert np.array_equal(attached.encode_batch(images), expected)
+        assert attached.table_builds == 0
 
     def test_single_table_attach_then_promotes_locally(self, tmp_path):
         """Attaching a pre-promotion (single) table still allows the
@@ -144,10 +189,6 @@ class TestGuards:
         assert table_key(PIXELS, CONFIG) == table_key(PIXELS, auto)
         assert table_key(PIXELS, CONFIG) != table_key(PIXELS + 1, CONFIG)
 
-    def test_unknown_store_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown table store"):
-            make_store("cloud")
-
     def test_corrupt_file_raises(self, tmp_path):
         path = tmp_path / "bad.uhdtbl"
         path.write_bytes(b"definitely not a table file")
@@ -171,12 +212,89 @@ class TestGuards:
         assert isinstance(attached.flat, np.memmap)
         assert not attached.flat.flags.writeable
 
-    def test_shm_attach_is_read_only(self, warm_encoder):
+
+class TestMalformedHeaders:
+    """Every malformed file raises TableFormatError — the only exception
+    persistence and the worker bootstrap catch."""
+
+    @pytest.mark.parametrize("field", ["dtype", "shape", "key", "kind"])
+    def test_missing_field(self, table_bytes, field):
+        with pytest.raises(TableFormatError, match="lacks"):
+            _read_bytes(_header_with(table_bytes, **{field: ...}))
+
+    def test_header_not_an_object(self, table_bytes):
+        with pytest.raises(TableFormatError, match="not an object"):
+            _read_bytes(_relayout(table_bytes, b"[1, 2, 3]"))
+
+    def test_deeply_nested_header(self, table_bytes):
+        header = b"[" * 100_000 + b"]" * 100_000
+        with pytest.raises(TableFormatError, match="corrupt table header"):
+            _read_bytes(_relayout(table_bytes, header))
+
+    @pytest.mark.parametrize("dtype", ["not-a-dtype", "<i8", {"x": 1}])
+    def test_bad_dtype(self, table_bytes, dtype):
+        with pytest.raises(TableFormatError, match="dtype"):
+            _read_bytes(_header_with(table_bytes, dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "shape", [[32, "x", 32], [32, -1, 32], [32, 256], [2**70, 1, 1],
+                  [32, 25.0, 32], "abc", [True, 1, 1]],
+    )
+    def test_bad_shape(self, table_bytes, shape):
+        with pytest.raises(TableFormatError):
+            _read_bytes(_header_with(table_bytes, shape=shape))
+
+    @pytest.mark.parametrize(
+        "changes", [{"kind": "triple"}, {"key": [1]}, {"images_seen": -1}],
+    )
+    def test_bad_fields(self, table_bytes, changes):
+        with pytest.raises(TableFormatError):
+            _read_bytes(_header_with(table_bytes, **changes))
+
+    def test_huge_header_length(self, table_bytes):
+        offset = len(TABLE_FILE_MAGIC)
+        data = (
+            table_bytes[:offset] + (2**62).to_bytes(8, "little")
+            + table_bytes[offset + 8:]
+        )
+        with pytest.raises(TableFormatError, match="truncated"):
+            _read_bytes(data)
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cut=st.integers(0, 10**9))
+    def test_every_truncation_raises(self, table_bytes, cut):
+        with pytest.raises(TableFormatError):
+            _read_bytes(table_bytes[: cut % len(table_bytes)])
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(position=st.integers(0, 10**9), byte=st.integers(0, 255))
+    def test_header_mutation_reads_back_identical_or_raises(
+        self, table_bytes, warm_encoder, position, byte
+    ):
+        """Mutate one byte of the magic, length field or JSON header: the
+        read-and-attach path either raises TableFormatError or installs
+        the original table bytes (a mutation the JSON parser shrugs off,
+        e.g. whitespace, or one to ``images_seen``)."""
+        offset = len(TABLE_FILE_MAGIC)
+        length = int.from_bytes(table_bytes[offset:offset + 8], "little")
+        position %= offset + 8 + length
+        data = bytearray(table_bytes)
+        data[position] = byte
         encoder, _, _ = warm_encoder
-        with SharedMemoryStore() as store:
-            attached = attach_handle(store.publish(encoder.export_tables()))
-            assert not attached.flat.flags.writeable
-            del attached  # drop the segment view before the store unlinks
+        try:
+            tables = _read_bytes(bytes(data))
+            PackedLevelEncoder(PIXELS, CONFIG).attach_tables(tables)
+        except TableFormatError:
+            return
+        assert tables.kind == "pair"
+        assert tables.key == table_key(PIXELS, CONFIG)
+        assert np.array_equal(tables.flat, encoder.export_tables().flat)
 
 
 class TestExport:
@@ -208,8 +326,6 @@ class TestExport:
 
 class TestTruncationEdges:
     def test_file_cut_inside_header_length_field(self, tmp_path):
-        from repro.fastpath.tablestore import TABLE_FILE_MAGIC
-
         path = tmp_path / "tiny.uhdtbl"
         path.write_bytes(TABLE_FILE_MAGIC + b"\x10\x00")  # magic + 2 bytes
         with pytest.raises(TableFormatError, match="truncated"):

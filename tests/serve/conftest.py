@@ -52,9 +52,9 @@ def start_method(request) -> str:
     """Parametrizes worker-pool tests over every available start method.
 
     ``fork`` exercises copy-on-write table sharing; ``spawn`` exercises
-    the cold-child path (and, with a non-heap table store, the
-    attach-instead-of-rebuild warm start) — the macOS/Windows default
-    the serving layer must stay correct under.
+    the cold-child path (and attaching the server's table file instead
+    of rebuilding) — the macOS/Windows default the serving layer must
+    stay correct under.
     """
     return request.param
 

@@ -193,33 +193,32 @@ class TestWorkerPool:
 
 
 class TestTableStoreServing:
-    """The shared gather-table arena: workers attach, never rebuild.
+    """Where workers get the warm gather table: the start method decides.
 
     ``worker_table_builds`` comes from the build-counter hook on
     ``PackedLevelEncoder`` reported through the ready handshake: 0 means
     the worker served its readiness probe (and therefore all traffic)
-    on *attached* tables.
+    on inherited (fork) or attached (spawn/forkserver) tables.
     """
 
-    @pytest.mark.parametrize("table_store", ["mmap", "shm"])
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_spawn_workers_attach_published_tables(
-        self, model_path, serve_data, direct_labels, table_store
+        self, model_path, serve_data, direct_labels, method
     ):
-        """The headline property: under spawn, tables are built exactly
-        once (by the front-end) and every worker attaches zero-copy."""
+        """The headline property: without fork, tables are built exactly
+        once (by the front-end) and every worker attaches its file."""
         import multiprocessing
 
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn not available")  # pragma: no cover
-        config = ServeConfig(
-            workers=2, max_batch=16, start_method="spawn",
-            table_store=table_store,
-        )
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} not available")  # pragma: no cover
+        config = ServeConfig(workers=2, max_batch=16, start_method=method)
         with UHDServer(model_path, config) as server:
             got = server.predict(serve_data.test_images, timeout=60.0)
             stats = server.stats()
+            path = server._table_path
         assert np.array_equal(got, direct_labels)
         assert stats.worker_table_builds == (0, 0)
+        assert path in [p for p, _, _ in stats.cache.published]
 
     def test_fork_workers_inherit_without_building(
         self, model_path, serve_data, direct_labels
@@ -235,43 +234,66 @@ class TestTableStoreServing:
         with UHDServer(model_path, config) as server:
             got = server.predict(serve_data.test_images, timeout=60.0)
             stats = server.stats()
+            # fork workers inherit the table: nothing is written
+            assert server._table_dir is None and server._table_path is None
         assert np.array_equal(got, direct_labels)
         # copy-on-write adoption: zero builds inside the workers
         assert stats.worker_table_builds == (0, 0)
+        assert stats.cache.published == ()
 
-    def test_spawn_heap_store_falls_back_to_building(
+    def test_spawn_worker_builds_when_table_file_vanished(
         self, model_path, serve_data, direct_labels
     ):
-        """A heap handle cannot cross a spawn boundary: the worker builds
-        its own table (the pre-store behavior) and still serves
-        bit-exactly — slower, never wrong."""
+        """A respawned worker whose table file is gone builds its own
+        table and still serves bit-exactly — slower, never wrong."""
         import multiprocessing
+        import os
 
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn not available")  # pragma: no cover
-        config = ServeConfig(
-            workers=1, max_batch=16, start_method="spawn", table_store="heap"
-        )
+        config = ServeConfig(workers=1, max_batch=16, start_method="spawn")
         with UHDServer(model_path, config) as server:
+            assert server.stats().worker_table_builds == (0,)
+            os.unlink(server._table_path)
+            server._crash_next = 1
             got = server.predict(serve_data.test_images, timeout=60.0)
             stats = server.stats()
         assert np.array_equal(got, direct_labels)
+        assert stats.restarts == 1
         assert stats.worker_table_builds == (1,)
 
     def test_store_released_on_close(self, model_path, serve_data):
         import os
 
-        config = ServeConfig(workers=1, max_batch=16, table_store="mmap")
+        config = ServeConfig(workers=1, max_batch=16, start_method="spawn")
         server = UHDServer(model_path, config).start()
-        store = server._table_store
-        handle = server._table_handle
-        assert handle is not None and os.path.exists(handle.ref)
-        assert any(
-            name == "mmap" for name, _, _ in encoder_cache().stats().published
-        )
+        path, directory = server._table_path, server._table_dir
+        assert os.path.exists(path) and os.path.dirname(path) == directory
+        assert path in [p for p, _, _ in encoder_cache().stats().published]
         server.close()
-        assert not os.path.exists(handle.ref)  # table file cleaned up
-        assert server._table_store is None and store._paths == []
+        assert not os.path.exists(path) and not os.path.exists(directory)
+        assert server._table_path is None and server._table_dir is None
+        assert path not in [p for p, _, _ in encoder_cache().stats().published]
+
+    def test_failed_start_deletes_table_file(
+        self, model_path, monkeypatch, tmp_path
+    ):
+        """A start() that dies after writing the table (here: workers not
+        ready in time) leaves no file and no directory behind."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        config = ServeConfig(
+            workers=1, start_method="spawn", ready_timeout_s=0.01
+        )
+        server = UHDServer(model_path, config)
+        # the pool times out after the table file was written
+        with pytest.raises(ServeError, match="not ready"):
+            server.start()
+        assert list(tmp_path.glob("uhd-tables-*")) == []
+        assert server._table_path is None and server._table_dir is None
+        published = [p for p, _, _ in encoder_cache().stats().published]
+        assert not [p for p in published if p.startswith(str(tmp_path))]
 
 
 class TestEncoderCache:
@@ -323,7 +345,7 @@ class TestEncoderCache:
 
 
 class TestCacheIntrospection:
-    """EncoderCache.stats()/clear(): observability and handle release."""
+    """EncoderCache.stats()/clear(): observability and table-file cleanup."""
 
     def _fresh_cache(self, served_model, serve_data):
         from repro.serve import EncoderCache
@@ -342,49 +364,38 @@ class TestCacheIntrospection:
         assert stats.published == ()
 
     def test_publish_appears_in_stats_and_clear_releases(
-        self, served_model, serve_data
+        self, served_model, serve_data, tmp_path
     ):
         import os
 
-        from repro.fastpath.tablestore import MmapStore, attach_handle
+        from repro.fastpath.tablestore import read_table_file
 
         cache = self._fresh_cache(served_model, serve_data)
-        store = MmapStore()
-        handle = cache.publish(serve_data.num_pixels, served_model.config, store)
-        assert handle is not None and os.path.exists(handle.ref)
+        target = str(tmp_path / "tables.uhdtbl")
+        path = cache.publish(serve_data.num_pixels, served_model.config, target)
+        assert path == target and read_table_file(path).kind == "pair"
         stats = cache.stats()
         assert len(stats.published) == 1
         name, kind, nbytes = stats.published[0]
-        assert name == "mmap" and kind == "pair" and nbytes > 0
+        assert name == path and kind == "pair" and nbytes > 0
         cache.clear()
         empty = cache.stats()
         assert empty.entries == 0 and empty.published == ()
-        # clear() released the publication: the handle no longer resolves
-        assert attach_handle(handle) is None
-        store.close()
+        # clear() deleted the file: a worker would now build instead
+        assert not os.path.exists(path)
 
-    def test_republish_same_store_reuses_handle(self, served_model, serve_data):
-        from repro.fastpath.tablestore import HeapStore
-
-        cache = self._fresh_cache(served_model, serve_data)
-        store = HeapStore()
-        first = cache.publish(serve_data.num_pixels, served_model.config, store)
-        second = cache.publish(serve_data.num_pixels, served_model.config, store)
-        assert first is second  # deterministic tables: one publication
-        cache.release_store(store)
-        assert cache.stats().published == ()
-
-    def test_publish_without_exportable_tables_returns_none(self, serve_data):
+    def test_publish_without_exportable_tables_returns_none(
+        self, serve_data, tmp_path
+    ):
         from repro.core.config import UHDConfig
-        from repro.fastpath.tablestore import HeapStore
         from repro.serve import EncoderCache
 
         cache = EncoderCache()
         config = UHDConfig(dim=128, backend="reference")
         cache.get(serve_data.num_pixels, config)
-        store = HeapStore()
-        assert cache.publish(serve_data.num_pixels, config, store) is None
-        store.close()
+        target = tmp_path / "tables.uhdtbl"
+        assert cache.publish(serve_data.num_pixels, config, str(target)) is None
+        assert not target.exists() and cache.stats().published == ()
 
     def test_adopt_seeds_cache_with_a_warm_encoder(
         self, model_path, serve_data

@@ -320,7 +320,6 @@ class TestHttpPool:
     ):
         config = ServeConfig(
             workers=2, max_batch=16, max_wait_ms=1.0, start_method=start_method,
-            table_store="shm" if start_method == "spawn" else "heap",
         )
         with _router(model_path, config) as router:
             with HttpTransport(router) as transport:

@@ -22,9 +22,6 @@ class TestCrashRecovery:
         config = ServeConfig(
             workers=1, max_batch=16, restart_limit=2,
             start_method=start_method,
-            # a non-heap store keeps respawn warm-starts O(1) under spawn
-            # too; under fork it matches the copy-on-write behavior
-            table_store="shm",
         )
         with UHDServer(model_path, config) as server:
             server._crash_next = 1
@@ -34,7 +31,8 @@ class TestCrashRecovery:
         assert np.array_equal(got, direct_labels[:10])
         # ...because the worker was respawned and the batch re-dispatched
         assert stats.restarts == 1
-        # both generations (bootstrap and respawn) attached, never rebuilt
+        # both generations (bootstrap and respawn) inherited or attached
+        # the front-end's table, never rebuilt it
         assert stats.worker_table_builds == (0,)
 
     def test_two_crashes_within_budget_still_answer(
