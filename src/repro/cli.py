@@ -477,12 +477,16 @@ def _cmd_route(args: argparse.Namespace) -> str:
         mode = "in-process fallback" if config.workers == 0 else (
             f"{config.workers} worker process(es) per replica"
         )
-        lane_names = ", ".join(lane.name for lane in config.effective_lanes())
+        # each lane's resolved window: the one that actually applies
+        # (always 0ms in-process, where the caller is the executor)
+        lane_windows = ", ".join(
+            f"{lane.name} max_wait={lane.max_wait_ms:g}ms"
+            for lane in config.effective_lanes()
+        )
         lines.append(
             f"{args.command}: {len(specs)} model(s) x {args.replicas} "
             f"replica(s) up in {startup_s:.2f}s ({mode}, "
-            f"max_batch={config.max_batch}, max_wait={config.max_wait_ms:g}ms, "
-            f"lanes: {lane_names})"
+            f"max_batch={config.max_batch}, lanes: {lane_windows})"
         )
         for row in router.models():
             lines.append(
@@ -731,8 +735,8 @@ def _configure_route(
         )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes per replica (0 = synchronous in-process "
-        "fallback)",
+        help="worker processes per replica (0 = in-process fallback: the "
+        "submitting thread drains the lane scheduler)",
     )
     parser.add_argument(
         "--max-batch", type=int, default=64,

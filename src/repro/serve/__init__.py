@@ -41,7 +41,8 @@ guide and ``docs/ARCHITECTURE.md`` for the full picture)::
   (:class:`EncoderCache`), publishes gather tables through
   :mod:`repro.fastpath.tablestore` so workers attach instead of
   rebuild, fans batches out to the pool, and restarts crashed workers.
-  ``ServeConfig(workers=0)`` is the synchronous in-process fallback.
+  ``ServeConfig(workers=0)`` is the in-process fallback: the same
+  scheduler, drained by the submitting thread.
 
 Quickstart::
 

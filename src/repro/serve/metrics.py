@@ -23,7 +23,7 @@ Per-deployment families carry a ``model`` label (per-lane ones also
 ====================================  =======  =====================================
 ``uhd_requests_total``                counter  ``submit()`` calls accepted
 ``uhd_images_total``                  counter  images across those requests
-``uhd_batches_total``                 counter  dispatched batches / executed chunks
+``uhd_batches_total``                 counter  batches the scheduler dispatched
 ``uhd_expired_total``                 counter  request parts failed on a deadline
 ``uhd_restarts_total``                counter  worker respawns (crash recovery)
 ``uhd_workers``                       gauge    worker processes (0 = in-process)

@@ -120,9 +120,9 @@ class LaneStats:
     ``latency`` is the lane's scheduling-latency distribution — each
     served item's wait from :meth:`Scheduler.put` until its batch is
     returned by :meth:`Scheduler.next_batch`, so the coalescing window
-    is included for every item, the batch head too (in the queue-less
-    in-process server mode it is the request's synchronous service time
-    instead).
+    is included for every item, the batch head too.  It means the same
+    whether a worker pool or the submitting thread (``workers=0``)
+    drains the scheduler.
     Expired items never enter it: they are counted in ``expired`` and
     mirrored in ``latency.excluded``, so quantiles are computed over
     served traffic only.

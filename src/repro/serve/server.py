@@ -21,8 +21,9 @@
   ``serve-check`` probe, and are respawned on crash with their
   in-flight batch re-queued — a submitted request is answered or fails
   loudly, never dropped;
-* **a synchronous in-process fallback** (``workers=0``) for 1-core
-  hosts: same API, same chunking, zero IPC.
+* **an in-process fallback** (``workers=0``) for 1-core hosts: the
+  same scheduler, drained by the submitting thread instead of a pool —
+  same API, same accounting, zero IPC.
 
 Bit-exactness: the server never transforms data — it only splits,
 concatenates and routes.  Both encode and binarized inference are
@@ -156,15 +157,16 @@ class UHDServer:
         #: resolved lane set (start()) — first entry is the default lane
         self._lanes: tuple[LaneConfig, ...] = ()
         self._lane_map: dict[str, LaneConfig] = {}
-        # pool-mode machinery (built in start() when workers > 0)
+        #: built in start() at every worker count
         self._scheduler: Scheduler[_Part] | None = None
+        # pool-mode machinery (built in start() when workers > 0)
         self._workers: list[WorkerHandle] = []
         self._idle: deque[WorkerHandle] = deque()
         self._inflight: dict[int, _Batch] = {}
         self._retry: deque[_Batch] = deque()
         #: parts submitted but not yet registered in _inflight (or failed);
-        #: covers the window where the dispatcher holds a batch it popped
-        #: from the batcher/retry queue, which close()'s drain loop and
+        #: covers the window where an executor holds a batch it popped
+        #: from the scheduler/retry queue, which close()'s drain loop and
         #: the no-workers failure path would otherwise not see
         self._pending_parts = 0
         self._fatal: list[str] = []
@@ -192,6 +194,7 @@ class UHDServer:
         self._lanes = self.config.effective_lanes()
         self._lane_map = {lane.name: lane for lane in self._lanes}
         self._load_front_end()
+        self._scheduler = Scheduler(self._lanes, on_expired=self._on_expired)
         if self.config.workers > 0:
             method = _resolve_start_method(self.config.start_method)
             try:
@@ -268,7 +271,6 @@ class UHDServer:
 
     def _start_pool(self, method: str) -> None:
         self._ctx = multiprocessing.get_context(method)
-        self._scheduler = Scheduler(self._lanes, on_expired=self._on_expired)
         self._workers = [WorkerHandle(slot) for slot in range(self.config.workers)]
         for handle in self._workers:
             self._spawn(handle)
@@ -346,12 +348,8 @@ class UHDServer:
             self._closed = True
             return
         self._accepting = False
-        if self.config.workers == 0:
-            self._release_tables()  # no-op: workers=0 never writes one
-            self._closed = True
-            return
-        if self._scheduler is not None:
-            self._scheduler.close()
+        assert self._scheduler is not None
+        self._scheduler.close()
         deadline = time.monotonic() + drain_timeout
         with self._cv:
             # _pending_parts covers both parts queued in the scheduler and a
@@ -450,8 +448,6 @@ class UHDServer:
         if rows == 0:
             handle = PredictionHandle(parts=0, rows=0)
             return handle
-        if self.config.workers == 0:
-            return self._predict_inproc(arr, lane_config)
         deadline = (
             None if deadline_ms is None
             else time.monotonic() + deadline_ms / 1e3
@@ -475,6 +471,11 @@ class UHDServer:
                     with self._lock:
                         self._pending_parts -= 1  # this part never queued
                     raise
+                if self.config.workers == 0:
+                    # drained per part, not per request: the caller is the
+                    # only executor, so a full lane would otherwise block
+                    # its own put forever
+                    self._run_queued()
         except (RuntimeError, TimeoutError) as exc:
             # parts already enqueued will still complete; the handle fails
             # loudly instead of leaving its caller waiting forever
@@ -508,37 +509,41 @@ class UHDServer:
             self._pending_parts -= 1
             self._cv.notify_all()
 
-    def _predict_inproc(
-        self, arr: np.ndarray, lane_config: LaneConfig
-    ) -> PredictionHandle:
-        """Synchronous fallback: chunked predict on the caller's thread.
+    def _run_queued(self) -> None:
+        """In-process executor: run queued batches on the calling thread.
 
-        The shared cached encoder is not thread-safe under concurrent
-        ``encode_batch``, so the chunk loop runs under the *encoder's*
-        cache-wide lock (one per ``(pixels, config)`` key) — two servers
-        sharing the cached encoder serialize against each other, not
-        just against their own threads.  By design: this mode exists for
-        hosts without the cores to exploit concurrency anyway.  Lanes
-        only select the chunk size here — requests run immediately on
-        the caller's thread, so deadlines cannot expire while queued.
+        Each batch is popped and predicted under the encoder's cache-wide
+        lock (one per ``(pixels, config)`` key), so the lock holder is the
+        one executor and a part queues while another thread predicts —
+        its lane latency is queue wait, as in pool mode.  The loop may
+        run parts other callers queued and stops at the first empty
+        heartbeat.  A predict failure fails that batch's handles; it is
+        never raised here, where it would strand other callers' parts.
         """
-        handle = PredictionHandle(parts=1, rows=arr.shape[0])
-        step = lane_config.max_batch
-        chunks = [arr[i:i + step] for i in range(0, arr.shape[0], step)]
-        t0 = time.monotonic()
-        with self._encoder_lock:
-            labels = [self._model.predict(chunk) for chunk in chunks]
-        elapsed = time.monotonic() - t0
-        with self._lock:
-            for chunk in chunks:
-                self._stats.record_batch(chunk.shape[0])
-            # with no queue, the synchronous service time IS the latency
-            self._stats.record_lane(
-                lane_config.name, 1, arr.shape[0], len(chunks),
-                latency_s=elapsed,
-            )
-        handle._complete_part(0, np.concatenate(labels))
-        return handle
+        assert self._scheduler is not None
+        while True:
+            error: BaseException | None = None
+            with self._encoder_lock:
+                scheduled = self._scheduler.next_batch(poll_s=0.0)
+                if not scheduled:  # empty heartbeat, or closed and drained
+                    return
+                batch = _Batch(
+                    next(self._batch_ids), scheduled.items, lane=scheduled.lane
+                )
+                try:
+                    labels = self._model.predict(batch.images())
+                except Exception as exc:
+                    error = ServeError(f"predict failed: {exc!r}")
+            try:
+                if error is None:
+                    batch.complete(labels)
+                else:
+                    batch.fail(error)
+            finally:
+                with self._cv:
+                    self._stats.record_batch(batch.rows)
+                    self._pending_parts -= len(batch.parts)
+                    self._cv.notify_all()
 
     # ------------------------------------------------------------------
     # Pool threads
@@ -747,9 +752,8 @@ class UHDServer:
         expired are failed by the ``on_expired`` callback along the way,
         never returned.
         """
+        assert self._scheduler is not None
         drained: list[_Batch] = []
-        if self._scheduler is None:
-            return drained
         while True:
             scheduled = self._scheduler.next_batch(poll_s=0.0)
             if scheduled is None or not scheduled:
@@ -776,9 +780,9 @@ class UHDServer:
             self._inflight.clear()
             self._accepting = False
             self._cv.notify_all()
-        if self._scheduler is not None:
-            self._scheduler.close()
-            leftovers.extend(self._drain_scheduler())
+        assert self._scheduler is not None
+        self._scheduler.close()
+        leftovers.extend(self._drain_scheduler())
         for batch in leftovers:
             batch.fail(failure)
 
@@ -809,13 +813,9 @@ class UHDServer:
         into the document the HTTP ``/stats`` endpoint serves.
         """
         scheduler = self._scheduler
-        lane_stats = (
-            scheduler.stats() if scheduler is not None else ()
-        )
+        lane_stats = scheduler.stats() if scheduler is not None else ()
         cache_stats = encoder_cache().stats()
         with self._lock:
-            if scheduler is None:
-                lane_stats = self._stats.inproc_lane_stats(self._lanes)
             return self._stats.snapshot(
                 mode="inproc" if self.config.workers == 0 else "pool",
                 workers=self.config.workers,

@@ -17,10 +17,9 @@ crashes (crashed batches are re-queued onto a fresh worker).
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .histogram import HistogramSnapshot, LatencyHistogram
 from .scheduler import LaneConfig, LaneStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,10 +66,10 @@ class ServeConfig:
     Attributes
     ----------
     workers:
-        Worker *processes* to spawn.  ``0`` selects the synchronous
-        in-process fallback (right for 1-core hosts and tests): requests
-        run on the caller's thread through the front-end's own warm
-        model, still chunked to ``max_batch``.
+        Worker *processes* to spawn.  ``0`` selects the in-process
+        fallback (right for 1-core hosts and tests): requests go through
+        the same scheduler, and the submitting thread drains it through
+        the front-end's own warm model instead of a pool.
     max_batch:
         Upper bound on images per dispatched batch.  Requests are
         coalesced up to this bound; a single request *larger* than it is
@@ -80,7 +79,9 @@ class ServeConfig:
         Micro-batching window: once a batch has its first request, the
         dispatcher waits at most this long for more requests to coalesce
         before flushing a partial batch.  ``0`` flushes immediately
-        (lowest latency, least coalescing).
+        (lowest latency, least coalescing).  Under ``workers=0`` every
+        lane resolves to ``0``: the submitting thread is the executor
+        and is always idle, so there is nothing to wait for.
     lanes:
         Named priority lanes (:class:`~repro.serve.scheduler.LaneConfig`)
         the scheduler drains with weighted anti-starvation — e.g. an
@@ -101,7 +102,7 @@ class ServeConfig:
         onto (``None`` keeps the backend recorded in the model file).
         Validated against :func:`repro.api.list_backends` at startup.
     queue_depth:
-        Bound on requests waiting in the micro-batching queue;
+        Bound on request parts waiting in each lane's queue;
         ``submit`` blocks (backpressure) when it is full.
     restart_limit:
         Total worker restarts the server will perform before declaring
@@ -140,21 +141,17 @@ class ServeConfig:
 
         Configured lanes with their ``None`` knobs filled from the
         server-wide defaults; or, when no lanes were named, a single
-        ``"default"`` lane carrying exactly the server-wide knobs.
+        ``"default"`` lane carrying exactly the server-wide knobs.  Under
+        ``workers=0`` every lane's ``max_wait_ms`` is ``0``.
         """
-        if not self.lanes:
-            return (
-                LaneConfig(
-                    name="default",
-                    max_batch=self.max_batch,
-                    max_wait_ms=self.max_wait_ms,
-                    queue_depth=self.queue_depth,
-                ),
-            )
-        return tuple(
+        lanes = self.lanes or (LaneConfig(name="default"),)
+        resolved = tuple(
             lane.resolved(self.max_batch, self.max_wait_ms, self.queue_depth)
-            for lane in self.lanes
+            for lane in lanes
         )
+        if self.workers == 0:
+            return tuple(replace(lane, max_wait_ms=0.0) for lane in resolved)
+        return resolved
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -207,7 +204,7 @@ class ServerStats:
     workers: int
     requests: int  #: submit() calls accepted
     images: int  #: total images across those requests
-    batches: int  #: dispatched batches (pool) / executed chunks (inproc)
+    batches: int  #: batches the scheduler handed to an executor
     max_batch_seen: int
     mean_batch_size: float
     restarts: int  #: worker respawns performed (crash recovery)
@@ -334,10 +331,11 @@ class PredictionHandle:
         """Invoke ``callback(handle)`` once the request completes (or fails).
 
         Runs on whichever thread completes the request — the collector
-        thread in pool mode, the submitting thread in-process — or
-        immediately on the calling thread when already done.  This is
-        what lets an event-loop transport hand off a request without
-        parking a thread on :meth:`result`; the callback must not block.
+        thread in pool mode, in-process whichever submitting thread
+        drained its last part — or immediately on the calling thread
+        when already done.  This is what lets an event-loop transport
+        hand off a request without parking a thread on :meth:`result`;
+        the callback must not block.
         """
         with self._lock:
             if not self._done.is_set():
@@ -381,60 +379,11 @@ class _StatCounters:
     restarts: int = 0
     probe_ms: dict[int, float] = field(default_factory=dict)
     table_builds: dict[int, int] = field(default_factory=dict)
-    #: inproc-mode per-lane tallies keyed by lane name: [parts, rows, batches]
-    lane_served: dict[str, list[int]] = field(default_factory=dict)
-    #: inproc-mode per-lane latency recorders (service time per request —
-    #: there is no queue to wait in, so this is the whole latency)
-    lane_hist: dict[str, LatencyHistogram] = field(default_factory=dict)
 
     def record_batch(self, rows: int) -> None:
         self.batches += 1
         self.batched_images += rows
         self.max_batch_seen = max(self.max_batch_seen, rows)
-
-    def record_lane(
-        self,
-        lane: str,
-        parts: int,
-        rows: int,
-        batches: int,
-        latency_s: float | None = None,
-    ) -> None:
-        tally = self.lane_served.setdefault(lane, [0, 0, 0])
-        tally[0] += parts
-        tally[1] += rows
-        tally[2] += batches
-        if latency_s is not None:
-            hist = self.lane_hist.get(lane)
-            if hist is None:
-                hist = self.lane_hist.setdefault(lane, LatencyHistogram())
-            hist.record(latency_s)
-
-    def inproc_lane_stats(
-        self, lanes: tuple[LaneConfig, ...]
-    ) -> tuple[LaneStats, ...]:
-        """Synthesized lane counters for the queue-less in-process mode."""
-        stats = []
-        for lane in lanes:
-            parts, rows, batches = self.lane_served.get(lane.name, (0, 0, 0))
-            hist = self.lane_hist.get(lane.name)
-            stats.append(
-                LaneStats(
-                    name=lane.name,
-                    depth=0,
-                    queued_rows=0,
-                    submitted=parts,
-                    served=parts,
-                    served_rows=rows,
-                    batches=batches,
-                    expired=0,
-                    latency=(
-                        hist.snapshot() if hist is not None
-                        else HistogramSnapshot.empty()
-                    ),
-                )
-            )
-        return tuple(stats)
 
     def snapshot(
         self,

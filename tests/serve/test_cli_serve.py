@@ -36,6 +36,8 @@ class TestServeCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "in-process fallback" in out
+        # the caller is the executor: no coalescing window ever applies
+        assert "lanes: default max_wait=0ms" in out
         assert "verify OK" in out
         assert "shutdown clean" in out
 
@@ -89,6 +91,7 @@ class TestServeHttpCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "http: listening on http://127.0.0.1:" in out
+        assert "interactive max_wait=1ms, bulk max_wait=20ms" in out
         assert "via HTTP" in out
         assert "verify OK" in out  # HTTP labels bit-exact with direct predict
         assert "healthz: ok" in out

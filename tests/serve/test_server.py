@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
+    DeadlineExpiredError,
+    LaneConfig,
     PredictionHandle,
     ServeConfig,
     ServeError,
@@ -94,6 +101,118 @@ class TestInProcessFallback:
             assert server.front_probe is not None
             assert server.front_probe.deterministic
             assert server.front_probe.median_s > 0
+
+    def test_predict_failure_fails_the_handle_not_submit(
+        self, model_path, serve_data, direct_labels, monkeypatch
+    ):
+        """The submitting thread may be draining other callers' parts, so
+        a predict failure must fail that batch's handles, never escape."""
+        server = UHDServer(model_path, ServeConfig(workers=0)).start()
+        try:
+            real_predict = server._model.predict
+            failures = [RuntimeError("injected predict failure")]
+
+            def flaky_predict(images):
+                if failures:
+                    raise failures.pop()
+                return real_predict(images)
+
+            monkeypatch.setattr(server._model, "predict", flaky_predict)
+            handle = server.submit(serve_data.test_images[:4])
+            with pytest.raises(ServeError, match="predict failed"):
+                handle.result(timeout=5.0)
+            got = server.predict(serve_data.test_images, timeout=30.0)
+            assert np.array_equal(got, direct_labels)
+        finally:
+            t0 = time.monotonic()
+            server.close()
+        assert time.monotonic() - t0 < 1.0  # nothing left pending
+        assert server._pending_parts == 0
+
+
+#: two lanes for the concurrency property: a narrow one with a tiny queue
+#: (puts block on backpressure) next to a wider default lane
+_CONCURRENT_LANES = (
+    LaneConfig("wide", max_batch=8),
+    LaneConfig("narrow", max_batch=3, queue_depth=2),
+)
+
+_request = st.tuples(
+    st.integers(0, 63),  # first row
+    st.integers(1, 20),  # rows (clipped at the end of the test set)
+    st.sampled_from([lane.name for lane in _CONCURRENT_LANES]),
+    st.none() | st.floats(0.01, 5.0),  # deadline_ms
+)
+
+
+class TestInProcessConcurrency:
+    """The pool's accounting invariants, reached through ``workers=0``:
+    every submitting thread drains the one scheduler, possibly running
+    parts other threads queued."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(plan=st.lists(st.lists(_request, min_size=1, max_size=5),
+                         min_size=2, max_size=4))
+    def test_handles_resolve_once_and_lanes_balance(
+        self, model_path, serve_data, direct_labels, plan
+    ):
+        server = UHDServer(
+            model_path, ServeConfig(workers=0, lanes=_CONCURRENT_LANES)
+        ).start()
+        images = serve_data.test_images
+        outcomes: list[tuple[PredictionHandle, slice]] = []
+        calls: dict[int, int] = {}
+        errors: list[BaseException] = []
+        lock = threading.Lock()
+        barrier = threading.Barrier(len(plan))
+
+        def on_done(handle):
+            with lock:
+                calls[id(handle)] = calls.get(id(handle), 0) + 1
+
+        def client(requests):
+            try:
+                barrier.wait()
+                for first, rows, lane, deadline_ms in requests:
+                    rows_slice = slice(first, first + rows)
+                    handle = server.submit(
+                        images[rows_slice], lane=lane, deadline_ms=deadline_ms
+                    )
+                    handle.add_done_callback(on_done)
+                    with lock:
+                        outcomes.append((handle, rows_slice))
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(requests,))
+            for requests in plan
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not errors, errors
+            assert len(outcomes) == sum(len(requests) for requests in plan)
+            for handle, rows_slice in outcomes:
+                try:
+                    got = handle.result(timeout=30.0)
+                except DeadlineExpiredError:
+                    continue
+                assert np.array_equal(got, direct_labels[rows_slice])
+            stats = server.stats()
+        finally:
+            server.close()
+        assert all(calls.get(id(h)) == 1 for h, _ in outcomes)
+        for lane in stats.lanes:
+            assert lane.depth == 0
+            assert lane.submitted == lane.served + lane.expired
+            assert (
+                lane.latency.count + lane.latency.excluded
+                == lane.served + lane.expired
+            )
+        assert server._pending_parts == 0
 
 
 class TestWorkerPool:

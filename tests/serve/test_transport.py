@@ -418,13 +418,15 @@ class TestLaneServing:
             with pytest.raises(ValueError, match="unknown lane"):
                 server.submit(serve_data.test_images[:1], lane="vip")
 
+    @pytest.mark.parametrize("workers", [0, 1])
     def test_oversize_request_splits_to_the_lane_bound(
-        self, model_path, serve_data, direct_labels
+        self, model_path, serve_data, direct_labels, workers
     ):
         """A request routed to a narrow lane splits to *that* lane's
-        max_batch, not the server-wide bound."""
+        max_batch, not the server-wide bound — and both modes count the
+        parts the same way: one served item and one queue wait each."""
         config = ServeConfig(
-            workers=1,
+            workers=workers,
             max_batch=64,
             lanes=(
                 LaneConfig("wide", max_batch=64),
@@ -439,7 +441,10 @@ class TestLaneServing:
         assert np.array_equal(got, direct_labels)
         lanes = {s.name: s for s in stats.lanes}
         rows = serve_data.test_images.shape[0]
-        assert lanes["narrow"].served == -(-rows // 8)  # split into 8-row parts
+        parts = -(-rows // 8)  # split into 8-row parts
+        assert lanes["narrow"].submitted == lanes["narrow"].served == parts
+        assert lanes["narrow"].latency.count == parts
+        assert stats.batches == parts
         assert stats.max_batch_seen <= 8
 
     def test_lane_stats_surface_in_pool_mode(
