@@ -42,9 +42,8 @@ Three request-path rows measure the transport/scheduler layers:
   scheduler's anti-starvation contract, asserted before writing.
 
 ``serve_router_zoo`` exercises the fleet layer: a two-model router
-(two replicas per model, least-loaded dispatch) under mixed traffic
-from concurrent clients, with a **rolling hot reload of both models
-mid-run** — the row is only written after asserting zero failed
+(one server per model) under mixed traffic from concurrent clients,
+with a **hot reload of both models mid-run** — the row is only written after asserting zero failed
 requests and per-model bit-exact labels across the generation swap.
 
 Labels are checked bit-exact against ``UHDClassifier.predict`` before
@@ -86,7 +85,7 @@ from repro.serve import (
 
 
 def _router(model_path: str, config: ServeConfig) -> Router:
-    """One deployment of one replica — what ``repro-uhd serve`` runs."""
+    """One deployment — what ``repro-uhd serve`` runs."""
     return Router({"m": DeploymentSpec(model_path, serve=config)})
 
 
@@ -398,16 +397,16 @@ def _router_zoo_scenario(
     requests_per_client: int = 24,
     request_batch: int = 4,
 ) -> dict:
-    """Two-model router under mixed traffic with a mid-run rolling reload.
+    """Two-model router under mixed traffic with a mid-run hot reload.
 
-    Each model gets two in-process replicas (workers=0 isolates the
+    Each model gets one in-process server (workers=0 isolates the
     routing layer from pool IPC) and ``clients_per_model`` threads
     hammering it with fixed request streams.  Once a third of the
     traffic has been served, both deployments are hot-reloaded to a new
     generation *while the clients keep going*.  The row is only written
     after asserting: zero failed requests, every label bit-exact with
     its model's direct ``predict`` (before and after the swap), and both
-    deployments on generation 2 at full replica strength.
+    deployments healthy on generation 2.
     """
     import threading
 
@@ -434,9 +433,7 @@ def _router_zoo_scenario(
 
         specs = {
             name: DeploymentSpec(
-                path,
-                replicas=2,
-                serve=ServeConfig(workers=0, backend=backend),
+                path, serve=ServeConfig(workers=0, backend=backend)
             )
             for name, path in paths.items()
         }
@@ -484,7 +481,7 @@ def _router_zoo_scenario(
 
     if failures:
         raise AssertionError(
-            f"router zoo traffic failed during rolling reload: {failures[:3]}"
+            f"router zoo traffic failed during hot reload: {failures[:3]}"
         )
     if served[0] != total:
         raise AssertionError(
@@ -493,7 +490,7 @@ def _router_zoo_scenario(
     for report in reports:
         if report["to_generation"] != 2:
             raise AssertionError(f"reload did not advance generation: {report}")
-    if not health["ok"] or health["degraded"]:
+    if not health["ok"] or any(m["generation"] != 2 for m in health["models"]):
         raise AssertionError(f"fleet unhealthy after reload: {health}")
     images = total * request_batch
     return {
@@ -503,7 +500,6 @@ def _router_zoo_scenario(
         "speedup_vs_reference": None,
         "speedup_vs_packed": None,
         "models": len(model_ids),
-        "replicas_per_model": 2,
         "client_threads": len(model_ids) * clients_per_model,
         "requests": total,
         "images": images,
@@ -737,8 +733,7 @@ def main(argv: list[str] | None = None) -> int:
         if row["name"] == "serve_router_zoo":
             print(
                 f"  {row['name']:<22} {row['requests']} requests over "
-                f"{row['models']} models x {row['replicas_per_model']} "
-                f"replicas  {row['ops_per_s']:8.0f} images/s  reload "
+                f"{row['models']} models  {row['ops_per_s']:8.0f} images/s  reload "
                 f"{row['reload_s'] * 1e3:.0f} ms mid-run, 0 failed, "
                 "bit-exact across generations"
             )

@@ -68,7 +68,7 @@ _MODEL_KEY = "__model__"
 #: np.load parses every .npy header with ast.literal_eval, and CPython
 #: 3.11's AST conversion is not thread-safe: concurrent parses can fail
 #: with "SystemError: AST constructor recursion depth mismatch".  Router
-#: replicas load their model files on concurrent threads.
+#: deployments load their model files on concurrent threads.
 _NPZ_READ_LOCK = threading.Lock()
 
 #: model-class registry: name -> lazy importer (keeps this module cycle-free)

@@ -18,7 +18,7 @@ Usage::
     repro-uhd serve --model model.npz --http-port 0 \\
         --lane interactive:16:1:4 --lane bulk:64:50 --deadline-ms 5000
     repro-uhd route --model mnist=mnist.npz --model fashion=fashion.npz \\
-        --replicas 2 --http-port 0 --reload
+        --workers 2 --http-port 0 --reload
 
 Accuracy experiments honour ``REPRO_FULL=1`` for paper-leaning workload
 sizes; ``--backend`` accepts any backend registered with
@@ -29,10 +29,10 @@ serving-readiness probe — it loads a warm model (no retraining) and
 reports prediction latency.
 
 ``serve`` and ``route`` are one command: ``route`` stands up a
-:class:`repro.serve.Router` over ``--model NAME=PATH`` deployments of
-``--replicas`` servers each, and ``serve --model PATH`` is the same
-router with one deployment of one replica, named after the file's stem
-(each replica's workers run the serve-check probe before accepting
+:class:`repro.serve.Router` over ``--model NAME=PATH`` deployments, each
+one server of ``--workers`` worker processes, and ``serve --model PATH``
+is the same router with one deployment, named after the file's stem
+(each server's workers run the serve-check probe before accepting
 traffic).  Both answer ``--rounds`` self-test round-trips verified
 bit-exact — over the binary wire when ``--binary-port`` is set, else
 over HTTP when ``--http-port`` is set, else in-process — print batching
@@ -358,7 +358,7 @@ def _http_predict(http, model_id: str, batch, deadline_ms: float | None):
 
 @contextlib.contextmanager
 def _reload_on_sighup():
-    """Install a SIGHUP handler that requests a rolling hot reload.
+    """Install a SIGHUP handler that requests a hot reload.
 
     Yields a ``threading.Event`` the daemon loop polls: set means "an
     operator sent SIGHUP, reload every deployment".  Platforms without
@@ -408,14 +408,14 @@ def _stem_model_spec(path: str) -> tuple[str, str]:
 
 
 def _reload_all(router) -> list[str]:
-    """Rolling hot reload of every deployment; one report line each."""
+    """Hot reload of every deployment; one report line each."""
     lines = []
     for model_id in router.deployments:
         report = router.reload(model_id)
         lines.append(
             f"  reload: {model_id} generation {report['from_generation']} -> "
-            f"{report['to_generation']} ({report['replaced']} replica(s) "
-            f"swapped in {report['duration_s']:.2f}s)"
+            f"{report['to_generation']} (swapped in "
+            f"{report['duration_s']:.2f}s)"
         )
     return lines
 
@@ -423,11 +423,10 @@ def _reload_all(router) -> list[str]:
 def _cmd_route(args: argparse.Namespace) -> str:
     """Start a router, answer self-test round-trips (or serve), shut down.
 
-    ``serve`` is this command with one deployment of one replica whose
-    id is the model file's stem.  Each ``route --model NAME=PATH``
-    becomes a deployment of ``--replicas`` servers with least-loaded
-    dispatch.  The self-test rounds are :func:`_round_trips`.  Daemon
-    mode (``--serve-forever``) hot-reloads every deployment on SIGHUP
+    ``serve`` is this command with one deployment whose id is the model
+    file's stem.  Each ``route --model NAME=PATH`` becomes a deployment
+    of one server with ``--workers`` workers.  The self-test rounds are
+    :func:`_round_trips`.  Daemon mode (``--serve-forever``) hot-reloads every deployment on SIGHUP
     and drains all deployments **concurrently** on SIGTERM/SIGINT —
     total shutdown is bounded by the slowest deployment's drain window,
     not the sum.
@@ -461,12 +460,7 @@ def _cmd_route(args: argparse.Namespace) -> str:
     for name, path in args.model if args.command == "route" else [args.model]:
         if name in specs:
             raise SystemExit(f"repro-uhd route: duplicate model id {name!r}")
-        specs[name] = DeploymentSpec(
-            path,
-            replicas=args.replicas,
-            min_ready=args.min_ready,
-            serve=config,
-        )
+        specs[name] = DeploymentSpec(path, serve=config)
     lines: list[str] = []
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
@@ -475,7 +469,7 @@ def _cmd_route(args: argparse.Namespace) -> str:
         router = stack.enter_context(Router(specs))
         startup_s = time.perf_counter() - start
         mode = "in-process fallback" if config.workers == 0 else (
-            f"{config.workers} worker process(es) per replica"
+            f"{config.workers} worker process(es) per model"
         )
         # each lane's resolved window: the one that actually applies
         # (always 0ms in-process, where the caller is the executor)
@@ -484,15 +478,13 @@ def _cmd_route(args: argparse.Namespace) -> str:
             for lane in config.effective_lanes()
         )
         lines.append(
-            f"{args.command}: {len(specs)} model(s) x {args.replicas} "
-            f"replica(s) up in {startup_s:.2f}s ({mode}, "
-            f"max_batch={config.max_batch}, lanes: {lane_windows})"
+            f"{args.command}: {len(specs)} model(s) up in {startup_s:.2f}s "
+            f"({mode}, max_batch={config.max_batch}, lanes: {lane_windows})"
         )
         for row in router.models():
             lines.append(
                 f"  model {row['model']}: generation {row['generation']}, "
-                f"{row['ready']}/{row['replicas']} replica(s) ready "
-                f"({row['path']})"
+                f"{row['status']} ({row['path']})"
             )
             doc = router.stats(row["model"])
             builds = doc["worker_table_builds"]
@@ -539,7 +531,7 @@ def _cmd_route(args: argparse.Namespace) -> str:
             lines.append("  signal received: draining deployments")
             # per-lane latency at drain time — the operator's last look at
             # the run's tail before the process exits (merged across
-            # every replica and retired generation)
+            # every generation)
             for model_id, deployment in router.deployments.items():
                 for lane in deployment.snapshot()[0].lanes:
                     snap = lane.latency
@@ -552,8 +544,8 @@ def _cmd_route(args: argparse.Namespace) -> str:
             lines.extend(_round_trips(args, router, http, binary, stop))
         health = router.healthz()
         lines.append(
-            f"  healthz: {health['status']} ({health['ready_replicas']} "
-            f"replica(s) ready across {health['deployments']} deployment(s))"
+            f"  healthz: {health['status']} ({health['deployments']} "
+            "deployment(s))"
         )
         for model_id in router.deployments:
             doc = router.stats(model_id)
@@ -561,8 +553,7 @@ def _cmd_route(args: argparse.Namespace) -> str:
                 f"  stats {model_id}: generation {doc['generation']}, "
                 f"{doc['requests']} request(s), {doc['images']} image(s) in "
                 f"{doc['batches']} batch(es) (mean {doc['mean_batch_size']:.1f}, "
-                f"max {doc['max_batch_seen']}), {doc['retired_replicas']} "
-                "retired replica(s)"
+                f"max {doc['max_batch_seen']})"
             )
             for lane in doc["lanes"]:
                 lines.append(
@@ -711,7 +702,7 @@ def _configure_route(
             help="saved model (.npz) path; served as the one deployment, "
             "named after the file's stem",
         )
-        parser.set_defaults(replicas=1, min_ready=1, reload=False)
+        parser.set_defaults(reload=False)
     else:
         parser.add_argument(
             "--model", action="append", required=True,
@@ -720,22 +711,13 @@ def _configure_route(
             "(repeatable; the id becomes the /models/<id>/... URL segment)",
         )
         parser.add_argument(
-            "--replicas", type=int, default=1,
-            help="servers per model deployment (least-loaded dispatch)",
-        )
-        parser.add_argument(
-            "--min-ready", type=int, default=1,
-            help="healthz floor: a deployment stays healthy while at least "
-            "this many replicas are ready (rolling reload never drops below)",
-        )
-        parser.add_argument(
             "--reload", action="store_true",
-            help="self-test mode: rolling-hot-reload every model halfway "
+            help="self-test mode: hot-reload every model halfway "
             "through the rounds (daemon mode reloads on SIGHUP instead)",
         )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes per replica (0 = in-process fallback: the "
+        help="worker processes per model (0 = in-process fallback: the "
         "submitting thread drains the lane scheduler)",
     )
     parser.add_argument(

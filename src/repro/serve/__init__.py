@@ -24,13 +24,12 @@ guide and ``docs/ARCHITECTURE.md`` for the full picture)::
   zero-copied from the receive buffer into scheduler batch assembly
   (:class:`BinaryClient` is the matching pipelining-capable client).
   Both wires can front the *same* router.
-* **Router** (:mod:`repro.serve.router` + :mod:`repro.serve.replica`)
-  — named :class:`ModelDeployment`\\ s, each a replica group of N
-  servers with least-loaded dispatch, one merged stats document, and
-  rolling hot reload (``router.reload(model_id, path)`` swaps in a fresh
-  model generation add-before-remove, never dropping below
-  ``min_ready`` ready replicas and never dropping a request).
-  ``repro-uhd serve`` is a router with one deployment of one replica.
+* **Router** (:mod:`repro.serve.router`) — named
+  :class:`ModelDeployment`\\ s, each one :class:`UHDServer` per model
+  generation (capacity is its ``workers``), one merged stats document,
+  and hot reload (``router.reload(model_id, path)`` boots a fresh model
+  generation, swaps it in and drains the old server, never dropping a
+  request).  ``repro-uhd serve`` is a router with one deployment.
 * **Scheduler** (:mod:`repro.serve.scheduler`) — queueing/coalescing
   policy: named priority lanes (:class:`LaneConfig`) with per-lane
   ``max_batch``/``max_wait_ms``, weighted anti-starvation draining, and
@@ -71,7 +70,6 @@ from .cache import CacheStats, EncoderCache, encoder_cache
 from .histogram import HistogramSnapshot, LatencyHistogram
 from .metrics import parse_exposition, render_metrics
 from .probe import ProbeResult, readiness_probe
-from .replica import Replica, RoutedHandle
 from .router import DeploymentSpec, ModelDeployment, Router
 from .scheduler import LaneConfig, LaneStats, ScheduledBatch, Scheduler
 from .server import UHDServer
@@ -104,8 +102,6 @@ __all__ = [
     "ModelDeployment",
     "PredictionHandle",
     "ProbeResult",
-    "Replica",
-    "RoutedHandle",
     "Router",
     "ScheduledBatch",
     "Scheduler",

@@ -1,11 +1,11 @@
 """Process-wide warm-encoder cache, one encoder per ``(pixels, config)`` key.
 
-A serving front-end may host several models of the same shape — replicas
-of one dataset's model, A/B variants sharing a config — and the
-expensive part of each is the encoder's derived state: Sobol tables
-(already memoized process-wide by :func:`repro.lds.sobol.sobol_sequences`)
-and the packed gather LUTs, including the lazy single→pair promotion
-that only pays off once warm.  :class:`EncoderCache` deduplicates that
+A serving front-end may host several models of the same shape — the
+old and new generation of one model during a reload, A/B variants
+sharing a config — and the expensive part of each is the encoder's
+derived state: Sobol tables (already memoized process-wide by
+:func:`repro.lds.sobol.sobol_sequences`) and the packed gather LUTs,
+including the lazy single→pair promotion that only pays off once warm.  :class:`EncoderCache` deduplicates that
 state: every model with the same ``(num_pixels, UHDConfig)`` key is
 handed the *same* encoder instance, whose tables are read-only after
 warm-up.

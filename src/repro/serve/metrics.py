@@ -44,11 +44,10 @@ Per-deployment families carry a ``model`` label (per-lane ones also
 ``uhd_cache_publications``            gauge    live table files (spawn/forkserver)
 ====================================  =======  =====================================
 
-Lane latency histograms are **merged across live replicas and retired
-generations**, so quantiles survive hot reloads.  The fleet gauges are
-``uhd_deployment_generation{model}``, ``uhd_deployment_target_replicas
-{model}``, ``uhd_deployment_ready_replicas{model}`` and
-``uhd_deployment_retired_replicas_total{model}``.
+Lane latency histograms are **merged across the current server, any
+draining one and retired generations**, so quantiles survive hot
+reloads.  The fleet gauge is ``uhd_deployment_generation{model}``,
+which counts reloads.
 """
 
 from __future__ import annotations
@@ -103,11 +102,6 @@ _HELP = {
         "Frames/requests rejected as unparseable, per transport kind."
     ),
     "uhd_deployment_generation": "Current model generation (bumped by hot reload).",
-    "uhd_deployment_target_replicas": "Replica count the deployment converges to.",
-    "uhd_deployment_ready_replicas": "Replicas currently in the ready state.",
-    "uhd_deployment_retired_replicas_total": (
-        "Replicas retired across all past generations."
-    ),
 }
 
 _TYPE = {
@@ -261,15 +255,6 @@ def render_metrics(router: "Router") -> str:
         exp.add("uhd_workers", labels, stats.workers)
         exp.add("uhd_mean_batch_size", labels, stats.mean_batch_size)
         exp.add("uhd_deployment_generation", labels, fleet["generation"])
-        exp.add(
-            "uhd_deployment_target_replicas", labels, fleet["target_replicas"]
-        )
-        exp.add("uhd_deployment_ready_replicas", labels, fleet["ready_replicas"])
-        exp.add(
-            "uhd_deployment_retired_replicas_total",
-            labels,
-            fleet["retired_replicas"],
-        )
         _lane_rows(exp, stats.lanes, labels)
     # transports front the router as a whole, not any one deployment
     _transport_rows(exp, router.transport_stats())

@@ -1,34 +1,30 @@
-"""Multi-model routing: replica groups and rolling hot reload.
+"""Multi-model routing: one server per model generation, hot reload.
 
 This is the fleet layer above :class:`~repro.serve.server.UHDServer`.
 A :class:`Router` owns named :class:`ModelDeployment`\\ s; each
-deployment maps a model-id to a **replica group** of N independent
-servers (each with its own lanes, worker pool, and table file, if
-any) and provides:
+deployment maps a model-id to **one** server for its current model
+generation (capacity is that server's ``workers``) and provides:
 
-* **least-loaded dispatch** — every request goes to the ready replica
-  with the fewest in-flight requests, with transparent failover to a
-  sibling if a replica's server has died (the PR-3 crash-respawn story,
-  generalized from workers within one server to servers within a group);
 * **one stats document per deployment** — one
-  :meth:`~repro.serve.types.ServerStats.merge` over the live replicas
-  *plus* an accumulator carried over from retired generations, so a hot
-  reload never resets a deployment's totals or latency histograms;
-* **rolling hot reload** — ``reload(model_id, path)`` brings up a fresh
-  model *generation* one replica at a time behind the readiness probe
-  (start new → ready → shift traffic → drain one old → retire it),
-  add-before-remove, so the group never drops below its configured
-  ``min_ready`` floor and in-flight requests are never dropped.
+  :meth:`~repro.serve.types.ServerStats.merge` over the current server,
+  any older servers still draining, *plus* an accumulator carried over
+  from retired generations, so a hot reload never resets a
+  deployment's totals or latency histograms;
+* **hot reload** — ``reload(model_id, path)`` boots the next model
+  *generation* behind its readiness probe, swaps it in, then drains and
+  closes the old server (add-before-remove), so a reload never drops a
+  request.
 
 Bit-exactness (contract 5 extended): the router only *routes*.  Every
-replica warm-starts from the same saved model file, so the labels for a
-batch are bit-exact with ``load_model(path).predict(batch)`` no matter
-which replica — or which generation started from that file — served it.
+generation warm-starts from a saved model file, so the labels for a
+batch are bit-exact with ``load_model(path).predict(batch)`` for the
+file the serving generation started from.
 
-Locking: one condition variable per deployment guards replica state and
-in-flight counters; servers are never called while holding it.  The
-router itself is lock-free apart from a start/close guard — the
-deployment map is immutable after construction.
+Locking: one condition variable per deployment guards the server
+references and the per-server count of submits still *entering* a
+server; servers are never called while holding it.  The router itself
+is lock-free apart from a start/close guard — the deployment map is
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -38,8 +34,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .replica import Replica, RoutedHandle
-from .types import ServeConfig, ServeError, ServerStats
+from .server import UHDServer
+from .types import PredictionHandle, ServeConfig, ServeError, ServerStats
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -51,37 +47,23 @@ __all__ = ["DeploymentSpec", "ModelDeployment", "Router"]
 class DeploymentSpec:
     """Declarative shape of one model deployment.
 
-    ``min_ready`` is the rolling-reload floor: the replica group never
-    intentionally drops below this many ready replicas (reload is
-    add-before-remove, so with a healthy group it actually never drops
-    below ``replicas``), and ``healthz`` reports unhealthy only when
-    the ready count falls under it.
+    ``serve`` configures the deployment's server; its ``workers`` is the
+    deployment's capacity.
     """
 
     model_path: str
-    replicas: int = 1
-    min_ready: int = 1
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model_path", str(self.model_path))
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if not 1 <= self.min_ready <= self.replicas:
-            raise ValueError(
-                f"min_ready must be in [1, replicas={self.replicas}], "
-                f"got {self.min_ready}"
-            )
 
 
 class ModelDeployment:
-    """One model-id's replica group: dispatch, health, and reload.
+    """One model-id's server: dispatch, health, and reload.
 
     Created (and started) by :class:`Router`; all public methods are
-    thread-safe.  The generation counter starts at 1 and bumps on every
-    successful :meth:`reload`; replica slots are never reused, so
-    ``mnist#g2.r3`` names one concrete server for the deployment's whole
-    lifetime.
+    thread-safe.  The generation counter is 1 once started and bumps on
+    every successful :meth:`reload`.
     """
 
     def __init__(self, model_id: str, spec: DeploymentSpec) -> None:
@@ -89,145 +71,97 @@ class ModelDeployment:
         self.spec = spec
         self.model_path = spec.model_path
         self.generation = 0
-        self._replicas: list[Replica] = []
-        self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
-        self._next_slot = 0
+        #: the current generation's server (None before start / after close)
+        self._server: UHDServer | None = None
+        #: servers swapped out or closing, not yet merged into _retired
+        self._draining: list[UHDServer] = []
+        #: submits still inside ``server.submit`` (which may block on
+        #: backpressure), per server; a drain waits for its count to clear
+        self._entering: dict[UHDServer, int] = {}
+        self._cv = threading.Condition()
         self._started = False
         self._closed = False
         self._reloading = False
-        self._retired_generations = 0
-        #: counters of every retired replica, merged as they retire (see
+        #: counters of every retired server, merged as they retire (see
         #: ServerStats.merge) so a hot reload never resets the totals or
         #: the latency distributions; worker gauges are zeroed first
         self._retired: ServerStats | None = None
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "ModelDeployment":
-        """Bring up the full replica group (generation 1), concurrently."""
+        """Boot generation 1 (blocks on its readiness probe)."""
         with self._cv:
             if self._started:
                 return self
             self._started = True
-            self.generation = 1
-        fresh = [self._new_replica(1, self.model_path) for _ in range(self.spec.replicas)]
         try:
-            self._start_replicas(fresh)
+            self._install(self._boot(self.model_path), self.model_path)
         except ServeError:
             with self._cv:
                 self._closed = True
             raise
-        with self._cv:
-            self._replicas.extend(fresh)
-            self._cv.notify_all()
         return self
 
-    def _new_replica(self, generation: int, path: str) -> Replica:
-        with self._cv:
-            slot = self._next_slot
-            self._next_slot += 1
-        return Replica(self.model_id, generation, slot, path, self.spec.serve)
-
-    def _start_replicas(self, fresh: list[Replica]) -> None:
-        """Start replicas concurrently; on any failure close them all.
-
-        Concurrency matters even on one core: a replica start mostly
-        *waits* (worker bootstrap, readiness probes), so starting a group
-        in parallel costs roughly one replica's wall-clock, not N.
-        """
-        errors: dict[str, str] = {}
-
-        def boot(replica: Replica) -> None:
+    def _boot(self, path: str) -> UHDServer:
+        """Start one server for ``path``; on failure close it and raise."""
+        server = UHDServer(path, self.spec.serve)
+        try:
+            server.start()
+        except BaseException as exc:
             try:
-                replica.start()
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                replica.error = f"{type(exc).__name__}: {exc}"
-                errors[replica.name] = replica.error
-
-        threads = [
-            threading.Thread(target=boot, args=(r,), name=f"uhd-boot-{r.name}")
-            for r in fresh
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            for replica in fresh:
-                try:
-                    replica.close(0.0)
-                except Exception:
-                    pass
+                server.close(0.0)
+            except Exception:
+                pass
+            if not isinstance(exc, Exception):
+                raise
             raise ServeError(
-                f"deployment {self.model_id!r}: replica start failed: {errors}"
-            )
+                f"deployment {self.model_id!r}: server start failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        return server
+
+    def _install(self, server: UHDServer, path: str) -> UHDServer | None:
+        """Make ``server`` (booted from ``path``) the next generation.
+
+        Returns the server it replaced, now draining.  If the deployment
+        closed while ``server`` was booting, ``server`` is closed instead
+        and :class:`ServeError` raised, so a close that races a start or
+        reload never leaks a server.
+        """
         with self._cv:
-            for replica in fresh:
-                replica.state = "ready"
+            closed = self._closed
+            old = self._server
+            if not closed:
+                self._server = server
+                self.generation += 1
+                self.model_path = path
+                if old is not None:
+                    self._draining.append(old)
+        if closed:
+            server.close(0.0)
+            raise ServeError(f"deployment {self.model_id!r} is closed")
+        return old
 
     def close(
         self, deadline: float | None = None, drain_timeout: float | None = None
     ) -> None:
-        """Drain and retire every replica, concurrently.
+        """Drain and retire the current server.
 
-        Each replica gets its server's own ``drain_timeout_s`` (or
-        ``drain_timeout`` if given), additionally capped by ``deadline``
-        (a ``time.monotonic()`` instant) when the router imposes a shared
-        one — so closing a group is bounded by the slowest *single*
-        replica, never the sum.
+        The server gets its own ``drain_timeout_s`` (or ``drain_timeout``
+        if given), additionally capped by ``deadline`` (a
+        ``time.monotonic()`` instant) when the router imposes a shared
+        one.  An old server a concurrent :meth:`reload` is draining stays
+        that reload's to retire.
         """
         with self._cv:
-            if self._closed and not self._replicas:
-                return
             self._closed = True
-            replicas = list(self._replicas)
-            self._cv.notify_all()
-        threads = [
-            threading.Thread(
-                target=self._drain_and_retire,
-                args=(r, deadline, drain_timeout),
-                name=f"uhd-drain-{r.name}",
-            )
-            for r in replicas
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            server, self._server = self._server, None
+            if server is not None:
+                self._draining.append(server)
+        if server is not None:
+            self._retire(server, deadline, drain_timeout)
 
     # ------------------------------------------------------------ dispatch
-    def _acquire(self) -> Replica:
-        with self._cv:
-            if self._closed:
-                raise ServeError(f"deployment {self.model_id!r} is closed")
-            ready = [r for r in self._replicas if r.state == "ready"]
-            if not ready:
-                raise ServeError(
-                    f"no ready replicas for model {self.model_id!r} "
-                    f"(generation {self.generation})"
-                )
-            # least-loaded, slot as a deterministic tie-break
-            replica = min(ready, key=lambda r: (r.inflight, r.slot))
-            replica.inflight += 1
-            return replica
-
-    def _release(self, replica: Replica) -> None:
-        with self._cv:
-            replica.inflight -= 1
-            self._cv.notify_all()  # wake drains waiting on in-flight == 0
-
-    def _mark_failed(self, replica: Replica) -> None:
-        """Pull a dead replica out of rotation (its server already failed)."""
-        with self._cv:
-            if replica.state not in ("ready", "draining"):
-                return
-            replica.state = "failed"
-            self._cv.notify_all()
-        try:
-            replica.close(0.0)
-        except Exception:
-            pass
-
     def submit(
         self,
         images: Any,
@@ -235,41 +169,29 @@ class ModelDeployment:
         *,
         lane: str | None = None,
         deadline_ms: float | None = None,
-    ) -> RoutedHandle:
-        """Route one request to the least-loaded ready replica.
+    ) -> PredictionHandle:
+        """Submit one request to the current generation's server.
 
-        A :class:`ServeError` from a replica whose server turns out to be
-        dead marks it failed and retries the next-least-loaded sibling;
-        only when every candidate is exhausted does the error propagate.
-        ``ValueError`` (bad lane, wrong pixel count) is the caller's bug
-        and is never retried.
+        A dead server raises :class:`ServeError` until a :meth:`reload`
+        replaces it.
         """
         with self._cv:
-            attempts = max(1, len(self._replicas))
-        last_error: ServeError | None = None
-        for _ in range(attempts):
-            replica = self._acquire()
-            try:
-                handle = replica.server.submit(
-                    images, timeout=timeout, lane=lane, deadline_ms=deadline_ms
-                )
-            except ServeError as exc:
-                self._release(replica)
-                last_error = exc
-                healthy = False
-                try:
-                    healthy = bool(replica.server.healthz()["ok"])
-                except Exception:
-                    healthy = False
-                if not healthy:
-                    self._mark_failed(replica)
-                continue  # backpressure on a healthy replica: try a sibling
-            except BaseException:
-                self._release(replica)
-                raise
-            return RoutedHandle(handle, replica, self._release)
-        assert last_error is not None
-        raise last_error
+            if self._closed:
+                raise ServeError(f"deployment {self.model_id!r} is closed")
+            server = self._server
+            if server is None:
+                raise ServeError(f"deployment {self.model_id!r} was never started")
+            self._entering[server] = self._entering.get(server, 0) + 1
+        try:
+            return server.submit(
+                images, timeout=timeout, lane=lane, deadline_ms=deadline_ms
+            )
+        finally:
+            with self._cv:
+                self._entering[server] -= 1
+                if not self._entering[server]:
+                    del self._entering[server]
+                    self._cv.notify_all()
 
     def predict(
         self,
@@ -287,25 +209,17 @@ class ModelDeployment:
     def num_pixels(self) -> int | None:
         """Pixel geometry of the currently served model (for raw decode)."""
         with self._cv:
-            replicas = list(self._replicas)
-        for replica in replicas:
-            pixels = replica.server.num_pixels
-            if pixels:
-                return pixels
-        return None
+            server = self._server
+        return None if server is None else server.num_pixels
 
     # ------------------------------------------------------------ reload
     def reload(self, model_path: str | None = None) -> dict:
-        """Rolling hot reload: swap in a fresh generation, add-before-remove.
+        """Hot reload: swap in a fresh generation, add-before-remove.
 
-        For each of ``spec.replicas`` slots: start one replica of the new
-        generation from ``model_path`` (current path if ``None``), wait
-        for its readiness probe, put it in rotation, then drain and
-        retire one old-generation replica.  Ready count therefore stays
-        at or above target throughout — never near the ``min_ready``
-        floor unless replicas had already failed.  If a new replica fails
-        to start, the rollout aborts with the old generation still
-        serving (replicas already swapped in stay).
+        Boots one server from ``model_path`` (current path if ``None``)
+        behind its readiness probe, makes it current, then drains and
+        closes the old one.  If the new server fails to start, the old
+        generation keeps serving.
         """
         t0 = time.monotonic()
         with self._cv:
@@ -319,155 +233,89 @@ class ModelDeployment:
                 )
             self._reloading = True
             from_generation = self.generation
-            new_generation = self.generation + 1
         path = self.model_path if model_path is None else str(model_path)
-        replaced = 0
         try:
-            for _ in range(self.spec.replicas):
-                fresh = self._new_replica(new_generation, path)
-                self._start_replicas([fresh])  # raises -> abort, old gen serves on
-                with self._cv:
-                    self._replicas.append(fresh)
-                    self._cv.notify_all()
-                victim = self._pick_old_replica(new_generation)
-                if victim is not None:
-                    self._drain_and_retire(victim)
-                    replaced += 1
-            # sweep any stragglers (failed replicas don't get picked above)
-            while True:
-                leftover = None
-                with self._cv:
-                    for replica in self._replicas:
-                        if replica.generation < new_generation:
-                            leftover = replica
-                            break
-                if leftover is None:
-                    break
-                self._drain_and_retire(leftover)
-            with self._cv:
-                self.generation = new_generation
-                self.model_path = path
+            fresh = self._boot(path)  # raises -> abort, old gen serves on
+            old = self._install(fresh, path)
+            if old is not None:
+                self._retire(old)
         finally:
             with self._cv:
                 self._reloading = False
-                self._cv.notify_all()
         return {
             "model": self.model_id,
             "path": path,
             "from_generation": from_generation,
-            "to_generation": new_generation,
-            "replaced": replaced,
+            "to_generation": from_generation + 1,
             "duration_s": time.monotonic() - t0,
         }
 
-    def _pick_old_replica(self, new_generation: int) -> Replica | None:
-        with self._cv:
-            old = [
-                r
-                for r in self._replicas
-                if r.generation < new_generation and r.state == "ready"
-            ]
-            if not old:
-                return None
-            # retire oldest generation first, busiest slot last
-            return min(old, key=lambda r: (r.generation, r.inflight, r.slot))
-
-    def _drain_and_retire(
+    def _retire(
         self,
-        replica: Replica,
+        server: UHDServer,
         deadline: float | None = None,
         drain_timeout: float | None = None,
     ) -> None:
-        """Stop routing to ``replica``, wait out in-flight work, close it.
+        """Wait out submits entering ``server``, close it, merge its stats.
 
-        Draining first (state change) and only then closing is what makes
-        reloads zero-drop: a dispatcher that acquired this replica while
-        it was still ready holds an in-flight slot, and we wait for all
-        slots to clear before ``server.close`` — so no request ever hits
-        a closed server.  The wait is bounded by the replica's own
-        ``drain_timeout_s`` (and the shared ``deadline``, if any).
+        ``server`` is already out of rotation, so no new submit reaches
+        it; one that read it just before the swap may still be blocked
+        on backpressure inside ``server.submit``.  Waiting for those
+        before ``server.close`` is what makes reloads zero-drop, and
+        ``close`` drains every part the server accepted.  Both waits
+        share the server's ``drain_timeout_s`` (and ``deadline``).
         """
         window = (
-            replica.server.config.drain_timeout_s
-            if drain_timeout is None
-            else drain_timeout
+            server.config.drain_timeout_s if drain_timeout is None else drain_timeout
         )
         drain_deadline = time.monotonic() + max(0.0, window)
         if deadline is not None:
             drain_deadline = min(drain_deadline, deadline)
         with self._cv:
-            if replica.state in ("retired",):
-                return
-            if replica.state not in ("failed",):
-                replica.state = "draining"
-            self._cv.notify_all()
-            while replica.inflight > 0:
+            while self._entering.get(server):
                 remaining = drain_deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                self._cv.wait(min(0.05, remaining))
-        # close outside the lock; the server drains its own queues too
+                self._cv.wait(remaining)
+        # close outside the lock; the server drains its own queues
         try:
-            replica.close(max(0.0, drain_deadline - time.monotonic()))
+            server.close(max(0.0, drain_deadline - time.monotonic()))
         except Exception:
             pass
         final = replace(
-            replica.server.stats(),
-            workers=0,
-            worker_probe_ms=(),
-            worker_table_builds=(),
+            server.stats(), workers=0, worker_probe_ms=(), worker_table_builds=()
         )
         with self._cv:
-            retired = [final] if self._retired is None else [self._retired, final]
-            self._retired = ServerStats.merge(retired, mode=self._mode)
-            self._retired_generations += 1
-            replica.state = "retired"
-            if replica in self._replicas:
-                self._replicas.remove(replica)
-            self._cv.notify_all()
+            # merged only by the caller that removes it from the list
+            if server in self._draining:
+                self._draining.remove(server)
+                retired = [final] if self._retired is None else [self._retired, final]
+                self._retired = ServerStats.merge(retired, mode=self._mode)
 
     # ------------------------------------------------------------ health/stats
     def healthz(self) -> dict:
-        """Deployment readiness with explicit ``degraded`` semantics.
+        """The current server's ``healthz()`` plus the deployment keys.
 
-        ``ok`` while at least ``min_ready`` replicas are ready — a
-        deployment mid-reload therefore stays healthy.  ``degraded`` is
-        ``True`` when serving below the target replica count but at or
-        above the floor (e.g. a failed replica awaiting the next reload).
+        ``ok`` while the deployment is started, not closed, and its
+        server is healthy — a deployment mid-reload keeps serving on the
+        old generation, so it stays healthy.
         """
         with self._cv:
-            replicas = list(self._replicas)
-            states = {name: 0 for name in ("starting", "ready", "draining", "failed")}
-            for replica in replicas:
-                if replica.state in states:
-                    states[replica.state] += 1
-            ready = states["ready"]
-            ok = self._started and not self._closed and ready >= self.spec.min_ready
-            degraded = bool(ok and ready < self.spec.replicas)
-            status = "ok" if ok else "unavailable"
-            if degraded:
-                status = "degraded"
-            health = {
+            server = self._server
+            alive = self._started and not self._closed
+            head = {
                 "model": self.model_id,
-                "ok": bool(ok),
-                "status": status,
-                "degraded": degraded,
                 "generation": self.generation,
-                "target_replicas": self.spec.replicas,
-                "min_ready": self.spec.min_ready,
-                "ready_replicas": ready,
-                "starting": states["starting"],
-                "draining": states["draining"],
-                "failed": states["failed"],
                 "reloading": self._reloading,
             }
-        # each replica's own liveness and readiness-probe result, read
-        # outside the deployment lock (servers are never called under it)
-        health["replicas"] = [
-            {"name": replica.name, **replica.server.healthz()}
-            for replica in replicas
-        ]
-        return health
+        health = server.healthz() if server is not None else {}
+        ok = bool(alive and health.get("ok"))
+        return {
+            **health,
+            **head,
+            "ok": ok,
+            "status": "ok" if ok else "unavailable",
+        }
 
     @property
     def _mode(self) -> str:
@@ -476,30 +324,26 @@ class ModelDeployment:
     def snapshot(self, transports: tuple = ()) -> tuple[ServerStats, dict]:
         """The merged :class:`ServerStats` of the deployment, plus its fleet keys.
 
-        The snapshot is one :meth:`ServerStats.merge` over every live
-        replica and the retired generations, so counters and per-lane
-        latency histograms carry across hot reloads without loss.
-        ``transports`` are the wire counters of the router in front.
-        The fleet dict holds ``model``, ``path``, ``generation``,
-        ``target_replicas``, ``ready_replicas``, ``retired_replicas``
-        and one ``replicas`` row per live replica.
+        The snapshot is one :meth:`ServerStats.merge` over the current
+        server, any draining ones and the retired generations, so
+        counters and per-lane latency histograms carry across hot
+        reloads without loss.  ``transports`` are the wire counters of
+        the router in front.  The fleet dict holds ``model``, ``path``
+        and ``generation``.
         """
         with self._cv:
-            replicas = list(self._replicas)
+            servers = [self._server] if self._server is not None else []
+            servers += self._draining
             retired = [] if self._retired is None else [self._retired]
             fleet = {
                 "model": self.model_id,
                 "path": self.model_path,
                 "generation": self.generation,
-                "target_replicas": self.spec.replicas,
-                "retired_replicas": self._retired_generations,
             }
-        live = [replica.server.stats() for replica in replicas]
-        rows = [replica.summary(s) for replica, s in zip(replicas, live)]
-        fleet["ready_replicas"] = sum(row["state"] == "ready" for row in rows)
-        fleet["replicas"] = rows
         merged = ServerStats.merge(
-            live + retired, mode=self._mode, transports=tuple(transports)
+            [s.stats() for s in servers] + retired,
+            mode=self._mode,
+            transports=tuple(transports),
         )
         return merged, fleet
 
@@ -521,9 +365,6 @@ class ModelDeployment:
             "path": self.model_path,
             "generation": health["generation"],
             "status": health["status"],
-            "replicas": health["target_replicas"],
-            "ready": health["ready_replicas"],
-            "min_ready": health["min_ready"],
             "reloading": health["reloading"],
         }
 
@@ -532,9 +373,10 @@ class Router:
     """Front door for a model zoo: named deployments, one dispatch API.
 
     ``deployments`` maps model-id -> :class:`DeploymentSpec` (a bare
-    path string is shorthand for a single-replica spec).  Ids become URL
-    path segments (``/models/<id>/predict``), so they must be non-empty
-    and slash-free.  The deployment map is fixed at construction; what
+    path string is shorthand for a spec with the default
+    :class:`ServeConfig`).  Ids become URL path segments
+    (``/models/<id>/predict``), so they must be non-empty and
+    slash-free.  The deployment map is fixed at construction; what
     *changes* at runtime is each deployment's model generation, via
     :meth:`reload`.
     """
@@ -561,7 +403,7 @@ class Router:
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "Router":
-        """Start every deployment (their replica groups boot concurrently)."""
+        """Start every deployment; their servers boot concurrently."""
         with self._lock:
             if self._started:
                 return self
@@ -595,7 +437,7 @@ class Router:
         The deadline is ``now + max`` over the deployments' own
         ``drain_timeout_s`` (or the explicit ``drain_timeout``), so total
         shutdown is bounded by the slowest single deployment — not the
-        sum of all drain windows (satellite: concurrent shutdown).
+        sum of all drain windows.
         """
         with self._lock:
             if self._closed:
@@ -656,7 +498,7 @@ class Router:
         *,
         lane: str | None = None,
         deadline_ms: float | None = None,
-    ) -> RoutedHandle:
+    ) -> PredictionHandle:
         return self.deployment(model_id).submit(
             images, timeout=timeout, lane=lane, deadline_ms=deadline_ms
         )
@@ -675,7 +517,7 @@ class Router:
         )
 
     def reload(self, model_id: str, model_path: str | None = None) -> dict:
-        """Rolling hot reload of one deployment (see ``ModelDeployment.reload``)."""
+        """Hot reload of one deployment (see ``ModelDeployment.reload``)."""
         return self.deployment(model_id).reload(model_path)
 
     # ------------------------------------------------------------ health/stats
@@ -684,21 +526,15 @@ class Router:
         return [d.listing() for d in self._deployments.values()]
 
     def healthz(self) -> dict:
-        """Router readiness: healthy iff every deployment is at ``min_ready``."""
+        """Router readiness: healthy iff every deployment is healthy."""
         deployments = [d.healthz() for d in self._deployments.values()]
         with self._lock:
             alive = self._started and not self._closed
         ok = alive and all(d["ok"] for d in deployments)
-        degraded = ok and any(d["degraded"] for d in deployments)
-        status = "ok" if ok else "unavailable"
-        if degraded:
-            status = "degraded"
         return {
             "ok": bool(ok),
-            "status": status,
-            "degraded": bool(degraded),
+            "status": "ok" if ok else "unavailable",
             "deployments": len(deployments),
-            "ready_replicas": sum(d["ready_replicas"] for d in deployments),
             "models": deployments,
         }
 

@@ -5,8 +5,8 @@
 * **one warm front-end model** (loaded via :func:`repro.api.load_model`,
   never re-fit) whose encoder comes from the process-wide
   :class:`~repro.serve.cache.EncoderCache` — one set of gather tables
-  per ``(pixels, config)`` key no matter how many servers/replicas run
-  in the process, warmed *before* workers start.  The start method
+  per ``(pixels, config)`` key no matter how many servers run in the
+  process, warmed *before* workers start.  The start method
   decides how workers get it: ``fork`` children share it copy-on-write;
   ``spawn``/``forkserver`` children attach one table file the server
   writes and deletes;
@@ -33,8 +33,8 @@ they were coalesced with (``tests/serve/test_server.py`` asserts this
 against every built-in backend).
 
 How requests *reach* ``submit`` is the business of the layers above:
-a :class:`~repro.serve.router.Router` dispatches to its replicas'
-servers, and the HTTP and binary transports front only a router, so
+a :class:`~repro.serve.router.Router` dispatches to each deployment's
+current server, and the HTTP and binary transports front only a router, so
 the contract above covers every wire identically.
 """
 
@@ -809,7 +809,7 @@ class UHDServer:
 
         Request/batch counters, per-lane scheduler depth/served/expired,
         and the process-wide encoder cache (table bytes, live table
-        files).  A deployment merges its replicas' snapshots
+        files).  A deployment merges its servers' snapshots
         into the document the HTTP ``/stats`` endpoint serves.
         """
         scheduler = self._scheduler

@@ -3,8 +3,8 @@
 The serving stack is deliberately transport-agnostic — the router,
 scheduler and worker pool neither know nor care whether a request
 arrived as a Python call or over a socket.  Every transport fronts a
-``Router``; ``repro-uhd serve`` is a router with one deployment of one
-replica, so there is exactly one serving path.
+``Router``; ``repro-uhd serve`` is a router with one deployment, so
+there is exactly one serving path.
 
 * :class:`Transport` — the tiny protocol every transport satisfies
   (``start`` / ``close`` / ``address``).
@@ -39,22 +39,22 @@ HTTP endpoints
     ``/stats`` serves the default model's.  Request/batch counters,
     per-lane depth/served/expired plus latency quantiles, encoder-cache
     table bytes, this router's wire counters, and the fleet keys
-    (generation, replica counts and rows).
+    (model, path, generation).
 ``GET /healthz`` and ``GET /models/<id>/healthz``
-    200 while **every** deployment (or the named one) is at or above its
-    ``min_ready`` floor — a deployment mid-reload stays healthy — else
-    503.  The body carries ``status`` (``ok`` / ``degraded`` /
-    ``unavailable``) and each replica's liveness and readiness-probe
-    result (the same deterministic-predictions check ``serve-check``
-    runs).
+    200 while **every** deployment (or the named one) has a healthy
+    current server — a deployment mid-reload keeps serving on the old
+    generation, so it stays healthy — else 503.  The body carries
+    ``status`` (``ok`` / ``unavailable``) and the server's liveness and
+    readiness-probe result (the same deterministic-predictions check
+    ``serve-check`` runs).
 ``GET /models``
     200 with ``{"models": [...]}`` — one listing row per deployment
-    (id, path, generation, ready/target replicas, status).
+    (id, path, generation, status, reloading).
 ``GET /metrics``
     200 with the Prometheus text exposition (0.0.4) rendered by
     :func:`repro.serve.metrics.render_metrics` — the same counters as
     ``/stats`` with a ``model`` label, one histogram per lane
-    (``uhd_lane_latency_seconds``) and the deployment fleet gauges.
+    (``uhd_lane_latency_seconds``) and the deployment's generation gauge.
 
 Lifecycle: the transport *borrows* the router — ``close()`` stops
 accepting connections and joins in-flight handler threads, but never

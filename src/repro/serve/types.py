@@ -196,7 +196,7 @@ class ServerStats:
     ``cache`` the process-wide :class:`~repro.serve.cache.CacheStats`
     (encoder entries, gather-table bytes, live table files).  A
     deployment's ``/stats`` document is the :meth:`merge` of its
-    replicas' snapshots serialized via :meth:`as_dict`, plus the fleet
+    servers' snapshots serialized via :meth:`as_dict`, plus the fleet
     keys (see :meth:`~repro.serve.router.ModelDeployment.stats`).
     """
 
@@ -232,13 +232,14 @@ class ServerStats:
         mode: str,
         transports: "tuple[TransportSnapshot, ...]" = (),
     ) -> "ServerStats":
-        """One snapshot for several servers (a deployment's replicas).
+        """One snapshot for several servers (a deployment's generations).
 
         Counters are summed and each lane's rows are joined with
         :meth:`LaneStats.merge`, so per-lane histograms merge losslessly
-        across replicas and retired generations.  ``max_batch_seen`` is
-        the maximum, ``mean_batch_size`` is re-weighted by batch count,
-        and the per-worker tuples are concatenated.
+        across a deployment's current, draining and retired servers.
+        ``max_batch_seen`` is the maximum, ``mean_batch_size`` is
+        re-weighted by batch count, and the per-worker tuples are
+        concatenated.
         """
         parts = list(parts)
         batches = sum(p.batches for p in parts)

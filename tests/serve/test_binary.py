@@ -145,7 +145,7 @@ class TestCodec:
 
 
 def _router(model_path, config: ServeConfig) -> Router:
-    """One deployment of one replica: the router ``repro-uhd serve`` runs."""
+    """One deployment: the router ``repro-uhd serve`` runs."""
     return Router({"m": DeploymentSpec(model_path, serve=config)})
 
 

@@ -160,21 +160,19 @@ class TestServeHttpCli:
 
 class TestRouteCli:
     def test_route_two_models_in_process(self, zoo_model_paths, capsys):
-        argv = ["route", "--replicas", "2", "--workers", "0",
-                "--rounds", "2", "--batch", "4"]
+        argv = ["route", "--workers", "0", "--rounds", "2", "--batch", "4"]
         for name, path in zoo_model_paths.items():
             argv += ["--model", f"{name}={path}"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         for name in zoo_model_paths:
-            assert f"model {name}: generation 1, 2/2 replica(s) ready" in out
+            assert f"model {name}: generation 1, ok" in out
         assert "verify OK" in out
         assert "shutdown clean" in out
 
     def test_route_http_with_reload(self, zoo_model_paths, capsys):
-        argv = ["route", "--replicas", "2", "--workers", "0",
-                "--rounds", "2", "--batch", "4", "--http-port", "0",
-                "--reload"]
+        argv = ["route", "--workers", "0", "--rounds", "2", "--batch", "4",
+                "--http-port", "0", "--reload"]
         for name, path in zoo_model_paths.items():
             argv += ["--model", f"{name}={path}"]
         assert main(argv) == 0
@@ -224,8 +222,7 @@ class TestRouteDaemonDrainSummary:
                 sys.executable, "-c",
                 "from repro.cli import main; raise SystemExit(main("
                 f"['route', '--model', 'm={model_path}', '--workers', '0',"
-                " '--replicas', '1', '--http-port', '0',"
-                " '--serve-forever']))",
+                " '--http-port', '0', '--serve-forever']))",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

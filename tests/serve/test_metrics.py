@@ -35,7 +35,7 @@ TWO_LANES = (
 
 
 def _router(model_path, config: ServeConfig) -> Router:
-    """One deployment of one replica: the router ``repro-uhd serve`` runs."""
+    """One deployment: the router ``repro-uhd serve`` runs."""
     return Router({"m": DeploymentSpec(model_path, serve=config)})
 
 
@@ -121,9 +121,7 @@ class TestMetricsOverHttp:
         self, zoo_model_paths, zoo_data
     ):
         specs = {
-            name: DeploymentSpec(
-                path, replicas=1, serve=ServeConfig(workers=0)
-            )
+            name: DeploymentSpec(path, serve=ServeConfig(workers=0))
             for name, path in zoo_model_paths.items()
         }
         with Router(specs) as router:
@@ -136,16 +134,6 @@ class TestMetricsOverHttp:
         families = parse_exposition(body.decode("utf-8"))
         for name in specs:
             assert _sample(families, "uhd_deployment_generation", model=name) == 1
-            assert (
-                _sample(families, "uhd_deployment_ready_replicas", model=name)
-                == 1
-            )
-            assert (
-                _sample(
-                    families, "uhd_deployment_retired_replicas_total", model=name
-                )
-                == 0
-            )
         assert _sample(families, "uhd_requests_total", model=first) == 1
         # per-lane histogram rows carry both model and lane labels
         count = _sample(

@@ -1,16 +1,18 @@
-"""Router layer: model zoo dispatch, rolling hot reload, fleet health.
+"""Router layer: model zoo dispatch, hot reload, deployment health.
 
 Contract 5 extended to the fleet: the router only *routes* — for every
-model in the zoo, over every transport, across replica failover and
-generation swaps, labels stay bit-exact with ``load_model(path).predict``
-on that model's file.  Rolling reload must complete under sustained
-traffic with zero failed or dropped requests, and a deployment mid-swap
-(or down a replica) must report healthy while at/above ``min_ready``.
+model in the zoo, over every transport, across generation swaps, labels
+stay bit-exact with ``load_model(path).predict`` on that model's file.
+A reload must complete under sustained traffic with zero failed or
+dropped requests and conserved counters; a dead server makes its
+deployment unavailable until a reload replaces it; a close that races a
+reload leaks no server and counts no traffic twice.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -23,9 +25,11 @@ from repro.api import load_model
 from repro.serve import (
     DeploymentSpec,
     HttpTransport,
+    PredictionHandle,
     Router,
     ServeConfig,
     ServeError,
+    UHDServer,
 )
 
 
@@ -44,34 +48,32 @@ def _get_json(address: str, path: str, timeout: float = 30.0) -> dict:
         return json.load(response)
 
 
-def _zoo_specs(zoo_model_paths, replicas=2, min_ready=1, **serve_kwargs):
+def _zoo_specs(zoo_model_paths, **serve_kwargs):
     config = ServeConfig(workers=0, **serve_kwargs)
     return {
-        name: DeploymentSpec(
-            path, replicas=replicas, min_ready=min_ready, serve=config
-        )
+        name: DeploymentSpec(path, serve=config)
         for name, path in zoo_model_paths.items()
     }
 
 
+def _assert_conserved(stats: dict) -> None:
+    """Every lane item is accounted once: served or expired, and timed."""
+    for lane in stats["lanes"]:
+        done = lane["served"] + lane["expired"]
+        assert lane["depth"] == 0, lane["name"]
+        assert lane["submitted"] == done, lane["name"]
+        latency = lane["latency"]
+        assert latency["count"] + latency["excluded"] == done, lane["name"]
+
+
 @pytest.fixture
 def zoo_router(zoo_model_paths):
-    """A two-model, two-replica router on the in-process fallback."""
+    """A two-model router on the in-process fallback."""
     with Router(_zoo_specs(zoo_model_paths)) as router:
         yield router
 
 
 class TestSpecValidation:
-    def test_replicas_floor(self):
-        with pytest.raises(ValueError, match="replicas"):
-            DeploymentSpec("m.npz", replicas=0)
-
-    def test_min_ready_bounds(self):
-        with pytest.raises(ValueError, match="min_ready"):
-            DeploymentSpec("m.npz", replicas=2, min_ready=3)
-        with pytest.raises(ValueError, match="min_ready"):
-            DeploymentSpec("m.npz", replicas=2, min_ready=0)
-
     def test_model_ids_are_url_segments(self):
         with pytest.raises(ValueError, match="slash-free"):
             Router({"a/b": "m.npz"})
@@ -93,18 +95,6 @@ class TestDispatch:
         with pytest.raises(ValueError, match="fashion.*mnist|mnist.*fashion"):
             zoo_router.predict("nope", next(iter(zoo_data.values())).test_images)
 
-    def test_least_loaded_picks_idle_replica(self, zoo_router, zoo_data):
-        name = next(iter(zoo_data))
-        deployment = zoo_router.deployment(name)
-        first = deployment._acquire()
-        second = deployment._acquire()
-        # with slot 0 holding one in-flight request, dispatch must prefer
-        # the idle sibling; ties break deterministically on slot order
-        assert first.slot == 0
-        assert second.slot == 1
-        deployment._release(second)
-        deployment._release(first)
-
     def test_requests_aggregate_across_replicas(self, zoo_router, zoo_data):
         name, data = next(iter(zoo_data.items()))
         for _ in range(6):
@@ -113,52 +103,38 @@ class TestDispatch:
         assert stats["requests"] == 6
         assert stats["images"] == 24
 
-    def test_failover_marks_dead_replica_and_serves(self, zoo_router, zoo_data):
-        name, data = next(iter(zoo_data.items()))
-        deployment = zoo_router.deployment(name)
-        victim = deployment._replicas[0]
-        victim.server.close(0.0)  # simulate a died-in-place server
-        labels = zoo_router.predict(name, data.test_images[:4], timeout=30.0)
-        assert labels.shape == (4,)
-        health = deployment.healthz()
-        assert health["failed"] == 1 and health["ok"]
-
-    def test_submit_handle_reports_model_and_replica(self, zoo_router, zoo_data):
+    def test_submit_returns_the_servers_handle(
+        self, zoo_router, zoo_data, zoo_direct_labels
+    ):
         name, data = next(iter(zoo_data.items()))
         handle = zoo_router.submit(name, data.test_images[:3], timeout=30.0)
-        assert handle.model_id == name
+        assert isinstance(handle, PredictionHandle)
         assert handle.rows == 3
-        assert name in handle.replica_name
-        handle.result(30.0)
+        labels = handle.result(30.0)
+        assert np.array_equal(labels, zoo_direct_labels[name][:3])
 
 
 class TestHealthz:
     def test_healthy_at_target(self, zoo_router):
         health = zoo_router.healthz()
         assert health["ok"] and health["status"] == "ok"
-        assert not health["degraded"]
-        assert health["ready_replicas"] == 2 * len(zoo_router.deployments)
+        assert health["deployments"] == len(zoo_router.deployments)
+        for row in health["models"]:
+            assert row["ok"] and row["status"] == "ok"
+            assert row["generation"] == 1 and row["reloading"] is False
+            assert row["mode"] == "inproc"  # the server's own healthz keys
 
-    def test_degraded_below_target_above_min(self, zoo_router, zoo_data):
+    def test_unavailable_when_server_dead(self, zoo_router, zoo_data):
         name = next(iter(zoo_data))
         deployment = zoo_router.deployment(name)
-        deployment._mark_failed(deployment._replicas[0])
-        dep_health = deployment.healthz()
-        assert dep_health["ok"], "min_ready satisfied -> still healthy"
-        assert dep_health["degraded"] and dep_health["status"] == "degraded"
-        router_health = zoo_router.healthz()
-        assert router_health["ok"] and router_health["status"] == "degraded"
-
-    def test_unavailable_below_min_ready(self, zoo_router, zoo_data):
-        name = next(iter(zoo_data))
-        deployment = zoo_router.deployment(name)
-        for replica in list(deployment._replicas):
-            deployment._mark_failed(replica)
+        deployment._server._failure = ServeError("worker pool lost")
         dep_health = deployment.healthz()
         assert not dep_health["ok"]
         assert dep_health["status"] == "unavailable"
-        assert not zoo_router.healthz()["ok"]
-        with pytest.raises(ServeError, match="no ready replicas"):
+        router_health = zoo_router.healthz()
+        assert not router_health["ok"]
+        assert router_health["status"] == "unavailable"
+        with pytest.raises(ServeError, match="server failed"):
             deployment.predict(np.zeros((1, deployment.num_pixels or 784)))
 
 
@@ -171,12 +147,10 @@ class TestReload:
         report = zoo_router.reload(name)
         assert report["from_generation"] == 1
         assert report["to_generation"] == 2
-        assert report["replaced"] == 2
         labels = zoo_router.predict(name, data.test_images, timeout=30.0)
         assert np.array_equal(labels, zoo_direct_labels[name])
         after = zoo_router.deployment(name).stats()
         assert after["generation"] == 2
-        assert after["retired_replicas"] == 2
         # aggregation carries retired generations: totals never reset
         assert after["requests"] >= before["requests"] + 1
 
@@ -197,15 +171,19 @@ class TestReload:
     def test_reload_under_sustained_traffic_zero_failures(
         self, zoo_model_paths, zoo_data, zoo_direct_labels
     ):
-        """The tentpole invariant: a rolling swap drops nothing, ever."""
-        specs = _zoo_specs(zoo_model_paths, replicas=2)
+        """The tentpole invariant: a swap drops nothing, ever."""
+        specs = _zoo_specs(zoo_model_paths)
         failures: list[str] = []
         mismatches: list[str] = []
+        submits = {name: 0 for name in zoo_data}
+        count_lock = threading.Lock()
         stop = threading.Event()
 
         with Router(specs) as router:
             def client(name: str, queries: np.ndarray) -> None:
                 while not stop.is_set():
+                    with count_lock:
+                        submits[name] += 1
                     try:
                         labels = router.predict(name, queries, timeout=30.0)
                     except Exception as exc:  # noqa: BLE001 - recorded
@@ -222,52 +200,87 @@ class TestReload:
                 for name, data in zoo_data.items()
                 for _ in range(2)
             ]
-            for thread in threads:
-                thread.start()
-            time.sleep(0.1)  # let traffic establish
-            reports = [router.reload(name) for name in zoo_data]
-            time.sleep(0.1)  # keep serving on the new generation
-            stop.set()
+            # frequent thread switches widen the submit/swap race windows
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                time.sleep(0.1)  # let traffic establish
+                reports = [router.reload(name) for name in zoo_data]
+                time.sleep(0.1)  # keep serving on the new generation
+            finally:
+                stop.set()
+                sys.setswitchinterval(interval)
             for thread in threads:
                 thread.join(timeout=30.0)
+                assert not thread.is_alive()
 
             assert failures == []
             assert mismatches == []
             for report in reports:
                 assert report["to_generation"] == 2
-                assert report["replaced"] == 2
-            health = router.healthz()
-            assert health["ok"] and not health["degraded"]
+            assert router.healthz()["ok"]
+            # counters conserved across the swap: one request per submit,
+            # every lane item served (or expired) exactly once
+            for name in zoo_data:
+                stats = router.stats(name)
+                assert stats["generation"] == 2
+                assert stats["requests"] == submits[name] > 0
+                _assert_conserved(stats)
 
     def test_reload_missing_file_keeps_old_generation(
         self, zoo_router, zoo_data, zoo_direct_labels
     ):
         name, data = next(iter(zoo_data.items()))
-        with pytest.raises(ServeError, match="replica start failed"):
+        with pytest.raises(ServeError, match="server start failed"):
             zoo_router.reload(name, "/nonexistent/model.npz")
         # old generation still serves, still bit-exact
         deployment = zoo_router.deployment(name)
         assert deployment.generation == 1
         health = deployment.healthz()
-        assert health["ok"] and health["ready_replicas"] == 2
+        assert health["ok"] and not health["reloading"]
         labels = zoo_router.predict(name, data.test_images, timeout=30.0)
         assert np.array_equal(labels, zoo_direct_labels[name])
 
 
+    def test_reload_recovers_a_dead_server(
+        self, zoo_router, zoo_data, zoo_model_paths
+    ):
+        """A dead server is unavailable until a reload replaces it."""
+        name, data = next(iter(zoo_data.items()))
+        deployment = zoo_router.deployment(name)
+        deployment._server._failure = ServeError("worker pool lost")
+        with HttpTransport(zoo_router) as transport:
+            for path in ("/healthz", f"/models/{name}/healthz"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _get_json(transport.address, path)
+                excinfo.value.close()
+                assert excinfo.value.code == 503, path
+        with pytest.raises(ServeError, match="server failed"):
+            zoo_router.submit(name, data.test_images[:2])
+        report = zoo_router.reload(name)
+        assert report["to_generation"] == deployment.generation == 2
+        labels = zoo_router.predict(name, data.test_images, timeout=30.0)
+        expected = load_model(zoo_model_paths[name]).predict(data.test_images)
+        assert np.array_equal(labels, expected)
+        assert zoo_router.healthz()["ok"]
+
+
 class TestConcurrentClose:
     def test_close_is_bounded_by_max_not_sum(self, zoo_model_paths):
-        specs = _zoo_specs(zoo_model_paths, replicas=1)
+        specs = _zoo_specs(zoo_model_paths)
         router = Router(specs).start()
         delay = 0.4
         for deployment in router.deployments.values():
-            for replica in deployment._replicas:
-                original = replica.close
+            server = deployment._server
+            original = server.close
 
-                def slow_close(t=None, _orig=original):
-                    time.sleep(delay)
-                    _orig(t)
+            def slow_close(t=None, _orig=original):
+                time.sleep(delay)
+                _orig(t)
 
-                replica.close = slow_close
+            server.close = slow_close
         t0 = time.monotonic()
         router.close()
         elapsed = time.monotonic() - t0
@@ -279,12 +292,106 @@ class TestConcurrentClose:
         )
 
     def test_close_idempotent_and_blocks_new_traffic(self, zoo_model_paths, zoo_data):
-        router = Router(_zoo_specs(zoo_model_paths, replicas=1)).start()
+        router = Router(_zoo_specs(zoo_model_paths)).start()
         router.close()
         router.close()  # second close is a no-op, not an error
         name, data = next(iter(zoo_data.items()))
         with pytest.raises(ServeError, match="closed"):
             router.predict(name, data.test_images[:2])
+
+
+    def test_close_during_reload_leaks_no_server(
+        self, zoo_model_paths, monkeypatch
+    ):
+        """A close that lands while the next generation boots closes it."""
+        name, path = next(iter(zoo_model_paths.items()))
+        started: list[UHDServer] = []
+        booted = threading.Event()
+        original_start = UHDServer.start
+
+        def slow_start(server):
+            started.append(server)
+            original_start(server)
+            if len(started) == 2:  # the reload's boot: hold it open
+                booted.set()
+                time.sleep(0.5)
+            return server
+
+        monkeypatch.setattr(UHDServer, "start", slow_start)
+        config = ServeConfig(workers=1, max_wait_ms=1.0)
+        router = Router({name: DeploymentSpec(path, serve=config)}).start()
+        errors: list[BaseException] = []
+
+        def reload() -> None:
+            try:
+                router.reload(name)
+            except ServeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=reload)
+        thread.start()
+        try:
+            assert booted.wait(30.0)
+            router.close()
+            thread.join(30.0)
+            assert not thread.is_alive()
+            assert len(started) == 2
+            leaked = [
+                server for server in started
+                if not server._closed
+                or any(worker.alive() for worker in server._workers)
+            ]
+        finally:
+            for server in started:  # a leaked server must not outlive the test
+                server.close(0.0)
+        assert leaked == []
+        deployment = router.deployment(name)
+        assert deployment._server is None and not deployment._draining
+        assert [type(e) for e in errors] == [ServeError]
+        assert "closed" in str(errors[0])
+
+    def test_close_during_reload_drain_counts_once(
+        self, zoo_model_paths, zoo_data, monkeypatch
+    ):
+        """The old generation is merged once, not by reload *and* close."""
+        name, path = next(iter(zoo_model_paths.items()))
+        images = zoo_data[name].test_images[:2]
+        started: list[UHDServer] = []
+        draining = threading.Event()
+        original_start, original_close = UHDServer.start, UHDServer.close
+
+        def record_start(server):
+            started.append(server)
+            return original_start(server)
+
+        def slow_close(server, drain_timeout=None):
+            if server is started[0]:
+                draining.set()
+                time.sleep(0.3)  # hold the old generation mid-drain
+            return original_close(server, drain_timeout)
+
+        monkeypatch.setattr(UHDServer, "start", record_start)
+        monkeypatch.setattr(UHDServer, "close", slow_close)
+        spec = DeploymentSpec(path, serve=ServeConfig(workers=0))
+        router = Router({name: spec}).start()
+        handles = [router.submit(name, images, timeout=30.0) for _ in range(6)]
+        for handle in handles[:-1]:
+            handle.result(30.0)
+        held = handles[-1]  # result unread across the reload
+        reload = threading.Thread(target=router.reload, args=(name,))
+        reload.start()
+        draining.wait(2.0)
+        close = threading.Thread(target=router.close)
+        close.start()
+        time.sleep(0.1)
+        held.result(30.0)
+        for thread in (reload, close):
+            thread.join(30.0)
+            assert not thread.is_alive()
+        stats = router.stats(name)
+        assert stats["requests"] == 6
+        assert stats["images"] == 12
+        _assert_conserved(stats)
 
 
 class TestHttpRouting:
@@ -293,12 +400,12 @@ class TestHttpRouting:
     def test_zoo_round_trip_bit_exact_over_http(
         self, start_method, zoo_model_paths, zoo_data, zoo_direct_labels
     ):
-        """Worker pools per replica, fork and spawn, per-model bit-exact."""
+        """Worker pools per model, fork and spawn, per-model bit-exact."""
         config = ServeConfig(
             workers=1, max_batch=32, start_method=start_method
         )
         specs = {
-            name: DeploymentSpec(path, replicas=1, serve=config)
+            name: DeploymentSpec(path, serve=config)
             for name, path in zoo_model_paths.items()
         }
         with Router(specs) as router:
@@ -320,7 +427,7 @@ class TestHttpRouting:
             assert {row["model"] for row in listing} == set(zoo_model_paths)
             for row in listing:
                 assert row["generation"] == 1
-                assert row["ready"] == row["replicas"] == 2
+                assert row["reloading"] is False
                 assert row["status"] == "ok"
 
     def test_default_predict_routes_to_first_model(
@@ -346,7 +453,8 @@ class TestHttpRouting:
             assert stats["model"] == name
             assert stats["requests"] >= 1
             health = _get_json(transport.address, f"/models/{name}/healthz")
-            assert health["ok"] and "degraded" in health
+            assert health["ok"] and health["model"] == name
+            assert health["generation"] == 1
 
     def test_router_healthz_aggregates(self, zoo_router):
         with HttpTransport(zoo_router) as transport:

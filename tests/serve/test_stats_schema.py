@@ -71,25 +71,6 @@ DOCUMENT_KEYS = SERVER_KEYS | {
     "model",
     "path",
     "generation",
-    "target_replicas",
-    "ready_replicas",
-    "retired_replicas",
-    "replicas",
-}
-
-REPLICA_ROW_KEYS = {
-    "name",
-    "generation",
-    "state",
-    "inflight",
-    "model_path",
-    "workers",
-    "requests",
-    "images",
-    "batches",
-    "mean_batch_size",
-    "restarts",
-    "expired",
 }
 
 
@@ -124,9 +105,7 @@ class TestServerStatsSchema:
 class TestRouterStatsSchema:
     @pytest.fixture()
     def documents(self, model_path, serve_data):
-        spec = DeploymentSpec(
-            model_path, replicas=1, serve=ServeConfig(workers=0)
-        )
+        spec = DeploymentSpec(model_path, serve=ServeConfig(workers=0))
         with Router({"m": spec}) as router:
             router.predict("m", serve_data.test_images[:4])
             return router.stats(), router.stats("m")
@@ -148,12 +127,6 @@ class TestRouterStatsSchema:
             assert set(lane) == LANE_KEYS
             assert set(lane["latency"]) == LATENCY_KEYS
 
-    def test_replica_rows(self, documents):
-        _, deployment_stats = documents
-        assert len(deployment_stats["replicas"]) == 1
-        for row in deployment_stats["replicas"]:
-            assert set(row) == REPLICA_ROW_KEYS
-
     def test_documents_are_json_serializable(self, documents):
         router_stats, deployment_stats = documents
         json.dumps(router_stats)
@@ -167,9 +140,7 @@ class TestGenerationMerge:
         """Two generations of traffic; the deployment's lane histogram
         must be their exact element-wise sum (no bucket loss) and its
         quantiles must stay inside the generations' envelope."""
-        spec = DeploymentSpec(
-            model_path, replicas=1, serve=ServeConfig(workers=0)
-        )
+        spec = DeploymentSpec(model_path, serve=ServeConfig(workers=0))
         with Router({"m": spec}) as router:
             deployment = router.deployment("m")
             for _ in range(6):
@@ -194,7 +165,7 @@ class TestGenerationMerge:
         assert all(
             m >= g for m, g in zip(merged.counts, gen1.counts)
         )
-        assert stats["retired_replicas"] == 1
+        assert stats["generation"] == 2
         (lane,) = stats["lanes"]
         assert lane["name"] == "default"
         assert lane["served"] == merged.count
@@ -207,9 +178,7 @@ class TestGenerationMerge:
         self, model_path, serve_data
     ):
         """Three generations: totals keep up, never reset, never double."""
-        spec = DeploymentSpec(
-            model_path, replicas=1, serve=ServeConfig(workers=0)
-        )
+        spec = DeploymentSpec(model_path, serve=ServeConfig(workers=0))
         per_generation = 3
         with Router({"m": spec}) as router:
             deployment = router.deployment("m")
@@ -223,7 +192,7 @@ class TestGenerationMerge:
                 if generation < 2:
                     router.reload("m")
             stats = deployment.stats()
-        assert stats["retired_replicas"] == 2
+        assert stats["generation"] == 3
         (lane,) = stats["lanes"]
         assert lane["latency"]["count"] == 3 * per_generation
         assert sum(lane["latency"]["counts"]) == 3 * per_generation

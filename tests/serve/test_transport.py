@@ -31,7 +31,7 @@ from repro.serve import (
 
 
 def _router(model_path, config: ServeConfig) -> Router:
-    """One deployment of one replica: the router ``repro-uhd serve`` runs."""
+    """One deployment: the router ``repro-uhd serve`` runs."""
     return Router({"m": DeploymentSpec(model_path, serve=config)})
 
 
@@ -278,11 +278,11 @@ class TestHttpObservability:
         _, transport = inproc_http
         health = _get_json(transport.address, "/healthz")
         assert health["ok"] is True and health["status"] == "ok"
-        (replica,) = health["models"][0]["replicas"]
-        assert replica["mode"] == "inproc"
-        assert replica["lanes"] == ["interactive", "bulk"]
-        assert replica["probe"]["deterministic"] is True
-        assert replica["probe"]["median_ms"] > 0
+        (model,) = health["models"]
+        assert model["mode"] == "inproc"
+        assert model["lanes"] == ["interactive", "bulk"]
+        assert model["probe"]["deterministic"] is True
+        assert model["probe"]["median_ms"] > 0
 
     def test_stats_exposes_lanes_and_cache(
         self, inproc_http, serve_data
@@ -330,8 +330,8 @@ class TestHttpPool:
                 )
                 health = _get_json(transport.address, "/healthz")
         assert np.array_equal(np.asarray(reply["labels"]), direct_labels)
-        (replica,) = health["models"][0]["replicas"]
-        assert replica["mode"] == "pool" and replica["workers_live"] == 2
+        (model,) = health["models"]
+        assert model["mode"] == "pool" and model["workers_live"] == 2
 
     @pytest.mark.parametrize("backend", ["packed", "reference"])
     def test_backends_bit_exact_over_http(
