@@ -554,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dim", type=int, default=1024,
                         help="hypervector dimension for the trained model")
     parser.add_argument("--backend", default="packed",
-                        help="registry backend for model and workers")
+                        help="backend-table name for model and workers")
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes per server (0 = in-process fallback)",

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import SobolLevelEncoder, UHDConfig
-from repro.api import get_backend
 from repro.fastpath import PackedLevelEncoder
 from repro.hardware import Simulator
 from repro.hardware.circuits import (
@@ -37,7 +36,7 @@ def encoded_queries():
 
 
 def _fitted_classifier(encoded, labels, backend):
-    clf = CentroidClassifier(10, 1024, binarize=True, backend=get_backend(backend))
+    clf = CentroidClassifier(10, 1024, binarize=True, backend=backend)
     return clf.fit(encoded, labels)
 
 

@@ -13,7 +13,7 @@ Quickstart::
     print(model.score(data.test_images, data.test_labels))
 
 Subpackages: :mod:`repro.api` (the stable public surface: Estimator
-protocol, named backend registry, versioned model persistence),
+protocol, the backend table, versioned model persistence),
 :mod:`repro.serve` (multi-process serving: pluggable transports —
 in-process, stdlib HTTP, and a framed binary socket fast lane — in
 front of a priority-lane scheduler and a warm-started worker pool,
@@ -22,7 +22,7 @@ readiness probing — see ``docs/serving.md``),
 (baseline HDC substrate), :mod:`repro.fastpath` (the bit-packed
 backend: packed hypervectors, LUT encoding, popcount inference —
 bit-exact with the reference and selected via ``UHDConfig.backend``
-through the registry — plus the shared gather-table stores of
+from the backend table — plus the shared gather-table stores of
 :mod:`repro.fastpath.tablestore`), :mod:`repro.unary` (unary bit-stream
 computing),
 :mod:`repro.lds` (low-discrepancy sequences), :mod:`repro.hardware`
@@ -39,7 +39,6 @@ from .api import (
     get_backend,
     list_backends,
     load_model,
-    register_backend,
     save_model,
 )
 from .core import (
@@ -76,7 +75,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "masking_binarize",
-    "register_backend",
     "save_model",
     "__version__",
 ]

@@ -4,10 +4,10 @@ This package is the stable surface a serving system builds against:
 
 * :class:`~repro.api.estimator.Estimator` — the fit/predict/score/save/load
   protocol every model in repro satisfies.
-* :class:`~repro.api.registry.Backend` and the **backend registry**
-  (:func:`register_backend` / :func:`get_backend` / :func:`list_backends`)
-  — named execution backends (``reference``, ``packed`` and ``auto``
-  built in); third-party backends plug in without touching core code, and ``UHDConfig.backend`` validates against the registry.
+* The **backend table** (:func:`get_backend` / :func:`list_backends`,
+  entries of type :class:`~repro.api.registry.Backend`) — the closed
+  choice ``auto | packed | reference`` that ``UHDConfig.backend``
+  validates against.
 * **Model persistence** (:func:`save_model` / :func:`load_model` /
   :class:`ModelFormatError`) — versioned ``.npz`` round-trips that are
   bit-exact and never re-encode training data; ``save_model(...,
@@ -35,15 +35,7 @@ Import note: submodules are loaded lazily (PEP 562) so that
 
 from __future__ import annotations
 
-from .registry import (
-    Backend,
-    get_backend,
-    is_registered_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
+from .registry import Backend, get_backend, list_backends
 
 __all__ = [
     "Backend",
@@ -52,14 +44,10 @@ __all__ = [
     "FORMAT_VERSION",
     "ModelFormatError",
     "get_backend",
-    "is_registered_backend",
     "list_backends",
     "load_model",
-    "register_backend",
-    "resolve_backend",
     "save_model",
     "table_sidecar_path",
-    "unregister_backend",
 ]
 
 #: attribute -> defining submodule, resolved lazily to keep this package

@@ -40,6 +40,8 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Mapping
 
 import numpy as np
 
+from .registry import BACKENDS
+
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import Estimator
 
@@ -52,6 +54,7 @@ __all__ = [
     "table_sidecar_path",
     "config_to_json",
     "config_from_json",
+    "saved_backend",
 ]
 
 #: magic string in every model file header; ``load_model`` rejects files
@@ -100,6 +103,27 @@ class ModelFormatError(Exception):
     """
 
 
+def saved_backend(name: Any) -> str:
+    """The backend-table name a model file's recorded backend loads onto.
+
+    The one place every load path (config JSON and the bare centroid
+    classifier) resolves a saved backend name.  The retired
+    ``"threaded"`` backend ran the packed kernels over threads; its
+    arithmetic is packed's, bit for bit, so its files load as
+    ``"packed"`` (which now fans out over threads by itself).  Any other
+    name outside :data:`repro.api.registry.BACKENDS` raises
+    :class:`ModelFormatError`.
+    """
+    if name == "threaded":
+        return "packed"
+    if name not in BACKENDS:
+        raise ModelFormatError(
+            f"model was saved with backend {name!r}, which is not one of "
+            f"{BACKENDS}"
+        )
+    return name
+
+
 def config_to_json(config: Any) -> str:
     """Frozen config dataclass -> canonical JSON string."""
     return json.dumps(asdict(config), sort_keys=True)
@@ -116,11 +140,8 @@ def config_from_json(payload: str, config_cls: type) -> Any:
         raw = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"config payload is not valid JSON: {exc}") from exc
-    if raw.get("backend") == "threaded":
-        # the retired "threaded" backend ran the packed kernels over
-        # threads; its arithmetic is packed's, bit for bit, so its files
-        # load as packed (which now fans out over threads by itself)
-        raw["backend"] = "packed"
+    if "backend" in raw:
+        raw["backend"] = saved_backend(raw["backend"])
     known = {f.name for f in fields(config_cls)}
     unknown = set(raw) - known
     if unknown:
@@ -130,9 +151,7 @@ def config_from_json(payload: str, config_cls: type) -> Any:
         )
     try:
         return config_cls(**raw)
-    except (ValueError, TypeError) as exc:
-        # corrupt field values, or a backend name whose plugin is not
-        # registered in this process
+    except (ValueError, TypeError) as exc:  # corrupt field values
         raise ModelFormatError(
             f"saved config does not validate: {exc}"
         ) from exc
@@ -278,8 +297,8 @@ def load_model(
     Loading reconstructs the encoder from config — it never touches or
     re-encodes training data.
 
-    ``backend`` re-homes the loaded model onto another registered
-    execution backend (``model.with_backend``), trained state intact —
+    ``backend`` re-homes the loaded model onto another backend-table
+    entry (``model.with_backend``), trained state intact —
     the single code path the CLI and the serving layer (front-end and
     every worker) share, so they can never re-home inconsistently.
     Raises ``ValueError`` for a model type that cannot switch backends.

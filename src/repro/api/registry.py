@@ -1,273 +1,126 @@
-"""Named backend registry — the single source of truth for execution backends.
+"""The backend table: every name ``UHDConfig.backend`` accepts.
 
-A *backend* bundles the two dispatch decisions the models used to make
-through hardcoded string tuples:
+The three backends are bit-exact renderings of one datapath and differ
+in only two decisions: which **encoder** implements ``encode_batch`` for
+a workload, and whether binarized **inference** runs on packed words.
 
-* which **encoder** implements ``encode_batch`` for a given workload, and
-* which **inference kernels** the centroid classifier runs on.
+* ``reference`` — always the original elementwise NumPy paths.
+* ``packed`` — force packed *encoding*, raising where it cannot apply
+  (non-quantized, too many pixels) so a forced selection never silently
+  degrades; inference runs packed only under ``binarize=True`` (the
+  centered-cosine default has no packed form — by design, not fallback).
+* ``auto`` (default) — packed wherever it is bit-exact and supported,
+  reference everywhere else.
 
-Backends are registered by name with a zero-argument factory so that
-registration stays import-light: looking up ``"packed"`` is what pulls in
-:mod:`repro.fastpath`, not importing this module.  ``UHDConfig.backend``
-validates against this registry, so a third-party backend registered
-*before* configs are built plugs into every model, the CLI and the
-benchmarks without touching core code::
-
-    from repro.api import Backend, register_backend
-
-    class FancyBackend:
-        name = "fancy"
-        ...
-
-    register_backend("fancy", FancyBackend)
-    model = UHDClassifier(784, 10, UHDConfig(backend="fancy"))
-
-Built-in backends (``reference``, ``packed``, ``auto``) are
-registered here with lazy factories; see :mod:`repro.fastpath.execution`
-for their implementations.
+Thread fan-out is not a backend decision: the packed encoder splits
+large batches over threads itself (see :mod:`repro.fastpath.encoder`).
+This module imports nothing heavy, so ``repro.core.config`` can
+validate against :data:`BACKENDS` without pulling in the fast path.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from ..core.config import UHDConfig
     from ..core.encoder import SobolLevelEncoder
 
-__all__ = [
-    "Backend",
-    "register_backend",
-    "unregister_backend",
-    "get_backend",
-    "resolve_backend",
-    "list_backends",
-    "is_registered_backend",
-]
+__all__ = ["BACKENDS", "Backend", "get_backend", "list_backends"]
+
+#: every backend name, the default (``auto``) first
+BACKENDS = ("auto", "packed", "reference")
 
 
-@runtime_checkable
-class Backend(Protocol):
-    """Execution backend: encoder construction + inference kernel policy.
+@dataclass(frozen=True)
+class Backend:
+    """One entry of :data:`BACKENDS`: encoder choice + inference policy.
 
-    Implementations must be stateless (or share only read-only state):
-    one instance is cached per registered name and handed to every model
-    that selects it, possibly from several threads.
+    Values are immutable and shared, so every model and thread that
+    selects a name gets the same object from :func:`get_backend`.
 
-    Example — the smallest useful custom backend, delegating encoding to
-    the reference path but forcing reference inference::
+    Example::
 
-        from repro.api import Backend, get_backend, register_backend
+        from repro.api import get_backend
 
-        class ReferenceOnly:
-            name = "ref-only"
-            def make_encoder(self, num_pixels, config):
-                return get_backend("reference").make_encoder(num_pixels, config)
-            def encoder_kind(self, config, num_pixels):
-                return "reference"
-            def use_packed_inference(self, binarize):
-                return False
-            def packed_predict(self, queries, class_words, dim):
-                raise NotImplementedError
-            def packed_cosine(self, query_words, class_words, dim):
-                raise NotImplementedError
-
-        register_backend("ref-only", ReferenceOnly)
+        backend = get_backend("auto")
+        backend.encoder_kind(config, 784)         # 'packed' when quantized
+        encoder = backend.make_encoder(784, config)
+        backend.use_packed_inference(binarize=True)   # True
     """
 
-    #: registry name; ``UHDConfig(backend=name)`` selects this backend
+    #: ``UHDConfig(backend=name)`` selects this entry
     name: str
-
-    def make_encoder(
-        self, num_pixels: int, config: "UHDConfig"
-    ) -> "SobolLevelEncoder":
-        """Build the encoder this backend runs ``encode_batch`` on."""
-        ...
 
     def encoder_kind(self, config: "UHDConfig", num_pixels: int) -> str:
         """``"packed"`` or ``"reference"`` — which encode path applies.
 
-        Raises ``ValueError`` when the backend is forced onto a workload
+        Raises ``ValueError`` when ``packed`` is forced onto a workload
         it cannot serve (so a forced selection never silently degrades).
         """
-        ...
+        if self.name == "reference":
+            return "reference"
+        from ..fastpath.encoder import PackedLevelEncoder
+
+        if self.name == "auto":
+            fits = config.quantized and num_pixels <= PackedLevelEncoder.MAX_PIXELS
+            return "packed" if fits else "reference"
+        if not config.quantized:
+            raise ValueError(
+                f"backend={self.name!r} requires quantized=True (the packed "
+                "encoder exploits the xi-level codes)"
+            )
+        if num_pixels > PackedLevelEncoder.MAX_PIXELS:
+            raise ValueError(
+                f"backend={self.name!r} supports up to "
+                f"{PackedLevelEncoder.MAX_PIXELS} pixels, got {num_pixels}"
+            )
+        return "packed"
+
+    def make_encoder(
+        self, num_pixels: int, config: "UHDConfig"
+    ) -> "SobolLevelEncoder":
+        """The encoder ``encode_batch`` runs on (per :meth:`encoder_kind`)."""
+        if self.encoder_kind(config, num_pixels) == "packed":
+            from ..fastpath.encoder import PackedLevelEncoder
+
+            return PackedLevelEncoder(num_pixels, config)
+        from ..core.encoder import SobolLevelEncoder
+
+        return SobolLevelEncoder(num_pixels, config)
 
     def use_packed_inference(self, binarize: bool) -> bool:
         """Whether classifier inference runs on packed words."""
-        ...
-
-    def packed_predict(
-        self, queries: "np.ndarray", class_words: "np.ndarray", dim: int
-    ) -> "np.ndarray":
-        """Winner-take-all labels from raw integer accumulator queries."""
-        ...
-
-    def packed_cosine(
-        self, query_words: "np.ndarray", class_words: "np.ndarray", dim: int
-    ) -> "np.ndarray":
-        """Binarized cosine similarities from packed queries."""
-        ...
+        return binarize and self.name != "reference"
 
 
-_FACTORIES: dict[str, Callable[[], Backend]] = {}
-_INSTANCES: dict[str, Backend] = {}
-#: serializes first-lookup instantiation so every thread sees one instance
-#: per name (the cached-instance invariant the Backend protocol documents);
-#: reentrant because a factory may legitimately compose another backend via
-#: get_backend() from inside its own construction
-_INSTANCE_LOCK = threading.RLock()
-
-
-def register_backend(
-    name: str, factory: Callable[[], Backend], *, replace: bool = False
-) -> None:
-    """Register ``factory`` under ``name``.
-
-    ``factory`` is called lazily (and at most once) on the first
-    :func:`get_backend` lookup; the instance is cached after that.  Pass
-    ``replace=True`` to overwrite an existing registration — without it a
-    name collision raises so two libraries cannot silently fight over a
-    name.
-
-    Example::
-
-        from repro.api import register_backend
-        from repro import UHDClassifier, UHDConfig
-
-        register_backend("fancy", FancyBackend)            # plug in by name
-        model = UHDClassifier(784, 10, UHDConfig(backend="fancy"))
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if not callable(factory):
-        raise TypeError(f"backend factory must be callable, got {factory!r}")
-    with _INSTANCE_LOCK:  # vs concurrent get_backend caching the old factory
-        if name in _FACTORIES and not replace:
-            raise ValueError(
-                f"backend {name!r} is already registered; pass replace=True "
-                "to override"
-            )
-        _FACTORIES[name] = factory
-        _INSTANCES.pop(name, None)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (mainly for tests / plugin teardown).
-
-    Removing an unknown name is a no-op.  Example::
-
-        register_backend("temp", TempBackend)
-        try:
-            ...
-        finally:
-            unregister_backend("temp")
-    """
-    with _INSTANCE_LOCK:
-        _FACTORIES.pop(name, None)
-        _INSTANCES.pop(name, None)
+_TABLE = {name: Backend(name) for name in BACKENDS}
 
 
 def list_backends() -> tuple[str, ...]:
-    """Registered backend names, registration order.
+    """Every backend name (:data:`BACKENDS`).
 
     Example::
 
         >>> from repro.api import list_backends
-        >>> sorted(list_backends())
-        ['auto', 'packed', 'reference']
+        >>> list_backends()
+        ('auto', 'packed', 'reference')
     """
-    return tuple(_FACTORIES)
-
-
-def is_registered_backend(name: str) -> bool:
-    """Whether ``name`` resolves to a registered backend.
-
-    Example::
-
-        >>> from repro.api import is_registered_backend
-        >>> is_registered_backend("packed"), is_registered_backend("gpu")
-        (True, False)
-    """
-    return name in _FACTORIES
+    return BACKENDS
 
 
 def get_backend(name: str) -> Backend:
-    """The (cached) backend instance registered under ``name``.
+    """The table entry named ``name``.
 
-    Raises ``ValueError`` with the available names for typo-friendly
-    config validation errors.
+    Raises ``ValueError`` listing the choices for any other name.
 
     Example — build the encoder a config selects::
 
         from repro.api import get_backend
 
-        backend = get_backend(config.backend)
-        encoder = backend.make_encoder(num_pixels, config)
+        encoder = get_backend(config.backend).make_encoder(num_pixels, config)
     """
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    with _INSTANCE_LOCK:
-        instance = _INSTANCES.get(name)  # lost the race -> reuse the winner
-        if instance is not None:
-            return instance
-        factory = _FACTORIES.get(name)
-        if factory is None:
-            raise ValueError(
-                f"unknown backend {name!r}: registered backends are "
-                f"{list_backends()} (see repro.api.register_backend)"
-            )
-        instance = factory()
-        if not isinstance(instance, Backend):
-            raise TypeError(
-                f"factory for backend {name!r} returned {type(instance).__name__}, "
-                "which does not implement the repro.api.Backend protocol"
-            )
-        _INSTANCES[name] = instance
-        return instance
-
-
-def resolve_backend(backend: "str | Backend") -> Backend:
-    """Normalize a name or an already-built backend to a Backend instance.
-
-    Example::
-
-        resolve_backend("packed")            # registry lookup
-        resolve_backend(MyBackend())         # passes through, type-checked
-    """
-    if isinstance(backend, str):
-        return get_backend(backend)
-    if isinstance(backend, Backend):
-        return backend
-    raise TypeError(
-        f"backend must be a registered name or a Backend instance, got {backend!r}"
-    )
-
-
-# ----------------------------------------------------------------------
-# Built-in backends: lazy factories so this module imports nothing heavy.
-# ----------------------------------------------------------------------
-def _reference_factory() -> Backend:
-    from ..fastpath.execution import ReferenceBackend
-
-    return ReferenceBackend()
-
-
-def _packed_factory() -> Backend:
-    from ..fastpath.execution import PackedBackend
-
-    return PackedBackend()
-
-
-def _auto_factory() -> Backend:
-    from ..fastpath.execution import AutoBackend
-
-    return AutoBackend()
-
-
-register_backend("auto", _auto_factory)
-register_backend("packed", _packed_factory)
-register_backend("reference", _reference_factory)
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}: choose one of {BACKENDS}")
+    return _TABLE[name]

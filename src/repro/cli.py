@@ -21,9 +21,8 @@ Usage::
         --workers 2 --http-port 0 --reload
 
 Accuracy experiments honour ``REPRO_FULL=1`` for paper-leaning workload
-sizes; ``--backend`` accepts any backend registered with
-:func:`repro.api.register_backend` (bit-exact built-ins: auto, packed,
-reference).  ``save``/``load`` round-trip trained models through
+sizes; ``--backend`` picks an entry of the bit-exact backend table
+(auto, packed, reference).  ``save``/``load`` round-trip trained models through
 the versioned :mod:`repro.api.persistence` format; ``serve-check`` is the
 serving-readiness probe — it loads a warm model (no retraining) and
 reports prediction latency.
@@ -54,7 +53,7 @@ import sys
 import threading
 import time
 
-from .api import list_backends
+from .api.registry import BACKENDS
 from .eval import experiments as ex
 from .eval.figures import ascii_chart
 from .eval.tables import render_table
@@ -72,8 +71,8 @@ def _dims_arg(parser: argparse.ArgumentParser) -> None:
 
 def _backend_arg(parser: argparse.ArgumentParser, default: str | None = "auto") -> None:
     parser.add_argument(
-        "--backend", choices=sorted(list_backends()), default=default,
-        help="execution backend from the repro.api registry; bit-exact either way",
+        "--backend", choices=BACKENDS, default=default,
+        help="execution backend from the repro.api table; bit-exact either way",
     )
 
 

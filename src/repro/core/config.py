@@ -5,7 +5,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from ..api.registry import is_registered_backend, list_backends
+from ..api.registry import BACKENDS
 
 __all__ = ["UHDConfig"]
 
@@ -44,14 +44,12 @@ class UHDConfig:
         :class:`repro.hdc.classifier.CentroidClassifier` for why the
         accuracy path defaults to non-binarized centroids.
     backend:
-        Execution backend, validated against the :mod:`repro.api` backend
-        registry.  Built-ins: ``"auto"`` (default; packed fast path
-        wherever it is bit-exact and supported), ``"packed"`` (force
-        packed *encoding*, raising where it cannot apply; inference
-        additionally needs ``binarize=True``) and ``"reference"`` (always
-        the original elementwise NumPy path).
-        Third-party backends registered via
-        :func:`repro.api.register_backend` are accepted by name.
+        Execution backend, one of the closed table
+        :data:`repro.api.registry.BACKENDS`: ``"auto"`` (default; packed
+        fast path wherever it is bit-exact and supported), ``"packed"``
+        (force packed *encoding*, raising where it cannot apply;
+        inference additionally needs ``binarize=True``) or
+        ``"reference"`` (always the original elementwise NumPy path).
     """
 
     dim: int = 1024
@@ -70,11 +68,9 @@ class UHDConfig:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         if self.lds not in _LDS_FAMILIES:
             raise ValueError(f"lds must be one of {_LDS_FAMILIES}, got {self.lds!r}")
-        if not is_registered_backend(self.backend):
+        if self.backend not in BACKENDS:
             raise ValueError(
-                f"backend must be a registered backend name "
-                f"{list_backends()}, got {self.backend!r} "
-                "(third-party backends: repro.api.register_backend)"
+                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         if self.levels & (self.levels - 1):
             warnings.warn(

@@ -5,8 +5,8 @@ drop-in comparable, with the crucial difference the paper exists for:
 training is **deterministic** — one pass, no iteration sweep, because the
 Sobol codebook is fixed by its seed.
 
-The execution backend is resolved once from ``config.backend`` through
-the :mod:`repro.api` registry: by default the bit-exact packed fast path
+The execution backend is looked up once from ``config.backend`` in
+the :mod:`repro.api` backend table: by default the bit-exact packed fast path
 encodes, so swapping backends never changes a prediction.  The class
 satisfies the :class:`repro.api.Estimator` protocol — fit / predict /
 score / save / load — and because training is a single deterministic
@@ -23,6 +23,7 @@ import numpy as np
 
 from ..api.registry import get_backend
 from ..hdc.classifier import CentroidClassifier
+from ..utils.validation import as_image_batch
 from .config import UHDConfig
 
 __all__ = ["UHDClassifier"]
@@ -37,26 +38,31 @@ class UHDClassifier:
         self.config = config if config is not None else UHDConfig()
         self.num_pixels = num_pixels
         self.num_classes = num_classes
-        self._backend = get_backend(self.config.backend)
-        self.encoder = self._backend.make_encoder(num_pixels, self.config)
+        self.encoder = get_backend(self.config.backend).make_encoder(
+            num_pixels, self.config
+        )
         self._classifier: CentroidClassifier | None = None
 
     def _encode_images(self, images: np.ndarray) -> np.ndarray:
-        return self.encoder.encode_batch(np.asarray(images))
+        """Encode through :func:`repro.utils.validation.as_image_batch`,
+        the accepted-shape policy ``StreamingUHD`` and the server share:
+        a ``(pixels,)`` vector or a square ``(h, h)`` image is a batch of 1.
+        """
+        return self.encoder.encode_batch(as_image_batch(images, self.num_pixels))
 
     def _new_classifier(self) -> CentroidClassifier:
         return CentroidClassifier(
             self.num_classes,
             self.config.dim,
             binarize=self.config.binarize,
-            backend=self._backend,
+            backend=self.config.backend,
         )
 
     def fit(self, images: np.ndarray, labels: np.ndarray) -> "UHDClassifier":
         """Single-pass training (the paper's i = 1)."""
         encoded = self._encode_images(images)
         self._classifier = self._new_classifier()
-        self._classifier.fit(encoded, np.asarray(labels))
+        self._classifier.fit(encoded, np.atleast_1d(np.asarray(labels)))
         return self
 
     def retrain(self, images: np.ndarray, labels: np.ndarray, epochs: int = 1) -> int:
@@ -86,7 +92,7 @@ class UHDClassifier:
         return self._classifier
 
     def with_backend(self, backend: str) -> "UHDClassifier":
-        """Clone onto another registered backend, trained state intact.
+        """Clone onto another backend-table entry, trained state intact.
 
         Backends are bit-exact, so the clone predicts identically; this is
         how a serving layer re-homes a model trained elsewhere (e.g. load a

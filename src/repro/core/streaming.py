@@ -28,8 +28,8 @@ __all__ = ["StreamingUHD"]
 class StreamingUHD:
     """Online uHD classifier: encode-and-accumulate, one batch at a time.
 
-    The encoder follows ``config.backend`` (resolved through the
-    :mod:`repro.api` backend registry); the packed fast path is a
+    The encoder follows ``config.backend`` (looked up in the
+    :mod:`repro.api` backend table); the packed fast path is a
     particularly good fit here because the gather tables amortize over the
     lifetime of the stream (the pair table self-promotes once enough
     samples have flowed through).
@@ -47,13 +47,14 @@ class StreamingUHD:
         self.config = config if config is not None else UHDConfig()
         self.num_pixels = num_pixels
         self.num_classes = num_classes
-        self._backend = get_backend(self.config.backend)
-        self.encoder = self._backend.make_encoder(num_pixels, self.config)
+        self.encoder = get_backend(self.config.backend).make_encoder(
+            num_pixels, self.config
+        )
         self.classifier = CentroidClassifier(
             num_classes,
             self.config.dim,
             binarize=self.config.binarize,
-            backend=self._backend,
+            backend=self.config.backend,
         )
         self.samples_seen = 0
 

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..api.registry import get_backend
 from ..core.config import UHDConfig
 from ..core.encoder import SobolLevelEncoder
 from ..fastpath import HAS_BITWISE_COUNT, PackedLevelEncoder
@@ -108,12 +107,8 @@ def run_throughput_suite(
 
     encoded = rng.integers(-pixels, pixels + 1, size=(queries, dim), dtype=np.int64)
     labels = rng.integers(0, num_classes, size=queries)
-    ref_clf = CentroidClassifier(
-        num_classes, dim, binarize=True, backend=get_backend("reference")
-    )
-    packed_clf = CentroidClassifier(
-        num_classes, dim, binarize=True, backend=get_backend("packed")
-    )
+    ref_clf = CentroidClassifier(num_classes, dim, binarize=True, backend="reference")
+    packed_clf = CentroidClassifier(num_classes, dim, binarize=True, backend="packed")
     for clf in (ref_clf, packed_clf):
         clf.fit(encoded, labels)
         clf.predict(encoded)  # warm the packed class-HV caches

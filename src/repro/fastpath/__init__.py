@@ -45,9 +45,8 @@ uses the packed primitives directly: XOR + popcount over packed class HVs.
 
 When ``auto`` picks packed
 --------------------------
-``UHDConfig(backend="auto")`` resolves per component (see
-:mod:`repro.fastpath.execution`, reached through the
-:mod:`repro.api` backend registry): encoding goes packed when
+``UHDConfig(backend="auto")`` resolves per component (see the
+:mod:`repro.api.registry` backend table): encoding goes packed when
 ``quantized=True`` and ``H <= PackedLevelEncoder.MAX_PIXELS``; inference
 goes packed when ``binarize=True`` (the centered-cosine default policy has
 no packed form).  ``backend="packed"`` forces and raises where impossible;
@@ -59,7 +58,6 @@ use :func:`numpy.bitwise_count` when NumPy >= 2.0 and fall back to a byte
 LUT otherwise (``repro.fastpath.bitops.HAS_BITWISE_COUNT``).
 """
 
-from .execution import AutoBackend, PackedBackend, ReferenceBackend
 from .bitops import (
     HAS_BITWISE_COUNT,
     pack_bipolar,
@@ -86,11 +84,8 @@ from .inference import (
 )
 
 __all__ = [
-    "AutoBackend",
     "HAS_BITWISE_COUNT",
-    "PackedBackend",
     "PackedLevelEncoder",
-    "ReferenceBackend",
     "TableFormatError",
     "TableSet",
     "read_table_file",

@@ -28,24 +28,11 @@ from typing import Any
 
 import numpy as np
 
-from ..api.registry import Backend, get_backend, resolve_backend
+from ..api.registry import get_backend
 from .ops import binarize
 from .similarity import classify, cosine_similarity
 
 __all__ = ["CentroidClassifier"]
-
-
-def _saved_backend(name: str) -> Backend:
-    """Resolve a persisted backend name, reporting a missing plugin clearly."""
-    try:
-        return get_backend(name)
-    except ValueError as exc:
-        from ..api.persistence import ModelFormatError
-
-        raise ModelFormatError(
-            f"model was saved with backend {name!r}, which is not registered "
-            "in this process; import/register the backend before loading"
-        ) from exc
 
 
 class CentroidClassifier:
@@ -74,7 +61,7 @@ class CentroidClassifier:
         dim: int,
         binarize: bool = False,
         center: bool = True,
-        backend: "str | Backend | None" = None,
+        backend: str = "auto",
     ) -> None:
         if num_classes < 2 or dim < 1:
             raise ValueError("num_classes must be >= 2 and dim >= 1")
@@ -82,14 +69,14 @@ class CentroidClassifier:
         self.dim = dim
         self.binarize = binarize
         self.center = center
-        self._backend = resolve_backend("auto" if backend is None else backend)
+        self._backend = get_backend(backend)
         self._accumulators = np.zeros((num_classes, dim), dtype=np.int64)
         self._fitted = False
         self._packed_classes: np.ndarray | None = None
 
     @property
     def backend(self) -> str:
-        """Name of the execution backend this classifier runs on."""
+        """Name of the backend-table entry this classifier runs on."""
         return self._backend.name
 
     # ------------------------------------------------------------------
@@ -179,9 +166,9 @@ class CentroidClassifier:
         queries = np.atleast_2d(np.asarray(encoded))
         if self.binarize:
             if self._use_packed():
-                from ..fastpath.inference import pack_accumulators
+                from ..fastpath.inference import pack_accumulators, packed_cosine
 
-                return self._backend.packed_cosine(
+                return packed_cosine(
                     pack_accumulators(queries), self._packed_class_words(), self.dim
                 )
             return cosine_similarity(binarize(queries), self.class_hypervectors)
@@ -204,9 +191,11 @@ class CentroidClassifier:
         the packed path deterministically picks the lowest class index.
         """
         if self._use_packed():
+            from ..fastpath.inference import packed_predict
+
             self._require_fitted()
             queries = np.atleast_2d(np.asarray(encoded))
-            return self._backend.packed_predict(
+            return packed_predict(
                 queries, self._packed_class_words(), self.dim
             )
         return classify(self.similarities(encoded))
@@ -229,17 +218,7 @@ class CentroidClassifier:
     # Persistence (see repro.api.persistence for the file format)
     # ------------------------------------------------------------------
     def _save_payload(self) -> dict[str, Any]:
-        from ..api.registry import is_registered_backend
-
         self._require_fitted()
-        if not is_registered_backend(self.backend):
-            # only the *name* is persisted; an unregistered instance would
-            # produce a file no process (including this one) can load
-            raise ValueError(
-                f"cannot persist a classifier bound to unregistered backend "
-                f"{self.backend!r}; repro.api.register_backend it first so "
-                "load() can resolve the name"
-            )
         return {
             "num_classes": self.num_classes,
             "dim": self.dim,
@@ -251,12 +230,14 @@ class CentroidClassifier:
 
     @classmethod
     def _from_payload(cls, payload: dict[str, np.ndarray]) -> "CentroidClassifier":
+        from ..api.persistence import saved_backend
+
         model = cls(
             int(payload["num_classes"]),
             int(payload["dim"]),
             binarize=bool(payload["binarize"]),
             center=bool(payload["center"]),
-            backend=_saved_backend(str(payload["backend"].item())),
+            backend=saved_backend(str(payload["backend"].item())),
         )
         model._restore_accumulators(payload["accumulators"])
         return model

@@ -85,9 +85,8 @@ class EncoderCache:
     def get(self, num_pixels: int, config: "UHDConfig") -> "SobolLevelEncoder":
         """The shared encoder for this key, built on first use.
 
-        Construction goes through the backend registry
-        (``get_backend(config.backend).make_encoder``), so third-party
-        backends are cached the same way as built-ins.
+        Construction goes through the backend table
+        (``get_backend(config.backend).make_encoder``).
         """
         key = (int(num_pixels), config)
         with self._lock:

@@ -187,10 +187,6 @@ class UHDServer:
         """Warm-load the model, spawn and probe workers, start dispatching."""
         if self._started:
             return self
-        if self.config.backend is not None:
-            from ..api.registry import get_backend
-
-            get_backend(self.config.backend)  # fail fast on unknown names
         self._lanes = self.config.effective_lanes()
         self._lane_map = {lane.name: lane for lane in self._lanes}
         self._load_front_end()

@@ -20,6 +20,7 @@ import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from ..api.registry import BACKENDS
 from .scheduler import LaneConfig, LaneStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,9 +99,9 @@ class ServeConfig:
         requests to finish before failing the stragglers loudly and
         stopping the workers.
     backend:
-        Registry backend name every worker re-homes the loaded model
-        onto (``None`` keeps the backend recorded in the model file).
-        Validated against :func:`repro.api.list_backends` at startup.
+        Backend-table name every worker re-homes the loaded model onto
+        (``None`` keeps the backend recorded in the model file); one of
+        :func:`repro.api.list_backends`.
     queue_depth:
         Bound on request parts waiting in each lane's queue;
         ``submit`` blocks (backpressure) when it is full.
@@ -165,6 +166,10 @@ class ServeConfig:
         if self.restart_limit < 0:
             raise ValueError(
                 f"restart_limit must be >= 0, got {self.restart_limit}"
+            )
+        if self.backend is not None and self.backend not in BACKENDS:
+            raise ValueError(
+                f"backend must be None or one of {BACKENDS}, got {self.backend!r}"
             )
         if self.start_method not in ("auto", "fork", "spawn", "forkserver"):
             raise ValueError(

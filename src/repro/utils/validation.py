@@ -14,7 +14,8 @@ def as_image_batch(images: Any, num_pixels: int | None) -> "np.ndarray":
     """Normalize user-supplied images to a ``(batch, num_pixels)`` array.
 
     The single accepted-shape policy of every image-facing entry point
-    (``UHDServer.submit``, ``StreamingUHD.partial_fit/predict/score``),
+    (``UHDServer.submit``, ``UHDClassifier.fit/retrain/predict/score``,
+    ``StreamingUHD.partial_fit/predict/score``),
     so train and predict time can never disagree about what a "single
     image" is:
 

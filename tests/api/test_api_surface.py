@@ -63,6 +63,6 @@ class TestReadmeConsistency:
 
     def test_quickstart_symbols_exported(self):
         # the README quickstart's exact surface, spelled out
-        for name in ("load_model", "save_model", "register_backend",
-                     "get_backend", "Backend", "Estimator", "ModelFormatError"):
+        for name in ("load_model", "save_model", "get_backend",
+                     "list_backends", "Backend", "Estimator", "ModelFormatError"):
             assert name in api.__all__

@@ -6,7 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.api import ModelFormatError, get_backend, load_model, save_model
+from repro.api import ModelFormatError, load_model, save_model
 from repro.api.persistence import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -132,9 +132,9 @@ class TestCentroidRoundTrip:
     def test_bit_exact(self, rng, tmp_path):
         encoded = rng.integers(-50, 51, size=(64, 128)).astype(np.int64)
         labels = rng.integers(0, 4, size=64)
-        clf = CentroidClassifier(
-            4, 128, binarize=True, backend=get_backend("packed")
-        ).fit(encoded, labels)
+        clf = CentroidClassifier(4, 128, binarize=True, backend="packed").fit(
+            encoded, labels
+        )
         path = tmp_path / "clf.npz"
         clf.save(path)
         loaded = CentroidClassifier.load(path)
@@ -247,52 +247,39 @@ class TestErrors:
 
 
 class TestBackendPersistenceEdges:
-    def test_save_with_unregistered_backend_fails_fast(self, rng, tmp_path):
-        class Rogue:
-            name = "rogue"
+    @staticmethod
+    def _file_naming_backend(tiny_digits, tmp_path, kind, name):
+        """Save a fitted ``kind`` model, then rewrite its recorded backend.
 
-            def make_encoder(self, num_pixels, config):  # pragma: no cover
-                raise NotImplementedError
+        Returns the saved model, the file and the queries it predicts on.
+        """
+        model = UHDClassifier(
+            tiny_digits.num_pixels, tiny_digits.num_classes,
+            UHDConfig(dim=128, backend="packed", binarize=True),
+        ).fit(tiny_digits.train_images, tiny_digits.train_labels)
+        if kind == "UHDClassifier":
+            saved, queries = model, tiny_digits.test_images
+        else:
+            saved = model.classifier
+            queries = model.encoder.encode_batch(tiny_digits.test_images)
+        path = tmp_path / f"{name}.npz"
+        saved.save(path)
+        arrays = dict(np.load(path, allow_pickle=False))
+        if kind == "UHDClassifier":
+            config = json.loads(str(arrays["config_json"]))
+            config["backend"] = name
+            arrays["config_json"] = np.array(json.dumps(config))
+        else:
+            arrays["backend"] = np.array(name)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        return saved, path, queries
 
-            def encoder_kind(self, config, num_pixels):
-                return "reference"
-
-            def use_packed_inference(self, binarize):
-                return False
-
-            def packed_predict(self, q, c, d):  # pragma: no cover
-                raise NotImplementedError
-
-            def packed_cosine(self, q, c, d):  # pragma: no cover
-                raise NotImplementedError
-
-        encoded = rng.integers(-5, 6, size=(20, 32)).astype(np.int64)
-        labels = rng.integers(0, 2, size=20)
-        clf = CentroidClassifier(2, 32, backend=Rogue()).fit(encoded, labels)
-        with pytest.raises(ValueError, match="unregistered backend"):
-            clf.save(tmp_path / "rogue.npz")
-        assert not (tmp_path / "rogue.npz").exists()  # nothing half-written
-
-    def test_load_with_missing_backend_plugin(self, rng, tmp_path):
-        from repro.api import register_backend, unregister_backend
-        from repro.fastpath.execution import ReferenceBackend
-
-        class Plugin(ReferenceBackend):
-            name = "test-plugin"
-
-        register_backend("test-plugin", Plugin)
-        try:
-            encoded = rng.integers(-5, 6, size=(20, 32)).astype(np.int64)
-            labels = rng.integers(0, 2, size=20)
-            clf = CentroidClassifier(
-                2, 32, backend=get_backend("test-plugin")
-            ).fit(encoded, labels)
-            path = tmp_path / "plugin.npz"
-            clf.save(path)
-        finally:
-            unregister_backend("test-plugin")
-        with pytest.raises(ModelFormatError, match="not registered"):
-            CentroidClassifier.load(path)
+    @pytest.mark.parametrize("kind", ["UHDClassifier", "CentroidClassifier"])
+    def test_load_with_unknown_backend_name(self, tiny_digits, tmp_path, kind):
+        _, path, _ = self._file_naming_backend(tiny_digits, tmp_path, kind, "gpu")
+        with pytest.raises(ModelFormatError, match="'gpu'"):
+            load_model(path)
 
     def test_with_backend_clone_is_bit_exact(self, tiny_digits):
         model = UHDClassifier(
@@ -313,26 +300,16 @@ class TestBackendPersistenceEdges:
         with pytest.raises(RuntimeError):
             cold.predict(tiny_digits.test_images)
 
-    def test_threaded_file_loads_as_packed(self, tiny_digits, tmp_path):
+    @pytest.mark.parametrize("kind", ["UHDClassifier", "CentroidClassifier"])
+    def test_threaded_file_loads_as_packed(self, tiny_digits, tmp_path, kind):
         """Files saved under the retired ``threaded`` backend still load."""
-        model = UHDClassifier(
-            tiny_digits.num_pixels, tiny_digits.num_classes,
-            UHDConfig(dim=128, backend="packed", binarize=True),
-        ).fit(tiny_digits.train_images, tiny_digits.train_labels)
-        path = tmp_path / "threaded.npz"
-        model.save(path)
-        arrays = dict(np.load(path, allow_pickle=False))
-        config = json.loads(str(arrays["config_json"]))
-        config["backend"] = "threaded"
-        arrays["config_json"] = np.array(json.dumps(config))
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
-        loaded = load_model(path)
-        assert loaded.config.backend == "packed"
-        np.testing.assert_array_equal(
-            loaded.predict(tiny_digits.test_images),
-            model.predict(tiny_digits.test_images),
+        saved, path, queries = self._file_naming_backend(
+            tiny_digits, tmp_path, kind, "threaded"
         )
+        loaded = load_model(path)
+        backend = loaded.config.backend if kind == "UHDClassifier" else loaded.backend
+        assert backend == "packed"
+        np.testing.assert_array_equal(loaded.predict(queries), saved.predict(queries))
 
 
 class TestConfigJson:

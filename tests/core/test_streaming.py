@@ -42,17 +42,19 @@ class TestPartialFit:
 
 
 class TestInputNormalization:
-    """partial_fit / predict / score share one accepted-shapes policy.
+    """fit / partial_fit / predict / score share one accepted-shapes policy.
 
     Regression: predict/score used to skip the single-image promotion
     partial_fit performed, so a shape accepted at train time blew up (or
-    silently meant something else) at predict time.
+    silently meant something else) at predict time.  The subclass below
+    runs the same cases on ``UHDClassifier``.
     """
 
+    model_cls = StreamingUHD
+
     def _fitted(self, tiny_digits, config=None):
-        model = StreamingUHD(784, 10, config or UHDConfig(dim=128))
-        model.partial_fit(tiny_digits.train_images[:40],
-                          tiny_digits.train_labels[:40])
+        model = self.model_cls(784, 10, config or UHDConfig(dim=128))
+        model.fit(tiny_digits.train_images[:40], tiny_digits.train_labels[:40])
         return model
 
     def test_flat_single_image_round_trips(self, tiny_digits):
@@ -96,7 +98,7 @@ class TestInputNormalization:
         model = self._fitted(tiny_digits)
         bad = np.zeros((2, 9), dtype=np.uint8)
         with pytest.raises(ValueError, match="pixels"):
-            model.partial_fit(bad, np.zeros(2, dtype=np.int64))
+            model.fit(bad, np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="pixels"):
             model.predict(bad)
         # a non-square 2-D array totalling num_pixels is a malformed
@@ -105,10 +107,25 @@ class TestInputNormalization:
             model.predict(np.zeros((2, 392), dtype=np.uint8))
 
     def test_label_count_mismatch_rejected(self, tiny_digits):
-        model = StreamingUHD(784, 10, UHDConfig(dim=128))
+        model = self.model_cls(784, 10, UHDConfig(dim=128))
         with pytest.raises(ValueError, match="label"):
-            model.partial_fit(tiny_digits.train_images[:3],
-                              tiny_digits.train_labels[:2])
+            model.fit(tiny_digits.train_images[:3], tiny_digits.train_labels[:2])
+
+
+class TestUHDClassifierInputNormalization(TestInputNormalization):
+    """``UHDClassifier`` accepts exactly the shapes ``StreamingUHD`` does."""
+
+    model_cls = UHDClassifier
+
+    def test_single_image_partial_fit_counts_one_sample(self, tiny_digits):
+        # no partial_fit here: a single image fits as a batch of one
+        image, label = tiny_digits.train_images[0], tiny_digits.train_labels[0]
+        for single in (image, image.reshape(-1)):
+            model = UHDClassifier(784, 10, UHDConfig(dim=128)).fit(single, label)
+            np.testing.assert_array_equal(
+                model.classifier.accumulators[label],
+                model.encoder.encode_batch(image[None])[0],
+            )
 
 
 class TestPrequential:

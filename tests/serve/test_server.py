@@ -33,16 +33,12 @@ class TestServeConfig:
             {"restart_limit": -1},
             {"start_method": "threads"},
             {"probe_batch": 0},
+            {"backend": "nope"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
-
-    def test_unknown_backend_fails_at_start(self, model_path):
-        server = UHDServer(model_path, ServeConfig(workers=0, backend="nope"))
-        with pytest.raises(ValueError, match="unknown backend"):
-            server.start()
 
 
 class TestInProcessFallback:
