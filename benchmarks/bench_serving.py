@@ -131,37 +131,23 @@ def _serve_scenario(
 
 
 def _time_warmstart(
-    model_path: str,
-    num_pixels: int,
-    workers: int,
-    start_method: str,
-    repeats: int,
+    model_path: str, workers: int, start_method: str, repeats: int
 ) -> tuple[float, tuple[int, ...], int]:
-    """(median start-to-fully-warm seconds, worker_table_builds, table bytes).
+    """(median start-to-ready seconds, worker_table_builds, table bytes).
 
-    "Fully warm" = every worker ready (spawn + model load + table
-    attach-or-build + readiness probe) *and* a pair-promotion-sized
-    request served.  Stopping at "ready" would flatter a worker that
-    builds, which lazily builds only the small single table up front and
-    pays the xi-times-larger pair build on the first real traffic;
-    inheriting or attaching hands workers the promoted table at once.
+    "Ready" = every worker spawned, loaded the model, attached or built
+    its gather table and passed its readiness probe.  The probe's first
+    encode builds the one table a geometry uses, so a ready worker is
+    fully warm: later traffic never builds.
     """
-    from repro.fastpath import PackedLevelEncoder
     from repro.serve import encoder_cache
 
-    rng = np.random.default_rng(123)
-    warm_batch = rng.integers(
-        0, 256,
-        size=(2 * PackedLevelEncoder.PAIR_PROMOTE_IMAGES, num_pixels),
-        dtype=np.uint8,
-    )
     times: list[float] = []
     builds: tuple[int, ...] = ()
     for _ in range(repeats):
         config = ServeConfig(workers=workers, start_method=start_method)
         start = time.perf_counter()
         server = UHDServer(model_path, config).start()
-        server.predict(warm_batch, timeout=120.0)
         times.append(time.perf_counter() - start)
         builds = server.stats().worker_table_builds
         server.close(drain_timeout=0.0)
@@ -511,9 +497,7 @@ def _router_zoo_scenario(
     }
 
 
-def _warmstart_rows(
-    model_path: str, num_pixels: int, workers: int, repeats: int
-) -> list[dict]:
+def _warmstart_rows(model_path: str, workers: int, repeats: int) -> list[dict]:
     """``worker_warmstart_fork`` / ``worker_warmstart_spawn`` rows.
 
     The start method decides how workers get the front-end's warm
@@ -528,7 +512,7 @@ def _warmstart_rows(
         if method not in multiprocessing.get_all_start_methods():
             continue
         median_s, builds, table_bytes = _time_warmstart(
-            model_path, num_pixels, workers, method, repeats
+            model_path, workers, method, repeats
         )
         rows.append(
             {
@@ -637,8 +621,7 @@ def main(argv: list[str] | None = None) -> int:
             args.backend, args.seed,
         )
         warmstart_rows = _warmstart_rows(
-            model_path, model.num_pixels, max(1, args.workers),
-            max(2, args.repeats // 2),
+            model_path, max(1, args.workers), max(2, args.repeats // 2)
         )
         router_row = _router_zoo_scenario(args.dim, args.backend, args.seed)
     finally:
@@ -740,7 +723,7 @@ def main(argv: list[str] | None = None) -> int:
             continue
         if row["name"].startswith("worker_warmstart"):
             print(
-                f"  {row['name']:<22} {row['median_s'] * 1e3:8.1f} ms to warm "
+                f"  {row['name']:<22} {row['median_s'] * 1e3:8.1f} ms to ready "
                 f"builds/worker {row['worker_table_builds']}  "
                 f"table {row['table_bytes_per_worker'] / 1e6:.1f} MB shared"
             )

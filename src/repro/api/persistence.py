@@ -198,11 +198,11 @@ def save_model(
     object.  Raises ``RuntimeError`` if the model has not been fitted
     (an unfitted model has no state worth a file).
 
-    ``include_tables=True`` additionally flushes the encoder's warm
-    gather tables (pair promotion forced first) to the sidecar file
-    :func:`table_sidecar_path` — :func:`load_model` then attaches them
+    ``include_tables=True`` additionally flushes the encoder's gather
+    table (built first if cold) to the sidecar file
+    :func:`table_sidecar_path` — :func:`load_model` then attaches it
     read-only via ``np.memmap``, so a warm start from disk skips table
-    construction *and* re-promotion entirely.  The sidecar is pure
+    construction entirely.  The sidecar is pure
     derived state: deleting it costs a rebuild, never correctness.
     Requires a path (not a file object) and a model whose encoder can
     export tables (the packed and auto backends).
@@ -247,7 +247,7 @@ def _write_table_sidecar(model: "Estimator", path: Any) -> None:
         )
     from ..fastpath.tablestore import write_table_file
 
-    write_table_file(table_sidecar_path(path), encoder.export_tables(promote=True))
+    write_table_file(table_sidecar_path(path), encoder.export_tables())
 
 
 def _read_arrays(path: Any) -> dict[str, np.ndarray]:
@@ -305,8 +305,8 @@ def load_model(
 
     When a table sidecar (:func:`table_sidecar_path`, written by
     ``save_model(..., include_tables=True)``) sits next to the file, the
-    encoder *attaches* the flushed gather tables read-only instead of
-    rebuilding/re-promoting them — byte-identical tables, bit-exact
+    encoder *attaches* the flushed gather table read-only instead of
+    rebuilding it — byte-identical tables, bit-exact
     predictions, O(1) warm-start in table size.  A sidecar that does not
     match the model's encoder geometry raises :class:`ModelFormatError`
     (it can only mean corruption or a stale copy).

@@ -30,9 +30,8 @@ class StreamingUHD:
 
     The encoder follows ``config.backend`` (looked up in the
     :mod:`repro.api` backend table); the packed fast path is a
-    particularly good fit here because the gather tables amortize over the
-    lifetime of the stream (the pair table self-promotes once enough
-    samples have flowed through).
+    particularly good fit here because its gather table, built on the
+    first batch, amortizes over the lifetime of the stream.
 
     Satisfies the :class:`repro.api.Estimator` protocol: :meth:`fit` folds
     a batch in exactly like :meth:`partial_fit` (for an online learner the

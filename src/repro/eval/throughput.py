@@ -96,10 +96,9 @@ def run_throughput_suite(
     config = UHDConfig(dim=dim, levels=levels)
     reference = SobolLevelEncoder(pixels, config)
     packed = PackedLevelEncoder(pixels, config)
-    # warm past pair-table promotion and first-touch page faults
-    warm_batches = max(2, -(-PackedLevelEncoder.PAIR_PROMOTE_IMAGES // batch) + 1)
-    for _ in range(warm_batches):
-        packed.encode_batch(images)
+    # warm the table build and first-touch page faults
+    packed.encode_batch(images)
+    packed.encode_batch(images)
     packed.encode_batch(images_large)
     reference.encode_batch(images)
     if not np.array_equal(reference.encode_batch(images), packed.encode_batch(images)):

@@ -34,9 +34,9 @@ Three bit-exact designs were benched against the reference encoder:
 * per-(pixel, level) **nibble-spread** LUT gather + SWAR lane adds
   (:class:`PackedLevelEncoder`): **~10–12×** — rows pre-widened to 4-bit
   lanes so 15 (or 7 pixel-pair) rows fold with plain integer adds, then
-  four mask streams widen lanes to uint16.  The pair-keyed table (lazily
-  built after :attr:`PackedLevelEncoder.PAIR_PROMOTE_IMAGES` images)
-  halves the dominant gather cost.
+  four mask streams widen lanes to uint16.  The pair-keyed table (built
+  whenever it fits :attr:`PackedLevelEncoder.PAIR_LUT_BUDGET`) halves
+  the dominant gather cost.
 
 So the shipped encoder is the LUT-gather alternative the issue allows,
 with the identity above retained as documentation of *why* a gather-only

@@ -26,12 +26,14 @@ to dimension order.  Every op touches 64-bit words; nothing scales with
 Two gather tables share the pipeline:
 
 * **single** — ``(H, xi)`` entries, one pixel per gathered row (lane <= 1,
-  15 rows per add chunk).  Cheap to build; always available.
+  15 rows per add chunk).
 * **pair** — ``(ceil(H/2), xi^2)`` entries keyed by two pixel codes at once
   (lane <= 2, 7 rows per chunk).  Halves gather traffic, the dominant cost,
-  but costs ``xi^2`` more table memory, so it is built lazily once the
-  encoder has seen ``PAIR_PROMOTE_IMAGES`` images and the table fits
-  ``pair_lut_budget``.
+  for ``xi`` times the table memory.
+
+An encoder holds exactly one of them, chosen by geometry alone
+(:attr:`PackedLevelEncoder.table_kind`): the pair table whenever
+``H >= 2`` and its bytes fit ``PAIR_LUT_BUDGET``, else the single table.
 
 Both paths are bit-exact with the reference quantized encoder (the tests
 assert it), mirroring the paper's claim that the unary hardware datapath
@@ -163,30 +165,23 @@ class PackedLevelEncoder(SobolLevelEncoder):
     """Bit-exact packed twin of :class:`SobolLevelEncoder` (quantized only).
 
     Construction is identical to the reference encoder (same Sobol table,
-    same quantized codes); only ``encode_batch`` differs.  Gather tables
-    are built lazily on first use so constructing one for a quick test or a
-    single image stays cheap.
+    same quantized codes); only ``encode_batch`` differs.  The gather
+    table is built once, on first use, so constructing an encoder stays
+    cheap.
     """
 
-    #: images seen before the pair table is worth its build + memory cost
-    PAIR_PROMOTE_IMAGES = 128
     #: nibble-lane accumulation geometry per table kind: rows folded per
     #: chunk before a lane could overflow (single: lane counts <= 1, 15
     #: rows; pair: lane counts <= 2, 7 rows).  attach_tables and the
     #: build path both read these — they must never diverge
     SINGLE_CHUNK_ROWS = 15
     PAIR_CHUNK_ROWS = 7
-    #: default ceiling for the pair table footprint, bytes
+    #: ceiling for the pair table footprint, bytes
     PAIR_LUT_BUDGET = 192 * 1024 * 1024
     #: uint16 lane headroom: per-dimension counts may reach H
     MAX_PIXELS = 60000
 
-    def __init__(
-        self,
-        num_pixels: int,
-        config: UHDConfig,
-        pair_lut_budget: int | None = None,
-    ) -> None:
+    def __init__(self, num_pixels: int, config: UHDConfig) -> None:
         if not config.quantized:
             raise ValueError("the packed fast path requires quantized=True")
         if num_pixels > self.MAX_PIXELS:
@@ -195,17 +190,12 @@ class PackedLevelEncoder(SobolLevelEncoder):
                 f"got {num_pixels} (use the reference encoder)"
             )
         super().__init__(num_pixels, config)
-        self._pair_budget = (
-            self.PAIR_LUT_BUDGET if pair_lut_budget is None else pair_lut_budget
-        )
         self._dim_words = words_for_bits(config.dim)
         self._spread_words = 4 * self._dim_words
         self._table: _GatherTable | None = None
-        self._single_lut: np.ndarray | None = None
         #: scratch keyed by (shard, rows): each fan-out shard owns its own
         self._workspaces: dict[tuple[int, int], _Workspace] = {}
-        self._images_seen = 0
-        #: gather-table constructions this instance performed (the
+        #: gather tables this instance built and installed (the
         #: build-vs-attach observability hook: an encoder that attached a
         #: published table serves with this still at 0)
         self.table_builds = 0
@@ -241,7 +231,6 @@ class PackedLevelEncoder(SobolLevelEncoder):
 
     def _build_single_lut(self) -> np.ndarray:
         """Nibble-spread rows ``[t >= codes[p, :]]`` for every (pixel, level)."""
-        self.table_builds += 1
         levels = self.config.levels
         codes = self.quantized_codes
         packed = np.empty(
@@ -256,16 +245,22 @@ class PackedLevelEncoder(SobolLevelEncoder):
             lut[..., k::4] = _spread16(packed >> np.uint64(16 * k))
         return lut
 
-    def _pair_lut_bytes(self) -> int:
+    @property
+    def table_kind(self) -> str:
+        """``"pair"`` or ``"single"``: the one table this geometry uses.
+
+        The pair table whenever there are two pixels to pair and its bytes
+        fit ``PAIR_LUT_BUDGET``; the build and the attach check both ask
+        here, so a table file always holds what the attacher would build.
+        """
         pair_rows = (self.num_pixels + 1) // 2
-        return pair_rows * self.config.levels**2 * self._spread_words * 8
+        pair_bytes = pair_rows * self.config.levels**2 * self._spread_words * 8
+        if self.num_pixels >= 2 and pair_bytes <= self.PAIR_LUT_BUDGET:
+            return "pair"
+        return "single"
 
-    def _pair_eligible(self) -> bool:
-        return self.num_pixels >= 2 and self._pair_lut_bytes() <= self._pair_budget
-
-    def _build_pair_table(self, single_lut: np.ndarray) -> _GatherTable:
+    def _pair_lut(self, single_lut: np.ndarray) -> np.ndarray:
         """Fold pixel pairs into one keyed row (lane counts reach 2)."""
-        self.table_builds += 1
         levels = self.config.levels
         full = self.num_pixels // 2
         paired = (
@@ -277,28 +272,24 @@ class PackedLevelEncoder(SobolLevelEncoder):
             # second key digit
             tail = np.repeat(single_lut[-1], levels, axis=0)[None]
             paired = np.concatenate([paired, tail], axis=0)
-        return _GatherTable(
-            paired, group=2, num_rows=paired.shape[0],
-            chunk_rows=self.PAIR_CHUNK_ROWS,
+        return paired
+
+    def _install(self, lut: np.ndarray, kind: str) -> None:
+        if kind == "pair":
+            group, chunk_rows = 2, self.PAIR_CHUNK_ROWS
+        else:
+            group, chunk_rows = 1, self.SINGLE_CHUNK_ROWS
+        self._table = _GatherTable(
+            lut, group=group, num_rows=lut.shape[0], chunk_rows=chunk_rows
         )
+        self._workspaces.clear()
 
     def _ensure_table(self) -> _GatherTable:
         if self._table is None:
-            self._single_lut = self._build_single_lut()
-            self._table = _GatherTable(
-                self._single_lut,
-                group=1,
-                num_rows=self.num_pixels,
-                chunk_rows=self.SINGLE_CHUNK_ROWS,
-            )
-        if (
-            self._table.group == 1
-            and self._pair_eligible()
-            and self._images_seen >= self.PAIR_PROMOTE_IMAGES
-        ):
-            self._table = self._build_pair_table(self._single_lut)
-            self._single_lut = None  # pair table subsumes it; free the memory
-            self._workspaces.clear()
+            kind = self.table_kind
+            lut = self._build_single_lut()
+            self._install(self._pair_lut(lut) if kind == "pair" else lut, kind)
+            self.table_builds += 1
         return self._table
 
     def _workspace(self, table: _GatherTable, shard: int, batch: int) -> _Workspace:
@@ -318,26 +309,15 @@ class PackedLevelEncoder(SobolLevelEncoder):
 
     @property
     def table_nbytes(self) -> int:
-        """Bytes of gather-table state currently held (0 when cold).
-
-        ``_single_lut`` is the same buffer the single ``_GatherTable``
-        reshapes, and promotion frees it, so the current table's flat
-        array is the whole footprint.
-        """
+        """Bytes of gather-table state currently held (0 when cold)."""
         return 0 if self._table is None else int(self._table.flat.nbytes)
 
-    def export_tables(self, promote: bool = False) -> TableSet:
-        """Snapshot the current gather table for publication.
+    def export_tables(self) -> TableSet:
+        """Snapshot the gather table for publication, building it if cold.
 
-        Builds the single table first if the encoder is still cold (an
-        export must have something to export); with ``promote=True`` the
-        pair promotion is forced first (budget permitting) so attachers
-        inherit the fully warmed state regardless of ``_images_seen``.
         The returned arrays are the encoder's own — treat them as
         read-only, exactly like every other consumer of the tables.
         """
-        if promote and self._pair_eligible():
-            self._images_seen = max(self._images_seen, self.PAIR_PROMOTE_IMAGES)
         table = self._ensure_table()
         flat = table.flat.reshape(
             table.num_rows, table.keys_per_row, self._spread_words
@@ -346,20 +326,19 @@ class PackedLevelEncoder(SobolLevelEncoder):
             kind="pair" if table.group == 2 else "single",
             flat=flat,
             key=table_key(self.num_pixels, self.config),
-            images_seen=self._images_seen,
         )
 
     def attach_tables(self, tables: TableSet) -> None:
         """Install a published gather table zero-copy (never rebuild).
 
         The tables must have been exported by an encoder with the same
-        :func:`repro.fastpath.tablestore.table_key` — geometry mismatches
-        raise :class:`~repro.fastpath.tablestore.TableFormatError`.
-        Attached bytes are byte-identical to built ones (a table file only
-        moves bytes), so every subsequent encode is bit-exact with a
-        freshly built encoder; ``table_builds`` stays untouched.  An
-        encoder that already has a table refuses to attach (the warm
-        state might be *more* promoted than the publication).
+        :func:`repro.fastpath.tablestore.table_key` and be of the kind this
+        geometry builds (:attr:`table_kind`); anything else raises
+        :class:`~repro.fastpath.tablestore.TableFormatError`.  Attached
+        bytes are byte-identical to built ones (a table file only moves
+        bytes), so every subsequent encode is bit-exact with a freshly
+        built encoder; ``table_builds`` stays untouched.  An encoder that
+        already has a table refuses to attach.
         """
         from .tablestore import TableFormatError
 
@@ -369,26 +348,22 @@ class PackedLevelEncoder(SobolLevelEncoder):
                 "applies to a cold encoder"
             )
         tables.validate_against(self.num_pixels, self.config)
-        levels = self.config.levels
-        if tables.kind == "single":
+        kind, levels = self.table_kind, self.config.levels
+        if tables.kind != kind:
+            raise TableFormatError(
+                f"{tables.kind} table cannot attach to an encoder whose "
+                f"geometry builds the {kind} table"
+            )
+        if kind == "single":
             want = (self.num_pixels, levels, self._spread_words)
-            group, chunk_rows = 1, self.SINGLE_CHUNK_ROWS
         else:
-            pair_rows = (self.num_pixels + 1) // 2
-            want = (pair_rows, levels * levels, self._spread_words)
-            group, chunk_rows = 2, self.PAIR_CHUNK_ROWS
+            want = ((self.num_pixels + 1) // 2, levels * levels, self._spread_words)
         if tuple(tables.flat.shape) != want:
             raise TableFormatError(
-                f"{tables.kind} table shape {tuple(tables.flat.shape)} does "
+                f"{kind} table shape {tuple(tables.flat.shape)} does "
                 f"not match this encoder's {want}"
             )
-        self._table = _GatherTable(
-            tables.flat, group=group, num_rows=want[0], chunk_rows=chunk_rows
-        )
-        # keep the 3-D view for a later (heap-built) pair promotion
-        self._single_lut = tables.flat if tables.kind == "single" else None
-        self._images_seen = max(self._images_seen, tables.images_seen)
-        self._workspaces.clear()
+        self._install(tables.flat, kind)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -466,8 +441,7 @@ class PackedLevelEncoder(SobolLevelEncoder):
         """
         values = self._normalize(images)
         batch = values.shape[0]
-        self._images_seen += batch
-        # promotion happens here, on the calling thread, before any fan-out
+        # a cold encoder builds here, on the calling thread, before any fan-out
         table = self._ensure_table()
         out = np.empty((batch, self.dim), dtype=np.int64)
         starts = range(0, batch, chunk)

@@ -1,7 +1,8 @@
 """Gather-table storage: one versioned file format, attached read-only.
 
 The expensive state of a warm packed encoder is a deterministic lookup
-table — the nibble-spread single LUT, or the pair LUT it promotes to.
+table — the nibble-spread single LUT or the pair LUT, whichever the
+encoder's geometry selects.
 :class:`repro.fastpath.encoder.PackedLevelEncoder` *builds* that table;
 this module moves its bytes across process boundaries, so that building
 once and attaching many times is possible:
@@ -29,7 +30,7 @@ The versioned table file
 
     bytes 0..7    magic  b"UHDTBL\\x01\\n"   (format version in the magic)
     bytes 8..15   little-endian uint64 header length
-    header        JSON: kind, shape, dtype, images_seen, key{...}
+    header        JSON: kind, shape, dtype, key{...}
     padding       zeros up to a 64-byte data offset boundary
     data          the raw C-order table words
 
@@ -39,7 +40,8 @@ The versioned table file
 table serves both.  :func:`read_table_file` validates magic, version and
 header, and returns a read-only ``np.memmap`` over the data region; a
 file that fails any check raises :class:`TableFormatError`, never
-another exception type.
+another exception type.  Header keys the reader does not know are
+ignored, so files carrying a retired field still load.
 """
 
 from __future__ import annotations
@@ -111,14 +113,13 @@ class TableSet:
     ``flat`` is the logical ``(num_rows, keys_per_row, spread_words)``
     uint64 array — a plain heap array on export, a read-only
     ``np.memmap`` after :func:`read_table_file`.  ``kind`` is
-    ``"single"`` (one pixel per gathered row) or ``"pair"`` (the promoted
-    two-pixel table).
+    ``"single"`` (one pixel per gathered row) or ``"pair"`` (two pixels
+    per gathered row).
     """
 
     kind: str
     flat: np.ndarray
     key: dict
-    images_seen: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -142,7 +143,6 @@ def _header_dict(tables: TableSet) -> dict:
         "kind": tables.kind,
         "shape": [int(s) for s in tables.flat.shape],
         "dtype": _WORD.str,
-        "images_seen": int(tables.images_seen),
         "key": tables.key,
     }
 
@@ -193,9 +193,6 @@ def _check_header(header: Any, where: str) -> tuple[int, ...]:
         raise TableFormatError(f"{where}: unknown table kind {kind!r}")
     if not isinstance(key, dict):
         raise TableFormatError(f"{where}: table key {key!r} is not an object")
-    images_seen = header.get("images_seen", 0)
-    if not _is_count(images_seen):
-        raise TableFormatError(f"{where}: bad images_seen {images_seen!r}")
     return tuple(shape)
 
 
@@ -274,5 +271,4 @@ def read_table_file(path: Any) -> TableSet:
             path, dtype=_WORD, mode="r", offset=data_offset, shape=shape
         ),
         key=header["key"],
-        images_seen=header.get("images_seen", 0),
     )

@@ -4,17 +4,17 @@ A serving front-end may host several models of the same shape — the
 old and new generation of one model during a reload, A/B variants
 sharing a config — and the expensive part of each is the encoder's
 derived state: Sobol tables (already memoized process-wide by
-:func:`repro.lds.sobol.sobol_sequences`) and the packed gather LUTs,
-including the lazy single→pair promotion that only pays off once warm.  :class:`EncoderCache` deduplicates that
-state: every model with the same ``(num_pixels, UHDConfig)`` key is
-handed the *same* encoder instance, whose tables are read-only after
-warm-up.
+:func:`repro.lds.sobol.sobol_sequences`) and the packed gather table.
+:class:`EncoderCache` deduplicates that state: every model with the same
+``(num_pixels, UHDConfig)`` key is handed the *same* encoder instance,
+whose table is read-only once its first encode has built it.
 
 Two serving-specific consequences:
 
 * **One table per server, whatever the start method.**  ``UHDServer``
-  warms its front-end encoder *before* starting workers.  Under
-  ``fork`` the children inherit the promoted tables copy-on-write;
+  runs its front-end readiness probe, whose first encode builds the
+  table, *before* starting workers.  Under ``fork`` the children
+  inherit that table copy-on-write;
   under ``spawn``/``forkserver`` the server writes them once to a table
   file (:meth:`EncoderCache.publish`) that every worker attaches.
   Either way N workers cost one set of gather tables, not N.
@@ -32,8 +32,6 @@ import os
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.config import UHDConfig
@@ -122,9 +120,9 @@ class EncoderCache:
         model does not expose an encoder/config (nothing to share).  Used
         by both the serving front-end and the worker bootstrap: under the
         ``fork`` start method the worker's inherited cache already holds
-        the parent's *warmed* encoder, so adoption is what turns the
-        pre-fork warm-up into copy-on-write table sharing instead of a
-        per-worker rebuild.
+        the parent's warm encoder, so adoption is what turns the
+        pre-fork readiness probe into copy-on-write table sharing instead
+        of a per-worker rebuild.
         """
         config = getattr(model, "config", None)
         num_pixels = getattr(model, "num_pixels", None)
@@ -143,51 +141,26 @@ class EncoderCache:
         model.encoder = self.get(num_pixels, config)
         return self.lock(num_pixels, config)
 
-    def warm(
-        self, num_pixels: int, config: "UHDConfig", batches: int = 2, seed: int = 0
-    ) -> "SobolLevelEncoder":
-        """Build *and* exercise the shared encoder past its lazy setup.
-
-        Runs ``batches`` synthetic encode batches sized to push a packed
-        encoder past pair-table promotion, so everything expensive is
-        materialized before (for example) worker processes fork.
-        """
-        encoder = self.get(num_pixels, config)
-        promote = getattr(type(encoder), "PAIR_PROMOTE_IMAGES", 0)
-        batch = max(32, -(-int(promote) // max(1, batches)) + 1)
-        rng = np.random.default_rng(seed)
-        for _ in range(batches):
-            images = rng.integers(
-                0, 256, size=(batch, num_pixels), dtype=np.uint8
-            )
-            encoder.encode_batch(images)
-        return encoder
-
     # ------------------------------------------------------------------
     # Table files (see repro.fastpath.tablestore)
     # ------------------------------------------------------------------
     def publish(
-        self,
-        num_pixels: int,
-        config: "UHDConfig",
-        path: str,
-        promote: bool = True,
+        self, num_pixels: int, config: "UHDConfig", path: str
     ) -> str | None:
         """Write the shared encoder's gather table to the table file ``path``.
 
         Returns ``path``, which workers attach with
         :func:`~repro.fastpath.tablestore.read_table_file`, or ``None``
         when this key's encoder has no exportable tables (the reference
-        encoder).  ``promote=True`` forces the pair promotion first so
-        attachers inherit the fully warmed state.
+        encoder).
         """
         from ..fastpath.tablestore import write_table_file
 
         encoder = self.get(num_pixels, config)
         if not hasattr(encoder, "export_tables"):
             return None
-        with self.lock(num_pixels, config):  # export may build/promote
-            tables = encoder.export_tables(promote=promote)
+        with self.lock(num_pixels, config):  # export builds a cold table
+            tables = encoder.export_tables()
         write_table_file(path, tables)
         with self._lock:
             self._published[path] = (tables.kind, tables.nbytes)

@@ -216,28 +216,17 @@ class UHDServer:
                 "image models (UHDClassifier, StreamingUHD)"
             )
         self._num_pixels = int(num_pixels)
-        # share (and warm) one encoder per (pixels, config) process-wide;
-        # under fork the workers inherit the warmed tables copy-on-write
-        # (worker_main adopts the same cache entry post-fork).  The whole
-        # warm-up runs under the key's serialization lock: another server
-        # over the same key may already be predicting on the shared
-        # encoder, whose workspaces are not safe under concurrent encodes
-        model_config = getattr(model, "config", None)
-        if model_config is not None and hasattr(model, "encoder"):
-            cache = encoder_cache()
-            self._encoder_lock = cache.lock(self._num_pixels, model_config)
-            with self._encoder_lock:
-                # adopt BEFORE warm: a model that arrived with warm
-                # tables (a .tables sidecar attach) seeds the cache, so
-                # warm() exercises those tables instead of rebuilding
-                cache.adopt(model)
-                cache.warm(self._num_pixels, model_config)
-                self._front_probe = readiness_probe(
-                    model, self._num_pixels,
-                    batch=self.config.probe_batch, repeats=1,
-                )
-        else:
-            self._encoder_lock = threading.Lock()
+        # share one encoder per (pixels, config) process-wide; the probe's
+        # first predict builds its table, which fork workers inherit
+        # copy-on-write (worker_main adopts the same cache entry
+        # post-fork).  Adopt BEFORE the probe: a model that arrived with
+        # warm tables (a .tables sidecar attach) seeds the cache, so the
+        # probe runs on those tables instead of rebuilding.  The probe
+        # holds the key's serialization lock: another server over the
+        # same key may already be predicting on the shared encoder, whose
+        # workspaces are not safe under concurrent encodes
+        self._encoder_lock = encoder_cache().adopt(model) or threading.Lock()
+        with self._encoder_lock:
             self._front_probe = readiness_probe(
                 model, self._num_pixels,
                 batch=self.config.probe_batch, repeats=1,

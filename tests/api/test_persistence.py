@@ -364,7 +364,7 @@ class TestTableSidecar:
         path = tmp_path / "model.npz"
         save_model(model, path, include_tables=True)
         loaded = load_model(path)
-        assert loaded.encoder._table.group == 2  # no re-promotion needed
+        assert loaded.encoder._table.group == 2  # the geometry's one table
 
     def test_sidecar_serves_rehomed_backend(self, tiny_digits, tmp_path):
         """The table key excludes backend: a packed sidecar warms an

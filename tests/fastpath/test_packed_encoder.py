@@ -2,8 +2,8 @@
 
 The property mirrors the paper's hardware-substitution claim the same way
 the unary-domain tests do: every accumulator bit must match, across
-dimensions not divisible by 64, odd/even pixel counts, both gather tables
-and the lazy pair promotion — serial or fanned out over threads.
+dimensions not divisible by 64, odd/even pixel counts and both gather
+tables — serial or fanned out over threads.
 """
 
 import multiprocessing
@@ -37,31 +37,19 @@ class TestBitExactness:
         )
 
     @pytest.mark.parametrize("pixels", [7, 12])
-    def test_single_and_pair_tables_agree(self, pixels, rng):
+    def test_single_and_pair_tables_agree(self, pixels, rng, monkeypatch):
         config = UHDConfig(dim=96, levels=16)
         reference = SobolLevelEncoder(pixels, config)
-        single = PackedLevelEncoder(pixels, config, pair_lut_budget=0)
-        paired = PackedLevelEncoder(pixels, config)
-        paired.PAIR_PROMOTE_IMAGES = 0
         images = _images(rng, 5, pixels)
         expected = reference.encode_batch(images)
-        np.testing.assert_array_equal(single.encode_batch(images), expected)
+        with monkeypatch.context() as patch:  # no pair table fits: single
+            patch.setattr(PackedLevelEncoder, "PAIR_LUT_BUDGET", 0)
+            single = PackedLevelEncoder(pixels, config)
+            np.testing.assert_array_equal(single.encode_batch(images), expected)
+        paired = PackedLevelEncoder(pixels, config)
         np.testing.assert_array_equal(paired.encode_batch(images), expected)
         assert single._table.group == 1
         assert paired._table.group == 2
-
-    def test_pair_promotion_mid_stream(self, rng):
-        """Crossing the promotion threshold must not change a single bit."""
-        config = UHDConfig(dim=64, levels=16)
-        reference = SobolLevelEncoder(10, config)
-        packed = PackedLevelEncoder(10, config)
-        packed.PAIR_PROMOTE_IMAGES = 8
-        images = _images(rng, 5, 10)
-        for _ in range(3):  # 5, 10, 15 images seen: promotes on the third call
-            np.testing.assert_array_equal(
-                packed.encode_batch(images), reference.encode_batch(images)
-            )
-        assert packed._table.group == 2
 
     def test_float_images(self, rng):
         config = UHDConfig(dim=80, levels=16)
@@ -129,19 +117,6 @@ class TestFanOut:
         shards = min(width, -(-batch // 16))
         used = {shard for shard, _ in packed._workspaces}
         assert used == (set(range(shards)) if shards > 1 else {0})
-
-    def test_bit_exact_across_pair_promotion(self, rng, monkeypatch):
-        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 4)
-        config = UHDConfig(dim=128)
-        reference = SobolLevelEncoder(49, config)
-        packed = PackedLevelEncoder(49, config)
-        for _ in range(3):  # 70, 140, 210 images seen: promotes on the second
-            images = _images(rng, 70, 49)
-            np.testing.assert_array_equal(
-                packed.encode_batch(images, chunk=16),
-                reference.encode_batch(images, chunk=16),
-            )
-        assert packed._table.group == 2
 
     def test_more_shards_than_cores_under_frequent_switching(
         self, rng, monkeypatch

@@ -27,12 +27,12 @@ CONFIG = UHDConfig(dim=128, backend="packed", binarize=True)
 
 @pytest.fixture(scope="module")
 def warm_encoder():
-    """A pair-promoted encoder plus reference accumulators to compare to."""
+    """A warm pair-table encoder plus reference accumulators to compare to."""
     encoder = PackedLevelEncoder(PIXELS, CONFIG)
     rng = np.random.default_rng(7)
     images = rng.integers(0, 256, size=(160, PIXELS), dtype=np.uint8)
     expected = encoder.encode_batch(images)
-    assert encoder._table.group == 2  # promoted: the big-table case
+    assert encoder._table.group == 2  # pair: the big-table case
     return encoder, images, expected
 
 
@@ -94,19 +94,17 @@ class TestStoreRoundTrip:
         pixels=st.integers(1, 49),
         dim=st.integers(1, 200),
         levels=st.integers(2, 13),
-        pair=st.booleans(),
         batch=st.integers(1, 40),
         seed=st.integers(0, 2**16),
     )
-    def test_attached_encoder_is_bit_exact(
-        self, pixels, dim, levels, pair, batch, seed
-    ):
+    def test_attached_encoder_is_bit_exact(self, pixels, dim, levels, batch, seed):
         """Odd H, ``dim % 64 != 0``, non-power-of-two ``levels``, single
-        and pair tables: the attached encoder encodes bit-exactly with a
-        built one and never builds a table itself."""
+        (H = 1) and pair tables: the attached encoder encodes bit-exactly
+        with a built one and never builds a table itself."""
         config = UHDConfig(dim=dim, levels=levels, seed=seed, backend="packed")
-        exported = PackedLevelEncoder(pixels, config).export_tables(promote=pair)
-        assert exported.kind == ("pair" if pair and pixels >= 2 else "single")
+        exported = PackedLevelEncoder(pixels, config).export_tables()
+        # every pair table here is < 1 MB, far under PAIR_LUT_BUDGET
+        assert exported.kind == ("pair" if pixels >= 2 else "single")
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "t.uhdtbl")
             write_table_file(path, exported)
@@ -132,7 +130,6 @@ class TestStoreRoundTrip:
         attached = read_table_file(path)
         assert attached.kind == exported.kind == "pair"
         assert attached.key == exported.key
-        assert attached.images_seen == exported.images_seen
         assert np.array_equal(np.asarray(attached.flat), np.asarray(exported.flat))
 
     def test_fanned_out_encoder_attaches_packed_tables(
@@ -148,27 +145,6 @@ class TestStoreRoundTrip:
         attached.attach_tables(read_table_file(path))
         assert np.array_equal(attached.encode_batch(images), expected)
         assert attached.table_builds == 0
-
-    def test_single_table_attach_then_promotes_locally(self, tmp_path):
-        """Attaching a pre-promotion (single) table still allows the
-        local lazy pair promotion — built on top of the attached bytes."""
-        encoder = PackedLevelEncoder(PIXELS, CONFIG)
-        rng = np.random.default_rng(3)
-        few = rng.integers(0, 256, size=(8, PIXELS), dtype=np.uint8)
-        many = rng.integers(0, 256, size=(200, PIXELS), dtype=np.uint8)
-        expected_few = encoder.encode_batch(few)
-        exported = encoder.export_tables()  # still single: 8 < promote point
-        assert exported.kind == "single"
-        path = tmp_path / "single.uhdtbl"
-        write_table_file(path, exported)
-        cold = PackedLevelEncoder(PIXELS, CONFIG)
-        cold.attach_tables(read_table_file(path))
-        assert np.array_equal(cold.encode_batch(few), expected_few)
-        assert cold.table_builds == 0
-        expected_many = PackedLevelEncoder(PIXELS, CONFIG).encode_batch(many)
-        assert np.array_equal(cold.encode_batch(many), expected_many)
-        assert cold._table.group == 2  # promoted past the attached table
-        assert cold.table_builds == 1  # exactly the pair build, nothing else
 
 
 class TestGuards:
@@ -245,11 +221,22 @@ class TestMalformedHeaders:
             _read_bytes(_header_with(table_bytes, shape=shape))
 
     @pytest.mark.parametrize(
-        "changes", [{"kind": "triple"}, {"key": [1]}, {"images_seen": -1}],
+        "changes", [{"kind": "triple"}, {"key": [1]}, {"kind": "single"}],
     )
     def test_bad_fields(self, table_bytes, changes):
+        """Includes a well-formed file of the other kind: this geometry
+        builds the pair table, so a single table must not attach."""
         with pytest.raises(TableFormatError):
-            _read_bytes(_header_with(table_bytes, **changes))
+            tables = _read_bytes(_header_with(table_bytes, **changes))
+            PackedLevelEncoder(PIXELS, CONFIG).attach_tables(tables)
+
+    def test_unknown_header_field_is_ignored(self, table_bytes, warm_encoder):
+        """Older writers recorded an image counter in the header; files
+        carrying a field the reader does not know still attach."""
+        tables = _read_bytes(_header_with(table_bytes, retired_counter=200))
+        PackedLevelEncoder(PIXELS, CONFIG).attach_tables(tables)
+        encoder, _, _ = warm_encoder
+        assert np.array_equal(tables.flat, encoder.export_tables().flat)
 
     def test_huge_header_length(self, table_bytes):
         offset = len(TABLE_FILE_MAGIC)
@@ -280,7 +267,7 @@ class TestMalformedHeaders:
         """Mutate one byte of the magic, length field or JSON header: the
         read-and-attach path either raises TableFormatError or installs
         the original table bytes (a mutation the JSON parser shrugs off,
-        e.g. whitespace, or one to ``images_seen``)."""
+        e.g. whitespace)."""
         offset = len(TABLE_FILE_MAGIC)
         length = int.from_bytes(table_bytes[offset:offset + 8], "little")
         position %= offset + 8 + length
@@ -298,30 +285,29 @@ class TestMalformedHeaders:
 
 
 class TestExport:
-    def test_cold_export_builds_then_exports(self):
+    @pytest.mark.parametrize(
+        "budget, kind",
+        [(PackedLevelEncoder.PAIR_LUT_BUDGET, "pair"), (0, "single")],
+        ids=["pair", "single"],
+    )
+    def test_cold_export_builds_then_exports(self, monkeypatch, budget, kind):
+        """A cold export builds exactly the one table the geometry uses:
+        the pair table when it fits the budget, else the single table."""
+        monkeypatch.setattr(PackedLevelEncoder, "PAIR_LUT_BUDGET", budget)
         encoder = PackedLevelEncoder(PIXELS, CONFIG)
         assert not encoder.tables_ready
         exported = encoder.export_tables()
         assert encoder.tables_ready
-        assert exported.kind == "single"
-        assert exported.flat.shape[0] == PIXELS
-
-    def test_promote_export_forces_pair_table(self):
-        encoder = PackedLevelEncoder(PIXELS, CONFIG)
-        exported = encoder.export_tables(promote=True)
-        assert exported.kind == "pair"
-        assert exported.flat.shape[0] == (PIXELS + 1) // 2
-        # an attacher inherits the promoted state: no later re-promotion
-        assert exported.images_seen >= PackedLevelEncoder.PAIR_PROMOTE_IMAGES
+        assert exported.kind == encoder.table_kind == kind
+        rows = (PIXELS + 1) // 2 if kind == "pair" else PIXELS
+        assert exported.flat.shape[0] == rows
+        assert encoder.table_builds == 1
 
     def test_table_nbytes_tracks_current_table(self):
         encoder = PackedLevelEncoder(PIXELS, CONFIG)
         assert encoder.table_nbytes == 0
-        encoder.export_tables()
-        single = encoder.table_nbytes
-        assert single > 0
-        encoder.export_tables(promote=True)
-        assert encoder.table_nbytes > single  # pair table is xi x larger
+        exported = encoder.export_tables()
+        assert encoder.table_nbytes == exported.nbytes > 0
 
 
 class TestTruncationEdges:

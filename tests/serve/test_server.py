@@ -466,7 +466,8 @@ class TestCacheIntrospection:
         from repro.serve import EncoderCache
 
         cache = EncoderCache()
-        cache.warm(serve_data.num_pixels, served_model.config)
+        # exporting builds the table, as a server's first predict would
+        cache.get(serve_data.num_pixels, served_model.config).export_tables()
         return cache
 
     def test_stats_reports_entries_and_table_bytes(
