@@ -4,13 +4,15 @@
 Stands up two :class:`repro.serve.UHDServer` pools over the same saved
 model and pushes the same stream of small predict requests through both:
 
-* ``serve_unbatched`` — ``max_batch`` pinned to the request size and a
-  zero coalescing window, so every request pays its own dispatch and
-  (in pool mode) IPC round-trip; this is what a naive per-request
-  server does.
-* ``serve_batched`` — the real micro-batcher: requests coalesce up to
-  ``--max-batch`` rows inside a ``--max-wait-ms`` window, so the packed
-  kernels see wide batches and the per-request fixed costs amortize.
+* ``serve_unbatched`` — ``max_batch`` pinned to the request size, so
+  every request pays its own dispatch and (in pool mode) IPC
+  round-trip; this is what a naive per-request server does.
+* ``serve_batched`` — the real micro-batcher: dispatch is
+  work-conserving, so requests queued while every worker is busy
+  coalesce up to ``--max-batch`` rows and the packed kernels see wide
+  batches that amortize the per-request fixed costs.  A lone request
+  is never held back (``--max-wait-ms`` is only the lane's urgency
+  bound).
 
 It also times **worker warm-start** (start() to every worker ready)
 per start method: ``worker_warmstart_fork`` (tables inherited
@@ -34,11 +36,11 @@ Three request-path rows measure the transport/scheduler layers:
   zero-copied from the receive buffer into batch assembly); its
   ``overhead_vs_inproc`` is asserted ``< 3.0`` before the row is
   written.
-* ``serve_priority_mixed`` — an ``interactive`` lane (1 ms window,
-  weight 4) probed with single-image requests while a ``bulk`` lane
-  (50 ms window) is kept saturated by a background flood; the recorded
-  interactive p50/p95 must stay bounded by the *interactive* lane's
-  window (plus one in-flight batch), not the bulk lane's — the
+* ``serve_priority_mixed`` — an ``interactive`` lane (1 ms urgency
+  bound, weight 4) probed with single-image requests while a ``bulk``
+  lane (50 ms bound) is kept saturated by a background flood; the
+  recorded interactive p50/p95 must stay bounded by the *interactive*
+  lane's bound (plus one in-flight batch), not the bulk lane's — the
   scheduler's anti-starvation contract, asserted before writing.
 
 ``serve_router_zoo`` exercises the fleet layer: a two-model router
@@ -302,8 +304,8 @@ def _priority_mixed_scenario(
     (the queue is never empty), while the main thread trickles
     single-image interactive requests and measures each submit→result
     round trip.  The scheduler's urgency rule must keep interactive p50
-    bounded by the interactive window plus one in-flight bulk batch —
-    nowhere near the bulk lane's window.
+    bounded by the interactive lane's bound plus one in-flight bulk
+    batch — nowhere near the bulk lane's bound.
     """
     import threading
     from collections import deque
@@ -354,7 +356,7 @@ def _priority_mixed_scenario(
     if p50_ms >= bulk.max_wait_ms:
         raise AssertionError(
             f"interactive p50 {p50_ms:.1f} ms is not bounded by its own "
-            f"lane: it exceeds even the bulk window ({bulk.max_wait_ms} ms) "
+            f"lane: it exceeds even the bulk bound ({bulk.max_wait_ms} ms) "
             "- the anti-starvation contract is broken"
         )
     return {
@@ -554,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-batch", type=int, default=64,
                         help="coalescing bound for the batched scenario")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="coalescing window for the batched scenario")
+                        help="urgency bound of the batched scenario's lane")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timed rounds (median reported)")
     parser.add_argument("--seed", type=int, default=0)
@@ -640,7 +642,6 @@ def main(argv: list[str] | None = None) -> int:
             "images_per_request": args.request_batch,
             # amortized: round wall time / request count with all requests
             # submitted up front — inverse throughput, NOT queueing latency
-            # (micro-batching adds up to max_wait_ms of latency per request)
             "ms_per_request_amortized": unbatched_s / args.requests * 1e3,
             "mean_batch_size": unbatched_mean,
         },
@@ -707,8 +708,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"  {row['name']:<22} interactive p50 "
                 f"{row['interactive_p50_ms']:6.2f} ms  p95 "
-                f"{row['interactive_p95_ms']:6.2f} ms  (own window "
-                f"{row['interactive_max_wait_ms']:g} ms, bulk window "
+                f"{row['interactive_p95_ms']:6.2f} ms  (own bound "
+                f"{row['interactive_max_wait_ms']:g} ms, bulk bound "
                 f"{row['bulk_max_wait_ms']:g} ms)  bulk "
                 f"{row['bulk_images_per_s']:.0f} images/s"
             )

@@ -17,7 +17,7 @@ Arrival processes (``--process``):
   burstiness).
 * ``bursty`` — arrivals grouped into back-to-back bursts of
   ``--burst-size`` at burst epochs spaced to hold the target rate; the
-  stress case for the coalescing window and lane weights.
+  stress case for coalescing and lane weights.
 
 ``--ramp 5,20,80`` runs one stage per listed rate (each ``--duration``
 seconds long) and emits per-stage rows — the quick way to find the knee

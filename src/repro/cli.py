@@ -272,7 +272,7 @@ def _parse_lane(spec: str):
     """``NAME[:MAX_BATCH[:MAX_WAIT_MS[:WEIGHT]]]`` -> LaneConfig.
 
     Empty fields inherit the server-wide knob: ``bulk::50`` is a lane
-    named bulk with the global max_batch and a 50 ms window.
+    named bulk with the global max_batch and a 50 ms urgency bound.
     """
     from .serve import LaneConfig
 
@@ -470,8 +470,8 @@ def _cmd_route(args: argparse.Namespace) -> str:
         mode = "in-process fallback" if config.workers == 0 else (
             f"{config.workers} worker process(es) per model"
         )
-        # each lane's resolved window: the one that actually applies
-        # (always 0ms in-process, where the caller is the executor)
+        # each lane's resolved urgency bound (the same at every worker
+        # count)
         lane_windows = ", ".join(
             f"{lane.name} max_wait={lane.max_wait_ms:g}ms"
             for lane in config.effective_lanes()
@@ -725,7 +725,8 @@ def _configure_route(
     )
     parser.add_argument(
         "--max-wait-ms", type=float, default=2.0,
-        help="micro-batching window before a partial batch flushes",
+        help="per-lane urgency bound: a lane whose oldest request has "
+        "waited this long is served first (never delays a dispatch)",
     )
     parser.add_argument(
         "--start-method", default="auto",

@@ -1,14 +1,20 @@
 """Priority-lane scheduler: the queueing/coalescing policy of the request path.
 
-The :class:`Scheduler` owns every decision about *when* a queued request
-becomes a dispatched batch and *which* traffic class gets served first:
+The :class:`Scheduler` owns every decision about *which* queued requests
+leave together and *which* traffic class gets served first:
 
 * **Named priority lanes.**  Each :class:`LaneConfig` is an independent
   FIFO with its own ``max_batch`` (rows per dispatched batch),
-  ``max_wait_ms`` (coalescing window *and* staleness bound — see below),
-  ``weight`` (drain share) and ``queue_depth`` (backpressure bound).
-  Batches never mix lanes: an ``interactive`` batch is sized and timed
-  by the interactive lane's knobs, a ``bulk`` batch by the bulk lane's.
+  ``max_wait_ms`` (urgency bound — see below), ``weight`` (drain share)
+  and ``queue_depth`` (backpressure bound).  Batches never mix lanes:
+  an ``interactive`` batch is sized by the interactive lane's knobs, a
+  ``bulk`` batch by the bulk lane's.
+* **Work-conserving coalescing.**  :meth:`Scheduler.next_batch` never
+  holds a batch open: it pops the chosen lane's queued FIFO prefix (up
+  to ``max_batch`` rows) and returns at once.  The caller is an idle
+  executor, so a lone request is dispatched the moment it is queued;
+  requests coalesce only while every executor is busy and parts pile
+  up in their lanes.
 * **Weighted anti-starvation draining.**  When several lanes hold work,
   the scheduler serves the lane with the smallest *virtual time* —
   stride scheduling: serving ``rows`` advances a lane's clock by
@@ -17,11 +23,10 @@ becomes a dispatched batch and *which* traffic class gets served first:
   busy lanes' so it cannot bank unbounded credit.
 * **Urgency preemption.**  A lane whose *oldest* queued item has waited
   longer than the lane's own ``max_wait_ms`` is *urgent* and is served
-  before any weighted choice; while a batch for another lane is holding
-  its coalescing window open, the window is cut short the moment a
-  different lane becomes urgent.  This is the bound the serving layer
-  advertises: an interactive request's scheduling delay is governed by
-  the interactive lane's ``max_wait_ms``, never by the bulk lane's.
+  before any weighted choice (the most overdue first).  This is the
+  bound the serving layer advertises: an interactive request's
+  scheduling delay is governed by the interactive lane's
+  ``max_wait_ms``, never by the bulk lane's.
 * **Deadlines fail loudly.**  ``put(..., deadline=...)`` attaches an
   absolute ``time.monotonic()`` deadline; an item still queued when it
   passes is *never served late* — it is removed (mid-queue included)
@@ -29,8 +34,8 @@ becomes a dispatched batch and *which* traffic class gets served first:
   :meth:`stats`.
 
 Within a lane, items leave in FIFO order and are never split (an item
-that would overflow the forming batch waits for the next one); ``put``
-is bounded and applies backpressure; an empty poll window returns an
+that would overflow the batch waits for the next one); ``put`` is
+bounded and applies backpressure; an empty poll window returns an
 empty heartbeat batch; and close is drain-then-stop.
 """
 
@@ -72,6 +77,10 @@ class LaneConfig:
     :class:`~repro.serve.types.ServeConfig`, meaning "inherit the
     server-wide knob" — :meth:`resolved` fills them in.  A
     :class:`Scheduler` only accepts fully resolved lanes.
+
+    ``max_wait_ms`` is the lane's urgency bound: once the lane's oldest
+    queued item has waited longer than that, the lane is served before
+    any weighted choice.  It never delays a dispatch.
 
     ``weight`` is the lane's drain share relative to its peers: under
     contention a weight-4 lane is handed ~4 rows for every row a
@@ -117,12 +126,12 @@ class LaneConfig:
 class LaneStats:
     """Point-in-time counters for one lane (see :meth:`Scheduler.stats`).
 
-    ``latency`` is the lane's scheduling-latency distribution — each
-    served item's wait from :meth:`Scheduler.put` until its batch is
-    returned by :meth:`Scheduler.next_batch`, so the coalescing window
-    is included for every item, the batch head too.  It means the same
-    whether a worker pool or the submitting thread (``workers=0``)
-    drains the scheduler.
+    ``latency`` is the lane's queue-wait distribution — each served
+    item's wait from :meth:`Scheduler.put` until an executor takes its
+    batch from :meth:`Scheduler.next_batch`.  Time a part spends queued
+    while every worker is busy counts here.  It means the same whether
+    a worker pool or the submitting thread (``workers=0``) drains the
+    scheduler.
     Expired items never enter it: they are counted in ``expired`` and
     mirrored in ``latency.excluded``, so quantiles are computed over
     served traffic only.
@@ -220,12 +229,6 @@ class _LaneState:
     @property
     def max_wait_s(self) -> float:
         return self.config.max_wait_ms / 1e3
-
-    def urgency_due(self) -> float | None:
-        """Absolute time the oldest queued item exceeds this lane's window."""
-        if not self.q:
-            return None
-        return self.q[0].enqueued + self.max_wait_s
 
 
 class Scheduler(Generic[ItemT]):
@@ -370,10 +373,12 @@ class Scheduler(Generic[ItemT]):
     # Consumer side
     # ------------------------------------------------------------------
     def next_batch(self, poll_s: float = 0.1) -> "ScheduledBatch[ItemT] | None":
-        """Drain the next batch according to lane policy.
+        """Pop the next batch according to lane policy, without waiting for more.
 
-        Blocks up to ``poll_s`` for a first item anywhere; an expired
-        empty window returns an empty :class:`ScheduledBatch` (the
+        The caller is an idle executor.  Blocks up to ``poll_s`` for a
+        first item anywhere, then returns the chosen lane's queued FIFO
+        prefix (up to ``max_batch`` rows) at once.  An expired empty
+        poll window returns an empty :class:`ScheduledBatch` (the
         heartbeat the dispatcher uses to re-check its own liveness).
         Returns ``None`` exactly when the scheduler is closed *and*
         fully drained.  Expired-deadline items encountered along the way
@@ -395,51 +400,24 @@ class Scheduler(Generic[ItemT]):
         while True:
             now = time.monotonic()
             self._expire_locked(now, expired)
-            picked = self._pick_locked(now)
-            if picked is not None:
+            state = self._pick_locked(now)
+            if state is not None:
                 break
-            if self._closed and not any(s.q for s in self._states):
+            if self._closed:  # every lane is empty: closed and drained
                 return None
             remaining = poll_deadline - now
             if remaining <= 0:
                 return ScheduledBatch(None, [])
-            wake = self._nearest_deadline_locked()
-            if wake is not None and wake <= now:
-                continue  # a deadline just passed: expire it first
-            timeout = remaining if wake is None else min(remaining, wake - now)
-            self._not_empty.wait(timeout)
+            self._not_empty.wait(remaining)
 
-        state = picked
         cfg = state.config
-        entries = [self._pop_head_locked(state)]
-        rows = entries[0].rows
-        flush_at = time.monotonic() + state.max_wait_s
-        while rows < cfg.max_batch:
-            now = time.monotonic()
-            self._expire_locked(now, expired)
-            if not state.q:
-                if self._closed or flush_at <= now:
-                    break
-                # hold the window open for more of this lane's traffic —
-                # but cut it short the moment another lane turns urgent
-                # (its own max_wait_ms exceeded) so one lane's window can
-                # never stretch a peer's latency bound
-                wake = flush_at
-                urgency = self._nearest_urgency_locked(exclude=state)
-                if urgency is not None:
-                    if urgency <= now:
-                        break
-                    wake = min(wake, urgency)
-                deadline = self._nearest_deadline_locked()
-                if deadline is not None and deadline > now:
-                    wake = min(wake, deadline)
-                self._not_empty.wait(max(wake - now, 0.0))
-                continue
-            head = state.q[0]
-            if rows + head.rows > cfg.max_batch:
-                break  # leave the overflow item for the next batch
+        entries: list[_Entry] = []
+        rows = 0
+        # the queued FIFO prefix; an item that would overflow the batch
+        # stays at the head for the next one
+        while state.q and rows + state.q[0].rows <= cfg.max_batch:
             entries.append(self._pop_head_locked(state))
-            rows += head.rows
+            rows += entries[-1].rows
         # stride accounting: the system clock only moves forward, and a
         # lane's clock is clamped up to it before the drain is charged —
         # so a lane that sat idle re-enters at "now", banking no credit
@@ -448,11 +426,9 @@ class Scheduler(Generic[ItemT]):
         state.served += len(entries)
         state.served_rows += rows
         state.batches += 1
-        # queue wait: put() to the batch leaving the scheduler, so every
-        # item's share of the coalescing window counts, the head's too
-        dispatched = time.monotonic()
+        # queue wait: put() until an executor takes the batch
         for entry in entries:
-            state.hist.record(dispatched - entry.enqueued)
+            state.hist.record(now - entry.enqueued)
         self._not_full.notify_all()
         return ScheduledBatch(cfg.name, [entry.item for entry in entries])
 
@@ -497,30 +473,6 @@ class Scheduler(Generic[ItemT]):
         if best is not None:
             return best
         return min(candidates, key=lambda s: s.vtime)
-
-    def _nearest_urgency_locked(self, exclude: _LaneState) -> float | None:
-        """Earliest instant any *other* non-empty lane becomes urgent."""
-        nearest = None
-        for state in self._states:
-            if state is exclude:
-                continue
-            due = state.urgency_due()
-            if due is not None and (nearest is None or due < nearest):
-                nearest = due
-        return nearest
-
-    def _nearest_deadline_locked(self) -> float | None:
-        """Earliest queued item deadline across all lanes (expiry wake-up)."""
-        nearest = None
-        for state in self._states:
-            if not state.deadlined:
-                continue
-            for entry in state.q:
-                if entry.deadline is not None and (
-                    nearest is None or entry.deadline < nearest
-                ):
-                    nearest = entry.deadline
-        return nearest
 
     def close(self) -> None:
         """Stop accepting new items; queued ones still drain via ``next_batch``."""

@@ -12,8 +12,10 @@
   writes and deletes;
 * **a priority-lane scheduler**
   (:class:`~repro.serve.scheduler.Scheduler`) coalescing small
-  requests into packed-friendly batches per named lane (``max_batch`` /
-  ``max_wait_ms`` / ``lanes`` in :class:`~repro.serve.types.ServeConfig`),
+  requests queued while every worker is busy into packed-friendly
+  batches per named lane (``max_batch`` / ``max_wait_ms`` / ``lanes``
+  in :class:`~repro.serve.types.ServeConfig`) — an idle worker takes
+  what is queued at once,
   draining lanes with weighted anti-starvation and failing
   expired-deadline requests loudly instead of serving them late;
 * **a pool of worker processes** (:mod:`repro.serve.worker`) that
@@ -534,12 +536,23 @@ class UHDServer:
     # Pool threads
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
+        """Acquire an idle worker first, then hand it the next piece of work.
+
+        Work-conserving: the worker is held while the dispatcher waits
+        for the retry queue's head or :meth:`Scheduler.next_batch`, so a
+        lone part leaves the moment it is queued.  Parts coalesce on
+        their own while every worker is busy: they pile up in their
+        lanes and the next pull takes up to ``max_batch`` of them.
+        """
         assert self._scheduler is not None
+        worker: WorkerHandle | None = None
         while True:
+            worker = self._acquire_worker(held=worker)
+            if worker is None:  # shutting down, or every worker dead
+                self._fail_retries()
+                return
             batch: _Batch | None = None
             with self._cv:
-                if not self._running:
-                    return
                 if self._retry:
                     batch = self._retry.popleft()
                     # back in the dispatcher's hands: count its parts as
@@ -551,31 +564,25 @@ class UHDServer:
                     with self._cv:
                         self._cv.wait(0.05)
                     continue
-                if not scheduled:  # empty flush on timeout: idle heartbeat
+                if not scheduled:  # idle heartbeat: keep the worker
                     continue
                 batch = _Batch(
                     next(self._batch_ids), scheduled.items, lane=scheduled.lane
                 )
-            worker = self._acquire_worker()
-            if worker is None:
-                failure = self._failure or ServeError(
-                    "server is shutting down"
-                )
-                batch.fail(failure)
-                with self._cv:
-                    self._pending_parts -= len(batch.parts)
-                    self._cv.notify_all()
-                continue
             crash = False
             with self._cv:
-                if worker.state != "busy" or not worker.alive():
-                    # the worker crashed between acquisition and here and
-                    # the reaper already reset it (state back to starting/
-                    # dead); registering now would orphan the batch on a
-                    # fresh generation — re-queue it for another worker
+                if not self._running or worker.state != "busy" or not (
+                    worker.alive()
+                ):
+                    # the worker died while the dispatcher held it (the
+                    # reaper reset it to starting/dead), or the server is
+                    # closing: registering now would orphan the batch —
+                    # re-queue it for another worker, or for the
+                    # shutdown path above to fail
                     self._pending_parts -= len(batch.parts)
                     self._retry.append(batch)
                     self._cv.notify_all()
+                    worker = None
                     continue
                 if self._crash_next > 0:
                     self._crash_next -= 1
@@ -588,6 +595,7 @@ class UHDServer:
                 # swaps worker.task_writer, and a send must never land on a
                 # newer generation's pipe
                 writer = worker.task_writer
+            worker = None
             try:
                 writer.send(("batch", batch.id, batch.images(), crash))
             except (BrokenPipeError, OSError, AttributeError):
@@ -595,9 +603,28 @@ class UHDServer:
                 # reaper reclaims and retries this batch
                 pass
 
-    def _acquire_worker(self) -> WorkerHandle | None:
+    def _fail_retries(self) -> None:
+        """Fail every re-queued batch once no worker can take it.
+
+        Covers a batch the crash rule re-queued after ``close()`` or the
+        no-workers path collected its leftovers.
+        """
+        with self._cv:
+            stranded = list(self._retry)
+            self._retry.clear()
+            failure = self._failure or ServeError("server is shutting down")
+            self._cv.notify_all()
+        for batch in stranded:
+            batch.fail(failure)
+
+    def _acquire_worker(
+        self, held: WorkerHandle | None = None
+    ) -> WorkerHandle | None:
+        """An idle worker marked busy (``held`` is kept); None once stopping."""
         with self._cv:
             while self._running and self._failure is None:
+                if held is not None:
+                    return held
                 if self._idle:
                     worker = self._idle.popleft()
                     if worker.state == "idle" and worker.alive():

@@ -17,7 +17,7 @@ crashes (crashed batches are re-queued onto a fresh worker).
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from ..api.registry import BACKENDS
@@ -77,17 +77,16 @@ class ServeConfig:
         split into ``max_batch``-sized parts and reassembled in order,
         so the packed kernels always see friendly batch shapes.
     max_wait_ms:
-        Micro-batching window: once a batch has its first request, the
-        dispatcher waits at most this long for more requests to coalesce
-        before flushing a partial batch.  ``0`` flushes immediately
-        (lowest latency, least coalescing).  Under ``workers=0`` every
-        lane resolves to ``0``: the submitting thread is the executor
-        and is always idle, so there is nothing to wait for.
+        Urgency bound: a lane whose oldest queued request has waited
+        longer than this is served before any weighted choice.  It
+        never delays a dispatch — an idle worker (or the submitting
+        thread under ``workers=0``) takes what is queued at once, and
+        requests coalesce only while every worker is busy.
     lanes:
         Named priority lanes (:class:`~repro.serve.scheduler.LaneConfig`)
         the scheduler drains with weighted anti-starvation — e.g. an
-        ``interactive`` lane with a 1 ms window next to a ``bulk`` lane
-        with a 50 ms window.  The *first* lane is the default
+        ``interactive`` lane with a 1 ms urgency bound next to a
+        ``bulk`` lane with a 50 ms one.  The *first* lane is the default
         ``submit`` uses when none is named.  Lane knobs left ``None``
         inherit the server-wide ``max_batch`` / ``max_wait_ms`` /
         ``queue_depth``.  Empty (the default) means one ``"default"``
@@ -142,17 +141,14 @@ class ServeConfig:
 
         Configured lanes with their ``None`` knobs filled from the
         server-wide defaults; or, when no lanes were named, a single
-        ``"default"`` lane carrying exactly the server-wide knobs.  Under
-        ``workers=0`` every lane's ``max_wait_ms`` is ``0``.
+        ``"default"`` lane carrying exactly the server-wide knobs.  The
+        same at every worker count.
         """
         lanes = self.lanes or (LaneConfig(name="default"),)
-        resolved = tuple(
+        return tuple(
             lane.resolved(self.max_batch, self.max_wait_ms, self.queue_depth)
             for lane in lanes
         )
-        if self.workers == 0:
-            return tuple(replace(lane, max_wait_ms=0.0) for lane in resolved)
-        return resolved
 
     def __post_init__(self) -> None:
         if self.workers < 0:

@@ -1,4 +1,4 @@
-"""One-lane scheduler semantics: coalescing, windows, bounds, close.
+"""One-lane scheduler semantics: coalescing, no hold, bounds, close.
 
 The single-lane view of :class:`Scheduler` the server's dispatcher
 relies on; ``test_scheduler.py`` covers what several lanes add.
@@ -81,19 +81,15 @@ class TestCoalescing:
         assert [i.tag for i in scheduler.next_batch(poll_s=0.1)] == ["a"]
         assert [i.tag for i in scheduler.next_batch(poll_s=0.1)] == ["b"]
 
-    def test_wait_window_collects_late_items(self):
-        scheduler = single_lane(max_batch=4, max_wait_s=0.5)
-
-        def late_put():
-            time.sleep(0.05)
-            scheduler.put(Item(1, tag="late"))
-
-        thread = threading.Thread(target=late_put)
-        scheduler.put(Item(1, tag="early"))
-        thread.start()
+    def test_lone_item_is_returned_without_waiting(self):
+        """max_wait_ms is an urgency bound, not a hold: a lone item
+        leaves at once even under a 5 s bound."""
+        scheduler = single_lane(max_batch=4, max_wait_s=5.0)
+        scheduler.put(Item(1, tag="only"))
+        start = time.monotonic()
         batch = scheduler.next_batch(poll_s=0.1)
-        thread.join()
-        assert [i.tag for i in batch] == ["early", "late"]
+        assert time.monotonic() - start < 1.0
+        assert [i.tag for i in batch] == ["only"]
 
     def test_zero_wait_flushes_immediately(self):
         scheduler = single_lane(max_batch=64, max_wait_s=0.0)

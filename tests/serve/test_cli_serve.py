@@ -36,8 +36,8 @@ class TestServeCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "in-process fallback" in out
-        # the caller is the executor: no coalescing window ever applies
-        assert "lanes: default max_wait=0ms" in out
+        # lanes resolve the same in-process as in pool mode
+        assert "lanes: default max_wait=2ms" in out
         assert "verify OK" in out
         assert "shutdown clean" in out
 

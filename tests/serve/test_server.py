@@ -40,6 +40,19 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
 
+    def test_lanes_resolve_the_same_at_every_worker_count(self):
+        """In-process lanes keep their bounds, so weights and urgency
+        mean the same thing in both modes."""
+        lanes = (
+            LaneConfig("interactive", max_batch=16, max_wait_ms=1.0, weight=4.0),
+            LaneConfig("bulk", max_wait_ms=50.0),
+        )
+        for kwargs in ({}, {"lanes": lanes}):
+            inproc = ServeConfig(workers=0, max_wait_ms=7.0, **kwargs)
+            pool = ServeConfig(workers=1, max_wait_ms=7.0, **kwargs)
+            assert inproc.effective_lanes() == pool.effective_lanes()
+        assert ServeConfig(workers=0).effective_lanes()[0].max_wait_ms == 2.0
+
 
 class TestInProcessFallback:
     def test_bit_exact_with_direct_predict(
@@ -259,9 +272,22 @@ class TestWorkerPool:
                 )
             stats = server.stats()
         assert stats.requests == 16
-        # the batcher must have merged most single-image requests
+        # requests queued while the worker was busy must have coalesced
         assert stats.batches < 16
         assert stats.max_batch_seen > 1
+
+    def test_lone_request_does_not_wait_out_the_bound(
+        self, model_path, serve_data, direct_labels
+    ):
+        """Work-conserving dispatch: the idle worker takes a lone request
+        at once, so a 5 s max_wait_ms never delays it."""
+        config = ServeConfig(workers=1, max_wait_ms=5000.0)
+        with UHDServer(model_path, config) as server:
+            start = time.monotonic()
+            got = server.predict(serve_data.test_images[:1], timeout=30.0)
+            elapsed = time.monotonic() - start
+        assert np.array_equal(got, direct_labels[:1])
+        assert elapsed < 2.5
 
     def test_backend_override_is_bit_exact(
         self, model_path, serve_data, direct_labels

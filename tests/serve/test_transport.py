@@ -27,6 +27,7 @@ from repro.serve import (
     Router,
     ServeConfig,
     UHDServer,
+    encoder_cache,
 )
 
 
@@ -241,14 +242,17 @@ class TestHttpPredict:
         assert np.array_equal(np.asarray(reply["labels"]), direct_labels[:2])
 
     def test_close_waits_for_in_flight_handlers(
-        self, model_path, serve_data, direct_labels
+        self, model_path, served_model, serve_data, direct_labels
     ):
         """transport.close() must join handler threads: a request accepted
         before close gets its answer, not a reset."""
-        # a long coalescing window holds the lone request in flight: the
-        # dispatcher waits ~300ms for more traffic before dispatching it
-        config = ServeConfig(workers=1, max_batch=64, max_wait_ms=300.0)
-        with _router(model_path, config) as router:
+        with _router(model_path, ServeConfig(workers=0)) as router:
+            # holding the shared encoder's lock keeps the in-process
+            # executor from running, so the request stays queued in its
+            # handler
+            lock = encoder_cache().lock(
+                served_model.num_pixels, served_model.config
+            )
             transport = HttpTransport(router).start()
             reply: dict = {}
 
@@ -262,10 +266,25 @@ class TestHttpPredict:
                 )
 
             thread = threading.Thread(target=slow_post)
-            thread.start()
-            time.sleep(0.1)  # the request is accepted and mid-window now
-            transport.close()  # must block until the handler answered
-            assert reply, "close() returned before the in-flight answer"
+            closer = threading.Thread(target=transport.close)
+            with lock:
+                thread.start()
+                deadline = time.monotonic() + 30.0
+                while True:  # until the handler has queued its request
+                    (lane,) = router.stats()["lanes"]
+                    if lane["submitted"] == 1:
+                        break
+                    assert time.monotonic() < deadline, lane
+                    time.sleep(0.001)
+                assert lane["depth"] == 1 and not reply
+                closer.start()
+                # longer than the accept loop's 0.5 s shutdown poll
+                closer.join(timeout=1.5)
+                assert closer.is_alive(), (
+                    "close() returned while a handler was still in flight"
+                )
+            closer.join(timeout=30.0)  # must return once the handler answered
+            assert not closer.is_alive()
             thread.join(timeout=30.0)
             assert not thread.is_alive()
         assert np.array_equal(

@@ -9,6 +9,10 @@ request.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -34,6 +38,36 @@ class TestCrashRecovery:
         # both generations (bootstrap and respawn) inherited or attached
         # the front-end's table, never rebuilt it
         assert stats.worker_table_builds == (0,)
+
+    def test_worker_killed_while_idle_answers_next_request_once(
+        self, model_path, serve_data, direct_labels, start_method
+    ):
+        """The dispatcher holds an idle worker while it waits for work; a
+        SIGKILL then must not lose, duplicate or strand the next request."""
+        config = ServeConfig(
+            workers=1, max_batch=16, restart_limit=2,
+            start_method=start_method,
+        )
+        with UHDServer(model_path, config) as server:
+            (worker,) = server._workers
+            deadline = time.monotonic() + 10.0
+            while worker.state != "busy":  # the dispatcher took it, idle
+                assert time.monotonic() < deadline, worker.state
+                time.sleep(0.001)
+            assert worker.busy_batch is None
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.join(timeout=10.0)
+            answers = []
+            handle = server.submit(serve_data.test_images[:3])
+            handle.add_done_callback(answers.append)
+            got = handle.result(timeout=60.0)
+            stats = server.stats()
+        assert np.array_equal(got, direct_labels[:3])
+        assert answers == [handle]  # answered exactly once
+        assert stats.restarts == 1
+        assert stats.batches == 1  # dispatched once, to the respawned worker
+        for lane in stats.lanes:
+            assert lane.submitted == lane.served + lane.expired
 
     def test_two_crashes_within_budget_still_answer(
         self, model_path, serve_data, direct_labels
