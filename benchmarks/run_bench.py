@@ -5,7 +5,10 @@ Executes the reference-vs-packed encode and binarized-predict
 benchmarks (the same hot paths ``bench_throughput.py`` measures under
 pytest-benchmark, without needing the plugin) and writes
 ``BENCH_throughput.json``: name, median seconds, ops/s and speedup ratios
-per benchmark.  Subsequent PRs regress against the checked-in file.
+per benchmark, plus per-layer encode/classify rows at batch 1 and 32 and
+the compiled encode kernel's cold-compile vs cached-load row
+(``kernel_compile_s``).  Subsequent PRs regress against the checked-in
+file.
 
 Usage::
 
@@ -28,11 +31,19 @@ import argparse
 import json
 import sys
 
-from repro.eval.throughput import render_results, run_throughput_suite, write_bench_json
+from repro.eval.throughput import (
+    kernel_compile_rows,
+    render_results,
+    run_throughput_suite,
+    write_bench_json,
+)
 
 #: workload keys that must match the baseline for speedup ratios to be
-#: commensurate (machine keys like numpy/cpu_count legitimately differ)
-_WORKLOAD_KEYS = ("pixels", "dim", "levels", "batch", "thread_batch", "queries")
+#: commensurate (machine keys like numpy/cpu_count legitimately differ;
+#: the encode kernel does not: its NumPy fallback is several times slower)
+_WORKLOAD_KEYS = (
+    "pixels", "dim", "levels", "batch", "thread_batch", "queries", "encode_kernel",
+)
 
 
 def check_smoke(results: dict, baseline: dict, min_ratio: float) -> list[str]:
@@ -45,7 +56,7 @@ def check_smoke(results: dict, baseline: dict, min_ratio: float) -> list[str]:
             failures.append(
                 f"workload mismatch: {key}={new_value} but the baseline was "
                 f"recorded at {key}={old_value}; speedup comparison would be "
-                "meaningless (rerun with matching flags)"
+                "meaningless (rerun with matching flags and environment)"
             )
     if failures:
         return failures
@@ -129,6 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         queries=args.queries,
         repeats=repeats,
     )
+    if not args.smoke:  # seconds per cold compile; no speedup to guard
+        results["benchmarks"] += kernel_compile_rows()
     print(render_results(results))
     if args.smoke:
         try:

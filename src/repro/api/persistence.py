@@ -378,5 +378,6 @@ def _attach_table_sidecar(model: "Estimator", path: Any) -> None:
     except TableFormatError as exc:
         raise ModelFormatError(
             f"table sidecar {sidecar} does not match the model it sits "
-            f"next to: {exc}"
+            f"next to: {exc}; re-save the model with include_tables=True "
+            "to rewrite it"
         ) from exc

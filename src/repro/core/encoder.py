@@ -21,6 +21,8 @@ Two comparison paths share this class:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..lds.halton import halton_sequences
@@ -85,7 +87,7 @@ class SobolLevelEncoder:
         depending on the configured path.
         """
         images = np.asarray(images)
-        flat = images.reshape(images.shape[0], -1)
+        flat = images.reshape(images.shape[0], math.prod(images.shape[1:]))
         if flat.shape[1] != self.num_pixels:
             raise ValueError(
                 f"expected {self.num_pixels} pixels per image, got {flat.shape[1]}"
@@ -105,8 +107,10 @@ class SobolLevelEncoder:
 
         The comparison fans out to a ``(chunk, H, D)`` boolean tensor; the
         accumulator is ``2 * popcount - H`` per dimension (the +-1 view of
-        the hardware popcount).  ``chunk`` bounds transient memory.
+        the hardware popcount).  ``chunk`` (>= 1) bounds transient memory.
         """
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
         values = self._normalize(images)
         reference = self._codes if self.config.quantized else self._sequences
         batch = values.shape[0]

@@ -13,13 +13,26 @@ median, which pytest-benchmark also favours.
 The packed encoder only fans out over threads when a batch spans two or
 more encode chunks, so ``uhd_encode_packed_large`` times a larger batch
 (``thread_batch``) next to the serial 32-image ``uhd_encode_packed`` row;
-``fanout_width`` in the config records how many threads it could use.
+``fanout_width`` in the config records how many threads it could use,
+and ``encode_kernel`` which encode implementation ran (``"c"`` or
+``"numpy"``, :attr:`PackedLevelEncoder.kernel`).
+
+Per-layer rows time one layer at the serving batch sizes 1 and 32 on
+sparse synthetic MNIST (the offline workload's input): encode
+(``layer_encode_b*``, ``us_per_image``) and binarized packed classify
+(``layer_classify_b*``, ``us_per_query``).  :func:`kernel_compile_rows`
+records the compiled kernel's one-off set-up (``kernel_compile_s``): a
+cold compile into an empty cache next to a warm load of the cached build
+in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 
@@ -28,10 +41,17 @@ import numpy as np
 from ..core.config import UHDConfig
 from ..core.encoder import SobolLevelEncoder
 from ..fastpath import HAS_BITWISE_COUNT, PackedLevelEncoder
+from ..fastpath import kernel as native_kernel
 from ..fastpath.encoder import FANOUT_WIDTH
 from ..hdc.classifier import CentroidClassifier
 
-__all__ = ["BenchResult", "run_throughput_suite", "write_bench_json", "render_results"]
+__all__ = [
+    "BenchResult",
+    "kernel_compile_rows",
+    "run_throughput_suite",
+    "write_bench_json",
+    "render_results",
+]
 
 
 @dataclass(frozen=True)
@@ -188,9 +208,97 @@ def run_throughput_suite(
             "bitwise_count": HAS_BITWISE_COUNT,
             "cpu_count": os.cpu_count(),
             "fanout_width": FANOUT_WIDTH,
+            "encode_kernel": packed.kernel,
         },
-        "benchmarks": [asdict(b) for b in benchmarks],
+        "benchmarks": [asdict(b) for b in benchmarks]
+        + _layer_rows(packed, packed_clf, pixels, repeats),
     }
+
+
+def _layer_rows(
+    packed: PackedLevelEncoder,
+    classifier: CentroidClassifier,
+    pixels: int,
+    repeats: int,
+) -> list[dict]:
+    """Encode µs/image and classify µs/query at batch 1 and 32."""
+    from ..datasets import synthetic_mnist
+
+    if pixels == 784:
+        images = synthetic_mnist(n_train=1, n_test=32, seed=11).test_images
+        images = images.reshape(32, pixels)
+        source = "synthetic_mnist"
+    else:
+        images = np.random.default_rng(11).integers(0, 256, (32, pixels), np.uint8)
+        source = "uniform_random"
+    queries = packed.encode_batch(images)
+    calls = {}
+    for rows in (1, 32):
+        calls[f"layer_encode_b{rows}"] = (
+            lambda x=images[:rows]: packed.encode_batch(x)
+        )
+        calls[f"layer_classify_b{rows}"] = (
+            lambda q=queries[:rows]: classifier.predict(q)
+        )
+    medians = _interleaved_medians(calls, 4 * repeats)
+    out = []
+    for name, median in medians.items():
+        rows = int(name.rsplit("_b", 1)[1])
+        per = "us_per_image" if "encode" in name else "us_per_query"
+        out.append({
+            "name": name,
+            "median_s": median,
+            "ops_per_s": rows / median,
+            "speedup_vs_reference": None,
+            "batch": rows,
+            per: median / rows * 1e6,
+            "input": source,
+        })
+    return out
+
+
+def kernel_compile_rows(repeats: int = 3) -> list[dict]:
+    """``kernel_compile_s``: cold compile vs a fresh process's cached load.
+
+    Empty where the compiled kernel is unavailable.  Kept out of
+    :func:`run_throughput_suite` because each repeat compiles from
+    scratch (seconds).
+    """
+    if native_kernel.load() is None:
+        return []
+    probe = (
+        "import sys, time\n"
+        "from repro.fastpath import kernel\n"
+        "t = time.perf_counter()\n"
+        "kernel.load_module(sys.argv[1])\n"
+        "print(time.perf_counter() - t)\n"
+    )
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    cold, warm = [], []
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory() as directory:
+            start = time.perf_counter()
+            native_kernel.load_module(directory)
+            cold.append(time.perf_counter() - start)
+            done = subprocess.run(
+                [sys.executable, "-c", probe, directory],
+                capture_output=True, text=True, check=True, env=env,
+            )
+            warm.append(float(done.stdout.strip()))
+    cold_s, warm_s = float(np.median(cold)), float(np.median(warm))
+    return [{
+        "name": "kernel_compile_s",
+        "median_s": cold_s,
+        "ops_per_s": 1 / cold_s,
+        "speedup_vs_reference": None,
+        "cold_compile_s": cold_s,
+        "warm_load_s": warm_s,
+        "repeats": repeats,
+    }]
 
 
 def write_bench_json(results: dict, path: str, merge: bool = True) -> None:

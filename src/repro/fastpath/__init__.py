@@ -21,9 +21,10 @@ the right is known at construction (ξ packed bit-planes of the Sobol codes)
 or derivable from the image in ξ cheap packs — no per-pixel/per-dimension
 comparison survives to encode time.
 
-Design choice (measured, single core, H=784 / D=1024 / ξ=16 / batch 32)
------------------------------------------------------------------------
-Three bit-exact designs were benched against the reference encoder:
+Design choice (measured; H=784 / D=1024 / ξ=16)
+-----------------------------------------------
+Three bit-exact NumPy designs were first benched against the reference
+encoder (single core, batch 32):
 
 * ξ bit-planes + ``AND`` + ``bitwise_count`` (the identity verbatim):
   ~1.2× — the plane set holds ξ·ceil(H/64) words per dimension, only a 4×
@@ -31,12 +32,21 @@ Three bit-exact designs were benched against the reference encoder:
 * per-(pixel, level) packed-row LUT gather + carry-save-adder vertical
   popcount: ~6.8× — gather traffic is minimal but the CSA tree re-reads
   its rows ~12× in ufunc-sized passes.
-* per-(pixel, level) **nibble-spread** LUT gather + SWAR lane adds
-  (:class:`PackedLevelEncoder`): **~10–12×** — rows pre-widened to 4-bit
-  lanes so 15 (or 7 pixel-pair) rows fold with plain integer adds, then
-  four mask streams widen lanes to uint16.  The pair-keyed table (built
-  whenever it fits :attr:`PackedLevelEncoder.PAIR_LUT_BUDGET`) halves
-  the dominant gather cost.
+* per-(pixel, level) **nibble-spread** LUT gather + SWAR lane adds:
+  **~10–12×** — rows pre-widened to 4-bit lanes so 15 rows fold with
+  plain integer adds, then mask streams widen lanes to uint16.
+
+A 51 MB pixel-pair table later halved NumPy's gather count for ~1.4×
+more.  It is gone: a small C kernel (:mod:`repro.fastpath.kernel`) on
+the 6.4 MB single table beats it ~4× on sparse MNIST (64 images,
+2 vCPU: ~0.75 ms vs ~3 ms) and ~2.5× on dense images.  The kernel
+reads a **delta** table ``lut[p, v] − lut[p, 0]`` plus a per-dimension
+``base = Σ_p [code_pj == 0]``, so a level-0 pixel (80% of synthetic
+MNIST) adds nothing and is skipped, and it accumulates each image in
+L1-resident stack lanes with the GIL released.  It is compiled once per
+user with ``cffi``; where it cannot load, the NumPy nibble-spread path
+runs on the same delta table (:attr:`PackedLevelEncoder.kernel` says
+which).  Neither is a setting.
 
 So the shipped encoder is the LUT-gather alternative the issue allows,
 with the identity above retained as documentation of *why* a gather-only

@@ -1,49 +1,58 @@
-"""Packed uHD level encoder: LUT gather + SWAR lane accumulation.
+"""Packed uHD level encoder: a sparse delta-table gather + lane accumulation.
 
 The quantized reference path (:class:`repro.core.encoder.SobolLevelEncoder`)
 compares every image code against every Sobol code, materializing a
 ``(batch, H, D)`` boolean tensor.  Quantization to ``xi`` levels makes that
 tensor redundant: pixel ``p`` can only produce ``xi`` distinct level rows,
-all known at construction.  This encoder exploits the identity
+all known at construction, so encoding becomes a table gather plus a
+vertical popcount — no per-image comparisons at all.
 
-``counts[j] = sum_t popcount(pixels_with_code_t AND pixels_where_sobol_code[:, j] <= t)``
+The delta table and the sparse-skip identity
+--------------------------------------------
+For codes ``v >= 0`` the level row splits into a fixed part and a delta,
+because ``[v >= c] ⊇ [0 >= c]``:
 
-in gather form: it precomputes, for every ``(pixel, level)`` pair, the
-packed row ``[code >= sobol_code[p, :]]`` and turns encoding into a table
-gather plus a vertical popcount — no per-image comparisons at all.
+``[v >= c_pj] = [c_pj == 0] + [1 <= c_pj <= v]``
+
+so, with ``base[j] = Σ_p [c_pj == 0]`` (a constant of the encoder),
+
+``counts[j] = base[j] + Σ_{p : v_p > 0} delta[p, v_p][j]``,
+``delta[p, v] = [1 <= c_p <= v]``.
+
+The stored table is ``delta``, shape ``(H, xi, spread_words)``.  Its
+invariant: ``delta[p, 0]`` is all zero and ``delta[p, v] ⊆ delta[p, v+1]``,
+so no row ever borrows and a level-0 pixel contributes nothing — the
+compiled kernel skips it outright (80% of synthetic-MNIST pixels), and
+every path adds ``base`` once per image.
 
 Vertical popcount layout
 ------------------------
 Summing gathered rows needs per-*column* counts, which packed words do not
-give directly.  Instead of a carry-save adder tree (benched slower, see
-:mod:`repro.fastpath`), rows are stored **nibble-spread**: dimension bit
-``i`` widens to a 4-bit lane, so 15 rows can be added with plain ``uint64``
-adds before any lane overflows.  Partial sums then widen nibble -> uint16
-lanes via four mask/shift streams, and a static permutation maps lanes back
-to dimension order.  Every op touches 64-bit words; nothing scales with
-``batch * H * D``.
+give directly.  Rows are stored **nibble-spread**: dimension bit ``i``
+widens to a 4-bit lane, so 15 rows can be added with plain ``uint64`` adds
+before any lane overflows; the even and odd nibbles then widen into byte
+lanes (17 flushes of 15 fit 255) and the bytes into wide counters.  Spread
+word ``s`` holds dimension ``16 s + n`` in nibble lane ``n``.
 
-Two gather tables share the pipeline:
+Two implementations read the same table and produce the same bits:
 
-* **single** — ``(H, xi)`` entries, one pixel per gathered row (lane <= 1,
-  15 rows per add chunk).
-* **pair** — ``(ceil(H/2), xi^2)`` entries keyed by two pixel codes at once
-  (lane <= 2, 7 rows per chunk).  Halves gather traffic, the dominant cost,
-  for ``xi`` times the table memory.
+* the compiled kernel (:mod:`repro.fastpath.kernel`), which walks one
+  image's non-zero pixels with the accumulators on the stack and runs
+  with the GIL released;
+* the NumPy path, which gathers every pixel's row with ``np.take`` in
+  cache-sized blocks and widens lanes with mask/shift streams — the one
+  that runs when the kernel cannot load.
 
-An encoder holds exactly one of them, chosen by geometry alone
-(:attr:`PackedLevelEncoder.table_kind`): the pair table whenever
-``H >= 2`` and its bytes fit ``PAIR_LUT_BUDGET``, else the single table.
-
-Both paths are bit-exact with the reference quantized encoder (the tests
-assert it), mirroring the paper's claim that the unary hardware datapath
+:attr:`PackedLevelEncoder.kernel` says which one runs.  Both are bit-exact
+with the reference quantized encoder (the tests assert it over generated
+geometry), mirroring the paper's claim that the unary hardware datapath
 substitutes for arithmetic without changing a single output bit.
 
 Thread fan-out
 --------------
 uHD encodes each image on its own (no position hypervectors, no
-multiply), so a batch splits over cores without changing a bit.  NumPy
-releases the GIL inside the gather, the lane adds and the reductions, so
+multiply), so a batch splits over cores without changing a bit.  The
+kernel and NumPy's gather, lane adds and reductions release the GIL, so
 ``encode_batch`` splits a batch spanning two or more chunks over
 ``FANOUT_WIDTH`` threads (the caller plus a process-wide pool) that share
 the read-only table and each own their scratch.  Smaller batches, and
@@ -52,6 +61,7 @@ hosts with one core, run serially.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -60,15 +70,17 @@ import numpy as np
 from ..core.config import UHDConfig
 from ..core.encoder import SobolLevelEncoder
 from ..lds.quantize import quantize_intensity
-from .bitops import WORD_BITS, pack_bits, words_for_bits
+from . import kernel as native_kernel
+from .bitops import pack_bits, words_for_bits
 from .tablestore import TableSet, table_key
 
 __all__ = ["PackedLevelEncoder"]
 
 _NIBBLE_MASK = np.uint64(0x0F0F0F0F0F0F0F0F)
 _BYTE_MASK = np.uint64(0x00FF00FF00FF00FF)
-#: nibble-acc rows folded per byte-lane chunk; nibble lanes reach 15
-#: (single table: 15 rows x 1) so 17 * 15 = 255 just fits a byte
+#: delta rows a nibble lane holds before it could overflow (each adds <= 1)
+_NIBBLE_ROWS = 15
+#: nibble-acc rows folded per byte-lane chunk: 17 * 15 = 255 just fits a byte
 _BYTE_CHUNK = 17
 _SPREAD_STEPS = (
     (np.uint64(24), np.uint64(0x000000FF000000FF)),
@@ -123,31 +135,38 @@ def _spread16(x: np.ndarray) -> np.ndarray:
 
 
 class _GatherTable:
-    """A (rows x keys) nibble-spread LUT plus its accumulation geometry."""
+    """The ``(H, levels, spread)`` delta LUT, ``base``, and the kernel reading them."""
 
-    def __init__(self, lut: np.ndarray, group: int, num_rows: int, chunk_rows: int):
-        self.flat = np.ascontiguousarray(lut.reshape(-1, lut.shape[-1]))
-        self.keys_per_row = lut.shape[1]
-        self.group = group          # pixels folded into one gathered row
-        self.num_rows = num_rows    # R: gathered rows per image
-        self.chunk_rows = chunk_rows  # rows added per nibble-lane chunk
-        self.num_chunks = -(-num_rows // chunk_rows)
-        self.base = (
-            np.arange(num_rows, dtype=np.intp) * self.keys_per_row
+    def __init__(
+        self,
+        lut: np.ndarray,
+        base: np.ndarray,
+        native: native_kernel.EncodeKernel | None,
+    ):
+        # a C-contiguous table (a built array or an attached memmap) is
+        # used in place: never copied
+        self.lut = np.ascontiguousarray(lut)
+        self.flat = self.lut.reshape(-1, lut.shape[-1])
+        self.base = base  # (dim,) int64: pixels whose Sobol code is 0
+        self.native = native  # None: the NumPy path runs
+        self.num_rows = lut.shape[0]
+        self.num_chunks = -(-self.num_rows // _NIBBLE_ROWS)
+        self.row_offsets = (
+            np.arange(self.num_rows, dtype=np.intp) * lut.shape[1]
         )[:, None]
 
 
 class _Workspace:
-    """Preallocated per-batch-size scratch so steady-state encoding never allocates."""
+    """Preallocated per-batch-size scratch so the NumPy path never allocates."""
 
     #: gather/reduce block target; ~a quarter of L2 so the gathered slab is
     #: still cache-hot when the chunk reduction reads it back
     BLOCK_BYTES = 512 * 1024
 
     def __init__(self, table: _GatherTable, batch: int, spread_words: int):
-        chunk_bytes = table.chunk_rows * batch * spread_words * 8
+        chunk_bytes = _NIBBLE_ROWS * batch * spread_words * 8
         self.block_chunks = max(1, self.BLOCK_BYTES // chunk_bytes)
-        padded = min(self.block_chunks, table.num_chunks) * table.chunk_rows
+        padded = min(self.block_chunks, table.num_chunks) * _NIBBLE_ROWS
         byte_chunks = -(-table.num_chunks // _BYTE_CHUNK)
         self.rows = np.zeros((padded, batch, spread_words), dtype=np.uint64)
         # zero-padded so the byte-stage reshape never reads garbage; only
@@ -170,14 +189,6 @@ class PackedLevelEncoder(SobolLevelEncoder):
     cheap.
     """
 
-    #: nibble-lane accumulation geometry per table kind: rows folded per
-    #: chunk before a lane could overflow (single: lane counts <= 1, 15
-    #: rows; pair: lane counts <= 2, 7 rows).  attach_tables and the
-    #: build path both read these — they must never diverge
-    SINGLE_CHUNK_ROWS = 15
-    PAIR_CHUNK_ROWS = 7
-    #: ceiling for the pair table footprint, bytes
-    PAIR_LUT_BUDGET = 192 * 1024 * 1024
     #: uint16 lane headroom: per-dimension counts may reach H
     MAX_PIXELS = 60000
 
@@ -193,7 +204,8 @@ class PackedLevelEncoder(SobolLevelEncoder):
         self._dim_words = words_for_bits(config.dim)
         self._spread_words = 4 * self._dim_words
         self._table: _GatherTable | None = None
-        #: scratch keyed by (shard, rows): each fan-out shard owns its own
+        #: NumPy-path scratch keyed by (shard, rows): each fan-out shard
+        #: owns its own
         self._workspaces: dict[tuple[int, int], _Workspace] = {}
         #: gather tables this instance built and installed (the
         #: build-vs-attach observability hook: an encoder that attached a
@@ -229,15 +241,16 @@ class PackedLevelEncoder(SobolLevelEncoder):
         flat_of_dim[dim_of_flat] = np.arange(dim_of_flat.size)
         return flat_of_dim[: self.dim]
 
-    def _build_single_lut(self) -> np.ndarray:
-        """Nibble-spread rows ``[t >= codes[p, :]]`` for every (pixel, level)."""
+    def _build_delta_lut(self) -> np.ndarray:
+        """Nibble-spread rows ``[1 <= codes[p, :] <= t]`` for every (pixel, level)."""
         levels = self.config.levels
         codes = self.quantized_codes
+        nonzero = codes != 0
         packed = np.empty(
             (self.num_pixels, levels, self._dim_words), dtype=np.uint64
         )
         for t in range(levels):
-            packed[:, t, :] = pack_bits(codes <= t)
+            packed[:, t, :] = pack_bits(nonzero & (codes <= t))
         lut = np.empty(
             (self.num_pixels, levels, self._spread_words), dtype=np.uint64
         )
@@ -245,50 +258,14 @@ class PackedLevelEncoder(SobolLevelEncoder):
             lut[..., k::4] = _spread16(packed >> np.uint64(16 * k))
         return lut
 
-    @property
-    def table_kind(self) -> str:
-        """``"pair"`` or ``"single"``: the one table this geometry uses.
-
-        The pair table whenever there are two pixels to pair and its bytes
-        fit ``PAIR_LUT_BUDGET``; the build and the attach check both ask
-        here, so a table file always holds what the attacher would build.
-        """
-        pair_rows = (self.num_pixels + 1) // 2
-        pair_bytes = pair_rows * self.config.levels**2 * self._spread_words * 8
-        if self.num_pixels >= 2 and pair_bytes <= self.PAIR_LUT_BUDGET:
-            return "pair"
-        return "single"
-
-    def _pair_lut(self, single_lut: np.ndarray) -> np.ndarray:
-        """Fold pixel pairs into one keyed row (lane counts reach 2)."""
-        levels = self.config.levels
-        full = self.num_pixels // 2
-        paired = (
-            single_lut[0 : 2 * full : 2, :, None, :]
-            + single_lut[1 : 2 * full : 2, None, :, :]
-        ).reshape(full, levels * levels, self._spread_words)
-        if self.num_pixels % 2:
-            # odd tail pixel rides along as a pseudo-pair ignoring its
-            # second key digit
-            tail = np.repeat(single_lut[-1], levels, axis=0)[None]
-            paired = np.concatenate([paired, tail], axis=0)
-        return paired
-
-    def _install(self, lut: np.ndarray, kind: str) -> None:
-        if kind == "pair":
-            group, chunk_rows = 2, self.PAIR_CHUNK_ROWS
-        else:
-            group, chunk_rows = 1, self.SINGLE_CHUNK_ROWS
-        self._table = _GatherTable(
-            lut, group=group, num_rows=lut.shape[0], chunk_rows=chunk_rows
-        )
+    def _install(self, lut: np.ndarray) -> None:
+        base = (self.quantized_codes == 0).sum(axis=0, dtype=np.int64)
+        self._table = _GatherTable(lut, base, native_kernel.load())
         self._workspaces.clear()
 
     def _ensure_table(self) -> _GatherTable:
         if self._table is None:
-            kind = self.table_kind
-            lut = self._build_single_lut()
-            self._install(self._pair_lut(lut) if kind == "pair" else lut, kind)
+            self._install(self._build_delta_lut())
             self.table_builds += 1
         return self._table
 
@@ -298,6 +275,21 @@ class PackedLevelEncoder(SobolLevelEncoder):
             ws = _Workspace(table, batch, self._spread_words)
             self._workspaces[shard, batch] = ws
         return ws
+
+    @property
+    def kernel(self) -> str:
+        """``"c"`` when encoding runs the compiled kernel, else ``"numpy"``.
+
+        Read-only: the kernel is used whenever it loads
+        (:func:`repro.fastpath.kernel.load`).  A warm encoder reports the
+        implementation bound to its table; a cold one, the one its first
+        encode will bind.
+        """
+        if self._table is not None:
+            native = self._table.native
+        else:
+            native = native_kernel.load()
+        return "numpy" if native is None else "c"
 
     # ------------------------------------------------------------------
     # Table export / attach (see repro.fastpath.tablestore)
@@ -310,35 +302,28 @@ class PackedLevelEncoder(SobolLevelEncoder):
     @property
     def table_nbytes(self) -> int:
         """Bytes of gather-table state currently held (0 when cold)."""
-        return 0 if self._table is None else int(self._table.flat.nbytes)
+        return 0 if self._table is None else int(self._table.lut.nbytes)
 
     def export_tables(self) -> TableSet:
-        """Snapshot the gather table for publication, building it if cold.
+        """Snapshot the delta table for publication, building it if cold.
 
-        The returned arrays are the encoder's own — treat them as
-        read-only, exactly like every other consumer of the tables.
+        The returned array is the encoder's own — treat it as read-only,
+        exactly like every other consumer of the table.
         """
         table = self._ensure_table()
-        flat = table.flat.reshape(
-            table.num_rows, table.keys_per_row, self._spread_words
-        )
-        return TableSet(
-            kind="pair" if table.group == 2 else "single",
-            flat=flat,
-            key=table_key(self.num_pixels, self.config),
-        )
+        return TableSet(flat=table.lut, key=table_key(self.num_pixels, self.config))
 
     def attach_tables(self, tables: TableSet) -> None:
-        """Install a published gather table zero-copy (never rebuild).
+        """Install a published delta table zero-copy (never rebuild).
 
-        The tables must have been exported by an encoder with the same
-        :func:`repro.fastpath.tablestore.table_key` and be of the kind this
-        geometry builds (:attr:`table_kind`); anything else raises
-        :class:`~repro.fastpath.tablestore.TableFormatError`.  Attached
-        bytes are byte-identical to built ones (a table file only moves
-        bytes), so every subsequent encode is bit-exact with a freshly
-        built encoder; ``table_builds`` stays untouched.  An encoder that
-        already has a table refuses to attach.
+        The table must have been exported by an encoder with the same
+        :func:`repro.fastpath.tablestore.table_key` and have this
+        geometry's ``(H, levels, spread_words)`` shape; anything else
+        raises :class:`~repro.fastpath.tablestore.TableFormatError`.
+        Attached bytes are byte-identical to built ones (a table file only
+        moves bytes), so every subsequent encode is bit-exact with a
+        freshly built encoder; ``table_builds`` stays untouched.  An
+        encoder that already has a table refuses to attach.
         """
         from .tablestore import TableFormatError
 
@@ -348,22 +333,13 @@ class PackedLevelEncoder(SobolLevelEncoder):
                 "applies to a cold encoder"
             )
         tables.validate_against(self.num_pixels, self.config)
-        kind, levels = self.table_kind, self.config.levels
-        if tables.kind != kind:
-            raise TableFormatError(
-                f"{tables.kind} table cannot attach to an encoder whose "
-                f"geometry builds the {kind} table"
-            )
-        if kind == "single":
-            want = (self.num_pixels, levels, self._spread_words)
-        else:
-            want = ((self.num_pixels + 1) // 2, levels * levels, self._spread_words)
+        want = (self.num_pixels, self.config.levels, self._spread_words)
         if tuple(tables.flat.shape) != want:
             raise TableFormatError(
-                f"{kind} table shape {tuple(tables.flat.shape)} does "
-                f"not match this encoder's {want}"
+                f"table shape {tuple(tables.flat.shape)} does not match "
+                f"this encoder's {want}"
             )
-        self._install(tables.flat, kind)
+        self._install(tables.flat)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -371,7 +347,7 @@ class PackedLevelEncoder(SobolLevelEncoder):
     def _normalize(self, images: np.ndarray) -> np.ndarray:
         images = np.asarray(images)
         if images.dtype == np.uint8:
-            flat = images.reshape(images.shape[0], -1)
+            flat = images.reshape(images.shape[0], math.prod(images.shape[1:]))
             if flat.shape[1] != self.num_pixels:
                 raise ValueError(
                     f"expected {self.num_pixels} pixels per image, "
@@ -380,34 +356,23 @@ class PackedLevelEncoder(SobolLevelEncoder):
             return self._intensity_lut[flat]
         return super()._normalize(images)
 
-    def _gather_keys(self, values: np.ndarray, table: _GatherTable) -> np.ndarray:
-        """Per-image table keys, shape ``(batch, R)`` intp."""
-        values = values.astype(np.intp)
-        if table.group == 1:
-            return values
-        levels = self.config.levels
-        full = self.num_pixels // 2
-        keys = values[:, 0 : 2 * full : 2] * levels + values[:, 1 : 2 * full : 2]
-        if self.num_pixels % 2:
-            keys = np.concatenate([keys, values[:, -1:] * levels], axis=1)
-        return keys
-
     def _encode_chunk(
         self, values: np.ndarray, table: _GatherTable, ws: _Workspace
     ) -> np.ndarray:
+        """The NumPy path: every pixel's delta row, level 0 included."""
         batch = values.shape[0]
         spread = self._spread_words
-        idx = table.base + self._gather_keys(values, table).T
+        idx = table.row_offsets + values.T.astype(np.intp)
         for c0 in range(0, table.num_chunks, ws.block_chunks):
             c1 = min(c0 + ws.block_chunks, table.num_chunks)
-            r0 = c0 * table.chunk_rows
-            r1 = min(c1 * table.chunk_rows, table.num_rows)
+            r0 = c0 * _NIBBLE_ROWS
+            r1 = min(c1 * _NIBBLE_ROWS, table.num_rows)
             n = r1 - r0
             np.take(table.flat, idx[r0:r1], axis=0, out=ws.rows[:n], mode="clip")
-            slab = (c1 - c0) * table.chunk_rows
+            slab = (c1 - c0) * _NIBBLE_ROWS
             if n < slab:  # final partial chunk: pad rows must be zero
                 ws.rows[n:slab] = 0
-            ws.rows[:slab].reshape(c1 - c0, table.chunk_rows, batch, spread).sum(
+            ws.rows[:slab].reshape(c1 - c0, _NIBBLE_ROWS, batch, spread).sum(
                 axis=1, out=ws.acc[c0:c1]
             )
         # nibble lanes -> byte lanes (parity-split, chunked so bytes can't
@@ -428,22 +393,27 @@ class PackedLevelEncoder(SobolLevelEncoder):
         lanes = ws.streams.view(np.uint16).reshape(4, batch, 4 * spread)
         flat = lanes.transpose(1, 0, 2).reshape(batch, 16 * spread)
         counts = flat[:, self._take_index].astype(np.int64)
-        return 2 * counts - self.num_pixels
+        return 2 * (counts + table.base) - self.num_pixels
 
     def encode_batch(self, images: np.ndarray, chunk: int = 32) -> np.ndarray:
         """Accumulators for a batch, shape ``(batch, dim)`` int64.
 
         Bit-exact with :meth:`SobolLevelEncoder.encode_batch`; ``chunk``
-        bounds the gather scratch exactly like the reference tensor chunk.
-        A batch spanning two or more chunks fans out over
-        ``FANOUT_WIDTH`` threads.  Concurrent calls on one instance must be
-        serialized by the caller (the scratch is per instance).
+        (>= 1) is the fan-out unit and bounds the NumPy path's gather
+        scratch exactly like the reference tensor chunk.  A batch spanning
+        two or more chunks fans out over ``FANOUT_WIDTH`` threads.
+        Concurrent calls on one instance must be serialized by the caller
+        (the scratch is per instance).
         """
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
         values = self._normalize(images)
         batch = values.shape[0]
+        out = np.empty((batch, self.dim), dtype=np.int64)
+        if batch == 0:
+            return out
         # a cold encoder builds here, on the calling thread, before any fan-out
         table = self._ensure_table()
-        out = np.empty((batch, self.dim), dtype=np.int64)
         starts = range(0, batch, chunk)
         width = min(FANOUT_WIDTH, len(starts))
         if width < 2:
@@ -477,5 +447,10 @@ class PackedLevelEncoder(SobolLevelEncoder):
         batch = values.shape[0]
         for start in starts:
             stop = min(start + chunk, batch)
-            ws = self._workspace(table, shard, stop - start)
-            out[start:stop] = self._encode_chunk(values[start:stop], table, ws)
+            if table.native is not None:
+                table.native.encode(
+                    table.lut, table.base, values[start:stop], out[start:stop]
+                )
+            else:
+                ws = self._workspace(table, shard, stop - start)
+                out[start:stop] = self._encode_chunk(values[start:stop], table, ws)

@@ -1,8 +1,9 @@
 """Gather-table storage: one versioned file format, attached read-only.
 
 The expensive state of a warm packed encoder is a deterministic lookup
-table — the nibble-spread single LUT or the pair LUT, whichever the
-encoder's geometry selects.
+table — the nibble-spread delta LUT, one ``(H, levels, spread_words)``
+uint64 array per geometry (``lut[p, v] − lut[p, 0]``; see
+:mod:`repro.fastpath.encoder`).
 :class:`repro.fastpath.encoder.PackedLevelEncoder` *builds* that table;
 this module moves its bytes across process boundaries, so that building
 once and attaching many times is possible:
@@ -28,9 +29,9 @@ The versioned table file
 ------------------------
 :func:`write_table_file` lays out a self-describing single file::
 
-    bytes 0..7    magic  b"UHDTBL\\x01\\n"   (format version in the magic)
+    bytes 0..7    magic  b"UHDTBL\\x02\\n"   (format version in the magic)
     bytes 8..15   little-endian uint64 header length
-    header        JSON: kind, shape, dtype, key{...}
+    header        JSON: format_version, shape, dtype, key{...}
     padding       zeros up to a 64-byte data offset boundary
     data          the raw C-order table words
 
@@ -42,6 +43,11 @@ header, and returns a read-only ``np.memmap`` over the data region; a
 file that fails any check raises :class:`TableFormatError`, never
 another exception type.  Header keys the reader does not know are
 ignored, so files carrying a retired field still load.
+
+Version 2 stores delta rows; version 1 stored the level rows themselves
+(single or pair table, named by a ``kind`` field).  The same bytes mean
+different counts under the two layouts, so a version-1 file never
+attaches: it raises :class:`TableFormatError` naming both versions.
 """
 
 from __future__ import annotations
@@ -68,10 +74,12 @@ __all__ = [
     "read_table_file",
 ]
 
-#: leading bytes of every table file; the trailing ``\x01`` is the format
-#: version — bump it for incompatible layout changes
-TABLE_FILE_MAGIC = b"UHDTBL\x01\n"
-TABLE_FORMAT_VERSION = 1
+#: every table file starts with this prefix, then the format version byte
+_MAGIC_PREFIX = b"UHDTBL"
+TABLE_FORMAT_VERSION = 2
+#: leading bytes of every table file; the byte after ``UHDTBL`` is the
+#: format version — bump both for incompatible layout changes
+TABLE_FILE_MAGIC = _MAGIC_PREFIX + bytes([TABLE_FORMAT_VERSION]) + b"\n"
 
 #: data begins at a multiple of this offset so attached memmaps are
 #: cache-line (and SIMD-load) aligned
@@ -110,14 +118,11 @@ def table_key(num_pixels: int, config: "UHDConfig") -> dict:
 class TableSet:
     """One encoder's gather table, ready to write or attach.
 
-    ``flat`` is the logical ``(num_rows, keys_per_row, spread_words)``
-    uint64 array — a plain heap array on export, a read-only
-    ``np.memmap`` after :func:`read_table_file`.  ``kind`` is
-    ``"single"`` (one pixel per gathered row) or ``"pair"`` (two pixels
-    per gathered row).
+    ``flat`` is the ``(num_pixels, levels, spread_words)`` uint64 delta
+    table — a plain heap array on export, a read-only ``np.memmap``
+    after :func:`read_table_file`.
     """
 
-    kind: str
     flat: np.ndarray
     key: dict
 
@@ -133,14 +138,11 @@ class TableSet:
                 f"table keyed for {self.key} cannot attach to an encoder "
                 f"keyed {want}"
             )
-        if self.kind not in ("single", "pair"):
-            raise TableFormatError(f"unknown table kind {self.kind!r}")
 
 
 def _header_dict(tables: TableSet) -> dict:
     return {
         "format_version": TABLE_FORMAT_VERSION,
-        "kind": tables.kind,
         "shape": [int(s) for s in tables.flat.shape],
         "dtype": _WORD.str,
         "key": tables.key,
@@ -169,7 +171,7 @@ def _check_header(header: Any, where: str) -> tuple[int, ...]:
             f"{where}: table format version {version!r} is not supported "
             f"(this build reads version {TABLE_FORMAT_VERSION})"
         )
-    missing = sorted({"kind", "shape", "dtype", "key"} - header.keys())
+    missing = sorted({"shape", "dtype", "key"} - header.keys())
     if missing:
         raise TableFormatError(f"{where}: table header lacks {missing}")
     # compared as the string the writer records, never parsed: numpy's
@@ -188,9 +190,7 @@ def _check_header(header: Any, where: str) -> tuple[int, ...]:
         raise TableFormatError(
             f"{where}: table shape {shape!r} is not three positive integers"
         )
-    kind, key = header["kind"], header["key"]
-    if kind not in ("single", "pair"):
-        raise TableFormatError(f"{where}: unknown table kind {kind!r}")
+    key = header["key"]
     if not isinstance(key, dict):
         raise TableFormatError(f"{where}: table key {key!r} is not an object")
     return tuple(shape)
@@ -238,6 +238,16 @@ def read_table_file(path: Any) -> TableSet:
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         magic = handle.read(len(TABLE_FILE_MAGIC))
+        version = magic[len(_MAGIC_PREFIX):len(_MAGIC_PREFIX) + 1]
+        if (
+            magic.startswith(_MAGIC_PREFIX)
+            and version
+            and version[0] != TABLE_FORMAT_VERSION
+        ):
+            raise TableFormatError(
+                f"{path}: table format version {version[0]} is "
+                f"not supported (this build reads version {TABLE_FORMAT_VERSION})"
+            )
         if magic != TABLE_FILE_MAGIC:
             raise TableFormatError(
                 f"{path}: bad magic {magic!r} — not a uHD table file"
@@ -266,7 +276,6 @@ def read_table_file(path: Any) -> TableSet:
             f"{path}: truncated table file ({size} bytes, expected {expected})"
         )
     return TableSet(
-        kind=header["kind"],
         flat=np.memmap(
             path, dtype=_WORD, mode="r", offset=data_offset, shape=shape
         ),

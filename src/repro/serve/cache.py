@@ -46,14 +46,14 @@ class CacheStats:
 
     ``table_bytes`` sums the gather-table footprint across cached
     encoders (0 for cold/reference encoders); ``published`` lists one
-    ``(path, kind, nbytes)`` tuple per live table file, so a long-lived
+    ``(path, nbytes)`` pair per live table file, so a long-lived
     server can see exactly which tables it is exporting and how big they
     are (none under ``fork``, whose workers inherit the table instead).
     """
 
     entries: int
     table_bytes: int
-    published: tuple[tuple[str, str, int], ...]
+    published: tuple[tuple[str, int], ...]
 
 
 class EncoderCache:
@@ -71,9 +71,9 @@ class EncoderCache:
     def __init__(self) -> None:
         self._encoders: dict[tuple[int, "UHDConfig"], "SobolLevelEncoder"] = {}
         self._encoder_locks: dict[tuple[int, "UHDConfig"], threading.Lock] = {}
-        #: path -> (kind, nbytes) for every table file this cache has
-        #: written and not yet deleted
-        self._published: dict[str, tuple[str, int]] = {}
+        #: path -> nbytes for every table file this cache has written and
+        #: not yet deleted
+        self._published: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -163,7 +163,7 @@ class EncoderCache:
             tables = encoder.export_tables()
         write_table_file(path, tables)
         with self._lock:
-            self._published[path] = (tables.kind, tables.nbytes)
+            self._published[path] = tables.nbytes
         return path
 
     def unpublish(self, path: str) -> None:
@@ -179,10 +179,7 @@ class EncoderCache:
         """Entries, table bytes, and live table files (observability)."""
         with self._lock:
             encoders = list(self._encoders.values())
-            published = tuple(
-                (path, kind, nbytes)
-                for path, (kind, nbytes) in self._published.items()
-            )
+            published = tuple(self._published.items())
         table_bytes = sum(
             int(getattr(encoder, "table_nbytes", 0)) for encoder in encoders
         )

@@ -359,12 +359,39 @@ class TestTableSidecar:
             model.predict(tiny_digits.test_images),
         )
 
-    def test_sidecar_attaches_promoted_pair_table(self, tiny_digits, tmp_path):
+    def test_sidecar_attaches_delta_table(self, tiny_digits, tmp_path):
+        """The sidecar holds the geometry's one delta table and attaches
+        in place, read-only."""
         model = self._fitted(tiny_digits)
         path = tmp_path / "model.npz"
         save_model(model, path, include_tables=True)
         loaded = load_model(path)
-        assert loaded.encoder._table.group == 2  # the geometry's one table
+        lut = loaded.encoder._table.lut
+        assert lut.shape == (tiny_digits.num_pixels, 16, 8)
+        assert not lut.flags.writeable
+        assert loaded.encoder.table_builds == 0
+
+    def test_version_1_sidecar_rejected_with_resave_hint(
+        self, tiny_digits, tmp_path
+    ):
+        """A sidecar from before the delta layout (format 1: level rows
+        and a ``kind`` field) never attaches silently."""
+        from repro.api import table_sidecar_path
+
+        model = self._fitted(tiny_digits)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        header = json.dumps({
+            "format_version": 1, "kind": "single",
+            "shape": [tiny_digits.num_pixels, 16, 8], "dtype": "<u8",
+            "key": {},
+        }).encode()
+        with open(table_sidecar_path(path), "wb") as handle:
+            handle.write(b"UHDTBL\x01\n" + len(header).to_bytes(8, "little"))
+            handle.write(header)
+            handle.write(b"\x00" * (tiny_digits.num_pixels * 16 * 8 * 8 + 64))
+        with pytest.raises(ModelFormatError, match="version 1.*include_tables"):
+            load_model(path)
 
     def test_sidecar_serves_rehomed_backend(self, tiny_digits, tmp_path):
         """The table key excludes backend: a packed sidecar warms an
@@ -414,11 +441,11 @@ class TestTableSidecar:
         """A sidecar whose header lacks a field fails as ModelFormatError,
         not as a bare KeyError from deep inside the table reader."""
         from repro.api import table_sidecar_path
-        from repro.fastpath.tablestore import TABLE_FILE_MAGIC
+        from repro.fastpath.tablestore import TABLE_FILE_MAGIC, TABLE_FORMAT_VERSION
 
         path = tmp_path / "model.npz"
         save_model(self._fitted(tiny_digits), path)
-        header = json.dumps({"format_version": 1, "kind": "pair"}).encode()
+        header = json.dumps({"format_version": TABLE_FORMAT_VERSION}).encode()
         with open(table_sidecar_path(path), "wb") as handle:
             handle.write(TABLE_FILE_MAGIC + len(header).to_bytes(8, "little"))
             handle.write(header)

@@ -2,8 +2,9 @@
 
 The property mirrors the paper's hardware-substitution claim the same way
 the unary-domain tests do: every accumulator bit must match, across
-dimensions not divisible by 64, odd/even pixel counts and both gather
-tables — serial or fanned out over threads.
+dimensions not divisible by 64 and odd/even pixel counts — serial or
+fanned out over threads.  ``test_kernel.py`` holds the same contract over
+generated geometry for both encode kernels.
 """
 
 import multiprocessing
@@ -15,8 +16,10 @@ import pytest
 
 from repro.core import SobolLevelEncoder, UHDConfig
 from repro.api import get_backend
+from repro.core.model import UHDClassifier
 from repro.fastpath import PackedLevelEncoder
 from repro.fastpath import encoder as encoder_module
+from repro.fastpath import kernel as kernel_module
 
 
 def _images(rng, n, pixels):
@@ -37,19 +40,17 @@ class TestBitExactness:
         )
 
     @pytest.mark.parametrize("pixels", [7, 12])
-    def test_single_and_pair_tables_agree(self, pixels, rng, monkeypatch):
+    def test_sparse_images_match_reference(self, pixels, rng):
+        """Mostly level-0 pixels, which the compiled kernel skips."""
         config = UHDConfig(dim=96, levels=16)
         reference = SobolLevelEncoder(pixels, config)
+        packed = PackedLevelEncoder(pixels, config)
         images = _images(rng, 5, pixels)
-        expected = reference.encode_batch(images)
-        with monkeypatch.context() as patch:  # no pair table fits: single
-            patch.setattr(PackedLevelEncoder, "PAIR_LUT_BUDGET", 0)
-            single = PackedLevelEncoder(pixels, config)
-            np.testing.assert_array_equal(single.encode_batch(images), expected)
-        paired = PackedLevelEncoder(pixels, config)
-        np.testing.assert_array_equal(paired.encode_batch(images), expected)
-        assert single._table.group == 1
-        assert paired._table.group == 2
+        images[:, ::2] = 0
+        images[0] = 0
+        np.testing.assert_array_equal(
+            packed.encode_batch(images), reference.encode_batch(images)
+        )
 
     def test_float_images(self, rng):
         config = UHDConfig(dim=80, levels=16)
@@ -93,6 +94,19 @@ def _encode_in_child(encoder, images, conn):
     conn.close()
 
 
+def _spy_shards(monkeypatch, encoder) -> set:
+    """The shard indices ``encoder.encode_batch`` runs from now on."""
+    used: set = set()
+    original = encoder._encode_shard
+
+    def spy(*args):
+        used.add(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(encoder, "_encode_shard", spy)
+    return used
+
+
 class TestFanOut:
     """Batches of two or more chunks split over ``FANOUT_WIDTH`` threads."""
 
@@ -110,36 +124,45 @@ class TestFanOut:
         reference = SobolLevelEncoder(49, config)
         packed = PackedLevelEncoder(49, config)
         images = _images(rng, batch, 49)
+        used = _spy_shards(monkeypatch, packed)
         np.testing.assert_array_equal(
             packed.encode_batch(images, chunk=16),
             reference.encode_batch(images, chunk=16),
         )
         shards = min(width, -(-batch // 16))
-        used = {shard for shard, _ in packed._workspaces}
         assert used == (set(range(shards)) if shards > 1 else {0})
 
     def test_more_shards_than_cores_under_frequent_switching(
         self, rng, monkeypatch
     ):
-        """Eight shards share the workspace dict and write disjoint rows of
-        one output while threads switch every microsecond."""
+        """Eight shards write disjoint rows of one output while threads
+        switch every microsecond — through the loaded kernel, and through
+        the NumPy path, whose shards also share the workspace dict."""
         monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 8)
         monkeypatch.setattr(encoder_module, "_executor", None)  # 7 threads
         config = UHDConfig(dim=128)
         reference = SobolLevelEncoder(49, config)
-        packed = PackedLevelEncoder(49, config)
+        loaded = PackedLevelEncoder(49, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_module, "load", lambda: None)
+            fallback = PackedLevelEncoder(49, config)
+            fallback.export_tables()  # binds the NumPy path
+        assert fallback.kernel == "numpy"
         images = _images(rng, 70, 49)
         expected = reference.encode_batch(images)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                np.testing.assert_array_equal(
-                    packed.encode_batch(images, chunk=4), expected
-                )
-        finally:
-            sys.setswitchinterval(interval)
-        assert {shard for shard, _ in packed._workspaces} == set(range(8))
+        for packed in (loaded, fallback):
+            used = _spy_shards(monkeypatch, packed)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(5):
+                    np.testing.assert_array_equal(
+                        packed.encode_batch(images, chunk=4), expected
+                    )
+            finally:
+                sys.setswitchinterval(interval)
+            assert used == set(range(8))
+        assert {shard for shard, _ in fallback._workspaces} == set(range(8))
 
     def test_width_one_never_creates_an_executor(self, rng, monkeypatch):
         monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 1)
@@ -224,3 +247,39 @@ class TestValidationAndSelection:
     def test_config_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             UHDConfig(backend="gpu")
+
+
+@pytest.mark.parametrize("backend", ["reference", "packed"])
+class TestDegenerateBatches:
+    """``chunk < 1`` is refused and an empty batch is an empty result —
+    never uninitialised memory or a reshape error."""
+
+    def _encoder(self, backend):
+        config = UHDConfig(dim=70, backend=backend)
+        return get_backend(backend).make_encoder(25, config)
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_raises(self, backend, chunk):
+        encoder = self._encoder(backend)
+        images = np.full((3, 25), 100, dtype=np.uint8)
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            encoder.encode_batch(images, chunk=chunk)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_empty_batch_encodes_to_empty(self, backend, dtype):
+        out = self._encoder(backend).encode_batch(np.zeros((0, 25), dtype=dtype))
+        assert out.shape == (0, 70) and out.dtype == np.int64
+
+    def test_empty_batch_still_checks_pixels(self, backend):
+        with pytest.raises(ValueError, match="pixels"):
+            self._encoder(backend).encode_batch(np.zeros((0, 24), dtype=np.uint8))
+
+    @pytest.mark.parametrize("binarize", [False, True])
+    def test_predict_on_zero_rows(self, backend, binarize, tiny_digits):
+        config = UHDConfig(dim=64, backend=backend, binarize=binarize)
+        model = UHDClassifier(
+            tiny_digits.num_pixels, tiny_digits.num_classes, config
+        ).fit(tiny_digits.train_images[:40], tiny_digits.train_labels[:40])
+        empty = tiny_digits.test_images[:0]
+        labels = model.predict(empty)
+        assert labels.shape == (0,)

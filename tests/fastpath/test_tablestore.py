@@ -15,6 +15,7 @@ from repro.core.config import UHDConfig
 from repro.fastpath import PackedLevelEncoder, encoder as encoder_module
 from repro.fastpath.tablestore import (
     TABLE_FILE_MAGIC,
+    TABLE_FORMAT_VERSION,
     TableFormatError,
     read_table_file,
     table_key,
@@ -23,24 +24,25 @@ from repro.fastpath.tablestore import (
 
 PIXELS = 64
 CONFIG = UHDConfig(dim=128, backend="packed", binarize=True)
+#: the delta table's shape at this geometry: (H, levels, 4 * dim words)
+SHAPE = (PIXELS, CONFIG.levels, 8)
 
 
 @pytest.fixture(scope="module")
 def warm_encoder():
-    """A warm pair-table encoder plus reference accumulators to compare to."""
+    """A warm encoder plus the accumulators it produced to compare to."""
     encoder = PackedLevelEncoder(PIXELS, CONFIG)
     rng = np.random.default_rng(7)
     images = rng.integers(0, 256, size=(160, PIXELS), dtype=np.uint8)
     expected = encoder.encode_batch(images)
-    assert encoder._table.group == 2  # pair: the big-table case
     return encoder, images, expected
 
 
 @pytest.fixture(scope="module")
 def table_bytes(warm_encoder, tmp_path_factory):
-    """One valid table file's bytes (pair table), for mutation tests."""
+    """One valid table file's bytes, for mutation tests."""
     encoder, _, _ = warm_encoder
-    path = tmp_path_factory.mktemp("valid") / "pair.uhdtbl"
+    path = tmp_path_factory.mktemp("valid") / "delta.uhdtbl"
     write_table_file(path, encoder.export_tables())
     return path.read_bytes()
 
@@ -98,18 +100,15 @@ class TestStoreRoundTrip:
         seed=st.integers(0, 2**16),
     )
     def test_attached_encoder_is_bit_exact(self, pixels, dim, levels, batch, seed):
-        """Odd H, ``dim % 64 != 0``, non-power-of-two ``levels``, single
-        (H = 1) and pair tables: the attached encoder encodes bit-exactly
-        with a built one and never builds a table itself."""
+        """Odd H (including H = 1), ``dim % 64 != 0`` and
+        non-power-of-two ``levels``: the attached encoder encodes
+        bit-exactly with a built one and never builds a table itself."""
         config = UHDConfig(dim=dim, levels=levels, seed=seed, backend="packed")
         exported = PackedLevelEncoder(pixels, config).export_tables()
-        # every pair table here is < 1 MB, far under PAIR_LUT_BUDGET
-        assert exported.kind == ("pair" if pixels >= 2 else "single")
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "t.uhdtbl")
             write_table_file(path, exported)
             attached_tables = read_table_file(path)
-            assert attached_tables.kind == exported.kind
             assert attached_tables.key == exported.key
             assert np.array_equal(attached_tables.flat, exported.flat)
             attached = PackedLevelEncoder(pixels, config)
@@ -125,10 +124,10 @@ class TestStoreRoundTrip:
         """The sixth bit-exactness contract, at the byte level."""
         encoder, _, _ = warm_encoder
         exported = encoder.export_tables()
-        path = tmp_path / "pair.uhdtbl"
+        path = tmp_path / "delta.uhdtbl"
         write_table_file(path, exported)
         attached = read_table_file(path)
-        assert attached.kind == exported.kind == "pair"
+        assert attached.flat.shape == exported.flat.shape == SHAPE
         assert attached.key == exported.key
         assert np.array_equal(np.asarray(attached.flat), np.asarray(exported.flat))
 
@@ -193,7 +192,7 @@ class TestMalformedHeaders:
     """Every malformed file raises TableFormatError — the only exception
     persistence and the worker bootstrap catch."""
 
-    @pytest.mark.parametrize("field", ["dtype", "shape", "key", "kind"])
+    @pytest.mark.parametrize("field", ["dtype", "shape", "key"])
     def test_missing_field(self, table_bytes, field):
         with pytest.raises(TableFormatError, match="lacks"):
             _read_bytes(_header_with(table_bytes, **{field: ...}))
@@ -221,11 +220,12 @@ class TestMalformedHeaders:
             _read_bytes(_header_with(table_bytes, shape=shape))
 
     @pytest.mark.parametrize(
-        "changes", [{"kind": "triple"}, {"key": [1]}, {"kind": "single"}],
+        "changes",
+        [{"shape": [PIXELS, 16, 4]}, {"key": [1]}, {"format_version": 1}],
     )
     def test_bad_fields(self, table_bytes, changes):
-        """Includes a well-formed file of the other kind: this geometry
-        builds the pair table, so a single table must not attach."""
+        """Includes a well-formed file of another shape (it reads, but
+        must not attach) and a version-1 header behind version-2 magic."""
         with pytest.raises(TableFormatError):
             tables = _read_bytes(_header_with(table_bytes, **changes))
             PackedLevelEncoder(PIXELS, CONFIG).attach_tables(tables)
@@ -279,28 +279,23 @@ class TestMalformedHeaders:
             PackedLevelEncoder(PIXELS, CONFIG).attach_tables(tables)
         except TableFormatError:
             return
-        assert tables.kind == "pair"
         assert tables.key == table_key(PIXELS, CONFIG)
         assert np.array_equal(tables.flat, encoder.export_tables().flat)
 
 
 class TestExport:
-    @pytest.mark.parametrize(
-        "budget, kind",
-        [(PackedLevelEncoder.PAIR_LUT_BUDGET, "pair"), (0, "single")],
-        ids=["pair", "single"],
-    )
-    def test_cold_export_builds_then_exports(self, monkeypatch, budget, kind):
-        """A cold export builds exactly the one table the geometry uses:
-        the pair table when it fits the budget, else the single table."""
-        monkeypatch.setattr(PackedLevelEncoder, "PAIR_LUT_BUDGET", budget)
-        encoder = PackedLevelEncoder(PIXELS, CONFIG)
+    @pytest.mark.parametrize("pixels", [PIXELS, 1], ids=["pair", "single"])
+    def test_cold_export_builds_then_exports(self, pixels):
+        """A cold export builds the one delta table: ``(H, levels,
+        spread_words)``, every level-0 row zero.  The ids name the table
+        kind each geometry built in format v1 (pair for H >= 2, single
+        for H = 1); both now build the same delta table."""
+        encoder = PackedLevelEncoder(pixels, CONFIG)
         assert not encoder.tables_ready
         exported = encoder.export_tables()
         assert encoder.tables_ready
-        assert exported.kind == encoder.table_kind == kind
-        rows = (PIXELS + 1) // 2 if kind == "pair" else PIXELS
-        assert exported.flat.shape[0] == rows
+        assert exported.flat.shape == (pixels,) + SHAPE[1:]
+        assert not exported.flat[:, 0, :].any()
         assert encoder.table_builds == 1
 
     def test_table_nbytes_tracks_current_table(self):
@@ -325,3 +320,32 @@ class TestTruncationEdges:
         path.write_bytes(full[:20])  # magic + length + header fragment
         with pytest.raises(TableFormatError, match="truncated"):
             read_table_file(path)
+
+
+class TestFormatVersion:
+    """Version 2 stores delta rows; a version-1 file (level rows, a
+    ``kind`` field) must never attach silently."""
+
+    def _version_1_file(self, path, table_bytes):
+        header = json.dumps({
+            "format_version": 1, "kind": "single", "shape": list(SHAPE),
+            "dtype": "<u8", "key": table_key(PIXELS, CONFIG),
+        }).encode()
+        relaid = _relayout(table_bytes, header)
+        path.write_bytes(b"UHDTBL\x01\n" + relaid[len(TABLE_FILE_MAGIC):])
+
+    def test_version_is_two(self):
+        assert TABLE_FORMAT_VERSION == 2
+        assert TABLE_FILE_MAGIC == b"UHDTBL\x02\n"
+
+    def test_version_1_file_raises(self, table_bytes, tmp_path):
+        path = tmp_path / "v1.uhdtbl"
+        self._version_1_file(path, table_bytes)
+        with pytest.raises(TableFormatError, match="version 1 is not supported"):
+            read_table_file(path)
+
+    def test_header_has_no_kind(self, table_bytes):
+        offset = len(TABLE_FILE_MAGIC)
+        length = int.from_bytes(table_bytes[offset:offset + 8], "little")
+        header = json.loads(table_bytes[offset + 8:offset + 8 + length])
+        assert set(header) == {"format_version", "shape", "dtype", "key"}

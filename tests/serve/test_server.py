@@ -359,7 +359,7 @@ class TestTableStoreServing:
             path = server._table_path
         assert np.array_equal(got, direct_labels)
         assert stats.worker_table_builds == (0, 0)
-        assert path in [p for p, _, _ in stats.cache.published]
+        assert path in [p for p, _ in stats.cache.published]
 
     def test_fork_workers_inherit_without_building(
         self, model_path, serve_data, direct_labels
@@ -410,11 +410,11 @@ class TestTableStoreServing:
         server = UHDServer(model_path, config).start()
         path, directory = server._table_path, server._table_dir
         assert os.path.exists(path) and os.path.dirname(path) == directory
-        assert path in [p for p, _, _ in encoder_cache().stats().published]
+        assert path in [p for p, _ in encoder_cache().stats().published]
         server.close()
         assert not os.path.exists(path) and not os.path.exists(directory)
         assert server._table_path is None and server._table_dir is None
-        assert path not in [p for p, _, _ in encoder_cache().stats().published]
+        assert path not in [p for p, _ in encoder_cache().stats().published]
 
     def test_failed_start_deletes_table_file(
         self, model_path, monkeypatch, tmp_path
@@ -433,7 +433,7 @@ class TestTableStoreServing:
             server.start()
         assert list(tmp_path.glob("uhd-tables-*")) == []
         assert server._table_path is None and server._table_dir is None
-        published = [p for p, _, _ in encoder_cache().stats().published]
+        published = [p for p, _ in encoder_cache().stats().published]
         assert not [p for p in published if p.startswith(str(tmp_path))]
 
 
@@ -515,11 +515,10 @@ class TestCacheIntrospection:
         cache = self._fresh_cache(served_model, serve_data)
         target = str(tmp_path / "tables.uhdtbl")
         path = cache.publish(serve_data.num_pixels, served_model.config, target)
-        assert path == target and read_table_file(path).kind == "pair"
+        assert path == target
         stats = cache.stats()
-        assert len(stats.published) == 1
-        name, kind, nbytes = stats.published[0]
-        assert name == path and kind == "pair" and nbytes > 0
+        assert stats.published == ((path, read_table_file(path).nbytes),)
+        assert stats.published[0][1] == stats.table_bytes > 0
         cache.clear()
         empty = cache.stats()
         assert empty.entries == 0 and empty.published == ()
