@@ -1,24 +1,18 @@
 #!/usr/bin/env python
 """Serving benchmark: micro-batched vs unbatched request throughput.
 
-Stands up two :class:`repro.serve.UHDServer` pools over the same saved
+Stands up two :class:`repro.serve.UHDServer`\ s over the same saved
 model and pushes the same stream of small predict requests through both:
 
 * ``serve_unbatched`` — ``max_batch`` pinned to the request size, so
-  every request pays its own dispatch and (in pool mode) IPC
-  round-trip; this is what a naive per-request server does.
+  every request pays its own dispatch and predict call; this is what a
+  naive per-request server does.
 * ``serve_batched`` — the real micro-batcher: dispatch is
-  work-conserving, so requests queued while every worker is busy
+  work-conserving, so requests queued while every executor is busy
   coalesce up to ``--max-batch`` rows and the packed kernels see wide
   batches that amortize the per-request fixed costs.  A lone request
   is never held back (``--max-wait-ms`` is only the lane's urgency
   bound).
-
-It also times **worker warm-start** (start() to every worker ready)
-per start method: ``worker_warmstart_fork`` (tables inherited
-copy-on-write) and ``worker_warmstart_spawn`` (workers attach the one
-table file the server writes), plus the table bytes each worker shares
-instead of building.
 
 Three request-path rows measure the transport/scheduler layers:
 
@@ -132,31 +126,6 @@ def _serve_scenario(
     return float(np.median(times)), stats.mean_batch_size
 
 
-def _time_warmstart(
-    model_path: str, workers: int, start_method: str, repeats: int
-) -> tuple[float, tuple[int, ...], int]:
-    """(median start-to-ready seconds, worker_table_builds, table bytes).
-
-    "Ready" = every worker spawned, loaded the model, attached or built
-    its gather table and passed its readiness probe.  The probe's first
-    encode builds the one table a geometry uses, so a ready worker is
-    fully warm: later traffic never builds.
-    """
-    from repro.serve import encoder_cache
-
-    times: list[float] = []
-    builds: tuple[int, ...] = ()
-    for _ in range(repeats):
-        config = ServeConfig(workers=workers, start_method=start_method)
-        start = time.perf_counter()
-        server = UHDServer(model_path, config).start()
-        times.append(time.perf_counter() - start)
-        builds = server.stats().worker_table_builds
-        server.close(drain_timeout=0.0)
-    table_bytes = encoder_cache().stats().table_bytes
-    return float(np.median(times)), builds, table_bytes
-
-
 def _http_scenario(
     model_path: str,
     config: ServeConfig,
@@ -252,7 +221,7 @@ def _binary_scenario(
     One persistent :class:`BinaryClient` **pipelines** the stream: every
     predict frame goes out before the first response is collected, then
     responses are matched by echoed request id (they may complete out of
-    order across worker batches).  That is the same submit-all-then-wait
+    order across executor batches).  That is the same submit-all-then-wait
     shape as the in-process scenario, so ``overhead_vs_inproc`` isolates
     pure wire + codec cost rather than serial round-trip stalls — and it
     is how a throughput-sensitive binary client should drive the server.
@@ -499,38 +468,6 @@ def _router_zoo_scenario(
     }
 
 
-def _warmstart_rows(model_path: str, workers: int, repeats: int) -> list[dict]:
-    """``worker_warmstart_fork`` / ``worker_warmstart_spawn`` rows.
-
-    The start method decides how workers get the front-end's warm
-    tables: fork inherits them copy-on-write, spawn attaches the one
-    table file the server writes.  ``table_bytes_per_worker`` is the
-    table each worker shares instead of building.
-    """
-    import multiprocessing
-
-    rows: list[dict] = []
-    for method in ("fork", "spawn"):
-        if method not in multiprocessing.get_all_start_methods():
-            continue
-        median_s, builds, table_bytes = _time_warmstart(
-            model_path, workers, method, repeats
-        )
-        rows.append(
-            {
-                "name": f"worker_warmstart_{method}",
-                "median_s": median_s,
-                "ops_per_s": workers / median_s,
-                "speedup_vs_reference": None,
-                "speedup_vs_packed": None,
-                "workers": workers,
-                "worker_table_builds": list(builds),
-                "table_bytes_per_worker": table_bytes,
-            }
-        )
-    return rows
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -540,10 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dim", type=int, default=1024,
                         help="hypervector dimension for the trained model")
     parser.add_argument("--backend", default="packed",
-                        help="backend-table name for model and workers")
+                        help="backend-table name for model and servers")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes per server (0 = in-process fallback)",
+        help="executor threads per server (0 = in-process fallback)",
     )
     parser.add_argument(
         "--requests", type=int, default=96,
@@ -622,9 +559,6 @@ def main(argv: list[str] | None = None) -> int:
             model_path, max(1, args.workers), model.num_pixels,
             args.backend, args.seed,
         )
-        warmstart_rows = _warmstart_rows(
-            model_path, max(1, args.workers), max(2, args.repeats // 2)
-        )
         router_row = _router_zoo_scenario(args.dim, args.backend, args.seed)
     finally:
         if tmp is not None:
@@ -700,7 +634,6 @@ def main(argv: list[str] | None = None) -> int:
             "submit breaches the < 3.0x budget - not writing the row"
         )
     rows.append(priority_row)
-    rows.extend(warmstart_rows)
     rows.append(router_row)
     print("serving throughput (median round over repeats, bit-exact verified):")
     for row in rows:
@@ -720,13 +653,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{row['models']} models  {row['ops_per_s']:8.0f} images/s  reload "
                 f"{row['reload_s'] * 1e3:.0f} ms mid-run, 0 failed, "
                 "bit-exact across generations"
-            )
-            continue
-        if row["name"].startswith("worker_warmstart"):
-            print(
-                f"  {row['name']:<22} {row['median_s'] * 1e3:8.1f} ms to ready "
-                f"builds/worker {row['worker_table_builds']}  "
-                f"table {row['table_bytes_per_worker'] / 1e6:.1f} MB shared"
             )
             continue
         extra = ""

@@ -14,16 +14,15 @@ Quickstart::
 
 Subpackages: :mod:`repro.api` (the stable public surface: Estimator
 protocol, the backend table, versioned model persistence),
-:mod:`repro.serve` (multi-process serving: pluggable transports —
-in-process, stdlib HTTP, and a framed binary socket fast lane — in
-front of a priority-lane scheduler and a warm-started worker pool,
-readiness probing — see ``docs/serving.md``),
+:mod:`repro.serve` (serving: stdlib HTTP and a framed binary socket
+fast lane in front of a priority-lane scheduler drained by executor
+threads that share one warm model, readiness probing — see
+``docs/serving.md``),
 :mod:`repro.core` (the uHD contribution), :mod:`repro.hdc`
 (baseline HDC substrate), :mod:`repro.fastpath` (the bit-packed
 backend: packed hypervectors, LUT encoding, popcount inference —
 bit-exact with the reference and selected via ``UHDConfig.backend``
-from the backend table — plus the shared gather-table stores of
-:mod:`repro.fastpath.tablestore`), :mod:`repro.unary` (unary bit-stream
+from the backend table), :mod:`repro.unary` (unary bit-stream
 computing),
 :mod:`repro.lds` (low-discrepancy sequences), :mod:`repro.hardware`
 (gate-level netlists + 45 nm energy/area model), :mod:`repro.embedded`

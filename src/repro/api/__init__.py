@@ -10,9 +10,9 @@ This package is the stable surface a serving system builds against:
   validates against.
 * **Model persistence** (:func:`save_model` / :func:`load_model` /
   :class:`ModelFormatError`) — versioned ``.npz`` round-trips that are
-  bit-exact and never re-encode training data; ``save_model(...,
-  include_tables=True)`` adds a :func:`table_sidecar_path` sidecar so a
-  load attaches the warm gather tables instead of rebuilding them.
+  bit-exact and never re-encode training data.  A file holds config and
+  accumulators only: the encoder and its gather table are rebuilt from
+  the config on load, never stored.
 
 Quickstart::
 
@@ -47,7 +47,6 @@ __all__ = [
     "list_backends",
     "load_model",
     "save_model",
-    "table_sidecar_path",
 ]
 
 #: attribute -> defining submodule, resolved lazily to keep this package
@@ -59,7 +58,6 @@ _LAZY = {
     "ModelFormatError": "persistence",
     "save_model": "persistence",
     "load_model": "persistence",
-    "table_sidecar_path": "persistence",
 }
 
 

@@ -12,7 +12,7 @@ concrete model (or which execution backend) is behind them.
 The contract is deliberately tiny — uHD's single-iteration training means
 a fitted model is fully described by its config plus one integer array of
 class accumulators, so ``save``/``load`` (see
-:mod:`repro.api.persistence`) round-trip bit-exactly and a worker process
+:mod:`repro.api.persistence`) round-trip bit-exactly and a server
 can go from cold start to serving without ever seeing training data.
 """
 

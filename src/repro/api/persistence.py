@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import threading
 import zipfile
 from dataclasses import asdict, fields
@@ -51,7 +50,6 @@ __all__ = [
     "ModelFormatError",
     "save_model",
     "load_model",
-    "table_sidecar_path",
     "config_to_json",
     "config_from_json",
     "saved_backend",
@@ -177,35 +175,14 @@ def _save_arrays(model: "Estimator") -> dict[str, np.ndarray]:
     return arrays
 
 
-def table_sidecar_path(path: Any) -> str:
-    """The table-sidecar filename for a model at ``path`` (``<path>.tables``).
-
-    Example::
-
-        from repro.api import table_sidecar_path
-
-        table_sidecar_path("mnist-2048.npz")    # 'mnist-2048.npz.tables'
-    """
-    return os.fspath(path) + ".tables"
-
-
-def save_model(
-    model: "Estimator", path: Any, include_tables: bool = False
-) -> None:
+def save_model(model: "Estimator", path: Any) -> None:
     """Write a fitted model to ``path`` (versioned, compressed ``.npz``).
 
     ``path`` may be a string/``os.PathLike`` or an open binary file
     object.  Raises ``RuntimeError`` if the model has not been fitted
-    (an unfitted model has no state worth a file).
-
-    ``include_tables=True`` additionally flushes the encoder's gather
-    table (built first if cold) to the sidecar file
-    :func:`table_sidecar_path` — :func:`load_model` then attaches it
-    read-only via ``np.memmap``, so a warm start from disk skips table
-    construction entirely.  The sidecar is pure
-    derived state: deleting it costs a rebuild, never correctness.
-    Requires a path (not a file object) and a model whose encoder can
-    export tables (the packed and auto backends).
+    (an unfitted model has no state worth a file).  Only config and
+    learned state are written: the encoder's gather table is derived
+    state that :func:`load_model` rebuilds, so it is never stored.
 
     Example::
 
@@ -213,41 +190,13 @@ def save_model(
 
         model.fit(train_images, train_labels)
         save_model(model, "mnist-2048.npz")     # == model.save(...)
-        save_model(model, "mnist-2048.npz", include_tables=True)
     """
     arrays = _save_arrays(model)
     if hasattr(path, "write"):
-        if include_tables:
-            raise ValueError(
-                "include_tables=True needs a filesystem path for the "
-                "sidecar, not an open file object"
-            )
         np.savez_compressed(path, **arrays)
         return
     with open(path, "wb") as handle:
         np.savez_compressed(handle, **arrays)
-    if include_tables:
-        _write_table_sidecar(model, path)
-    else:
-        # a sidecar from a previous save describes the *old* model's
-        # tables; leaving it behind would poison the next load
-        try:
-            os.unlink(table_sidecar_path(path))
-        except OSError:
-            pass
-
-
-def _write_table_sidecar(model: "Estimator", path: Any) -> None:
-    encoder = getattr(model, "encoder", None)
-    if encoder is None or not hasattr(encoder, "export_tables"):
-        raise ValueError(
-            f"include_tables=True: {type(model).__name__}'s encoder "
-            f"({type(encoder).__name__}) has no exportable gather tables "
-            "(use a packed-capable backend)"
-        )
-    from ..fastpath.tablestore import write_table_file
-
-    write_table_file(table_sidecar_path(path), encoder.export_tables())
 
 
 def _read_arrays(path: Any) -> dict[str, np.ndarray]:
@@ -299,19 +248,15 @@ def load_model(
 
     ``backend`` re-homes the loaded model onto another backend-table
     entry (``model.with_backend``), trained state intact —
-    the single code path the CLI and the serving layer (front-end and
-    every worker) share, so they can never re-home inconsistently.
+    the single code path the CLI and the serving layer share, so they
+    can never re-home inconsistently.
     Raises ``ValueError`` for a model type that cannot switch backends.
 
-    When a table sidecar (:func:`table_sidecar_path`, written by
-    ``save_model(..., include_tables=True)``) sits next to the file, the
-    encoder *attaches* the flushed gather table read-only instead of
-    rebuilding it — byte-identical tables, bit-exact
-    predictions, O(1) warm-start in table size.  A sidecar that does not
-    match the model's encoder geometry raises :class:`ModelFormatError`
-    (it can only mean corruption or a stale copy).
+    Only ``path`` is read: any other file next to it (such as a
+    ``<model>.npz.tables`` sidecar older builds wrote) is ignored, and
+    the encoder builds its gather table on first use.
 
-    Example — warm-start a serving worker, bit-exact with the saver::
+    Example — warm-start a server, bit-exact with the saver::
 
         from repro.api import load_model
 
@@ -346,38 +291,4 @@ def load_model(
                     "instead"
                 )
             model = model.with_backend(backend)
-    _attach_table_sidecar(model, path)
     return model
-
-
-def _attach_table_sidecar(model: "Estimator", path: Any) -> None:
-    """Attach ``<path>.tables`` onto the loaded model's encoder, if both
-    sides are capable (sidecar present, encoder cold and attachable).
-
-    Ordered after any backend re-home so the tables land on the encoder
-    that will actually serve.  The table key deliberately excludes the
-    backend name, so a sidecar written under ``packed`` attaches under
-    ``auto`` (identical bytes) and is ignored under ``reference``.
-    """
-    if hasattr(path, "read"):  # file objects have no sidecar location
-        return
-    sidecar = table_sidecar_path(path)
-    if not os.path.exists(sidecar):
-        return
-    encoder = getattr(model, "encoder", None)
-    if (
-        encoder is None
-        or not hasattr(encoder, "attach_tables")
-        or getattr(encoder, "tables_ready", True)
-    ):
-        return
-    from ..fastpath.tablestore import TableFormatError, read_table_file
-
-    try:
-        encoder.attach_tables(read_table_file(sidecar))
-    except TableFormatError as exc:
-        raise ModelFormatError(
-            f"table sidecar {sidecar} does not match the model it sits "
-            f"next to: {exc}; re-save the model with include_tables=True "
-            "to rewrite it"
-        ) from exc

@@ -9,11 +9,9 @@ Usage::
     repro-uhd checkpoints
     repro-uhd bench --out BENCH_throughput.json
     repro-uhd save --out model.npz --dataset mnist --dim 2048 --backend packed
-    repro-uhd save --out model.npz --dim 2048 --include-tables
     repro-uhd load --model model.npz --dataset mnist
     repro-uhd serve-check --model model.npz --batch 64
     repro-uhd serve --model model.npz --workers 2 --rounds 3 --batch 16
-    repro-uhd serve --model model.npz --workers 2 --start-method spawn
     repro-uhd serve --model model.npz --http-port 8080 --binary-port 9090 --serve-forever
     repro-uhd serve --model model.npz --http-port 0 \\
         --lane interactive:16:1:4 --lane bulk:64:50 --deadline-ms 5000
@@ -29,10 +27,10 @@ reports prediction latency.
 
 ``serve`` and ``route`` are one command: ``route`` stands up a
 :class:`repro.serve.Router` over ``--model NAME=PATH`` deployments, each
-one server of ``--workers`` worker processes, and ``serve --model PATH``
+one server of ``--workers`` executor threads, and ``serve --model PATH``
 is the same router with one deployment, named after the file's stem
-(each server's workers run the serve-check probe before accepting
-traffic).  Both answer ``--rounds`` self-test round-trips verified
+(each server runs the serve-check probe before accepting traffic).
+Both answer ``--rounds`` self-test round-trips verified
 bit-exact — over the binary wire when ``--binary-port`` is set, else
 over HTTP when ``--http-port`` is set, else in-process — print batching
 stats, and shut down cleanly.  ``--http-port`` puts the stdlib HTTP
@@ -191,38 +189,25 @@ def _load_split(name: str, n_train: int, n_test: int, seed: int):
 
 
 def _cmd_save(args: argparse.Namespace) -> str:
-    from .api.persistence import save_model, table_sidecar_path
+    from .api.persistence import save_model
     from .core.config import UHDConfig
     from .core.model import UHDClassifier
 
     data = _load_split(args.dataset, args.n_train, args.n_test, args.seed)
     config = UHDConfig(dim=args.dim, backend=args.backend)
     model = UHDClassifier(data.num_pixels, data.num_classes, config)
-    if args.include_tables and not hasattr(model.encoder, "export_tables"):
-        # fail before the (potentially long) fit, not after
-        raise SystemExit(
-            f"--include-tables: backend {args.backend!r} resolves to an "
-            "encoder without exportable gather tables; use a "
-            "packed-capable backend (auto/packed)"
-        )
     start = time.perf_counter()
     model.fit(data.train_images, data.train_labels)
     fit_s = time.perf_counter() - start
     accuracy = model.score(data.test_images, data.test_labels)
-    save_model(model, args.out, include_tables=args.include_tables)
-    lines = [
+    save_model(model, args.out)
+    return "\n".join([
         f"trained UHDClassifier on {args.dataset} "
         f"(n={data.train_images.shape[0]}, D={args.dim}, "
         f"backend={args.backend}) in {fit_s:.2f}s; "
         f"test accuracy {accuracy * 100.0:.2f}%",
         f"saved model to {args.out}",
-    ]
-    if args.include_tables:
-        lines.append(
-            f"flushed warm gather tables to {table_sidecar_path(args.out)} "
-            "(loads will attach, not rebuild)"
-        )
-    return "\n".join(lines)
+    ])
 
 
 def _cmd_load(args: argparse.Namespace) -> str:
@@ -246,8 +231,8 @@ def _cmd_serve_check(args: argparse.Namespace) -> str:
     """Serving-readiness probe: warm-load a model and time its predictions.
 
     Runs :func:`repro.serve.readiness_probe` — the *same* function every
-    ``repro-uhd serve`` worker runs before accepting traffic, so a
-    passing serve-check here means the worker handshake will pass too.
+    ``repro-uhd serve`` server runs before accepting traffic, so a
+    passing serve-check here means the server's readiness gate will pass too.
     """
     from .core.model import UHDClassifier
     from .serve import readiness_probe
@@ -313,8 +298,8 @@ def _graceful_shutdown():
     Yields a ``threading.Event`` set when either signal arrives; the
     caller's ``with Router(...)`` block then exits normally and
     ``close()`` drains in-flight lanes (``ServeConfig.drain_timeout_s``)
-    before stopping the workers — instead of the default SIGTERM action
-    killing the pool with queued requests.  Handlers are restored on
+    before stopping the executors — instead of the default SIGTERM action
+    killing the process with queued requests.  Handlers are restored on
     exit; outside the main thread (where signals cannot be installed)
     the event is yielded unarmed.
     """
@@ -424,7 +409,7 @@ def _cmd_route(args: argparse.Namespace) -> str:
 
     ``serve`` is this command with one deployment whose id is the model
     file's stem.  Each ``route --model NAME=PATH`` becomes a deployment
-    of one server with ``--workers`` workers.  The self-test rounds are
+    of one server with ``--workers`` executor threads.  The self-test rounds are
     :func:`_round_trips`.  Daemon mode (``--serve-forever``) hot-reloads every deployment on SIGHUP
     and drains all deployments **concurrently** on SIGTERM/SIGINT —
     total shutdown is bounded by the slowest deployment's drain window,
@@ -452,7 +437,6 @@ def _cmd_route(args: argparse.Namespace) -> str:
         max_wait_ms=args.max_wait_ms,
         lanes=tuple(args.lane or ()),
         backend=args.backend,
-        start_method=args.start_method,
         drain_timeout_s=args.drain_timeout_s,
     )
     specs: dict[str, DeploymentSpec] = {}
@@ -468,10 +452,10 @@ def _cmd_route(args: argparse.Namespace) -> str:
         router = stack.enter_context(Router(specs))
         startup_s = time.perf_counter() - start
         mode = "in-process fallback" if config.workers == 0 else (
-            f"{config.workers} worker process(es) per model"
+            f"{config.workers} executor thread(s) per model"
         )
-        # each lane's resolved urgency bound (the same at every worker
-        # count)
+        # each lane's resolved urgency bound (the same at every executor
+        # count, 0 included)
         lane_windows = ", ".join(
             f"{lane.name} max_wait={lane.max_wait_ms:g}ms"
             for lane in config.effective_lanes()
@@ -485,19 +469,11 @@ def _cmd_route(args: argparse.Namespace) -> str:
                 f"  model {row['model']}: generation {row['generation']}, "
                 f"{row['status']} ({row['path']})"
             )
-            doc = router.stats(row["model"])
-            builds = doc["worker_table_builds"]
-            for slot, probe_ms in enumerate(doc["worker_probe_ms"]):
-                warm = ""
-                if slot < len(builds):
-                    warm = (
-                        ", tables attached (0 builds)" if builds[slot] == 0
-                        else f", tables built ({builds[slot]})"
-                    )
-                lines.append(
-                    f"  {row['model']} worker {slot}: ready, serve-check "
-                    f"probe median {probe_ms:.3f} ms{warm}"
-                )
+            probe = router.deployment(row["model"]).healthz()["probe"]
+            lines.append(
+                f"  {row['model']}: ready, serve-check probe median "
+                f"{probe['median_ms']:.3f} ms"
+            )
         # transports enter the stack after the router, so they close
         # (answering what they accepted) before the router drains
         http = binary = None
@@ -627,7 +603,7 @@ def _round_trips(args, router, http, binary, stop) -> list[str]:
 
         # load_model, not UHDClassifier.load: the router fronts any
         # persisted image model (StreamingUHD included), and the
-        # backend= re-home is the same path the workers took
+        # backend= re-home is the same path the server took
         direct = {
             model_id: load_model(
                 router.deployment(model_id).model_path, backend=args.backend
@@ -664,11 +640,6 @@ def _configure_save(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output model (.npz) path")
     parser.add_argument("--dim", type=int, default=1024,
                         help="hypervector dimension D")
-    parser.add_argument(
-        "--include-tables", action="store_true",
-        help="also flush the warm gather tables to <out>.tables so "
-        "loads warm-start by attaching instead of rebuilding",
-    )
     _model_io_args(parser, needs_model=False)
     _backend_arg(parser)
 
@@ -716,7 +687,7 @@ def _configure_route(
         )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes per model (0 = in-process fallback: the "
+        help="executor threads per model (0 = in-process fallback: the "
         "submitting thread drains the lane scheduler)",
     )
     parser.add_argument(
@@ -731,9 +702,8 @@ def _configure_route(
     parser.add_argument(
         "--start-method", default="auto",
         choices=("auto", "fork", "spawn", "forkserver"),
-        help="multiprocessing start method (auto = fork where available); "
-        "fork workers inherit the warm gather tables, spawn/forkserver "
-        "workers attach one table file",
+        help="accepted and ignored: executors are threads, so there is "
+        "no process to start (kept so existing scripts still parse)",
     )
     parser.add_argument(
         "--lane", action="append", type=_parse_lane, metavar="SPEC",

@@ -63,7 +63,11 @@ no packed form).  ``backend="packed"`` forces and raises where impossible;
 ``backend="reference"`` always runs the original path.  The packed encoder
 splits a batch of two or more chunks over threads on its own
 (:data:`repro.fastpath.encoder.FANOUT_WIDTH`), bit-exact with serial
-encoding; there is no setting for it.  Packed popcounts
+encoding; there is no setting for it.  One encoder may also be shared by
+many threads: kernel calls take no lock, and the encoder locks only its
+cold-table build and the NumPy path.  The table is never stored or
+shipped: every process builds its own (~20 ms at H=784, D=1024), the
+software form of uHD's generate-on-the-fly hypervectors.  Packed popcounts
 use :func:`numpy.bitwise_count` when NumPy >= 2.0 and fall back to a byte
 LUT otherwise (``repro.fastpath.bitops.HAS_BITWISE_COUNT``).
 """
@@ -79,13 +83,6 @@ from .bitops import (
     unpack_bits,
 )
 from .encoder import PackedLevelEncoder
-from .tablestore import (
-    TableFormatError,
-    TableSet,
-    read_table_file,
-    table_key,
-    write_table_file,
-)
 from .inference import (
     pack_accumulators,
     packed_cosine,
@@ -96,11 +93,6 @@ from .inference import (
 __all__ = [
     "HAS_BITWISE_COUNT",
     "PackedLevelEncoder",
-    "TableFormatError",
-    "TableSet",
-    "read_table_file",
-    "table_key",
-    "write_table_file",
     "pack_accumulators",
     "pack_bipolar",
     "pack_bits",

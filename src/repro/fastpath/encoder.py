@@ -57,12 +57,24 @@ kernel and NumPy's gather, lane adds and reductions release the GIL, so
 ``FANOUT_WIDTH`` threads (the caller plus a process-wide pool) that share
 the read-only table and each own their scratch.  Smaller batches, and
 hosts with one core, run serially.
+
+Concurrent callers
+------------------
+One encoder may be shared by any number of threads (the serving layer's
+executor threads share one per model geometry).  The compiled kernel
+keeps its accumulators on the stack and reads only the immutable table,
+so calls on it take no lock.  The encoder's own lock guards the two
+pieces of mutable state: the cold-table build (so a table is built once,
+however many threads race the first encode) and the NumPy path's shard
+workspaces, whose calls it serializes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -72,7 +84,6 @@ from ..core.encoder import SobolLevelEncoder
 from ..lds.quantize import quantize_intensity
 from . import kernel as native_kernel
 from .bitops import pack_bits, words_for_bits
-from .tablestore import TableSet, table_key
 
 __all__ = ["PackedLevelEncoder"]
 
@@ -143,9 +154,7 @@ class _GatherTable:
         base: np.ndarray,
         native: native_kernel.EncodeKernel | None,
     ):
-        # a C-contiguous table (a built array or an attached memmap) is
-        # used in place: never copied
-        self.lut = np.ascontiguousarray(lut)
+        self.lut = lut
         self.flat = self.lut.reshape(-1, lut.shape[-1])
         self.base = base  # (dim,) int64: pixels whose Sobol code is 0
         self.native = native  # None: the NumPy path runs
@@ -207,9 +216,10 @@ class PackedLevelEncoder(SobolLevelEncoder):
         #: NumPy-path scratch keyed by (shard, rows): each fan-out shard
         #: owns its own
         self._workspaces: dict[tuple[int, int], _Workspace] = {}
-        #: gather tables this instance built and installed (the
-        #: build-vs-attach observability hook: an encoder that attached a
-        #: published table serves with this still at 0)
+        #: guards the cold-table build and the NumPy path's workspaces
+        self._lock = threading.Lock()
+        #: gather tables this instance built (1 once warm, however many
+        #: threads raced the first encode)
         self.table_builds = 0
         self._take_index = self._lane_permutation()
         self._intensity_lut = quantize_intensity(
@@ -258,16 +268,18 @@ class PackedLevelEncoder(SobolLevelEncoder):
             lut[..., k::4] = _spread16(packed >> np.uint64(16 * k))
         return lut
 
-    def _install(self, lut: np.ndarray) -> None:
-        base = (self.quantized_codes == 0).sum(axis=0, dtype=np.int64)
-        self._table = _GatherTable(lut, base, native_kernel.load())
-        self._workspaces.clear()
-
     def _ensure_table(self) -> _GatherTable:
-        if self._table is None:
-            self._install(self._build_delta_lut())
-            self.table_builds += 1
-        return self._table
+        table = self._table
+        if table is None:
+            with self._lock:
+                if self._table is None:
+                    base = (self.quantized_codes == 0).sum(axis=0, dtype=np.int64)
+                    self._table = _GatherTable(
+                        self._build_delta_lut(), base, native_kernel.load()
+                    )
+                    self.table_builds += 1
+                table = self._table
+        return table
 
     def _workspace(self, table: _GatherTable, shard: int, batch: int) -> _Workspace:
         ws = self._workspaces.get((shard, batch))
@@ -291,55 +303,10 @@ class PackedLevelEncoder(SobolLevelEncoder):
             native = native_kernel.load()
         return "numpy" if native is None else "c"
 
-    # ------------------------------------------------------------------
-    # Table export / attach (see repro.fastpath.tablestore)
-    # ------------------------------------------------------------------
-    @property
-    def tables_ready(self) -> bool:
-        """Whether a gather table exists (built or attached)."""
-        return self._table is not None
-
     @property
     def table_nbytes(self) -> int:
         """Bytes of gather-table state currently held (0 when cold)."""
         return 0 if self._table is None else int(self._table.lut.nbytes)
-
-    def export_tables(self) -> TableSet:
-        """Snapshot the delta table for publication, building it if cold.
-
-        The returned array is the encoder's own — treat it as read-only,
-        exactly like every other consumer of the table.
-        """
-        table = self._ensure_table()
-        return TableSet(flat=table.lut, key=table_key(self.num_pixels, self.config))
-
-    def attach_tables(self, tables: TableSet) -> None:
-        """Install a published delta table zero-copy (never rebuild).
-
-        The table must have been exported by an encoder with the same
-        :func:`repro.fastpath.tablestore.table_key` and have this
-        geometry's ``(H, levels, spread_words)`` shape; anything else
-        raises :class:`~repro.fastpath.tablestore.TableFormatError`.
-        Attached bytes are byte-identical to built ones (a table file only
-        moves bytes), so every subsequent encode is bit-exact with a
-        freshly built encoder; ``table_builds`` stays untouched.  An
-        encoder that already has a table refuses to attach.
-        """
-        from .tablestore import TableFormatError
-
-        if self._table is not None:
-            raise RuntimeError(
-                "encoder already has a gather table; attach_tables only "
-                "applies to a cold encoder"
-            )
-        tables.validate_against(self.num_pixels, self.config)
-        want = (self.num_pixels, self.config.levels, self._spread_words)
-        if tuple(tables.flat.shape) != want:
-            raise TableFormatError(
-                f"table shape {tuple(tables.flat.shape)} does not match "
-                f"this encoder's {want}"
-            )
-        self._install(tables.flat)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -401,9 +368,8 @@ class PackedLevelEncoder(SobolLevelEncoder):
         Bit-exact with :meth:`SobolLevelEncoder.encode_batch`; ``chunk``
         (>= 1) is the fan-out unit and bounds the NumPy path's gather
         scratch exactly like the reference tensor chunk.  A batch spanning
-        two or more chunks fans out over ``FANOUT_WIDTH`` threads.
-        Concurrent calls on one instance must be serialized by the caller
-        (the scratch is per instance).
+        two or more chunks fans out over ``FANOUT_WIDTH`` threads.  Safe
+        to call from several threads at once (see the module docstring).
         """
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -414,22 +380,24 @@ class PackedLevelEncoder(SobolLevelEncoder):
             return out
         # a cold encoder builds here, on the calling thread, before any fan-out
         table = self._ensure_table()
-        starts = range(0, batch, chunk)
-        width = min(FANOUT_WIDTH, len(starts))
-        if width < 2:
-            self._encode_shard(values, table, out, starts, chunk, 0)
-            return out
-        pool = _shared_executor()
-        futures = [
-            pool.submit(
-                self._encode_shard, values, table, out, starts[k::width], chunk, k
-            )
-            for k in range(1, width)
-        ]
-        try:  # the calling thread encodes shard 0 itself
-            self._encode_shard(values, table, out, starts[::width], chunk, 0)
-        finally:
-            wait(futures)  # no shard may outlive the call that owns its scratch
+        # the NumPy path's workspaces are shared state; the kernel keeps none
+        with self._lock if table.native is None else contextlib.nullcontext():
+            starts = range(0, batch, chunk)
+            width = min(FANOUT_WIDTH, len(starts))
+            if width < 2:
+                self._encode_shard(values, table, out, starts, chunk, 0)
+                return out
+            pool = _shared_executor()
+            futures = [
+                pool.submit(
+                    self._encode_shard, values, table, out, starts[k::width], chunk, k
+                )
+                for k in range(1, width)
+            ]
+            try:  # the calling thread encodes shard 0 itself
+                self._encode_shard(values, table, out, starts[::width], chunk, 0)
+            finally:
+                wait(futures)  # no shard may outlive the call that owns its scratch
         for future in futures:
             future.result()  # re-raise a shard's exception here
         return out

@@ -308,7 +308,7 @@ class EncodeKernel:
         """``out[b, j] = 2 * (base[j] + Σ_p lut[p, codes[b, p]]_j) - H``.
 
         ``lut`` is the ``(H, levels, spread)`` uint64 delta table (read
-        in place, so a read-only memmap is never copied); ``codes`` the
+        in place, never copied, so it may be read-only); ``codes`` the
         ``(batch, H)`` uint8/uint16 level codes; ``out`` the C-contiguous
         ``(batch, dim)`` int64 destination.
         """

@@ -1,17 +1,17 @@
-"""Multi-process serving for uHD models — rung 2 of the backend ladder.
+"""Serving for uHD models — rung 2 of the backend ladder.
 
 uHD's single-pass training leaves a fitted model as config plus one
-small integer matrix, persisted bit-exactly by :mod:`repro.api`.  That
-makes serving workers *tiny and stateless-restartable*: each one
-warm-starts from the model file (:func:`repro.api.load_model`, never
-re-fitting), proves readiness with the ``serve-check`` probe, and can be
-killed and respawned at any time without losing anything but the batch
-it was holding — which the front-end re-queues.
+small integer matrix, persisted bit-exactly by :mod:`repro.api`, and its
+hypervectors are generated, not stored.  So a server needs nothing but
+the model file: it warm-starts from it (:func:`repro.api.load_model`,
+never re-fitting), builds its gather table in ~20 ms, proves readiness
+with the ``serve-check`` probe, and serves from executor threads that
+share that one warm model.
 
 One serving path, four layers (see ``docs/serving.md`` for the operator
 guide and ``docs/ARCHITECTURE.md`` for the full picture)::
 
-    transports -> Router -> ModelDeployment -> UHDServer (scheduler + workers)
+    transports -> Router -> ModelDeployment -> UHDServer (scheduler + executors)
 
 * **Transport** (:mod:`repro.serve.transport` /
   :mod:`repro.serve.binary`) — how requests arrive, always in front of
@@ -35,13 +35,11 @@ guide and ``docs/ARCHITECTURE.md`` for the full picture)::
   ``max_batch``/``max_wait_ms``, weighted anti-starvation draining, and
   per-request deadlines that fail expired requests loudly
   (:class:`DeadlineExpiredError`).
-* **Workers** (:class:`UHDServer` + :mod:`repro.serve.worker`) — the
-  front-end owns one warm encoder per ``(pixels, config)`` key
-  (:class:`EncoderCache`), publishes gather tables through
-  :mod:`repro.fastpath.tablestore` so workers attach instead of
-  rebuild, fans batches out to the pool, and restarts crashed workers.
-  ``ServeConfig(workers=0)`` is the in-process fallback: the same
-  scheduler, drained by the submitting thread.
+* **Executors** (:class:`UHDServer`) — one warm model whose encoder is
+  shared per ``(pixels, config)`` key process-wide
+  (:class:`EncoderCache`), and ``ServeConfig(workers=K)`` executor
+  threads that drain the scheduler through it.  ``workers=0`` runs the
+  same loop on the submitting thread.
 
 Quickstart::
 
@@ -85,7 +83,6 @@ from .types import (
     ServeConfig,
     ServeError,
     ServerStats,
-    WorkerCrashError,
 )
 
 __all__ = [
@@ -113,7 +110,6 @@ __all__ = [
     "TransportSnapshot",
     "TransportStats",
     "UHDServer",
-    "WorkerCrashError",
     "encoder_cache",
     "parse_exposition",
     "readiness_probe",

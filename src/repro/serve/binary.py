@@ -844,7 +844,7 @@ class BinaryClient:
     request/response round trip, while :meth:`send` / :meth:`recv`
     support **pipelining** — queue many predicts on the socket, then
     collect responses, matching them by the request id the server
-    echoes (responses may complete out of order across lanes/workers).
+    echoes (responses may complete out of order across lanes/executors).
 
     Raises the same exceptions an in-process caller sees:
     :class:`ValueError` (malformed/unknown lane/unknown model),

@@ -25,14 +25,16 @@ Per-deployment families carry a ``model`` label (per-lane ones also
 ``uhd_images_total``                  counter  images across those requests
 ``uhd_batches_total``                 counter  batches the scheduler dispatched
 ``uhd_expired_total``                 counter  request parts failed on a deadline
-``uhd_restarts_total``                counter  worker respawns (crash recovery)
-``uhd_workers``                       gauge    worker processes (0 = in-process)
+``uhd_failed_total``                  counter  request parts whose batch failed
+``uhd_workers``                       gauge    executor threads (0 = caller drains)
 ``uhd_mean_batch_size``               gauge    coalescing health (images/batch)
 ``uhd_lane_queue_depth``              gauge    items queued, per ``{lane}``
 ``uhd_lane_queued_rows``              gauge    rows across those items, per ``{lane}``
-``uhd_lane_served_total``             counter  items served, per ``{lane}``
-``uhd_lane_served_rows_total``        counter  rows served, per ``{lane}``
+``uhd_lane_submitted_total``          counter  items queued, per ``{lane}``
+``uhd_lane_served_total``             counter  items answered, per ``{lane}``
+``uhd_lane_served_rows_total``        counter  rows answered, per ``{lane}``
 ``uhd_lane_expired_total``            counter  items expired, per ``{lane}``
+``uhd_lane_failed_total``             counter  items failed, per ``{lane}``
 ``uhd_lane_latency_seconds``          histogram  scheduling latency, per ``{lane}``
 ``uhd_transport_connections``         gauge    open connections, per ``{transport}``
 ``uhd_transport_connections_total``   counter  connections accepted, per ``{transport}``
@@ -41,10 +43,11 @@ Per-deployment families carry a ``model`` label (per-lane ones also
 ``uhd_transport_malformed_frames_total``  counter  unparseable frames, per ``{transport}``
 ``uhd_cache_encoders``                gauge    encoder-cache entries (process-wide)
 ``uhd_cache_table_bytes``             gauge    gather-table bytes cached
-``uhd_cache_publications``            gauge    live table files (spawn/forkserver)
 ====================================  =======  =====================================
 
-Lane latency histograms are **merged across the current server, any
+Once nothing is queued or in flight, every lane holds
+``submitted == served + expired + failed``.  Lane latency histograms
+are **merged across the current server, any
 draining one and retired generations**, so quantiles survive hot
 reloads.  The fleet gauge is ``uhd_deployment_generation{model}``,
 which counts reloads.
@@ -69,22 +72,25 @@ _PREFIX = "uhd"
 _HELP = {
     "uhd_requests_total": "Prediction requests accepted by submit().",
     "uhd_images_total": "Images across all accepted requests.",
-    "uhd_batches_total": "Batches dispatched to workers (or executed in-process).",
+    "uhd_batches_total": "Batches the scheduler handed to an executor.",
     "uhd_expired_total": "Request parts failed on an expired deadline.",
-    "uhd_restarts_total": "Worker processes respawned after a crash.",
-    "uhd_workers": "Worker processes serving (0 means in-process mode).",
+    "uhd_failed_total": (
+        "Request parts whose batch failed (predict raised or server closed)."
+    ),
+    "uhd_workers": "Executor threads serving (0 means submitting threads drain).",
     "uhd_mean_batch_size": "Mean images per dispatched batch (coalescing health).",
     "uhd_lane_queue_depth": "Items currently queued in the lane.",
     "uhd_lane_queued_rows": "Rows across the items currently queued in the lane.",
-    "uhd_lane_served_total": "Items the lane has handed out in batches.",
-    "uhd_lane_served_rows_total": "Rows the lane has handed out in batches.",
+    "uhd_lane_submitted_total": "Items accepted into the lane.",
+    "uhd_lane_served_total": "Items of the lane answered.",
+    "uhd_lane_served_rows_total": "Rows of the lane answered.",
     "uhd_lane_expired_total": "Items failed on deadline while queued in the lane.",
+    "uhd_lane_failed_total": "Items of the lane whose batch failed.",
     "uhd_lane_latency_seconds": (
         "Scheduling latency of served items (expired items are excluded)."
     ),
     "uhd_cache_encoders": "Warm encoders in the process-wide cache.",
     "uhd_cache_table_bytes": "Gather-table bytes held by cached encoders.",
-    "uhd_cache_publications": "Live gather-table files (spawn/forkserver workers attach).",
     "uhd_transport_connections": (
         "Client connections currently open, per transport kind."
     ),
@@ -191,9 +197,11 @@ def _lane_rows(
         lane_labels = {**labels, "lane": lane.name}
         exp.add("uhd_lane_queue_depth", lane_labels, lane.depth)
         exp.add("uhd_lane_queued_rows", lane_labels, lane.queued_rows)
+        exp.add("uhd_lane_submitted_total", lane_labels, lane.submitted)
         exp.add("uhd_lane_served_total", lane_labels, lane.served)
         exp.add("uhd_lane_served_rows_total", lane_labels, lane.served_rows)
         exp.add("uhd_lane_expired_total", lane_labels, lane.expired)
+        exp.add("uhd_lane_failed_total", lane_labels, lane.failed)
         exp.add_histogram("uhd_lane_latency_seconds", lane_labels, lane.latency)
 
 
@@ -233,7 +241,6 @@ def _transport_rows(exp: _Exposition, snapshots: Iterable[Any]) -> None:
 def _cache_rows(exp: _Exposition, cache: Any) -> None:
     exp.add("uhd_cache_encoders", {}, cache.entries)
     exp.add("uhd_cache_table_bytes", {}, cache.table_bytes)
-    exp.add("uhd_cache_publications", {}, len(cache.published))
 
 
 def render_metrics(router: "Router") -> str:
@@ -251,7 +258,7 @@ def render_metrics(router: "Router") -> str:
         exp.add("uhd_images_total", labels, stats.images)
         exp.add("uhd_batches_total", labels, stats.batches)
         exp.add("uhd_expired_total", labels, stats.expired)
-        exp.add("uhd_restarts_total", labels, stats.restarts)
+        exp.add("uhd_failed_total", labels, stats.failed)
         exp.add("uhd_workers", labels, stats.workers)
         exp.add("uhd_mean_batch_size", labels, stats.mean_batch_size)
         exp.add("uhd_deployment_generation", labels, fleet["generation"])

@@ -1,8 +1,7 @@
-"""Serving-readiness probe — one implementation for CLI and workers.
+"""Serving-readiness probe — one implementation for CLI and server.
 
-``repro-uhd serve-check`` and every worker process in
-:mod:`repro.serve.worker` run the *same* check before declaring a model
-servable:
+``repro-uhd serve-check`` and every :class:`~repro.serve.server.UHDServer`
+run the *same* check before declaring a model servable:
 
 1. warm-load the model (``load_model`` — construction from config plus
    the saved accumulators, never re-fitting or re-encoding data),
@@ -13,9 +12,9 @@ servable:
    traffic reaches them),
 4. time repeated predictions and report the median latency.
 
-Keeping it in one function means the CLI probe and the per-worker
-readiness handshake can never drift apart: if ``serve-check`` passes on
-an operator's machine, the exact same code path gates each worker.
+Keeping it in one function means the CLI probe and the server's
+readiness gate can never drift apart: if ``serve-check`` passes on an
+operator's machine, the exact same code path gates each server.
 """
 
 from __future__ import annotations

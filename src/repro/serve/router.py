@@ -84,7 +84,7 @@ class ModelDeployment:
         self._reloading = False
         #: counters of every retired server, merged as they retire (see
         #: ServerStats.merge) so a hot reload never resets the totals or
-        #: the latency distributions; worker gauges are zeroed first
+        #: the latency distributions; the executor gauge is zeroed first
         self._retired: ServerStats | None = None
 
     # ------------------------------------------------------------ lifecycle
@@ -282,9 +282,7 @@ class ModelDeployment:
             server.close(max(0.0, drain_deadline - time.monotonic()))
         except Exception:
             pass
-        final = replace(
-            server.stats(), workers=0, worker_probe_ms=(), worker_table_builds=()
-        )
+        final = replace(server.stats(), workers=0)
         with self._cv:
             # merged only by the caller that removes it from the list
             if server in self._draining:

@@ -126,25 +126,27 @@ class LaneConfig:
 class LaneStats:
     """Point-in-time counters for one lane (see :meth:`Scheduler.stats`).
 
-    ``latency`` is the lane's queue-wait distribution — each served
+    ``latency`` is the lane's queue-wait distribution — each taken
     item's wait from :meth:`Scheduler.put` until an executor takes its
     batch from :meth:`Scheduler.next_batch`.  Time a part spends queued
-    while every worker is busy counts here.  It means the same whether
-    a worker pool or the submitting thread (``workers=0``) drains the
+    while every executor is busy counts here.  It means the same whether
+    executor threads or the submitting thread (``workers=0``) drain the
     scheduler.
     Expired items never enter it: they are counted in ``expired`` and
     mirrored in ``latency.excluded``, so quantiles are computed over
-    served traffic only.
+    taken traffic only.  ``served`` and ``failed`` count outcomes
+    reported by :meth:`Scheduler.settle`.
     """
 
     name: str
     depth: int  #: items currently queued
     queued_rows: int  #: rows across those items
     submitted: int  #: items accepted by put() since construction
-    served: int  #: items handed out in batches
+    served: int  #: items whose batch was settled answered
     served_rows: int
     batches: int  #: batches dispatched from this lane
     expired: int  #: items failed on deadline while queued (never served)
+    failed: int = 0  #: items whose batch was settled failed
     #: latency distribution of served items (expired ones excluded)
     latency: HistogramSnapshot = field(default_factory=HistogramSnapshot.empty)
 
@@ -211,7 +213,8 @@ class _LaneState:
 
     __slots__ = (
         "config", "q", "vtime", "deadlined",
-        "submitted", "served", "served_rows", "batches", "expired", "hist",
+        "submitted", "served", "served_rows", "batches", "expired", "failed",
+        "hist",
     )
 
     def __init__(self, config: LaneConfig) -> None:
@@ -224,6 +227,7 @@ class _LaneState:
         self.served_rows = 0
         self.batches = 0
         self.expired = 0
+        self.failed = 0
         self.hist = LatencyHistogram()  #: put-to-batch-return wait per item
 
     @property
@@ -304,6 +308,7 @@ class Scheduler(Generic[ItemT]):
                     served_rows=state.served_rows,
                     batches=state.batches,
                     expired=state.expired,
+                    failed=state.failed,
                     latency=state.hist.snapshot(),
                 )
                 for state in self._states
@@ -378,8 +383,8 @@ class Scheduler(Generic[ItemT]):
         The caller is an idle executor.  Blocks up to ``poll_s`` for a
         first item anywhere, then returns the chosen lane's queued FIFO
         prefix (up to ``max_batch`` rows) at once.  An expired empty
-        poll window returns an empty :class:`ScheduledBatch` (the
-        heartbeat the dispatcher uses to re-check its own liveness).
+        poll window returns an empty :class:`ScheduledBatch` (a
+        heartbeat: the executor may re-check its own state).
         Returns ``None`` exactly when the scheduler is closed *and*
         fully drained.  Expired-deadline items encountered along the way
         are reported through ``on_expired`` right before returning.
@@ -423,14 +428,27 @@ class Scheduler(Generic[ItemT]):
         # so a lane that sat idle re-enters at "now", banking no credit
         self._vclock = max(self._vclock, state.vtime)
         state.vtime = max(state.vtime, self._vclock) + rows / cfg.weight
-        state.served += len(entries)
-        state.served_rows += rows
         state.batches += 1
         # queue wait: put() until an executor takes the batch
         for entry in entries:
             state.hist.record(now - entry.enqueued)
         self._not_full.notify_all()
         return ScheduledBatch(cfg.name, [entry.item for entry in entries])
+
+    def settle(self, batch: "ScheduledBatch[ItemT]", failed: bool = False) -> None:
+        """Record the outcome of a batch :meth:`next_batch` handed out.
+
+        Its items count as ``served`` (answered) or ``failed``, so once
+        nothing is queued or in flight every lane holds
+        ``submitted == served + expired + failed``.
+        """
+        state = self._resolve_lane(batch.lane)
+        with self._lock:
+            if failed:
+                state.failed += len(batch)
+            else:
+                state.served += len(batch)
+                state.served_rows += batch.rows
 
     def _pop_head_locked(self, state: _LaneState) -> _Entry:
         entry = state.q.popleft()

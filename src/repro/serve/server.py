@@ -1,31 +1,33 @@
-"""The serving front-end: warm encoders, micro-batching, a worker pool.
+"""The serving front-end: one warm model, micro-batching, executor threads.
 
-:class:`UHDServer` is rung 2 of the ROADMAP's backend ladder.  It owns:
+:class:`UHDServer` owns:
 
-* **one warm front-end model** (loaded via :func:`repro.api.load_model`,
-  never re-fit) whose encoder comes from the process-wide
-  :class:`~repro.serve.cache.EncoderCache` — one set of gather tables
-  per ``(pixels, config)`` key no matter how many servers run in the
-  process, warmed *before* workers start.  The start method
-  decides how workers get it: ``fork`` children share it copy-on-write;
-  ``spawn``/``forkserver`` children attach one table file the server
-  writes and deletes;
+* **one warm model** (loaded via :func:`repro.api.load_model`, never
+  re-fit) whose encoder comes from the process-wide
+  :class:`~repro.serve.cache.EncoderCache` — one gather table per
+  ``(pixels, config)`` key no matter how many servers run in the
+  process, built by the readiness probe before the server takes
+  traffic;
 * **a priority-lane scheduler**
   (:class:`~repro.serve.scheduler.Scheduler`) coalescing small
-  requests queued while every worker is busy into packed-friendly
+  requests queued while every executor is busy into packed-friendly
   batches per named lane (``max_batch`` / ``max_wait_ms`` / ``lanes``
-  in :class:`~repro.serve.types.ServeConfig`) — an idle worker takes
+  in :class:`~repro.serve.types.ServeConfig`) — an idle executor takes
   what is queued at once,
   draining lanes with weighted anti-starvation and failing
   expired-deadline requests loudly instead of serving them late;
-* **a pool of worker processes** (:mod:`repro.serve.worker`) that
-  warm-start from the same model file, prove readiness with the
-  ``serve-check`` probe, and are respawned on crash with their
-  in-flight batch re-queued — a submitted request is answered or fails
-  loudly, never dropped;
-* **an in-process fallback** (``workers=0``) for 1-core hosts: the
-  same scheduler, drained by the submitting thread instead of a pool —
-  same API, same accounting, zero IPC.
+* **executor threads** (``workers=K``), each running one loop,
+  :meth:`UHDServer._run_queued`: take the next batch, predict on the
+  shared model, answer or fail its requests, account for it.  The
+  compiled encode kernel and NumPy's popcount and argmax release the
+  GIL, so K threads predict in parallel with no process hop and no
+  copy of the table.  ``workers=0`` starts no thread: each submitting
+  thread runs the same loop until the queue is empty.
+
+A predict that raises fails only its own batch, exactly once, and the
+executor goes on with the next.  A hard crash in native code takes the
+process down with it; the deployment is then unavailable until a
+supervisor restarts the process.
 
 Bit-exactness: the server never transforms data — it only splits,
 concatenates and routes.  Both encode and binarized inference are
@@ -42,31 +44,23 @@ the contract above covers every wire identically.
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
-import os
-import shutil
-import tempfile
 import threading
 import time
-from collections import deque
 from typing import Any
 
 import numpy as np
 
 from .cache import encoder_cache
 from .probe import ProbeResult, readiness_probe
-from .scheduler import LaneConfig, Scheduler
+from .scheduler import LaneConfig, ScheduledBatch, Scheduler
 from .types import (
     DeadlineExpiredError,
     PredictionHandle,
     ServeConfig,
     ServeError,
     ServerStats,
-    WorkerCrashError,
     _StatCounters,
 )
-from .worker import WorkerHandle, spawn_worker
 
 __all__ = ["UHDServer"]
 
@@ -86,41 +80,6 @@ class _Part:
         return self.images.shape[0]
 
 
-class _Batch:
-    """A dispatched unit: coalesced parts plus their concatenated images."""
-
-    __slots__ = ("id", "parts", "rows", "lane")
-
-    def __init__(self, batch_id: int, parts: list[_Part], lane: str | None = None):
-        self.id = batch_id
-        self.parts = parts
-        self.lane = lane
-        self.rows = sum(p.rows for p in parts)
-
-    def images(self) -> np.ndarray:
-        if len(self.parts) == 1:
-            return self.parts[0].images
-        return np.concatenate([p.images for p in self.parts])
-
-    def complete(self, labels: np.ndarray) -> None:
-        offset = 0
-        for part in self.parts:
-            part.handle._complete_part(
-                part.index, labels[offset:offset + part.rows]
-            )
-            offset += part.rows
-
-    def fail(self, error: BaseException) -> None:
-        for part in self.parts:
-            part.handle._fail(error)
-
-
-def _resolve_start_method(method: str) -> str:
-    if method != "auto":
-        return method
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
 class UHDServer:
     """Serve predictions for one saved model, batched and fanned out.
 
@@ -135,10 +94,10 @@ class UHDServer:
             handle = server.submit(more_images)      # async
             labels2 = handle.result(timeout=5.0)
 
-    The context manager starts the pool on entry (workers warm-load the
-    model file — training happened elsewhere, earlier) and shuts it down
-    cleanly on exit.  ``ServeConfig(workers=0)`` gives the in-process
-    fallback with the identical API.
+    The context manager loads and probes the model and starts the
+    executor threads on entry (training happened elsewhere, earlier),
+    and drains and stops them on exit.  ``ServeConfig(workers=0)`` runs
+    no thread, with the identical API.
     """
 
     def __init__(self, model_path: Any, config: ServeConfig | None = None):
@@ -147,69 +106,53 @@ class UHDServer:
         self._model: Any = None
         self._num_pixels: int | None = None
         self._front_probe: ProbeResult | None = None
-        self._encoder_lock: threading.Lock = threading.Lock()
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._stats = _StatCounters()
         self._started = False
         self._closed = False
         self._accepting = False
-        self._running = False
-        self._failure: BaseException | None = None
         #: resolved lane set (start()) — first entry is the default lane
         self._lanes: tuple[LaneConfig, ...] = ()
         self._lane_map: dict[str, LaneConfig] = {}
-        #: built in start() at every worker count
         self._scheduler: Scheduler[_Part] | None = None
-        # pool-mode machinery (built in start() when workers > 0)
-        self._workers: list[WorkerHandle] = []
-        self._idle: deque[WorkerHandle] = deque()
-        self._inflight: dict[int, _Batch] = {}
-        self._retry: deque[_Batch] = deque()
-        #: parts submitted but not yet registered in _inflight (or failed);
-        #: covers the window where an executor holds a batch it popped
-        #: from the scheduler/retry queue, which close()'s drain loop and
-        #: the no-workers failure path would otherwise not see
+        #: parts submitted and not yet answered, failed or expired —
+        #: queued or held by an executor; close() drains until it is 0
         self._pending_parts = 0
-        self._fatal: list[str] = []
-        self._batch_ids = itertools.count()
-        self._ctx: Any = None
         self._threads: list[threading.Thread] = []
-        #: the table file spawn/forkserver workers attach and the temp
-        #: directory holding it (both None under fork and workers=0)
-        self._table_dir: str | None = None
-        self._table_path: str | None = None
-        #: test hook — the next N dispatched batches kill their worker
-        self._crash_next = 0
+        #: why an executor thread died, if one did; the server then
+        #: refuses new requests and reads unavailable until replaced
+        self._failure: BaseException | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "UHDServer":
-        """Warm-load the model, spawn and probe workers, start dispatching."""
+        """Load and probe the model, start the executors, take traffic."""
         if self._started:
             return self
         self._lanes = self.config.effective_lanes()
         self._lane_map = {lane.name: lane for lane in self._lanes}
-        self._load_front_end()
+        self._load_model()
         self._scheduler = Scheduler(self._lanes, on_expired=self._on_expired)
-        if self.config.workers > 0:
-            method = _resolve_start_method(self.config.start_method)
-            try:
-                if method != "fork":
-                    self._publish_tables()
-                self._start_pool(method)
-            except BaseException:
-                self._release_tables()
-                raise
+        self._threads = [
+            threading.Thread(
+                target=self._executor,
+                name=f"uhd-serve-executor-{slot}",
+                daemon=True,
+            )
+            for slot in range(self.config.workers)
+        ]
+        for thread in self._threads:
+            thread.start()
         self._started = True
         self._accepting = True
         return self
 
-    def _load_front_end(self) -> None:
+    def _load_model(self) -> None:
         from ..api.persistence import load_model
 
-        # same load + backend re-home path the workers and the CLI use
+        # the same load + backend re-home path the CLI uses
         model = load_model(self.model_path, backend=self.config.backend)
         num_pixels = getattr(model, "num_pixels", None)
         if num_pixels is None:
@@ -219,98 +162,12 @@ class UHDServer:
             )
         self._num_pixels = int(num_pixels)
         # share one encoder per (pixels, config) process-wide; the probe's
-        # first predict builds its table, which fork workers inherit
-        # copy-on-write (worker_main adopts the same cache entry
-        # post-fork).  Adopt BEFORE the probe: a model that arrived with
-        # warm tables (a .tables sidecar attach) seeds the cache, so the
-        # probe runs on those tables instead of rebuilding.  The probe
-        # holds the key's serialization lock: another server over the
-        # same key may already be predicting on the shared encoder, whose
-        # workspaces are not safe under concurrent encodes
-        self._encoder_lock = encoder_cache().adopt(model) or threading.Lock()
-        with self._encoder_lock:
-            self._front_probe = readiness_probe(
-                model, self._num_pixels,
-                batch=self.config.probe_batch, repeats=1,
-            )
+        # first predict builds its table before any executor starts
+        encoder_cache().adopt(model)
+        self._front_probe = readiness_probe(
+            model, self._num_pixels, batch=self.config.probe_batch, repeats=1
+        )
         self._model = model
-
-    def _publish_tables(self) -> None:
-        """Write the warm front-end table to a file workers attach.
-
-        Only for workers that cannot inherit it (``spawn``/``forkserver``;
-        ``fork`` children adopt the warm cached encoder copy-on-write).
-        Runs after :meth:`_load_front_end` (the encoder is warm) and
-        before any worker starts, so every worker generation — bootstrap
-        and crash-respawn alike — attaches the same file.  Models without
-        exportable tables (reference encoders) write nothing and workers
-        build as before.
-        """
-        model_config = getattr(self._model, "config", None)
-        if model_config is None or not hasattr(self._model, "encoder"):
-            return
-        self._table_dir = tempfile.mkdtemp(prefix="uhd-tables-")
-        self._table_path = encoder_cache().publish(
-            self._num_pixels,
-            model_config,
-            os.path.join(self._table_dir, "tables.uhdtbl"),
-        )
-
-    def _start_pool(self, method: str) -> None:
-        self._ctx = multiprocessing.get_context(method)
-        self._workers = [WorkerHandle(slot) for slot in range(self.config.workers)]
-        for handle in self._workers:
-            self._spawn(handle)
-        self._running = True
-        self._threads = [
-            threading.Thread(
-                target=self._collect_loop, name="uhd-serve-collect", daemon=True
-            ),
-            threading.Thread(
-                target=self._dispatch_loop, name="uhd-serve-dispatch", daemon=True
-            ),
-        ]
-        for thread in self._threads:
-            thread.start()
-        deadline = time.monotonic() + self.config.ready_timeout_s
-        with self._cv:
-            while any(w.state == "starting" for w in self._workers):
-                if self._fatal:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cv.wait(remaining)
-            fatal = list(self._fatal)
-            pending = [w.slot for w in self._workers if w.state == "starting"]
-            dead = [w.slot for w in self._workers if w.state == "dead"]
-        if fatal or pending or dead:
-            self._started = True  # so close() tears the partial pool down
-            self.close(drain_timeout=0.0)
-            if fatal:
-                raise ServeError(
-                    "worker bootstrap failed (serve-check probe):\n" + fatal[0]
-                )
-            if dead:
-                raise ServeError(
-                    f"workers {dead} died during bootstrap before reporting "
-                    "readiness (with start_method='spawn' the parent must be "
-                    "importable — a __main__ guard is required)"
-                )
-            raise ServeError(
-                f"workers {pending} not ready within "
-                f"{self.config.ready_timeout_s}s"
-            )
-
-    def _spawn(self, handle: WorkerHandle) -> None:
-        spawn_worker(
-            self._ctx,
-            handle,
-            self.model_path,
-            self.config.backend,
-            self.config.probe_batch,
-            self._table_path,
-        )
 
     def __enter__(self) -> "UHDServer":
         return self.start()
@@ -324,14 +181,12 @@ class UHDServer:
         ``drain_timeout`` defaults to ``config.drain_timeout_s`` — the
         same window the CLI's SIGTERM/SIGINT handler relies on.
         Idempotent.  Requests still queued when the drain window expires
-        fail with :class:`ServeError` rather than hanging their callers.
+        fail with :class:`ServeError` rather than hanging their callers;
+        a batch an executor already holds is answered.
         """
         if drain_timeout is None:
             drain_timeout = self.config.drain_timeout_s
         if self._closed or not self._started:
-            # a failed start() may have written a table file before
-            # dying — delete it even though the server never came up
-            self._release_tables()
             self._closed = True
             return
         self._accepting = False
@@ -339,45 +194,19 @@ class UHDServer:
         self._scheduler.close()
         deadline = time.monotonic() + drain_timeout
         with self._cv:
-            # _pending_parts covers both parts queued in the scheduler and a
-            # batch the dispatcher has popped but not yet registered, so a
-            # request submitted before close() gets its full drain window
-            while self._inflight or self._retry or self._pending_parts:
+            while self._pending_parts:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 self._cv.wait(min(remaining, 0.1))
-            self._running = False
-            leftovers = list(self._retry) + list(self._inflight.values())
-            self._retry.clear()
-            self._inflight.clear()
-            self._cv.notify_all()
-        # requests still queued in the scheduler must fail, not hang their
-        # callers: drain it (closed above, so this terminates) and fail each
-        leftovers.extend(self._drain_scheduler())
-        for batch in leftovers:
-            batch.fail(ServeError("server closed before the request completed"))
-        # threads first: they may be mid-wait on pipes that stop() closes
+        # the scheduler is closed, so this terminates: every part still
+        # queued fails (expired ones through on_expired along the way)
+        closed = ServeError("server closed before the request completed")
+        while scheduled := self._scheduler.next_batch(poll_s=0.0):
+            self._finish(scheduled, error=closed)
         for thread in self._threads:
             thread.join(timeout=5.0)
-        for handle in self._workers:
-            handle.stop()
-        self._release_tables()
         self._closed = True
-
-    def _release_tables(self) -> None:
-        """Delete this server's table file and its directory (idempotent).
-
-        Ordered after worker stop so no live worker attaches a deleted
-        file; safe either way on POSIX (open mappings survive unlink),
-        but the ordering keeps the lifecycle story simple.
-        """
-        if self._table_path is not None:
-            encoder_cache().unpublish(self._table_path)
-            self._table_path = None
-        if self._table_dir is not None:
-            shutil.rmtree(self._table_dir, ignore_errors=True)
-            self._table_dir = None
 
     # ------------------------------------------------------------------
     # Request path
@@ -423,7 +252,7 @@ class UHDServer:
         if not self._accepting:
             raise ServeError("server is closed")
         if self._failure is not None:
-            raise ServeError(f"server failed: {self._failure}")
+            raise ServeError(f"server failed: {self._failure!r}")
         lane_config = self._resolve_lane(lane)
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
@@ -459,8 +288,8 @@ class UHDServer:
                         self._pending_parts -= 1  # this part never queued
                     raise
                 if self.config.workers == 0:
-                    # drained per part, not per request: the caller is the
-                    # only executor, so a full lane would otherwise block
+                    # drained per part, not per request: callers are the
+                    # only executors, so a full lane would otherwise block
                     # its own put forever
                     self._run_queued()
         except (RuntimeError, TimeoutError) as exc:
@@ -496,307 +325,84 @@ class UHDServer:
             self._pending_parts -= 1
             self._cv.notify_all()
 
-    def _run_queued(self) -> None:
-        """In-process executor: run queued batches on the calling thread.
+    def _executor(self) -> None:
+        """Body of an executor thread: the loop, until the server closes.
 
-        Each batch is popped and predicted under the encoder's cache-wide
-        lock (one per ``(pixels, config)`` key), so the lock holder is the
-        one executor and a part queues while another thread predicts —
-        its lane latency is queue wait, as in pool mode.  The loop may
-        run parts other callers queued and stops at the first empty
-        heartbeat.  A predict failure fails that batch's handles; it is
-        never raised here, where it would strand other callers' parts.
+        Predict failures never escape the loop, so an exception here is a
+        bug (a completion callback raising, say): record it so the
+        server stops taking traffic instead of queueing for a dead pool.
+        """
+        try:
+            self._run_queued(until_closed=True)
+        except BaseException as exc:
+            self._failure = exc
+            raise
+
+    def _run_queued(self, until_closed: bool = False) -> None:
+        """The executor loop: take a batch, predict, answer or fail, account.
+
+        Executor threads run it ``until_closed``: it returns once the
+        scheduler is closed and drained.  Under ``workers=0`` each
+        submitting thread runs it after queueing a part and returns at
+        the first empty heartbeat, possibly having run parts other
+        callers queued.  The model is shared by every caller and takes
+        no lock here (the encoder guards its own state).  A predict
+        failure fails that batch's handles; it is never raised here,
+        where it would strand other callers' parts.
         """
         assert self._scheduler is not None
         while True:
-            error: BaseException | None = None
-            with self._encoder_lock:
-                scheduled = self._scheduler.next_batch(poll_s=0.0)
-                if not scheduled:  # empty heartbeat, or closed and drained
-                    return
-                batch = _Batch(
-                    next(self._batch_ids), scheduled.items, lane=scheduled.lane
-                )
-                try:
-                    labels = self._model.predict(batch.images())
-                except Exception as exc:
-                    error = ServeError(f"predict failed: {exc!r}")
-            try:
-                if error is None:
-                    batch.complete(labels)
-                else:
-                    batch.fail(error)
-            finally:
-                with self._cv:
-                    self._stats.record_batch(batch.rows)
-                    self._pending_parts -= len(batch.parts)
-                    self._cv.notify_all()
-
-    # ------------------------------------------------------------------
-    # Pool threads
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        """Acquire an idle worker first, then hand it the next piece of work.
-
-        Work-conserving: the worker is held while the dispatcher waits
-        for the retry queue's head or :meth:`Scheduler.next_batch`, so a
-        lone part leaves the moment it is queued.  Parts coalesce on
-        their own while every worker is busy: they pile up in their
-        lanes and the next pull takes up to ``max_batch`` of them.
-        """
-        assert self._scheduler is not None
-        worker: WorkerHandle | None = None
-        while True:
-            worker = self._acquire_worker(held=worker)
-            if worker is None:  # shutting down, or every worker dead
-                self._fail_retries()
-                return
-            batch: _Batch | None = None
-            with self._cv:
-                if self._retry:
-                    batch = self._retry.popleft()
-                    # back in the dispatcher's hands: count its parts as
-                    # pending again until (re-)registered in _inflight
-                    self._pending_parts += len(batch.parts)
-            if batch is None:
-                scheduled = self._scheduler.next_batch(poll_s=0.05)
-                if scheduled is None:  # closed and drained; retries may remain
-                    with self._cv:
-                        self._cv.wait(0.05)
-                    continue
-                if not scheduled:  # idle heartbeat: keep the worker
-                    continue
-                batch = _Batch(
-                    next(self._batch_ids), scheduled.items, lane=scheduled.lane
-                )
-            crash = False
-            with self._cv:
-                if not self._running or worker.state != "busy" or not (
-                    worker.alive()
-                ):
-                    # the worker died while the dispatcher held it (the
-                    # reaper reset it to starting/dead), or the server is
-                    # closing: registering now would orphan the batch —
-                    # re-queue it for another worker, or for the
-                    # shutdown path above to fail
-                    self._pending_parts -= len(batch.parts)
-                    self._retry.append(batch)
-                    self._cv.notify_all()
-                    worker = None
-                    continue
-                if self._crash_next > 0:
-                    self._crash_next -= 1
-                    crash = True
-                self._inflight[batch.id] = batch
-                self._pending_parts -= len(batch.parts)
-                worker.busy_batch = batch
-                self._stats.record_batch(batch.rows)
-                # snapshot under the lock: a reaper respawn after this point
-                # swaps worker.task_writer, and a send must never land on a
-                # newer generation's pipe
-                writer = worker.task_writer
-            worker = None
-            try:
-                writer.send(("batch", batch.id, batch.images(), crash))
-            except (BrokenPipeError, OSError, AttributeError):
-                # worker died first; busy_batch is registered, so the
-                # reaper reclaims and retries this batch
-                pass
-
-    def _fail_retries(self) -> None:
-        """Fail every re-queued batch once no worker can take it.
-
-        Covers a batch the crash rule re-queued after ``close()`` or the
-        no-workers path collected its leftovers.
-        """
-        with self._cv:
-            stranded = list(self._retry)
-            self._retry.clear()
-            failure = self._failure or ServeError("server is shutting down")
-            self._cv.notify_all()
-        for batch in stranded:
-            batch.fail(failure)
-
-    def _acquire_worker(
-        self, held: WorkerHandle | None = None
-    ) -> WorkerHandle | None:
-        """An idle worker marked busy (``held`` is kept); None once stopping."""
-        with self._cv:
-            while self._running and self._failure is None:
-                if held is not None:
-                    return held
-                if self._idle:
-                    worker = self._idle.popleft()
-                    if worker.state == "idle" and worker.alive():
-                        worker.state = "busy"
-                        return worker
-                    continue  # stale entry (crashed while queued); drop it
-                self._cv.wait(0.1)
-            return None
-
-    def _collect_loop(self) -> None:
-        from multiprocessing.connection import wait as conn_wait
-
-        while True:
-            readers: dict[Any, WorkerHandle] = {}
-            with self._cv:
-                if not self._running:
-                    return
-                for worker in self._workers:
-                    if worker.result_reader is not None and worker.state in (
-                        "starting", "idle", "busy"
-                    ):
-                        readers[worker.result_reader] = worker
-            if readers:
-                try:
-                    ready = conn_wait(list(readers), timeout=0.05)
-                except OSError:
-                    ready = []  # a pipe closed under us; reap below
-            else:
-                time.sleep(0.05)
-                ready = []
-            for conn in ready:
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    continue  # pipe EOF == crash; _reap_crashed handles it
-                self._handle_message(msg)
-            self._reap_crashed()
-
-    def _drain_reader(self, worker: WorkerHandle) -> None:
-        """Deliver results a worker managed to send before dying.
-
-        Per-generation pipes make this safe: a completed ``send`` is
-        fully in the pipe, so a crash can lose at most the message being
-        written (whose batch the reaper then retries).
-        """
-        conn = worker.result_reader
-        while conn is not None:
-            try:
-                if not conn.poll():
-                    return
-                msg = conn.recv()
-            except (EOFError, OSError):
-                return
-            self._handle_message(msg)
-
-    def _handle_message(self, msg: tuple) -> None:
-        kind, slot = msg[0], msg[1]
-        worker = self._workers[slot]
-        if kind == "ready":
-            with self._cv:
-                worker.state = "idle"
-                worker.probe_median_s = msg[2]
-                worker.table_builds = int(msg[3]) if len(msg) > 3 else None
-                self._stats.probe_ms[slot] = msg[2] * 1e3
-                if worker.table_builds is not None:
-                    self._stats.table_builds[slot] = worker.table_builds
-                self._idle.append(worker)
-                self._cv.notify_all()
-        elif kind == "fatal":
-            with self._cv:
-                self._fatal.append(msg[2])
-                worker.state = "dead"
-                self._cv.notify_all()
-            self._fail_if_no_workers()
-        elif kind in ("result", "error"):
-            batch_id = msg[2]
-            with self._cv:
-                batch = self._inflight.pop(batch_id, None)
-                if worker.busy_batch is batch:
-                    worker.busy_batch = None
-                if worker.state == "busy" and worker.alive():
-                    worker.state = "idle"
-                    self._idle.append(worker)
-                self._cv.notify_all()
-            if batch is None:
-                return  # already reclaimed (late message after a retry)
-            if kind == "result":
-                batch.complete(msg[3])
-            else:
-                batch.fail(ServeError(f"worker predict failed:\n{msg[3]}"))
-
-    def _reap_crashed(self) -> None:
-        """Respawn dead workers; re-queue their in-flight batches."""
-        for worker in self._workers:
-            if worker.state in ("stopped", "dead") or worker.alive():
-                continue
-            self._drain_reader(worker)  # results sent before death still count
-            with self._cv:
-                if worker.state in ("stopped", "dead") or worker.alive():
-                    continue
-                batch = worker.busy_batch
-                worker.busy_batch = None
-                if batch is not None and self._inflight.pop(batch.id, None) is None:
-                    batch = None  # result arrived before the crash was seen
-                can_restart = (
-                    self._running
-                    and self._stats.restarts < self.config.restart_limit
-                )
-                if can_restart:
-                    self._stats.restarts += 1
-                    worker.state = "starting"
-                    if batch is not None:
-                        self._retry.append(batch)
-                        batch = None
-                else:
-                    worker.state = "dead"
-                self._cv.notify_all()
-            if batch is not None:
-                batch.fail(
-                    WorkerCrashError(
-                        f"worker {worker.slot} crashed and the restart budget "
-                        f"({self.config.restart_limit}) is exhausted"
-                    )
-                )
-            if worker.state == "starting":
-                self._spawn(worker)  # also swaps in this generation's pipes
-            else:
-                worker.close_pipes()
-                self._fail_if_no_workers()
-
-    def _drain_scheduler(self) -> list[_Batch]:
-        """Pull every still-queued part out of the (already closed) scheduler.
-
-        Shared by clean shutdown and the all-workers-dead path so the
-        ``_pending_parts`` accounting cannot diverge between them; the
-        caller owns failing the returned batches.  Parts whose deadlines
-        expired are failed by the ``on_expired`` callback along the way,
-        never returned.
-        """
-        assert self._scheduler is not None
-        drained: list[_Batch] = []
-        while True:
-            scheduled = self._scheduler.next_batch(poll_s=0.0)
-            if scheduled is None or not scheduled:
-                return drained
-            with self._cv:
-                self._pending_parts -= len(scheduled.items)
-            drained.append(
-                _Batch(next(self._batch_ids), scheduled.items, lane=scheduled.lane)
+            scheduled = self._scheduler.next_batch(
+                poll_s=0.1 if until_closed else 0.0
             )
-
-    def _fail_if_no_workers(self) -> None:
-        """Fail pending work when the pool can no longer serve anything."""
-        with self._cv:
-            if any(w.state in ("starting", "idle", "busy") for w in self._workers):
+            if scheduled is None:  # closed and drained
                 return
-            if self._failure is None:
-                self._failure = ServeError(
-                    "all workers are dead (crashes exceeded restart_limit "
-                    "or bootstrap failed)"
+            if not scheduled:  # empty heartbeat
+                if until_closed:
+                    continue
+                return
+            with self._lock:
+                self._stats.record_batch(scheduled.rows)
+            parts = scheduled.items
+            try:
+                images = (
+                    parts[0].images if len(parts) == 1
+                    else np.concatenate([part.images for part in parts])
                 )
-            failure = self._failure
-            leftovers = list(self._retry) + list(self._inflight.values())
-            self._retry.clear()
-            self._inflight.clear()
-            self._accepting = False
-            self._cv.notify_all()
+                labels = self._model.predict(images)
+            except Exception as exc:
+                self._finish(scheduled, error=ServeError(f"predict failed: {exc!r}"))
+            else:
+                self._finish(scheduled, labels=labels)
+
+    def _finish(
+        self,
+        scheduled: ScheduledBatch[_Part],
+        labels: np.ndarray | None = None,
+        error: BaseException | None = None,
+    ) -> None:
+        """Answer (``labels``) or fail (``error``) each part of a taken batch.
+
+        Its lane counters are settled first, so a caller that reads the
+        stats after its result sees its request counted.  Its parts leave
+        the pending count last, whatever a completion callback raises.
+        """
         assert self._scheduler is not None
-        self._scheduler.close()
-        leftovers.extend(self._drain_scheduler())
-        for batch in leftovers:
-            batch.fail(failure)
+        self._scheduler.settle(scheduled, failed=error is not None)
+        try:
+            offset = 0
+            for part in scheduled.items:
+                if error is not None:
+                    part.handle._fail(error)
+                    continue
+                part.handle._complete_part(
+                    part.index, labels[offset:offset + part.rows]
+                )
+                offset += part.rows
+        finally:
+            with self._cv:
+                self._pending_parts -= len(scheduled)
+                self._cv.notify_all()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -808,7 +414,7 @@ class UHDServer:
 
     @property
     def front_probe(self) -> ProbeResult | None:
-        """The front-end model's own readiness-probe result."""
+        """The model's readiness-probe result (taken in start())."""
         return self._front_probe
 
     @property
@@ -819,9 +425,9 @@ class UHDServer:
     def stats(self) -> ServerStats:
         """A :class:`ServerStats` snapshot of the counters so far.
 
-        Request/batch counters, per-lane scheduler depth/served/expired,
-        and the process-wide encoder cache (table bytes, live table
-        files).  A deployment merges its servers' snapshots
+        Request/batch counters, per-lane scheduler depth and
+        served/expired/failed counts, and the process-wide encoder cache
+        (entries, table bytes).  A deployment merges its servers' snapshots
         into the document the HTTP ``/stats`` endpoint serves.
         """
         scheduler = self._scheduler
@@ -838,22 +444,13 @@ class UHDServer:
     def healthz(self) -> dict:
         """Liveness/readiness summary for health endpoints.
 
-        ``ok`` is True while the server accepts traffic and (in pool
-        mode) at least one worker is alive.  ``probe`` reports the
-        front-end's :func:`~repro.serve.probe.readiness_probe` result —
+        ``ok`` is True while the server accepts traffic and no executor
+        thread has died (see :meth:`_executor`).  ``probe`` reports
+        the model's :func:`~repro.serve.probe.readiness_probe` result —
         the same deterministic-predictions check ``serve-check`` runs.
         """
-        with self._cv:
-            live = sum(
-                1 for w in self._workers if w.state in ("idle", "busy")
-            )
-            starting = sum(1 for w in self._workers if w.state == "starting")
-            ok = bool(
-                self._started
-                and self._accepting
-                and self._failure is None
-                and (self.config.workers == 0 or live + starting > 0)
-            )
+        live = sum(thread.is_alive() for thread in self._threads)
+        ok = bool(self._started and self._accepting and self._failure is None)
         probe = self._front_probe
         return {
             "ok": ok,

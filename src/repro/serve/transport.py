@@ -1,7 +1,7 @@
 """Transports: how requests reach a :class:`~repro.serve.router.Router`.
 
 The serving stack is deliberately transport-agnostic — the router,
-scheduler and worker pool neither know nor care whether a request
+scheduler and executors neither know nor care whether a request
 arrived as a Python call or over a socket.  Every transport fronts a
 ``Router``; ``repro-uhd serve`` is a router with one deployment, so
 there is exactly one serving path.
@@ -311,6 +311,11 @@ def _make_handler(router: "Router", request_timeout_s: float, wire: TransportSta
         protocol_version = "HTTP/1.1"
         server_version = "uhd-serve"
         timeout = request_timeout_s  #: bounds socket reads per request
+        #: TCP_NODELAY on every accepted socket: the response goes out as
+        #: headers then body, and Nagle would hold the body back until the
+        #: client's delayed ACK of the headers (~40 ms per keep-alive
+        #: request)
+        disable_nagle_algorithm = True
 
         def log_message(self, *args: Any) -> None:  # pragma: no cover
             pass  # stay quiet; operators have /stats

@@ -4,20 +4,17 @@ Everything a caller touches is here: :class:`ServeConfig` (how the
 server batches and fans out), :class:`PredictionHandle` (the future a
 :meth:`~repro.serve.server.UHDServer.submit` returns),
 :class:`ServerStats` (an observability snapshot) and the exception
-hierarchy (:class:`ServeError` / :class:`WorkerCrashError`).
+hierarchy (:class:`ServeError` / :class:`DeadlineExpiredError`).
 
-The wire protocol between the front-end and its worker processes is
-*not* public — it lives in :mod:`repro.serve.worker` as plain picklable
-tuples — but the invariant it upholds is: a request handed to
-``submit`` is either answered bit-exactly or fails loudly with a
-``ServeError``; it is never silently dropped, including across worker
-crashes (crashed batches are re-queued onto a fresh worker).
+The invariant every path upholds: a request handed to ``submit`` is
+either answered bit-exactly or fails loudly with a ``ServeError``,
+exactly once; it is never silently dropped.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from ..api.registry import BACKENDS
@@ -35,7 +32,6 @@ __all__ = [
     "DeadlineExpiredError",
     "ServeConfig",
     "ServeError",
-    "WorkerCrashError",
     "PredictionHandle",
     "ServerStats",
 ]
@@ -43,11 +39,7 @@ __all__ = [
 
 class ServeError(RuntimeError):
     """The serving layer could not answer a request (startup, shutdown,
-    worker bootstrap failure, or a request failed after retries)."""
-
-
-class WorkerCrashError(ServeError):
-    """A worker process died and the request exhausted its restart budget."""
+    or a predict that raised)."""
 
 
 class DeadlineExpiredError(ServeError):
@@ -67,10 +59,10 @@ class ServeConfig:
     Attributes
     ----------
     workers:
-        Worker *processes* to spawn.  ``0`` selects the in-process
-        fallback (right for 1-core hosts and tests): requests go through
-        the same scheduler, and the submitting thread drains it through
-        the front-end's own warm model instead of a pool.
+        Executor *threads* in the server process.  Each drains the
+        scheduler through the one warm model they all share.  ``0``
+        runs no thread: the submitting thread drains the same scheduler
+        itself (right for 1-core hosts and tests).
     max_batch:
         Upper bound on images per dispatched batch.  Requests are
         coalesced up to this bound; a single request *larger* than it is
@@ -79,9 +71,9 @@ class ServeConfig:
     max_wait_ms:
         Urgency bound: a lane whose oldest queued request has waited
         longer than this is served before any weighted choice.  It
-        never delays a dispatch — an idle worker (or the submitting
+        never delays a dispatch — an idle executor (or the submitting
         thread under ``workers=0``) takes what is queued at once, and
-        requests coalesce only while every worker is busy.
+        requests coalesce only while every executor is busy.
     lanes:
         Named priority lanes (:class:`~repro.serve.scheduler.LaneConfig`)
         the scheduler drains with weighted anti-starvation — e.g. an
@@ -95,32 +87,17 @@ class ServeConfig:
     drain_timeout_s:
         How long :meth:`~repro.serve.server.UHDServer.close` (and the
         CLI's SIGTERM/SIGINT handler) waits for in-flight and queued
-        requests to finish before failing the stragglers loudly and
-        stopping the workers.
+        requests to finish before failing the still-queued ones loudly
+        and stopping the executors.
     backend:
-        Backend-table name every worker re-homes the loaded model onto
+        Backend-table name the server re-homes the loaded model onto
         (``None`` keeps the backend recorded in the model file); one of
         :func:`repro.api.list_backends`.
     queue_depth:
         Bound on request parts waiting in each lane's queue;
         ``submit`` blocks (backpressure) when it is full.
-    restart_limit:
-        Total worker restarts the server will perform before declaring
-        a batch failed (:class:`WorkerCrashError`) and refusing to
-        respawn further.
-    start_method:
-        ``multiprocessing`` start method: ``"fork"``, ``"spawn"``,
-        ``"forkserver"``, or ``"auto"`` (fork where the platform offers
-        it, else spawn).  It also decides how workers get the
-        front-end's warm gather tables without rebuilding them:
-        ``fork`` children share them copy-on-write; ``spawn`` and
-        ``forkserver`` children attach one read-only table file the
-        server writes to a temp directory and deletes on close.
-    ready_timeout_s:
-        How long to wait for every worker's readiness probe at startup
-        before failing with :class:`ServeError`.
     probe_batch:
-        Images in each worker's readiness self-probe (the same
+        Images in the server's readiness self-probe at start (the same
         deterministic-predictions check ``repro-uhd serve-check`` runs).
     """
 
@@ -130,9 +107,6 @@ class ServeConfig:
     lanes: tuple[LaneConfig, ...] = ()
     backend: str | None = None
     queue_depth: int = 256
-    restart_limit: int = 3
-    start_method: str = "auto"
-    ready_timeout_s: float = 60.0
     probe_batch: int = 8
     drain_timeout_s: float = 10.0
 
@@ -142,7 +116,7 @@ class ServeConfig:
         Configured lanes with their ``None`` knobs filled from the
         server-wide defaults; or, when no lanes were named, a single
         ``"default"`` lane carrying exactly the server-wide knobs.  The
-        same at every worker count.
+        same at every executor count.
         """
         lanes = self.lanes or (LaneConfig(name="default"),)
         return tuple(
@@ -159,18 +133,9 @@ class ServeConfig:
             raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.restart_limit < 0:
-            raise ValueError(
-                f"restart_limit must be >= 0, got {self.restart_limit}"
-            )
         if self.backend is not None and self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be None or one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.start_method not in ("auto", "fork", "spawn", "forkserver"):
-            raise ValueError(
-                "start_method must be one of 'auto', 'fork', 'spawn', "
-                f"'forkserver', got {self.start_method!r}"
             )
         if self.probe_batch < 1:
             raise ValueError(f"probe_batch must be >= 1, got {self.probe_batch}")
@@ -193,32 +158,32 @@ class ServerStats:
     ``mean_batch_size`` is the coalescing health metric: near 1.0 under
     a trickle of traffic, approaching ``max_batch`` under load.
     ``lanes`` carries one :class:`~repro.serve.scheduler.LaneStats` per
-    configured lane (depth, served, expired-deadline counts) and
+    configured lane (depth, served, expired and failed counts) and
     ``cache`` the process-wide :class:`~repro.serve.cache.CacheStats`
-    (encoder entries, gather-table bytes, live table files).  A
-    deployment's ``/stats`` document is the :meth:`merge` of its
-    servers' snapshots serialized via :meth:`as_dict`, plus the fleet
-    keys (see :meth:`~repro.serve.router.ModelDeployment.stats`).
+    (encoder entries, gather-table bytes).  A deployment's ``/stats``
+    document is the :meth:`merge` of its servers' snapshots serialized
+    via :meth:`as_dict`, plus the fleet keys (see
+    :meth:`~repro.serve.router.ModelDeployment.stats`).
     """
 
-    mode: str  #: ``"pool"`` (worker processes) or ``"inproc"`` (fallback)
-    workers: int
+    mode: str  #: ``"pool"`` (executor threads) or ``"inproc"`` (caller drains)
+    workers: int  #: executor threads
     requests: int  #: submit() calls accepted
     images: int  #: total images across those requests
     batches: int  #: batches the scheduler handed to an executor
     max_batch_seen: int
     mean_batch_size: float
-    restarts: int  #: worker respawns performed (crash recovery)
-    worker_probe_ms: tuple[float, ...]  #: readiness-probe latency per worker
-    #: gather-table builds each worker performed during bootstrap — 0 means
-    #: the worker *attached* the front-end's tables (fork copy-on-write, or
-    #: the server's table file under spawn/forkserver) instead of building
-    worker_table_builds: tuple[int, ...] = ()
+    #: always 0: executors are threads and are never respawned; kept so
+    #: readers of the stats document see the same keys
+    restarts: int = 0
     #: per-lane scheduler counters, in lane declaration order
     lanes: tuple[LaneStats, ...] = ()
     #: request parts failed on an expired deadline (sum over lanes)
     expired: int = 0
-    #: process-wide encoder-cache snapshot (entries, table bytes, table files)
+    #: request parts whose batch failed: predict raised, or the server
+    #: closed with them still queued (sum over lanes)
+    failed: int = 0
+    #: process-wide encoder-cache snapshot (entries, table bytes)
     cache: "CacheStats | None" = None
     #: per-transport wire counters (connections, frames, bytes, malformed),
     #: one row per transport kind fronting the router — a bare server's
@@ -238,9 +203,8 @@ class ServerStats:
         Counters are summed and each lane's rows are joined with
         :meth:`LaneStats.merge`, so per-lane histograms merge losslessly
         across a deployment's current, draining and retired servers.
-        ``max_batch_seen`` is the maximum, ``mean_batch_size`` is
-        re-weighted by batch count, and the per-worker tuples are
-        concatenated.
+        ``max_batch_seen`` is the maximum and ``mean_batch_size`` is
+        re-weighted by batch count.
         """
         parts = list(parts)
         batches = sum(p.batches for p in parts)
@@ -258,13 +222,9 @@ class ServerStats:
             batches=batches,
             max_batch_seen=max((p.max_batch_seen for p in parts), default=0),
             mean_batch_size=batched / batches if batches else 0.0,
-            restarts=sum(p.restarts for p in parts),
-            worker_probe_ms=tuple(ms for p in parts for ms in p.worker_probe_ms),
-            worker_table_builds=tuple(
-                n for p in parts for n in p.worker_table_builds
-            ),
             lanes=lanes,
             expired=sum(lane.expired for lane in lanes),
+            failed=sum(lane.failed for lane in lanes),
             cache=next((p.cache for p in parts if p.cache is not None), None),
             transports=transports,
         )
@@ -288,7 +248,7 @@ class PredictionHandle:
     """Future-like handle for one submitted prediction request.
 
     A request may have been split into several parts (when it exceeded
-    ``max_batch``) that complete out of order on different workers;
+    ``max_batch``) that complete out of order on different executors;
     :meth:`result` reassembles the label array in the original row
     order.
     """
@@ -332,9 +292,9 @@ class PredictionHandle:
     ) -> None:
         """Invoke ``callback(handle)`` once the request completes (or fails).
 
-        Runs on whichever thread completes the request — the collector
-        thread in pool mode, in-process whichever submitting thread
-        drained its last part — or immediately on the calling thread
+        Runs on whichever thread completes the request — the executor
+        thread that ran its last part (under ``workers=0``, whichever
+        submitting thread drained it) — or immediately on the calling thread
         when already done.  This is what lets an event-loop transport
         hand off a request without parking a thread on :meth:`result`;
         the callback must not block.
@@ -354,8 +314,7 @@ class PredictionHandle:
 
         Blocks up to ``timeout`` seconds (forever when ``None``); raises
         :class:`TimeoutError` if the request has not completed by then,
-        or the failure (:class:`WorkerCrashError` / :class:`ServeError`)
-        if it cannot complete.
+        or the failure (a :class:`ServeError`) if it cannot complete.
         """
         if not self._done.wait(timeout):
             raise TimeoutError("prediction not completed within timeout")
@@ -378,9 +337,6 @@ class _StatCounters:
     batches: int = 0
     batched_images: int = 0
     max_batch_seen: int = 0
-    restarts: int = 0
-    probe_ms: dict[int, float] = field(default_factory=dict)
-    table_builds: dict[int, int] = field(default_factory=dict)
 
     def record_batch(self, rows: int) -> None:
         self.batches += 1
@@ -403,14 +359,8 @@ class _StatCounters:
             batches=self.batches,
             max_batch_seen=self.max_batch_seen,
             mean_batch_size=mean,
-            restarts=self.restarts,
-            worker_probe_ms=tuple(
-                self.probe_ms[k] for k in sorted(self.probe_ms)
-            ),
-            worker_table_builds=tuple(
-                self.table_builds[k] for k in sorted(self.table_builds)
-            ),
             lanes=lanes,
             expired=sum(lane.expired for lane in lanes),
+            failed=sum(lane.failed for lane in lanes),
             cache=cache,
         )

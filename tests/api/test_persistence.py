@@ -333,7 +333,9 @@ class TestConfigJson:
 
 
 class TestTableSidecar:
-    """save_model(include_tables=True): warm-start from disk, no rebuild."""
+    """Gather tables are never stored: a model file is config and
+    accumulators only, and ``load_model`` reads nothing else — not even a
+    ``<model>.npz.tables`` sidecar that older builds wrote next to it."""
 
     def _fitted(self, tiny_digits, backend="packed"):
         config = UHDConfig(dim=128, backend=backend, binarize=True)
@@ -341,147 +343,31 @@ class TestTableSidecar:
             tiny_digits.num_pixels, tiny_digits.num_classes, config
         ).fit(tiny_digits.train_images, tiny_digits.train_labels)
 
-    def test_sidecar_written_and_attached(self, tiny_digits, tmp_path):
-        from repro.api import table_sidecar_path
-
-        model = self._fitted(tiny_digits)
-        path = tmp_path / "model.npz"
-        save_model(model, path, include_tables=True)
-        sidecar = table_sidecar_path(path)
-        assert (tmp_path / "model.npz.tables").exists()
-        assert sidecar == str(path) + ".tables"
-        loaded = load_model(path)
-        # tables attached, not rebuilt: counter never moved, yet warm
-        assert loaded.encoder.tables_ready
-        assert loaded.encoder.table_builds == 0
-        np.testing.assert_array_equal(
-            loaded.predict(tiny_digits.test_images),
-            model.predict(tiny_digits.test_images),
-        )
-
-    def test_sidecar_attaches_delta_table(self, tiny_digits, tmp_path):
-        """The sidecar holds the geometry's one delta table and attaches
-        in place, read-only."""
-        model = self._fitted(tiny_digits)
-        path = tmp_path / "model.npz"
-        save_model(model, path, include_tables=True)
-        loaded = load_model(path)
-        lut = loaded.encoder._table.lut
-        assert lut.shape == (tiny_digits.num_pixels, 16, 8)
-        assert not lut.flags.writeable
-        assert loaded.encoder.table_builds == 0
-
-    def test_version_1_sidecar_rejected_with_resave_hint(
-        self, tiny_digits, tmp_path
-    ):
-        """A sidecar from before the delta layout (format 1: level rows
-        and a ``kind`` field) never attaches silently."""
-        from repro.api import table_sidecar_path
-
-        model = self._fitted(tiny_digits)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        header = json.dumps({
-            "format_version": 1, "kind": "single",
-            "shape": [tiny_digits.num_pixels, 16, 8], "dtype": "<u8",
-            "key": {},
-        }).encode()
-        with open(table_sidecar_path(path), "wb") as handle:
-            handle.write(b"UHDTBL\x01\n" + len(header).to_bytes(8, "little"))
-            handle.write(header)
-            handle.write(b"\x00" * (tiny_digits.num_pixels * 16 * 8 * 8 + 64))
-        with pytest.raises(ModelFormatError, match="version 1.*include_tables"):
-            load_model(path)
-
-    def test_sidecar_serves_rehomed_backend(self, tiny_digits, tmp_path):
-        """The table key excludes backend: a packed sidecar warms an
-        auto load."""
-        model = self._fitted(tiny_digits)
-        path = tmp_path / "model.npz"
-        save_model(model, path, include_tables=True)
-        loaded = load_model(path, backend="auto")
-        assert loaded.encoder.tables_ready
-        assert loaded.encoder.table_builds == 0
-        np.testing.assert_array_equal(
-            loaded.predict(tiny_digits.test_images),
-            model.predict(tiny_digits.test_images),
-        )
-
     def test_missing_sidecar_is_fine(self, tiny_digits, tmp_path):
         model = self._fitted(tiny_digits)
         path = tmp_path / "model.npz"
-        save_model(model, path)  # no sidecar
+        save_model(model, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
         loaded = load_model(path)
-        assert not loaded.encoder.tables_ready  # lazy as always
+        assert loaded.encoder.table_nbytes == 0  # lazy as always
         np.testing.assert_array_equal(
             loaded.predict(tiny_digits.test_images),
             model.predict(tiny_digits.test_images),
         )
 
-    def test_mismatched_sidecar_rejected(self, tiny_digits, tmp_path):
-        from repro.api import table_sidecar_path
-
+    @pytest.mark.parametrize(
+        "garbage",
+        [b"", b"not a table file", b"UHDTBL\x00\x02" + bytes(range(256)) * 64],
+        ids=["empty", "text", "table-header"],
+    )
+    def test_garbage_sidecar_is_ignored(self, tiny_digits, tmp_path, garbage):
         model = self._fitted(tiny_digits)
         path = tmp_path / "model.npz"
-        save_model(model, path, include_tables=True)
-        # overwrite the sidecar with tables for a different geometry
-        other = UHDClassifier(
-            tiny_digits.num_pixels, tiny_digits.num_classes,
-            UHDConfig(dim=128, backend="packed", binarize=True, seed=9),
-        ).fit(tiny_digits.train_images, tiny_digits.train_labels)
-        other_path = tmp_path / "other.npz"
-        save_model(other, other_path, include_tables=True)
-        import shutil
-
-        shutil.copy(table_sidecar_path(other_path), table_sidecar_path(path))
-        with pytest.raises(ModelFormatError, match="sidecar"):
-            load_model(path)
-
-    def test_malformed_sidecar_header_rejected(self, tiny_digits, tmp_path):
-        """A sidecar whose header lacks a field fails as ModelFormatError,
-        not as a bare KeyError from deep inside the table reader."""
-        from repro.api import table_sidecar_path
-        from repro.fastpath.tablestore import TABLE_FILE_MAGIC, TABLE_FORMAT_VERSION
-
-        path = tmp_path / "model.npz"
-        save_model(self._fitted(tiny_digits), path)
-        header = json.dumps({"format_version": TABLE_FORMAT_VERSION}).encode()
-        with open(table_sidecar_path(path), "wb") as handle:
-            handle.write(TABLE_FILE_MAGIC + len(header).to_bytes(8, "little"))
-            handle.write(header)
-        with pytest.raises(ModelFormatError, match="sidecar"):
-            load_model(path)
-
-    def test_include_tables_needs_exportable_encoder(self, tiny_digits, tmp_path):
-        model = self._fitted(tiny_digits, backend="reference")
-        with pytest.raises(ValueError, match="exportable"):
-            save_model(model, tmp_path / "ref.npz", include_tables=True)
-
-    def test_include_tables_needs_a_path(self, tiny_digits, tmp_path):
-        model = self._fitted(tiny_digits)
-        with open(tmp_path / "obj.npz", "wb") as handle:
-            with pytest.raises(ValueError, match="path"):
-                save_model(model, handle, include_tables=True)
-
-    def test_resave_without_tables_removes_stale_sidecar(
-        self, tiny_digits, tmp_path
-    ):
-        """A sidecar always describes the model it sits next to: saving
-        without include_tables must not leave the previous one behind."""
-        from repro.api import table_sidecar_path
-
-        model = self._fitted(tiny_digits)
-        path = tmp_path / "model.npz"
-        save_model(model, path, include_tables=True)
-        assert (tmp_path / "model.npz.tables").exists()
-        other = UHDClassifier(
-            tiny_digits.num_pixels, tiny_digits.num_classes,
-            UHDConfig(dim=128, backend="packed", binarize=True, seed=5),
-        ).fit(tiny_digits.train_images, tiny_digits.train_labels)
-        save_model(other, path)  # overwrite, no tables
-        assert not (tmp_path / "model.npz.tables").exists()
-        loaded = load_model(path)  # must not trip over a stale sidecar
+        save_model(model, path)
+        (tmp_path / "model.npz.tables").write_bytes(garbage)
+        loaded = load_model(path)
         np.testing.assert_array_equal(
             loaded.predict(tiny_digits.test_images),
-            other.predict(tiny_digits.test_images),
+            model.predict(tiny_digits.test_images),
         )
+        assert loaded.encoder.table_builds == 1  # built, never read

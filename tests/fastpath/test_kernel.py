@@ -26,7 +26,6 @@ from repro.fastpath import PackedLevelEncoder
 from repro.fastpath import encoder as encoder_module
 from repro.fastpath import kernel as kernel_module
 from repro.fastpath.kernel import KernelUnavailable
-from repro.fastpath.tablestore import read_table_file, write_table_file
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +44,7 @@ def _numpy_encoder(pixels: int, config: UHDConfig) -> PackedLevelEncoder:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel_module, "load", lambda: None)
         encoder = PackedLevelEncoder(pixels, config)
-        encoder.export_tables()
+        encoder._ensure_table()
     assert encoder.kernel == "numpy"
     return encoder
 
@@ -123,37 +122,34 @@ class TestContractOneGenerated:
 
 
 class TestCompiledKernel:
-    def test_attached_read_only_memmap_is_read_in_place(self, compiled, tmp_path):
-        """A table file attaches as a read-only memmap; the kernel reads
-        it without a copy and encodes bit-exactly."""
+    def test_read_only_table_is_read_in_place(self, compiled):
+        """The kernel reads a read-only table without copying it and
+        encodes bit-exactly."""
         config = UHDConfig(dim=130, levels=16)
-        built = PackedLevelEncoder(49, config)
-        path = tmp_path / "t.uhdtbl"
-        write_table_file(path, built.export_tables())
-        tables = read_table_file(path)
-        assert isinstance(tables.flat, np.memmap)
-        assert not tables.flat.flags.writeable
-        attached = PackedLevelEncoder(49, config)
-        attached.attach_tables(tables)
-        assert attached.kernel == "c"
-        assert np.shares_memory(attached._table.lut, tables.flat)
+        encoder = PackedLevelEncoder(49, config)
+        table = encoder._ensure_table()
+        table.lut.setflags(write=False)
         images = np.random.default_rng(3).integers(0, 256, (40, 49), dtype=np.uint8)
+        codes = encoder._normalize(images)
+        out = np.empty((40, 130), dtype=np.int64)
+        compiled.encode(table.lut, table.base, codes, out)
         expected = SobolLevelEncoder(49, config).encode_batch(images)
-        assert np.array_equal(attached.encode_batch(images), expected)
-        assert attached.table_builds == 0
+        assert np.array_equal(out, expected)
+        assert np.array_equal(encoder.encode_batch(images), expected)
+        assert encoder.table_builds == 1
 
     def test_out_of_range_codes_are_clamped(self, compiled):
         """A code past the last level reads the last level's row, never
         memory beyond the table."""
         encoder = PackedLevelEncoder(9, UHDConfig(dim=64, levels=4))
-        table = encoder.export_tables()
+        table = encoder._ensure_table()
         top = np.full((2, 9), 3, dtype=np.uint8)
         wild = np.array([[4] * 9, [255] * 9], dtype=np.uint8)
         base = encoder._table.base
         want = np.empty((2, 64), dtype=np.int64)
         got = np.empty((2, 64), dtype=np.int64)
-        compiled.encode(table.flat, base, top, want)
-        compiled.encode(table.flat, base, wild, got)
+        compiled.encode(table.lut, base, top, want)
+        compiled.encode(table.lut, base, wild, got)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -170,7 +166,7 @@ class TestCompiledKernel:
     def test_arguments_are_checked_before_the_call(self, compiled, change, match):
         encoder = PackedLevelEncoder(9, UHDConfig(dim=64, levels=4))
         args = {
-            "lut": encoder.export_tables().flat,
+            "lut": encoder._ensure_table().lut,
             "base": encoder._table.base,
             "codes": np.zeros((2, 9), dtype=np.uint8),
             "out": np.empty((2, 64), dtype=np.int64),

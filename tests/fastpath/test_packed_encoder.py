@@ -8,8 +8,8 @@ generated geometry for both encode kernels.
 """
 
 import multiprocessing
-import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -146,7 +146,7 @@ class TestFanOut:
         with monkeypatch.context() as patch:
             patch.setattr(kernel_module, "load", lambda: None)
             fallback = PackedLevelEncoder(49, config)
-            fallback.export_tables()  # binds the NumPy path
+            fallback._ensure_table()  # binds the NumPy path
         assert fallback.kernel == "numpy"
         images = _images(rng, 70, 49)
         expected = reference.encode_batch(images)
@@ -181,8 +181,7 @@ class TestFanOut:
         assert second.submit(lambda: 21 * 2).result(timeout=5.0) == 42
 
     @pytest.mark.skipif(
-        bool(os.environ.get("REPRO_FORCE_SPAWN"))
-        or "fork" not in multiprocessing.get_all_start_methods(),
+        "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs the fork start method",
     )
     def test_forked_child_encodes_after_parent_fanned_out(self, rng, monkeypatch):
@@ -210,6 +209,74 @@ class TestFanOut:
                 child.join()
         np.testing.assert_array_equal(got, expected)
         assert child.exitcode == 0
+
+
+class TestConcurrentCallers:
+    """One encoder shared by many threads, as serving executors share it.
+
+    The compiled kernel takes no lock, and the encoder's own lock guards
+    the cold-table build and the NumPy path's workspaces; the serving
+    layer relies on exactly this and holds no lock of its own.
+    """
+
+    BATCHES = (1, 7, 33, 70)
+
+    @pytest.fixture()
+    def rng(self):
+        return np.random.default_rng(1618)
+
+    @pytest.mark.parametrize("kernel", ["c", "numpy"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_threads_share_one_encoder_bit_exactly(
+        self, rng, monkeypatch, kernel, warm
+    ):
+        if kernel == "numpy":
+            monkeypatch.setattr(kernel_module, "load", lambda: None)
+        config = UHDConfig(dim=128)
+        reference = SobolLevelEncoder(49, config)
+        packed = PackedLevelEncoder(49, config)
+        if packed.kernel != kernel:
+            pytest.skip("compiled encode kernel unavailable here")
+        if warm:
+            packed.encode_batch(_images(rng, 1, 49))
+        jobs = [
+            [_images(rng, batch, 49) for batch in self.BATCHES[k:] + self.BATCHES[:k]]
+            for k in range(4)
+        ]
+        results: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in jobs]
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(len(jobs))
+
+        def run(index: int) -> None:
+            try:
+                barrier.wait()  # cold: all four race the table build
+                for _ in range(3):
+                    for images in jobs[index]:
+                        results[index].append(
+                            (images, packed.encode_batch(images, chunk=16))
+                        )
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(i,)) for i in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert sum(map(len, results)) == 4 * 3 * len(self.BATCHES)
+        for rows in results:
+            for images, got in rows:
+                np.testing.assert_array_equal(got, reference.encode_batch(images))
+        assert packed.table_builds == 1
+        assert packed.kernel == kernel
 
 
 class TestValidationAndSelection:

@@ -1,16 +1,10 @@
-"""Shared fixtures for the serving tests: one tiny trained model on disk.
-
-Setting ``REPRO_FORCE_SPAWN=1`` (the CI serve-smoke spawn leg) forces
-the ``spawn`` start method globally: ``multiprocessing``'s default
-context is switched, every ``start_method="auto"`` server resolves to
-spawn, and the :func:`start_method` parametrization drops fork — so the
-whole suite exercises the exact path macOS/Windows users get.
-"""
+"""Shared fixtures for the serving tests: one tiny trained model on disk."""
 
 from __future__ import annotations
 
 import multiprocessing
-import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,45 +12,6 @@ import pytest
 from repro.core.config import UHDConfig
 from repro.core.model import UHDClassifier
 from repro.datasets import load_dataset, synthetic_mnist
-
-FORCED_SPAWN = bool(os.environ.get("REPRO_FORCE_SPAWN"))
-
-if FORCED_SPAWN:
-    multiprocessing.set_start_method("spawn", force=True)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _forced_spawn_context():
-    """Route every UHDServer start method through spawn when forced."""
-    if not FORCED_SPAWN:
-        yield
-        return
-    from repro.serve import server as server_module
-
-    original = server_module._resolve_start_method
-    server_module._resolve_start_method = lambda method: "spawn"
-    yield
-    server_module._resolve_start_method = original
-
-
-def _start_methods() -> list[str]:
-    """The start methods this host offers, fork first (fast) when present."""
-    if FORCED_SPAWN:
-        return ["spawn"]
-    available = multiprocessing.get_all_start_methods()
-    return [m for m in ("fork", "spawn") if m in available]
-
-
-@pytest.fixture(params=_start_methods())
-def start_method(request) -> str:
-    """Parametrizes worker-pool tests over every available start method.
-
-    ``fork`` exercises copy-on-write table sharing; ``spawn`` exercises
-    the cold-child path (and attaching the server's table file instead
-    of rebuilding) — the macOS/Windows default the serving layer must
-    stay correct under.
-    """
-    return request.param
 
 
 @pytest.fixture(scope="session")
@@ -132,3 +87,84 @@ def zoo_direct_labels(zoo_data, zoo_model_paths) -> dict[str, np.ndarray]:
         name: load_model(zoo_model_paths[name]).predict(zoo_data[name].test_images)
         for name in zoo_data
     }
+
+
+@pytest.fixture(
+    params=[
+        method for method in ("fork", "spawn")
+        if method in multiprocessing.get_all_start_methods()
+    ]
+)
+def start_method(request) -> str:
+    """Each start method a process hosting a server can be started by.
+
+    ``fork`` copies a process whose executor threads are live (their
+    locks, the warm shared table); ``spawn`` starts cold.  A server in
+    either child must stay bit-exact and must not hang.
+    """
+    return request.param
+
+
+@pytest.fixture()
+def in_child(start_method):
+    """``run(target, *args)``: ``target(*args)`` in a child process.
+
+    The child is started by :func:`start_method`; ``target`` must be a
+    module-level function of the test module so a spawned child can
+    import it.
+    """
+
+    def run(target, *args, timeout: float = 120.0):
+        context = multiprocessing.get_context(start_method)
+        with context.Pool(1) as pool:
+            return pool.apply_async(target, args).get(timeout)
+
+    return run
+
+
+class HeldExecutor:
+    """Holds ``server``'s executors inside ``predict`` until released.
+
+    A backlog queued behind a held executor stays queued however fast
+    the encode kernel would drain it, so a 1 ms deadline set behind the
+    backlog expires for certain instead of racing the kernel.
+    """
+
+    def __init__(self, server, monkeypatch) -> None:
+        self.server = server
+        self.entered = threading.Event()
+        self._gate = threading.Event()
+        real_predict = server._model.predict
+
+        def predict(images):
+            self.entered.set()
+            if not self._gate.wait(timeout=60.0):
+                raise RuntimeError("held executor never released")
+            return real_predict(images)
+
+        monkeypatch.setattr(server._model, "predict", predict)
+
+    def release_once_queued(self, depth: int) -> threading.Thread:
+        """Release, from a thread, once an executor is held and ``depth``
+        items wait in the lanes — then 5 ms on, past any 1 ms deadline
+        among them."""
+
+        def release() -> None:
+            give_up = time.monotonic() + 60.0
+            while time.monotonic() < give_up:
+                queued = sum(lane.depth for lane in self.server.stats().lanes)
+                if self.entered.is_set() and queued >= depth:
+                    break
+                time.sleep(0.001)
+            time.sleep(0.005)
+            self._gate.set()
+
+        thread = threading.Thread(target=release, daemon=True)
+        thread.start()
+        return thread
+
+
+@pytest.fixture()
+def hold_executor(monkeypatch):
+    """``hold_executor(server)`` -> a :class:`HeldExecutor` on it."""
+    return lambda server: HeldExecutor(server, monkeypatch)

@@ -340,7 +340,7 @@ class TestWireSemantics:
             )
 
     def test_deadline_expiry_moves_exactly_one_lanes_counters(
-        self, model_path, serve_data
+        self, model_path, serve_data, hold_executor
     ):
         """A deadline that passes while queued must answer EXPIRED and
         move the *binary-submitting* lane's ``expired`` (and its
@@ -353,6 +353,7 @@ class TestWireSemantics:
             lanes=(LaneConfig("slow", max_batch=1), LaneConfig("other")),
         )
         with _router(model_path, config) as router:
+            held = hold_executor(router.deployment("m")._server)
             with SocketTransport(router) as transport:
                 # a deep single-row backlog makes a 1 ms deadline
                 # unmeetable for the request queued behind it
@@ -360,6 +361,8 @@ class TestWireSemantics:
                     router.submit("m", serve_data.test_images[i % 8], lane="slow")
                     for i in range(60)
                 ]
+                # one flood item held in predict, 59 queued, then EXPIRED
+                release = held.release_once_queued(60)
                 with BinaryClient(transport.host, transport.port) as client:
                     with pytest.raises(DeadlineExpiredError, match="expired"):
                         client.predict(
@@ -367,6 +370,7 @@ class TestWireSemantics:
                             lane="slow",
                             deadline_ms=1.0,
                         )
+                release.join()
                 for handle in flood:
                     handle.result(timeout=60.0)
                 stats = router.stats()
@@ -411,14 +415,12 @@ class TestWireSemantics:
 class TestBitExactAcrossTransports:
     @pytest.mark.parametrize("backend", ["packed", "reference"])
     def test_all_three_transports_agree_with_direct_predict(
-        self, model_path, serve_data, direct_labels, start_method, backend
+        self, model_path, serve_data, direct_labels, backend
     ):
         """Contract 5 extends to the binary wire: in-process submit, HTTP
         and Socket transports must serve byte-identical labels on every
-        backend under every start method."""
-        config = ServeConfig(
-            workers=1, start_method=start_method, backend=backend
-        )
+        backend."""
+        config = ServeConfig(workers=1, backend=backend)
         images = serve_data.test_images[:16]
         want = direct_labels[:16]
         with _router(model_path, config) as router:

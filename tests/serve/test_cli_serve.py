@@ -25,9 +25,20 @@ class TestServeCli:
             "--rounds", "2", "--batch", "8",
         ]) == 0
         out = capsys.readouterr().out
-        assert "worker 0: ready" in out and "worker 1: ready" in out
+        assert "2 executor thread(s) per model" in out
+        assert "model: ready, serve-check probe median" in out
         assert "verify OK" in out  # bit-exact with UHDClassifier.predict
         assert "shutdown clean" in out
+
+    def test_start_method_still_parses_as_a_no_op(self, model_path, capsys):
+        """Scripts written for worker processes keep working unchanged."""
+        assert main([
+            "serve", "--model", model_path, "--workers", "1",
+            "--start-method", "fork", "--rounds", "1", "--batch", "4",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "1 executor thread(s) per model" in out
+        assert "verify OK" in out
 
     def test_serve_in_process_fallback(self, model_path, capsys):
         assert main([
@@ -36,7 +47,7 @@ class TestServeCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "in-process fallback" in out
-        # lanes resolve the same in-process as in pool mode
+        # lanes resolve the same in-process as with executor threads
         assert "lanes: default max_wait=2ms" in out
         assert "verify OK" in out
         assert "shutdown clean" in out
@@ -299,7 +310,7 @@ class TestServeDaemonReconciles:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-            start_new_session=True,  # so a failure can kill the workers too
+            start_new_session=True,  # so a failure can kill the whole group
         )
         images = serve_data.test_images.reshape(
             len(serve_data.test_images), -1

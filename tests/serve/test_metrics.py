@@ -209,7 +209,9 @@ class TestParserStrictness:
 
 
 class TestExpiryAccountingOverHttp:
-    def test_504_increments_exactly_one_lane(self, model_path, serve_data):
+    def test_504_increments_exactly_one_lane(
+        self, model_path, serve_data, hold_executor
+    ):
         """One expired deadline over HTTP: a 504 reply, one ``expired``
         tick on the flooded lane only, mirrored in that lane's
         ``latency.excluded`` — and never a latency observation."""
@@ -223,11 +225,14 @@ class TestExpiryAccountingOverHttp:
             ),
         )
         with _router(model_path, config) as router:
+            held = hold_executor(router.deployment("m")._server)
             with HttpTransport(router) as transport:
                 flood = [
                     router.submit("m", serve_data.test_images[i % 8], lane="bulk")
                     for i in range(60)
                 ]
+                # one flood item held in predict, 59 queued, then the 504
+                release = held.release_once_queued(60)
                 request = urllib.request.Request(
                     transport.address + "/predict?lane=bulk&deadline_ms=1",
                     data=np.ascontiguousarray(
@@ -238,6 +243,7 @@ class TestExpiryAccountingOverHttp:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(request, timeout=30.0)
                 assert excinfo.value.code == 504
+                release.join()
                 for handle in flood:
                     handle.result(timeout=60.0)
                 stats, _ = router.deployment("m").snapshot()
@@ -266,11 +272,12 @@ class TestExpiryAccountingOverHttp:
         )
 
     def test_stats_json_carries_the_excluded_count(
-        self, model_path, serve_data
+        self, model_path, serve_data, hold_executor
     ):
         """The JSON view exposes the same accounting (`/stats` endpoint)."""
         config = ServeConfig(workers=1, max_batch=1, max_wait_ms=0.0)
         with _router(model_path, config) as router:
+            held = hold_executor(router.deployment("m")._server)
             flood = [
                 router.submit("m", serve_data.test_images[i % 8])
                 for i in range(40)
@@ -278,6 +285,7 @@ class TestExpiryAccountingOverHttp:
             doomed = router.submit(
                 "m", serve_data.test_images[0], deadline_ms=1.0
             )
+            held.release_once_queued(40).join()
             with pytest.raises(Exception, match="expired"):
                 doomed.result(timeout=30.0)
             for handle in flood:

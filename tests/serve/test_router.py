@@ -57,9 +57,10 @@ def _zoo_specs(zoo_model_paths, **serve_kwargs):
 
 
 def _assert_conserved(stats: dict) -> None:
-    """Every lane item is accounted once: served or expired, and timed."""
+    """Every lane item is accounted once: served, expired or failed, and
+    timed."""
     for lane in stats["lanes"]:
-        done = lane["served"] + lane["expired"]
+        done = lane["served"] + lane["expired"] + lane["failed"]
         assert lane["depth"] == 0, lane["name"]
         assert lane["submitted"] == done, lane["name"]
         latency = lane["latency"]
@@ -127,7 +128,7 @@ class TestHealthz:
     def test_unavailable_when_server_dead(self, zoo_router, zoo_data):
         name = next(iter(zoo_data))
         deployment = zoo_router.deployment(name)
-        deployment._server._failure = ServeError("worker pool lost")
+        deployment._server._failure = ServeError("executor thread died")
         dep_health = deployment.healthz()
         assert not dep_health["ok"]
         assert dep_health["status"] == "unavailable"
@@ -250,7 +251,7 @@ class TestReload:
         """A dead server is unavailable until a reload replaces it."""
         name, data = next(iter(zoo_data.items()))
         deployment = zoo_router.deployment(name)
-        deployment._server._failure = ServeError("worker pool lost")
+        deployment._server._failure = ServeError("executor thread died")
         with HttpTransport(zoo_router) as transport:
             for path in ("/healthz", f"/models/{name}/healthz"):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -339,7 +340,7 @@ class TestConcurrentClose:
             leaked = [
                 server for server in started
                 if not server._closed
-                or any(worker.alive() for worker in server._workers)
+                or any(thread.is_alive() for thread in server._threads)
             ]
         finally:
             for server in started:  # a leaked server must not outlive the test
@@ -394,32 +395,53 @@ class TestConcurrentClose:
         _assert_conserved(stats)
 
 
+def _zoo_executor_specs(zoo_model_paths) -> dict:
+    """Every zoo model behind one executor thread of its own."""
+    config = ServeConfig(workers=1, max_batch=32)
+    return {
+        name: DeploymentSpec(path, serve=config)
+        for name, path in zoo_model_paths.items()
+    }
+
+
+def _zoo_round_trip(router: Router, images: dict) -> dict:
+    """{name: (reply model, labels)} for each model's images over HTTP."""
+    replies = {}
+    with HttpTransport(router) as transport:
+        for name, batch in images.items():
+            reply = _post_json(
+                transport.address,
+                f"/models/{name}/predict",
+                {"images": batch.tolist()},
+            )
+            replies[name] = (reply["model"], np.asarray(reply["labels"]))
+    return replies
+
+
+def _serve_zoo_over_http(zoo_model_paths: dict, images: dict) -> dict:
+    """:func:`_zoo_round_trip` from a fresh zoo router (a child's side)."""
+    with Router(_zoo_executor_specs(zoo_model_paths)) as router:
+        return _zoo_round_trip(router, images)
+
+
 class TestHttpRouting:
     """Satellite: registry datasets -> model zoo over real HTTP."""
 
     def test_zoo_round_trip_bit_exact_over_http(
-        self, start_method, zoo_model_paths, zoo_data, zoo_direct_labels
+        self, zoo_model_paths, zoo_data, zoo_direct_labels, in_child
     ):
-        """Worker pools per model, fork and spawn, per-model bit-exact."""
-        config = ServeConfig(
-            workers=1, max_batch=32, start_method=start_method
-        )
-        specs = {
-            name: DeploymentSpec(path, serve=config)
-            for name, path in zoo_model_paths.items()
-        }
-        with Router(specs) as router:
-            with HttpTransport(router) as transport:
-                for name, data in zoo_data.items():
-                    reply = _post_json(
-                        transport.address,
-                        f"/models/{name}/predict",
-                        {"images": data.test_images.tolist()},
-                    )
-                    assert reply["model"] == name
-                    assert np.array_equal(
-                        np.asarray(reply["labels"]), zoo_direct_labels[name]
-                    ), name
+        """An executor thread per model, per-model bit-exact — here, and
+        in a child process started (by each start method) while this
+        router's executors are live."""
+        images = {name: data.test_images for name, data in zoo_data.items()}
+        with Router(_zoo_executor_specs(zoo_model_paths)) as router:
+            here = _zoo_round_trip(router, images)
+            child = in_child(_serve_zoo_over_http, zoo_model_paths, images)
+        for replies in (here, child):
+            assert set(replies) == set(zoo_data)
+            for name, (model, labels) in replies.items():
+                assert model == name
+                assert np.array_equal(labels, zoo_direct_labels[name]), name
 
     def test_models_listing(self, zoo_router, zoo_model_paths):
         with HttpTransport(zoo_router) as transport:
@@ -488,3 +510,96 @@ class TestHttpRouting:
             listing = _get_json(transport.address, "/models")["models"]
             by_id = {row["model"]: row for row in listing}
             assert by_id[name]["generation"] == 2
+
+
+@pytest.fixture(scope="module")
+def labelled_model_path(serve_data, tmp_path_factory):
+    """A cosine-inference model whose labels span the classes, so a served
+    label that differs from the direct one cannot hide behind a constant."""
+    from repro.core.config import UHDConfig
+    from repro.core.model import UHDClassifier
+
+    model = UHDClassifier(
+        serve_data.num_pixels, serve_data.num_classes, UHDConfig(dim=256)
+    ).fit(serve_data.train_images, serve_data.train_labels)
+    path = tmp_path_factory.mktemp("contract5") / "cosine.npz"
+    model.save(path)
+    return str(path)
+
+
+class TestContractFive:
+    """Served labels equal ``UHDClassifier.predict`` on the same rows at
+    every executor count, on both backends and both encode kernels —
+    including while a reload swaps the generation under traffic."""
+
+    @pytest.fixture()
+    def kernel(self, request, monkeypatch):
+        from repro.fastpath import kernel as kernel_module
+        from repro.serve import encoder_cache
+
+        if request.param == "numpy":
+            monkeypatch.setattr(kernel_module, "load", lambda: None)
+        elif kernel_module.load() is None:
+            pytest.skip("compiled encode kernel unavailable here")
+        encoder_cache().clear()  # no encoder bound to the other kernel
+        yield request.param
+        encoder_cache().clear()
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "backend, kernel",
+        [("packed", "c"), ("packed", "numpy"), ("reference", "numpy")],
+        ids=["packed-c", "packed-numpy", "reference"],
+        indirect=["kernel"],
+    )
+    def test_served_labels_match_direct_predict_across_reload(
+        self, labelled_model_path, serve_data, workers, backend, kernel
+    ):
+        images = serve_data.test_images
+        expected = load_model(labelled_model_path, backend=backend).predict(images)
+        assert len(set(expected.tolist())) >= 5
+        config = ServeConfig(workers=workers, backend=backend, max_batch=16)
+        spec = DeploymentSpec(labelled_model_path, serve=config)
+        mismatches: list[tuple[int, int]] = []
+        failures: list[str] = []
+        answered = [0]
+        stop = threading.Event()
+
+        with Router({"m": spec}) as router:
+            def client(seed: int) -> None:
+                rng = np.random.default_rng(seed)
+                while not stop.is_set():
+                    first = int(rng.integers(0, len(images) - 1))
+                    rows = int(rng.integers(1, 21))
+                    try:
+                        got = router.predict(
+                            "m", images[first:first + rows], timeout=30.0
+                        )
+                    except Exception as exc:  # noqa: BLE001 - recorded
+                        failures.append(f"{type(exc).__name__}: {exc}")
+                        return
+                    if not np.array_equal(got, expected[first:first + rows]):
+                        mismatches.append((first, rows))
+                    answered[0] += 1
+
+            threads = [
+                threading.Thread(target=client, args=(seed,)) for seed in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            try:
+                time.sleep(0.1)
+                report = router.reload("m")
+                time.sleep(0.1)
+            finally:
+                stop.set()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            server = router.deployment("m")._server
+            if backend == "packed":
+                assert server._model.encoder.kernel == kernel
+            stats = router.stats("m")
+        assert failures == [] and mismatches == []
+        assert answered[0] > 0 and report["to_generation"] == 2
+        _assert_conserved(stats)

@@ -195,6 +195,7 @@ class TestDeadlines:
         assert [(i.tag, name) for i, name in expired] == [("doomed", "a")]
         heartbeat = scheduler.next_batch(poll_s=0.01)
         assert not heartbeat  # doomed was never served
+        scheduler.settle(batch)
         stats = {s.name: s for s in scheduler.stats()}
         assert stats["a"].expired == 1
         assert stats["a"].served == 1
@@ -286,11 +287,20 @@ class TestCloseAndStats:
         assert stats["a"].depth == 6 and stats["a"].queued_rows == 6
         assert stats["a"].submitted == 6 and stats["a"].served == 0
         assert stats["b"].depth == 0
-        scheduler.next_batch(poll_s=0.1)
+        batch = scheduler.next_batch(poll_s=0.1)
         stats = {s.name: s for s in scheduler.stats()}
-        assert stats["a"].depth == 2
+        assert stats["a"].depth == 2 and stats["a"].batches == 1
+        assert stats["a"].served == 0  # taken, not yet answered
+        scheduler.settle(batch)
+        stats = {s.name: s for s in scheduler.stats()}
         assert stats["a"].served == 4 and stats["a"].served_rows == 4
-        assert stats["a"].batches == 1
+        assert stats["a"].failed == 0
+        scheduler.settle(scheduler.next_batch(poll_s=0.1), failed=True)
+        stats = {s.name: s for s in scheduler.stats()}
+        assert stats["a"].failed == 2 and stats["a"].served == 4
+        assert stats["a"].submitted == (
+            stats["a"].served + stats["a"].expired + stats["a"].failed
+        )
 
     def test_len_sums_all_lanes(self):
         scheduler = Scheduler([lane("a"), lane("b")])

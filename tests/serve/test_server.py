@@ -30,8 +30,8 @@ class TestServeConfig:
             {"max_batch": 0},
             {"max_wait_ms": -0.1},
             {"queue_depth": 0},
-            {"restart_limit": -1},
-            {"start_method": "threads"},
+            {"drain_timeout_s": -1.0},
+            {"lanes": (LaneConfig("twin"), LaneConfig("twin"))},
             {"probe_batch": 0},
             {"backend": "nope"},
         ],
@@ -215,7 +215,7 @@ class TestInProcessConcurrency:
             server.close()
         assert all(calls.get(id(h)) == 1 for h, _ in outcomes)
         for lane in stats.lanes:
-            assert lane.depth == 0
+            assert lane.depth == 0 and lane.failed == 0
             assert lane.submitted == lane.served + lane.expired
             assert (
                 lane.latency.count + lane.latency.excluded
@@ -224,19 +224,76 @@ class TestInProcessConcurrency:
         assert server._pending_parts == 0
 
 
+TWO_EXECUTORS = ServeConfig(workers=2, max_batch=16, max_wait_ms=1.0)
+
+
+def _predict_and_report(server: UHDServer, images: np.ndarray) -> tuple:
+    """(labels, mode, workers, workers_live, restarts) after one predict."""
+    got = server.predict(images, timeout=30.0)
+    stats = server.stats()
+    health = server.healthz()
+    return got, stats.mode, stats.workers, health["workers_live"], stats.restarts
+
+
+def _serve_two_executors(model_path: str, images: np.ndarray) -> tuple:
+    """:func:`_predict_and_report` from a fresh server (a child's side)."""
+    with UHDServer(model_path, TWO_EXECUTORS) as server:
+        return _predict_and_report(server, images)
+
+
 class TestWorkerPool:
+    """``workers=K``: K executor threads share the server's one model."""
+
     def test_bit_exact_with_direct_predict(
-        self, model_path, serve_data, direct_labels, start_method
+        self, model_path, serve_data, direct_labels, in_child
     ):
-        config = ServeConfig(
-            workers=2, max_batch=16, max_wait_ms=1.0, start_method=start_method
-        )
+        """Bit-exact here, and in a child process started (by each start
+        method) while this server's executors are live."""
+        with UHDServer(model_path, TWO_EXECUTORS) as server:
+            here = _predict_and_report(server, serve_data.test_images)
+            child = in_child(_serve_two_executors, model_path, serve_data.test_images)
+        for got, mode, workers, workers_live, restarts in (here, child):
+            assert np.array_equal(got, direct_labels)
+            assert mode == "pool" and workers == 2
+            assert workers_live == 2
+            assert restarts == 0  # executors are never respawned
+
+    def test_executors_stop_on_close(self, model_path, serve_data):
+        server = UHDServer(model_path, ServeConfig(workers=3)).start()
+        threads = list(server._threads)
+        assert len(threads) == 3 and all(t.is_alive() for t in threads)
+        server.predict(serve_data.test_images[:4], timeout=30.0)
+        server.close()
+        assert not any(t.is_alive() for t in threads)
+        assert server.healthz()["status"] == "unavailable"
+
+    def test_concurrent_callers_share_one_table(
+        self, model_path, serve_data, direct_labels
+    ):
+        """Many callers, two executors, one encoder and one table build."""
+        config = ServeConfig(workers=2, max_batch=8)
         with UHDServer(model_path, config) as server:
-            got = server.predict(serve_data.test_images, timeout=30.0)
-            stats = server.stats()
-        assert np.array_equal(got, direct_labels)
-        assert stats.mode == "pool"
-        assert len(stats.worker_probe_ms) == 2  # every worker probed ready
+            encoder = server._model.encoder
+            builds = encoder.table_builds
+            results: dict[int, np.ndarray] = {}
+
+            def call(index: int) -> None:
+                rows = slice(index, index + 5)
+                results[index] = server.predict(
+                    serve_data.test_images[rows], timeout=30.0
+                )
+
+            threads = [
+                threading.Thread(target=call, args=(i,)) for i in range(0, 60, 5)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        for index, got in results.items():
+            assert np.array_equal(got, direct_labels[index:index + 5])
+        assert len(results) == 12
+        assert encoder.table_builds == builds == 1
 
     def test_single_sample_round_trips(
         self, model_path, serve_data, direct_labels
@@ -333,110 +390,6 @@ class TestWorkerPool:
         assert completed + failed == len(handles)
 
 
-class TestTableStoreServing:
-    """Where workers get the warm gather table: the start method decides.
-
-    ``worker_table_builds`` comes from the build-counter hook on
-    ``PackedLevelEncoder`` reported through the ready handshake: 0 means
-    the worker served its readiness probe (and therefore all traffic)
-    on inherited (fork) or attached (spawn/forkserver) tables.
-    """
-
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_spawn_workers_attach_published_tables(
-        self, model_path, serve_data, direct_labels, method
-    ):
-        """The headline property: without fork, tables are built exactly
-        once (by the front-end) and every worker attaches its file."""
-        import multiprocessing
-
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"{method} not available")  # pragma: no cover
-        config = ServeConfig(workers=2, max_batch=16, start_method=method)
-        with UHDServer(model_path, config) as server:
-            got = server.predict(serve_data.test_images, timeout=60.0)
-            stats = server.stats()
-            path = server._table_path
-        assert np.array_equal(got, direct_labels)
-        assert stats.worker_table_builds == (0, 0)
-        assert path in [p for p, _ in stats.cache.published]
-
-    def test_fork_workers_inherit_without_building(
-        self, model_path, serve_data, direct_labels
-    ):
-        import multiprocessing
-        import os
-
-        if os.environ.get("REPRO_FORCE_SPAWN") or (
-            "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            pytest.skip("fork not available")  # pragma: no cover
-        config = ServeConfig(workers=2, max_batch=16, start_method="fork")
-        with UHDServer(model_path, config) as server:
-            got = server.predict(serve_data.test_images, timeout=60.0)
-            stats = server.stats()
-            # fork workers inherit the table: nothing is written
-            assert server._table_dir is None and server._table_path is None
-        assert np.array_equal(got, direct_labels)
-        # copy-on-write adoption: zero builds inside the workers
-        assert stats.worker_table_builds == (0, 0)
-        assert stats.cache.published == ()
-
-    def test_spawn_worker_builds_when_table_file_vanished(
-        self, model_path, serve_data, direct_labels
-    ):
-        """A respawned worker whose table file is gone builds its own
-        table and still serves bit-exactly — slower, never wrong."""
-        import multiprocessing
-        import os
-
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn not available")  # pragma: no cover
-        config = ServeConfig(workers=1, max_batch=16, start_method="spawn")
-        with UHDServer(model_path, config) as server:
-            assert server.stats().worker_table_builds == (0,)
-            os.unlink(server._table_path)
-            server._crash_next = 1
-            got = server.predict(serve_data.test_images, timeout=60.0)
-            stats = server.stats()
-        assert np.array_equal(got, direct_labels)
-        assert stats.restarts == 1
-        assert stats.worker_table_builds == (1,)
-
-    def test_store_released_on_close(self, model_path, serve_data):
-        import os
-
-        config = ServeConfig(workers=1, max_batch=16, start_method="spawn")
-        server = UHDServer(model_path, config).start()
-        path, directory = server._table_path, server._table_dir
-        assert os.path.exists(path) and os.path.dirname(path) == directory
-        assert path in [p for p, _ in encoder_cache().stats().published]
-        server.close()
-        assert not os.path.exists(path) and not os.path.exists(directory)
-        assert server._table_path is None and server._table_dir is None
-        assert path not in [p for p, _ in encoder_cache().stats().published]
-
-    def test_failed_start_deletes_table_file(
-        self, model_path, monkeypatch, tmp_path
-    ):
-        """A start() that dies after writing the table (here: workers not
-        ready in time) leaves no file and no directory behind."""
-        import tempfile
-
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        config = ServeConfig(
-            workers=1, start_method="spawn", ready_timeout_s=0.01
-        )
-        server = UHDServer(model_path, config)
-        # the pool times out after the table file was written
-        with pytest.raises(ServeError, match="not ready"):
-            server.start()
-        assert list(tmp_path.glob("uhd-tables-*")) == []
-        assert server._table_path is None and server._table_dir is None
-        published = [p for p, _ in encoder_cache().stats().published]
-        assert not [p for p in published if p.startswith(str(tmp_path))]
-
-
 class TestEncoderCache:
     def test_same_key_shares_one_encoder(self, served_model, serve_data):
         cache = encoder_cache()
@@ -461,98 +414,44 @@ class TestEncoderCache:
         )
         assert base is not other
 
-    def test_adopt_installs_shared_encoder_and_returns_its_lock(
+    def test_adopt_installs_shared_encoder(
         self, model_path, served_model, serve_data
     ):
-        """Worker bootstrap relies on adopt() for fork-time table sharing."""
         from repro.core.model import UHDClassifier
 
         cache = encoder_cache()
         loaded = UHDClassifier.load(model_path)
-        lock = cache.adopt(loaded)
+        cache.adopt(loaded)
         assert loaded.encoder is cache.get(serve_data.num_pixels, loaded.config)
-        assert lock is cache.lock(serve_data.num_pixels, loaded.config)
 
-    def test_two_servers_same_key_share_one_encoder_lock(self, model_path):
-        """Concurrent in-process servers serialize on the *encoder's* lock."""
-        first = UHDServer(model_path, ServeConfig(workers=0)).start()
+    def test_two_servers_same_key_share_one_encoder(self, model_path):
+        """Two servers over one key share the encoder and its one table."""
+        first = UHDServer(model_path, ServeConfig(workers=1)).start()
         second = UHDServer(model_path, ServeConfig(workers=0)).start()
         try:
             assert first._model.encoder is second._model.encoder
-            assert first._encoder_lock is second._encoder_lock
         finally:
             first.close()
             second.close()
 
 
 class TestCacheIntrospection:
-    """EncoderCache.stats()/clear(): observability and table-file cleanup."""
-
-    def _fresh_cache(self, served_model, serve_data):
-        from repro.serve import EncoderCache
-
-        cache = EncoderCache()
-        # exporting builds the table, as a server's first predict would
-        cache.get(serve_data.num_pixels, served_model.config).export_tables()
-        return cache
+    """EncoderCache.stats()/clear(): observability."""
 
     def test_stats_reports_entries_and_table_bytes(
         self, served_model, serve_data
     ):
-        cache = self._fresh_cache(served_model, serve_data)
+        from repro.serve import EncoderCache
+
+        cache = EncoderCache()
+        encoder = cache.get(serve_data.num_pixels, served_model.config)
+        assert cache.stats().table_bytes == 0  # cold until the first encode
+        encoder.encode_batch(serve_data.test_images[:1])
         stats = cache.stats()
         assert stats.entries == 1
-        assert stats.table_bytes > 0  # warmed: tables are materialized
-        assert stats.published == ()
-
-    def test_publish_appears_in_stats_and_clear_releases(
-        self, served_model, serve_data, tmp_path
-    ):
-        import os
-
-        from repro.fastpath.tablestore import read_table_file
-
-        cache = self._fresh_cache(served_model, serve_data)
-        target = str(tmp_path / "tables.uhdtbl")
-        path = cache.publish(serve_data.num_pixels, served_model.config, target)
-        assert path == target
-        stats = cache.stats()
-        assert stats.published == ((path, read_table_file(path).nbytes),)
-        assert stats.published[0][1] == stats.table_bytes > 0
+        assert stats.table_bytes == encoder.table_nbytes > 0
         cache.clear()
-        empty = cache.stats()
-        assert empty.entries == 0 and empty.published == ()
-        # clear() deleted the file: a worker would now build instead
-        assert not os.path.exists(path)
-
-    def test_publish_without_exportable_tables_returns_none(
-        self, serve_data, tmp_path
-    ):
-        from repro.core.config import UHDConfig
-        from repro.serve import EncoderCache
-
-        cache = EncoderCache()
-        config = UHDConfig(dim=128, backend="reference")
-        cache.get(serve_data.num_pixels, config)
-        target = tmp_path / "tables.uhdtbl"
-        assert cache.publish(serve_data.num_pixels, config, str(target)) is None
-        assert not target.exists() and cache.stats().published == ()
-
-    def test_adopt_seeds_cache_with_a_warm_encoder(
-        self, model_path, serve_data
-    ):
-        """A model arriving with warm tables (sidecar attach, in-process
-        training) becomes the cache entry instead of being discarded."""
-        from repro.core.model import UHDClassifier
-        from repro.serve import EncoderCache
-
-        loaded = UHDClassifier.load(model_path)
-        loaded.encoder.export_tables()  # warm it (builds the table)
-        warm_encoder = loaded.encoder
-        cache = EncoderCache()
-        cache.adopt(loaded)
-        assert loaded.encoder is warm_encoder  # kept, not replaced
-        assert cache.get(serve_data.num_pixels, loaded.config) is warm_encoder
+        assert cache.stats().entries == 0
 
 
 class TestReadinessProbe:

@@ -32,10 +32,9 @@ SERVER_KEYS = {
     "max_batch_seen",
     "mean_batch_size",
     "restarts",
-    "worker_probe_ms",
-    "worker_table_builds",
     "lanes",
     "expired",
+    "failed",
     "cache",
     "transports",
 }
@@ -49,6 +48,7 @@ LANE_KEYS = {
     "served_rows",
     "batches",
     "expired",
+    "failed",
     "latency",
 }
 
@@ -64,7 +64,7 @@ LATENCY_KEYS = {
     "counts",
 }
 
-CACHE_KEYS = {"entries", "table_bytes", "published"}
+CACHE_KEYS = {"entries", "table_bytes"}
 
 #: ... plus the fleet keys make the one stats document
 DOCUMENT_KEYS = SERVER_KEYS | {

@@ -27,7 +27,6 @@ from repro.serve import (
     Router,
     ServeConfig,
     UHDServer,
-    encoder_cache,
 )
 
 
@@ -49,6 +48,27 @@ def _post_json(address: str, payload: dict, timeout: float = 30.0) -> dict:
 def _get_json(address: str, path: str, timeout: float = 30.0) -> dict:
     with urllib.request.urlopen(address + path, timeout=timeout) as response:
         return json.load(response)
+
+
+#: two executor threads behind one deployment
+POOL = ServeConfig(workers=2, max_batch=16, max_wait_ms=1.0)
+
+
+def _pool_round_trip(router: Router, images: np.ndarray) -> tuple:
+    """(labels, /healthz) for ``images`` posted to ``router`` over HTTP."""
+    with HttpTransport(router) as transport:
+        reply = _post_json(
+            transport.address, {"images": images.tolist()}, timeout=60.0
+        )
+        health = _get_json(transport.address, "/healthz")
+    return np.asarray(reply["labels"]), health
+
+
+def _serve_pool_over_http(model_path: str, images: np.ndarray) -> tuple:
+    """:func:`_pool_round_trip` from a fresh :data:`POOL` router (a
+    child's side)."""
+    with _router(model_path, POOL) as router:
+        return _pool_round_trip(router, images)
 
 
 @pytest.fixture
@@ -242,17 +262,23 @@ class TestHttpPredict:
         assert np.array_equal(np.asarray(reply["labels"]), direct_labels[:2])
 
     def test_close_waits_for_in_flight_handlers(
-        self, model_path, served_model, serve_data, direct_labels
+        self, model_path, serve_data, direct_labels, monkeypatch
     ):
         """transport.close() must join handler threads: a request accepted
         before close gets its answer, not a reset."""
         with _router(model_path, ServeConfig(workers=0)) as router:
-            # holding the shared encoder's lock keeps the in-process
-            # executor from running, so the request stays queued in its
-            # handler
-            lock = encoder_cache().lock(
-                served_model.num_pixels, served_model.config
-            )
+            # a gated predict holds the request inside its handler thread
+            # (the in-process executor) until the gate opens
+            model = router.deployment("m")._server._model
+            real_predict = model.predict
+            entered, gate = threading.Event(), threading.Event()
+
+            def gated_predict(images):
+                entered.set()
+                assert gate.wait(30.0)
+                return real_predict(images)
+
+            monkeypatch.setattr(model, "predict", gated_predict)
             transport = HttpTransport(router).start()
             reply: dict = {}
 
@@ -267,22 +293,18 @@ class TestHttpPredict:
 
             thread = threading.Thread(target=slow_post)
             closer = threading.Thread(target=transport.close)
-            with lock:
+            try:
                 thread.start()
-                deadline = time.monotonic() + 30.0
-                while True:  # until the handler has queued its request
-                    (lane,) = router.stats()["lanes"]
-                    if lane["submitted"] == 1:
-                        break
-                    assert time.monotonic() < deadline, lane
-                    time.sleep(0.001)
-                assert lane["depth"] == 1 and not reply
+                assert entered.wait(30.0)  # the handler is predicting
+                assert not reply
                 closer.start()
                 # longer than the accept loop's 0.5 s shutdown poll
                 closer.join(timeout=1.5)
                 assert closer.is_alive(), (
                     "close() returned while a handler was still in flight"
                 )
+            finally:
+                gate.set()
             closer.join(timeout=30.0)  # must return once the handler answered
             assert not closer.is_alive()
             thread.join(timeout=30.0)
@@ -331,26 +353,47 @@ class TestHttpObservability:
             transport.close()
 
 
+class TestHttpSocket:
+    def test_accepted_connections_disable_nagle(self, inproc_http):
+        """Each accepted HTTP socket has TCP_NODELAY set, so a reply's
+        body never waits out the client's delayed ACK of its headers."""
+        import socket
+
+        _, transport = inproc_http
+        handler = transport._httpd.RequestHandlerClass
+        seen: list[int] = []
+        setup = handler.setup
+
+        def recording_setup(self):
+            setup(self)
+            seen.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        handler.setup = recording_setup
+        try:
+            for _ in range(2):  # a fresh connection each time
+                assert _get_json(transport.address, "/healthz")["ok"]
+        finally:
+            handler.setup = setup
+        assert len(seen) == 2 and all(seen), seen
+
+
 class TestHttpPool:
-    """The real deployment shape: handler threads feeding the pool."""
+    """The real deployment shape: handler threads feeding the executors."""
 
     def test_pool_round_trip_bit_exact_under_both_start_methods(
-        self, model_path, serve_data, direct_labels, start_method
+        self, model_path, serve_data, direct_labels, in_child
     ):
-        config = ServeConfig(
-            workers=2, max_batch=16, max_wait_ms=1.0, start_method=start_method,
-        )
-        with _router(model_path, config) as router:
-            with HttpTransport(router) as transport:
-                reply = _post_json(
-                    transport.address,
-                    {"images": serve_data.test_images.tolist()},
-                    timeout=60.0,
-                )
-                health = _get_json(transport.address, "/healthz")
-        assert np.array_equal(np.asarray(reply["labels"]), direct_labels)
-        (model,) = health["models"]
-        assert model["mode"] == "pool" and model["workers_live"] == 2
+        """Bit-exact over HTTP here, and in a child process started (by
+        each start method) while this router's executors are live."""
+        with _router(model_path, POOL) as router:
+            here = _pool_round_trip(router, serve_data.test_images)
+            child = in_child(_serve_pool_over_http, model_path, serve_data.test_images)
+        for labels, health in (here, child):
+            assert np.array_equal(labels, direct_labels)
+            (model,) = health["models"]
+            assert model["mode"] == "pool" and model["workers_live"] == 2
 
     @pytest.mark.parametrize("backend", ["packed", "reference"])
     def test_backends_bit_exact_over_http(
@@ -405,18 +448,20 @@ class TestHttpPool:
 
 class TestDeadlinesThroughTheServer:
     def test_deadline_expires_behind_a_flood(
-        self, model_path, serve_data
+        self, model_path, serve_data, hold_executor
     ):
         """A tiny deadline behind a deep single-row queue cannot be met:
         the handle fails with DeadlineExpiredError, never serves late."""
         config = ServeConfig(workers=1, max_batch=1, max_wait_ms=0.0)
         with UHDServer(model_path, config) as server:
+            held = hold_executor(server)
             flood = [
                 server.submit(serve_data.test_images[i % 8]) for i in range(60)
             ]
             doomed = server.submit(
                 serve_data.test_images[0], deadline_ms=1.0
             )
+            held.release_once_queued(60).join()
             with pytest.raises(DeadlineExpiredError, match="expired"):
                 doomed.result(timeout=30.0)
             for handle in flood:
