@@ -20,8 +20,9 @@ guide and ``docs/ARCHITECTURE.md`` for the full picture)::
   and a Prometheus ``GET /metrics`` rendered by
   :mod:`repro.serve.metrics`) or :class:`SocketTransport` — the
   **binary fast lane**: a framed length-prefixed protocol over
-  persistent connections driven by one ``selectors`` event loop, pixels
-  zero-copied from the receive buffer into scheduler batch assembly
+  persistent connections, each served by its own reader and writer
+  thread, pixels zero-copied from the receive buffer into scheduler
+  batch assembly
   (:class:`BinaryClient` is the matching pipelining-capable client).
   Both wires can front the *same* router.
 * **Router** (:mod:`repro.serve.router`) — named

@@ -8,14 +8,15 @@ the ROADMAP calls for — requests stay **binary from socket to kernel**:
 * :class:`SocketTransport` — a stdlib-only front-end to a
   :class:`~repro.serve.router.Router`, speaking a
   versioned length-prefixed frame protocol over **persistent
-  connections multiplexed by a single** :mod:`selectors` **event loop**.
-  No thread-per-connection, no JSON on the hot path.  A frame's pixel
-  payload is received into a dedicated buffer and handed to
-  ``server.submit`` as a ``np.frombuffer`` **view** — the bytes are
-  materialized exactly once between the socket and the lane-batch
-  boundary (where parts are concatenated into a dispatch batch).
-  Responses are enqueued by :meth:`PredictionHandle.add_done_callback`,
-  so no thread ever parks on ``result()``.
+  connections, served like HTTP** by a :mod:`socketserver` threading
+  server: each connection gets a reader thread and a writer thread.
+  No JSON on the hot path.  A frame's pixel payload is received into a
+  dedicated buffer and handed to ``server.submit`` as a
+  ``np.frombuffer`` **view** — the bytes are materialized exactly once
+  between the socket and the lane-batch boundary (where parts are
+  concatenated into a dispatch batch).  Responses are enqueued by
+  :meth:`PredictionHandle.add_done_callback` for the writer thread, so
+  no thread ever parks on ``result()``.
 * :class:`BinaryClient` — the matching synchronous client: persistent
   connection, optional pipelining (``send`` many, ``recv`` matching by
   request id), used by the CLI self-test and
@@ -61,18 +62,17 @@ bit-exactness contract 5 in ``docs/ARCHITECTURE.md`` extends to it.
 from __future__ import annotations
 
 import itertools
-import selectors
 import socket
+import socketserver
 import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .transport import TransportStats
+from .transport import Transport
 from .types import DeadlineExpiredError, PredictionHandle, ServeError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -267,164 +267,161 @@ def decode_frame(
     return frame, total
 
 
+def _recv_exact(sock: socket.socket, size: int) -> bytearray:
+    """Read exactly ``size`` bytes or raise :class:`ConnectionError`."""
+    buf = bytearray(size)
+    view = memoryview(buf)
+    got = 0
+    while got < size:
+        n = sock.recv_into(view[got:])
+        if n == 0:
+            raise ConnectionError(
+                "peer closed the connection mid-frame "
+                f"({got}/{size} bytes received)"
+            )
+        got += n
+    return buf
+
+
+def _recv_frame(
+    sock: socket.socket,
+    max_payload: int = DEFAULT_MAX_PAYLOAD,
+    accept: "tuple[int, ...]" = _FRAME_TYPES,
+) -> "tuple[tuple, bytearray, bytearray]":
+    """Read one whole frame off ``sock`` with exactly-bounded reads.
+
+    Returns ``(fields, ids, payload)``: the parsed header fields (see
+    :func:`_parse_header`), the raw lane + model id bytes, and the
+    payload in a ``bytearray`` of its own, which ``np.frombuffer`` can
+    view without a copy.  A header that is invalid or whose type is not
+    in ``accept`` raises :class:`FrameError` before anything past it is
+    read; a peer that hangs up raises :class:`ConnectionError`.
+    """
+    fields = _parse_header(_recv_exact(sock, HEADER_SIZE), max_payload)
+    frame_type, _code, lane_len, model_len = fields[:4]
+    if frame_type not in accept:
+        raise FrameError(
+            f"frame type {frame_type} is not accepted here (expected one "
+            f"of {accept})"
+        )
+    ids = _recv_exact(sock, lane_len + model_len)
+    return fields, ids, _recv_exact(sock, fields[-1])
+
+
 # ----------------------------------------------------------------- server
 
+#: how a failed request is answered: the first matching exception class
+#: picks the frame type and error code (the order matters: an expired
+#: deadline is also a ServeError)
+_FAILURES = (
+    (DeadlineExpiredError, FRAME_EXPIRED, 0),
+    (ValueError, FRAME_ERROR, ERR_MALFORMED),
+    (ServeError, FRAME_ERROR, ERR_UNAVAILABLE),
+    (Exception, FRAME_ERROR, ERR_INTERNAL),
+)
 
-class _Connection:
-    """One client connection's receive state machine and send queue.
 
-    Reads are *exactly bounded*: 36 header bytes, then the declared
-    lane/model bytes, then ``recv_into`` a payload buffer allocated at
-    the declared size — so a complete frame's pixels sit in one dedicated
-    ``bytearray`` that ``np.frombuffer`` can view without copying, and a
-    slow client that dribbles a frame across many packets reassembles
-    correctly (``tests/serve/test_binary.py`` drips one byte at a time).
+class _Connection(socketserver.BaseRequestHandler):
+    """One client connection: this thread reads, a writer thread sends.
+
+    The handler thread reads whole frames with blocking, exactly-bounded
+    reads (:func:`_recv_frame`) and submits each; a full lane blocks
+    only this connection.  Completion callbacks queue the encoded reply
+    and never block; the writer thread sends everything queued in one
+    ``sendall``.  A frame queued after the connection ended is dropped.
     """
 
-    __slots__ = (
-        "transport", "sock", "closed", "closing", "inflight",
-        "_state", "_got", "_header", "_meta", "_payload", "_discard",
-        "_frame_type", "_code", "_lane_len", "_model_len",
-        "_request_id", "_deadline_ms", "_rows", "_payload_len",
-        "_lane", "_model", "_out", "_out_lock",
-    )
+    transport: "SocketTransport"
 
-    def __init__(self, transport: "SocketTransport", sock: socket.socket):
-        self.transport = transport
-        self.sock = sock
-        self.closed = False
-        self.closing = False  # flush the send queue, then close
-        self.inflight = 0  # accepted predicts whose response is pending
-        self._header = bytearray(HEADER_SIZE)
-        self._meta = b""
-        self._payload = bytearray(0)
-        self._out: deque = deque()
-        self._out_lock = threading.Lock()
-        self._reset_recv()
+    def setup(self) -> None:
+        threading.current_thread().name = "uhd-binary-reader"
+        self.transport = self.server.transport
+        self.transport.stats.connection_opened()
+        try:
+            self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:  # pragma: no cover - platform quirk
+            pass
+        self._cv = threading.Condition()
+        self._out: list[bytes] = []
+        self._inflight = 0  # accepted predicts whose reply is not queued
+        self._sending = False
+        self._reading = True
+        self._ended = False
 
-    def _reset_recv(self) -> None:
-        self._state = "header"
-        self._got = 0
-        self._lane = ""
-        self._model = ""
-        self._discard = False
+    def finish(self) -> None:
+        self.transport.stats.connection_closed()
+
+    def handle(self) -> None:
+        transport = self.transport
+        with transport._lock:
+            if transport._draining:
+                return  # accepted as close() began: nothing is served
+            transport._conns.add(self)
+        writer = threading.Thread(
+            target=self._write_loop, name="uhd-binary-writer", daemon=True
+        )
+        writer.start()
+        try:
+            while self._serve_frame():
+                pass
+        finally:
+            with self._cv:
+                self._reading = False
+                self._cv.notify_all()
+            writer.join()  # every reply owed is sent, or the peer is gone
+            with transport._lock:
+                transport._conns.discard(self)
 
     # ------------------------------------------------------------ reading
-    def handle_read(self) -> None:
-        while not self.closed and not self.closing:
-            if self._state == "header":
-                buf, size = self._header, HEADER_SIZE
-            elif self._state == "meta":
-                buf, size = self._meta, self._lane_len + self._model_len
-            else:
-                buf, size = self._payload, self._payload_len
-            if size == 0:
-                n = 0
-            else:
-                try:
-                    n = self.sock.recv_into(memoryview(buf)[self._got:])
-                except (BlockingIOError, InterruptedError):
-                    return
-                except OSError:
-                    self.transport._close_connection(self)
-                    return
-                if n == 0:  # peer closed
-                    self.transport._close_connection(self)
-                    return
-            self._got += n
-            if self._got < size:
-                return
-            if self._state == "header":
-                if not self._parse_frame_header():
-                    return
-            elif self._state == "meta":
-                if not self._parse_meta():
-                    return
-            else:
-                self._dispatch()
-
-    def _parse_frame_header(self) -> bool:
+    def _serve_frame(self) -> bool:
+        """Read and submit one frame; False once this connection stops."""
+        transport = self.transport
         try:
-            (
-                self._frame_type,
-                self._code,
-                self._lane_len,
-                self._model_len,
-                self._request_id,
-                self._deadline_ms,
-                self._rows,
-                self._payload_len,
-            ) = _parse_header(self._header, self.transport.max_payload_bytes)
-            if self._frame_type != FRAME_PREDICT:
-                raise FrameError(
-                    f"server accepts only PREDICT frames, got type "
-                    f"{self._frame_type}"
-                )
-        except (FrameError, struct.error) as exc:
-            # the stream cannot be resynced past a bad header: error out
-            # and close once the reply has flushed
-            self.transport.stats.malformed_frame()
-            self._send_error(ERR_MALFORMED, str(exc), close=True)
+            fields, ids, payload = _recv_frame(
+                self.request, transport.max_payload_bytes, (FRAME_PREDICT,)
+            )
+        except FrameError as exc:
+            # the stream cannot be resynced past a bad header: answer,
+            # then close once the reply is sent
+            transport.stats.malformed_frame()
+            self._send_error(ERR_MALFORMED, str(exc), 0)
             return False
-        meta_len = self._lane_len + self._model_len
-        self._meta = bytearray(meta_len)
-        self._state = "meta"
-        self._got = 0
-        if meta_len == 0:
-            return self._parse_meta()
+        except OSError:  # hung up (mid-frame or not), or shut by close()
+            return False
+        transport.stats.frame_in(HEADER_SIZE + len(ids) + len(payload))
+        self._dispatch(fields, ids, payload)
         return True
 
-    def _parse_meta(self) -> bool:
+    def _dispatch(self, fields: tuple, ids: bytearray, payload: bytearray) -> None:
+        """Submit one intact PREDICT frame, or answer why it cannot be."""
+        transport = self.transport
+        _type, _code, lane_len, _model_len, request_id, deadline_ms, rows, _ = (
+            fields
+        )
         try:
-            self._lane = bytes(self._meta[: self._lane_len]).decode("utf-8")
-            self._model = bytes(self._meta[self._lane_len:]).decode("utf-8")
+            lane = bytes(ids[:lane_len]).decode("utf-8")
+            model = bytes(ids[lane_len:]).decode("utf-8")
         except UnicodeDecodeError as exc:
             # lengths were consistent, so the stream stays in sync —
-            # reject the request but keep the connection (the declared
-            # payload must still be drained off the socket, unprocessed)
-            self.transport.stats.malformed_frame()
-            self._send_error(ERR_MALFORMED, f"id is not valid utf-8: {exc}")
-            self._discard = True
-        # a fresh buffer per frame: the previous frame's payload may still
-        # be referenced by an np.frombuffer view queued in the scheduler
-        self._payload = bytearray(self._payload_len)
-        self._state = "payload"
-        self._got = 0
-        if self._payload_len == 0:
-            self._dispatch()
-        return True
-
-    # --------------------------------------------------------- dispatching
-    def _dispatch(self) -> None:
-        transport = self.transport
-        transport.stats.frame_in(
-            HEADER_SIZE + len(self._meta) + self._payload_len
-        )
-        request_id = self._request_id
-        rows, payload = self._rows, self._payload
-        lane = self._lane or None
-        model = self._model or None
-        deadline_ms = self._deadline_ms if self._deadline_ms > 0 else None
-        discard = self._discard
-        self._reset_recv()
-        if discard:
-            return  # meta was rejected; the error frame is already queued
+            # reject the request but keep the connection
+            transport.stats.malformed_frame()
+            self._send_error(
+                ERR_MALFORMED, f"id is not valid utf-8: {exc}", request_id
+            )
+            return
         if transport._draining:
-            self._send_error(
-                ERR_UNAVAILABLE, "server is draining", request_id=request_id
-            )
+            self._send_error(ERR_UNAVAILABLE, "server is draining", request_id)
             return
+        router = transport._router
         try:
-            submit, num_pixels = transport._resolve_target(model)
-        except LookupError as exc:
-            self._send_error(
-                ERR_UNKNOWN_MODEL, str(exc), request_id=request_id
-            )
+            deployment = router.deployment(model or router.default_model)
+        except ValueError as exc:  # no such model id
+            self._send_error(ERR_UNKNOWN_MODEL, str(exc), request_id)
             return
+        num_pixels = deployment.num_pixels
         if num_pixels is None or num_pixels <= 0:
             self._send_error(
-                ERR_UNAVAILABLE, "server has no pixel geometry yet",
-                request_id=request_id,
+                ERR_UNAVAILABLE, "server has no pixel geometry yet", request_id
             )
             return
         if rows == 0 or len(payload) != rows * num_pixels:
@@ -433,7 +430,7 @@ class _Connection:
                 f"payload of {len(payload)} bytes does not match "
                 f"rows={rows} x {num_pixels} pixels (empty requests are "
                 "rejected)",
-                request_id=request_id,
+                request_id,
             )
             return
         # zero-copy: a view over this frame's dedicated receive buffer.
@@ -444,23 +441,20 @@ class _Connection:
             rows, num_pixels
         )
         try:
-            handle = submit(
+            handle = deployment.submit(
                 images,
                 timeout=transport.request_timeout_s,
-                lane=lane,
-                deadline_ms=deadline_ms,
+                lane=lane or None,
+                deadline_ms=deadline_ms if deadline_ms > 0 else None,
             )
         except ValueError as exc:  # unknown lane, bad deadline
-            self._send_error(ERR_MALFORMED, str(exc), request_id=request_id)
+            self._send_error(ERR_MALFORMED, str(exc), request_id)
             return
-        except TimeoutError as exc:  # backpressure window exhausted
-            self._send_error(ERR_UNAVAILABLE, str(exc), request_id=request_id)
+        except ServeError as exc:  # closed, failed, or lane full too long
+            self._send_error(ERR_UNAVAILABLE, str(exc), request_id)
             return
-        except ServeError as exc:  # closed / failed
-            self._send_error(ERR_UNAVAILABLE, str(exc), request_id=request_id)
-            return
-        with self._out_lock:
-            self.inflight += 1
+        with self._cv:
+            self._inflight += 1
         handle.add_done_callback(
             lambda h, rid=request_id: self._on_done(rid, h)
         )
@@ -469,25 +463,13 @@ class _Connection:
         """Completion callback — encode the response; never block."""
         try:
             labels = handle.result(timeout=0)
-        except DeadlineExpiredError as exc:
-            frame = encode_frame(
-                FRAME_EXPIRED,
-                request_id=request_id,
-                payload=str(exc).encode("utf-8"),
+        except Exception as exc:
+            frame_type, code = next(
+                (frame_type, code) for kind, frame_type, code in _FAILURES
+                if isinstance(exc, kind)
             )
-        except ValueError as exc:
             frame = encode_frame(
-                FRAME_ERROR, code=ERR_MALFORMED, request_id=request_id,
-                payload=str(exc).encode("utf-8"),
-            )
-        except ServeError as exc:
-            frame = encode_frame(
-                FRAME_ERROR, code=ERR_UNAVAILABLE, request_id=request_id,
-                payload=str(exc).encode("utf-8"),
-            )
-        except BaseException as exc:  # pragma: no cover - defensive
-            frame = encode_frame(
-                FRAME_ERROR, code=ERR_INTERNAL, request_id=request_id,
+                frame_type, code=code, request_id=request_id,
                 payload=str(exc).encode("utf-8"),
             )
         else:
@@ -500,91 +482,100 @@ class _Connection:
         self._enqueue(frame, finished=True)
 
     # ------------------------------------------------------------ writing
-    def _send_error(
-        self,
-        code: int,
-        message: str,
-        *,
-        request_id: int | None = None,
-        close: bool = False,
-    ) -> None:
-        if request_id is None:
-            request_id = getattr(self, "_request_id", 0)
+    def _send_error(self, code: int, message: str, request_id: int) -> None:
         self._enqueue(
             encode_frame(
                 FRAME_ERROR, code=code, request_id=request_id,
                 payload=message.encode("utf-8"),
             )
         )
-        if close:
-            self.closing = True
 
     def _enqueue(self, frame: bytes, finished: bool = False) -> None:
-        """Queue encoded bytes for the event loop to flush (any thread)."""
-        with self._out_lock:
+        """Queue encoded bytes for the writer thread (any thread)."""
+        with self._cv:
             if finished:
-                self.inflight -= 1
-            if self.closed:
+                self._inflight -= 1
+            self._cv.notify_all()
+            if self._ended:
                 return
-            self._out.append(memoryview(frame))
+            self._out.append(frame)
         self.transport.stats.frame_out(len(frame))
-        self.transport._request_flush(self)
 
-    def has_output(self) -> bool:
-        with self._out_lock:
-            return bool(self._out)
+    def _write_loop(self) -> None:
+        """The writer thread: send what is queued until nothing more is owed."""
+        while True:
+            with self._cv:
+                while not self._out and not (
+                    self._ended or (not self._reading and not self._inflight)
+                ):
+                    self._cv.wait()
+                if not self._out:
+                    return
+                data = b"".join(self._out)
+                self._out.clear()
+                self._sending = True
+            try:
+                self.request.sendall(data)
+            except OSError:  # the peer is gone, or close() shut us down
+                self.end()
+                return
+            finally:
+                with self._cv:
+                    self._sending = False
+                    self._cv.notify_all()
 
     def idle(self) -> bool:
-        """No response pending and nothing left to flush (drain check)."""
-        with self._out_lock:
-            return self.inflight == 0 and not self._out
+        """No reply owed: none pending, queued, or being sent."""
+        with self._cv:
+            return not (self._inflight or self._out or self._sending)
 
-    def handle_write(self) -> None:
-        while True:
-            with self._out_lock:
-                if not self._out:
-                    break
-                head = self._out[0]
-            try:
-                n = self.sock.send(head)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self.transport._close_connection(self)
-                return
-            with self._out_lock:
-                if n == len(head):
-                    self._out.popleft()
-                else:
-                    self._out[0] = head[n:]
-                    return
-        # queue flushed: drop write interest (and close if asked to)
-        self.transport._request_flush(self)
-        if self.closing:
-            self.transport._close_connection(self)
+    def end(self) -> None:
+        """Drop what is queued and wake both threads (any thread)."""
+        with self._cv:
+            self._ended = True
+            self._out.clear()
+            self._cv.notify_all()
+        try:
+            self.request.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already shut or closed
+            pass
 
 
-class SocketTransport:
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    request_queue_size = 128
+
+    def __init__(self, transport: "SocketTransport") -> None:
+        self.transport = transport
+        super().__init__((transport.host, transport._requested_port), _Connection)
+
+
+class SocketTransport(Transport):
     """Framed binary front-end over a :class:`~repro.serve.router.Router`.
 
-    One daemon thread runs a :mod:`selectors` event loop multiplexing
-    the listener and every client connection; predictions complete via
-    :meth:`PredictionHandle.add_done_callback`, so the loop never blocks
-    on a result.  ``port=0`` binds an ephemeral port (read
-    :attr:`port` / :attr:`address` after :meth:`start`).  Like
-    :class:`HttpTransport` the transport *borrows* the router: ``close``
-    drains in-flight responses (bounded by ``drain_timeout_s``) and
-    stops the loop, but never closes the router.
+    Served like HTTP: each connection gets a thread that reads its
+    frames, and a writer thread that sends its replies, queued by
+    :meth:`PredictionHandle.add_done_callback` so no thread parks on a
+    result.  ``port=0`` binds an ephemeral port (read :attr:`port` /
+    :attr:`address` after :meth:`start`).  Like :class:`HttpTransport`
+    the transport *borrows* the router: ``close`` stops accepting,
+    waits until every reply already owed is sent (bounded by
+    ``drain_timeout_s``) and refuses predicts that arrive meanwhile with
+    ``ERR_UNAVAILABLE``, then shuts every connection, but never closes
+    the router.
 
-    Backpressure: a full lane blocks ``submit`` on the loop thread (the
-    scheduler's usual contract, bounded by ``request_timeout_s``), which
-    pauses intake for *every* connection — the binary wire applies
-    server-wide backpressure instead of buffering unbounded requests.
+    Backpressure is per connection: a full lane blocks ``submit`` on the
+    reader thread of the connection that hit it (the scheduler's usual
+    contract, bounded by ``request_timeout_s``), and every other
+    connection reads on.
 
     A frame's model id selects the deployment (empty id = the default
     model, like bare HTTP ``/predict``); unknown ids answer
     ``ERR_UNKNOWN_MODEL``.
     """
+
+    scheme = "uhd"
+    wire = "binary"
 
     def __init__(
         self,
@@ -595,246 +586,44 @@ class SocketTransport:
         max_payload_bytes: int = DEFAULT_MAX_PAYLOAD,
         drain_timeout_s: float = 5.0,
     ) -> None:
-        if request_timeout_s <= 0:
-            raise ValueError(
-                f"request_timeout_s must be > 0, got {request_timeout_s}"
-            )
+        super().__init__(router, host, port, request_timeout_s)
         if max_payload_bytes < 1:
             raise ValueError(
                 f"max_payload_bytes must be >= 1, got {max_payload_bytes}"
             )
-        self._router = router
-        self._host = host
-        self._requested_port = port
-        self.request_timeout_s = request_timeout_s
         self.max_payload_bytes = max_payload_bytes
         self.drain_timeout_s = drain_timeout_s
-        self.stats = TransportStats("binary")
-        self._listener: socket.socket | None = None
-        self._selector: selectors.BaseSelector | None = None
-        self._thread: threading.Thread | None = None
-        self._wake_r: socket.socket | None = None
-        self._wake_w: socket.socket | None = None
         self._lock = threading.Lock()
         self._conns: set[_Connection] = set()
-        self._flush_pending: set[_Connection] = set()
-        self._shutdown = False
         self._draining = False
 
-    # ----------------------------------------------------------- lifecycle
-    def start(self) -> "SocketTransport":
-        """Bind, start the event loop thread, begin accepting frames."""
-        if self._thread is not None:
-            return self
-        self._router.attach_transport(self.stats)  # idempotent
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._requested_port))
-        listener.listen(128)
-        listener.setblocking(False)
-        self._listener = listener
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(listener, selectors.EVENT_READ, "listener")
-        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
-        self._shutdown = False
+    def _make_server(self) -> _Server:
         self._draining = False
-        self._thread = threading.Thread(
-            target=self._run, name="uhd-binary-transport", daemon=True
-        )
-        self._thread.start()
-        return self
+        return _Server(self)
 
-    @property
-    def host(self) -> str:
-        """The interface this transport binds."""
-        return self._host
+    def _drain(self) -> None:
+        """Send every reply already owed (bounded), then end each connection.
 
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` after :meth:`start`)."""
-        if self._listener is None:
-            return self._requested_port
-        return self._listener.getsockname()[1]
-
-    @property
-    def address(self) -> str:
-        return f"uhd://{self._host}:{self.port}"
-
-    def close(self) -> None:
-        """Stop accepting, drain pending responses, stop the loop.
-
-        Responses already owed to clients are flushed (bounded by
-        ``drain_timeout_s``); predict frames that arrive *during* the
-        drain are refused with ``ERR_UNAVAILABLE`` — same contract as
-        the HTTP transport's answered-before-torn-down shutdown.
+        Predict frames that arrive meanwhile are refused with
+        ``ERR_UNAVAILABLE`` — the same contract as the HTTP transport's
+        answered-before-torn-down shutdown.  Ending a connection shuts
+        its socket, which wakes its reader and writer threads.
         """
-        if self._thread is None:
-            return
         with self._lock:
-            self._shutdown = True
-        self._wake()
-        self._thread.join(timeout=self.drain_timeout_s + 10.0)
-        self._thread = None
-        self._listener = None
-
-    def __enter__(self) -> "SocketTransport":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # ----------------------------------------------------------- internals
-    def _resolve_target(self, model: "str | None"):
-        """(submit, num_pixels) for a frame's model id; LookupError on miss."""
-        model_id = model if model is not None else self._router.default_model
-        try:
-            deployment = self._router.deployment(model_id)
-        except ValueError as exc:
-            raise LookupError(str(exc)) from None
-        return deployment.submit, deployment.num_pixels
-
-    def _wake(self) -> None:
-        wake = self._wake_w
-        if wake is None:
-            return
-        try:
-            wake.send(b"\x00")
-        except (BlockingIOError, OSError):
-            pass  # pipe already full: the loop is awake anyway
-
-    def _request_flush(self, conn: _Connection) -> None:
-        """Ask the loop to reconcile ``conn``'s write interest (any thread)."""
+            self._draining = True
+        deadline = time.monotonic() + self.drain_timeout_s
+        while time.monotonic() < deadline:
+            with self._lock:
+                if all(conn.idle() for conn in self._conns):
+                    break
+            time.sleep(0.005)
         with self._lock:
-            self._flush_pending.add(conn)
-        self._wake()
-
-    def _apply_write_interest(self) -> None:
-        with self._lock:
-            pending, self._flush_pending = self._flush_pending, set()
-        for conn in pending:
-            if conn.closed:
-                continue
-            events = selectors.EVENT_READ
-            if conn.has_output():
-                events |= selectors.EVENT_WRITE
-            try:
-                self._selector.modify(conn.sock, events, conn)
-            except (KeyError, ValueError, OSError):
-                pass  # unregistered between the enqueue and now
-
-    def _accept(self) -> None:
-        assert self._listener is not None and self._selector is not None
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except (BlockingIOError, OSError):
-                return
-            sock.setblocking(False)
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - platform quirk
-                pass
-            conn = _Connection(self, sock)
-            self._conns.add(conn)
-            self.stats.connection_opened()
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-
-    def _close_connection(self, conn: _Connection) -> None:
-        with conn._out_lock:
-            if conn.closed:
-                return
-            conn.closed = True
-            conn._out.clear()
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        self._conns.discard(conn)
-        self.stats.connection_closed()
-
-    def _run(self) -> None:
-        assert self._selector is not None
-        drain_deadline: float | None = None
-        while True:
-            try:
-                events = self._selector.select(timeout=0.05)
-            except OSError:  # pragma: no cover - fd closed under us
-                break
-            for key, mask in events:
-                data = key.data
-                if data == "listener":
-                    self._accept()
-                elif data == "wake":
-                    try:
-                        while self._wake_r.recv(4096):
-                            pass
-                    except (BlockingIOError, OSError):
-                        pass
-                else:
-                    try:
-                        if mask & selectors.EVENT_READ:
-                            data.handle_read()
-                        if mask & selectors.EVENT_WRITE and not data.closed:
-                            data.handle_write()
-                    except Exception:  # pragma: no cover - defensive
-                        # one misbehaving connection must never take the
-                        # event loop (and every other connection) with it
-                        self._close_connection(data)
-            self._apply_write_interest()
-            if not self._shutdown:
-                continue
-            if self._listener is not None and not self._draining:
-                # stop accepting; refuse new predicts; flush what is owed
-                self._draining = True
-                try:
-                    self._selector.unregister(self._listener)
-                except (KeyError, ValueError):
-                    pass
-                self._listener.close()
-                drain_deadline = time.monotonic() + self.drain_timeout_s
-            if all(conn.idle() for conn in self._conns) or (
-                drain_deadline is not None
-                and time.monotonic() > drain_deadline
-            ):
-                break
-        for conn in list(self._conns):
-            self._close_connection(conn)
-        try:
-            self._selector.unregister(self._wake_r)
-        except (KeyError, ValueError):
-            pass
-        self._wake_r.close()
-        self._wake_w.close()
-        self._selector.close()
-        self._selector = None
-        self._wake_r = None
-        self._wake_w = None
+            conns = list(self._conns)
+        for conn in conns:
+            conn.end()
 
 
 # ----------------------------------------------------------------- client
-
-
-def _recv_exact(sock: socket.socket, size: int) -> bytearray:
-    """Read exactly ``size`` bytes or raise :class:`ConnectionError`."""
-    buf = bytearray(size)
-    view = memoryview(buf)
-    got = 0
-    while got < size:
-        n = sock.recv_into(view[got:])
-        if n == 0:
-            raise ConnectionError(
-                "server closed the connection mid-frame "
-                f"({got}/{size} bytes received)"
-            )
-        got += n
-    return buf
 
 
 class BinaryClient:
@@ -901,25 +690,12 @@ class BinaryClient:
 
     def recv(self) -> "tuple[int, np.ndarray]":
         """Next response as ``(request_id, labels)``; raises on errors."""
-        header = _recv_exact(self._sock, HEADER_SIZE)
-        (
-            frame_type,
-            code,
-            lane_len,
-            model_len,
-            request_id,
-            _deadline_ms,
-            rows,
-            payload_len,
-        ) = _parse_header(header)
-        meta_len = lane_len + model_len
-        if meta_len:
-            _recv_exact(self._sock, meta_len)
-        payload = _recv_exact(self._sock, payload_len)
+        fields, _ids, payload = _recv_frame(self._sock)
+        frame_type, code, _lane_len, _model_len, request_id, _, rows, _ = fields
         if frame_type == FRAME_LABELS:
-            if payload_len != rows * 8:
+            if len(payload) != rows * 8:
                 raise FrameError(
-                    f"labels payload of {payload_len} bytes does not match "
+                    f"labels payload of {len(payload)} bytes does not match "
                     f"rows={rows} int64 labels"
                 )
             labels = np.frombuffer(bytes(payload), dtype="<i8").astype(

@@ -112,9 +112,6 @@ class UHDServer:
         self._started = False
         self._closed = False
         self._accepting = False
-        #: resolved lane set (start()) — first entry is the default lane
-        self._lanes: tuple[LaneConfig, ...] = ()
-        self._lane_map: dict[str, LaneConfig] = {}
         self._scheduler: Scheduler[_Part] | None = None
         #: parts submitted and not yet answered, failed or expired —
         #: queued or held by an executor; close() drains until it is 0
@@ -131,10 +128,10 @@ class UHDServer:
         """Load and probe the model, start the executors, take traffic."""
         if self._started:
             return self
-        self._lanes = self.config.effective_lanes()
-        self._lane_map = {lane.name: lane for lane in self._lanes}
         self._load_model()
-        self._scheduler = Scheduler(self._lanes, on_expired=self._on_expired)
+        self._scheduler = Scheduler(
+            self.config.effective_lanes(), on_expired=self._on_expired
+        )
         self._threads = [
             threading.Thread(
                 target=self._executor,
@@ -218,16 +215,6 @@ class UHDServer:
 
         return as_image_batch(images, self._num_pixels)
 
-    def _resolve_lane(self, lane: str | None) -> LaneConfig:
-        name = self._lanes[0].name if lane is None else lane
-        config = self._lane_map.get(name)
-        if config is None:
-            raise ValueError(
-                f"unknown lane {name!r}; configured lanes: "
-                f"{', '.join(l.name for l in self._lanes)}"
-            )
-        return config
-
     def submit(
         self,
         images: Any,
@@ -253,7 +240,8 @@ class UHDServer:
             raise ServeError("server is closed")
         if self._failure is not None:
             raise ServeError(f"server failed: {self._failure!r}")
-        lane_config = self._resolve_lane(lane)
+        assert self._scheduler is not None
+        lane_config = self._scheduler.lane_config(lane)
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
         arr = self._check_images(images)
@@ -271,7 +259,6 @@ class UHDServer:
         step = lane_config.max_batch
         chunks = [arr[i:i + step] for i in range(0, rows, step)]
         handle = PredictionHandle(parts=len(chunks), rows=rows)
-        assert self._scheduler is not None
         try:
             for index, chunk in enumerate(chunks):
                 with self._lock:
@@ -420,7 +407,10 @@ class UHDServer:
     @property
     def lanes(self) -> tuple[LaneConfig, ...]:
         """The resolved lane set (after start()); first entry is default."""
-        return self._lanes
+        scheduler = self._scheduler
+        if scheduler is None:
+            return ()
+        return tuple(map(scheduler.lane_config, scheduler.lane_names))
 
     def stats(self) -> ServerStats:
         """A :class:`ServerStats` snapshot of the counters so far.
@@ -458,7 +448,7 @@ class UHDServer:
             "mode": "inproc" if self.config.workers == 0 else "pool",
             "workers": self.config.workers,
             "workers_live": live,
-            "lanes": [lane.name for lane in self._lanes],
+            "lanes": [lane.name for lane in self.lanes],
             "probe": None if probe is None else {
                 "median_ms": probe.median_ms,
                 "images_per_s": probe.images_per_s,

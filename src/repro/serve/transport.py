@@ -6,11 +6,13 @@ arrived as a Python call or over a socket.  Every transport fronts a
 ``Router``; ``repro-uhd serve`` is a router with one deployment, so
 there is exactly one serving path.
 
-* :class:`Transport` — the tiny protocol every transport satisfies
-  (``start`` / ``close`` / ``address``).
+* :class:`Transport` — the lifecycle both wires share (``start`` /
+  ``close`` / ``port`` / ``address``, context manager) around a stdlib
+  :mod:`socketserver` threading server: one handler thread per
+  connection.
 * :class:`HttpTransport` — a **stdlib-only** threaded HTTP front-end
-  (``http.server.ThreadingHTTPServer``): each connection gets a handler
-  thread whose predict request blocks on ``submit(...).result()`` —
+  (``http.server.ThreadingHTTPServer``): each connection's handler
+  thread blocks its predict request on ``submit(...).result()`` —
   many concurrent requests therefore feed the scheduler
   *concurrently* and coalesce into wide batches exactly like in-process
   callers.  No third-party framework, no event loop.
@@ -68,7 +70,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -83,6 +85,10 @@ __all__ = [
     "TransportStats",
     "HttpTransport",
 ]
+
+#: how often a transport's accept loop checks for close(); the stdlib's
+#: 0.5 s default would delay every shutdown by up to that much
+_POLL_INTERVAL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -186,27 +192,20 @@ class TransportStats:
             )
 
 
-@runtime_checkable
-class Transport(Protocol):
-    """Anything that can feed requests to a running ``Router``."""
+class Transport:
+    """The lifecycle both wires share: a stdlib threading server.
 
-    def start(self) -> "Transport": ...
-
-    def close(self) -> None: ...
-
-    @property
-    def address(self) -> str: ...
-
-
-class HttpTransport:
-    """Threaded HTTP front-end over a :class:`~repro.serve.router.Router`.
-
-    ``port=0`` (the default) binds an ephemeral port — read it back
-    from :attr:`port` / :attr:`address` after :meth:`start`.  Handler
-    threads block on ``submit(...).result(request_timeout_s)``, so
-    concurrent connections coalesce in the scheduler like any other
-    concurrent submitters.  Endpoints: see the module docstring.
+    A subclass builds its :mod:`socketserver` server in
+    :meth:`_make_server`; every accepted connection then gets a handler
+    thread of its own.  ``port=0`` (the default) binds an ephemeral port
+    — read it back from :attr:`port` / :attr:`address` after
+    :meth:`start`.  The transport *borrows* the router: :meth:`close`
+    stops accepting, runs :meth:`_drain`, then joins every handler
+    thread, but never closes the ``Router``.
     """
+
+    scheme = ""  #: the URL scheme of :attr:`address`
+    wire = ""  #: the ``name`` of this transport's :class:`TransportStats`
 
     def __init__(
         self,
@@ -222,76 +221,104 @@ class HttpTransport:
         self._router = router
         self._host = host
         self._requested_port = port
-        self._request_timeout_s = request_timeout_s
-        self._httpd: Any = None
+        self.request_timeout_s = request_timeout_s
+        self._server: Any = None
         self._thread: threading.Thread | None = None
         #: wire counters surfaced through ``router.stats()["transports"]``
-        self.stats = TransportStats("http")
+        self.stats = TransportStats(self.wire)
 
-    def start(self) -> "HttpTransport":
+    def _make_server(self) -> Any:
+        """A bound ``socketserver`` threading server (subclasses)."""
+        raise NotImplementedError
+
+    def _drain(self) -> None:
+        """Runs once accepting has stopped, before handlers are joined."""
+
+    def start(self) -> "Transport":
         """Bind the socket and start accepting connections."""
-        if self._httpd is not None:
+        if self._server is not None:
             return self
-        from http.server import ThreadingHTTPServer
-
         self._router.attach_transport(self.stats)  # idempotent
-        handler = _make_handler(
-            self._router, self._request_timeout_s, self.stats
-        )
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), handler
-        )
-        # join in-flight handler threads on close(): an operator-initiated
-        # shutdown answers accepted requests before tearing anything down.
+        server = self._make_server()
+        # join handler threads on close(): an operator-initiated shutdown
+        # answers accepted requests before tearing anything down.
         # daemon_threads must stay False for that — socketserver does not
         # track daemon handler threads, which would make block_on_close a
-        # silent no-op; every handler operation is bounded (socket reads
-        # by Handler.timeout, predictions by request_timeout_s), so the
-        # join cannot hang indefinitely.
-        self._httpd.daemon_threads = False
-        self._httpd.block_on_close = True
+        # silent no-op
+        server.daemon_threads = False
+        server.block_on_close = True
+        self._server = server
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="uhd-http-transport",
+            target=server.serve_forever,
+            args=(_POLL_INTERVAL_S,),
+            name=f"uhd-{self.wire}-transport",
             daemon=True,
         )
         self._thread.start()
         return self
 
     @property
+    def host(self) -> str:
+        """The interface this transport binds."""
+        return self._host
+
+    @property
     def port(self) -> int:
         """The bound port (resolves ``port=0`` after :meth:`start`)."""
-        if self._httpd is None:
+        if self._server is None:
             return self._requested_port
-        return self._httpd.server_address[1]
+        return self._server.server_address[1]
 
     @property
     def address(self) -> str:
-        return f"http://{self._host}:{self.port}"
+        return f"{self.scheme}://{self._host}:{self.port}"
 
     def close(self) -> None:
-        """Stop accepting connections; wait for in-flight handlers.
-
-        A request already accepted is answered before this returns.  A
-        keep-alive connection that is merely *idle* holds its handler
-        thread until the client disconnects or the per-request read
-        timeout (``request_timeout_s``) elapses — close clients first
-        for an instant shutdown (the CLI and benchmarks do).
-        """
-        if self._httpd is None:
+        """Stop accepting, drain (see :meth:`_drain`), join the handlers."""
+        if self._server is None:
             return
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._server.shutdown()
+        self._drain()
+        self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
-        self._httpd = None
+        self._server = None
         self._thread = None
 
-    def __enter__(self) -> "HttpTransport":
+    def __enter__(self) -> "Transport":
         return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+class HttpTransport(Transport):
+    """Threaded HTTP front-end over a :class:`~repro.serve.router.Router`.
+
+    Handler threads block on ``submit(...).result(request_timeout_s)``,
+    so concurrent connections coalesce in the scheduler like any other
+    concurrent submitters.  Endpoints: see the module docstring.
+
+    :meth:`close` answers every request already accepted.  A keep-alive
+    connection that is merely *idle* holds its handler thread until the
+    client disconnects or the per-request read timeout
+    (``request_timeout_s``) elapses — close clients first for an instant
+    shutdown (the CLI and benchmarks do).
+    """
+
+    scheme = "http"
+    wire = "http"
+
+    def _make_server(self) -> Any:
+        from http.server import ThreadingHTTPServer
+
+        # every handler operation is bounded (socket reads by
+        # Handler.timeout, predictions by request_timeout_s), so joining
+        # the handler threads on close() cannot hang indefinitely
+        handler = _make_handler(
+            self._router, self.request_timeout_s, self.stats
+        )
+        return ThreadingHTTPServer((self._host, self._requested_port), handler)
 
 
 #: ``/models/<id>/predict|stats|healthz``; model ids are slash-free

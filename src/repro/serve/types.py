@@ -295,9 +295,10 @@ class PredictionHandle:
         Runs on whichever thread completes the request — the executor
         thread that ran its last part (under ``workers=0``, whichever
         submitting thread drained it) — or immediately on the calling thread
-        when already done.  This is what lets an event-loop transport
-        hand off a request without parking a thread on :meth:`result`;
-        the callback must not block.
+        when already done.  This is what lets the binary transport's
+        reader thread go on to the next frame without parking on
+        :meth:`result`: the callback queues the reply for the
+        connection's writer thread.  The callback must not block.
         """
         with self._lock:
             if not self._done.is_set():

@@ -144,12 +144,16 @@ class HeldExecutor:
 
         monkeypatch.setattr(server._model, "predict", predict)
 
+    def release(self) -> None:
+        """Let every held and later ``predict`` run."""
+        self._gate.set()
+
     def release_once_queued(self, depth: int) -> threading.Thread:
         """Release, from a thread, once an executor is held and ``depth``
         items wait in the lanes — then 5 ms on, past any 1 ms deadline
         among them."""
 
-        def release() -> None:
+        def wait_then_release() -> None:
             give_up = time.monotonic() + 60.0
             while time.monotonic() < give_up:
                 queued = sum(lane.depth for lane in self.server.stats().lanes)
@@ -157,9 +161,9 @@ class HeldExecutor:
                     break
                 time.sleep(0.001)
             time.sleep(0.005)
-            self._gate.set()
+            self.release()
 
-        thread = threading.Thread(target=release, daemon=True)
+        thread = threading.Thread(target=wait_then_release, daemon=True)
         thread.start()
         return thread
 

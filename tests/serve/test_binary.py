@@ -1,14 +1,19 @@
 """The binary fast lane: codec, framing fuzz, and wire-level contracts.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
-* **Codec** — ``encode_frame``/``decode_frame`` are exact inverses,
-  partial streams decode to ``None`` (never a wrong frame), and every
-  bounds violation raises :class:`FrameError` instead of reading junk.
+* **Codec** — ``encode_frame``/``decode_frame`` are exact inverses
+  over generated frames, partial streams decode to ``None`` (never a
+  wrong frame), and every bounds violation or corrupted header byte
+  raises :class:`FrameError` instead of reading junk.
 * **Server robustness** — garbage bytes, truncated frames, oversized
   declarations and mid-frame disconnects get an ERROR frame (where one
-  can still be delivered) and never take the event loop down: the next
+  can still be delivered) and never take the server down: the next
   well-formed client must be served normally.
+* **Connection threads** — each connection has its own reader and
+  writer thread: a full lane stalls only the connection that hit it, a
+  client that hangs up with replies owed leaves counters conserved, and
+  ``close()`` leaves no connection thread behind.
 * **Semantics** — lanes, deadlines, and the error taxonomy behave
   exactly as over HTTP because it is the same scheduler: an expired
   request moves exactly one lane's ``expired`` counter and
@@ -20,10 +25,13 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     BinaryClient,
@@ -35,10 +43,13 @@ from repro.serve import (
     ServeConfig,
     ServeError,
     SocketTransport,
+    parse_exposition,
+    render_metrics,
 )
 from repro.serve.binary import (
     ERR_MALFORMED,
     FRAME_ERROR,
+    FRAME_EXPIRED,
     FRAME_LABELS,
     FRAME_PREDICT,
     HEADER_SIZE,
@@ -52,6 +63,23 @@ from repro.serve.binary import (
 
 
 # ------------------------------------------------------------------ codec
+
+#: ids short enough that any utf-8 encoding stays under MAX_ID_BYTES
+_ids = st.text(max_size=MAX_ID_BYTES // 4)
+
+_frames = st.builds(
+    Frame,
+    frame_type=st.sampled_from(
+        [FRAME_PREDICT, FRAME_LABELS, FRAME_ERROR, FRAME_EXPIRED]
+    ),
+    code=st.integers(0, 255),
+    lane=_ids,
+    model=_ids,
+    request_id=st.integers(0, 2**64 - 1),
+    deadline_ms=st.floats(allow_nan=False),
+    rows=st.integers(0, 2**32 - 1),
+    payload=st.binary(max_size=512),
+)
 
 
 class TestCodec:
@@ -139,6 +167,52 @@ class TestCodec:
         forged = header_ok[:HEADER_SIZE] + b"\xff\xfe"
         with pytest.raises(FrameError, match="utf-8"):
             decode_frame(forged)
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame=_frames)
+    def test_generated_frames_round_trip_every_field(self, frame):
+        encoded = encode_frame(
+            frame.frame_type,
+            code=frame.code,
+            lane=frame.lane,
+            model=frame.model,
+            request_id=frame.request_id,
+            deadline_ms=frame.deadline_ms,
+            rows=frame.rows,
+            payload=frame.payload,
+        )
+        assert decode_frame(encoded) == (frame, len(encoded))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frame=_frames,
+        offset=st.integers(0, HEADER_SIZE - 1),
+        flip=st.integers(1, 255),
+    )
+    def test_any_header_byte_flip_decodes_or_raises_frame_error(
+        self, frame, offset, flip
+    ):
+        """A corrupted header byte yields a valid frame, an incomplete
+        stream (``None``), or :class:`FrameError` — no other exception."""
+        encoded = bytearray(encode_frame(
+            frame.frame_type,
+            code=frame.code,
+            lane=frame.lane,
+            model=frame.model,
+            request_id=frame.request_id,
+            deadline_ms=frame.deadline_ms,
+            rows=frame.rows,
+            payload=frame.payload,
+        ))
+        encoded[offset] ^= flip
+        try:
+            decoded = decode_frame(bytes(encoded))
+        except FrameError:
+            return
+        if decoded is not None:
+            got, consumed = decoded
+            assert isinstance(got, Frame)
+            assert HEADER_SIZE <= consumed <= len(encoded)
 
 
 # -------------------------------------------------------- live-wire fuzz
@@ -257,8 +331,8 @@ class TestServerSurvivesBadInput:
     def test_slow_client_dripping_bytes_reassembles(
         self, live, serve_data, direct_labels
     ):
-        """One frame delivered in tiny chunks across many event-loop
-        wakeups must decode into exactly one correct prediction."""
+        """One frame delivered in tiny chunks across many socket reads
+        must decode into exactly one correct prediction."""
         _, transport = live
         images = serve_data.test_images[:3]
         encoded = encode_frame(
@@ -407,6 +481,204 @@ class TestWireSemantics:
             assert snap["frames_out"] == 2
             assert snap["bytes_in"] > 2 * serve_data.num_pixels
             assert snap["bytes_out"] > 0
+
+
+# ---------------------------------------------------- connection threads
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` passes."""
+    give_up = time.monotonic() + timeout
+    while time.monotonic() < give_up:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
+
+
+def _lanes(router: Router) -> dict:
+    return {lane["name"]: lane for lane in router.stats()["lanes"]}
+
+
+def _binary_threads() -> list[str]:
+    return [
+        thread.name for thread in threading.enumerate()
+        if thread.name.startswith("uhd-binary")
+    ]
+
+
+class TestConnectionThreads:
+    def test_full_lane_stalls_only_its_own_connection(
+        self, model_path, serve_data, direct_labels, hold_executor
+    ):
+        """Connection A fills lane ``slow`` behind a held executor, so its
+        reader blocks in ``submit``; connection B's frame for lane
+        ``fast`` must still be read and queued meanwhile."""
+        config = ServeConfig(
+            workers=1,
+            lanes=(
+                LaneConfig("slow", max_batch=1, queue_depth=1),
+                LaneConfig("fast"),
+            ),
+        )
+        images = serve_data.test_images
+        with _router(model_path, config) as router:
+            held = hold_executor(router.deployment("m")._server)
+            try:
+                with SocketTransport(router) as transport, \
+                        BinaryClient(transport.host, transport.port) as a, \
+                        BinaryClient(transport.host, transport.port) as b:
+                    # one held in predict, one queued, one blocked in put
+                    sent_a = {a.send(images[i:i + 1], lane="slow"): i
+                              for i in range(3)}
+                    assert _wait_for(lambda: held.entered.is_set()
+                                     and _lanes(router)["slow"]["depth"] == 1)
+                    time.sleep(0.05)  # A's third frame reaches the full lane
+                    rid_b = b.send(images[3:5], lane="fast")
+                    assert _wait_for(
+                        lambda: _lanes(router)["fast"]["submitted"] == 1,
+                        timeout=5.0,
+                    ), "B was not read while A waited on its full lane"
+                    assert not held._gate.is_set()  # executor still held
+                    held.release()
+                    got_a = dict(a.recv() for _ in sent_a)
+                    got_b = b.recv()
+                    assert _wait_for(lambda: router.stats()["transports"][0][
+                        "frames_out"] == 4)
+                    (wire,) = router.stats()["transports"]
+            finally:
+                held.release()
+        assert sorted(got_a) == sorted(sent_a)
+        for rid, row in sent_a.items():
+            assert np.array_equal(got_a[rid], direct_labels[row:row + 1])
+        assert got_b[0] == rid_b
+        assert np.array_equal(got_b[1], direct_labels[3:5])
+        assert (wire["frames_in"], wire["frames_out"]) == (4, 4)  # once each
+
+    def test_concurrent_pipelined_connections_answer_each_frame_once(
+        self, model_path, serve_data, direct_labels
+    ):
+        """More connections and executors than cores, with a short switch
+        interval: each connection's reader, writer and the executors'
+        callbacks share its reply queue, and every frame must still be
+        answered bit-exactly, exactly once, on its own connection."""
+        import sys
+
+        images = serve_data.test_images
+        results: dict[int, dict] = {}
+        errors: list[BaseException] = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _router(model_path, ServeConfig(workers=3)) as router:
+                with SocketTransport(router) as transport:
+
+                    def client(index: int) -> None:
+                        try:
+                            with BinaryClient(
+                                transport.host, transport.port
+                            ) as conn:
+                                sent = {
+                                    conn.send(images[row:row + 2]): row
+                                    for row in range(index, 48, 4)
+                                }
+                                got = dict(conn.recv() for _ in sent)
+                            results[index] = {"sent": sent, "got": got}
+                        except BaseException as exc:  # reported below
+                            errors.append(exc)
+
+                    threads = [
+                        threading.Thread(target=client, args=(k,))
+                        for k in range(4)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60.0)
+                    assert not any(thread.is_alive() for thread in threads)
+                    (wire,) = router.stats()["transports"]
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert sorted(results) == [0, 1, 2, 3]
+        for run in results.values():
+            assert sorted(run["got"]) == sorted(run["sent"])
+            for rid, row in run["sent"].items():
+                assert np.array_equal(run["got"][rid], direct_labels[row:row + 2])
+        assert wire["frames_in"] == wire["frames_out"] == 48
+
+    def test_hangup_with_replies_owed_leaves_counters_conserved(
+        self, model_path, serve_data, direct_labels
+    ):
+        """A client pipelines 8 frames and closes without reading: the
+        next client is served bit-exactly, and once idle every lane holds
+        ``submitted == served + expired + failed`` in /stats and
+        /metrics, with no connection left open."""
+        images = serve_data.test_images
+        with _router(model_path, ServeConfig(workers=1)) as router:
+            with SocketTransport(router) as transport:
+                rude = BinaryClient(transport.host, transport.port)
+                for i in range(8):
+                    rude.send(images[i:i + 4])
+                rude.close()
+                with BinaryClient(transport.host, transport.port) as client:
+                    labels = client.predict(images[8:16])
+                assert np.array_equal(labels, direct_labels[8:16])
+
+                def settled() -> bool:
+                    doc = router.stats()
+                    (lane,) = doc["lanes"]
+                    return (
+                        doc["transports"][0]["connections_open"] == 0
+                        and lane["depth"] == 0
+                        and lane["submitted"]
+                        == lane["served"] + lane["expired"] + lane["failed"]
+                    )
+
+                assert _wait_for(settled)
+                doc = router.stats()
+                families = parse_exposition(render_metrics(router))
+        (lane,) = doc["lanes"]
+        assert lane["submitted"] == lane["served"] + lane["expired"] + lane["failed"]
+        assert 1 <= lane["submitted"] <= 9
+        totals = {
+            kind: sum(
+                value for name, labels, value in
+                families[f"uhd_lane_{kind}_total"]["samples"]
+                if name == f"uhd_lane_{kind}_total" and labels["lane"] == "default"
+            )
+            for kind in ("submitted", "served", "expired", "failed")
+        }
+        assert totals["submitted"] == lane["submitted"]
+        assert totals["submitted"] == (
+            totals["served"] + totals["expired"] + totals["failed"]
+        )
+        (open_now,) = [
+            value for name, labels, value in
+            families["uhd_transport_connections"]["samples"]
+            if labels["transport"] == "binary"
+        ]
+        assert open_now == 0
+
+    def test_close_leaves_no_connection_thread_behind(
+        self, model_path, serve_data, direct_labels
+    ):
+        """``close()`` with an idle connection still open wakes and joins
+        its reader and writer: no ``uhd-binary*`` thread survives."""
+        with _router(model_path, ServeConfig(workers=0)) as router:
+            transport = SocketTransport(router).start()
+            client = BinaryClient(transport.host, transport.port)
+            try:
+                labels = client.predict(serve_data.test_images[:2])
+                assert np.array_equal(labels, direct_labels[:2])
+                assert "uhd-binary-reader" in _binary_threads()
+                assert "uhd-binary-writer" in _binary_threads()
+                transport.close()
+                assert _binary_threads() == []
+                assert router.stats()["transports"][0]["connections_open"] == 0
+            finally:
+                client.close()
+                transport.close()
 
 
 # --------------------------------------------------------- bit-exactness

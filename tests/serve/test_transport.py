@@ -360,7 +360,7 @@ class TestHttpSocket:
         import socket
 
         _, transport = inproc_http
-        handler = transport._httpd.RequestHandlerClass
+        handler = transport._server.RequestHandlerClass
         seen: list[int] = []
         setup = handler.setup
 
