@@ -469,7 +469,7 @@ def _cmd_route(args: argparse.Namespace) -> str:
                 f"  model {row['model']}: generation {row['generation']}, "
                 f"{row['status']} ({row['path']})"
             )
-            probe = router.deployment(row["model"]).healthz()["probe"]
+            probe = router.healthz(row["model"])["probe"]
             lines.append(
                 f"  {row['model']}: ready, serve-check probe median "
                 f"{probe['median_ms']:.3f} ms"
@@ -505,10 +505,10 @@ def _cmd_route(args: argparse.Namespace) -> str:
                     print("\n".join(_reload_all(router)), flush=True)
             lines.append("  signal received: draining deployments")
             # per-lane latency at drain time — the operator's last look at
-            # the run's tail before the process exits (merged across
-            # every generation)
-            for model_id, deployment in router.deployments.items():
-                for lane in deployment.snapshot()[0].lanes:
+            # the run's tail before the process exits (every generation:
+            # a reload swaps the model, not the server)
+            for model_id, server in router.deployments.items():
+                for lane in server.stats().lanes:
                     snap = lane.latency
                     lines.append(
                         f"  drain {model_id}/{lane.name}: {snap.count} served, "

@@ -8,10 +8,10 @@ never re-fitting), builds its gather table in ~20 ms, proves readiness
 with the ``serve-check`` probe, and serves from executor threads that
 share that one warm model.
 
-One serving path, four layers (see ``docs/serving.md`` for the operator
+One serving path, three layers (see ``docs/serving.md`` for the operator
 guide and ``docs/ARCHITECTURE.md`` for the full picture)::
 
-    transports -> Router -> ModelDeployment -> UHDServer (scheduler + executors)
+    transports -> Router -> UHDServer (scheduler + executors)
 
 * **Transport** (:mod:`repro.serve.transport` /
   :mod:`repro.serve.binary`) — how requests arrive, always in front of
@@ -25,22 +25,24 @@ guide and ``docs/ARCHITECTURE.md`` for the full picture)::
   batch assembly
   (:class:`BinaryClient` is the matching pipelining-capable client).
   Both wires can front the *same* router.
-* **Router** (:mod:`repro.serve.router`) — named
-  :class:`ModelDeployment`\\ s, each one :class:`UHDServer` per model
-  generation (capacity is its ``workers``), one merged stats document,
-  and hot reload (``router.reload(model_id, path)`` boots a fresh model
-  generation, swaps it in and drains the old server, never dropping a
-  request).  ``repro-uhd serve`` is a router with one deployment.
-* **Scheduler** (:mod:`repro.serve.scheduler`) — queueing/coalescing
-  policy: named priority lanes (:class:`LaneConfig`) with per-lane
-  ``max_batch``/``max_wait_ms``, weighted anti-starvation draining, and
-  per-request deadlines that fail expired requests loudly
-  (:class:`DeadlineExpiredError`).
-* **Executors** (:class:`UHDServer`) — one warm model whose encoder is
+* **Router** (:mod:`repro.serve.router`) — maps each model id to one
+  :class:`UHDServer` for its whole life (capacity is its ``workers``)
+  and adds the fleet keys (model, path, generation) to each server's
+  stats and health documents.  ``repro-uhd serve`` is a router with
+  one deployment.
+* **Server** (:class:`UHDServer`) — one warm model whose encoder is
   shared per ``(pixels, config)`` key process-wide
-  (:class:`EncoderCache`), and ``ServeConfig(workers=K)`` executor
-  threads that drain the scheduler through it.  ``workers=0`` runs the
-  same loop on the submitting thread.
+  (:class:`EncoderCache`); a priority-lane :class:`Scheduler` (named
+  lanes with per-lane ``max_batch``/``max_wait_ms``, weighted
+  anti-starvation draining, and per-request deadlines that fail
+  expired requests loudly with :class:`DeadlineExpiredError`); and
+  ``ServeConfig(workers=K)`` executor threads that drain the scheduler
+  through the model.  ``workers=0`` runs the same loop on the
+  submitting thread.  Hot reload (``router.reload(model_id, path)``,
+  i.e. :meth:`UHDServer.reload`) loads and probes the next model
+  generation, then swaps it in place: queued requests are answered by
+  the model they were submitted to, none is dropped, and the counters
+  run on.
 
 Quickstart::
 
@@ -69,7 +71,7 @@ from .cache import CacheStats, EncoderCache, encoder_cache
 from .histogram import HistogramSnapshot, LatencyHistogram
 from .metrics import parse_exposition, render_metrics
 from .probe import ProbeResult, readiness_probe
-from .router import DeploymentSpec, ModelDeployment, Router
+from .router import DeploymentSpec, Router
 from .scheduler import LaneConfig, LaneStats, ScheduledBatch, Scheduler
 from .server import UHDServer
 from .transport import (
@@ -97,7 +99,6 @@ __all__ = [
     "LaneConfig",
     "LaneStats",
     "LatencyHistogram",
-    "ModelDeployment",
     "PredictionHandle",
     "ProbeResult",
     "Router",

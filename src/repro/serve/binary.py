@@ -36,7 +36,7 @@ offset  bytes  field
 8       2      model id length M (utf-8 bytes after the lane id)
 10      2      reserved (must be 0)
 12      8      request id (client-assigned, echoed in the response)
-20      8      deadline_ms (float64; 0 = no deadline)
+20      8      deadline_ms (float64; 0 = no deadline, else finite > 0)
 28      4      row count
 32      4      payload length P
 36      L+M+P  lane id, model id, payload
@@ -48,11 +48,12 @@ a utf-8 message.  Error taxonomy mirrors HTTP exactly: a *framing*
 violation (bad magic, oversized declaration, non-PREDICT type) gets an
 ERROR frame with code 1 and the connection closed (the stream cannot be
 resynced); a *semantic* error on an intact frame (unknown lane, wrong
-pixel count, empty request) gets an ERROR frame and the connection
-stays usable; a request whose deadline passes while queued gets an
-EXPIRED frame (the 504 equivalent — the lane's ``expired`` counter and
-``latency.excluded`` move exactly as over HTTP, because it is the same
-scheduler); a draining or failed server answers code 2 (the 503).
+pixel count, empty request, a negative or non-finite deadline) gets an
+ERROR frame and the connection stays usable; a request whose deadline
+passes while queued gets an EXPIRED frame (the 504 equivalent — the
+lane's ``expired`` counter and ``latency.excluded`` move exactly as over
+HTTP, because it is the same scheduler); a draining or failed server
+answers code 2 (the 503).
 
 Labels served over this wire are **bit-exact** with in-process
 ``submit`` and direct ``predict`` — the transport only moves bytes;
@@ -414,11 +415,11 @@ class _Connection(socketserver.BaseRequestHandler):
             return
         router = transport._router
         try:
-            deployment = router.deployment(model or router.default_model)
+            server = router.deployment(model or router.default_model)
         except ValueError as exc:  # no such model id
             self._send_error(ERR_UNKNOWN_MODEL, str(exc), request_id)
             return
-        num_pixels = deployment.num_pixels
+        num_pixels = server.num_pixels
         if num_pixels is None or num_pixels <= 0:
             self._send_error(
                 ERR_UNAVAILABLE, "server has no pixel geometry yet", request_id
@@ -441,11 +442,13 @@ class _Connection(socketserver.BaseRequestHandler):
             rows, num_pixels
         )
         try:
-            handle = deployment.submit(
+            # 0 means no deadline; submit rejects any other non-positive
+            # or non-finite one, so a bad deadline is ERR_MALFORMED
+            handle = server.submit(
                 images,
                 timeout=transport.request_timeout_s,
                 lane=lane or None,
-                deadline_ms=deadline_ms if deadline_ms > 0 else None,
+                deadline_ms=deadline_ms if deadline_ms != 0 else None,
             )
         except ValueError as exc:  # unknown lane, bad deadline
             self._send_error(ERR_MALFORMED, str(exc), request_id)

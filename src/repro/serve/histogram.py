@@ -10,13 +10,13 @@ is the one histogram implementation every serving layer records into:
   :data:`BUCKETS_PER_DECADE` per decade from :data:`BUCKET_MIN_S` to
   :data:`BUCKET_MAX_S`), which is what makes snapshots *mergeable*:
   merging is element-wise addition, no resampling, no bucket loss —
-  the property the router relies on to keep a deployment's latency
-  totals monotonic across hot-reload generations.
+  the property the load generator relies on to fold its per-lane
+  histograms into one all-lanes distribution.
 * :class:`HistogramSnapshot` — the frozen point-in-time view with
   p50/p95/p99 derivable via :meth:`~HistogramSnapshot.quantile`
   (linear interpolation inside the landing bucket, so quantiles are
   deterministic functions of the counts alone) and
-  :meth:`~HistogramSnapshot.merge` for cross-generation aggregation.
+  :meth:`~HistogramSnapshot.merge` for aggregation.
 
 Recording is lock-cheap: one plain ``threading.Lock`` held for a
 single list-index increment — no allocation, no syscall.  The bucket
@@ -116,8 +116,7 @@ class HistogramSnapshot:
 
         Because bucket bounds are fixed and shared, merging loses
         nothing: merged ``count`` equals the sum of the inputs' counts,
-        bucket by bucket — the invariant the router's cross-generation
-        stats tests pin down.
+        bucket by bucket.
         """
         counts = [0] * _NUM_BUCKETS
         total = 0

@@ -6,7 +6,7 @@ serves — ``# HELP`` / ``# TYPE`` headers, counters/gauges, and one
 classic histogram per lane whose ``_bucket{le=...}`` lines are the
 *cumulative* view of the fixed log-spaced buckets in
 :mod:`repro.serve.histogram`.  Everything is derived from the same
-deployment snapshots ``/stats`` serves, so the two endpoints can never
+server snapshots ``/stats`` serves, so the two endpoints can never
 disagree.
 
 :func:`parse_exposition` is the matching strict parser.  It exists so
@@ -46,11 +46,10 @@ Per-deployment families carry a ``model`` label (per-lane ones also
 ====================================  =======  =====================================
 
 Once nothing is queued or in flight, every lane holds
-``submitted == served + expired + failed``.  Lane latency histograms
-are **merged across the current server, any
-draining one and retired generations**, so quantiles survive hot
-reloads.  The fleet gauge is ``uhd_deployment_generation{model}``,
-which counts reloads.
+``submitted == served + expired + failed``.  A deployment is one
+server for its whole life — a hot reload swaps its model in place — so
+counters and lane latency histograms run on across reloads.  The fleet
+gauge is ``uhd_deployment_generation{model}``, which counts reloads.
 """
 
 from __future__ import annotations
@@ -246,14 +245,14 @@ def _cache_rows(exp: _Exposition, cache: Any) -> None:
 def render_metrics(router: "Router") -> str:
     """Prometheus text exposition (0.0.4) for a router.
 
-    One ``model``-labelled row set per deployment, from the same merged
+    One ``model``-labelled row set per deployment, from the same server
     snapshot its ``/stats`` document serializes.  Always ends in a
     newline; serve with ``Content-Type: text/plain; version=0.0.4``.
     """
     exp = _Exposition()
-    for model_id, deployment in router.deployments.items():
+    for model_id, server in router.deployments.items():
         labels = {"model": model_id}
-        stats, fleet = deployment.snapshot()
+        stats = server.stats()
         exp.add("uhd_requests_total", labels, stats.requests)
         exp.add("uhd_images_total", labels, stats.images)
         exp.add("uhd_batches_total", labels, stats.batches)
@@ -261,7 +260,7 @@ def render_metrics(router: "Router") -> str:
         exp.add("uhd_failed_total", labels, stats.failed)
         exp.add("uhd_workers", labels, stats.workers)
         exp.add("uhd_mean_batch_size", labels, stats.mean_batch_size)
-        exp.add("uhd_deployment_generation", labels, fleet["generation"])
+        exp.add("uhd_deployment_generation", labels, server.generation)
         _lane_rows(exp, stats.lanes, labels)
     # transports front the router as a whole, not any one deployment
     _transport_rows(exp, router.transport_stats())

@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Generic, Protocol, Sequence, TypeVar
 
 from .histogram import HistogramSnapshot, LatencyHistogram
@@ -149,24 +149,6 @@ class LaneStats:
     failed: int = 0  #: items whose batch was settled failed
     #: latency distribution of served items (expired ones excluded)
     latency: HistogramSnapshot = field(default_factory=HistogramSnapshot.empty)
-
-    @classmethod
-    def merge(cls, rows: Sequence["LaneStats"]) -> "LaneStats":
-        """One lane's counters summed over several schedulers.
-
-        The histograms share one bucket layout, so the merged
-        ``latency`` loses nothing (:meth:`HistogramSnapshot.merge`).
-        """
-        counters = {
-            f.name: sum(getattr(row, f.name) for row in rows)
-            for f in fields(cls)
-            if f.name not in ("name", "latency")
-        }
-        return cls(
-            name=rows[0].name,
-            latency=HistogramSnapshot.merge(row.latency for row in rows),
-            **counters,
-        )
 
 
 class ScheduledBatch(Generic[ItemT]):

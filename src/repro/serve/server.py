@@ -29,6 +29,14 @@ executor goes on with the next.  A hard crash in native code takes the
 process down with it; the deployment is then unavailable until a
 supervisor restarts the process.
 
+**Hot reload** (:meth:`UHDServer.reload`) swaps the model in place: the
+next generation is loaded and probed off-lock while the current one
+serves, then installed in one step under the server lock.  Each
+request part carries the model that was current when it was submitted,
+so a reload never changes the answer to a queued request — not even
+when the new model has a different pixel geometry — and the server's
+counters and histograms simply go on counting.
+
 Bit-exactness: the server never transforms data — it only splits,
 concatenates and routes.  Both encode and binarized inference are
 row-independent, so the labels a request gets back are identical to
@@ -37,15 +45,18 @@ they were coalesced with (``tests/serve/test_server.py`` asserts this
 against every built-in backend).
 
 How requests *reach* ``submit`` is the business of the layers above:
-a :class:`~repro.serve.router.Router` dispatches to each deployment's
-current server, and the HTTP and binary transports front only a router, so
-the contract above covers every wire identically.
+a :class:`~repro.serve.router.Router` maps each model id to its one
+server, and the HTTP and binary transports front only a router, so the
+contract above covers every wire identically.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from itertools import groupby
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -66,14 +77,21 @@ __all__ = ["UHDServer"]
 
 
 class _Part:
-    """One ``<= max_batch``-row slice of a request; the scheduler's item."""
+    """One ``<= max_batch``-row slice of a request; the scheduler's item.
 
-    __slots__ = ("handle", "index", "images")
+    ``model`` is the model current when the request was submitted; it
+    answers the part even if a reload swaps in another while it queues.
+    """
 
-    def __init__(self, handle: PredictionHandle, index: int, images: np.ndarray):
+    __slots__ = ("handle", "index", "images", "model")
+
+    def __init__(
+        self, handle: PredictionHandle, index: int, images: np.ndarray, model: Any
+    ):
         self.handle = handle
         self.index = index
         self.images = images
+        self.model = model
 
     @property
     def rows(self) -> int:
@@ -93,78 +111,146 @@ class UHDServer:
             labels = server.predict(images)          # sync round-trip
             handle = server.submit(more_images)      # async
             labels2 = handle.result(timeout=5.0)
+            server.reload("mnist-2048-v2.npz")       # hot swap, in place
 
     The context manager loads and probes the model and starts the
     executor threads on entry (training happened elsewhere, earlier),
     and drains and stops them on exit.  ``ServeConfig(workers=0)`` runs
-    no thread, with the identical API.
+    no thread, with the identical API.  :meth:`reload` swaps in the next
+    model generation without stopping anything.
     """
 
     def __init__(self, model_path: Any, config: ServeConfig | None = None):
         self.model_path = str(model_path)
         self.config = config if config is not None else ServeConfig()
+        #: 1 once started; each successful reload() bumps it
+        self.generation = 0
         self._model: Any = None
-        self._num_pixels: int | None = None
         self._front_probe: ProbeResult | None = None
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._stats = _StatCounters()
         self._started = False
         self._closed = False
-        self._accepting = False
+        self._reloading = False
         self._scheduler: Scheduler[_Part] | None = None
         #: parts submitted and not yet answered, failed or expired —
         #: queued or held by an executor; close() drains until it is 0
         self._pending_parts = 0
         self._threads: list[threading.Thread] = []
         #: why an executor thread died, if one did; the server then
-        #: refuses new requests and reads unavailable until replaced
+        #: refuses new requests and reads unavailable until a reload
         self._failure: BaseException | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "UHDServer":
-        """Load and probe the model, start the executors, take traffic."""
-        if self._started:
-            return self
-        self._load_model()
-        self._scheduler = Scheduler(
-            self.config.effective_lanes(), on_expired=self._on_expired
-        )
-        self._threads = [
-            threading.Thread(
-                target=self._executor,
-                name=f"uhd-serve-executor-{slot}",
-                daemon=True,
+        """Load and probe the model, start the executors, take traffic.
+
+        Raises :class:`ServeError` once the server is closed (a close
+        that lands while the model loads included).
+        """
+        with self._lock:
+            if self._closed:
+                raise ServeError("server is closed")
+            if self._started:
+                return self
+        model, probe = self._load_model(self.model_path)
+        with self._lock:
+            if self._closed:
+                raise ServeError("server closed while starting")
+            self._model, self._front_probe = model, probe
+            self.generation = 1
+            self._scheduler = Scheduler(
+                self.config.effective_lanes(), on_expired=self._on_expired
             )
-            for slot in range(self.config.workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-        self._started = True
-        self._accepting = True
+            self._threads = [
+                self._spawn_executor(slot) for slot in range(self.config.workers)
+            ]
+            self._started = True
         return self
 
-    def _load_model(self) -> None:
+    def _load_model(self, path: str) -> tuple[Any, ProbeResult]:
+        """Load ``path`` and probe it: the model and its probe result."""
         from ..api.persistence import load_model
 
         # the same load + backend re-home path the CLI uses
-        model = load_model(self.model_path, backend=self.config.backend)
+        model = load_model(path, backend=self.config.backend)
         num_pixels = getattr(model, "num_pixels", None)
         if num_pixels is None:
             raise ServeError(
                 f"{type(model).__name__} has no num_pixels; UHDServer fronts "
                 "image models (UHDClassifier, StreamingUHD)"
             )
-        self._num_pixels = int(num_pixels)
         # share one encoder per (pixels, config) process-wide; the probe's
-        # first predict builds its table before any executor starts
+        # first predict builds its table before the model takes traffic
         encoder_cache().adopt(model)
-        self._front_probe = readiness_probe(
-            model, self._num_pixels, batch=self.config.probe_batch, repeats=1
+        probe = readiness_probe(
+            model, int(num_pixels), batch=self.config.probe_batch, repeats=1
         )
-        self._model = model
+        return model, probe
+
+    def _spawn_executor(self, slot: int) -> threading.Thread:
+        thread = threading.Thread(
+            target=self._executor, name=f"uhd-serve-executor-{slot}", daemon=True
+        )
+        thread.start()
+        return thread
+
+    def reload(self, model_path: Any = None) -> dict:
+        """Hot reload: load ``model_path`` (the current path when None) in place.
+
+        The new model is loaded and probed while the current one keeps
+        serving, then swapped in under the server lock: ``generation``
+        bumps, and a failed server is re-armed (its failure cleared,
+        dead executor threads restarted).  Requests submitted before the
+        swap are answered by the model current at their submit, later
+        ones by the new model.  Raises :class:`ServeError` — with the
+        current model still serving — if another reload is in progress
+        or the load or probe fails, and if the server is not started or
+        is closed (before or during the reload).  Returns a report with
+        ``path``, ``from_generation``, ``to_generation`` and
+        ``duration_s``.
+        """
+        t0 = time.monotonic()
+        with self._lock:
+            if self._closed:
+                raise ServeError("server is closed")
+            if not self._started:
+                raise ServeError("server not started")
+            if self._reloading:
+                raise ServeError("reload already in progress")
+            self._reloading = True
+            from_generation = self.generation
+            path = self.model_path if model_path is None else str(model_path)
+        try:
+            try:
+                model, probe = self._load_model(path)
+            except Exception as exc:
+                raise ServeError(
+                    f"reload of {path!r} failed: {type(exc).__name__}: {exc}"
+                ) from exc
+            with self._lock:
+                if self._closed:
+                    raise ServeError("server closed during reload")
+                self._model, self._front_probe = model, probe
+                self.model_path = path
+                self.generation += 1
+                self._failure = None
+                self._threads = [
+                    thread if thread.is_alive() else self._spawn_executor(slot)
+                    for slot, thread in enumerate(self._threads)
+                ]
+        finally:
+            with self._lock:
+                self._reloading = False
+        return {
+            "path": path,
+            "from_generation": from_generation,
+            "to_generation": from_generation + 1,
+            "duration_s": time.monotonic() - t0,
+        }
 
     def __enter__(self) -> "UHDServer":
         return self.start()
@@ -183,10 +269,12 @@ class UHDServer:
         """
         if drain_timeout is None:
             drain_timeout = self.config.drain_timeout_s
-        if self._closed or not self._started:
+        with self._lock:
+            if self._closed:
+                return
             self._closed = True
-            return
-        self._accepting = False
+            if not self._started:
+                return
         assert self._scheduler is not None
         self._scheduler.close()
         deadline = time.monotonic() + drain_timeout
@@ -201,20 +289,12 @@ class UHDServer:
         closed = ServeError("server closed before the request completed")
         while scheduled := self._scheduler.next_batch(poll_s=0.0):
             self._finish(scheduled, error=closed)
-        for thread in self._threads:
+        for thread in self._threads:  # reload() spawns none once closed
             thread.join(timeout=5.0)
-        self._closed = True
 
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def _check_images(self, images: Any) -> np.ndarray:
-        # the one shared accepted-shapes policy (square-image
-        # disambiguation included) — StreamingUHD normalizes identically
-        from ..utils.validation import as_image_batch
-
-        return as_image_batch(images, self._num_pixels)
-
     def submit(
         self,
         images: Any,
@@ -228,23 +308,34 @@ class UHDServer:
         ``lane`` routes the request onto a named priority lane (the
         first configured lane when ``None``); requests wider than the
         lane's ``max_batch`` are split into parts and reassembled in
-        order by the handle.  ``deadline_ms`` bounds how long the
-        request may *queue*: parts still unscheduled when it passes fail
-        the handle with :class:`DeadlineExpiredError` instead of being
-        served late.  Blocks (backpressure) while the lane is full;
-        ``timeout`` bounds that wait.
+        order by the handle.  ``deadline_ms`` (``None``, or finite and
+        > 0) bounds how long the request may *queue*: parts still
+        unscheduled when it passes fail the handle with
+        :class:`DeadlineExpiredError` instead of being served late.
+        Blocks (backpressure) while the lane is full; ``timeout`` bounds
+        that wait.  The model current now answers every part, whatever
+        a later :meth:`reload` swaps in.
         """
+        # the one shared accepted-shapes policy (square-image
+        # disambiguation included) — StreamingUHD normalizes identically
+        from ..utils.validation import as_image_batch
+
         if not self._started:
             raise ServeError("server not started (use start() or a with-block)")
-        if not self._accepting:
+        if self._closed:
             raise ServeError("server is closed")
         if self._failure is not None:
             raise ServeError(f"server failed: {self._failure!r}")
         assert self._scheduler is not None
         lane_config = self._scheduler.lane_config(lane)
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
-        arr = self._check_images(images)
+        if deadline_ms is not None and not (
+            math.isfinite(deadline_ms) and deadline_ms > 0
+        ):
+            raise ValueError(
+                f"deadline_ms must be finite and > 0, got {deadline_ms}"
+            )
+        model = self._model  # one read: the geometry and the answering model
+        arr = as_image_batch(images, int(model.num_pixels))
         rows = arr.shape[0]
         with self._lock:
             self._stats.requests += 1
@@ -265,7 +356,7 @@ class UHDServer:
                     self._pending_parts += 1
                 try:
                     self._scheduler.put(
-                        _Part(handle, index, chunk),
+                        _Part(handle, index, chunk, model),
                         lane=lane_config.name,
                         deadline=deadline,
                         timeout=timeout,
@@ -332,10 +423,12 @@ class UHDServer:
         scheduler is closed and drained.  Under ``workers=0`` each
         submitting thread runs it after queueing a part and returns at
         the first empty heartbeat, possibly having run parts other
-        callers queued.  The model is shared by every caller and takes
-        no lock here (the encoder guards its own state).  A predict
-        failure fails that batch's handles; it is never raised here,
-        where it would strand other callers' parts.
+        callers queued.  A batch is predicted in runs of parts stamped
+        with the same model — one run unless a reload landed while it
+        queued.  Models are shared by every caller and take no lock here
+        (the encoder guards its own state).  A predict failure fails
+        that batch's handles; it is never raised here, where it would
+        strand other callers' parts.
         """
         assert self._scheduler is not None
         while True:
@@ -350,13 +443,16 @@ class UHDServer:
                 return
             with self._lock:
                 self._stats.record_batch(scheduled.rows)
-            parts = scheduled.items
             try:
-                images = (
-                    parts[0].images if len(parts) == 1
-                    else np.concatenate([part.images for part in parts])
-                )
-                labels = self._model.predict(images)
+                runs = []
+                for model, run in groupby(scheduled.items, attrgetter("model")):
+                    run = list(run)
+                    images = (
+                        run[0].images if len(run) == 1
+                        else np.concatenate([part.images for part in run])
+                    )
+                    runs.append(model.predict(images))
+                labels = runs[0] if len(runs) == 1 else np.concatenate(runs)
             except Exception as exc:
                 self._finish(scheduled, error=ServeError(f"predict failed: {exc!r}"))
             else:
@@ -396,12 +492,13 @@ class UHDServer:
     # ------------------------------------------------------------------
     @property
     def num_pixels(self) -> int | None:
-        """Pixels per image the served model expects (after start())."""
-        return self._num_pixels
+        """Pixels per image the current model expects (after start())."""
+        model = self._model
+        return None if model is None else int(model.num_pixels)
 
     @property
     def front_probe(self) -> ProbeResult | None:
-        """The model's readiness-probe result (taken in start())."""
+        """The current model's readiness-probe result (start() or reload())."""
         return self._front_probe
 
     @property
@@ -417,8 +514,9 @@ class UHDServer:
 
         Request/batch counters, per-lane scheduler depth and
         served/expired/failed counts, and the process-wide encoder cache
-        (entries, table bytes).  A deployment merges its servers' snapshots
-        into the document the HTTP ``/stats`` endpoint serves.
+        (entries, table bytes).  The counters run for the server's whole
+        life, across reloads.  :meth:`~repro.serve.router.Router.stats`
+        adds the fleet keys to make the document ``/stats`` serves.
         """
         scheduler = self._scheduler
         lane_stats = scheduler.stats() if scheduler is not None else ()
@@ -435,12 +533,14 @@ class UHDServer:
         """Liveness/readiness summary for health endpoints.
 
         ``ok`` is True while the server accepts traffic and no executor
-        thread has died (see :meth:`_executor`).  ``probe`` reports
-        the model's :func:`~repro.serve.probe.readiness_probe` result —
-        the same deterministic-predictions check ``serve-check`` runs.
+        thread has died (see :meth:`_executor`); a server mid-reload
+        serves on the current model, so it stays ok.  ``probe`` reports
+        the current model's :func:`~repro.serve.probe.readiness_probe`
+        result — the same deterministic-predictions check
+        ``serve-check`` runs.
         """
         live = sum(thread.is_alive() for thread in self._threads)
-        ok = bool(self._started and self._accepting and self._failure is None)
+        ok = bool(self._started and not self._closed and self._failure is None)
         probe = self._front_probe
         return {
             "ok": ok,
@@ -448,6 +548,8 @@ class UHDServer:
             "mode": "inproc" if self.config.workers == 0 else "pool",
             "workers": self.config.workers,
             "workers_live": live,
+            "generation": self.generation,
+            "reloading": self._reloading,
             "lanes": [lane.name for lane in self.lanes],
             "probe": None if probe is None else {
                 "median_ms": probe.median_ms,

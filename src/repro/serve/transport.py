@@ -33,7 +33,8 @@ HTTP endpoints
     **bit-exact** with ``UHDClassifier.predict``: the transport decodes
     bytes into the same uint8 arrays an in-process caller would pass,
     and the stack only routes (contract 5 in ``docs/ARCHITECTURE.md``).
-    Errors: 400 (malformed payload, unknown lane, wrong pixel count),
+    Errors: 400 (malformed payload, unknown lane, wrong pixel count,
+    a ``deadline_ms`` that is not a finite number > 0),
     404 (unknown model id), 503 (closed/failed), 504 (deadline expired
     while queued, or the transport's ``request_timeout_s`` elapsed).
 ``GET /stats`` and ``GET /models/<id>/stats``
@@ -44,8 +45,8 @@ HTTP endpoints
     (model, path, generation).
 ``GET /healthz`` and ``GET /models/<id>/healthz``
     200 while **every** deployment (or the named one) has a healthy
-    current server — a deployment mid-reload keeps serving on the old
-    generation, so it stays healthy — else 503.  The body carries
+    server — a server mid-reload keeps serving on its current model, so
+    it stays healthy — else 503.  The body carries
     ``status`` (``ok`` / ``unavailable``) and the server's liveness and
     readiness-probe result (the same deterministic-predictions check
     ``serve-check`` runs).
@@ -414,7 +415,7 @@ def _make_handler(router: "Router", request_timeout_s: float, wire: TransportSta
                     if verb == "stats":
                         self._send_json(200, router.stats(model_id))
                         return
-                    health = router.deployment(model_id).healthz()
+                    health = router.healthz(model_id)
                 except ValueError as exc:
                     self._send_error_json(404, str(exc))
                     return
@@ -435,19 +436,19 @@ def _make_handler(router: "Router", request_timeout_s: float, wire: TransportSta
                 self._send_error_json(404, f"unknown path {path!r}")
                 return
             try:
-                deployment = router.deployment(model_id)
+                server = router.deployment(model_id)
             except ValueError as exc:
                 self._send_error_json(404, str(exc))
                 return
             try:
                 images, lane, deadline_ms = self._parse_predict_request(
-                    deployment.num_pixels
+                    server.num_pixels
                 )
             except ValueError as exc:
                 self._send_error_json(400, str(exc))
                 return
             try:
-                labels = deployment.submit(
+                labels = server.submit(
                     images,
                     timeout=request_timeout_s,
                     lane=lane,
@@ -461,7 +462,7 @@ def _make_handler(router: "Router", request_timeout_s: float, wire: TransportSta
                     504, f"prediction exceeded {request_timeout_s}s"
                 )
                 return
-            except ValueError as exc:  # unknown lane, wrong pixel count
+            except ValueError as exc:  # unknown lane, pixel count, deadline
                 self._send_error_json(400, str(exc))
                 return
             except ServeError as exc:
@@ -568,7 +569,10 @@ def _make_handler(router: "Router", request_timeout_s: float, wire: TransportSta
                     raise ValueError(f"lane must be a string, got {lane!r}")
             if "deadline_ms" in payload and payload["deadline_ms"] is not None:
                 deadline_ms = payload["deadline_ms"]
-                if not isinstance(deadline_ms, (int, float)):
+                # JSON true/false decode to bool, an int subclass
+                if isinstance(deadline_ms, bool) or not isinstance(
+                    deadline_ms, (int, float)
+                ):
                     raise ValueError(
                         f"deadline_ms must be a number, got {deadline_ms!r}"
                     )

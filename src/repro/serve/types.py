@@ -21,7 +21,7 @@ from ..api.registry import BACKENDS
 from .scheduler import LaneConfig, LaneStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from typing import Callable, Iterable
+    from typing import Callable
 
     import numpy as np
 
@@ -161,9 +161,8 @@ class ServerStats:
     configured lane (depth, served, expired and failed counts) and
     ``cache`` the process-wide :class:`~repro.serve.cache.CacheStats`
     (encoder entries, gather-table bytes).  A deployment's ``/stats``
-    document is the :meth:`merge` of its servers' snapshots serialized
-    via :meth:`as_dict`, plus the fleet keys (see
-    :meth:`~repro.serve.router.ModelDeployment.stats`).
+    document is its server's snapshot serialized via :meth:`as_dict`,
+    plus the fleet keys (see :meth:`~repro.serve.router.Router.stats`).
     """
 
     mode: str  #: ``"pool"`` (executor threads) or ``"inproc"`` (caller drains)
@@ -187,47 +186,8 @@ class ServerStats:
     cache: "CacheStats | None" = None
     #: per-transport wire counters (connections, frames, bytes, malformed),
     #: one row per transport kind fronting the router — a bare server's
-    #: own snapshot has none (transports front a Router, never a server)
+    #: own snapshot has none (Router.stats adds them)
     transports: "tuple[TransportSnapshot, ...]" = ()
-
-    @classmethod
-    def merge(
-        cls,
-        parts: "Iterable[ServerStats]",
-        *,
-        mode: str,
-        transports: "tuple[TransportSnapshot, ...]" = (),
-    ) -> "ServerStats":
-        """One snapshot for several servers (a deployment's generations).
-
-        Counters are summed and each lane's rows are joined with
-        :meth:`LaneStats.merge`, so per-lane histograms merge losslessly
-        across a deployment's current, draining and retired servers.
-        ``max_batch_seen`` is the maximum and ``mean_batch_size`` is
-        re-weighted by batch count.
-        """
-        parts = list(parts)
-        batches = sum(p.batches for p in parts)
-        batched = sum(round(p.mean_batch_size * p.batches) for p in parts)
-        by_lane: dict[str, list[LaneStats]] = {}
-        for part in parts:
-            for lane in part.lanes:
-                by_lane.setdefault(lane.name, []).append(lane)
-        lanes = tuple(LaneStats.merge(rows) for rows in by_lane.values())
-        return cls(
-            mode=mode,
-            workers=sum(p.workers for p in parts),
-            requests=sum(p.requests for p in parts),
-            images=sum(p.images for p in parts),
-            batches=batches,
-            max_batch_seen=max((p.max_batch_seen for p in parts), default=0),
-            mean_batch_size=batched / batches if batches else 0.0,
-            lanes=lanes,
-            expired=sum(lane.expired for lane in lanes),
-            failed=sum(lane.failed for lane in lanes),
-            cache=next((p.cache for p in parts if p.cache is not None), None),
-            transports=transports,
-        )
 
     def as_dict(self) -> dict:
         """A JSON-serializable view (nested dataclasses become dicts).

@@ -389,6 +389,21 @@ class TestWireSemantics:
             with pytest.raises(ValueError, match="pixels"):
                 client.predict(bad)
 
+    @pytest.mark.parametrize("deadline_ms", [-1.0, float("nan"), float("inf")])
+    def test_bad_deadline_is_malformed(
+        self, live, serve_data, direct_labels, deadline_ms
+    ):
+        """0 means no deadline; any other one outside (0, inf) is refused,
+        the same rule HTTP answers 400 for."""
+        _, transport = live
+        with BinaryClient(transport.host, transport.port) as client:
+            with pytest.raises(ValueError, match="deadline_ms"):
+                client.predict(
+                    serve_data.test_images[:2], deadline_ms=deadline_ms
+                )
+            labels = client.predict(serve_data.test_images[:2], deadline_ms=0)
+            assert np.array_equal(labels, direct_labels[:2])
+
     def test_empty_request_is_malformed(self, live, serve_data):
         _, transport = live
         with BinaryClient(transport.host, transport.port) as client:
@@ -427,7 +442,7 @@ class TestWireSemantics:
             lanes=(LaneConfig("slow", max_batch=1), LaneConfig("other")),
         )
         with _router(model_path, config) as router:
-            held = hold_executor(router.deployment("m")._server)
+            held = hold_executor(router.deployment("m"))
             with SocketTransport(router) as transport:
                 # a deep single-row backlog makes a 1 ms deadline
                 # unmeetable for the request queued behind it
@@ -523,7 +538,7 @@ class TestConnectionThreads:
         )
         images = serve_data.test_images
         with _router(model_path, config) as router:
-            held = hold_executor(router.deployment("m")._server)
+            held = hold_executor(router.deployment("m"))
             try:
                 with SocketTransport(router) as transport, \
                         BinaryClient(transport.host, transport.port) as a, \

@@ -154,7 +154,7 @@ def test_counters_conserved_in_stats_and_metrics(
     images = serve_data.test_images
     config = ServeConfig(workers=workers, lanes=LANES)
     with Router({"m": DeploymentSpec(model_path, serve=config)}) as router:
-        _refuse_poison(router.deployment("m")._server, monkeypatch)
+        _refuse_poison(router.deployment("m"), monkeypatch)
         handles = []
         for index in range(12):
             rows = images[index * ROWS:(index + 1) * ROWS]
@@ -198,7 +198,8 @@ class TestExecutorDeath:
     ):
         """An exception escaping the executor loop (a bug, never a predict
         failure) marks the server failed: healthz reads unavailable and
-        new requests are refused instead of queueing for nobody."""
+        new requests are refused instead of queueing for nobody — until
+        a reload restarts the dead executor."""
         escaped: list[BaseException] = []
         monkeypatch.setattr(
             threading, "excepthook", lambda args: escaped.append(args.exc_value)
@@ -226,6 +227,13 @@ class TestExecutorDeath:
             assert server.healthz()["status"] == "unavailable"
             with pytest.raises(ServeError, match="server failed"):
                 server.submit(serve_data.test_images[:2])
+            server.reload()
+            health = server.healthz()
+            assert health["ok"] and health["workers_live"] == 1
+            assert np.array_equal(
+                server.predict(serve_data.test_images[:2], timeout=30.0),
+                direct_labels[:2],
+            )
         assert [str(exc) for exc in escaped] == ["callback bug"]
 
 

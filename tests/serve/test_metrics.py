@@ -66,7 +66,7 @@ class TestRenderSingleServer:
             router.predict("m", serve_data.test_images[:8], lane="interactive")
             router.predict("m", serve_data.test_images[:4], lane="bulk")
             text = render_metrics(router)
-            stats, _ = router.deployment("m").snapshot()
+            stats = router.deployment("m").stats()
         families = parse_exposition(text)  # raises on any violation
         assert _sample(families, "uhd_requests_total") == stats.requests
         assert _sample(families, "uhd_images_total") == stats.images
@@ -225,7 +225,7 @@ class TestExpiryAccountingOverHttp:
             ),
         )
         with _router(model_path, config) as router:
-            held = hold_executor(router.deployment("m")._server)
+            held = hold_executor(router.deployment("m"))
             with HttpTransport(router) as transport:
                 flood = [
                     router.submit("m", serve_data.test_images[i % 8], lane="bulk")
@@ -246,7 +246,7 @@ class TestExpiryAccountingOverHttp:
                 release.join()
                 for handle in flood:
                     handle.result(timeout=60.0)
-                stats, _ = router.deployment("m").snapshot()
+                stats = router.deployment("m").stats()
                 status, _, body = _get(transport.address, "/metrics")
         lanes = {lane.name: lane for lane in stats.lanes}
         assert lanes["bulk"].expired == 1
@@ -277,7 +277,7 @@ class TestExpiryAccountingOverHttp:
         """The JSON view exposes the same accounting (`/stats` endpoint)."""
         config = ServeConfig(workers=1, max_batch=1, max_wait_ms=0.0)
         with _router(model_path, config) as router:
-            held = hold_executor(router.deployment("m")._server)
+            held = hold_executor(router.deployment("m"))
             flood = [
                 router.submit("m", serve_data.test_images[i % 8])
                 for i in range(40)

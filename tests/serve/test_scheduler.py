@@ -8,9 +8,20 @@ add.
 from __future__ import annotations
 
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
+import repro.serve.scheduler as scheduler_module
 from repro.serve.scheduler import LaneConfig, ScheduledBatch, Scheduler
 
 
@@ -326,3 +337,153 @@ class TestCloseAndStats:
         (stats,) = prompt.stats()
         assert stats.latency.count == 1
         assert stats.latency.p50_ms < 50.0
+
+
+class SchedulerMachine(RuleBasedStateMachine):
+    """Random put / take / settle / clock / close / drain runs on a model.
+
+    The scheduler reads a fake clock in whole milliseconds (its module's
+    ``time`` is swapped for the run), so deadlines land exactly on
+    ``now`` often and urgency is exact, and ``poll_s=0`` / ``timeout=0``
+    never block.  Per lane, after every step: items leave
+    in FIFO order, none is returned after its deadline, and
+    ``submitted == served + expired + failed + depth + taken-but-unsettled``
+    with every item that left the queue counted once in the latency
+    histogram (``count + excluded``).
+    """
+
+    LANES = (
+        lane("a", max_batch=4, max_wait_ms=1.0, weight=2.0, queue_depth=3),
+        lane("b", max_batch=2, max_wait_ms=5.0, weight=1.0, queue_depth=3),
+    )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ms = 0
+        self._real_time = scheduler_module.time
+        scheduler_module.time = SimpleNamespace(monotonic=lambda: self.now)
+        self.expired: list = []
+        self.scheduler = Scheduler(
+            self.LANES, on_expired=lambda item, name: self.expired.append(item)
+        )
+        self.config = {cfg.name: cfg for cfg in self.LANES}
+        self.queues: dict[str, list[Item]] = {cfg.name: [] for cfg in self.LANES}
+        self.outcomes = {cfg.name: Counter() for cfg in self.LANES}
+        self.unsettled: list[ScheduledBatch] = []
+        self.closed = False
+
+    def teardown(self) -> None:
+        scheduler_module.time = self._real_time
+
+    @property
+    def now(self) -> float:
+        return self.ms / 1e3
+
+    @rule(
+        name=st.sampled_from(["a", "b"]),
+        rows=st.integers(1, 4),
+        ttl_ms=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def put(self, name, rows, ttl_ms):
+        item = Item(min(rows, self.config[name].max_batch))
+        item.enqueued = self.now
+        item.deadline = None if ttl_ms is None else (self.ms + ttl_ms) / 1e3
+        queue = self.queues[name]
+        if self.closed:
+            with pytest.raises(RuntimeError, match="closed"):
+                self.scheduler.put(item, lane=name, timeout=0)
+        elif len(queue) >= self.config[name].queue_depth:
+            with pytest.raises(TimeoutError):
+                self.scheduler.put(item, lane=name, timeout=0)
+        else:
+            self.scheduler.put(item, lane=name, deadline=item.deadline, timeout=0)
+            queue.append(item)
+
+    @rule(dt_ms=st.integers(0, 4))
+    def advance_clock(self, dt_ms):
+        self.ms += dt_ms
+
+    @rule()
+    def take(self):
+        self._take()
+
+    def _take(self) -> "ScheduledBatch | None":
+        self.expired.clear()
+        batch = self.scheduler.next_batch(poll_s=0.0)
+        now = self.now
+        # every queued item past its deadline expires, mid-queue included
+        due = [
+            (name, item) for name, queue in self.queues.items()
+            for item in queue if item.deadline is not None and item.deadline <= now
+        ]
+        assert sorted(map(id, self.expired)) == sorted(id(i) for _, i in due)
+        for name, item in due:
+            self.queues[name].remove(item)
+            self.outcomes[name]["expired"] += 1
+        if batch is None:
+            assert self.closed and not any(self.queues.values())
+            return None
+        if not batch:
+            assert not self.closed and not any(self.queues.values())
+            return batch
+        queue, cfg = self.queues[batch.lane], self.config[batch.lane]
+        taken = len(batch)
+        # FIFO: the batch is the longest head prefix that fits max_batch
+        assert batch.items == queue[:taken]
+        assert batch.rows <= cfg.max_batch
+        if len(queue) > taken:
+            assert batch.rows + queue[taken].rows > cfg.max_batch
+        assert all(i.deadline is None or i.deadline > now for i in batch.items)
+        # an overdue lane goes first, the most overdue of them
+        overdue = {
+            name: now - (q[0].enqueued + self.config[name].max_wait_ms / 1e3)
+            for name, q in self.queues.items() if q
+        }
+        if max(overdue.values()) >= 0:
+            assert overdue[batch.lane] == max(overdue.values())
+        del queue[:taken]
+        self.unsettled.append(batch)
+        return batch
+
+    @precondition(lambda self: self.unsettled)
+    @rule(index=st.integers(0, 7), failed=st.booleans())
+    def settle(self, index, failed):
+        batch = self.unsettled.pop(index % len(self.unsettled))
+        self.scheduler.settle(batch, failed=failed)
+        self.outcomes[batch.lane]["failed" if failed else "served"] += len(batch)
+
+    @rule()
+    def close(self):
+        self.scheduler.close()
+        self.closed = True
+
+    @precondition(lambda self: self.closed)
+    @rule()
+    def drain(self):
+        while (batch := self._take()) is not None:
+            self.unsettled.remove(batch)
+            self.scheduler.settle(batch)
+            self.outcomes[batch.lane]["served"] += len(batch)
+        assert len(self.scheduler) == 0
+
+    @invariant()
+    def counters_conserved(self):
+        in_flight = Counter()
+        for batch in self.unsettled:
+            in_flight[batch.lane] += len(batch)
+        for stats in self.scheduler.stats():
+            outcome = self.outcomes[stats.name]
+            assert stats.depth == len(self.queues[stats.name])
+            assert (stats.served, stats.expired, stats.failed) == (
+                outcome["served"], outcome["expired"], outcome["failed"]
+            )
+            left = stats.served + stats.expired + stats.failed
+            left += in_flight[stats.name]
+            assert stats.submitted == left + stats.depth
+            assert stats.latency.count + stats.latency.excluded == left
+
+
+TestSchedulerMachine = SchedulerMachine.TestCase
+TestSchedulerMachine.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)

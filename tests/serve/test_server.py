@@ -1,4 +1,5 @@
-"""UHDServer: bit-exactness, splitting/reassembly, coalescing, lifecycle."""
+"""UHDServer: bit-exactness, splitting/reassembly, coalescing, lifecycle,
+hot reload."""
 
 from __future__ import annotations
 
@@ -388,6 +389,90 @@ class TestWorkerPool:
             except ServeError:
                 failed += 1
         assert completed + failed == len(handles)
+
+
+@pytest.fixture(scope="module")
+def small_model(serve_data, tmp_path_factory):
+    """(path, model) of a model on 14x14 images: another pixel geometry."""
+    from repro.core.config import UHDConfig
+    from repro.core.model import UHDClassifier
+
+    model = UHDClassifier(
+        196, serve_data.num_classes, UHDConfig(dim=256, backend="packed")
+    ).fit(serve_data.train_images[:, ::2, ::2], serve_data.train_labels)
+    path = tmp_path_factory.mktemp("small") / "small.npz"
+    model.save(path)
+    return str(path), model
+
+
+class TestReload:
+    def test_start_after_close_raises_and_starts_no_executor(self, model_path):
+        server = UHDServer(model_path, ServeConfig(workers=1))
+        server.close()
+        with pytest.raises(ServeError, match="closed"):
+            server.start()
+        assert server._threads == []
+        assert server._model is None
+
+    def test_queued_requests_answer_from_their_own_model(
+        self, model_path, small_model, serve_data, direct_labels, hold_executor
+    ):
+        """A reload onto another pixel geometry while old-geometry requests
+        queue: each is answered bit-exactly by the model it was submitted
+        to, and new requests validate against the new geometry."""
+        path, small = small_model
+        small_images = serve_data.test_images[:8, ::2, ::2]
+        with UHDServer(model_path, ServeConfig(workers=1)) as server:
+            held = hold_executor(server)
+            first = server.submit(serve_data.test_images[:4])
+            assert held.entered.wait(30.0)  # the executor holds `first`
+            queued = [
+                server.submit(serve_data.test_images[i:i + 4])
+                for i in range(4, 16, 4)
+            ]
+            report = server.reload(path)
+            assert report["to_generation"] == server.generation == 2
+            assert server.num_pixels == 196
+            with pytest.raises(ValueError, match="pixels"):
+                server.submit(serve_data.test_images[:4])
+            fresh = server.submit(small_images)
+            held.release()
+            assert np.array_equal(first.result(30.0), direct_labels[:4])
+            for i, handle in zip(range(4, 16, 4), queued):
+                assert np.array_equal(handle.result(30.0), direct_labels[i:i + 4])
+            assert np.array_equal(fresh.result(30.0), small.predict(small_images))
+            (lane,) = server.stats().lanes
+        assert lane.submitted == lane.served == 5
+
+    def test_second_concurrent_reload_refused(self, model_path, monkeypatch):
+        with UHDServer(model_path, ServeConfig(workers=0)) as server:
+            loading, release = threading.Event(), threading.Event()
+            original_load = UHDServer._load_model
+
+            def slow_load(self, path):
+                loading.set()
+                release.wait(30.0)
+                return original_load(self, path)
+
+            monkeypatch.setattr(UHDServer, "_load_model", slow_load)
+            thread = threading.Thread(target=server.reload)
+            thread.start()
+            assert loading.wait(30.0)
+            health = server.healthz()
+            assert health["ok"] and health["reloading"]  # serves on meanwhile
+            with pytest.raises(ServeError, match="reload already in progress"):
+                server.reload()
+            release.set()
+            thread.join(30.0)
+            assert server.generation == 2
+            assert not server.healthz()["reloading"]
+
+    def test_reload_after_close_raises(self, model_path):
+        server = UHDServer(model_path, ServeConfig(workers=0)).start()
+        server.close()
+        with pytest.raises(ServeError, match="closed"):
+            server.reload()
+        assert server.generation == 1
 
 
 class TestEncoderCache:

@@ -9,9 +9,10 @@ sets pin every section of it: adding a key is a deliberate one-line
 test update, removing one is a loud failure.
 
 ``TestGenerationMerge`` pins the cross-hot-reload invariant: a
-deployment's per-lane histogram is the lossless element-wise merge of
-every generation's buckets — merged count == sum of generation counts,
-no bucket loss, quantiles monotonic-consistent.
+deployment's per-lane histogram holds every generation's buckets — a
+reload swaps the model inside the one server, so its histogram runs on:
+count == sum of generation counts, no bucket loss, quantiles
+monotonic-consistent.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class TestGenerationMerge:
             deployment = router.deployment("m")
             for _ in range(6):
                 router.predict("m", serve_data.test_images[:4])
-            (gen1,) = (lane.latency for lane in deployment.snapshot()[0].lanes)
+            (gen1,) = (lane.latency for lane in deployment.stats().lanes)
             assert gen1.count == 6
 
             report = router.reload("m")  # same path, new generation
@@ -153,8 +154,8 @@ class TestGenerationMerge:
 
             for _ in range(4):
                 router.predict("m", serve_data.test_images[:2])
-            (merged,) = (lane.latency for lane in deployment.snapshot()[0].lanes)
-            stats = deployment.stats()
+            (merged,) = (lane.latency for lane in deployment.stats().lanes)
+            stats = router.stats("m")
 
         live = deployment_live = merged.count - gen1.count
         assert deployment_live == 4  # gen2-only traffic
@@ -186,12 +187,12 @@ class TestGenerationMerge:
                 for _ in range(per_generation):
                     router.predict("m", serve_data.test_images[:1])
                 (snap,) = (
-                    lane.latency for lane in deployment.snapshot()[0].lanes
+                    lane.latency for lane in deployment.stats().lanes
                 )
                 assert snap.count == per_generation * (generation + 1)
                 if generation < 2:
                     router.reload("m")
-            stats = deployment.stats()
+            stats = router.stats("m")
         assert stats["generation"] == 3
         (lane,) = stats["lanes"]
         assert lane["latency"]["count"] == 3 * per_generation

@@ -195,6 +195,30 @@ class TestHttpPredict:
             _post_json(transport.address, payload)
         assert err.value.code == 400
 
+    @pytest.mark.parametrize(
+        "query, deadline_ms",
+        [("?deadline_ms=nan", None), ("?deadline_ms=inf", None),
+         ("", True), ("", -5)],
+        ids=["query-nan", "query-inf", "json-true", "json-negative"],
+    )
+    def test_deadline_outside_the_rule_is_400(
+        self, inproc_http, serve_data, query, deadline_ms
+    ):
+        """One deadline rule on every wire: None, or finite and > 0."""
+        _, transport = inproc_http
+        body = {"images": serve_data.test_images[:1].tolist()}
+        if deadline_ms is not None:
+            body["deadline_ms"] = deadline_ms
+        request = urllib.request.Request(
+            transport.address + "/predict" + query,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=30.0)
+        assert err.value.code == 400
+        assert "deadline_ms" in json.load(err.value)["error"]
+
     def test_invalid_json_is_400(self, inproc_http):
         _, transport = inproc_http
         request = urllib.request.Request(
@@ -269,7 +293,7 @@ class TestHttpPredict:
         with _router(model_path, ServeConfig(workers=0)) as router:
             # a gated predict holds the request inside its handler thread
             # (the in-process executor) until the gate opens
-            model = router.deployment("m")._server._model
+            model = router.deployment("m")._model
             real_predict = model.predict
             entered, gate = threading.Event(), threading.Event()
 
@@ -472,8 +496,11 @@ class TestDeadlinesThroughTheServer:
 
     def test_invalid_deadline_rejected(self, model_path, serve_data):
         with UHDServer(model_path, ServeConfig(workers=0)) as server:
-            with pytest.raises(ValueError, match="deadline_ms"):
-                server.submit(serve_data.test_images[:1], deadline_ms=0.0)
+            for deadline_ms in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="deadline_ms"):
+                    server.submit(
+                        serve_data.test_images[:1], deadline_ms=deadline_ms
+                    )
 
 
 class TestLaneServing:
