@@ -5,10 +5,11 @@ Executes the reference-vs-packed encode and binarized-predict
 benchmarks (the same hot paths ``bench_throughput.py`` measures under
 pytest-benchmark, without needing the plugin) and writes
 ``BENCH_throughput.json``: name, median seconds, ops/s and speedup ratios
-per benchmark, plus per-layer encode/classify rows at batch 1 and 32 and
-the compiled encode kernel's cold-compile vs cached-load row
-(``kernel_compile_s``).  Subsequent PRs regress against the checked-in
-file.
+per benchmark, plus per-layer encode/classify rows at batch 1 and 32, the
+cold encoder set-up row (``encoder_cold_setup``: codebook generation,
+table build and their total) and the compiled encode kernel's
+cold-compile vs cached-load row (``kernel_compile_s``).  Subsequent
+changes regress against the checked-in file.
 
 Usage::
 

@@ -38,11 +38,28 @@ Two initialisation policies are provided:
 Points are produced in natural order by default, so dimension 0 starts
 ``0, 1/2, 1/4, 3/4, 1/8, 5/8, 3/8, ...`` exactly as listed in Fig. 2 of
 the paper (Antonov-Saleev Gray-code order is also available).
+
+The stream
+----------
+The codebook is never stored (ARCHITECTURE contract 4), so this stream
+is part of every saved model.  Dimension ``d >= 1`` draws its direction
+integers from ``np.random.default_rng([seed, d])`` in one call,
+``m = 2 * rng.integers(0, 2 ** np.arange(max_bits)) + 1`` (the
+recurrence policy draws only its first ``degree`` this way), which
+equals ``max_bits`` sequential scalar draws ``rng.integers(0, 1 << i)``.
+Row ``d`` therefore depends only on ``(seed, d)``.  Points are the XOR
+of the direction numbers selected by their index bits, built by dyadic
+doubling (:meth:`SobolEngine.integers`).
+Golden digests of the directions, points and quantized codes are pinned
+by ``tests/lds/test_codebook_pin.py``, and
+``tests/lds/test_sobol_equivalence.py`` checks the engine against the
+scalar-draw, bit-loop construction from any start.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,9 +76,14 @@ _ORDERS = ("natural", "gray")
 # (pixels, dim, seed, shift) tuple, and generation dominates encoder
 # construction.  Entries are read-only so shared tables cannot be
 # corrupted through one consumer; a small LRU bound keeps dimension sweeps
-# (1K/2K/8K x several datasets) from pinning hundreds of MB.
+# (1K/2K/8K x several datasets) from pinning hundreds of MB.  One lock
+# covers lookup, generation and eviction, so concurrent callers for a key
+# (router deployments booting on their own threads) build it once and the
+# rest wait for that table; callers for other keys wait too, which costs
+# one generation at most.
 _SEQUENCE_CACHE: dict[tuple, np.ndarray] = {}
 _SEQUENCE_CACHE_MAX = 8
+_SEQUENCE_LOCK = threading.Lock()
 
 
 class _SharedSequenceTable(np.ndarray):
@@ -87,32 +109,32 @@ class _SharedSequenceTable(np.ndarray):
 
 def clear_sobol_cache() -> None:
     """Drop all memoized sobol_sequences tables (mainly for tests)."""
-    _SEQUENCE_CACHE.clear()
+    with _SEQUENCE_LOCK:
+        _SEQUENCE_CACHE.clear()
 
 
-def _cache_get(key: tuple) -> Optional[np.ndarray]:
+def _memoized(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The shared read-only table for ``key``; call with the lock held."""
     value = _SEQUENCE_CACHE.pop(key, None)
-    if value is not None:
-        _SEQUENCE_CACHE[key] = value  # refresh LRU position
+    if value is None:
+        value = np.asarray(build())
+        value.setflags(write=False)
+        value = value.view(_SharedSequenceTable)
+    _SEQUENCE_CACHE[key] = value  # newest last: the LRU order
+    while len(_SEQUENCE_CACHE) > _SEQUENCE_CACHE_MAX:
+        _SEQUENCE_CACHE.pop(next(iter(_SEQUENCE_CACHE)))
     return value
 
 
-def _cache_put(key: tuple, value: np.ndarray) -> np.ndarray:
-    value = np.asarray(value)
-    value.setflags(write=False)
-    shared = value.view(_SharedSequenceTable)
-    _SEQUENCE_CACHE[key] = shared
-    while len(_SEQUENCE_CACHE) > _SEQUENCE_CACHE_MAX:
-        _SEQUENCE_CACHE.pop(next(iter(_SEQUENCE_CACHE)))
-    return shared
+def _direction_integers(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` seeded-random odd ``m_i = 2 * U[0, 2^i) + 1`` in one draw.
 
-
-def _random_direction_integers(rng: np.random.Generator, max_bits: int) -> np.ndarray:
-    """All ``m_i`` seeded-random odd with ``m_i < 2^i`` (init="random")."""
-    m = np.zeros(max_bits, dtype=np.uint64)
-    for i in range(max_bits):
-        m[i] = np.uint64(2 * int(rng.integers(0, 1 << i)) + 1)
-    return m
+    One broadcast ``integers`` call per dimension: element ``i`` consumes
+    the stream exactly as the scalar ``rng.integers(0, 1 << i)`` would in
+    turn, so the result is that of ``count`` sequential scalar draws.
+    """
+    highs = np.left_shift(1, np.arange(count, dtype=np.int64))
+    return (2 * rng.integers(0, highs) + 1).astype(np.uint64)
 
 
 def _recurrence_direction_integers(
@@ -121,8 +143,7 @@ def _recurrence_direction_integers(
     """Classic polynomial-recurrence ``m_i`` (init="recurrence")."""
     d = gf2.degree(poly)
     m = np.zeros(max_bits, dtype=np.uint64)
-    for i in range(min(d, max_bits)):
-        m[i] = np.uint64(2 * int(rng.integers(0, 1 << i)) + 1)
+    m[: min(d, max_bits)] = _direction_integers(rng, min(d, max_bits))
     for i in range(d, max_bits):
         value = int(m[i - d]) ^ (int(m[i - d]) << d)
         for k in range(1, d):
@@ -130,6 +151,21 @@ def _recurrence_direction_integers(
                 value ^= int(m[i - k]) << k
         m[i] = np.uint64(value & ((1 << max_bits) - 1))
     return m
+
+
+def _dyadic_blocks(start: int, n: int):
+    """Split ``[start, start + n)`` into aligned blocks ``(first, 2^j)``.
+
+    Each block starts at a multiple of its power-of-two size, so the
+    indices inside it differ from ``first`` only in their low ``j`` bits.
+    """
+    pos, end = start, start + n
+    while pos < end:
+        size = 1 << ((end - pos).bit_length() - 1)
+        if pos:
+            size = min(size, pos & -pos)
+        yield pos, size
+        pos += size
 
 
 class SobolEngine:
@@ -192,47 +228,60 @@ class SobolEngine:
 
     def _build_direction_matrix(self) -> np.ndarray:
         """Direction *numbers* ``v_i = m_i << (max_bits - i)``, shape (dim, max_bits)."""
-        directions = np.zeros((self.dimension, self.max_bits), dtype=np.uint64)
-        shifts = (self.max_bits - 1 - np.arange(self.max_bits)).astype(np.uint64)
         # Dimension 0 is always plain van der Corput (all m_i = 1), matching
         # the sequence listed in Fig. 2 of the paper.
-        directions[0] = np.uint64(1) << shifts
-        if self.dimension == 1:
-            return directions
-        if self.init == "recurrence":
+        m = np.ones((self.dimension, self.max_bits), dtype=np.uint64)
+        if self.init == "recurrence" and self.dimension > 1:
             polys = gf2.first_primitive_polynomials(self.dimension - 1)
         for dim in range(1, self.dimension):
             rng = np.random.default_rng([self.seed, dim])
             if self.init == "random":
-                m = _random_direction_integers(rng, self.max_bits)
+                m[dim] = _direction_integers(rng, self.max_bits)
             else:
-                m = _recurrence_direction_integers(polys[dim - 1], rng, self.max_bits)
-            directions[dim] = m << shifts
-        return directions
+                m[dim] = _recurrence_direction_integers(
+                    polys[dim - 1], rng, self.max_bits
+                )
+        shifts = (self.max_bits - 1 - np.arange(self.max_bits)).astype(np.uint64)
+        return m << shifts
 
     # ------------------------------------------------------------------
     # Point generation
     # ------------------------------------------------------------------
+    def _point(self, code: int) -> np.ndarray:
+        """Shifted XOR of the direction numbers selected by ``code``'s bits."""
+        bits = [
+            b for b in range(min(self.max_bits, code.bit_length())) if code >> b & 1
+        ]
+        return self._shift ^ np.bitwise_xor.reduce(
+            self._directions[:, bits], axis=1, initial=0
+        )
+
     def integers(self, n: int) -> np.ndarray:
         """Next ``n`` points as fixed-point uint64 in ``[0, 2^max_bits)``.
 
         Shape ``(n, dimension)``.  Point ``k`` is the XOR of the direction
         numbers selected by the bits of ``k`` (natural order) or of
-        ``gray(k)``; the loop over bit positions vectorises across points
-        and dimensions.
+        ``gray(k)``, bits at or above ``max_bits`` ignored.  The range is
+        split into aligned dyadic blocks; each block's first point is
+        computed directly and the rest by doubling: the points ``2^b``
+        further on are the first ``2^b`` XOR ``v_b`` (natural order), or
+        those same points reflected (Gray order, since
+        ``gray(2^b + i) = 2^b XOR gray(2^b - 1 - i)``).
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return np.empty((0, self.dimension), dtype=np.uint64)
-        ks = np.arange(self._index, self._index + n, dtype=np.uint64)
-        codes = ks if self.order == "natural" else ks ^ (ks >> np.uint64(1))
-        points = np.broadcast_to(self._shift, (n, self.dimension)).copy()
-        top_bit = int(codes.max()).bit_length() if n else 0
-        for bit in range(min(self.max_bits, top_bit)):
-            selected = ((codes >> np.uint64(bit)) & np.uint64(1)).astype(bool)
-            if selected.any():
-                points[selected] ^= self._directions[:, bit]
+        points = np.empty((n, self.dimension), dtype=np.uint64)
+        zero = np.zeros(self.dimension, dtype=np.uint64)
+        gray = self.order == "gray"
+        for first, size in _dyadic_blocks(self._index, n):
+            block = points[first - self._index : first - self._index + size]
+            block[0] = self._point(first ^ (first >> 1) if gray else first)
+            half, bit = 1, 0
+            while half < size:
+                v = self._directions[:, bit] if bit < self.max_bits else zero
+                low = block[half - 1 :: -1] if gray else block[:half]
+                np.bitwise_xor(low, v, out=block[half : 2 * half])
+                half, bit = 2 * half, bit + 1
         self._index += n
         return points
 
@@ -283,21 +332,16 @@ def sobol_sequences(
     consumers).
     """
     master_key = (n_dims, length, seed, init, digital_shift)
-    master = _cache_get(master_key)
-    if master is None:
-        engine = SobolEngine(
-            n_dims, seed=seed, init=init, digital_shift=digital_shift
-        )
-        master = _cache_put(
-            master_key, np.ascontiguousarray(engine.random(length).T)
-        )
-    if dtype is None or np.dtype(dtype) == master.dtype:
-        result = master
-    else:
-        cast_key = master_key + (np.dtype(dtype).str,)
-        result = _cache_get(cast_key)
-        if result is None:
-            result = _cache_put(cast_key, master.astype(dtype))
+
+    def generate() -> np.ndarray:
+        engine = SobolEngine(n_dims, seed=seed, init=init, digital_shift=digital_shift)
+        return np.ascontiguousarray(engine.random(length).T)
+
+    with _SEQUENCE_LOCK:
+        result = master = _memoized(master_key, generate)
+        if dtype is not None and np.dtype(dtype) != master.dtype:
+            cast_key = master_key + (np.dtype(dtype).str,)
+            result = _memoized(cast_key, lambda: master.astype(dtype))
     if copy:
         return np.array(result)  # private, writable, detached from the cache
     return result

@@ -225,3 +225,44 @@ class TestSequenceMemo:
         finally:
             sobol_module.SobolEngine = original
         assert calls["n"] == 1
+
+    def test_concurrent_callers_build_once(self, monkeypatch):
+        """Threads racing one key share one generation and one table."""
+        import sys
+        import threading
+        import time
+
+        from repro.lds import sobol as sobol_module
+
+        sobol_module.clear_sobol_cache()
+        calls = {"n": 0}
+        original = sobol_module.SobolEngine
+
+        class SlowCountingEngine(original):
+            def __init__(self, *args, **kwargs):
+                calls["n"] += 1
+                time.sleep(0.05)  # hold the build open while the others look
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sobol_module, "SobolEngine", SlowCountingEngine)
+        threads_n = 4
+        barrier = threading.Barrier(threads_n)
+        results = [None] * threads_n
+
+        def call(slot):
+            barrier.wait()
+            results[slot] = sobol_sequences(16, 64, seed=4242)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls["n"] == 1
+        assert all(result is results[0] for result in results)
