@@ -1,13 +1,15 @@
 """The public estimator contract every trainable model in repro satisfies.
 
 ``Estimator`` is a structural (duck-typed) protocol, not a base class:
-:class:`repro.core.model.UHDClassifier`,
-:class:`repro.core.streaming.StreamingUHD`,
+:class:`repro.core.model.UHDClassifier` (with its online mode
+:class:`repro.core.streaming.StreamingUHD`, a subclass),
 :class:`repro.hdc.baseline.BaselineHDC` and
 :class:`repro.hdc.classifier.CentroidClassifier` all satisfy it without
-inheriting anything, and so can any third-party model.  A serving layer
-can therefore hold ``Estimator`` references and stay ignorant of which
-concrete model (or which execution backend) is behind them.
+inheriting from it, and so can any third-party model.  Code written
+against the protocol — evaluation, persistence — stays ignorant of
+which concrete model (or which execution backend) is behind it.  The
+serving layer is narrower: :class:`repro.serve.UHDServer` fronts
+``UHDClassifier`` models only and refuses any other file.
 
 The contract is deliberately tiny — uHD's single-iteration training means
 a fitted model is fully described by its config plus one integer array of

@@ -602,8 +602,8 @@ def _round_trips(args, router, http, binary, stop) -> list[str]:
         from .api import load_model
 
         # load_model, not UHDClassifier.load: the router fronts any
-        # persisted image model (StreamingUHD included), and the
-        # backend= re-home is the same path the server took
+        # UHDClassifier file (StreamingUHD included), and backend=
+        # re-homes through the same with_backend the server calls
         direct = {
             model_id: load_model(
                 router.deployment(model_id).model_path, backend=args.backend

@@ -13,10 +13,16 @@ score / save / load — and because training is a single deterministic
 pass, :meth:`save`/:meth:`load` round-trip the fitted model bit-exactly
 (config + class accumulators; the Sobol codebook is rebuilt from its
 seed, never re-learned).
+
+:class:`repro.core.streaming.StreamingUHD` is the same model in its
+online mode: a subclass whose ``fit`` folds each batch into the
+accumulators instead of starting over.
 """
 
 from __future__ import annotations
 
+import copy
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -45,8 +51,8 @@ class UHDClassifier:
 
     def _encode_images(self, images: np.ndarray) -> np.ndarray:
         """Encode through :func:`repro.utils.validation.as_image_batch`,
-        the accepted-shape policy ``StreamingUHD`` and the server share:
-        a ``(pixels,)`` vector or a square ``(h, h)`` image is a batch of 1.
+        the accepted-shape policy the server shares: a ``(pixels,)``
+        vector or a square ``(h, h)`` image is a batch of 1.
         """
         return self.encoder.encode_batch(as_image_batch(images, self.num_pixels))
 
@@ -96,14 +102,14 @@ class UHDClassifier:
 
         Backends are bit-exact, so the clone predicts identically; this is
         how a serving layer re-homes a model trained elsewhere (e.g. load a
-        reference-trained file, serve it packed) without refitting.
+        reference-trained file, serve it packed) without refitting.  The
+        clone has this model's type and every other attribute (a stream's
+        ``samples_seen`` included).
         """
-        from dataclasses import replace
-
-        clone = UHDClassifier(
-            self.num_pixels,
-            self.num_classes,
-            replace(self.config, backend=backend),
+        clone = copy.copy(self)
+        clone.config = replace(self.config, backend=backend)
+        clone.encoder = get_backend(backend).make_encoder(
+            self.num_pixels, clone.config
         )
         if self._classifier is not None:
             clone._classifier = clone._new_classifier()

@@ -54,6 +54,11 @@ class UnaryDomainEncoder:
     def __init__(self, num_pixels: int, config: UHDConfig) -> None:
         if not config.quantized:
             raise ValueError("the unary datapath requires quantized=True")
+        if config.lds != "sobol":
+            raise ValueError(
+                f"the unary datapath stores Sobol codes; lds={config.lds!r} "
+                "is not supported"
+            )
         self.num_pixels = num_pixels
         self.config = config
         self.dim = config.dim

@@ -27,6 +27,7 @@ residue class of ``x`` generates the full multiplicative group of
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator, List
 
 __all__ = [
@@ -170,21 +171,30 @@ def primitive_polynomials(deg: int) -> Iterator[int]:
             yield candidate
 
 
+#: memo of :func:`first_primitive_polynomials`: every primitive polynomial
+#: below ``_memo_next``, ascending.  Degree-then-value order is plain
+#: integer order, so the memo is one prefix grown on demand.
+_memo: List[int] = []
+_memo_next = 0b11
+_MEMO_LOCK = threading.Lock()
+
+
 def first_primitive_polynomials(count: int) -> List[int]:
     """The first ``count`` primitive polynomials ordered by degree then value.
 
     This is the ordering the Sobol engine uses to assign one polynomial per
     dimension (dimension 0 uses no polynomial; dimension ``j >= 1`` uses entry
-    ``j - 1`` of this list).
+    ``j - 1`` of this list).  Memoized process-wide: a later call tests
+    only candidates no earlier call reached, and each call returns a fresh
+    list.
     """
+    global _memo_next
     if count < 0:
         raise ValueError("count must be non-negative")
-    found: List[int] = []
-    deg = 1
-    while len(found) < count:
-        for poly in primitive_polynomials(deg):
-            found.append(poly)
-            if len(found) == count:
-                break
-        deg += 1
-    return found
+    with _MEMO_LOCK:
+        while len(_memo) < count:
+            if is_primitive(_memo_next):
+                _memo.append(_memo_next)
+            # a primitive polynomial has a constant term: odd encodings only
+            _memo_next += 2
+        return _memo[:count]

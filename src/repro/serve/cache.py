@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.config import UHDConfig
     from ..core.encoder import SobolLevelEncoder
+    from ..core.model import UHDClassifier
 
 __all__ = ["CacheStats", "EncoderCache", "encoder_cache"]
 
@@ -75,17 +76,9 @@ class EncoderCache:
                 self._encoders[key] = encoder
             return encoder
 
-    def adopt(self, model: object) -> None:
-        """Install the shared encoder for ``model``'s key onto ``model``.
-
-        A no-op for a model that does not expose an encoder/config
-        (nothing to share).
-        """
-        config = getattr(model, "config", None)
-        num_pixels = getattr(model, "num_pixels", None)
-        if config is None or num_pixels is None or not hasattr(model, "encoder"):
-            return
-        model.encoder = self.get(num_pixels, config)
+    def adopt(self, model: "UHDClassifier") -> None:
+        """Install the shared encoder for ``model``'s key onto ``model``."""
+        model.encoder = self.get(model.num_pixels, model.config)
 
     def stats(self) -> CacheStats:
         """Entries and gather-table bytes (observability)."""

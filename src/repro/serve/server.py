@@ -2,8 +2,10 @@
 
 :class:`UHDServer` owns:
 
-* **one warm model** (loaded via :func:`repro.api.load_model`, never
-  re-fit) whose encoder comes from the process-wide
+* **one warm model**, loaded via :func:`repro.api.load_model` and never
+  re-fit: a :class:`~repro.core.model.UHDClassifier` (``StreamingUHD``
+  included; any other saved model is refused with a
+  :class:`ServeError`).  Its encoder comes from the process-wide
   :class:`~repro.serve.cache.EncoderCache` — one gather table per
   ``(pixels, config)`` key no matter how many servers run in the
   process, built by the readiness probe before the server takes
@@ -61,6 +63,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.model import UHDClassifier
 from .cache import encoder_cache
 from .probe import ProbeResult, readiness_probe
 from .scheduler import LaneConfig, ScheduledBatch, Scheduler
@@ -75,6 +78,10 @@ from .types import (
 
 __all__ = ["UHDServer"]
 
+#: images in the readiness self-probe run at start and at each reload
+#: (the same deterministic-predictions check ``repro-uhd serve-check`` runs)
+PROBE_BATCH = 8
+
 
 class _Part:
     """One ``<= max_batch``-row slice of a request; the scheduler's item.
@@ -86,7 +93,11 @@ class _Part:
     __slots__ = ("handle", "index", "images", "model")
 
     def __init__(
-        self, handle: PredictionHandle, index: int, images: np.ndarray, model: Any
+        self,
+        handle: PredictionHandle,
+        index: int,
+        images: np.ndarray,
+        model: UHDClassifier,
     ):
         self.handle = handle
         self.index = index
@@ -125,7 +136,7 @@ class UHDServer:
         self.config = config if config is not None else ServeConfig()
         #: 1 once started; each successful reload() bumps it
         self.generation = 0
-        self._model: Any = None
+        self._model: UHDClassifier | None = None
         self._front_probe: ProbeResult | None = None
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
@@ -171,23 +182,28 @@ class UHDServer:
             self._started = True
         return self
 
-    def _load_model(self, path: str) -> tuple[Any, ProbeResult]:
-        """Load ``path`` and probe it: the model and its probe result."""
+    def _load_model(self, path: str) -> tuple[UHDClassifier, ProbeResult]:
+        """Load ``path`` and probe it: the model and its probe result.
+
+        Raises :class:`ServeError` for a file holding anything but a
+        :class:`~repro.core.model.UHDClassifier` (``StreamingUHD``
+        included) — checked before any backend re-home.
+        """
         from ..api.persistence import load_model
 
-        # the same load + backend re-home path the CLI uses
-        model = load_model(path, backend=self.config.backend)
-        num_pixels = getattr(model, "num_pixels", None)
-        if num_pixels is None:
+        model = load_model(path)
+        if not isinstance(model, UHDClassifier):
             raise ServeError(
-                f"{type(model).__name__} has no num_pixels; UHDServer fronts "
-                "image models (UHDClassifier, StreamingUHD)"
+                f"{path!r} holds a {type(model).__name__}; UHDServer fronts "
+                "UHDClassifier models (StreamingUHD included)"
             )
+        if self.config.backend not in (None, model.config.backend):
+            model = model.with_backend(self.config.backend)
         # share one encoder per (pixels, config) process-wide; the probe's
         # first predict builds its table before the model takes traffic
         encoder_cache().adopt(model)
         probe = readiness_probe(
-            model, int(num_pixels), batch=self.config.probe_batch, repeats=1
+            model, model.num_pixels, batch=PROBE_BATCH, repeats=1
         )
         return model, probe
 
@@ -317,7 +333,7 @@ class UHDServer:
         a later :meth:`reload` swaps in.
         """
         # the one shared accepted-shapes policy (square-image
-        # disambiguation included) — StreamingUHD normalizes identically
+        # disambiguation included) — UHDClassifier normalizes identically
         from ..utils.validation import as_image_batch
 
         if not self._started:

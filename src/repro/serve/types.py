@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+#: request parts a lane queues before ``submit`` blocks (backpressure),
+#: for every lane whose :class:`~repro.serve.scheduler.LaneConfig` sets
+#: no ``queue_depth`` of its own
+QUEUE_DEPTH = 256
+
+
 class ServeError(RuntimeError):
     """The serving layer could not answer a request (startup, shutdown,
     or a predict that raised)."""
@@ -80,10 +86,9 @@ class ServeConfig:
         ``interactive`` lane with a 1 ms urgency bound next to a
         ``bulk`` lane with a 50 ms one.  The *first* lane is the default
         ``submit`` uses when none is named.  Lane knobs left ``None``
-        inherit the server-wide ``max_batch`` / ``max_wait_ms`` /
-        ``queue_depth``.  Empty (the default) means one ``"default"``
-        lane built from those server-wide knobs — the exact
-        pre-scheduler behavior.
+        inherit the server-wide ``max_batch`` / ``max_wait_ms`` and
+        :data:`repro.serve.types.QUEUE_DEPTH`.  Empty (the default) means one
+        ``"default"`` lane built from those server-wide values.
     drain_timeout_s:
         How long :meth:`~repro.serve.server.UHDServer.close` (and the
         CLI's SIGTERM/SIGINT handler) waits for in-flight and queued
@@ -93,12 +98,6 @@ class ServeConfig:
         Backend-table name the server re-homes the loaded model onto
         (``None`` keeps the backend recorded in the model file); one of
         :func:`repro.api.list_backends`.
-    queue_depth:
-        Bound on request parts waiting in each lane's queue;
-        ``submit`` blocks (backpressure) when it is full.
-    probe_batch:
-        Images in the server's readiness self-probe at start (the same
-        deterministic-predictions check ``repro-uhd serve-check`` runs).
     """
 
     workers: int = 1
@@ -106,8 +105,6 @@ class ServeConfig:
     max_wait_ms: float = 2.0
     lanes: tuple[LaneConfig, ...] = ()
     backend: str | None = None
-    queue_depth: int = 256
-    probe_batch: int = 8
     drain_timeout_s: float = 10.0
 
     def effective_lanes(self) -> tuple[LaneConfig, ...]:
@@ -120,7 +117,7 @@ class ServeConfig:
         """
         lanes = self.lanes or (LaneConfig(name="default"),)
         return tuple(
-            lane.resolved(self.max_batch, self.max_wait_ms, self.queue_depth)
+            lane.resolved(self.max_batch, self.max_wait_ms, QUEUE_DEPTH)
             for lane in lanes
         )
 
@@ -131,14 +128,10 @@ class ServeConfig:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
-        if self.queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.backend is not None and self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be None or one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.probe_batch < 1:
-            raise ValueError(f"probe_batch must be >= 1, got {self.probe_batch}")
         if self.drain_timeout_s < 0:
             raise ValueError(
                 f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}"

@@ -15,9 +15,9 @@ def as_image_batch(images: Any, num_pixels: int | None) -> "np.ndarray":
 
     The single accepted-shape policy of every image-facing entry point
     (``UHDServer.submit``, ``UHDClassifier.fit/retrain/predict/score``,
-    ``StreamingUHD.partial_fit/predict/score``),
-    so train and predict time can never disagree about what a "single
-    image" is:
+    which ``StreamingUHD.partial_fit`` reaches through the encode step
+    it inherits), so train and predict time can never disagree about
+    what a "single image" is:
 
     * ``(pixels,)`` — one flattened image → batch of 1;
     * ``(h, h)`` with ``h * h == num_pixels`` — one unflattened square

@@ -54,6 +54,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="quantized"):
             UnaryDomainEncoder(4, UHDConfig(dim=32, quantized=False))
 
+    def test_requires_sobol(self):
+        """Its BRAM holds Sobol codes: under another LD family it would
+        silently disagree with ``SobolLevelEncoder``."""
+        with pytest.raises(ValueError, match="lds='halton'"):
+            UnaryDomainEncoder(4, UHDConfig(dim=32, lds="halton"))
+
     def test_wrong_pixel_count(self):
         unary = UnaryDomainEncoder(4, UHDConfig(dim=32))
         with pytest.raises(ValueError):

@@ -165,3 +165,29 @@ class TestFirstPrimitivePolynomials:
 
     def test_zero_count(self):
         assert gf2.first_primitive_polynomials(0) == []
+
+    def test_matches_the_per_degree_enumeration(self):
+        expected = []
+        degree = 1
+        while len(expected) < 100:
+            expected.extend(gf2.primitive_polynomials(degree))
+            degree += 1
+        assert gf2.first_primitive_polynomials(100) == expected[:100]
+
+    def test_second_engine_runs_no_primitivity_checks(self, monkeypatch):
+        from repro.lds.sobol import SobolEngine
+
+        SobolEngine(120, init="recurrence")
+        calls = []
+        real = gf2.is_primitive
+        monkeypatch.setattr(
+            gf2, "is_primitive", lambda poly: calls.append(poly) or real(poly)
+        )
+        SobolEngine(120, init="recurrence")
+        assert calls == []
+
+    def test_callers_cannot_mutate_the_memo(self):
+        first = gf2.first_primitive_polynomials(4)
+        first.append(0)
+        first[0] = 0
+        assert gf2.first_primitive_polynomials(4) == [0b11, 0b111, 0b1011, 0b1101]

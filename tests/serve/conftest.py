@@ -150,14 +150,20 @@ class HeldExecutor:
 
     def release_once_queued(self, depth: int) -> threading.Thread:
         """Release, from a thread, once an executor is held and ``depth``
-        items wait in the lanes — then 5 ms on, past any 1 ms deadline
-        among them."""
+        items wait in the lanes or have expired there — then 5 ms on,
+        past any 1 ms deadline among them.
+
+        Expired items count: an executor that wakes late for its first
+        batch expires a 1 ms deadline before it is held, and the lanes
+        then never hold ``depth`` items at once.
+        """
 
         def wait_then_release() -> None:
             give_up = time.monotonic() + 60.0
             while time.monotonic() < give_up:
-                queued = sum(lane.depth for lane in self.server.stats().lanes)
-                if self.entered.is_set() and queued >= depth:
+                stats = self.server.stats()
+                queued = sum(lane.depth for lane in stats.lanes)
+                if self.entered.is_set() and queued + stats.expired >= depth:
                     break
                 time.sleep(0.001)
             time.sleep(0.005)

@@ -66,7 +66,8 @@ class TestServeCli:
     def test_serve_verifies_streaming_model_too(
         self, serve_data, tmp_path, capsys
     ):
-        """--verify must load generically, not assume UHDClassifier."""
+        """--verify must load generically, not assume UHDClassifier; and
+        a stream re-homes onto another backend like any UHDClassifier."""
         from repro.core.config import UHDConfig
         from repro.core.streaming import StreamingUHD
 
@@ -78,11 +79,12 @@ class TestServeCli:
         model.fit(serve_data.train_images, serve_data.train_labels)
         path = str(tmp_path / "streaming.npz")
         model.save(path)
-        assert main([
-            "serve", "--model", path, "--workers", "1",
-            "--rounds", "1", "--batch", "4",
-        ]) == 0
-        assert "verify OK" in capsys.readouterr().out
+        for rehome in ([], ["--backend", "reference"]):
+            assert main([
+                "serve", "--model", path, "--workers", "1",
+                "--rounds", "1", "--batch", "4", *rehome,
+            ]) == 0
+            assert "verify OK" in capsys.readouterr().out
 
     def test_serve_listed_in_lifecycle_commands(self, capsys):
         assert main(["list"]) == 0

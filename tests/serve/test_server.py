@@ -30,10 +30,8 @@ class TestServeConfig:
             {"workers": -1},
             {"max_batch": 0},
             {"max_wait_ms": -0.1},
-            {"queue_depth": 0},
             {"drain_timeout_s": -1.0},
             {"lanes": (LaneConfig("twin"), LaneConfig("twin"))},
-            {"probe_batch": 0},
             {"backend": "nope"},
         ],
     )
@@ -466,6 +464,38 @@ class TestReload:
             thread.join(30.0)
             assert server.generation == 2
             assert not server.healthz()["reloading"]
+
+    @pytest.mark.parametrize("kind", ["BaselineHDC", "CentroidClassifier"])
+    @pytest.mark.parametrize("backend", [None, "packed"])
+    def test_non_uhd_model_files_are_refused(
+        self, model_path, serve_data, tmp_path, kind, backend
+    ):
+        """Only UHDClassifier files (StreamingUHD included) are servable:
+        start and reload refuse anything else with a ServeError that says
+        so, whatever backend the server would re-home onto."""
+        from repro.hdc import BaselineConfig, BaselineHDC, CentroidClassifier
+
+        if kind == "BaselineHDC":
+            model = BaselineHDC(
+                serve_data.num_pixels, serve_data.num_classes,
+                BaselineConfig(dim=64),
+            )
+            model.fit(serve_data.train_images, serve_data.train_labels)
+        else:
+            model = CentroidClassifier(serve_data.num_classes, 64)
+            model.fit(
+                np.ones((2, 64), dtype=np.int64), np.array([0, 1], dtype=np.int64)
+            )
+        path = str(tmp_path / f"{kind}.npz")
+        model.save(path)
+        config = ServeConfig(workers=0, backend=backend)
+        with pytest.raises(ServeError, match=f"holds a {kind}.*UHDClassifier"):
+            UHDServer(path, config).start()
+        with UHDServer(model_path, config) as server:
+            with pytest.raises(ServeError, match=f"holds a {kind}.*UHDClassifier"):
+                server.reload(path)
+            assert server.generation == 1
+            assert server.healthz()["ok"]
 
     def test_reload_after_close_raises(self, model_path):
         server = UHDServer(model_path, ServeConfig(workers=0)).start()

@@ -494,6 +494,38 @@ class TestDeadlinesThroughTheServer:
         assert stats.expired >= 1
         assert sum(lane.expired for lane in stats.lanes) == stats.expired
 
+    def test_flood_is_released_when_the_executor_wakes_late(
+        self, model_path, serve_data, hold_executor, monkeypatch
+    ):
+        """An executor that wakes only at its heartbeat expires the 1 ms
+        deadline before it is held, so the lanes never hold all 60 items
+        at once; the held executor must still be released within seconds,
+        not at its 60 s gate."""
+        config = ServeConfig(workers=1, max_batch=1, max_wait_ms=0.0)
+        with UHDServer(model_path, config) as server:
+            held = hold_executor(server)
+            # puts no longer wake the idle executor: it takes the flood's
+            # first part at its next 0.1 s heartbeat
+            monkeypatch.setattr(
+                server._scheduler._not_empty, "notify_all", lambda: None
+            )
+            try:
+                flood = [
+                    server.submit(serve_data.test_images[i % 8])
+                    for i in range(60)
+                ]
+                doomed = server.submit(serve_data.test_images[0], deadline_ms=1.0)
+                release = held.release_once_queued(60)
+                release.join(timeout=5.0)
+                assert not release.is_alive()
+                with pytest.raises(DeadlineExpiredError, match="expired"):
+                    doomed.result(timeout=5.0)
+                for handle in flood:
+                    handle.result(timeout=10.0)
+            finally:
+                held.release()
+        assert server.stats().expired == 1
+
     def test_invalid_deadline_rejected(self, model_path, serve_data):
         with UHDServer(model_path, ServeConfig(workers=0)) as server:
             for deadline_ms in (0.0, -1.0, float("nan"), float("inf")):
