@@ -282,8 +282,7 @@ def load_model(
             "or written by an incompatible build"
         ) from exc
     if backend is not None:
-        current = getattr(getattr(model, "config", None), "backend", None)
-        if current != backend:
+        if model.backend != backend:
             if not hasattr(model, "with_backend"):
                 raise ValueError(
                     f"{name} cannot be re-homed onto backend {backend!r} "

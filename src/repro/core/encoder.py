@@ -80,18 +80,23 @@ class SobolLevelEncoder:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def _normalize(self, images: np.ndarray) -> np.ndarray:
-        """Flatten to ``(batch, H)`` and scale intensities for comparison.
-
-        Returns quantized uint8 codes or float32 unit-scaled intensities
-        depending on the configured path.
-        """
+    def _flatten(self, images: np.ndarray) -> np.ndarray:
+        """``images`` as ``(batch, H)``; raises on a wrong pixel count."""
         images = np.asarray(images)
         flat = images.reshape(images.shape[0], math.prod(images.shape[1:]))
         if flat.shape[1] != self.num_pixels:
             raise ValueError(
                 f"expected {self.num_pixels} pixels per image, got {flat.shape[1]}"
             )
+        return flat
+
+    def _normalize(self, images: np.ndarray) -> np.ndarray:
+        """Flatten to ``(batch, H)`` and scale intensities for comparison.
+
+        Returns quantized uint8 codes or float32 unit-scaled intensities
+        depending on the configured path.
+        """
+        flat = self._flatten(images)
         if self.config.quantized:
             return quantize_intensity(flat, self.config.levels)
         if flat.dtype.kind in ("u", "i"):
@@ -121,6 +126,23 @@ class SobolLevelEncoder:
             counts = ge.sum(axis=1, dtype=np.int64)
             out[start:stop] = 2 * counts - self.num_pixels
         return out
+
+    def predict_packed(
+        self, images: np.ndarray, class_words: np.ndarray
+    ) -> np.ndarray:
+        """Binarized labels against packed class hypervectors, ``(batch,)``.
+
+        ``class_words`` are the ``(classes, ceil(dim / 64))`` packed sign
+        bits of the class accumulators; each image's accumulator is
+        sign-binarized (``acc >= 0``) and the class it disagrees with
+        least wins, ties to the lowest index.  This composition of
+        :meth:`encode_batch` and
+        :func:`repro.fastpath.inference.packed_predict` is the oracle a
+        fused implementation must match.
+        """
+        from ..fastpath.inference import packed_predict
+
+        return packed_predict(self.encode_batch(images), class_words, self.dim)
 
     def level_hypervector(self, intensity: float, pixel: int) -> np.ndarray:
         """The +-1 level hypervector ``L_p`` of one pixel (diagnostics/tests)."""

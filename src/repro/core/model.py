@@ -64,11 +64,20 @@ class UHDClassifier:
             backend=self.config.backend,
         )
 
+    @property
+    def backend(self) -> str:
+        """Name of the backend-table entry this model runs on."""
+        return self.config.backend
+
     def fit(self, images: np.ndarray, labels: np.ndarray) -> "UHDClassifier":
-        """Single-pass training (the paper's i = 1)."""
+        """Single-pass training (the paper's i = 1).
+
+        A fit that raises (bad images or labels) leaves the model as it was.
+        """
         encoded = self._encode_images(images)
-        self._classifier = self._new_classifier()
-        self._classifier.fit(encoded, np.atleast_1d(np.asarray(labels)))
+        classifier = self._new_classifier()
+        classifier.fit(encoded, np.atleast_1d(np.asarray(labels)))
+        self._classifier = classifier
         return self
 
     def retrain(self, images: np.ndarray, labels: np.ndarray, epochs: int = 1) -> int:
@@ -79,10 +88,20 @@ class UHDClassifier:
                                         np.asarray(labels), epochs=epochs)
 
     def predict(self, images: np.ndarray) -> np.ndarray:
-        """Class labels via cosine similarity against class hypervectors."""
-        if self._classifier is None:
-            raise RuntimeError("model has not been fitted")
-        return self._classifier.predict(self._encode_images(images))
+        """Class labels via cosine similarity against class hypervectors.
+
+        Packed binarized inference goes through the encoder's
+        ``predict_packed`` (on the packed encoder, one fused kernel call
+        per chunk: pixels in, labels out); every other policy encodes and
+        hands the accumulators to the classifier.
+        """
+        classifier = self.classifier
+        images = as_image_batch(images, self.num_pixels)
+        if classifier._use_packed():
+            return self.encoder.predict_packed(
+                images, classifier._packed_class_words()
+            )
+        return classifier.predict(self.encoder.encode_batch(images))
 
     def score(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Classification accuracy on a labelled batch."""

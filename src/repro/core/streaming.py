@@ -45,9 +45,11 @@ class StreamingUHD(UHDClassifier):
         """Fold one batch into the class accumulators (O(batch) work)."""
         labels = np.atleast_1d(np.asarray(labels))
         encoded = self._encode_images(images)
-        if self._classifier is None:
-            self._classifier = self._new_classifier()
-        self._classifier.fit(encoded, labels)
+        # CentroidClassifier.fit validates before it adds, so a batch that
+        # raises leaves the stream as it was, first batch included
+        classifier = self._classifier or self._new_classifier()
+        classifier.fit(encoded, labels)
+        self._classifier = classifier
         self.samples_seen += int(labels.size)
         return self
 

@@ -20,7 +20,10 @@ and ``encode_kernel`` which encode implementation ran (``"c"`` or
 Per-layer rows time one layer at the serving batch sizes 1 and 32 on
 sparse synthetic MNIST (the offline workload's input): encode
 (``layer_encode_b*``, ``us_per_image``) and binarized packed classify
-(``layer_classify_b*``, ``us_per_query``).  :func:`kernel_compile_rows`
+(``layer_classify_b*``, ``us_per_query``).  ``layer_predict_b1`` and
+``layer_predict_b64`` time a binarized packed ``UHDClassifier.predict``
+end to end, uint8 pixels in and labels out (``us_per_image``; one fused
+kernel call per 32-row chunk when the compiled kernel loads).  :func:`kernel_compile_rows`
 records the compiled kernel's one-off set-up (``kernel_compile_s``): a
 cold compile into an empty cache next to a warm load of the cached build
 in a fresh interpreter.
@@ -41,7 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -266,17 +269,27 @@ def _layer_rows(
     pixels: int,
     repeats: int,
 ) -> list[dict]:
-    """Encode µs/image and classify µs/query at batch 1 and 32."""
+    """Encode µs/image and classify µs/query at batch 1 and 32, and the
+    whole binarized ``UHDClassifier.predict`` µs/image at batch 1 and 64."""
+    from ..core.model import UHDClassifier
     from ..datasets import synthetic_mnist
 
+    classes = classifier.num_classes
     if pixels == 784:
-        images = synthetic_mnist(n_train=1, n_test=32, seed=11).test_images
-        images = images.reshape(32, pixels)
+        data = synthetic_mnist(n_train=200, n_test=64, seed=11)
+        images = data.test_images.reshape(64, pixels)
+        train, labels = data.train_images, data.train_labels % classes
         source = "synthetic_mnist"
     else:
-        images = np.random.default_rng(11).integers(0, 256, (32, pixels), np.uint8)
+        rng = np.random.default_rng(11)
+        images = rng.integers(0, 256, (64, pixels), np.uint8)
+        train = rng.integers(0, 256, (200, pixels), np.uint8)
+        labels = rng.integers(0, classes, 200)
         source = "uniform_random"
-    queries = packed.encode_batch(images)
+    model = UHDClassifier(
+        pixels, classes, replace(packed.config, binarize=True, backend="packed")
+    ).fit(train, labels)
+    queries = packed.encode_batch(images[:32])
     calls = {}
     for rows in (1, 32):
         calls[f"layer_encode_b{rows}"] = (
@@ -285,11 +298,13 @@ def _layer_rows(
         calls[f"layer_classify_b{rows}"] = (
             lambda q=queries[:rows]: classifier.predict(q)
         )
+    for rows in (1, 64):
+        calls[f"layer_predict_b{rows}"] = lambda x=images[:rows]: model.predict(x)
     medians = _interleaved_medians(calls, 4 * repeats)
     out = []
     for name, median in medians.items():
         rows = int(name.rsplit("_b", 1)[1])
-        per = "us_per_image" if "encode" in name else "us_per_query"
+        per = "us_per_query" if "classify" in name else "us_per_image"
         out.append({
             "name": name,
             "median_s": median,

@@ -52,6 +52,11 @@ So the shipped encoder is the LUT-gather alternative the issue allows,
 with the identity above retained as documentation of *why* a gather-only
 encoder can be bit-exact.  Inference (:mod:`repro.fastpath.inference`)
 uses the packed primitives directly: XOR + popcount over packed class HVs.
+A binarized ``UHDClassifier.predict`` on the packed encoder goes further:
+:meth:`PackedLevelEncoder.predict_packed` hands uint8 pixels to the
+kernel's fused entry point, which thresholds, packs and searches in the
+accumulation pass and returns labels, bit-exact with
+``packed_predict(encode_batch(x), ...)`` (its oracle and NumPy fallback).
 
 When ``auto`` picks packed
 --------------------------

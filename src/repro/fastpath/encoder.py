@@ -48,15 +48,28 @@ with the reference quantized encoder (the tests assert it over generated
 geometry), mirroring the paper's claim that the unary hardware datapath
 substitutes for arithmetic without changing a single output bit.
 
+Fused binarized predict
+-----------------------
+:meth:`PackedLevelEncoder.predict_packed` is encode, sign-binarize, pack
+and Hamming search in one compiled call per chunk: uint8 pixels go in
+through the 256-entry level table, bit ``d`` is set when
+``count_d >= need_d`` with ``need = ceil(H / 2) - base`` (exactly
+``acc >= 0``, computed once per table), and the label of the class with
+the fewest disagreeing bits comes out, ties to the lowest index.  No
+accumulator or packed query is ever stored.  Other inputs, and the NumPy
+path, run the inherited composition
+``packed_predict(encode_batch(x), class_words, dim)``, which is also the
+oracle the tests hold the kernel to.
+
 Thread fan-out
 --------------
 uHD encodes each image on its own (no position hypervectors, no
 multiply), so a batch splits over cores without changing a bit.  The
 kernel and NumPy's gather, lane adds and reductions release the GIL, so
-``encode_batch`` splits a batch spanning two or more chunks over
-``FANOUT_WIDTH`` threads (the caller plus a process-wide pool) that share
-the read-only table and each own their scratch.  Smaller batches, and
-hosts with one core, run serially.
+``encode_batch`` and ``predict_packed`` split a batch spanning two or
+more chunks over ``FANOUT_WIDTH`` threads (the caller plus a process-wide
+pool) that share the read-only table and each own their scratch.  Smaller
+batches, and hosts with one core, run serially.
 
 Concurrent callers
 ------------------
@@ -72,9 +85,9 @@ workspaces, whose calls it serializes.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -157,6 +170,8 @@ class _GatherTable:
         self.lut = lut
         self.flat = self.lut.reshape(-1, lut.shape[-1])
         self.base = base  # (dim,) int64: pixels whose Sobol code is 0
+        # (dim,) int64: acc >= 0 exactly when count >= need
+        self.need = (lut.shape[0] + 1) // 2 - base
         self.native = native  # None: the NumPy path runs
         self.num_rows = lut.shape[0]
         self.num_chunks = -(-self.num_rows // _NIBBLE_ROWS)
@@ -225,6 +240,8 @@ class PackedLevelEncoder(SobolLevelEncoder):
         self._intensity_lut = quantize_intensity(
             np.arange(256, dtype=np.uint8), config.levels
         )
+        #: the same pixel-to-level table, in the fused kernel's dtype
+        self._level16 = self._intensity_lut.astype(np.uint16)
 
     # ------------------------------------------------------------------
     # Table construction
@@ -312,16 +329,10 @@ class PackedLevelEncoder(SobolLevelEncoder):
     # Encoding
     # ------------------------------------------------------------------
     def _normalize(self, images: np.ndarray) -> np.ndarray:
-        images = np.asarray(images)
-        if images.dtype == np.uint8:
-            flat = images.reshape(images.shape[0], math.prod(images.shape[1:]))
-            if flat.shape[1] != self.num_pixels:
-                raise ValueError(
-                    f"expected {self.num_pixels} pixels per image, "
-                    f"got {flat.shape[1]}"
-                )
+        flat = self._flatten(images)
+        if flat.dtype == np.uint8:
             return self._intensity_lut[flat]
-        return super()._normalize(images)
+        return super()._normalize(flat)
 
     def _encode_chunk(
         self, values: np.ndarray, table: _GatherTable, ws: _Workspace
@@ -382,25 +393,67 @@ class PackedLevelEncoder(SobolLevelEncoder):
         table = self._ensure_table()
         # the NumPy path's workspaces are shared state; the kernel keeps none
         with self._lock if table.native is None else contextlib.nullcontext():
-            starts = range(0, batch, chunk)
-            width = min(FANOUT_WIDTH, len(starts))
-            if width < 2:
-                self._encode_shard(values, table, out, starts, chunk, 0)
-                return out
-            pool = _shared_executor()
-            futures = [
-                pool.submit(
-                    self._encode_shard, values, table, out, starts[k::width], chunk, k
+            self._fan_out(
+                batch,
+                chunk,
+                lambda starts, shard: self._encode_shard(
+                    values, table, out, starts, chunk, shard
+                ),
+            )
+        return out
+
+    def predict_packed(
+        self, images: np.ndarray, class_words: np.ndarray
+    ) -> np.ndarray:
+        """Binarized labels, bit-exact with the inherited composition.
+
+        uint8 images on the compiled kernel take one fused call per
+        32-row chunk (:meth:`repro.fastpath.kernel.EncodeKernel.predict`):
+        pixels in, labels out, no accumulator or packed query stored;
+        chunks fan out exactly as in :meth:`encode_batch` at its default
+        chunk.  Anything else runs the inherited encode-then-pack
+        composition.
+        """
+        chunk = 32
+        flat = self._flatten(images)
+        table = self._ensure_table()
+        if table.native is None or flat.dtype != np.uint8:
+            return super().predict_packed(flat, class_words)
+        class_words = np.ascontiguousarray(class_words, dtype=np.uint64)
+        labels = np.empty(flat.shape[0], dtype=np.int64)
+
+        def shard(starts: range, _: int) -> None:
+            for start in starts:
+                stop = min(start + chunk, flat.shape[0])
+                table.native.predict(
+                    table.lut, self._level16, table.need, flat[start:stop],
+                    class_words, labels[start:stop],
                 )
-                for k in range(1, width)
-            ]
-            try:  # the calling thread encodes shard 0 itself
-                self._encode_shard(values, table, out, starts[::width], chunk, 0)
-            finally:
-                wait(futures)  # no shard may outlive the call that owns its scratch
+
+        self._fan_out(flat.shape[0], chunk, shard)
+        return labels
+
+    @staticmethod
+    def _fan_out(
+        batch: int, chunk: int, shard: Callable[[range, int], None]
+    ) -> None:
+        """Run ``shard(starts, k)`` over the batch's chunk starts, dealt
+        round-robin to ``FANOUT_WIDTH`` shards; the caller runs shard 0,
+        the process's pool the rest.  Fewer than two chunks run serially.
+        """
+        starts = range(0, batch, chunk)
+        width = min(FANOUT_WIDTH, len(starts))
+        if width < 2:
+            shard(starts, 0)
+            return
+        pool = _shared_executor()
+        futures = [pool.submit(shard, starts[k::width], k) for k in range(1, width)]
+        try:  # the calling thread runs shard 0 itself
+            shard(starts[::width], 0)
+        finally:
+            wait(futures)  # no shard may outlive the call that owns its scratch
         for future in futures:
             future.result()  # re-raise a shard's exception here
-        return out
 
     def _encode_shard(
         self,

@@ -57,6 +57,10 @@ class BaselineConfig:
 class BaselineHDC:
     """Position-times-level HDC classifier with re-drawable hypervectors."""
 
+    #: the backend-table entry its classifier runs on; the baseline has no
+    #: backend setting, so ``load_model`` cannot re-home it onto another
+    backend = "auto"
+
     def __init__(self, num_pixels: int, num_classes: int, config: BaselineConfig) -> None:
         if num_pixels < 1:
             raise ValueError(f"num_pixels must be >= 1, got {num_pixels}")
@@ -101,10 +105,11 @@ class BaselineHDC:
     def fit(self, images: np.ndarray, labels: np.ndarray) -> "BaselineHDC":
         """Single-pass training on a labelled image batch."""
         encoded = self._encode_images(images)
-        self._classifier = CentroidClassifier(
+        classifier = CentroidClassifier(
             self.num_classes, self.config.dim, binarize=self.config.binarize
         )
-        self._classifier.fit(encoded, np.asarray(labels))
+        classifier.fit(encoded, np.asarray(labels))
+        self._classifier = classifier  # a fit that raised keeps the old model
         return self
 
     def predict(self, images: np.ndarray) -> np.ndarray:

@@ -147,6 +147,7 @@ class CentroidClassifier:
         """Packed binarized class HVs, rebuilt lazily after any mutation."""
         from ..fastpath.inference import pack_accumulators
 
+        self._require_fitted()
         if self._packed_classes is None:
             self._packed_classes = pack_accumulators(self._accumulators)
         return self._packed_classes
@@ -193,11 +194,9 @@ class CentroidClassifier:
         if self._use_packed():
             from ..fastpath.inference import packed_predict
 
-            self._require_fitted()
+            class_words = self._packed_class_words()  # raises when unfitted
             queries = np.atleast_2d(np.asarray(encoded))
-            return packed_predict(
-                queries, self._packed_class_words(), self.dim
-            )
+            return packed_predict(queries, class_words, self.dim)
         return classify(self.similarities(encoded))
 
     def score(self, encoded: np.ndarray, labels: np.ndarray) -> float:

@@ -10,8 +10,8 @@ derived state: Sobol tables (already memoized process-wide by
 whose table is read-only once its first encode has built it.
 
 Sharing needs no help from the caller.  Every executor thread of every
-server in the process calls ``encode_batch`` on the shared instance
-directly: the encoder guards its own mutable state (see
+server in the process calls ``encode_batch`` or ``predict_packed`` on
+the shared instance directly: the encoder guards its own mutable state (see
 :mod:`repro.fastpath.encoder`), and reference encoders have none.  So K
 executor threads over one model cost one gather table, not K.
 """

@@ -142,6 +142,23 @@ class TestCentroidRoundTrip:
         assert loaded.binarize and loaded.center
         np.testing.assert_array_equal(loaded.predict(encoded), clf.predict(encoded))
 
+    def test_load_onto_its_own_backend(self, rng, tmp_path):
+        """Naming the backend a classifier was saved with is a no-op
+        re-home; naming another fails (a bare classifier has no
+        ``with_backend``)."""
+        encoded = rng.integers(-50, 51, size=(64, 128)).astype(np.int64)
+        clf = CentroidClassifier(4, 128, binarize=True, backend="packed").fit(
+            encoded, rng.integers(0, 4, size=64)
+        )
+        path = tmp_path / "clf.npz"
+        clf.save(path)
+        loaded = load_model(path, backend="packed")
+        assert isinstance(loaded, CentroidClassifier)
+        assert loaded.backend == "packed"
+        np.testing.assert_array_equal(loaded.predict(encoded), clf.predict(encoded))
+        with pytest.raises(ValueError, match="cannot be re-homed"):
+            load_model(path, backend="reference")
+
 
 class TestErrors:
     def _fitted(self, tiny_digits):

@@ -111,6 +111,17 @@ class TestInputNormalization:
         with pytest.raises(ValueError, match="label"):
             model.fit(tiny_digits.train_images[:3], tiny_digits.train_labels[:2])
 
+    def test_failed_fit_keeps_the_trained_model(self, tiny_digits):
+        model = self.model_cls(784, 10, UHDConfig(dim=128)).fit(
+            tiny_digits.train_images, tiny_digits.train_labels
+        )
+        before = model.predict(tiny_digits.test_images)
+        accumulators = model.classifier.accumulators.copy()
+        with pytest.raises(ValueError, match="label"):
+            model.fit(tiny_digits.train_images[:3], tiny_digits.train_labels[:2])
+        np.testing.assert_array_equal(model.predict(tiny_digits.test_images), before)
+        np.testing.assert_array_equal(model.classifier.accumulators, accumulators)
+
 
 class TestUHDClassifierInputNormalization(TestInputNormalization):
     """``UHDClassifier`` accepts exactly the shapes ``StreamingUHD`` does."""

@@ -1,11 +1,14 @@
-"""The compiled encode kernel: contract 1 over generated geometry, and a
+"""The compiled kernel: contracts 1 and 2 over generated geometry, and a
 loader that never runs a build it cannot trust.
 
-Contract 1 (packed encode == reference encode, bit for bit) is checked
-for both implementations behind ``PackedLevelEncoder``: the compiled
-kernel and the NumPy path it falls back to (forced here by patching the
-loader).  The compiled cases skip where the kernel cannot load (no
-``cffi``); CI runs one leg with it and one without.
+Contract 1 (packed encode == reference encode, bit for bit) and the
+fused predict's oracle check (``PackedLevelEncoder.predict_packed`` ==
+``packed_predict`` of the reference accumulators, ties to the lowest
+class) are checked for both implementations behind
+``PackedLevelEncoder``: the compiled kernel and the NumPy path it falls
+back to (forced here by patching the loader).  The compiled cases skip
+where the kernel cannot load (no ``cffi``); CI runs one leg with it and
+one without.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import SobolLevelEncoder, UHDConfig
-from repro.fastpath import PackedLevelEncoder
+from repro.core import SobolLevelEncoder, UHDClassifier, UHDConfig
+from repro.fastpath import PackedLevelEncoder, pack_accumulators, packed_predict
+from repro.fastpath.bitops import pack_bits
 from repro.fastpath import encoder as encoder_module
 from repro.fastpath import kernel as kernel_module
 from repro.fastpath.kernel import KernelUnavailable
@@ -121,6 +125,100 @@ class TestContractOneGenerated:
             assert np.array_equal(encoder.encode_batch(images), expected)
 
 
+class TestFusedPredictGenerated:
+    """``predict_packed`` == ``packed_predict(SobolLevelEncoder.encode_batch(x))``
+    over drawn geometry and random class words, for both kernels, across
+    tiles (``dim > 1024``) and the fan-out boundary."""
+
+    @pytest.mark.filterwarnings("ignore:levels=.*power of two")
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        pixels=st.sampled_from([9, 15, 17, 31, 49, 99]),
+        dim=st.sampled_from([1025, 1100, 2047, 2100, 4200]),
+        levels=st.sampled_from([3, 5, 7, 12, 20]),
+        classes=st.integers(2, 12),
+        batch=st.sampled_from([0, 1, 2, 32, 33, 65]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_both_kernels_match_the_composition(
+        self, compiled, pixels, dim, levels, classes, batch, seed, data
+    ):
+        config = UHDConfig(dim=dim, levels=levels, seed=seed)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        images = rng.integers(0, 256, size=(batch, pixels), dtype=np.uint8)
+        sparse = images[: batch // 2]
+        sparse[rng.random(sparse.shape) < 0.8] = 0
+        images[:1] = 0  # blank: bits only where half the codes are 0
+        images[1:2] = 255  # saturated: every bit set
+        reference = SobolLevelEncoder(pixels, config)
+        class_words = pack_bits(rng.random((classes, dim)) < 0.5)
+        if batch >= 2:
+            # the blank and saturated rows' own bits become two classes,
+            # so at least two labels are certain and the ranking is exercised
+            planted = pack_accumulators(reference.encode_batch(images[:2]))
+            assume(not np.array_equal(planted[0], planted[1]))
+            first, second = rng.choice(classes, size=2, replace=False)
+            class_words[[first, second]] = planted
+        expected = packed_predict(reference.encode_batch(images), class_words, dim)
+        if batch >= 2:
+            assert np.unique(expected).size >= 2
+        loaded = PackedLevelEncoder(pixels, config)
+        fallback = _numpy_encoder(pixels, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder_module, "FANOUT_WIDTH", 2)  # 33+ rows fan out
+            for encoder in (loaded, fallback):
+                got = encoder.predict_packed(images, class_words)
+                assert got.dtype == np.int64 and got.shape == (batch,)
+                assert np.array_equal(got, expected)
+        assert loaded.kernel == "c"
+
+    def test_ties_go_to_the_lowest_class(self, compiled):
+        """Duplicated class words tie exactly; the lowest index wins."""
+        config = UHDConfig(dim=1100, levels=16)
+        rng = np.random.default_rng(4)
+        images = rng.integers(0, 256, (40, 31), dtype=np.uint8)
+        own = pack_accumulators(SobolLevelEncoder(31, config).encode_batch(images[:2]))
+        # rows 0 and 1 match classes 0 and 1 exactly, and their copies too
+        class_words = np.stack([own[0], own[1], own[1], own[0], own[0]])
+        expected = packed_predict(
+            SobolLevelEncoder(31, config).encode_batch(images), class_words, 1100
+        )
+        assert list(expected[:2]) == [0, 1]
+        assert set(np.unique(expected)) <= {0, 1}
+        identical = np.repeat(own[:1], 3, axis=0)
+        for encoder in (PackedLevelEncoder(31, config), _numpy_encoder(31, config)):
+            assert np.array_equal(encoder.predict_packed(images, class_words), expected)
+            assert not encoder.predict_packed(images, identical).any()
+
+    @pytest.mark.parametrize(
+        "binarize, backend, fused",
+        [(True, "packed", True), (True, "auto", True),
+         (False, "packed", False), (True, "reference", False)],
+    )
+    def test_model_predict_runs_predict_packed_when_inference_is_packed(
+        self, tiny_digits, monkeypatch, binarize, backend, fused
+    ):
+        model = UHDClassifier(
+            784, 10, UHDConfig(dim=128, binarize=binarize, backend=backend)
+        ).fit(tiny_digits.train_images, tiny_digits.train_labels)
+        calls = []
+        original = model.encoder.predict_packed
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(model.encoder, "predict_packed", spy)
+        images = tiny_digits.test_images
+        expected = model.classifier.predict(model.encoder.encode_batch(images))
+        assert np.array_equal(model.predict(images), expected)
+        assert len(calls) == int(fused)
+
+
 class TestCompiledKernel:
     def test_read_only_table_is_read_in_place(self, compiled):
         """The kernel reads a read-only table without copying it and
@@ -174,6 +272,39 @@ class TestCompiledKernel:
         args.update(change)
         with pytest.raises(ValueError, match=match):
             compiled.encode(**args)
+
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"level": np.zeros(256, dtype=np.uint8)}, "level"),
+            ({"need": np.zeros(64, dtype=np.int32)}, "need"),
+            ({"images": np.zeros((2, 8), dtype=np.uint8)}, "images"),
+            ({"images": np.zeros((2, 9), dtype=np.uint16)}, "images"),
+            ({"class_words": np.zeros((3, 2), dtype=np.uint64)}, "class_words"),
+            ({"class_words": np.zeros((3, 2), dtype=np.uint64)[:, :1]},
+             "class_words"),
+            ({"class_words": np.zeros((0, 1), dtype=np.uint64)}, "class_words"),
+            ({"labels": np.zeros(4, dtype=np.int64)[::2]}, "labels"),
+            ({"labels": np.zeros(2, dtype=np.int32)}, "labels"),
+        ],
+    )
+    def test_predict_arguments_are_checked_before_the_call(
+        self, compiled, change, match
+    ):
+        encoder = PackedLevelEncoder(9, UHDConfig(dim=64, levels=4))
+        table = encoder._ensure_table()
+        args = {
+            "lut": table.lut,
+            "level": encoder._level16,
+            "need": table.need,
+            "images": np.zeros((2, 9), dtype=np.uint8),
+            "class_words": np.zeros((3, 1), dtype=np.uint64),
+            "labels": np.empty(2, dtype=np.int64),
+        }
+        args.update(change)
+        with pytest.raises(ValueError, match=match):
+            compiled.predict(**args)
 
 
 @pytest.fixture(scope="module")
