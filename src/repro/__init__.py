@@ -19,7 +19,9 @@ fast lane in front of a priority-lane scheduler drained by executor
 threads that share one warm model, readiness probing — see
 ``docs/serving.md``),
 :mod:`repro.core` (the uHD contribution), :mod:`repro.hdc`
-(baseline HDC substrate), :mod:`repro.fastpath` (the bit-packed
+(the baseline substrate only: the baseline HDC classifier, its
+codebooks and LFSR, and the centroid classifier both models share),
+:mod:`repro.fastpath` (the bit-packed
 backend: packed hypervectors, LUT encoding, popcount inference —
 bit-exact with the reference and selected via ``UHDConfig.backend``
 from the backend table), :mod:`repro.unary` (unary bit-stream

@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from ..api.registry import get_backend
-from ..hdc.classifier import CentroidClassifier
+from ..hdc.classifier import CentroidClassifier, accuracy
 from ..utils.validation import as_image_batch
 from .config import UHDConfig
 
@@ -104,10 +104,8 @@ class UHDClassifier:
         return classifier.predict(self.encoder.encode_batch(images))
 
     def score(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """Classification accuracy on a labelled batch."""
-        if self._classifier is None:
-            raise RuntimeError("model has not been fitted")
-        return self._classifier.score(self._encode_images(images), np.asarray(labels))
+        """Accuracy of :meth:`predict` on a labelled batch."""
+        return accuracy(self.predict(images), labels)
 
     @property
     def classifier(self) -> CentroidClassifier:

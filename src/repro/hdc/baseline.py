@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .classifier import CentroidClassifier
+from .classifier import CentroidClassifier, accuracy
 from .encoding import RecordEncoder, quantize_levels
 from .item_memory import LevelItemMemory, RandomItemMemory
 
@@ -120,9 +120,7 @@ class BaselineHDC:
 
     def score(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Classification accuracy on a labelled image batch."""
-        if self._classifier is None:
-            raise RuntimeError("model has not been fitted")
-        return self._classifier.score(self._encode_images(images), np.asarray(labels))
+        return accuracy(self.predict(images), labels)
 
     @property
     def classifier(self) -> CentroidClassifier:

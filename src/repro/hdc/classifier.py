@@ -35,6 +35,20 @@ from .similarity import classify, cosine_similarity
 __all__ = ["CentroidClassifier"]
 
 
+def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Share of ``predictions`` equal to ``labels``, in ``[0, 1]``.
+
+    The one scoring rule: every model's ``score`` applies it to its own
+    ``predict``, so scoring never takes a second label path.
+    """
+    labels = np.asarray(labels)
+    if predictions.shape != labels.shape:
+        raise ValueError("labels must be one per encoded vector")
+    if labels.size == 0:
+        raise ValueError("cannot score an empty set")
+    return float(np.mean(predictions == labels))
+
+
 class CentroidClassifier:
     """Class-hypervector store with single-pass fit and cosine inference.
 
@@ -201,13 +215,7 @@ class CentroidClassifier:
 
     def score(self, encoded: np.ndarray, labels: np.ndarray) -> float:
         """Classification accuracy in ``[0, 1]``."""
-        labels = np.asarray(labels)
-        predictions = self.predict(encoded)
-        if predictions.shape != labels.shape:
-            raise ValueError("labels must be one per encoded vector")
-        if labels.size == 0:
-            raise ValueError("cannot score an empty set")
-        return float(np.mean(predictions == labels))
+        return accuracy(self.predict(encoded), labels)
 
     def _require_fitted(self) -> None:
         if not self._fitted:

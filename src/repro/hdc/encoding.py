@@ -1,4 +1,4 @@
-"""Hypervector encoders: record-based (baseline) and n-gram (extension).
+"""The baseline record-based hypervector encoder.
 
 The baseline record encoder is Fig. 1(b) of the paper: every pixel binds
 its position hypervector with the level hypervector of its quantized
@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .item_memory import LevelItemMemory, RandomItemMemory
-from .ops import binarize, permute
+from .ops import binarize
 
-__all__ = ["RecordEncoder", "NGramEncoder", "quantize_levels"]
+__all__ = ["RecordEncoder", "quantize_levels"]
 
 
 def quantize_levels(images: np.ndarray, levels: int, max_value: int = 255) -> np.ndarray:
@@ -95,42 +95,3 @@ class RecordEncoder:
     def encode_binarized(self, level_indices: np.ndarray) -> np.ndarray:
         """Sign-binarized hypervector of one image."""
         return binarize(self.encode(level_indices))
-
-
-class NGramEncoder:
-    """Permutation-based n-gram encoder for symbol sequences.
-
-    Not used by the image experiments, but part of a complete HDC substrate
-    (the paper's introduction motivates HDC with language tasks).  Symbol
-    ``s`` at offset ``o`` inside an n-gram contributes
-    ``permute(item[s], n - 1 - o)``; the n-gram binds its members and the
-    sequence bundles its n-grams.
-    """
-
-    def __init__(self, items: RandomItemMemory, n: int = 3) -> None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.items = items
-        self.n = n
-        self.dim = items.dim
-
-    def encode_ngram(self, symbols: np.ndarray) -> np.ndarray:
-        """Bound hypervector of a single n-gram."""
-        symbols = np.asarray(symbols).reshape(-1)
-        if symbols.size != self.n:
-            raise ValueError(f"expected {self.n} symbols, got {symbols.size}")
-        result = np.ones(self.dim, dtype=np.int8)
-        for offset, symbol in enumerate(symbols):
-            rolled = permute(self.items.vector(int(symbol)), self.n - 1 - offset)
-            result = (result * rolled).astype(np.int8)
-        return result
-
-    def encode(self, sequence: np.ndarray) -> np.ndarray:
-        """Accumulator over all n-grams of a symbol sequence."""
-        sequence = np.asarray(sequence).reshape(-1)
-        if sequence.size < self.n:
-            raise ValueError(f"sequence shorter than n = {self.n}")
-        acc = np.zeros(self.dim, dtype=np.int64)
-        for start in range(sequence.size - self.n + 1):
-            acc += self.encode_ngram(sequence[start : start + self.n])
-        return acc

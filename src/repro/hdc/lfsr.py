@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LFSR", "MAXIMAL_TAPS", "lfsr_uniform_matrix"]
+__all__ = ["LFSR", "MAXIMAL_TAPS"]
 
 # Maximal-length Fibonacci taps (1-based bit positions, MSB = width).
 MAXIMAL_TAPS: dict[int, tuple[int, ...]] = {
@@ -127,21 +127,3 @@ class LFSR:
             if probe.state == start:
                 return count
         raise RuntimeError(f"no recurrence within {limit} steps")
-
-
-def lfsr_uniform_matrix(
-    rows: int, cols: int, width: int = 16, seed: int = 1
-) -> np.ndarray:
-    """Matrix of LFSR-driven uniforms, one independent register per row.
-
-    Row ``r`` is seeded with ``seed + r`` (kept non-zero), modelling the
-    baseline architecture's bank of per-hypervector LFSR generators.
-    """
-    if rows < 0 or cols < 0:
-        raise ValueError("rows and cols must be non-negative")
-    out = np.empty((rows, cols), dtype=np.float64)
-    mask = (1 << width) - 1
-    for r in range(rows):
-        register_seed = ((seed + r) & mask) or 1
-        out[r] = LFSR(width, seed=register_seed).sequence(cols)
-    return out

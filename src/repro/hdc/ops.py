@@ -22,7 +22,6 @@ __all__ = [
     "bind",
     "bundle",
     "binarize",
-    "permute",
     "to_bits",
     "from_bits",
 ]
@@ -72,12 +71,6 @@ def binarize(accumulator: np.ndarray, threshold: float = 0.0) -> np.ndarray:
     """
     accumulator = np.asarray(accumulator)
     return np.where(accumulator >= threshold, 1, -1).astype(np.int8)
-
-
-def permute(hv: np.ndarray, shifts: int = 1) -> np.ndarray:
-    """Cyclic-shift permutation (the standard sequence-role operator)."""
-    hv = np.asarray(hv)
-    return np.roll(hv, shifts, axis=-1)
 
 
 def to_bits(hv: np.ndarray) -> np.ndarray:

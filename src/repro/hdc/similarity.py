@@ -1,21 +1,16 @@
-"""Similarity kernels and the winner-take-all classification rule.
+"""Cosine similarity and the winner-take-all classification rule.
 
 The paper classifies by the highest cosine similarity between a test
-hypervector and the trained class hypervectors.  Dot and normalized-Hamming
-kernels are provided for ablation; on binarized +-1 vectors of equal
-dimension all three produce the same ranking.
+hypervector and the trained class hypervectors.  On binarized +-1
+vectors that ranking equals the Hamming ranking, which the packed
+backend computes by XOR + popcount (:mod:`repro.fastpath.inference`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "cosine_similarity",
-    "dot_similarity",
-    "hamming_similarity",
-    "classify",
-]
+__all__ = ["cosine_similarity", "classify"]
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -45,41 +40,6 @@ def cosine_similarity(queries: np.ndarray, references: np.ndarray) -> np.ndarray
     q_norm[q_norm == 0.0] = 1.0
     r_norm[r_norm == 0.0] = 1.0
     return (q / q_norm) @ (r / r_norm).T
-
-
-def dot_similarity(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """Raw inner-product similarity matrix."""
-    q = _as_matrix(queries).astype(np.float64)
-    r = _as_matrix(references).astype(np.float64)
-    if q.shape[1] != r.shape[1]:
-        raise ValueError("dimension mismatch between queries and references")
-    return q @ r.T
-
-
-def _is_bipolar(x: np.ndarray) -> bool:
-    return x.dtype.kind in ("i", "u", "f") and (np.abs(x) == 1).all()
-
-
-def hamming_similarity(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """Fraction of agreeing positions between +-1 hypervectors, in [0, 1].
-
-    For +-1 inputs ``agreements = (D + q @ r.T) / 2`` (each agreeing pair
-    contributes +1 to the dot, each disagreeing pair -1), so the kernel is
-    a single integer matmul instead of an ``(n_queries, n_refs, D)``
-    broadcast tensor.  Non-+-1 inputs (arbitrary symbols) fall back to the
-    elementwise comparison.
-    """
-    q = _as_matrix(queries)
-    r = _as_matrix(references)
-    if q.shape[1] != r.shape[1]:
-        raise ValueError("dimension mismatch between queries and references")
-    dim = q.shape[1]
-    if dim and q.size and r.size and _is_bipolar(q) and _is_bipolar(r):
-        dots = q.astype(np.int64) @ r.astype(np.int64).T
-        agreements = (dim + dots) // 2
-    else:
-        agreements = (q[:, None, :] == r[None, :, :]).sum(axis=2)
-    return agreements / dim
 
 
 def classify(similarities: np.ndarray) -> np.ndarray:

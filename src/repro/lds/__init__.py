@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :class:`SobolEngine` / :func:`sobol_sequences` — from-scratch Sobol
-  generator (one dimension per pixel position in uHD).
+* :class:`SobolEngine` / :func:`sobol_sequences` — from-scratch,
+  unscrambled Sobol generator (one dimension per pixel position in
+  uHD); its stream is the codebook of every saved model.
 * :func:`halton_sequences`, :func:`van_der_corput` — alternative LD
   families for ablations.
 * :func:`quantize_unit` / :func:`quantize_intensity` — the M-bit
@@ -13,7 +14,6 @@ Public surface:
 
 from . import discrepancy, gf2
 from .halton import first_primes, halton_sequences
-from .scrambling import matousek_scramble, random_lower_triangular
 from .quantize import bits_for_levels, dequantize, quantize_intensity, quantize_unit
 from .sobol import SobolEngine, sobol_sequences
 from .vandercorput import radical_inverse, van_der_corput
@@ -25,8 +25,6 @@ __all__ = [
     "first_primes",
     "van_der_corput",
     "radical_inverse",
-    "matousek_scramble",
-    "random_lower_triangular",
     "quantize_unit",
     "quantize_intensity",
     "dequantize",

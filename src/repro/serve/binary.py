@@ -546,7 +546,7 @@ class _Connection(socketserver.BaseRequestHandler):
 
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
-    request_queue_size = 128
+    request_queue_size = Transport.listen_backlog
 
     def __init__(self, transport: "SocketTransport") -> None:
         self.transport = transport

@@ -207,6 +207,10 @@ class Transport:
 
     scheme = ""  #: the URL scheme of :attr:`address`
     wire = ""  #: the ``name`` of this transport's :class:`TransportStats`
+    #: listen(2) backlog of both wires' servers; socketserver's default of
+    #: 5 overflows on a burst of connects, which then wait out SYN retries
+    #: or are reset unanswered
+    listen_backlog = 128
 
     def __init__(
         self,
@@ -319,7 +323,11 @@ class HttpTransport(Transport):
         handler = _make_handler(
             self._router, self.request_timeout_s, self.stats
         )
-        return ThreadingHTTPServer((self._host, self._requested_port), handler)
+
+        class Server(ThreadingHTTPServer):
+            request_queue_size = self.listen_backlog
+
+        return Server((self._host, self._requested_port), handler)
 
 
 #: ``/models/<id>/predict|stats|healthz``; model ids are slash-free

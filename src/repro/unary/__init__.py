@@ -8,7 +8,8 @@ Public surface:
 * :class:`UnaryStreamTable` — the proposed associative fetch (Fig. 3(c)).
 * :func:`unary_ge` / :func:`unary_ge_batch` — the proposed comparator
   (Fig. 4, checkpoint ➋).
-* :mod:`repro.unary.ops` — AND=min / OR=max algebra.
+* :func:`unary_min` / :func:`unary_max` — the AND=min / OR=max identity
+  the comparator rests on.
 * :mod:`repro.unary.correlation` — SCC metrics.
 """
 
@@ -21,22 +22,10 @@ from .comparator import (
 )
 from .correlation import is_maximally_correlated, overlap, scc
 from .generator import CounterComparatorGenerator
-from .ops import (
-    unary_max,
-    unary_max_batch,
-    unary_median3,
-    unary_min,
-    unary_min_batch,
-    unary_sort2,
-)
-from .sorting import batcher_network, compare_exchange_count, unary_rank, unary_sort
+from .ops import unary_max, unary_min
 from .ust import UnaryStreamTable
 
 __all__ = [
-    "batcher_network",
-    "unary_sort",
-    "unary_rank",
-    "compare_exchange_count",
     "UnaryBitstream",
     "Alignment",
     "CounterComparatorGenerator",
@@ -47,10 +36,6 @@ __all__ = [
     "compare_values_via_unary",
     "unary_min",
     "unary_max",
-    "unary_sort2",
-    "unary_median3",
-    "unary_min_batch",
-    "unary_max_batch",
     "scc",
     "overlap",
     "is_maximally_correlated",

@@ -9,18 +9,9 @@ comparator to a handful of gates.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .bitstream import UnaryBitstream
 
-__all__ = [
-    "unary_min",
-    "unary_max",
-    "unary_sort2",
-    "unary_median3",
-    "unary_min_batch",
-    "unary_max_batch",
-]
+__all__ = ["unary_min", "unary_max"]
 
 
 def unary_min(a: UnaryBitstream, b: UnaryBitstream) -> UnaryBitstream:
@@ -31,33 +22,3 @@ def unary_min(a: UnaryBitstream, b: UnaryBitstream) -> UnaryBitstream:
 def unary_max(a: UnaryBitstream, b: UnaryBitstream) -> UnaryBitstream:
     """Maximum of two streams — one OR gate per bit."""
     return a | b
-
-
-def unary_sort2(
-    a: UnaryBitstream, b: UnaryBitstream
-) -> tuple[UnaryBitstream, UnaryBitstream]:
-    """The 2-input unary sorting cell: ``(min, max)`` from one AND + one OR."""
-    return a & b, a | b
-
-
-def unary_median3(
-    a: UnaryBitstream, b: UnaryBitstream, c: UnaryBitstream
-) -> UnaryBitstream:
-    """Median of three streams via the classic majority-of-pairs network."""
-    return (a & b) | (a & c) | (b & c)
-
-
-def unary_min_batch(streams: np.ndarray) -> np.ndarray:
-    """Minimum across the first axis of a stream matrix (bit-wise AND)."""
-    streams = np.asarray(streams, dtype=np.bool_)
-    if streams.ndim < 2:
-        raise ValueError("need a matrix of streams")
-    return np.logical_and.reduce(streams, axis=0)
-
-
-def unary_max_batch(streams: np.ndarray) -> np.ndarray:
-    """Maximum across the first axis of a stream matrix (bit-wise OR)."""
-    streams = np.asarray(streams, dtype=np.bool_)
-    if streams.ndim < 2:
-        raise ValueError("need a matrix of streams")
-    return np.logical_or.reduce(streams, axis=0)

@@ -50,6 +50,22 @@ class TestTraining:
         after = model.score(tiny_digits.train_images, tiny_digits.train_labels)
         assert after >= before - 0.05
 
+    def test_packed_binarized_score_is_predict_accuracy(
+        self, tiny_digits, monkeypatch
+    ):
+        config = UHDConfig(dim=256, binarize=True, backend="packed")
+        model = UHDClassifier(784, 10, config)
+        model.fit(tiny_digits.train_images, tiny_digits.train_labels)
+        x, y = tiny_digits.test_images, tiny_digits.test_labels
+        expected = float(np.mean(model.predict(x) == y))
+
+        def no_encode(*_args, **_kwargs):
+            raise AssertionError("score encoded outside predict")
+
+        if model.encoder.kernel == "c":  # the fused predict never encodes
+            monkeypatch.setattr(model.encoder, "encode_batch", no_encode)
+        assert model.score(x, y) == expected
+
 
 class TestValidation:
     def test_unfitted(self, tiny_digits):

@@ -1,14 +1,12 @@
-"""Record and n-gram encoders."""
+"""Record encoder."""
 
 import numpy as np
 import pytest
 
 from repro.hdc import (
     LevelItemMemory,
-    NGramEncoder,
     RandomItemMemory,
     RecordEncoder,
-    permute,
     quantize_levels,
 )
 
@@ -72,44 +70,3 @@ class TestRecordEncoder:
         levels = np.zeros(6, dtype=int)
         encoded = small_encoder.encode(levels)
         assert np.abs(encoded).max() <= 6
-
-
-class TestNGramEncoder:
-    @pytest.fixture()
-    def ngram(self):
-        items = RandomItemMemory(5, 128, np.random.default_rng(3))
-        return NGramEncoder(items, n=3)
-
-    def test_ngram_manual(self, ngram):
-        symbols = np.array([0, 1, 2])
-        expected = (
-            permute(ngram.items.vector(0), 2).astype(np.int64)
-            * permute(ngram.items.vector(1), 1)
-            * ngram.items.vector(2)
-        )
-        np.testing.assert_array_equal(ngram.encode_ngram(symbols), expected)
-
-    def test_sequence_accumulates_all_ngrams(self, ngram):
-        seq = np.array([0, 1, 2, 3])
-        total = ngram.encode(seq)
-        manual = (ngram.encode_ngram(seq[:3]).astype(np.int64)
-                  + ngram.encode_ngram(seq[1:]))
-        np.testing.assert_array_equal(total, manual)
-
-    def test_order_sensitivity(self, ngram):
-        forward = ngram.encode_ngram(np.array([0, 1, 2]))
-        backward = ngram.encode_ngram(np.array([2, 1, 0]))
-        assert not np.array_equal(forward, backward)
-
-    def test_wrong_ngram_size(self, ngram):
-        with pytest.raises(ValueError):
-            ngram.encode_ngram(np.array([0, 1]))
-
-    def test_sequence_too_short(self, ngram):
-        with pytest.raises(ValueError):
-            ngram.encode(np.array([0, 1]))
-
-    def test_bad_n(self):
-        items = RandomItemMemory(5, 16, np.random.default_rng(4))
-        with pytest.raises(ValueError):
-            NGramEncoder(items, n=0)

@@ -1,63 +1,9 @@
-"""Tabular HDC encoder and HDC noise robustness."""
+"""HDC noise robustness."""
 
 import numpy as np
 import pytest
 
-from repro.hdc import TabularHDC
 from repro.core import UHDClassifier, UHDConfig
-
-
-def blobs(n_per_class=60, num_features=10, separation=2.5, seed=0):
-    rng = np.random.default_rng(seed)
-    x0 = rng.normal(0.0, 1.0, (n_per_class, num_features))
-    x1 = rng.normal(separation, 1.0, (n_per_class, num_features))
-    features = np.vstack([x0, x1])
-    labels = np.array([0] * n_per_class + [1] * n_per_class)
-    order = rng.permutation(labels.size)
-    return features[order], labels[order]
-
-
-class TestTabularHDC:
-    @pytest.mark.parametrize("encoding", ["uhd", "record"])
-    def test_separable_blobs(self, encoding):
-        features, labels = blobs()
-        model = TabularHDC(10, 2, encoding=encoding, dim=512)
-        model.fit(features, labels)
-        assert model.score(features, labels) > 0.9
-
-    def test_generalizes(self):
-        train_f, train_l = blobs(seed=1)
-        test_f, test_l = blobs(seed=2)
-        model = TabularHDC(10, 2, dim=512).fit(train_f, train_l)
-        assert model.score(test_f, test_l) > 0.85
-
-    def test_constant_feature_handled(self):
-        features, labels = blobs()
-        features[:, 3] = 7.0  # zero-variance column
-        model = TabularHDC(10, 2, dim=256).fit(features, labels)
-        assert model.score(features, labels) > 0.8
-
-    def test_predict_before_fit(self):
-        model = TabularHDC(4, 2)
-        with pytest.raises(RuntimeError):
-            model.predict(np.zeros((1, 4)))
-
-    def test_bad_encoding(self):
-        with pytest.raises(ValueError):
-            TabularHDC(4, 2, encoding="spatial")
-
-    def test_wrong_feature_count(self):
-        features, labels = blobs()
-        model = TabularHDC(11, 2)
-        with pytest.raises(ValueError):
-            model.fit(features, labels)
-
-    def test_scaling_clips_unseen_range(self):
-        train_f, train_l = blobs(seed=3)
-        model = TabularHDC(10, 2, dim=256).fit(train_f, train_l)
-        extreme = train_f * 100.0  # far outside the learned range
-        predictions = model.predict(extreme)
-        assert predictions.shape == (train_f.shape[0],)
 
 
 class TestNoiseRobustness:

@@ -1,9 +1,8 @@
 """LFSR software model."""
 
-import numpy as np
 import pytest
 
-from repro.hdc import LFSR, MAXIMAL_TAPS, lfsr_uniform_matrix
+from repro.hdc import LFSR, MAXIMAL_TAPS
 
 
 class TestPeriod:
@@ -76,27 +75,3 @@ class TestValidation:
     def test_all_tabulated_widths_construct(self):
         for width in MAXIMAL_TAPS:
             LFSR(width).step()
-
-
-class TestUniformMatrix:
-    def test_shape(self):
-        matrix = lfsr_uniform_matrix(4, 32, width=8)
-        assert matrix.shape == (4, 32)
-
-    def test_rows_differ(self):
-        matrix = lfsr_uniform_matrix(2, 64, width=12)
-        assert not np.array_equal(matrix[0], matrix[1])
-
-    def test_deterministic(self):
-        a = lfsr_uniform_matrix(2, 16, width=8, seed=3)
-        b = lfsr_uniform_matrix(2, 16, width=8, seed=3)
-        np.testing.assert_array_equal(a, b)
-
-    def test_seed_wrap_stays_nonzero(self):
-        # seed + row hitting a multiple of 2^width must not produce state 0.
-        matrix = lfsr_uniform_matrix(3, 8, width=4, seed=15)
-        assert matrix.shape == (3, 8)
-
-    def test_negative_dims(self):
-        with pytest.raises(ValueError):
-            lfsr_uniform_matrix(-1, 4)

@@ -12,7 +12,6 @@ from repro.hdc import (
     bundle,
     ensure_bipolar,
     from_bits,
-    permute,
     random_hypervectors,
     to_bits,
 )
@@ -109,22 +108,6 @@ class TestBinarize:
 
     def test_output_dtype(self):
         assert binarize(np.array([1.5, -0.5])).dtype == np.int8
-
-
-class TestPermute:
-    @given(a=bipolar, shifts=st.integers(-8, 8))
-    @settings(max_examples=30)
-    def test_roundtrip(self, a, shifts):
-        np.testing.assert_array_equal(permute(permute(a, shifts), -shifts), a)
-
-    def test_shift_one(self):
-        hv = np.array([1, -1, 1, 1], dtype=np.int8)
-        np.testing.assert_array_equal(permute(hv, 1), [1, 1, -1, 1])
-
-    def test_preserves_sum(self):
-        rng = np.random.default_rng(5)
-        hv = random_hypervectors(1, 64, rng)[0]
-        assert permute(hv, 13).sum() == hv.sum()
 
 
 class TestBitsConversion:

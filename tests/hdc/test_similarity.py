@@ -6,8 +6,6 @@ import pytest
 from repro.hdc import (
     classify,
     cosine_similarity,
-    dot_similarity,
-    hamming_similarity,
     random_hypervectors,
 )
 
@@ -60,41 +58,6 @@ class TestCosine:
             cosine_similarity(np.ones((1, 2, 3)), np.ones((1, 3)))
 
 
-class TestDotAndHamming:
-    def test_dot_known(self):
-        a = np.array([[1, 1, -1]])
-        b = np.array([[1, -1, -1]])
-        assert dot_similarity(a, b)[0, 0] == 1.0
-
-    def test_hamming_known(self):
-        a = np.array([[1, 1, -1, -1]])
-        b = np.array([[1, -1, -1, -1]])
-        assert hamming_similarity(a, b)[0, 0] == 0.75
-
-    def test_rankings_agree_on_bipolar(self):
-        # On +-1 vectors all norms are equal, so the three kernels are
-        # monotone transforms of each other.  Exact dot-product ties can be
-        # broken differently by cosine's float division, so agreement is
-        # asserted on the similarity *values* at each winner, not indices.
-        rng = np.random.default_rng(5)
-        q = random_hypervectors(4, 512, rng)
-        r = random_hypervectors(6, 512, rng)
-        cos = cosine_similarity(q, r)
-        dot = dot_similarity(q, r)
-        ham = hamming_similarity(q, r)
-        for row in range(q.shape[0]):
-            assert dot[row, cos[row].argmax()] == dot[row].max()
-            assert dot[row, ham[row].argmax()] == dot[row].max()
-
-    def test_dot_mismatch(self):
-        with pytest.raises(ValueError):
-            dot_similarity(np.ones((1, 4)), np.ones((1, 5)))
-
-    def test_hamming_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_similarity(np.ones((1, 4)), np.ones((1, 5)))
-
-
 class TestClassify:
     def test_argmax(self):
         sims = np.array([[0.1, 0.9, 0.3], [0.8, 0.2, 0.1]])
@@ -103,38 +66,3 @@ class TestClassify:
     def test_rejects_vector(self):
         with pytest.raises(ValueError):
             classify(np.array([0.1, 0.9]))
-
-
-class TestHammingMatmulRegression:
-    """The matmul fast path must equal the old broadcast implementation."""
-
-    @staticmethod
-    def _legacy(q, r):
-        q = np.atleast_2d(np.asarray(q))
-        r = np.atleast_2d(np.asarray(r))
-        agreements = (q[:, None, :] == r[None, :, :]).sum(axis=2)
-        return agreements / q.shape[1]
-
-    @pytest.mark.parametrize("dim", [1, 5, 64, 127])
-    def test_bipolar_matches_legacy(self, dim):
-        rng = np.random.default_rng(17)
-        q = random_hypervectors(7, dim, rng)
-        r = random_hypervectors(4, dim, rng)
-        np.testing.assert_array_equal(hamming_similarity(q, r), self._legacy(q, r))
-
-    def test_float_bipolar_matches_legacy(self):
-        rng = np.random.default_rng(18)
-        q = random_hypervectors(3, 32, rng).astype(np.float64)
-        r = random_hypervectors(2, 32, rng).astype(np.float64)
-        np.testing.assert_array_equal(hamming_similarity(q, r), self._legacy(q, r))
-
-    def test_non_bipolar_falls_back(self):
-        q = np.array([[0, 1, 2, 3]])
-        r = np.array([[0, 1, 2, 4], [3, 2, 1, 0]])
-        np.testing.assert_array_equal(hamming_similarity(q, r), self._legacy(q, r))
-        assert hamming_similarity(q, r)[0, 0] == pytest.approx(0.75)
-
-    def test_identical_and_opposite_extremes(self):
-        hv = random_hypervectors(1, 100, np.random.default_rng(19))
-        assert hamming_similarity(hv, hv)[0, 0] == pytest.approx(1.0)
-        assert hamming_similarity(hv, -hv)[0, 0] == pytest.approx(0.0)

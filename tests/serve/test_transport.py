@@ -26,6 +26,8 @@ from repro.serve import (
     LaneConfig,
     Router,
     ServeConfig,
+    SocketTransport,
+    Transport,
     UHDServer,
 )
 
@@ -402,6 +404,28 @@ class TestHttpSocket:
             handler.setup = setup
         assert len(seen) == 2 and all(seen), seen
 
+    def test_both_wires_listen_with_the_shared_backlog(
+        self, model_path, monkeypatch
+    ):
+        """Neither wire keeps socketserver's listen backlog of 5, which a
+        burst of concurrent connects overflows."""
+        import socket
+
+        backlogs: list[int] = []
+        listen = socket.socket.listen
+
+        def recording_listen(sock, backlog):
+            backlogs.append(backlog)
+            return listen(sock, backlog)
+
+        monkeypatch.setattr(socket.socket, "listen", recording_listen)
+        with _router(model_path, ServeConfig(workers=0)) as router:
+            for wire in (HttpTransport, SocketTransport):
+                with wire(router):
+                    pass
+        assert backlogs == [Transport.listen_backlog] * 2
+        assert Transport.listen_backlog >= 128
+
 
 class TestHttpPool:
     """The real deployment shape: handler threads feeding the executors."""
@@ -434,12 +458,16 @@ class TestHttpPool:
         assert np.array_equal(np.asarray(reply["labels"]), direct_labels)
 
     def test_concurrent_posts_coalesce_and_stay_bit_exact(
-        self, model_path, serve_data, direct_labels
+        self, model_path, serve_data, direct_labels, hold_executor
     ):
         """Many handler threads feed the scheduler at once — answers must
-        come back bit-exact and matched to their own request."""
+        come back bit-exact and matched to their own request.  The
+        executor is held on the first post (alone in its batch) until the
+        other 15 are queued, so they coalesce however the client threads
+        are scheduled."""
         config = ServeConfig(workers=1, max_batch=64, max_wait_ms=20.0)
         with _router(model_path, config) as router:
+            held = hold_executor(router.deployment("m"))
             with HttpTransport(router) as transport:
                 results: dict[int, np.ndarray] = {}
                 errors: list[Exception] = []
@@ -458,8 +486,12 @@ class TestHttpPool:
                 threads = [
                     threading.Thread(target=post, args=(i,)) for i in range(16)
                 ]
-                for thread in threads:
+                threads[0].start()
+                assert held.entered.wait(timeout=60.0)
+                release = held.release_once_queued(15)
+                for thread in threads[1:]:
                     thread.start()
+                release.join(timeout=60.0)
                 for thread in threads:
                     thread.join(timeout=60.0)
                 stats = router.stats()

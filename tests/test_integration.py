@@ -1,5 +1,7 @@
 """Cross-module integration tests: the claims that tie the repo together."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,15 @@ class TestPackageSurface:
     def test_version(self):
         assert repro.__version__ == "1.7.0"
 
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+    @pytest.mark.parametrize("package", [
+        "repro", "repro.api", "repro.core", "repro.hdc", "repro.unary",
+        "repro.lds", "repro.fastpath", "repro.serve", "repro.hardware",
+        "repro.embedded", "repro.datasets", "repro.eval",
+    ])
+    def test_all_exports_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None
 
 
 class TestUnaryArithmeticHardwareAgreement:

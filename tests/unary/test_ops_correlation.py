@@ -1,4 +1,4 @@
-"""Unary algebra (min/max/median) and SCC correlation metrics."""
+"""Unary algebra (min/max) and SCC correlation metrics."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,7 @@ from repro.unary import (
     overlap,
     scc,
     unary_max,
-    unary_max_batch,
-    unary_median3,
     unary_min,
-    unary_min_batch,
-    unary_sort2,
 )
 
 values = st.integers(0, 12)
@@ -27,36 +23,10 @@ def stream(v: int) -> UnaryBitstream:
 
 class TestOps:
     @given(a=values, b=values)
-    @settings(max_examples=40)
-    def test_sort2(self, a, b):
-        lo, hi = unary_sort2(stream(a), stream(b))
-        assert (lo.value, hi.value) == (min(a, b), max(a, b))
-
-    @given(a=values, b=values, c=values)
-    @settings(max_examples=40)
-    def test_median3(self, a, b, c):
-        med = unary_median3(stream(a), stream(b), stream(c))
-        assert med.value == int(np.median([a, b, c]))
-
-    @given(a=values, b=values)
     @settings(max_examples=30)
     def test_min_max_consistency(self, a, b):
         assert unary_min(stream(a), stream(b)).value + \
             unary_max(stream(a), stream(b)).value == a + b
-
-    def test_min_batch(self):
-        streams = np.stack([stream(v).bits for v in (3, 7, 5)])
-        assert int(unary_min_batch(streams).sum()) == 3
-
-    def test_max_batch(self):
-        streams = np.stack([stream(v).bits for v in (3, 7, 5)])
-        assert int(unary_max_batch(streams).sum()) == 7
-
-    def test_batch_needs_matrix(self):
-        with pytest.raises(ValueError):
-            unary_min_batch(stream(3).bits)
-        with pytest.raises(ValueError):
-            unary_max_batch(stream(3).bits)
 
 
 class TestOverlap:
