@@ -356,8 +356,9 @@ def _router_zoo_scenario(
 ) -> dict:
     """Two-model router under mixed traffic with a mid-run hot reload.
 
-    Each model gets one in-process server (workers=0 isolates the
-    routing layer from pool IPC) and ``clients_per_model`` threads
+    Each model gets one in-process server (workers=0: each client
+    thread drains the lanes itself, so no executor thread hop is timed)
+    and ``clients_per_model`` threads
     hammering it with fixed request streams.  Once a third of the
     traffic has been served, both deployments are hot-reloaded to a new
     generation *while the clients keep going*.  The row is only written

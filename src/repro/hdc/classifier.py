@@ -52,10 +52,10 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 class CentroidClassifier:
     """Class-hypervector store with single-pass fit and cosine inference.
 
-    ``center=True`` (default) subtracts each vector's scalar mean before
-    the cosine in the non-binarized path — i.e. Pearson correlation.  A
-    level-only accumulator carries the image's overall brightness as a
-    large shared component; centering removes it so similarity ranks by
+    The non-binarized path subtracts each vector's scalar mean before
+    the cosine — i.e. Pearson correlation.  A level-only accumulator
+    carries the image's overall brightness as a large shared component;
+    centering removes it so similarity ranks by
     *pattern*, which matters on datasets whose per-image brightness varies
     (colour scenes).  For the baseline's bound vectors the mean is already
     ~0 and centering is a no-op, so the comparison stays fair.
@@ -74,7 +74,6 @@ class CentroidClassifier:
         num_classes: int,
         dim: int,
         binarize: bool = False,
-        center: bool = True,
         backend: str = "auto",
     ) -> None:
         if num_classes < 2 or dim < 1:
@@ -82,7 +81,6 @@ class CentroidClassifier:
         self.num_classes = num_classes
         self.dim = dim
         self.binarize = binarize
-        self.center = center
         self._backend = get_backend(backend)
         self._accumulators = np.zeros((num_classes, dim), dtype=np.int64)
         self._fitted = False
@@ -172,8 +170,8 @@ class CentroidClassifier:
     def similarities(self, encoded: np.ndarray) -> np.ndarray:
         """Cosine similarity of queries to every class representative.
 
-        Under ``binarize=True`` both sides are sign-binarized first; under
-        the default policy the integer accumulators are compared directly.
+        Under ``binarize=True`` both sides are sign-binarized first;
+        otherwise the mean-centred integer vectors are compared.
         The packed backend computes the binarized cosine as ``dot / D``
         (equal to the reference value up to one float ulp).
         """
@@ -187,12 +185,10 @@ class CentroidClassifier:
                     pack_accumulators(queries), self._packed_class_words(), self.dim
                 )
             return cosine_similarity(binarize(queries), self.class_hypervectors)
-        if self.center:
-            queries = queries - queries.mean(axis=1, keepdims=True)
-            references = (self._accumulators
-                          - self._accumulators.mean(axis=1, keepdims=True))
-            return cosine_similarity(queries, references)
-        return cosine_similarity(queries, self._accumulators)
+        queries = queries - queries.mean(axis=1, keepdims=True)
+        references = (self._accumulators
+                      - self._accumulators.mean(axis=1, keepdims=True))
+        return cosine_similarity(queries, references)
 
     def predict(self, encoded: np.ndarray) -> np.ndarray:
         """Winner-take-all class labels for a batch of encoded vectors.
@@ -230,20 +226,24 @@ class CentroidClassifier:
             "num_classes": self.num_classes,
             "dim": self.dim,
             "binarize": self.binarize,
-            "center": self.center,
             "backend": self.backend,
             "accumulators": self._accumulators,
         }
 
     @classmethod
     def _from_payload(cls, payload: dict[str, np.ndarray]) -> "CentroidClassifier":
-        from ..api.persistence import saved_backend
+        from ..api.persistence import ModelFormatError, saved_backend
 
+        # older files carry a "center" flag; only centred inference remains
+        if "center" in payload and not bool(payload["center"]):
+            raise ModelFormatError(
+                "payload field 'center' is False: only centred cosine "
+                "inference is supported"
+            )
         model = cls(
             int(payload["num_classes"]),
             int(payload["dim"]),
             binarize=bool(payload["binarize"]),
-            center=bool(payload["center"]),
             backend=saved_backend(str(payload["backend"].item())),
         )
         model._restore_accumulators(payload["accumulators"])

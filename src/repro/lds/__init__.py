@@ -4,7 +4,9 @@ Public surface:
 
 * :class:`SobolEngine` / :func:`sobol_sequences` — from-scratch,
   unscrambled Sobol generator (one dimension per pixel position in
-  uHD); its stream is the codebook of every saved model.
+  uHD) with one fixed stream: the first points, 32-bit, natural order,
+  seeded-random direction integers.  That stream is the codebook of
+  every saved model.
 * :func:`halton_sequences`, :func:`van_der_corput` — alternative LD
   families for ablations.
 * :func:`quantize_unit` / :func:`quantize_intensity` — the M-bit
@@ -12,7 +14,7 @@ Public surface:
 * :mod:`repro.lds.discrepancy` — uniformity diagnostics.
 """
 
-from . import discrepancy, gf2
+from . import discrepancy
 from .halton import first_primes, halton_sequences
 from .quantize import bits_for_levels, dequantize, quantize_intensity, quantize_unit
 from .sobol import SobolEngine, sobol_sequences
@@ -29,6 +31,5 @@ __all__ = [
     "quantize_intensity",
     "dequantize",
     "bits_for_levels",
-    "gf2",
     "discrepancy",
 ]

@@ -139,8 +139,31 @@ class TestCentroidRoundTrip:
         clf.save(path)
         loaded = CentroidClassifier.load(path)
         assert loaded.backend == "packed"
-        assert loaded.binarize and loaded.center
+        assert loaded.binarize
         np.testing.assert_array_equal(loaded.predict(encoded), clf.predict(encoded))
+        with np.load(path) as saved:
+            assert "center" not in saved.files
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_file_with_a_center_flag(self, rng, tmp_path, center):
+        """Files from before centring was the only policy: ``center=True``
+        loads unchanged, ``center=False`` is refused by name."""
+        encoded = rng.integers(-50, 51, size=(64, 128)).astype(np.int64)
+        clf = CentroidClassifier(4, 128).fit(encoded, rng.integers(0, 4, size=64))
+        path = tmp_path / "clf.npz"
+        clf.save(path)
+        arrays = dict(np.load(path, allow_pickle=False))
+        arrays["center"] = np.array(center)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        if center:
+            loaded = load_model(path)
+            np.testing.assert_array_equal(
+                loaded.similarities(encoded), clf.similarities(encoded)
+            )
+        else:
+            with pytest.raises(ModelFormatError, match="'center'"):
+                load_model(path)
 
     def test_load_onto_its_own_backend(self, rng, tmp_path):
         """Naming the backend a classifier was saved with is a no-op

@@ -4,9 +4,13 @@ uHD never stores a hypervector: every process, ``load_model`` included,
 regenerates the codebook from the config seed.  A saved model is only
 correct if that regeneration is a *fixed* function of the seed, and a
 save/load round trip cannot show a change to it (both sides would move
-together).  These sha256 digests were recorded at commit 5349c83, with
-the per-bit scalar direction draws and the bit-loop point generator, and
-any later generator must reproduce them exactly.
+together).  The first ten sha256 digests were recorded at commit
+5349c83, with the per-bit scalar direction draws and the bit-loop point
+generator; the rest (the paper's other dimensions and levels, the 32x32
+datasets' pixel count, seed 7 as perfbench uses it, the digital-shift
+constants) were recorded at commit 356bc5c, the last generator with the
+Gray, recurrence and ``max_bits`` options.  Any later generator must
+reproduce them all exactly.
 
 Each case hashes dtype, shape and little-endian bytes, so the same
 digest must hold on every supported NumPy version.
@@ -38,8 +42,8 @@ def _directions(engine: SobolEngine) -> np.ndarray:
     return engine._directions
 
 
-def _codes(levels: int) -> np.ndarray:
-    return SobolLevelEncoder(784, UHDConfig(dim=1024, levels=levels)).quantized_codes
+def _codes(pixels: int = 784, **config) -> np.ndarray:
+    return SobolLevelEncoder(pixels, UHDConfig(**config)).quantized_codes
 
 
 CASES = {
@@ -49,88 +53,91 @@ CASES = {
     ),
     "sequences_784x1024_f64": lambda: sobol_sequences(784, 1024),
     "sequences_784x1024_f32": lambda: sobol_sequences(784, 1024, dtype=np.float32),
-    "codes_levels16": lambda: _codes(16),
-    "codes_levels256": lambda: _codes(256),
+    "codes_levels16": lambda: _codes(levels=16),
+    "codes_levels256": lambda: _codes(levels=256),
     "sequences_seed0": lambda: sobol_sequences(784, 1024, seed=0),
     "sequences_seed1": lambda: sobol_sequences(784, 1024, seed=1),
     "sequences_seed99": lambda: sobol_sequences(784, 1024, seed=99),
     "sequences_digital_shift": lambda: sobol_sequences(
         784, 1024, digital_shift=True
     ),
-    "integers_gray": lambda: SobolEngine(784, order="gray").integers(1024),
-    "integers_mid_stream_natural": lambda: SobolEngine(784)
-    .fast_forward(1000)
-    .integers(1500),
-    "integers_mid_stream_gray_shifted": lambda: SobolEngine(
-        784, order="gray", digital_shift=True
-    )
-    .fast_forward(777)
-    .integers(1234),
-    "recurrence_directions_64": lambda: _directions(
-        SobolEngine(64, init="recurrence")
-    ),
-    "recurrence_integers_64": lambda: SobolEngine(64, init="recurrence").integers(
-        1024
-    ),
-    "max_bits1_directions": lambda: _directions(SobolEngine(200, max_bits=1)),
-    # n beyond the period 2^max_bits: the stream wraps
-    "max_bits1_integers": lambda: SobolEngine(200, max_bits=1).integers(8),
-    "max_bits31_directions": lambda: _directions(SobolEngine(200, max_bits=31)),
-    "max_bits31_integers": lambda: SobolEngine(200, max_bits=31).integers(1024),
-    "max_bits33_directions": lambda: _directions(SobolEngine(200, max_bits=33)),
-    "max_bits33_integers": lambda: SobolEngine(200, max_bits=33).integers(1024),
-    "max_bits62_directions": lambda: _directions(SobolEngine(200, max_bits=62)),
-    "max_bits62_integers": lambda: SobolEngine(200, max_bits=62).integers(1024),
+    # points 1000..2499: the doubling's middle bits, not only its prefix
+    "integers_mid_stream_natural": lambda: SobolEngine(784).integers(2500)[1000:],
+    # the paper's D sweep (1K / 2K / 8K) and its other power-of-two levels
+    "codes_dim2048": lambda: _codes(dim=2048),
+    "codes_dim8192": lambda: _codes(dim=8192),
+    "codes_levels2": lambda: _codes(levels=2),
+    "codes_levels4": lambda: _codes(levels=4),
+    "codes_levels8": lambda: _codes(levels=8),
+    "codes_levels32": lambda: _codes(levels=32),
+    "codes_levels64": lambda: _codes(levels=64),
+    "codes_levels128": lambda: _codes(levels=128),
+    # 32x32 grayscale (CIFAR-10, SVHN), seed and shift options of UHDConfig
+    "codes_pixels1024": lambda: _codes(1024),
+    "codes_seed7": lambda: _codes(seed=7),
+    "codes_digital_shift": lambda: _codes(digital_shift=True),
+    # perfbench's throughput stream
+    "random_784_seed7_1024": lambda: SobolEngine(784, seed=7).random(1024),
+    "directions_seed0": lambda: _directions(SobolEngine(784, seed=0)),
+    "directions_seed7": lambda: _directions(SobolEngine(784, seed=7)),
+    "shift_seed2024": lambda: SobolEngine(784, digital_shift=True)._shift,
+    "shift_seed7": lambda: SobolEngine(784, seed=7, digital_shift=True)._shift,
 }
 
 GOLDEN = {
+    "codes_digital_shift": (
+        "6c547157a3545a3d071b3eede09cf3e4e0656fd857cf46b57bb3ab978a9c6dd5"
+    ),
+    "codes_dim2048": (
+        "06957dbebd92510ce66251abce9d99c9d47d49b9b3d0e73de984b2fbad172eaf"
+    ),
+    "codes_dim8192": (
+        "13ec2dda7aba18cd2b376da9888db78ae13d77dd6223af3c1c0a723cf1b384d5"
+    ),
+    "codes_levels128": (
+        "c48059f2bb2c18e87398210cc08dcfb616c0bb5a93832b46431e50c44e1dd8cc"
+    ),
     "codes_levels16": (
         "c34bf178346c56240d77deb417df855a4ec09d17fa8500532a7213ac02db3c7d"
+    ),
+    "codes_levels2": (
+        "0b0f89540e0204756752b5eb57d1b5a5bdc91a1d1edace11571a973cc7ec8a12"
     ),
     "codes_levels256": (
         "b960212b2e65093e8c89d3236b702981344ee63c4871df0323dec9f7bedc911d"
     ),
+    "codes_levels32": (
+        "46cdb8f4441d10e371566898f7eda3d17fa7c58764fe087a7087bb850f525870"
+    ),
+    "codes_levels4": (
+        "f6a0206c29ca24fec8ef832c17a502e7b09fb6da12ce7a3a74cbe3273b4e22b9"
+    ),
+    "codes_levels64": (
+        "dc61ad80d8eb4cfefd4b0c0438416d9d463fa1cf283a939ce779ec75fbf0bbcf"
+    ),
+    "codes_levels8": (
+        "e3648b5eb03d17e4ed521a750edb887b4a20f272ee9a3b69fc207f0204b6675b"
+    ),
+    "codes_pixels1024": (
+        "7ddffbecdc1c9633ca4ddee4469a16ff9e365ca45ba2614186da09196bb6403c"
+    ),
+    "codes_seed7": (
+        "2c03a276d82a8e72681cce1841a81ae78aa9ddb518f79af46625fc6d979acbbc"
+    ),
     "directions_max_pixels": (
         "5acf176c4a1fba1713359a7191e46f312d652935f218d2b8d5df37bb7c8c2325"
     ),
-    "integers_gray": (
-        "e7e051922ce7a04857420d4c5c66f9594eb70a5da6d27aa2391a36fd7772d927"
+    "directions_seed0": (
+        "56c76c54b209a29b17377a44917b3ef7e40cc5f2b236f8cf961a7634b9876670"
     ),
-    "integers_mid_stream_gray_shifted": (
-        "96c08b78ea138e3d829da9cb7f493054b3e7b9824d470a964a066ecaf1876c34"
+    "directions_seed7": (
+        "dc7acbc9006ad89367b590ef1a6fbf3810e776b0897311421fdee3805070bb59"
     ),
     "integers_mid_stream_natural": (
         "837b44325b263407b945c20fc88c50d6ea5157817141ce80f4d4dea664432aa9"
     ),
-    "max_bits1_directions": (
-        "4d6ac560d662c997ce265de35036f329fa46c3a19be688aadaa47287d698e429"
-    ),
-    "max_bits1_integers": (
-        "1be9bd2165cd72ffdf5f07d715ffb4172cd12ba9d7914395fb0e62226b00c8be"
-    ),
-    "max_bits31_directions": (
-        "9bfe3017069a963cef657a70f21c904624e2b2f321046ec0c0900583d991959b"
-    ),
-    "max_bits31_integers": (
-        "7b249b0278a52d4502798d5bba8ea93935a068f35da71c214b5add01116d2a6e"
-    ),
-    "max_bits33_directions": (
-        "cb915f291cad948129c6e132f048b89e6222ef43e2d70fa17189c65ad322721a"
-    ),
-    "max_bits33_integers": (
-        "a5eda1944174edfcda9ff5a7f9bc5f0b636966bb0bcca690a202a98d7728522a"
-    ),
-    "max_bits62_directions": (
-        "662155dc1b600998a1db10e44af314c68eb44ed613a23be5155ee5c09bc6e7c3"
-    ),
-    "max_bits62_integers": (
-        "d80c49548adfec54039bcce8bb7a0026c278b93dbe3672c2dbbca18415983416"
-    ),
-    "recurrence_directions_64": (
-        "9a7adb22cf160a468f904c8e47dd1ec97cd3d1323f280716a11c5d1438623a01"
-    ),
-    "recurrence_integers_64": (
-        "58f735952ce43004ebaa8cd69e6f4b4c6dbbefe0b75911770845d71ccfbe3d83"
+    "random_784_seed7_1024": (
+        "034cec6a0f18610926c1398072f3be776c9d6fc1e08fca62d1428c51fb09a7e0"
     ),
     "sequences_784x1024_f32": (
         "c989538f740fb35c8fae1df214c693be26a4cae4e50fdfc7eb6a9f7e84b4e27f"
@@ -149,6 +156,12 @@ GOLDEN = {
     ),
     "sequences_seed99": (
         "33bc5cac4cbd0985c4cb8d49b497e3b569be364118b3e7789a5fdb839c712703"
+    ),
+    "shift_seed2024": (
+        "09906890163b858402b9e4692195686ef21af35c33dc3a6af40a815077dde755"
+    ),
+    "shift_seed7": (
+        "d8f1f635951867c987db35f1f189cdde1090ba0eed8726538d3504eddc89a0c0"
     ),
 }
 

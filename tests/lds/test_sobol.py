@@ -16,25 +16,29 @@ class TestFirstDimension:
         expected = [0.0, 0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]
         np.testing.assert_allclose(points, expected)
 
-    def test_gray_order_same_point_set(self):
-        natural = SobolEngine(2, order="natural").random(16)
-        gray = SobolEngine(2, order="gray").random(16)
-        for dim in range(2):
-            assert set(natural[:, dim]) == set(gray[:, dim])
+
+@pytest.fixture(scope="module", params=[False, True], ids=["plain", "shifted"])
+def mnist_codebook_integers(request):
+    """The first 4096 points of the 784-pixel codebook stream."""
+    return SobolEngine(784, digital_shift=request.param).integers(4096)
 
 
 class TestZeroOneSequenceProperty:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_every_dyadic_block_stratifies(self, mnist_codebook_integers, k):
+        # a (0, 1)-sequence: each aligned block of 2^k points, not only the
+        # first, puts exactly one point in every bin of width 2^-k
+        points = mnist_codebook_integers
+        bins = (points >> np.uint64(32 - k)).reshape(-1, 1 << k, points.shape[1])
+        expected = np.arange(1 << k, dtype=np.uint64)[:, None]
+        assert (np.sort(bins, axis=1) == expected).all()
+
     @given(dim=st.integers(1, 64), k=st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
     def test_every_dimension_stratifies(self, dim, k):
         engine = SobolEngine(max(dim, 1), seed=99)
         points = engine.random(1 << k)
         assert is_zero_one_sequence_prefix(points[:, dim - 1], k)
-
-    def test_recurrence_init_also_stratifies(self):
-        seqs = sobol_sequences(16, 256, seed=5, init="recurrence")
-        for row in seqs:
-            assert is_zero_one_sequence_prefix(row, 8)
 
     def test_digital_shift_preserves_stratification(self):
         seqs = sobol_sequences(8, 256, seed=5, digital_shift=True)
@@ -59,37 +63,20 @@ class TestDeterminism:
         np.testing.assert_array_equal(a, b)
 
 
-class TestStatefulApi:
-    def test_chunked_equals_bulk(self):
-        bulk = SobolEngine(5, seed=7).random(64)
+class TestFirstPoints:
+    def test_every_call_starts_at_the_first_point(self):
         engine = SobolEngine(5, seed=7)
-        chunked = np.vstack([engine.random(16) for _ in range(4)])
-        np.testing.assert_array_equal(bulk, chunked)
-
-    def test_fast_forward(self):
-        bulk = SobolEngine(3, seed=7).random(64)
-        engine = SobolEngine(3, seed=7).fast_forward(32)
-        np.testing.assert_array_equal(engine.random(32), bulk[32:])
-
-    def test_reset(self):
-        engine = SobolEngine(3, seed=7)
-        first = engine.random(16)
-        engine.reset()
-        np.testing.assert_array_equal(engine.random(16), first)
-
-    def test_index_property(self):
-        engine = SobolEngine(2)
-        assert engine.index == 0
-        engine.random(5)
-        assert engine.index == 5
+        first = engine.integers(64)
+        np.testing.assert_array_equal(engine.integers(64), first)
+        np.testing.assert_array_equal(engine.integers(16), first[:16])
 
     def test_zero_points(self):
         assert SobolEngine(2).random(0).shape == (0, 2)
 
     def test_integers_in_range(self):
-        values = SobolEngine(4, max_bits=16).integers(256)
+        values = SobolEngine(4).integers(256)
         assert values.min() >= 0
-        assert values.max() < (1 << 16)
+        assert values.max() < (1 << 32)
 
 
 class TestValidation:
@@ -97,25 +84,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="dimension"):
             SobolEngine(0)
 
-    def test_bad_max_bits(self):
-        with pytest.raises(ValueError, match="max_bits"):
-            SobolEngine(1, max_bits=63)
-
-    def test_bad_init(self):
-        with pytest.raises(ValueError, match="init"):
-            SobolEngine(1, init="tables")
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError, match="order"):
-            SobolEngine(1, order="shuffled")
-
     def test_negative_n(self):
         with pytest.raises(ValueError):
             SobolEngine(1).random(-1)
 
-    def test_negative_fast_forward(self):
-        with pytest.raises(ValueError):
-            SobolEngine(1).fast_forward(-1)
+    def test_n_beyond_the_period(self):
+        # rejected before any allocation: 2^32 points is the whole period
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            SobolEngine(1).integers(2**32 + 1)
 
 
 class TestSobolSequences:
@@ -170,30 +146,8 @@ class TestSequenceMemo:
         seqs = sobol_sequences(8, 32, seed=3)
         with pytest.raises(ValueError):
             seqs[0, 0] = 0.5
-
-    def test_mutation_error_points_at_copy_kwarg(self):
-        seqs = sobol_sequences(8, 32, seed=3)
-        with pytest.raises(ValueError, match="copy=True"):
-            seqs[0, 0] = 0.5
-        # in-place ufuncs hit NumPy's own read-only guard instead
         with pytest.raises(ValueError):
             seqs += 1.0
-
-    def test_copy_returns_private_writable_array(self):
-        shared = sobol_sequences(8, 32, seed=3)
-        before = shared.copy()
-        private = sobol_sequences(8, 32, seed=3, copy=True)
-        assert private.flags.writeable
-        assert private is not shared
-        np.testing.assert_array_equal(private, shared)
-        private[0, 0] = 0.123  # must not corrupt the shared table
-        np.testing.assert_array_equal(sobol_sequences(8, 32, seed=3), before)
-
-    def test_copy_with_dtype(self):
-        private = sobol_sequences(8, 32, seed=3, dtype=np.float32, copy=True)
-        assert private.dtype == np.float32
-        assert private.flags.writeable
-        private *= 2.0  # writable through ufuncs too
 
     def test_cache_is_bounded(self):
         from repro.lds import sobol as sobol_module

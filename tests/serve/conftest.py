@@ -148,22 +148,22 @@ class HeldExecutor:
         """Let every held and later ``predict`` run."""
         self._gate.set()
 
-    def release_once_queued(self, depth: int) -> threading.Thread:
-        """Release, from a thread, once an executor is held and ``depth``
-        items wait in the lanes or have expired there — then 5 ms on,
-        past any 1 ms deadline among them.
+    def release_once_accepted(self, parts: int) -> threading.Thread:
+        """Release, from a thread, once an executor is held and the lanes
+        have accepted ``parts`` request parts — then 5 ms on, past any
+        1 ms deadline among them.
 
-        Expired items count: an executor that wakes late for its first
-        batch expires a 1 ms deadline before it is held, and the lanes
-        then never hold ``depth`` items at once.
+        Every accepted part counts, wherever it is now: queued, expired,
+        or already taken into the held batch (with ``max_batch > 1`` the
+        executor takes several before it is held, so fewer than
+        ``parts`` ever wait in the lanes at once).
         """
 
         def wait_then_release() -> None:
             give_up = time.monotonic() + 60.0
             while time.monotonic() < give_up:
-                stats = self.server.stats()
-                queued = sum(lane.depth for lane in stats.lanes)
-                if self.entered.is_set() and queued + stats.expired >= depth:
+                accepted = sum(lane.submitted for lane in self.server.stats().lanes)
+                if self.entered.is_set() and accepted >= parts:
                     break
                 time.sleep(0.001)
             time.sleep(0.005)

@@ -451,7 +451,7 @@ class TestWireSemantics:
                     for i in range(60)
                 ]
                 # one flood item held in predict, 59 queued, then EXPIRED
-                release = held.release_once_queued(60)
+                release = held.release_once_accepted(61)
                 with BinaryClient(transport.host, transport.port) as client:
                     with pytest.raises(DeadlineExpiredError, match="expired"):
                         client.predict(

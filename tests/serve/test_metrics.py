@@ -232,7 +232,7 @@ class TestExpiryAccountingOverHttp:
                     for i in range(60)
                 ]
                 # one flood item held in predict, 59 queued, then the 504
-                release = held.release_once_queued(60)
+                release = held.release_once_accepted(61)
                 request = urllib.request.Request(
                     transport.address + "/predict?lane=bulk&deadline_ms=1",
                     data=np.ascontiguousarray(
@@ -285,7 +285,7 @@ class TestExpiryAccountingOverHttp:
             doomed = router.submit(
                 "m", serve_data.test_images[0], deadline_ms=1.0
             )
-            held.release_once_queued(40).join()
+            held.release_once_accepted(41).join()
             with pytest.raises(Exception, match="expired"):
                 doomed.result(timeout=30.0)
             for handle in flood:

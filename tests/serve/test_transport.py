@@ -488,7 +488,7 @@ class TestHttpPool:
                 ]
                 threads[0].start()
                 assert held.entered.wait(timeout=60.0)
-                release = held.release_once_queued(15)
+                release = held.release_once_accepted(16)
                 for thread in threads[1:]:
                     thread.start()
                 release.join(timeout=60.0)
@@ -500,6 +500,45 @@ class TestHttpPool:
             assert np.array_equal(labels, direct_labels[index:index + 1])
         assert len(results) == 16
         assert stats["batches"] < 16  # concurrency actually coalesced
+
+    def test_burst_of_posts_is_released_within_seconds(
+        self, model_path, serve_data, direct_labels, hold_executor
+    ):
+        """16 posts sent at once with ``max_batch=8``: the executor takes
+        several into its first batch before it is held, so fewer than 16
+        ever wait in the lanes; the held executor must still be released
+        within seconds, not at its 60 s gate."""
+        config = ServeConfig(workers=1, max_batch=8, max_wait_ms=20.0)
+        results: dict[int, np.ndarray] = {}
+        with _router(model_path, config) as router:
+            held = hold_executor(router.deployment("m"))
+            try:
+                with HttpTransport(router) as transport:
+
+                    def post(index: int) -> None:
+                        reply = _post_json(
+                            transport.address,
+                            {"images": serve_data.test_images[index].tolist()},
+                            timeout=60.0,
+                        )
+                        results[index] = np.asarray(reply["labels"])
+
+                    threads = [
+                        threading.Thread(target=post, args=(i,), daemon=True)
+                        for i in range(16)
+                    ]
+                    release = held.release_once_accepted(16)
+                    for thread in threads:
+                        thread.start()
+                    release.join(timeout=10.0)
+                    assert not release.is_alive()
+                    for thread in threads:
+                        thread.join(timeout=30.0)
+            finally:
+                held.release()
+        assert sorted(results) == list(range(16))
+        for index, labels in results.items():
+            assert np.array_equal(labels, direct_labels[index:index + 1])
 
 
 class TestDeadlinesThroughTheServer:
@@ -517,7 +556,7 @@ class TestDeadlinesThroughTheServer:
             doomed = server.submit(
                 serve_data.test_images[0], deadline_ms=1.0
             )
-            held.release_once_queued(60).join()
+            held.release_once_accepted(61).join()
             with pytest.raises(DeadlineExpiredError, match="expired"):
                 doomed.result(timeout=30.0)
             for handle in flood:
@@ -547,7 +586,7 @@ class TestDeadlinesThroughTheServer:
                     for i in range(60)
                 ]
                 doomed = server.submit(serve_data.test_images[0], deadline_ms=1.0)
-                release = held.release_once_queued(60)
+                release = held.release_once_accepted(61)
                 release.join(timeout=5.0)
                 assert not release.is_alive()
                 with pytest.raises(DeadlineExpiredError, match="expired"):
