@@ -7,7 +7,8 @@ default to 1K/2K; 8K joins under REPRO_FULL.
 Reproduced shape: both models far above chance, accuracy non-decreasing
 with D, baseline fluctuating across draws while uHD is deterministic.
 The paper's additional claim that uHD edges out the baseline by ~1 point
-did NOT transfer to the procedural dataset (see EXPERIMENTS.md).
+did NOT transfer to the procedural dataset (see this table in
+``python -m repro report``).
 """
 
 import os

@@ -1,8 +1,8 @@
 """Shared benchmark helpers.
 
 Every benchmark regenerates one table/figure of the paper, prints it, and
-writes the rendered text under ``benchmarks/results/`` so EXPERIMENTS.md
-can be refreshed from a single run.  Accuracy benches honour
+writes the rendered text under ``benchmarks/results/``, where
+``python -m repro report`` assembles them after a single run.  Accuracy benches honour
 ``REPRO_FULL=1`` for paper-leaning sample counts.
 """
 

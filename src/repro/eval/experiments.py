@@ -1,7 +1,7 @@
 """Reproduction runners: one function per table/figure of the paper.
 
 Each function returns structured rows (lists of dataclasses) that the
-benchmarks print and EXPERIMENTS.md records.  Paper values are attached
+benchmarks print and ``python -m repro report`` assembles.  Paper values are attached
 wherever the paper states them, so every output is a paper-vs-measured
 comparison.
 """

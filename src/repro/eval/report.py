@@ -1,9 +1,9 @@
-"""Assemble the EXPERIMENTS report from published benchmark results.
+"""Assemble the accuracy report from published benchmark results.
 
 Every benchmark writes its rendered table under ``benchmarks/results/``;
-this module stitches those files into one markdown document so
-EXPERIMENTS.md can be refreshed with a single command
-(``repro-uhd report``) after a bench run.
+this module stitches those files into one markdown document, which
+``python -m repro report`` (``repro-uhd report``) prints after a bench
+run.
 """
 
 from __future__ import annotations

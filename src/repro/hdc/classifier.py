@@ -13,8 +13,8 @@ accumulators sit far below zero in every dimension, so sign-at-zero maps
 every class to the constant all-(-1) vector and accuracy collapses to
 chance.  The accuracy experiments therefore default to ``binarize=False``
 (cosine on the integer centroids — the "subtractor" reading of the paper's
-binarization and the usual software practice), and EXPERIMENTS.md
-documents the choice.  The hardware energy model is unaffected: it charges
+binarization and the usual software practice); the accuracy tables that
+``python -m repro report`` assembles are measured that way.  The hardware energy model is unaffected: it charges
 the full popcount + masking-logic datapath either way.
 
 ``retrain`` implements the perceptron-style refinement several prior HDC

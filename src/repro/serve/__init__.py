@@ -74,12 +74,7 @@ from .probe import ProbeResult, readiness_probe
 from .router import DeploymentSpec, Router
 from .scheduler import LaneConfig, LaneStats, ScheduledBatch, Scheduler
 from .server import UHDServer
-from .transport import (
-    HttpTransport,
-    Transport,
-    TransportSnapshot,
-    TransportStats,
-)
+from .transport import HttpTransport, Transport, TransportStats
 from .types import (
     DeadlineExpiredError,
     PredictionHandle,
@@ -109,7 +104,6 @@ __all__ = [
     "ServerStats",
     "SocketTransport",
     "Transport",
-    "TransportSnapshot",
     "TransportStats",
     "UHDServer",
     "encoder_cache",

@@ -502,7 +502,8 @@ class _Connection(socketserver.BaseRequestHandler):
             if self._ended:
                 return
             self._out.append(frame)
-        self.transport.stats.frame_out(len(frame))
+            # counted before the writer can take it off the queue
+            self.transport.stats.frame_out(len(frame))
 
     def _write_loop(self) -> None:
         """The writer thread: send what is queued until nothing more is owed."""

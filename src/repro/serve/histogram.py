@@ -20,21 +20,22 @@ is the one histogram implementation every serving layer records into:
 
 Recording is lock-cheap: one plain ``threading.Lock`` held for a
 single list-index increment — no allocation, no syscall.  The bucket
-index itself is computed *outside* the lock from pure math
-(``log10``), not a search.  ``excluded`` counts requests deliberately
-kept out of the distribution (deadline-expired requests are failed,
-never served, so their "latency" is not a service latency and must not
-pollute the quantiles); it rides along in snapshots and merges so
+index itself is a binary search of the bounds, *outside* the lock.
+``excluded`` counts requests deliberately kept out of the distribution
+(deadline-expired requests are failed, never served, so their
+"latency" is not a service latency and must not pollute the
+quantiles); it rides along in snapshots and merges so
 consumers can always reconcile ``served == count`` and
 ``expired == excluded`` per lane.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "BUCKET_BOUNDS_S",
@@ -64,7 +65,6 @@ BUCKET_BOUNDS_S: tuple[float, ...] = tuple(
 )
 
 _NUM_BUCKETS = len(BUCKET_BOUNDS_S) + 1  # + overflow
-_LOG_MIN = math.log10(BUCKET_MIN_S)
 
 
 def bucket_index(seconds: float) -> int:
@@ -72,22 +72,9 @@ def bucket_index(seconds: float) -> int:
 
     Bucket ``i < len(BUCKET_BOUNDS_S)`` covers ``(bounds[i-1], bounds[i]]``
     (bucket 0 covers ``[0, bounds[0]]``); the last bucket is the +Inf
-    overflow.  Pure math — no search, no locks — so it can run outside
-    the recorder's lock.
+    overflow.  Bounds are *upper* edges, hence ``bisect_left``.
     """
-    if seconds <= BUCKET_MIN_S:
-        return 0
-    if seconds > BUCKET_BOUNDS_S[-1]:
-        return _NUM_BUCKETS - 1
-    # exact index via logs; ceil because bounds are *upper* edges
-    index = math.ceil((math.log10(seconds) - _LOG_MIN) * BUCKETS_PER_DECADE)
-    index = min(max(index, 0), len(BUCKET_BOUNDS_S) - 1)
-    # float fuzz near an edge: nudge until the invariant holds
-    while index > 0 and seconds <= BUCKET_BOUNDS_S[index - 1]:
-        index -= 1
-    while seconds > BUCKET_BOUNDS_S[index]:
-        index += 1
-    return index
+    return bisect.bisect_left(BUCKET_BOUNDS_S, seconds)
 
 
 @dataclass(frozen=True)
@@ -205,9 +192,8 @@ class HistogramSnapshot:
 class LatencyHistogram:
     """Thread-safe recorder over the shared log-spaced bucket layout.
 
-    ``record`` is the hot-path method: bucket math outside the lock, a
-    single increment inside it.  ``merge_counts`` exists for the
-    in-process server mode where several chunks complete at once.
+    ``record`` is the hot-path method: bucket search outside the lock, a
+    single increment inside it.
     """
 
     __slots__ = ("_lock", "_counts", "_count", "_sum_s", "_excluded")
@@ -228,15 +214,6 @@ class LatencyHistogram:
             self._counts[index] += 1
             self._count += 1
             self._sum_s += seconds
-
-    def record_many(self, latencies: Sequence[float]) -> None:
-        """Record a batch of observations under one lock acquisition."""
-        indexed = [(bucket_index(max(s, 0.0)), max(s, 0.0)) for s in latencies]
-        with self._lock:
-            for index, seconds in indexed:
-                self._counts[index] += 1
-                self._count += 1
-                self._sum_s += seconds
 
     def exclude(self, n: int = 1) -> None:
         """Count ``n`` requests as deliberately outside the distribution."""

@@ -2,12 +2,12 @@
 
 :func:`render_metrics` turns a live :class:`~repro.serve.router.Router`
 into the Prometheus text format 0.0.4 the ``GET /metrics`` endpoint
-serves — ``# HELP`` / ``# TYPE`` headers, counters/gauges, and one
+serves: ``# HELP`` / ``# TYPE`` headers, counters/gauges, and one
 classic histogram per lane whose ``_bucket{le=...}`` lines are the
 *cumulative* view of the fixed log-spaced buckets in
-:mod:`repro.serve.histogram`.  Everything is derived from the same
-server snapshots ``/stats`` serves, so the two endpoints can never
-disagree.
+:mod:`repro.serve.histogram`.  Every sample is read from the ``/stats``
+documents (:meth:`~repro.serve.router.Router.stats`), so the two
+endpoints can never disagree.
 
 :func:`parse_exposition` is the matching strict parser.  It exists so
 tests and CI can validate conformance without a Prometheus binary:
@@ -17,106 +17,121 @@ it checks HELP/TYPE placement, label syntax, histogram completeness
 
 Metric names
 ------------
-Per-deployment families carry a ``model`` label (per-lane ones also
-``lane``); transport and cache families are router- and process-wide:
-
-====================================  =======  =====================================
-``uhd_requests_total``                counter  ``submit()`` calls accepted
-``uhd_images_total``                  counter  images across those requests
-``uhd_batches_total``                 counter  batches the scheduler dispatched
-``uhd_expired_total``                 counter  request parts failed on a deadline
-``uhd_failed_total``                  counter  request parts whose batch failed
-``uhd_workers``                       gauge    executor threads (0 = caller drains)
-``uhd_mean_batch_size``               gauge    coalescing health (images/batch)
-``uhd_lane_queue_depth``              gauge    items queued, per ``{lane}``
-``uhd_lane_queued_rows``              gauge    rows across those items, per ``{lane}``
-``uhd_lane_submitted_total``          counter  items queued, per ``{lane}``
-``uhd_lane_served_total``             counter  items answered, per ``{lane}``
-``uhd_lane_served_rows_total``        counter  rows answered, per ``{lane}``
-``uhd_lane_expired_total``            counter  items expired, per ``{lane}``
-``uhd_lane_failed_total``             counter  items failed, per ``{lane}``
-``uhd_lane_latency_seconds``          histogram  scheduling latency, per ``{lane}``
-``uhd_transport_connections``         gauge    open connections, per ``{transport}``
-``uhd_transport_connections_total``   counter  connections accepted, per ``{transport}``
-``uhd_transport_frames_total``        counter  frames/requests, per ``{transport,direction}``
-``uhd_transport_bytes_total``         counter  payload bytes, per ``{transport,direction}``
-``uhd_transport_malformed_frames_total``  counter  unparseable frames, per ``{transport}``
-``uhd_cache_encoders``                gauge    encoder-cache entries (process-wide)
-``uhd_cache_table_bytes``             gauge    gather-table bytes cached
-====================================  =======  =====================================
+Every family is one row of :data:`DEPLOYMENT_ROWS`, :data:`LANE_ROWS`,
+:data:`WIRE_ROWS` or :data:`CACHE_ROWS`: its name, the ``/stats``
+field it reads, its HELP text and any extra labels.  A family's TYPE
+follows from its name: ``_seconds`` is a histogram, ``_total`` a
+counter, anything else a gauge.  Deployment families carry a ``model``
+label (lane ones also ``lane``); wire families carry ``transport`` and
+are router-wide, cache families are process-wide.
 
 Once nothing is queued or in flight, every lane holds
 ``submitted == served + expired + failed``.  A deployment is one
-server for its whole life — a hot reload swaps its model in place — so
-counters and lane latency histograms run on across reloads.  The fleet
-gauge is ``uhd_deployment_generation{model}``, which counts reloads.
+server for its whole life (a hot reload swaps its model in place), so
+counters and lane latency histograms run on across reloads.
+``uhd_deployment_generation{model}`` counts reloads.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from itertools import chain
+from typing import TYPE_CHECKING, NamedTuple
 
-from .histogram import BUCKET_BOUNDS_S, HistogramSnapshot
+from .histogram import BUCKET_BOUNDS_S
 
 if TYPE_CHECKING:  # pragma: no cover
     from .router import Router
-    from .scheduler import LaneStats
 
 __all__ = ["render_metrics", "parse_exposition"]
 
-_PREFIX = "uhd"
 
-#: HELP text per family (also the single source the renderer emits from;
-#: the parser only checks placement, not wording)
-_HELP = {
-    "uhd_requests_total": "Prediction requests accepted by submit().",
-    "uhd_images_total": "Images across all accepted requests.",
-    "uhd_batches_total": "Batches the scheduler handed to an executor.",
-    "uhd_expired_total": "Request parts failed on an expired deadline.",
-    "uhd_failed_total": (
-        "Request parts whose batch failed (predict raised or server closed)."
-    ),
-    "uhd_workers": "Executor threads serving (0 means submitting threads drain).",
-    "uhd_mean_batch_size": "Mean images per dispatched batch (coalescing health).",
-    "uhd_lane_queue_depth": "Items currently queued in the lane.",
-    "uhd_lane_queued_rows": "Rows across the items currently queued in the lane.",
-    "uhd_lane_submitted_total": "Items accepted into the lane.",
-    "uhd_lane_served_total": "Items of the lane answered.",
-    "uhd_lane_served_rows_total": "Rows of the lane answered.",
-    "uhd_lane_expired_total": "Items failed on deadline while queued in the lane.",
-    "uhd_lane_failed_total": "Items of the lane whose batch failed.",
-    "uhd_lane_latency_seconds": (
-        "Scheduling latency of served items (expired items are excluded)."
-    ),
-    "uhd_cache_encoders": "Warm encoders in the process-wide cache.",
-    "uhd_cache_table_bytes": "Gather-table bytes held by cached encoders.",
-    "uhd_transport_connections": (
-        "Client connections currently open, per transport kind."
-    ),
-    "uhd_transport_connections_total": (
-        "Client connections accepted since start, per transport kind."
-    ),
-    "uhd_transport_frames_total": (
-        "Frames (binary) or requests (http) moved, per transport and "
-        "direction (in/out)."
-    ),
-    "uhd_transport_bytes_total": (
-        "Payload bytes moved, per transport and direction (in/out)."
-    ),
-    "uhd_transport_malformed_frames_total": (
-        "Frames/requests rejected as unparseable, per transport kind."
-    ),
-    "uhd_deployment_generation": "Current model generation (bumped by hot reload).",
-}
+class MetricRow(NamedTuple):
+    """One sample per table entry: ``family`` reads ``source[field]``."""
 
-_TYPE = {
-    name: (
-        "histogram"
-        if name.endswith("_seconds")
-        else "counter" if name.endswith("_total") else "gauge"
-    )
-    for name in _HELP
-}
+    family: str
+    field: str
+    help: str
+    labels: dict[str, str] = {}
+
+
+#: per deployment, from its ``/stats`` document
+DEPLOYMENT_ROWS = (
+    MetricRow("uhd_requests_total", "requests",
+              "Prediction requests accepted by submit()."),
+    MetricRow("uhd_images_total", "images",
+              "Images across all accepted requests."),
+    MetricRow("uhd_batches_total", "batches",
+              "Batches the scheduler handed to an executor."),
+    MetricRow("uhd_expired_total", "expired",
+              "Request parts failed on an expired deadline."),
+    MetricRow("uhd_failed_total", "failed",
+              "Request parts whose batch failed (predict raised or server "
+              "closed)."),
+    MetricRow("uhd_workers", "workers",
+              "Executor threads serving (0 means submitting threads drain)."),
+    MetricRow("uhd_mean_batch_size", "mean_batch_size",
+              "Mean images per dispatched batch (coalescing health)."),
+    MetricRow("uhd_deployment_generation", "generation",
+              "Current model generation (bumped by hot reload)."),
+)
+
+#: per lane, from each entry of a document's ``lanes``
+LANE_ROWS = (
+    MetricRow("uhd_lane_queue_depth", "depth",
+              "Items currently queued in the lane."),
+    MetricRow("uhd_lane_queued_rows", "queued_rows",
+              "Rows across the items currently queued in the lane."),
+    MetricRow("uhd_lane_submitted_total", "submitted",
+              "Items accepted into the lane."),
+    MetricRow("uhd_lane_served_total", "served", "Items of the lane answered."),
+    MetricRow("uhd_lane_served_rows_total", "served_rows",
+              "Rows of the lane answered."),
+    MetricRow("uhd_lane_expired_total", "expired",
+              "Items failed on deadline while queued in the lane."),
+    MetricRow("uhd_lane_failed_total", "failed",
+              "Items of the lane whose batch failed."),
+    MetricRow("uhd_lane_latency_seconds", "latency",
+              "Scheduling latency of served items (expired items are "
+              "excluded)."),
+)
+
+_FRAMES_HELP = (
+    "Frames (binary) or requests (http) moved, per transport and "
+    "direction (in/out)."
+)
+_BYTES_HELP = "Payload bytes moved, per transport and direction (in/out)."
+
+#: per transport kind, from each entry of a document's ``transports``
+WIRE_ROWS = (
+    MetricRow("uhd_transport_connections", "connections_open",
+              "Client connections currently open, per transport kind."),
+    MetricRow("uhd_transport_connections_total", "connections_total",
+              "Client connections accepted since start, per transport kind."),
+    MetricRow("uhd_transport_frames_total", "frames_in", _FRAMES_HELP,
+              {"direction": "in"}),
+    MetricRow("uhd_transport_frames_total", "frames_out", _FRAMES_HELP,
+              {"direction": "out"}),
+    MetricRow("uhd_transport_bytes_total", "bytes_in", _BYTES_HELP,
+              {"direction": "in"}),
+    MetricRow("uhd_transport_bytes_total", "bytes_out", _BYTES_HELP,
+              {"direction": "out"}),
+    MetricRow("uhd_transport_malformed_frames_total", "malformed",
+              "Frames/requests rejected as unparseable, per transport kind."),
+)
+
+#: process-wide, from a document's ``cache``
+CACHE_ROWS = (
+    MetricRow("uhd_cache_encoders", "entries",
+              "Warm encoders in the process-wide cache."),
+    MetricRow("uhd_cache_table_bytes", "table_bytes",
+              "Gather-table bytes held by cached encoders."),
+)
+
+
+def _metric_type(family: str) -> str:
+    if family.endswith("_seconds"):
+        return "histogram"
+    return "counter" if family.endswith("_total") else "gauge"
 
 
 def _escape_label(value: str) -> str:
@@ -144,131 +159,60 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-class _Exposition:
-    """Accumulates samples per family, renders HELP/TYPE-grouped text."""
-
-    def __init__(self) -> None:
-        self._samples: dict[str, list[tuple[str, dict[str, str], float]]] = {}
-
-    def add(self, family: str, labels: dict[str, str], value: float) -> None:
-        if family not in _HELP:
-            raise KeyError(f"unregistered metric family {family!r}")
-        self._samples.setdefault(family, []).append((family, labels, value))
-
-    def add_histogram(
-        self, family: str, labels: dict[str, str], snap: HistogramSnapshot
-    ) -> None:
-        """Classic Prometheus histogram: cumulative buckets + sum + count."""
-        if family not in _HELP:
-            raise KeyError(f"unregistered metric family {family!r}")
-        rows = self._samples.setdefault(family, [])
-        cumulative = 0
-        for bound, count in zip(BUCKET_BOUNDS_S, snap.counts):
-            cumulative += count
-            rows.append(
-                (
-                    family + "_bucket",
-                    {**labels, "le": _fmt_value(bound)},
-                    float(cumulative),
-                )
-            )
-        rows.append(
-            (family + "_bucket", {**labels, "le": "+Inf"}, float(snap.count))
-        )
-        rows.append((family + "_sum", dict(labels), snap.sum_s))
-        rows.append((family + "_count", dict(labels), float(snap.count)))
-
-    def render(self) -> str:
-        lines: list[str] = []
-        for family, rows in self._samples.items():
-            lines.append(f"# HELP {family} {_HELP[family]}")
-            lines.append(f"# TYPE {family} {_TYPE[family]}")
-            for name, labels, value in rows:
-                lines.append(f"{name}{_fmt_labels(labels)} {_fmt_value(value)}")
-        return "\n".join(lines) + "\n"
-
-
-def _lane_rows(
-    exp: _Exposition, lanes: Iterable[LaneStats], labels: dict[str, str]
-) -> None:
-    """Per-lane gauges/counters/histogram."""
-    for lane in lanes:
-        lane_labels = {**labels, "lane": lane.name}
-        exp.add("uhd_lane_queue_depth", lane_labels, lane.depth)
-        exp.add("uhd_lane_queued_rows", lane_labels, lane.queued_rows)
-        exp.add("uhd_lane_submitted_total", lane_labels, lane.submitted)
-        exp.add("uhd_lane_served_total", lane_labels, lane.served)
-        exp.add("uhd_lane_served_rows_total", lane_labels, lane.served_rows)
-        exp.add("uhd_lane_expired_total", lane_labels, lane.expired)
-        exp.add("uhd_lane_failed_total", lane_labels, lane.failed)
-        exp.add_histogram("uhd_lane_latency_seconds", lane_labels, lane.latency)
-
-
-def _transport_rows(exp: _Exposition, snapshots: Iterable[Any]) -> None:
-    """Per-transport wire counters; one label set per transport kind."""
-    for snap in snapshots:
-        labels = {"transport": snap.name}
-        exp.add("uhd_transport_connections", labels, snap.connections_open)
-        exp.add(
-            "uhd_transport_connections_total", labels, snap.connections_total
-        )
-        exp.add(
-            "uhd_transport_frames_total",
-            {**labels, "direction": "in"},
-            snap.frames_in,
-        )
-        exp.add(
-            "uhd_transport_frames_total",
-            {**labels, "direction": "out"},
-            snap.frames_out,
-        )
-        exp.add(
-            "uhd_transport_bytes_total",
-            {**labels, "direction": "in"},
-            snap.bytes_in,
-        )
-        exp.add(
-            "uhd_transport_bytes_total",
-            {**labels, "direction": "out"},
-            snap.bytes_out,
-        )
-        exp.add(
-            "uhd_transport_malformed_frames_total", labels, snap.malformed
-        )
-
-
-def _cache_rows(exp: _Exposition, cache: Any) -> None:
-    exp.add("uhd_cache_encoders", {}, cache.entries)
-    exp.add("uhd_cache_table_bytes", {}, cache.table_bytes)
+def _histogram_lines(family: str, labels: dict[str, str], latency: dict):
+    """Classic Prometheus histogram of a ``/stats`` latency section."""
+    cumulative = 0
+    for bound, count in zip(BUCKET_BOUNDS_S, latency["counts"]):
+        cumulative += count
+        le = {**labels, "le": _fmt_value(bound)}
+        yield f"{family}_bucket{_fmt_labels(le)} {cumulative}"
+    le = {**labels, "le": "+Inf"}
+    yield f"{family}_bucket{_fmt_labels(le)} {latency['count']}"
+    sum_s = _fmt_value(latency["sum_ms"] / 1e3)
+    yield f"{family}_sum{_fmt_labels(labels)} {sum_s}"
+    yield f"{family}_count{_fmt_labels(labels)} {latency['count']}"
 
 
 def render_metrics(router: "Router") -> str:
     """Prometheus text exposition (0.0.4) for a router.
 
-    One ``model``-labelled row set per deployment, from the same server
-    snapshot its ``/stats`` document serializes.  Always ends in a
-    newline; serve with ``Content-Type: text/plain; version=0.0.4``.
+    Walks the row tables over each deployment's ``/stats`` document;
+    families keep their first-seen order and group their samples.
+    Always ends in a newline; serve with ``Content-Type: text/plain;
+    version=0.0.4``.
     """
-    exp = _Exposition()
-    for model_id, server in router.deployments.items():
-        labels = {"model": model_id}
-        stats = server.stats()
-        exp.add("uhd_requests_total", labels, stats.requests)
-        exp.add("uhd_images_total", labels, stats.images)
-        exp.add("uhd_batches_total", labels, stats.batches)
-        exp.add("uhd_expired_total", labels, stats.expired)
-        exp.add("uhd_failed_total", labels, stats.failed)
-        exp.add("uhd_workers", labels, stats.workers)
-        exp.add("uhd_mean_batch_size", labels, stats.mean_batch_size)
-        exp.add("uhd_deployment_generation", labels, server.generation)
-        _lane_rows(exp, stats.lanes, labels)
-    # transports front the router as a whole, not any one deployment
-    _transport_rows(exp, router.transport_stats())
-    # the encoder cache is process-wide, not per-deployment
-    from .cache import encoder_cache
+    families: dict[str, list[str]] = {}
 
-    _cache_rows(exp, encoder_cache().stats())
-    return exp.render()
+    def emit(rows: tuple[MetricRow, ...], source: dict, labels: dict) -> None:
+        for row in rows:
+            kind = _metric_type(row.family)
+            lines = families.setdefault(row.family, [
+                f"# HELP {row.family} {row.help}",
+                f"# TYPE {row.family} {kind}",
+            ])
+            sample_labels = {**labels, **row.labels}
+            if kind == "histogram":
+                lines.extend(
+                    _histogram_lines(row.family, sample_labels, source[row.field])
+                )
+            else:
+                lines.append(
+                    f"{row.family}{_fmt_labels(sample_labels)} "
+                    f"{_fmt_value(source[row.field])}"
+                )
+
+    for model_id in router.deployments:
+        document = router.stats(model_id)
+        labels = {"model": model_id}
+        emit(DEPLOYMENT_ROWS, document, labels)
+        for lane in document["lanes"]:
+            emit(LANE_ROWS, lane, {**labels, "lane": lane["name"]})
+    # wires front the router as a whole and the encoder cache is
+    # process-wide: every document carries the same sections
+    for wire in document["transports"]:
+        emit(WIRE_ROWS, wire, {"transport": wire["name"]})
+    emit(CACHE_ROWS, document["cache"], {})
+    return "\n".join(chain.from_iterable(families.values())) + "\n"
 
 
 # --------------------------------------------------------------- parser

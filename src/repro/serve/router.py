@@ -20,7 +20,7 @@ request are bit-exact with ``load_model(path).predict(batch)`` for the
 file of the generation current when it was submitted.
 
 The server map is immutable after construction; one lock guards the
-router's start/close state and its attached transports.
+router's start/close state and its wire counters.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .server import UHDServer
+from .transport import TransportStats
 from .types import PredictionHandle, ServeConfig, ServeError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,8 +83,8 @@ class Router:
         self._started = False
         self._closed = False
         self._lock = threading.Lock()
-        #: wire counters of transports fronting this router (attach_transport)
-        self._transports: list[Any] = []
+        #: wire counters per transport kind fronting this router
+        self._wires: dict[str, TransportStats] = {}
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "Router":
@@ -240,26 +241,16 @@ class Router:
             "models": deployments,
         }
 
-    def attach_transport(self, stats: Any) -> None:
-        """Register a :class:`~repro.serve.transport.TransportStats`.
+    def wire_stats(self, kind: str) -> TransportStats:
+        """The wire counters every transport of ``kind`` on this router shares.
 
-        Transports call this from ``start()`` so their wire counters
-        (connections, frames, bytes, malformed) surface in every stats
-        document and in ``/metrics``.  Counters persist after the
-        transport closes (they are totals); attaching the same object
-        twice is a no-op.
+        Transports take theirs in ``start()``, so their connections,
+        frames, bytes and malformed counts surface in every stats
+        document and in ``/metrics``, one entry per kind in first-start
+        order.  Counters are totals: they outlive the transports.
         """
         with self._lock:
-            if all(existing is not stats for existing in self._transports):
-                self._transports.append(stats)
-
-    def transport_stats(self) -> tuple:
-        """Per-kind merged wire counters of every attached transport."""
-        from .transport import TransportSnapshot
-
-        with self._lock:
-            transports = list(self._transports)
-        return TransportSnapshot.merged(t.snapshot() for t in transports)
+            return self._wires.setdefault(kind, TransportStats(kind))
 
     def stats(self, model_id: str | None = None) -> dict:
         """One deployment's stats document, with this router's wire counters.
@@ -273,7 +264,9 @@ class Router:
         """
         model_id = self.default_model if model_id is None else model_id
         server = self.deployment(model_id)
-        stats = replace(server.stats(), transports=self.transport_stats())
+        with self._lock:
+            wires = tuple(wire.snapshot() for wire in self._wires.values())
+        stats = replace(server.stats(), transports=wires)
         return {
             **stats.as_dict(),
             "model": model_id,

@@ -73,7 +73,6 @@ from .types import (
     ServeConfig,
     ServeError,
     ServerStats,
-    _StatCounters,
 )
 
 __all__ = ["UHDServer"]
@@ -140,7 +139,9 @@ class UHDServer:
         self._front_probe: ProbeResult | None = None
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
-        self._stats = _StatCounters()
+        #: request and batch counters behind stats(), under the lock
+        self._requests = self._images = 0
+        self._batches = self._batched_images = self._max_batch_seen = 0
         self._started = False
         self._closed = False
         self._reloading = False
@@ -354,8 +355,8 @@ class UHDServer:
         arr = as_image_batch(images, int(model.num_pixels))
         rows = arr.shape[0]
         with self._lock:
-            self._stats.requests += 1
-            self._stats.images += rows
+            self._requests += 1
+            self._images += rows
         if rows == 0:
             handle = PredictionHandle(parts=0, rows=0)
             return handle
@@ -457,8 +458,11 @@ class UHDServer:
                 if until_closed:
                     continue
                 return
+            rows = scheduled.rows
             with self._lock:
-                self._stats.record_batch(scheduled.rows)
+                self._batches += 1
+                self._batched_images += rows
+                self._max_batch_seen = max(self._max_batch_seen, rows)
             try:
                 runs = []
                 for model, run in groupby(scheduled.items, attrgetter("model")):
@@ -535,15 +539,25 @@ class UHDServer:
         adds the fleet keys to make the document ``/stats`` serves.
         """
         scheduler = self._scheduler
-        lane_stats = scheduler.stats() if scheduler is not None else ()
-        cache_stats = encoder_cache().stats()
+        lanes = scheduler.stats() if scheduler is not None else ()
+        cache = encoder_cache().stats()
         with self._lock:
-            return self._stats.snapshot(
-                mode="inproc" if self.config.workers == 0 else "pool",
-                workers=self.config.workers,
-                lanes=lane_stats,
-                cache=cache_stats,
-            )
+            requests, images = self._requests, self._images
+            batches, batched = self._batches, self._batched_images
+            max_batch_seen = self._max_batch_seen
+        return ServerStats(
+            mode="inproc" if self.config.workers == 0 else "pool",
+            workers=self.config.workers,
+            requests=requests,
+            images=images,
+            batches=batches,
+            max_batch_seen=max_batch_seen,
+            mean_batch_size=batched / batches if batches else 0.0,
+            lanes=lanes,
+            expired=sum(lane.expired for lane in lanes),
+            failed=sum(lane.failed for lane in lanes),
+            cache=cache,
+        )
 
     def healthz(self) -> dict:
         """Liveness/readiness summary for health endpoints.

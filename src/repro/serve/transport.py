@@ -70,8 +70,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -82,7 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Transport",
-    "TransportSnapshot",
     "TransportStats",
     "HttpTransport",
 ]
@@ -92,105 +90,51 @@ __all__ = [
 _POLL_INTERVAL_S = 0.05
 
 
-@dataclass(frozen=True)
-class TransportSnapshot:
-    """Point-in-time wire counters of one transport (or one kind of them).
-
-    ``frames`` means "requests" on HTTP and literal frames on the binary
-    transport; ``bytes`` counts payload bytes (HTTP bodies, binary frame
-    bytes) so the two wires are comparable per request served.
-    """
-
-    name: str  #: transport kind — ``"http"`` or ``"binary"``
-    connections_open: int
-    connections_total: int
-    frames_in: int
-    frames_out: int
-    bytes_in: int
-    bytes_out: int
-    malformed: int  #: frames/requests rejected as unparseable (HTTP 400s)
-
-    @classmethod
-    def merged(
-        cls, snapshots: "Iterable[TransportSnapshot]"
-    ) -> "tuple[TransportSnapshot, ...]":
-        """Sum counters per transport name, preserving first-seen order.
-
-        Two transports of the same kind over one router (possible in
-        tests) must not emit duplicate Prometheus series — merging here
-        keeps ``/metrics`` one row per ``{transport=...}`` label value.
-        """
-        order: list[str] = []
-        acc: dict[str, list[int]] = {}
-        for snap in snapshots:
-            if snap.name not in acc:
-                order.append(snap.name)
-                acc[snap.name] = [0] * 7
-            row = acc[snap.name]
-            row[0] += snap.connections_open
-            row[1] += snap.connections_total
-            row[2] += snap.frames_in
-            row[3] += snap.frames_out
-            row[4] += snap.bytes_in
-            row[5] += snap.bytes_out
-            row[6] += snap.malformed
-        return tuple(cls(name, *acc[name]) for name in order)
-
-
 class TransportStats:
-    """Thread-safe mutable counters behind :class:`TransportSnapshot`.
+    """Thread-safe wire counters of one transport kind on one router.
 
-    Each transport owns one and registers it with the router it fronts
-    (``Router.attach_transport``) so ``/stats`` and ``/metrics`` can
-    report per-wire traffic without the router knowing wire details.
+    A locked dict keyed by the ``/stats`` field names: ``frames`` means
+    "requests" on HTTP and literal frames on the binary transport;
+    ``bytes`` counts payload bytes (HTTP bodies, binary frame bytes) so
+    the two wires are comparable per request served; ``malformed``
+    counts frames/requests rejected as unparseable (HTTP 400s).  Every
+    transport of a kind shares the router's one instance
+    (:meth:`Router.wire_stats <repro.serve.router.Router.wire_stats>`).
     """
 
     def __init__(self, name: str) -> None:
-        self.name = name
+        self.name = name  #: transport kind, ``"http"`` or ``"binary"``
         self._lock = threading.Lock()
-        self._connections_open = 0
-        self._connections_total = 0
-        self._frames_in = 0
-        self._frames_out = 0
-        self._bytes_in = 0
-        self._bytes_out = 0
-        self._malformed = 0
+        self._counts = dict.fromkeys(
+            ("connections_open", "connections_total", "frames_in",
+             "frames_out", "bytes_in", "bytes_out", "malformed"),
+            0,
+        )
+
+    def _add(self, **deltas: int) -> None:
+        with self._lock:
+            for field, delta in deltas.items():
+                self._counts[field] += delta
 
     def connection_opened(self) -> None:
-        with self._lock:
-            self._connections_open += 1
-            self._connections_total += 1
+        self._add(connections_open=1, connections_total=1)
 
     def connection_closed(self) -> None:
-        with self._lock:
-            self._connections_open -= 1
+        self._add(connections_open=-1)
 
     def frame_in(self, nbytes: int) -> None:
-        with self._lock:
-            self._frames_in += 1
-            self._bytes_in += nbytes
+        self._add(frames_in=1, bytes_in=nbytes)
 
     def frame_out(self, nbytes: int) -> None:
-        with self._lock:
-            self._frames_out += 1
-            self._bytes_out += nbytes
+        self._add(frames_out=1, bytes_out=nbytes)
 
     def malformed_frame(self) -> None:
-        with self._lock:
-            self._malformed += 1
+        self._add(malformed=1)
 
-    def snapshot(self) -> TransportSnapshot:
+    def snapshot(self) -> dict:
+        """This kind's ``/stats`` ``transports`` entry."""
         with self._lock:
-            return TransportSnapshot(
-                name=self.name,
-                connections_open=self._connections_open,
-                connections_total=self._connections_total,
-                frames_in=self._frames_in,
-                frames_out=self._frames_out,
-                bytes_in=self._bytes_in,
-                bytes_out=self._bytes_out,
-                malformed=self._malformed,
-            )
+            return {"name": self.name, **self._counts}
 
 
 class Transport:
@@ -206,7 +150,7 @@ class Transport:
     """
 
     scheme = ""  #: the URL scheme of :attr:`address`
-    wire = ""  #: the ``name`` of this transport's :class:`TransportStats`
+    wire = ""  #: the kind whose :class:`TransportStats` this transport counts in
     #: listen(2) backlog of both wires' servers; socketserver's default of
     #: 5 overflows on a burst of connects, which then wait out SYN retries
     #: or are reset unanswered
@@ -229,8 +173,8 @@ class Transport:
         self.request_timeout_s = request_timeout_s
         self._server: Any = None
         self._thread: threading.Thread | None = None
-        #: wire counters surfaced through ``router.stats()["transports"]``
-        self.stats = TransportStats(self.wire)
+        #: the router's counters for this wire kind, taken in start()
+        self.stats: TransportStats | None = None
 
     def _make_server(self) -> Any:
         """A bound ``socketserver`` threading server (subclasses)."""
@@ -243,7 +187,7 @@ class Transport:
         """Bind the socket and start accepting connections."""
         if self._server is not None:
             return self
-        self._router.attach_transport(self.stats)  # idempotent
+        self.stats = self._router.wire_stats(self.wire)
         server = self._make_server()
         # join handler threads on close(): an operator-initiated shutdown
         # answers accepted requests before tearing anything down.
@@ -368,16 +312,25 @@ def _make_handler(router: "Router", request_timeout_s: float, wire: TransportSta
                 wire.connection_closed()
 
         # -------------------------------------------------- responses
-        def _send_json(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
+        def _send(
+            self, status: int, content_type: str, body: bytes, headers=()
+        ) -> None:
+            # counted before a byte is written: a client holding the
+            # reply always finds it in /stats
+            wire.frame_out(len(body))
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            for name, value in headers:
+                self.send_header(name, value)
             if self.close_connection:
                 self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
-            wire.frame_out(len(body))
+
+        def _send_json(self, status: int, payload: dict) -> None:
+            body = json.dumps(payload).encode("utf-8")
+            self._send(status, "application/json", body)
 
         def _send_error_json(self, status: int, message: str) -> None:
             # error paths may not have consumed the request body; keeping
@@ -401,17 +354,10 @@ def _make_handler(router: "Router", request_timeout_s: float, wire: TransportSta
             elif path == "/metrics":
                 from .metrics import render_metrics
 
-                body = render_metrics(router).encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+                self._send(
+                    200, "text/plain; version=0.0.4; charset=utf-8",
+                    render_metrics(router).encode("utf-8"),
                 )
-                self.send_header("Content-Length", str(len(body)))
-                if self.close_connection:
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(body)
-                wire.frame_out(len(body))
             elif path == "/models":
                 self._send_json(200, {"models": router.models()})
             elif match := _MODEL_PATH_RE.match(path):
@@ -481,17 +427,14 @@ def _make_handler(router: "Router", request_timeout_s: float, wire: TransportSta
                 # raw int64 little-endian label bytes — skips the float->
                 # decimal->parse JSON round trip entirely (the cheap first
                 # rung of the binary fast lane; see docs/serving.md)
-                body = labels.astype("<i8", copy=False).tobytes()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/octet-stream")
-                self.send_header("Content-Length", str(len(body)))
-                self.send_header("X-UHD-Rows", str(int(labels.shape[0])))
-                self.send_header("X-UHD-Model", model_id)
-                if self.close_connection:
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(body)
-                wire.frame_out(len(body))
+                self._send(
+                    200, "application/octet-stream",
+                    labels.astype("<i8", copy=False).tobytes(),
+                    headers=(
+                        ("X-UHD-Rows", str(int(labels.shape[0]))),
+                        ("X-UHD-Model", model_id),
+                    ),
+                )
                 return
             self._send_json(200, {
                 "labels": [int(label) for label in labels],

@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from .cache import CacheStats
-    from .transport import TransportSnapshot
 
 __all__ = [
     "DeadlineExpiredError",
@@ -178,9 +177,9 @@ class ServerStats:
     #: process-wide encoder-cache snapshot (entries, table bytes)
     cache: "CacheStats | None" = None
     #: per-transport wire counters (connections, frames, bytes, malformed),
-    #: one row per transport kind fronting the router — a bare server's
+    #: one dict per transport kind fronting the router — a bare server's
     #: own snapshot has none (Router.stats adds them)
-    transports: "tuple[TransportSnapshot, ...]" = ()
+    transports: tuple[dict, ...] = ()
 
     def as_dict(self) -> dict:
         """A JSON-serializable view (nested dataclasses become dicts).
@@ -280,41 +279,3 @@ class PredictionHandle:
         if not results:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(results)
-
-
-@dataclass
-class _StatCounters:
-    """Mutable counters behind :class:`ServerStats` (internal)."""
-
-    requests: int = 0
-    images: int = 0
-    batches: int = 0
-    batched_images: int = 0
-    max_batch_seen: int = 0
-
-    def record_batch(self, rows: int) -> None:
-        self.batches += 1
-        self.batched_images += rows
-        self.max_batch_seen = max(self.max_batch_seen, rows)
-
-    def snapshot(
-        self,
-        mode: str,
-        workers: int,
-        lanes: tuple[LaneStats, ...] = (),
-        cache: "CacheStats | None" = None,
-    ) -> ServerStats:
-        mean = self.batched_images / self.batches if self.batches else 0.0
-        return ServerStats(
-            mode=mode,
-            workers=workers,
-            requests=self.requests,
-            images=self.images,
-            batches=self.batches,
-            max_batch_seen=self.max_batch_seen,
-            mean_batch_size=mean,
-            lanes=lanes,
-            expired=sum(lane.expired for lane in lanes),
-            failed=sum(lane.failed for lane in lanes),
-            cache=cache,
-        )

@@ -89,15 +89,6 @@ class TestRecorder:
         assert sum(snap.counts) == 3
         assert len(snap.counts) == NUM_BUCKETS
 
-    def test_record_many_matches_individual_records(self):
-        values = [10 ** (-4 + i / 7) for i in range(30)]
-        one = LatencyHistogram()
-        many = LatencyHistogram()
-        for v in values:
-            one.record(v)
-        many.record_many(values)
-        assert one.snapshot() == many.snapshot()
-
     def test_negative_latency_clamps_to_zero(self):
         hist = LatencyHistogram()
         hist.record(-5.0)

@@ -12,6 +12,7 @@ and never a histogram observation.
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -19,14 +20,17 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    BinaryClient,
     DeploymentSpec,
     HttpTransport,
     LaneConfig,
     Router,
     ServeConfig,
+    SocketTransport,
     parse_exposition,
     render_metrics,
 )
+from repro.serve.metrics import CACHE_ROWS, DEPLOYMENT_ROWS, LANE_ROWS, WIRE_ROWS
 
 TWO_LANES = (
     LaneConfig("interactive", max_batch=16, max_wait_ms=1.0, weight=4.0),
@@ -57,32 +61,78 @@ def _sample(families: dict, family: str, name: str | None = None, **labels):
     return matches[0]
 
 
+def _wait_for_idle_connections(router: Router, timeout: float = 10.0) -> None:
+    """Handler threads close their connections after the client is done."""
+    deadline = time.monotonic() + timeout
+    while any(w["connections_open"] for w in router.stats()["transports"]):
+        assert time.monotonic() < deadline, router.stats()["transports"]
+        time.sleep(0.01)
+
+
 class TestRenderSingleServer:
     def test_exposition_parses_and_counts_match_stats(
-        self, model_path, serve_data
+        self, zoo_model_paths, zoo_data
     ):
+        """Two models, two lanes, both wires and two HTTP transports on
+        one router: every sample equals the ``/stats`` field its table
+        row names, and the tables name every family rendered."""
         config = ServeConfig(workers=0, lanes=TWO_LANES)
-        with _router(model_path, config) as router:
-            router.predict("m", serve_data.test_images[:8], lane="interactive")
-            router.predict("m", serve_data.test_images[:4], lane="bulk")
+        specs = {
+            name: DeploymentSpec(path, serve=config)
+            for name, path in zoo_model_paths.items()
+        }
+        with Router(specs) as router, HttpTransport(router) as http1, \
+                HttpTransport(router) as http2, SocketTransport(router) as wire:
+            for name, data in zoo_data.items():
+                router.predict(name, data.test_images[:8], lane="interactive")
+                router.predict(name, data.test_images[:20], lane="bulk")
+                images = np.ascontiguousarray(
+                    data.test_images[:3], dtype=np.uint8
+                )
+                for transport in (http1, http2):
+                    request = urllib.request.Request(
+                        f"{transport.address}/models/{name}/predict",
+                        data=images.tobytes(),
+                        headers={"Content-Type": "application/octet-stream"},
+                    )
+                    urllib.request.urlopen(request, timeout=30.0).read()
+                with BinaryClient(wire.host, wire.port) as client:
+                    client.predict(images, lane="bulk", model=name)
+            _wait_for_idle_connections(router)
             text = render_metrics(router)
-            stats = router.deployment("m").stats()
+            documents = {name: router.stats(name) for name in specs}
         families = parse_exposition(text)  # raises on any violation
-        assert _sample(families, "uhd_requests_total") == stats.requests
-        assert _sample(families, "uhd_images_total") == stats.images
-        assert _sample(families, "uhd_workers") == 0
-        for lane in stats.lanes:
-            served = _sample(
-                families, "uhd_lane_served_total", lane=lane.name
-            )
-            assert served == lane.served
-            count = _sample(
-                families,
-                "uhd_lane_latency_seconds",
-                name="uhd_lane_latency_seconds_count",
-                lane=lane.name,
-            )
-            assert count == lane.latency.count
+        for name, document in documents.items():
+            for row in DEPLOYMENT_ROWS:
+                assert _sample(families, row.family, model=name) == (
+                    document[row.field]
+                ), row
+            for lane in document["lanes"]:
+                labels = {"model": name, "lane": lane["name"]}
+                for row in LANE_ROWS:
+                    value = lane[row.field]
+                    if isinstance(value, dict):  # a histogram: its _count
+                        assert _sample(
+                            families, row.family, row.family + "_count",
+                            **labels,
+                        ) == value["count"], row
+                    else:
+                        assert _sample(families, row.family, **labels) == (
+                            value
+                        ), row
+        transports = document["transports"]
+        assert [t["name"] for t in transports] == ["http", "binary"]
+        assert transports[0]["frames_out"] == 4  # both HTTP transports
+        for transport in transports:
+            for row in WIRE_ROWS:
+                assert _sample(
+                    families, row.family, transport=transport["name"],
+                    **row.labels,
+                ) == transport[row.field], row
+        for row in CACHE_ROWS:
+            assert _sample(families, row.family) == document["cache"][row.field]
+        tables = DEPLOYMENT_ROWS + LANE_ROWS + WIRE_ROWS + CACHE_ROWS
+        assert set(families) == {row.family for row in tables}
 
     def test_families_are_typed_and_helped(self, model_path):
         with _router(model_path, ServeConfig(workers=0)) as router:

@@ -11,6 +11,7 @@ builds.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -28,6 +29,7 @@ from repro.serve import (
     ServeConfig,
     SocketTransport,
     Transport,
+    TransportStats,
     UHDServer,
 )
 
@@ -367,6 +369,38 @@ class TestHttpObservability:
         assert stats["cache"]["entries"] >= 1
         assert stats["cache"]["table_bytes"] > 0
 
+    def test_every_reply_a_client_holds_is_counted(
+        self, inproc_http, serve_data
+    ):
+        """A reply is counted in ``frames_out`` before its bytes are
+        written: after each of 200 sequential keep-alive octet POSTs the
+        wire counters already hold every reply the client received."""
+        import http.client
+
+        router, transport = inproc_http
+        body = np.ascontiguousarray(
+            serve_data.test_images[:1], dtype=np.uint8
+        ).tobytes()
+        headers = {
+            "Content-Type": "application/octet-stream",
+            "Accept": "application/octet-stream",
+        }
+        conn = http.client.HTTPConnection("127.0.0.1", transport.port,
+                                          timeout=30.0)
+        uncounted = []
+        try:
+            for received in range(1, 201):
+                conn.request("POST", "/predict", body=body, headers=headers)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                (wire,) = router.stats()["transports"]
+                if wire["frames_out"] != received:
+                    uncounted.append((received, wire["frames_out"]))
+        finally:
+            conn.close()
+        assert not uncounted, uncounted
+
     def test_healthz_unavailable_after_close(self, model_path):
         router = _router(model_path, ServeConfig(workers=0)).start()
         transport = HttpTransport(router).start()
@@ -377,6 +411,42 @@ class TestHttpObservability:
             assert err.value.code == 503
         finally:
             transport.close()
+
+
+class TestWireStats:
+    def test_concurrent_counts_are_never_lost(self):
+        """Every transport of a kind on a router shares one counter set,
+        updated by all of their connection threads at once."""
+        stats = TransportStats("http")
+
+        def hammer() -> None:
+            for _ in range(2000):
+                stats.connection_opened()
+                stats.frame_in(3)
+                stats.frame_out(5)
+                stats.connection_closed()
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stats.snapshot() == {
+            "name": "http",
+            "connections_open": 0,
+            "connections_total": 16000,
+            "frames_in": 16000,
+            "frames_out": 16000,
+            "bytes_in": 48000,
+            "bytes_out": 80000,
+            "malformed": 0,
+        }
 
 
 class TestHttpSocket:
