@@ -38,15 +38,24 @@ encoder (single core, batch 32):
 
 A 51 MB pixel-pair table later halved NumPy's gather count for ~1.4×
 more.  It is gone: a small C kernel (:mod:`repro.fastpath.kernel`) on
-the 6.4 MB single table beats it ~4× on sparse MNIST (64 images,
-2 vCPU: ~0.75 ms vs ~3 ms) and ~2.5× on dense images.  The kernel
-reads a **delta** table ``lut[p, v] − lut[p, 0]`` plus a per-dimension
-``base = Σ_p [code_pj == 0]``, so a level-0 pixel (80% of synthetic
-MNIST) adds nothing and is skipped, and it accumulates each image in
-L1-resident stack lanes with the GIL released.  It is compiled once per
-user with ``cffi``; where it cannot load, the NumPy nibble-spread path
-runs on the same delta table (:attr:`PackedLevelEncoder.kernel` says
-which).  Neither is a setting.
+the single 6.4 MB nibble-spread table beat it ~4× on sparse MNIST.  The
+kernel reads a **delta** table ``lut[p, v] − lut[p, 0]`` plus a
+per-dimension ``base = Σ_p [code_pj == 0]``, so a level-0 pixel (80% of
+synthetic MNIST) adds nothing and is skipped, and it runs with the GIL
+released.
+
+The carry-save design then came back, in C.  In NumPy it lost to the
+nibble layout because every ufunc pass re-read the rows; in C the
+counter planes stay in registers, so the trade-off reverses: the kernel
+now reads the **packed** delta table (1.6 MB at H=784, D=1024, a quarter
+of the nibble-spread one, and within a core's L2), ripples 15 rows at a
+time into a 4-plane counter and adds that into ``H.bit_length()``
+bit-planes per dimension.  On a 2-vCPU x86-64 (AVX-512) host, one
+thread, its fused predict went ~5.4 → ~2.0 µs per sparse MNIST image and
+~16 → ~5.5 µs per dense one.  Where the kernel cannot load (it is
+compiled once per user with ``cffi``), the NumPy nibble-spread path runs,
+on a spread table derived from the packed one only then
+(:attr:`PackedLevelEncoder.kernel` says which).  Neither is a setting.
 
 So the shipped encoder is the LUT-gather alternative the issue allows,
 with the identity above retained as documentation of *why* a gather-only
@@ -71,7 +80,7 @@ splits a batch of two or more chunks over threads on its own
 encoding; there is no setting for it.  One encoder may also be shared by
 many threads: kernel calls take no lock, and the encoder locks only its
 cold-table build and the NumPy path.  The table is never stored or
-shipped: every process builds its own (~20 ms at H=784, D=1024), the
+shipped: every process builds its own (~5 ms at H=784, D=1024), the
 software form of uHD's generate-on-the-fly hypervectors.  Packed popcounts
 use :func:`numpy.bitwise_count` when NumPy >= 2.0 and fall back to a byte
 LUT otherwise (``repro.fastpath.bitops.HAS_BITWISE_COUNT``).

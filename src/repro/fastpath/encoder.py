@@ -1,4 +1,4 @@
-"""Packed uHD level encoder: a sparse delta-table gather + lane accumulation.
+"""Packed uHD level encoder: a sparse delta-table gather + bit-sliced counting.
 
 The quantized reference path (:class:`repro.core.encoder.SobolLevelEncoder`)
 compares every image code against every Sobol code, materializing a
@@ -19,29 +19,33 @@ so, with ``base[j] = Σ_p [c_pj == 0]`` (a constant of the encoder),
 ``counts[j] = base[j] + Σ_{p : v_p > 0} delta[p, v_p][j]``,
 ``delta[p, v] = [1 <= c_p <= v]``.
 
-The stored table is ``delta``, shape ``(H, xi, spread_words)``.  Its
+The stored table is ``delta``, packed like a hypervector: shape
+``(H, xi, ceil(D / 64))`` uint64, 1.6 MB at H=784, D=1024.  Its
 invariant: ``delta[p, 0]`` is all zero and ``delta[p, v] ⊆ delta[p, v+1]``,
-so no row ever borrows and a level-0 pixel contributes nothing — the
-compiled kernel skips it outright (80% of synthetic-MNIST pixels), and
-every path adds ``base`` once per image.
+so a level-0 pixel contributes nothing — the compiled kernel skips it
+outright (80% of synthetic-MNIST pixels), and every path adds ``base``
+once per image.
 
 Vertical popcount layout
 ------------------------
 Summing gathered rows needs per-*column* counts, which packed words do not
-give directly.  Rows are stored **nibble-spread**: dimension bit ``i``
-widens to a 4-bit lane, so 15 rows can be added with plain ``uint64`` adds
-before any lane overflows; the even and odd nibbles then widen into byte
-lanes (17 flushes of 15 fit 255) and the bytes into wide counters.  Spread
-word ``s`` holds dimension ``16 s + n`` in nibble lane ``n``.
+give directly.  Two implementations get them from the same packed table
+and produce the same bits:
 
-Two implementations read the same table and produce the same bits:
-
-* the compiled kernel (:mod:`repro.fastpath.kernel`), which walks one
-  image's non-zero pixels with the accumulators on the stack and runs
-  with the GIL released;
-* the NumPy path, which gathers every pixel's row with ``np.take`` in
-  cache-sized blocks and widens lanes with mask/shift streams — the one
-  that runs when the kernel cannot load.
+* the compiled kernel (:mod:`repro.fastpath.kernel`) counts bit-sliced:
+  each dimension's count is held as ``H.bit_length()`` bit-planes, rows
+  ripple 15 at a time into a 4-plane counter in registers, and that
+  counter is added into the planes with a full-adder chain — the
+  counter-then-comparator bank of uHD's hardware, one word of dimensions
+  per operation.  It walks one image's non-zero pixels with its state on
+  the stack and runs with the GIL released;
+* the NumPy path, which runs only when the kernel cannot load, first
+  widens the table **nibble-spread** (dimension bit ``i`` to a 4-bit
+  lane, spread word ``s`` holding dimension ``16 s + n`` in nibble lane
+  ``n``; 4x the bytes), so 15 rows fold with plain ``uint64`` adds; it
+  gathers every pixel's row with ``np.take`` in cache-sized blocks and
+  widens nibble lanes to bytes (17 flushes of 15 fit 255) and bytes to
+  uint16 with mask/shift streams.
 
 :attr:`PackedLevelEncoder.kernel` says which one runs.  Both are bit-exact
 with the reference quantized encoder (the tests assert it over generated
@@ -54,7 +58,9 @@ Fused binarized predict
 and Hamming search in one compiled call per chunk: uint8 pixels go in
 through the 256-entry level table, bit ``d`` is set when
 ``count_d >= need_d`` with ``need = ceil(H / 2) - base`` (exactly
-``acc >= 0``, computed once per table), and the label of the class with
+``acc >= 0``; its bit-planes, clamped at 0, are computed once per table
+and compared against the count planes from the top plane down), and the
+label of the class with
 the fewest disagreeing bits comes out, ties to the lowest index.  No
 accumulator or packed query is ever stored.  Other inputs, and the NumPy
 path, run the inherited composition
@@ -158,8 +164,27 @@ def _spread16(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _bit_planes(values: np.ndarray, planes: int) -> np.ndarray:
+    """``(planes, words)`` uint64: plane ``k`` packs bit ``k`` of every value."""
+    bits = (values[None, :] >> np.arange(planes, dtype=values.dtype)[:, None]) & 1
+    return pack_bits(bits.astype(bool))
+
+
+def _spread_lut(packed: np.ndarray) -> np.ndarray:
+    """The NumPy path's nibble-spread copy of the packed delta table."""
+    spread = np.empty(packed.shape[:-1] + (4 * packed.shape[-1],), dtype=np.uint64)
+    for k in range(4):
+        spread[..., k::4] = _spread16(packed >> np.uint64(16 * k))
+    return spread
+
+
 class _GatherTable:
-    """The ``(H, levels, spread)`` delta LUT, ``base``, and the kernel reading them."""
+    """The packed ``(H, levels, words)`` delta LUT, ``base``, the bit-planes
+    of ``need``, and the kernel reading them.
+
+    The compiled kernel reads ``lut`` itself; only when it cannot load is
+    the NumPy path's nibble-spread copy built (``flat``, 4x the bytes).
+    """
 
     def __init__(
         self,
@@ -167,17 +192,25 @@ class _GatherTable:
         base: np.ndarray,
         native: native_kernel.EncodeKernel | None,
     ):
+        pixels, levels, _ = lut.shape
         self.lut = lut
-        self.flat = self.lut.reshape(-1, lut.shape[-1])
         self.base = base  # (dim,) int64: pixels whose Sobol code is 0
-        # (dim,) int64: acc >= 0 exactly when count >= need
-        self.need = (lut.shape[0] + 1) // 2 - base
+        # acc >= 0 exactly when count >= need = ceil(H / 2) - base; a count
+        # is never negative, so need is clamped at 0 before slicing it
+        need = np.maximum((pixels + 1) // 2 - base, 0)
+        self.need_planes = _bit_planes(need, pixels.bit_length())
         self.native = native  # None: the NumPy path runs
-        self.num_rows = lut.shape[0]
-        self.num_chunks = -(-self.num_rows // _NIBBLE_ROWS)
-        self.row_offsets = (
-            np.arange(self.num_rows, dtype=np.intp) * lut.shape[1]
-        )[:, None]
+        self.flat = (
+            None if native is not None
+            else _spread_lut(lut).reshape(pixels * levels, -1)
+        )
+        self.num_rows = pixels
+        self.num_chunks = -(-pixels // _NIBBLE_ROWS)
+        self.row_offsets = (np.arange(pixels, dtype=np.intp) * levels)[:, None]
+
+    @property
+    def nbytes(self) -> int:
+        return self.lut.nbytes + (0 if self.flat is None else self.flat.nbytes)
 
 
 class _Workspace:
@@ -213,7 +246,8 @@ class PackedLevelEncoder(SobolLevelEncoder):
     cheap.
     """
 
-    #: uint16 lane headroom: per-dimension counts may reach H
+    #: per-dimension counts may reach H: they must fit the NumPy path's
+    #: uint16 lanes and the kernel's 16 bit-planes
     MAX_PIXELS = 60000
 
     def __init__(self, num_pixels: int, config: UHDConfig) -> None:
@@ -269,20 +303,13 @@ class PackedLevelEncoder(SobolLevelEncoder):
         return flat_of_dim[: self.dim]
 
     def _build_delta_lut(self) -> np.ndarray:
-        """Nibble-spread rows ``[1 <= codes[p, :] <= t]`` for every (pixel, level)."""
+        """Packed rows ``[1 <= codes[p, :] <= t]`` for every (pixel, level)."""
         levels = self.config.levels
         codes = self.quantized_codes
         nonzero = codes != 0
-        packed = np.empty(
-            (self.num_pixels, levels, self._dim_words), dtype=np.uint64
-        )
+        lut = np.empty((self.num_pixels, levels, self._dim_words), dtype=np.uint64)
         for t in range(levels):
-            packed[:, t, :] = pack_bits(nonzero & (codes <= t))
-        lut = np.empty(
-            (self.num_pixels, levels, self._spread_words), dtype=np.uint64
-        )
-        for k in range(4):
-            lut[..., k::4] = _spread16(packed >> np.uint64(16 * k))
+            lut[:, t, :] = pack_bits(nonzero & (codes <= t))
         return lut
 
     def _ensure_table(self) -> _GatherTable:
@@ -323,7 +350,7 @@ class PackedLevelEncoder(SobolLevelEncoder):
     @property
     def table_nbytes(self) -> int:
         """Bytes of gather-table state currently held (0 when cold)."""
-        return 0 if self._table is None else int(self._table.lut.nbytes)
+        return 0 if self._table is None else int(self._table.nbytes)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -331,7 +358,7 @@ class PackedLevelEncoder(SobolLevelEncoder):
     def _normalize(self, images: np.ndarray) -> np.ndarray:
         flat = self._flatten(images)
         if flat.dtype == np.uint8:
-            return self._intensity_lut[flat]
+            return np.take(self._intensity_lut, flat)
         return super()._normalize(flat)
 
     def _encode_chunk(
@@ -426,8 +453,8 @@ class PackedLevelEncoder(SobolLevelEncoder):
             for start in starts:
                 stop = min(start + chunk, flat.shape[0])
                 table.native.predict(
-                    table.lut, self._level16, table.need, flat[start:stop],
-                    class_words, labels[start:stop],
+                    table.lut, self._level16, table.need_planes,
+                    flat[start:stop], class_words, labels[start:stop], self.dim,
                 )
 
         self._fan_out(flat.shape[0], chunk, shard)

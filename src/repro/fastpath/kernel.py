@@ -1,5 +1,5 @@
-"""The compiled kernel: a sparse-skipping gather-accumulate in C, with two
-entry points over one accumulation loop.
+"""The compiled kernel: a sparse-skipping, bit-sliced gather-count in C,
+with two entry points over one counting routine.
 
 * ``uhd_encode`` writes the int64 accumulators ``2 * count - H``
   (:meth:`EncodeKernel.encode`);
@@ -10,6 +10,21 @@ entry points over one accumulation loop.
   words tile by tile, so only the label leaves the kernel
   (:meth:`EncodeKernel.predict`).  Nothing is stored between encode and
   search, as in a combinational associative memory.
+
+Layout
+------
+Both read the packed delta table ``(H, levels, ceil(D / 64))`` uint64 in
+place: a row is one pixel's delta at one level, bit ``b`` of word ``w``
+standing for dimension ``64 w + b`` (1.6 MB at H=784, D=1024, 128 B per
+row read).  Counting is bit-sliced, the software form of uHD's bank of
+per-dimension unary counters: per 1024-dimension tile each count is held
+as ``H.bit_length()`` plane words (plane ``k`` = bit ``k`` of every
+count).  The rows of the next 15 non-zero-level pixels ripple into a
+4-plane counter held in registers, and that 4-bit count is added into the
+planes with one full-adder chain.  Encode turns the planes back into
+integers; predict compares them against the bit-planes of ``need``
+(clamped at 0) from the most significant plane down, which is uHD's
+comparator, and masks the bits past ``dim``.
 
 :class:`repro.fastpath.encoder.PackedLevelEncoder` runs through this
 kernel whenever it loads, and through its NumPy path otherwise; both
@@ -39,6 +54,9 @@ reason and returns ``None`` for the rest of the process.
 Codegen is portable: on x86-64 GCC clones the kernel for x86-64-v4,
 AVX2 and the baseline and picks one at load time; nothing is built with
 ``-march=native``, so a cache directory shared between hosts stays safe.
+Under GCC and Clang the counters work on 8-word GNU C vectors, which
+each clone lowers to its own registers; other compilers count one word
+at a time.
 cffi releases the GIL around every call, which is what lets the
 encoder's thread fan-out run shards in parallel and serving executor
 threads predict side by side.
@@ -68,32 +86,28 @@ _CDEF = """
 void uhd_encode(const uint64_t *lut, const void *codes, int code_bytes,
                 const int64_t *base, int64_t *out,
                 int64_t batch, int64_t pixels, int64_t levels,
-                int64_t spread, int64_t dim);
+                int64_t words, int64_t dim);
 void uhd_predict(const uint64_t *lut, const uint16_t *level,
-                 const uint8_t *images, const int64_t *need,
+                 const uint8_t *images, const uint64_t *need_planes,
                  const uint64_t *class_words, int64_t classes,
                  int64_t *hamming, int64_t *labels,
                  int64_t batch, int64_t pixels, int64_t levels,
-                 int64_t spread, int64_t dim);
+                 int64_t words, int64_t dim);
 """
 
-# Spread word s holds dimension 16*s + n in nibble lane n (bits 4n..4n+3).
-# A delta row adds at most 1 per lane, so a nibble lane holds 15 rows; the
-# even/odd nibbles then widen into byte lanes, which hold 17 such flushes
-# (17 * 15 = 255), and the byte lanes widen into uint32 counters.  The
-# dimension axis is tiled so the accumulators stay on the stack and in L1
-# for any dim.  Both entry points count through uhd_tile_counts: encode
-# writes 2 * (base + count) - H, predict sets bit d when that is >= 0
-# (count >= need[d], need = ceil(H / 2) - base) and XOR-popcounts the
-# tile's words against every class as it goes.
+# The layout is in the module docstring.  uhd_tile_planes is the one
+# counting routine: per tile it collects the row pointers of the next 15
+# non-zero-level pixels without a branch, ripples them into the 4-plane
+# counter one lane (8 words, or 1 without GNU C vectors) at a time, and
+# adds that counter into the planes; the dimension loops of both entry
+# points then run over whole words.
 _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-#define UHD_TILE 64
-#define UHD_NIBBLE_ROWS 15
-#define UHD_BYTE_FLUSHES 17
-#define UHD_LOW_NIBBLES 0x0F0F0F0F0F0F0F0FULL
+#define UHD_TILE_WORDS 16
+#define UHD_GROUP_ROWS 15
+#define UHD_MAX_PLANES 16
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
     && __GNUC__ >= 12
@@ -106,67 +120,98 @@ _SOURCE = r"""
 #if defined(__GNUC__)
 #define UHD_INLINE static inline __attribute__((always_inline))
 #define uhd_popcount(x) __builtin_popcountll(x)
+#define uhd_prefetch(p) __builtin_prefetch(p)
+/* a lane: 8 words as a GNU C vector, in whatever registers the clone has */
+#define UHD_LANE_WORDS 8
+typedef uint64_t uhd_lane __attribute__((vector_size(8 * UHD_LANE_WORDS)));
 #else
 #define UHD_INLINE static inline
+#define UHD_LANE_WORDS 1
+typedef uint64_t uhd_lane;
+#define uhd_prefetch(p) ((void)(p))
 static int uhd_popcount(uint64_t x)
 {
     x -= (x >> 1) & 0x5555555555555555ULL;
     x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-    x = (x + (x >> 4)) & UHD_LOW_NIBBLES;
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
     return (int)((x * 0x0101010101010101ULL) >> 56);
 }
 #endif
 
-/* counts[j] = number of delta rows with bit 16 * t0 + j set, j < 16 * width,
-   over one image.  Pixel p's level is level[codes8[p]] when a level table
-   is given, else codes8[p] or codes16[p]; a level past the last reads the
-   last level's row. */
-UHD_INLINE void uhd_tile_counts(const uint64_t *lut, const uint8_t *codes8,
-                                const uint16_t *codes16, const uint16_t *level,
-                                int64_t pixels, int64_t levels, int64_t spread,
-                                int64_t t0, int64_t width, uint32_t *counts)
+/* *x = the n <= UHD_LANE_WORDS words at src, zero-filled */
+UHD_INLINE void uhd_load(uhd_lane *x, const uint64_t *src, int n)
 {
-    uint64_t nib[UHD_TILE], even[UHD_TILE], odd[UHD_TILE];
-    int rows = 0, flushes = 0;
-    memset(nib, 0, sizeof nib);
-    memset(even, 0, sizeof even);
-    memset(odd, 0, sizeof odd);
-    memset(counts, 0, 16 * UHD_TILE * sizeof *counts);
-    for (int64_t p = 0; p < pixels; p++) {
-        int64_t v = level ? level[codes8[p]] : codes8 ? codes8[p] : codes16[p];
-        if (v == 0)
-            continue;  /* a level-0 pixel's delta row is all zero */
-        if (v >= levels)
-            v = levels - 1;
-        const uint64_t *row = lut + (p * levels + v) * spread + t0;
-        for (int64_t i = 0; i < width; i++)
-            nib[i] += row[i];
-        if (++rows < UHD_NIBBLE_ROWS)
-            continue;
-        rows = 0;
-        for (int64_t i = 0; i < width; i++) {
-            even[i] += nib[i] & UHD_LOW_NIBBLES;
-            odd[i] += (nib[i] >> 4) & UHD_LOW_NIBBLES;
-            nib[i] = 0;
-        }
-        if (++flushes < UHD_BYTE_FLUSHES)
-            continue;
-        flushes = 0;
-        for (int64_t i = 0; i < width; i++) {
-            for (int k = 0; k < 8; k++) {
-                counts[16 * i + 2 * k] += (even[i] >> (8 * k)) & 0xFF;
-                counts[16 * i + 2 * k + 1] += (odd[i] >> (8 * k)) & 0xFF;
-            }
-            even[i] = 0;
-            odd[i] = 0;
-        }
+    if (n == UHD_LANE_WORDS) {
+        memcpy(x, src, sizeof *x);
+    } else {
+        memset(x, 0, sizeof *x);
+        memcpy(x, src, n * sizeof *src);
     }
-    for (int64_t i = 0; i < width; i++) {
-        uint64_t e = even[i] + (nib[i] & UHD_LOW_NIBBLES);
-        uint64_t o = odd[i] + ((nib[i] >> 4) & UHD_LOW_NIBBLES);
-        for (int k = 0; k < 8; k++) {
-            counts[16 * i + 2 * k] += (e >> (8 * k)) & 0xFF;
-            counts[16 * i + 2 * k + 1] += (o >> (8 * k)) & 0xFF;
+}
+
+/* bit_length(pixels): planes enough for any count of delta rows */
+static int uhd_planes(int64_t pixels)
+{
+    int n = 0;
+    while (n < UHD_MAX_PLANES && (pixels >> n) != 0)
+        n++;
+    return n;
+}
+
+/* planes[k][i] = bit k of the number of delta rows, over one image, with
+   bit 64 * (t0 + i) + b set, for i < width.  Pixel p's level is
+   level[codes8[p]] when a level table is given, else codes8[p] or
+   codes16[p]; a level past the last reads the last level's row, and a
+   level-0 pixel's row (all zero) is never read. */
+UHD_INLINE void uhd_tile_planes(const uint64_t *lut, const uint8_t *codes8,
+                                const uint16_t *codes16, const uint16_t *level,
+                                int64_t pixels, int64_t levels, int64_t words,
+                                int64_t t0, int64_t width, int nplanes,
+                                uint64_t planes[][UHD_TILE_WORDS])
+{
+    const uint64_t *rows[UHD_GROUP_ROWS];
+    /* eight zero bytes are eight level-0 pixels: skipped in one test */
+    int skip8 = codes8 != NULL && (level == NULL || level[0] == 0);
+    memset(planes, 0, nplanes * sizeof *planes);
+    for (int64_t p = 0; p < pixels;) {
+        int n = 0;  /* branch-free: a level-0 pixel's slot is overwritten */
+        for (; p < pixels && n < UHD_GROUP_ROWS; p++) {
+            uint64_t block;
+            if (skip8 && p % 8 == 0 && p + 8 <= pixels) {
+                memcpy(&block, codes8 + p, sizeof block);
+                if (block == 0) {
+                    p += 7;
+                    continue;
+                }
+            }
+            int64_t v = level ? level[codes8[p]] : codes8 ? codes8[p] : codes16[p];
+            v = v < levels ? v : levels - 1;
+            rows[n] = lut + (p * levels + v) * words + t0;
+            uhd_prefetch(rows[n]);  /* the tile's part of the row: 2 lines */
+            uhd_prefetch(rows[n] + 8);
+            n += v != 0;
+        }
+        for (int64_t w = 0; w < width; w += UHD_LANE_WORDS) {
+            int nw = width - w < UHD_LANE_WORDS ? (int)(width - w) : UHD_LANE_WORDS;
+            uhd_lane c0 = {0}, c1 = {0}, c2 = {0}, c3 = {0}, t, x;
+            for (int r = 0; r < n; r++) {
+                uhd_load(&t, rows[r] + w, nw);
+                x = c0 & t; c0 ^= t; t = x;
+                x = c1 & t; c1 ^= t; t = x;
+                x = c2 & t; c2 ^= t; t = x;
+                c3 ^= t;
+            }
+            /* planes += c; a count never passes H, so no carry leaves the
+               top plane, and planes above c's four only take a carry */
+            uhd_lane carry = {0}, zero = {0}, a, s;
+            for (int k = 0; k < nplanes; k++) {
+                uhd_lane b = k == 0 ? c0 : k == 1 ? c1 : k == 2 ? c2
+                                    : k == 3 ? c3 : zero;
+                memcpy(&a, planes[k] + w, sizeof a);
+                s = a ^ b ^ carry;
+                carry = (a & b) | (carry & (a ^ b));
+                memcpy(planes[k] + w, &s, sizeof s);
+            }
         }
     }
 }
@@ -175,9 +220,10 @@ UHD_CLONES
 void uhd_encode(const uint64_t *lut, const void *codes, int code_bytes,
                 const int64_t *base, int64_t *out,
                 int64_t batch, int64_t pixels, int64_t levels,
-                int64_t spread, int64_t dim)
+                int64_t words, int64_t dim)
 {
-    uint32_t counts[16 * UHD_TILE];
+    uint64_t planes[UHD_MAX_PLANES][UHD_TILE_WORDS];
+    int nplanes = uhd_planes(pixels);
 
     for (int64_t b = 0; b < batch; b++) {
         const uint8_t *codes8 = code_bytes == 1
@@ -185,58 +231,67 @@ void uhd_encode(const uint64_t *lut, const void *codes, int code_bytes,
         const uint16_t *codes16 = code_bytes == 1
             ? NULL : (const uint16_t *)codes + b * pixels;
         int64_t *row_out = out + b * dim;
-        for (int64_t t0 = 0; t0 < spread; t0 += UHD_TILE) {
-            int64_t width = spread - t0 < UHD_TILE ? spread - t0 : UHD_TILE;
-            uhd_tile_counts(lut, codes8, codes16, NULL, pixels, levels,
-                            spread, t0, width, counts);
-            int64_t d0 = 16 * t0;
-            int64_t d1 = d0 + 16 * width < dim ? d0 + 16 * width : dim;
-            for (int64_t d = d0; d < d1; d++)
-                row_out[d] = 2 * (base[d] + (int64_t)counts[d - d0]) - pixels;
+        for (int64_t t0 = 0; t0 < words; t0 += UHD_TILE_WORDS) {
+            int64_t width = words - t0 < UHD_TILE_WORDS ? words - t0 : UHD_TILE_WORDS;
+            uhd_tile_planes(lut, codes8, codes16, NULL, pixels, levels, words,
+                            t0, width, nplanes, planes);
+            for (int64_t i = 0; i < width; i++) {
+                /* plane-outer, so the 64-dimension loop vectorizes */
+                uint64_t counts[64] = {0};
+                for (int k = 0; k < nplanes; k++) {
+                    uint64_t bits = planes[k][i];
+                    for (uint64_t j = 0; j < 64; j++)
+                        counts[j] |= ((bits >> j) & 1) << k;
+                }
+                int64_t d0 = 64 * (t0 + i);
+                int64_t n = dim - d0 < 64 ? dim - d0 : 64;
+                for (int64_t j = 0; j < n; j++)
+                    row_out[d0 + j] = 2 * (base[d0 + j] + (int64_t)counts[j]) - pixels;
+            }
         }
     }
 }
 
 UHD_CLONES
 void uhd_predict(const uint64_t *lut, const uint16_t *level,
-                 const uint8_t *images, const int64_t *need,
+                 const uint8_t *images, const uint64_t *need_planes,
                  const uint64_t *class_words, int64_t classes,
                  int64_t *hamming, int64_t *labels,
                  int64_t batch, int64_t pixels, int64_t levels,
-                 int64_t spread, int64_t dim)
+                 int64_t words, int64_t dim)
 {
-    uint32_t counts[16 * UHD_TILE];
-    uint8_t set[16 * UHD_TILE];
-    uint64_t words[UHD_TILE / 4];
-    int64_t dim_words = (dim + 63) / 64;
+    uint64_t planes[UHD_MAX_PLANES][UHD_TILE_WORDS];
+    uint64_t gt[UHD_TILE_WORDS], eq[UHD_TILE_WORDS];
+    int nplanes = uhd_planes(pixels);
+    uint64_t last = dim % 64 ? (1ULL << (dim % 64)) - 1 : ~0ULL;
 
     for (int64_t b = 0; b < batch; b++) {
         memset(hamming, 0, classes * sizeof *hamming);
-        for (int64_t t0 = 0; t0 < spread; t0 += UHD_TILE) {
-            int64_t width = spread - t0 < UHD_TILE ? spread - t0 : UHD_TILE;
-            uhd_tile_counts(lut, images + b * pixels, NULL, level, pixels,
-                            levels, spread, t0, width, counts);
-            /* a tile spans whole words: t0 and spread are multiples of 4 */
-            int64_t d0 = 16 * t0;
-            int64_t d1 = d0 + 16 * width < dim ? d0 + 16 * width : dim;
-            int64_t w0 = d0 / 64, nwords = (d1 - d0 + 63) / 64;
-            for (int64_t d = d0; d < d1; d++)
-                set[d - d0] = (int64_t)counts[d - d0] >= need[d];
-            memset(set + (d1 - d0), 0, 64 * nwords - (d1 - d0));  /* pad */
-            for (int64_t w = 0; w < nwords; w++) {
-                uint64_t bits = 0;
-                for (int q = 0; q < 8; q++) {
-                    uint64_t bytes;  /* eight 0/1 bytes -> eight bits */
-                    memcpy(&bytes, set + 64 * w + 8 * q, 8);
-                    bits |= ((bytes * 0x0102040810204080ULL) >> 56) << (8 * q);
-                }
-                words[w] = bits;
+        for (int64_t t0 = 0; t0 < words; t0 += UHD_TILE_WORDS) {
+            int64_t width = words - t0 < UHD_TILE_WORDS ? words - t0 : UHD_TILE_WORDS;
+            uhd_tile_planes(lut, images + b * pixels, NULL, level, pixels,
+                            levels, words, t0, width, nplanes, planes);
+            /* count >= need, compared from the most significant plane down */
+            for (int64_t i = 0; i < width; i++) {
+                gt[i] = 0;
+                eq[i] = ~0ULL;
             }
+            for (int k = nplanes - 1; k >= 0; k--) {
+                const uint64_t *n = need_planes + k * words + t0;
+                for (int64_t i = 0; i < width; i++) {
+                    gt[i] |= eq[i] & planes[k][i] & ~n[i];
+                    eq[i] &= ~(planes[k][i] ^ n[i]);
+                }
+            }
+            for (int64_t i = 0; i < width; i++)
+                gt[i] |= eq[i];
+            if (t0 + width == words)
+                gt[width - 1] &= last;  /* no bit past dim */
             for (int64_t c = 0; c < classes; c++) {
-                const uint64_t *cw = class_words + c * dim_words + w0;
+                const uint64_t *cw = class_words + c * words + t0;
                 int64_t h = 0;
-                for (int64_t w = 0; w < nwords; w++)
-                    h += uhd_popcount(words[w] ^ cw[w]);
+                for (int64_t i = 0; i < width; i++)
+                    h += uhd_popcount(gt[i] ^ cw[i]);
                 hamming[c] += h;
             }
         }
@@ -399,32 +454,46 @@ class EncodeKernel:
     and shape, so the kernel itself only has to clamp codes.
     """
 
+    #: bit-planes a count may span; the kernel's UHD_MAX_PLANES
+    MAX_PLANES = 16
+
     def __init__(self, module: ModuleType) -> None:
         self._ffi = module.ffi
         self._lib = module.lib
+
+    @classmethod
+    def _check_lut(cls, lut: np.ndarray, dim: int) -> tuple[int, int, int]:
+        """``(pixels, levels, words)`` of a valid packed delta table."""
+        if lut.dtype != np.uint64 or lut.ndim != 3 or not lut.flags.c_contiguous:
+            raise ValueError("lut must be C-contiguous (pixels, levels, words) uint64")
+        pixels, levels, words = lut.shape
+        if not 0 < pixels < 1 << cls.MAX_PLANES or levels < 1:
+            raise ValueError(
+                f"lut must have 1 to {(1 << cls.MAX_PLANES) - 1} pixels "
+                "and at least one level"
+            )
+        if not 0 < dim or words != -(-dim // 64):
+            raise ValueError(f"dim {dim} does not fill {words} lut words")
+        return pixels, levels, words
 
     def encode(
         self, lut: np.ndarray, base: np.ndarray, codes: np.ndarray, out: np.ndarray
     ) -> None:
         """``out[b, j] = 2 * (base[j] + Σ_p lut[p, codes[b, p]]_j) - H``.
 
-        ``lut`` is the ``(H, levels, spread)`` uint64 delta table (read
-        in place, never copied, so it may be read-only); ``codes`` the
-        ``(batch, H)`` uint8/uint16 level codes; ``out`` the C-contiguous
-        ``(batch, dim)`` int64 destination.
+        ``lut`` is the ``(H, levels, ceil(dim / 64))`` uint64 packed delta
+        table (read in place, never copied, so it may be read-only);
+        ``codes`` the ``(batch, H)`` uint8/uint16 level codes; ``out`` the
+        C-contiguous ``(batch, dim)`` int64 destination.
         """
-        pixels, levels, spread = lut.shape
         batch, dim = out.shape
-        if lut.dtype != np.uint64 or not lut.flags.c_contiguous:
-            raise ValueError("lut must be C-contiguous uint64")
+        pixels, levels, words = self._check_lut(lut, dim)
         if codes.dtype not in (np.uint8, np.uint16) or codes.shape != (batch, pixels):
             raise ValueError(f"codes must be ({batch}, {pixels}) uint8 or uint16")
         if base.dtype != np.int64 or base.shape != (dim,):
             raise ValueError(f"base must be ({dim},) int64")
         if out.dtype != np.int64 or not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous int64")
-        if not 0 < dim <= 16 * spread:
-            raise ValueError(f"dim {dim} does not fit {spread} spread words")
         codes = np.ascontiguousarray(codes)
         base = np.ascontiguousarray(base)
         ffi = self._ffi
@@ -437,7 +506,7 @@ class EncodeKernel:
             batch,
             pixels,
             levels,
-            spread,
+            words,
             dim,
         )
 
@@ -445,32 +514,38 @@ class EncodeKernel:
         self,
         lut: np.ndarray,
         level: np.ndarray,
-        need: np.ndarray,
+        need_planes: np.ndarray,
         images: np.ndarray,
         class_words: np.ndarray,
         labels: np.ndarray,
+        dim: int,
     ) -> None:
         """``labels[b]`` = the class whose packed words ``images[b]``
         disagrees with least, ties to the lowest class index.
 
         The query bits are ``acc >= 0`` of :meth:`encode`'s accumulator,
-        i.e. ``count >= need``; no accumulator is ever stored.  ``level``
-        is the ``(256,)`` uint16 pixel-to-level table, ``need`` the
-        ``(dim,)`` int64 per-dimension threshold, ``images`` the
-        ``(batch, H)`` uint8 pixels, ``class_words`` the C-contiguous
-        ``(classes, ceil(dim / 64))`` uint64 packed class hypervectors and
-        ``labels`` the C-contiguous ``(batch,)`` int64 destination.
+        i.e. ``count >= need``; no accumulator is ever stored, and bits
+        past ``dim`` are zero.  ``level`` is the ``(256,)`` uint16
+        pixel-to-level table, ``need_planes`` the C-contiguous
+        ``(H.bit_length(), words)`` uint64 bit-planes of the
+        per-dimension threshold ``need`` clamped at 0 (plane ``k`` holds
+        bit ``k`` of every dimension, packed like a hypervector),
+        ``images`` the ``(batch, H)`` uint8 pixels, ``class_words`` the
+        C-contiguous ``(classes, words)`` uint64 packed class
+        hypervectors and ``labels`` the C-contiguous ``(batch,)`` int64
+        destination.
         """
-        pixels, levels, spread = lut.shape
-        (dim,) = need.shape
+        pixels, levels, words = self._check_lut(lut, dim)
         (batch,) = labels.shape
-        words = -(-dim // 64)
-        if lut.dtype != np.uint64 or not lut.flags.c_contiguous:
-            raise ValueError("lut must be C-contiguous uint64")
         if level.dtype != np.uint16 or level.shape != (256,):
             raise ValueError("level must be (256,) uint16")
-        if need.dtype != np.int64:
-            raise ValueError(f"need must be ({dim},) int64")
+        planes = (pixels.bit_length(), words)
+        if (
+            need_planes.dtype != np.uint64
+            or need_planes.shape != planes
+            or not need_planes.flags.c_contiguous
+        ):
+            raise ValueError(f"need_planes must be C-contiguous {planes} uint64")
         if images.dtype != np.uint8 or images.shape != (batch, pixels):
             raise ValueError(f"images must be ({batch}, {pixels}) uint8")
         if (
@@ -485,10 +560,7 @@ class EncodeKernel:
             )
         if labels.dtype != np.int64 or not labels.flags.c_contiguous:
             raise ValueError("labels must be C-contiguous int64")
-        if not 0 < dim <= 16 * spread:
-            raise ValueError(f"dim {dim} does not fit {spread} spread words")
         level = np.ascontiguousarray(level)
-        need = np.ascontiguousarray(need)
         images = np.ascontiguousarray(images)
         classes = class_words.shape[0]
         hamming = np.empty(classes, dtype=np.int64)
@@ -497,7 +569,7 @@ class EncodeKernel:
             ffi.from_buffer("uint64_t[]", lut),
             ffi.from_buffer("uint16_t[]", level),
             ffi.from_buffer("uint8_t[]", images),
-            ffi.from_buffer("int64_t[]", need),
+            ffi.from_buffer("uint64_t[]", need_planes),
             ffi.from_buffer("uint64_t[]", class_words),
             classes,
             ffi.from_buffer("int64_t[]", hamming, require_writable=True),
@@ -505,7 +577,7 @@ class EncodeKernel:
             batch,
             pixels,
             levels,
-            spread,
+            words,
             dim,
         )
 

@@ -4,7 +4,7 @@ uHD's single-pass training leaves a fitted model as config plus one
 small integer matrix, persisted bit-exactly by :mod:`repro.api`, and its
 hypervectors are generated, not stored.  So a server needs nothing but
 the model file: it warm-starts from it (:func:`repro.api.load_model`,
-never re-fitting), builds its gather table in ~20 ms, proves readiness
+never re-fitting), builds its gather table in ~5 ms, proves readiness
 with the ``serve-check`` probe, and serves from executor threads that
 share that one warm model.
 

@@ -61,7 +61,8 @@ DEPLOYMENT_ROWS = (
     MetricRow("uhd_images_total", "images",
               "Images across all accepted requests."),
     MetricRow("uhd_batches_total", "batches",
-              "Batches the scheduler handed to an executor."),
+              "Batches the scheduler dispatched (to an executor, or failed "
+              "at close)."),
     MetricRow("uhd_expired_total", "expired",
               "Request parts failed on an expired deadline."),
     MetricRow("uhd_failed_total", "failed",
@@ -91,7 +92,7 @@ LANE_ROWS = (
     MetricRow("uhd_lane_failed_total", "failed",
               "Items of the lane whose batch failed."),
     MetricRow("uhd_lane_latency_seconds", "latency",
-              "Scheduling latency of served items (expired items are "
+              "Scheduling latency of taken items (expired items are "
               "excluded)."),
 )
 

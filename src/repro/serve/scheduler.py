@@ -147,7 +147,8 @@ class LaneStats:
     batches: int  #: batches dispatched from this lane
     expired: int  #: items failed on deadline while queued (never served)
     failed: int = 0  #: items whose batch was settled failed
-    #: latency distribution of served items (expired ones excluded)
+    #: queue-wait distribution of taken items, whether their batch is
+    #: then answered or failed (expired ones excluded)
     latency: HistogramSnapshot = field(default_factory=HistogramSnapshot.empty)
 
 
@@ -195,8 +196,8 @@ class _LaneState:
 
     __slots__ = (
         "config", "q", "vtime", "deadlined",
-        "submitted", "served", "served_rows", "batches", "expired", "failed",
-        "hist",
+        "submitted", "served", "served_rows", "batches", "batched_rows",
+        "largest_batch", "expired", "failed", "hist",
     )
 
     def __init__(self, config: LaneConfig) -> None:
@@ -208,6 +209,8 @@ class _LaneState:
         self.served = 0
         self.served_rows = 0
         self.batches = 0
+        self.batched_rows = 0  #: rows across those batches
+        self.largest_batch = 0  #: rows of the largest of them
         self.expired = 0
         self.failed = 0
         self.hist = LatencyHistogram()  #: put-to-batch-return wait per item
@@ -294,6 +297,16 @@ class Scheduler(Generic[ItemT]):
                     latency=state.hist.snapshot(),
                 )
                 for state in self._states
+            )
+
+    def batch_totals(self) -> tuple[int, int, int]:
+        """``(batches, rows, largest)`` over every batch :meth:`next_batch`
+        handed out, whether it was then answered or failed."""
+        with self._lock:
+            return (
+                sum(state.batches for state in self._states),
+                sum(state.batched_rows for state in self._states),
+                max((state.largest_batch for state in self._states), default=0),
             )
 
     def _resolve_lane(self, lane: str | None) -> _LaneState:
@@ -411,6 +424,8 @@ class Scheduler(Generic[ItemT]):
         self._vclock = max(self._vclock, state.vtime)
         state.vtime = max(state.vtime, self._vclock) + rows / cfg.weight
         state.batches += 1
+        state.batched_rows += rows
+        state.largest_batch = max(state.largest_batch, rows)
         # queue wait: put() until an executor takes the batch
         for entry in entries:
             state.hist.record(now - entry.enqueued)

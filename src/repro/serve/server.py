@@ -139,9 +139,9 @@ class UHDServer:
         self._front_probe: ProbeResult | None = None
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
-        #: request and batch counters behind stats(), under the lock
+        #: request counters behind stats(), under the lock; batch figures
+        #: are the scheduler's, counted where a batch is handed out
         self._requests = self._images = 0
-        self._batches = self._batched_images = self._max_batch_seen = 0
         self._started = False
         self._closed = False
         self._reloading = False
@@ -458,11 +458,6 @@ class UHDServer:
                 if until_closed:
                     continue
                 return
-            rows = scheduled.rows
-            with self._lock:
-                self._batches += 1
-                self._batched_images += rows
-                self._max_batch_seen = max(self._max_batch_seen, rows)
             try:
                 runs = []
                 for model, run in groupby(scheduled.items, attrgetter("model")):
@@ -540,11 +535,12 @@ class UHDServer:
         """
         scheduler = self._scheduler
         lanes = scheduler.stats() if scheduler is not None else ()
+        batches, batched, max_batch_seen = (
+            scheduler.batch_totals() if scheduler is not None else (0, 0, 0)
+        )
         cache = encoder_cache().stats()
         with self._lock:
             requests, images = self._requests, self._images
-            batches, batched = self._batches, self._batched_images
-            max_batch_seen = self._max_batch_seen
         return ServerStats(
             mode="inproc" if self.config.workers == 0 else "pool",
             workers=self.config.workers,

@@ -161,7 +161,9 @@ class ServerStats:
     workers: int  #: executor threads
     requests: int  #: submit() calls accepted
     images: int  #: total images across those requests
-    batches: int  #: batches the scheduler handed to an executor
+    #: batches the scheduler handed out (the sum of the lanes'
+    #: ``batches``): taken by an executor, or failed by close()
+    batches: int
     max_batch_seen: int
     mean_batch_size: float
     #: always 0: executors are threads and are never respawned; kept so

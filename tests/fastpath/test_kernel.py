@@ -102,8 +102,9 @@ class TestContractOneGenerated:
                 assert np.array_equal(got, expected)
 
     def test_counts_past_every_lane_width(self, compiled):
-        """H = 600 saturated pixels: per-dimension counts pass the nibble
-        (15), byte (255) and uint16-free widening points."""
+        """H = 600 saturated pixels: per-dimension counts pass the 4-plane
+        group counter (15) and a byte (255), and fill all ten planes; the
+        NumPy path's nibble (15) and byte (255) lanes widen on the way."""
         config = UHDConfig(dim=130, levels=16)
         rng = np.random.default_rng(9)
         images = np.concatenate([
@@ -219,14 +220,109 @@ class TestFusedPredictGenerated:
         assert len(calls) == int(fused)
 
 
+def _check_both_entry_points(pixels: int, config: UHDConfig, images) -> None:
+    """Encode and fused predict of both kernels == the reference encoder."""
+    reference = SobolLevelEncoder(pixels, config)
+    expected = reference.encode_batch(images)
+    rng = np.random.default_rng(config.seed)
+    class_words = pack_bits(rng.random((6, config.dim)) < 0.5)
+    pad = -config.dim % 64
+    if pad:  # the query has no bit past dim, so these bits count as in the oracle
+        class_words[:, -1] |= ~np.uint64(0) << np.uint64(64 - pad)
+    # every image's own bits are a class, so each label is certain
+    class_words = np.concatenate([pack_accumulators(expected), class_words])
+    labels = packed_predict(expected, class_words, config.dim)
+    assert (labels < len(images)).all()  # a planted class, at distance 0
+    loaded = PackedLevelEncoder(pixels, config)
+    assert loaded.kernel == "c"
+    for encoder in (loaded, _numpy_encoder(pixels, config)):
+        assert np.array_equal(encoder.encode_batch(images), expected)
+        assert np.array_equal(encoder.predict_packed(images, class_words), labels)
+
+
+class TestPlanes:
+    """Geometry where the compiled kernel's bit-planes and tiles turn over,
+    for both entry points and both kernels, against the reference."""
+
+    @pytest.mark.parametrize("pixels", [1023, 1024, 1025])
+    def test_saturated_counts_fill_the_top_plane(self, compiled, pixels):
+        """Counts reach H: H = 1024 needs an 11th plane that H = 1023 does
+        not, and H = 1025 carries into it.  A table of all-ones rows drives
+        every count to exactly H (or H - 1), and the codebook's own table
+        is checked on saturated images against the reference."""
+        dim = 130
+        words = pack_bits(np.ones(dim, dtype=bool))
+        lut = np.zeros((pixels, 2, words.size), dtype=np.uint64)
+        lut[:, 1] = words
+        codes = np.ones((2, pixels), dtype=np.uint8)
+        codes[1, pixels // 2] = 0  # one pixel short of H
+        out = np.empty((2, dim), dtype=np.int64)
+        compiled.encode(lut, np.zeros(dim, dtype=np.int64), codes, out)
+        assert (out[0] == pixels).all() and (out[1] == pixels - 2).all()
+        need_planes = encoder_module._bit_planes(
+            np.full(dim, pixels, dtype=np.int64), pixels.bit_length()
+        )
+        class_words = np.stack([np.zeros_like(words), words])
+        labels = np.empty(2, dtype=np.int64)
+        compiled.predict(
+            lut, np.minimum(np.arange(256), 1).astype(np.uint16), need_planes,
+            codes, class_words, labels, dim,
+        )
+        assert list(labels) == [1, 0]  # count >= H only where every pixel votes
+
+        config = UHDConfig(dim=dim, levels=16, seed=pixels)
+        images = np.full((3, pixels), 255, dtype=np.uint8)
+        images[1, ::2] = 0
+        images[2] = np.random.default_rng(pixels).integers(0, 256, pixels)
+        table = PackedLevelEncoder(pixels, config)._ensure_table()
+        assert table.need_planes.shape == (pixels.bit_length(), words.size)
+        _check_both_entry_points(pixels, config, images)
+
+    def test_dimensions_that_need_no_votes(self, compiled):
+        """Two levels: about half the Sobol codes are 0, so in some
+        dimensions ``base >= ceil(H / 2)`` and ``need`` clamps to 0 (the bit
+        is always set), while in others it stays positive."""
+        pixels, config = 9, UHDConfig(dim=300, levels=2, seed=3)
+        base = (SobolLevelEncoder(pixels, config).quantized_codes == 0).sum(axis=0)
+        need = (pixels + 1) // 2 - base
+        assert (need <= 0).any() and (need > 0).any()
+        images = np.random.default_rng(2).integers(0, 256, (8, pixels), dtype=np.uint8)
+        images[0] = 0
+        _check_both_entry_points(pixels, config, images)
+
+    @pytest.mark.parametrize("dim", [1, 63, 65, 1025])
+    def test_partial_words_and_tiles(self, compiled, dim):
+        """``dim`` off a word boundary (1, 63, 65) and one past a
+        1024-dimension tile (1025, a one-word second tile)."""
+        config = UHDConfig(dim=dim, levels=16, seed=dim)
+        rng = np.random.default_rng(dim)
+        images = rng.integers(0, 256, (7, 49), dtype=np.uint8)
+        images[:3][rng.random((3, 49)) < 0.8] = 0
+        images[3] = 255
+        _check_both_entry_points(49, config, images)
+
+    @pytest.mark.filterwarnings("ignore:levels=.*power of two")
+    def test_wide_codes_in_both_entry_points(self, compiled):
+        """``levels=300`` stores uint16 codes, and the fused predict's
+        level table maps pixels past level 255."""
+        config = UHDConfig(dim=200, levels=300, seed=7)
+        images = np.random.default_rng(5).integers(0, 256, (9, 31), dtype=np.uint8)
+        images[0] = 255
+        encoder = PackedLevelEncoder(31, config)
+        assert encoder._normalize(images).dtype == np.uint16
+        assert encoder._level16.max() == 299
+        _check_both_entry_points(31, config, images)
+
+
 class TestCompiledKernel:
     def test_read_only_table_is_read_in_place(self, compiled):
         """The kernel reads a read-only table without copying it and
-        encodes bit-exactly."""
+        encodes and predicts bit-exactly."""
         config = UHDConfig(dim=130, levels=16)
         encoder = PackedLevelEncoder(49, config)
         table = encoder._ensure_table()
         table.lut.setflags(write=False)
+        table.need_planes.setflags(write=False)
         images = np.random.default_rng(3).integers(0, 256, (40, 49), dtype=np.uint8)
         codes = encoder._normalize(images)
         out = np.empty((40, 130), dtype=np.int64)
@@ -234,11 +330,35 @@ class TestCompiledKernel:
         expected = SobolLevelEncoder(49, config).encode_batch(images)
         assert np.array_equal(out, expected)
         assert np.array_equal(encoder.encode_batch(images), expected)
+        class_words = pack_bits(np.random.default_rng(4).random((5, 130)) < 0.5)
+        labels = np.empty(40, dtype=np.int64)
+        compiled.predict(
+            table.lut, encoder._level16, table.need_planes, images, class_words,
+            labels, 130,
+        )
+        assert np.array_equal(labels, packed_predict(expected, class_words, 130))
         assert encoder.table_builds == 1
+
+    def test_loaded_encoder_holds_only_the_packed_table(self, compiled, monkeypatch):
+        """With the kernel loaded no nibble-spread table is ever built: at
+        H=784, D=1024 the encoder holds the 1.6 MB packed delta table.  The
+        NumPy path derives its 4x larger spread copy from it."""
+        config = UHDConfig(dim=1024, levels=16)
+        fallback = _numpy_encoder(784, config)
+        assert fallback.table_nbytes == 5 * 1_605_632
+
+        def refuse(packed):
+            raise AssertionError("a spread table was built for the kernel")
+
+        monkeypatch.setattr(encoder_module, "_spread_lut", refuse)
+        encoder = PackedLevelEncoder(784, config)
+        encoder.encode_batch(np.zeros((1, 784), dtype=np.uint8))
+        assert encoder.kernel == "c"
+        assert encoder.table_nbytes == 1_605_632 == 784 * 16 * 16 * 8
 
     def test_out_of_range_codes_are_clamped(self, compiled):
         """A code past the last level reads the last level's row, never
-        memory beyond the table."""
+        memory beyond the table, in both entry points."""
         encoder = PackedLevelEncoder(9, UHDConfig(dim=64, levels=4))
         table = encoder._ensure_table()
         top = np.full((2, 9), 3, dtype=np.uint8)
@@ -249,6 +369,18 @@ class TestCompiledKernel:
         compiled.encode(table.lut, base, top, want)
         compiled.encode(table.lut, base, wild, got)
         assert np.array_equal(got, want)
+        blank = np.empty((1, 64), dtype=np.int64)
+        compiled.encode(table.lut, base, np.zeros((1, 9), dtype=np.uint8), blank)
+        class_words = pack_accumulators(np.concatenate([blank, want[:1]]))
+        assert not np.array_equal(class_words[0], class_words[1])
+        images = np.array([[0] * 9, [255] * 9], dtype=np.uint8)
+        labels = np.empty(2, dtype=np.int64)
+        for level in ([3] * 256, [4] * 128 + [65535] * 128):
+            compiled.predict(
+                table.lut, np.array(level, dtype=np.uint16), table.need_planes,
+                images, class_words, labels, 64,
+            )
+            assert list(labels) == [1, 1]  # both rows read the top level
 
     @pytest.mark.parametrize(
         "change, match",
@@ -258,7 +390,10 @@ class TestCompiledKernel:
             ({"base": np.zeros(63, dtype=np.int64)}, "base"),
             ({"out": np.zeros((2, 128), dtype=np.int64)[:, ::2]}, "out"),
             ({"out": np.zeros((2, 64), dtype=np.int32)}, "out"),
-            ({"lut": np.zeros((9, 4, 4), dtype=np.int64)}, "lut"),
+            ({"lut": np.zeros((9, 4, 1), dtype=np.int64)}, "lut"),
+            ({"lut": np.zeros((9, 4, 2), dtype=np.uint64)}, "lut words"),
+            ({"lut": np.zeros((9, 4, 2), dtype=np.uint64)[:, :, :1]}, "lut"),
+            ({"lut": np.zeros((9, 4), dtype=np.uint64)}, "lut"),
         ],
     )
     def test_arguments_are_checked_before_the_call(self, compiled, change, match):
@@ -273,12 +408,11 @@ class TestCompiledKernel:
         with pytest.raises(ValueError, match=match):
             compiled.encode(**args)
 
-
     @pytest.mark.parametrize(
         "change, match",
         [
             ({"level": np.zeros(256, dtype=np.uint8)}, "level"),
-            ({"need": np.zeros(64, dtype=np.int32)}, "need"),
+            ({"need_planes": np.zeros((4, 1), dtype=np.int64)}, "need_planes"),
             ({"images": np.zeros((2, 8), dtype=np.uint8)}, "images"),
             ({"images": np.zeros((2, 9), dtype=np.uint16)}, "images"),
             ({"class_words": np.zeros((3, 2), dtype=np.uint64)}, "class_words"),
@@ -287,6 +421,12 @@ class TestCompiledKernel:
             ({"class_words": np.zeros((0, 1), dtype=np.uint64)}, "class_words"),
             ({"labels": np.zeros(4, dtype=np.int64)[::2]}, "labels"),
             ({"labels": np.zeros(2, dtype=np.int32)}, "labels"),
+            ({"need_planes": np.zeros((3, 1), dtype=np.uint64)}, "need_planes"),
+            ({"need_planes": np.zeros((4, 2), dtype=np.uint64)[:, ::2]},
+             "need_planes"),
+            ({"dim": 65}, "lut words"),
+            ({"dim": 0}, "lut words"),
+            ({"lut": np.zeros((9, 4, 1), dtype=np.uint64)[:, ::2]}, "lut"),
         ],
     )
     def test_predict_arguments_are_checked_before_the_call(
@@ -297,10 +437,11 @@ class TestCompiledKernel:
         args = {
             "lut": table.lut,
             "level": encoder._level16,
-            "need": table.need,
+            "need_planes": table.need_planes,
             "images": np.zeros((2, 9), dtype=np.uint8),
             "class_words": np.zeros((3, 1), dtype=np.uint64),
             "labels": np.empty(2, dtype=np.int64),
+            "dim": 64,
         }
         args.update(change)
         with pytest.raises(ValueError, match=match):

@@ -103,6 +103,30 @@ class TestPredictFailure:
         assert (lane.served, lane.failed, lane.expired) == (8, 1, 0)
         assert stats.failed == 1
 
+    def test_a_failed_batch_is_in_the_latency_histogram(
+        self, model_path, serve_data, monkeypatch, workers
+    ):
+        """The lane histogram records every *taken* item: a request whose
+        batch then fails reads ``served 0, failed 1, latency.count 1``, and
+        the /metrics HELP says so."""
+        images = serve_data.test_images
+        config = ServeConfig(workers=workers, lanes=LANES)
+        with Router({"m": DeploymentSpec(model_path, serve=config)}) as router:
+            _refuse_poison(router.deployment("m"), monkeypatch)
+            with pytest.raises(ServeError, match="predict failed"):
+                router.submit("m", _poison(images[:ROWS])).result(timeout=30.0)
+            (lane,) = router.deployment("m").stats().lanes
+            families = parse_exposition(render_metrics(router))
+        assert (lane.served, lane.failed, lane.expired) == (0, 1, 0)
+        assert (lane.latency.count, lane.latency.excluded) == (1, 0)
+        histogram = families["uhd_lane_latency_seconds"]
+        assert [
+            value for name, sample_labels, value in histogram["samples"]
+            if name == "uhd_lane_latency_seconds_count"
+            and sample_labels.get("lane") == "solo"
+        ] == [1]
+        assert "taken items" in histogram["help"]
+
     def test_concurrent_failures_touch_no_other_request(
         self, model_path, serve_data, direct_labels, monkeypatch, workers
     ):

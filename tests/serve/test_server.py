@@ -389,6 +389,47 @@ class TestWorkerPool:
         assert completed + failed == len(handles)
 
 
+    def test_batches_failed_by_close_count_once_everywhere(
+        self, model_path, serve_data, hold_executor
+    ):
+        """Three single-image parts queued behind a held predict, then
+        close(drain_timeout=0): close fails them as three batches, and the
+        server's batch figures are the lanes' own (1 answered + 3 failed)."""
+        config = ServeConfig(workers=1, max_batch=1, max_wait_ms=0.0)
+        server = UHDServer(model_path, config).start()
+        hold = hold_executor(server)
+        images = serve_data.test_images
+        first = server.submit(images[0])
+        assert hold.entered.wait(timeout=30.0)
+        queued = [server.submit(images[i]) for i in (1, 2, 3)]
+
+        errors: list[BaseException] = []
+
+        def release_once_failed() -> None:
+            try:
+                for handle in queued:
+                    try:
+                        handle.result(timeout=30.0)
+                    except ServeError as exc:
+                        errors.append(exc)
+            finally:
+                hold.release()
+
+        releaser = threading.Thread(target=release_once_failed, daemon=True)
+        releaser.start()
+        server.close(drain_timeout=0.0)
+        releaser.join(timeout=30.0)
+        assert [str(exc) for exc in errors] == [
+            "server closed before the request completed"
+        ] * 3
+        assert first.result(timeout=30.0).shape == (1,)
+        stats = server.stats()
+        (lane,) = stats.lanes
+        assert (lane.served, lane.failed, lane.batches) == (1, 3, 4)
+        assert stats.batches == sum(lane.batches for lane in stats.lanes) == 4
+        assert (stats.max_batch_seen, stats.mean_batch_size) == (1, 1.0)
+        assert stats.failed == 3
+
 @pytest.fixture(scope="module")
 def small_model(serve_data, tmp_path_factory):
     """(path, model) of a model on 14x14 images: another pixel geometry."""
