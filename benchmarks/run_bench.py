@@ -43,7 +43,7 @@ from repro.eval.throughput import (
 #: commensurate (machine keys like numpy/cpu_count legitimately differ;
 #: the encode kernel does not: its NumPy fallback is several times slower)
 _WORKLOAD_KEYS = (
-    "pixels", "dim", "levels", "batch", "thread_batch", "queries", "encode_kernel",
+    "pixels", "dim", "levels", "batch", "queries", "encode_kernel",
 )
 
 
@@ -112,10 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pixels", type=int, default=784, help="pixels per image")
     parser.add_argument("--batch", type=int, default=32, help="encode batch size")
     parser.add_argument(
-        "--thread-batch", type=int, default=256,
-        help="batch size of the multi-chunk (thread fan-out) packed encode row",
-    )
-    parser.add_argument(
         "--queries", type=int, default=512, help="inference query count"
     )
     parser.add_argument(
@@ -137,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         pixels=args.pixels,
         dim=args.dim,
         batch=args.batch,
-        thread_batch=args.thread_batch,
         queries=args.queries,
         repeats=repeats,
     )

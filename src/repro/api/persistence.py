@@ -108,9 +108,8 @@ def saved_backend(name: Any) -> str:
     classifier) resolves a saved backend name.  The retired
     ``"threaded"`` backend ran the packed kernels over threads; its
     arithmetic is packed's, bit for bit, so its files load as
-    ``"packed"`` (which now fans out over threads by itself).  Any other
-    name outside :data:`repro.api.registry.BACKENDS` raises
-    :class:`ModelFormatError`.
+    ``"packed"``.  Any other name outside
+    :data:`repro.api.registry.BACKENDS` raises :class:`ModelFormatError`.
     """
     if name == "threaded":
         return "packed"

@@ -12,10 +12,11 @@ a workload, and whether binarized **inference** runs on packed words.
 * ``auto`` (default) — packed wherever it is bit-exact and supported,
   reference everywhere else.
 
-Thread fan-out is not a backend decision: the packed encoder splits
-large batches over threads itself (see :mod:`repro.fastpath.encoder`).
-This module imports nothing heavy, so ``repro.core.config`` can
-validate against :data:`BACKENDS` without pulling in the fast path.
+Threads are not a backend decision: every backend encodes on its
+caller's thread, so parallelism belongs to the caller (in serving,
+``workers``).  This module imports nothing heavy, so
+``repro.core.config`` can validate against :data:`BACKENDS` without
+pulling in the fast path.
 """
 
 from __future__ import annotations

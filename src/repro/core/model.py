@@ -92,7 +92,7 @@ class UHDClassifier:
 
         Packed binarized inference goes through the encoder's
         ``predict_packed`` (on the packed encoder, one fused kernel call
-        per chunk: pixels in, labels out); every other policy encodes and
+        per batch: pixels in, labels out); every other policy encodes and
         hands the accumulators to the classifier.
         """
         classifier = self.classifier

@@ -4,7 +4,7 @@ This is the hardware-faithful encoder: M-bit scalars are fetched from the
 Unary Stream Table as N-bit thermometer codes and compared by the
 AND/OR/AND-tree unary comparator; the accumulator models the popcount
 flip-flop chain, and binarization models the hardwired masking logic that
-fires the sign bit the moment popcount reaches TOB = H/2.
+fires the sign bit the moment popcount reaches TOB = ceil(H/2).
 
 It must agree bit-for-bit with the quantized arithmetic path of
 :class:`repro.core.encoder.SobolLevelEncoder` — that equivalence is the
@@ -29,8 +29,8 @@ def masking_binarize(accumulator: np.ndarray, num_pixels: int) -> np.ndarray:
     """Sign bits via the masking-logic rule (paper contribution ⑤).
 
     The hardware counts logic-1s of the incoming level hypervector bits; a
-    hardwired AND over the counter bits encoding TOB = H/2 raises the sign
-    bit when the count reaches the threshold.  In the +-1 accumulator view
+    hardwired AND over the counter bits encoding TOB = ceil(H/2) raises the
+    sign bit when the count reaches the threshold.  In the +-1 accumulator view
     ``count = (V + H) / 2`` and the rule is ``count >= ceil(H/2)``, which
     is ``(H + 1) // 2`` for every parity: for the tie (even H, count
     exactly H/2, V = 0) the AND fires and the bit is set, reproducing the

@@ -75,15 +75,14 @@ When ``auto`` picks packed
 goes packed when ``binarize=True`` (the centered-cosine default policy has
 no packed form).  ``backend="packed"`` forces and raises where impossible;
 ``backend="reference"`` always runs the original path.  The packed encoder
-splits a batch of two or more chunks over threads on its own
-(:data:`repro.fastpath.encoder.FANOUT_WIDTH`), bit-exact with serial
-encoding; there is no setting for it.  One encoder may also be shared by
-many threads: kernel calls take no lock, and the encoder locks only its
-cold-table build and the NumPy path.  The table is never stored or
-shipped: every process builds its own (~5 ms at H=784, D=1024), the
-software form of uHD's generate-on-the-fly hypervectors.  Packed popcounts
-use :func:`numpy.bitwise_count` when NumPy >= 2.0 and fall back to a byte
-LUT otherwise (``repro.fastpath.bitops.HAS_BITWISE_COUNT``).
+runs each call on its caller's thread and starts none of its own.  One
+encoder may be shared by many threads: kernel calls take no lock, and
+the encoder locks only its cold-table build and the NumPy path.  The
+table is never stored or shipped: every process builds its own (~5 ms
+at H=784, D=1024), the software form of uHD's generate-on-the-fly
+hypervectors.  Packed popcounts use :func:`numpy.bitwise_count` when
+NumPy >= 2.0 and fall back to a byte LUT otherwise
+(``repro.fastpath.bitops.HAS_BITWISE_COUNT``).
 """
 
 from .bitops import (

@@ -55,7 +55,7 @@ substitutes for arithmetic without changing a single output bit.
 Fused binarized predict
 -----------------------
 :meth:`PackedLevelEncoder.predict_packed` is encode, sign-binarize, pack
-and Hamming search in one compiled call per chunk: uint8 pixels go in
+and Hamming search in one compiled call per batch: uint8 pixels go in
 through the 256-entry level table, bit ``d`` is set when
 ``count_d >= need_d`` with ``need = ceil(H / 2) - base`` (exactly
 ``acc >= 0``; its bit-planes, clamped at 0, are computed once per table
@@ -67,34 +67,22 @@ path, run the inherited composition
 ``packed_predict(encode_batch(x), class_words, dim)``, which is also the
 oracle the tests hold the kernel to.
 
-Thread fan-out
---------------
-uHD encodes each image on its own (no position hypervectors, no
-multiply), so a batch splits over cores without changing a bit.  The
-kernel and NumPy's gather, lane adds and reductions release the GIL, so
-``encode_batch`` and ``predict_packed`` split a batch spanning two or
-more chunks over ``FANOUT_WIDTH`` threads (the caller plus a process-wide
-pool) that share the read-only table and each own their scratch.  Smaller
-batches, and hosts with one core, run serially.
-
 Concurrent callers
 ------------------
-One encoder may be shared by any number of threads (the serving layer's
-executor threads share one per model geometry).  The compiled kernel
-keeps its accumulators on the stack and reads only the immutable table,
-so calls on it take no lock.  The encoder's own lock guards the two
-pieces of mutable state: the cold-table build (so a table is built once,
-however many threads race the first encode) and the NumPy path's shard
-workspaces, whose calls it serializes.
+Every call runs on its caller's thread and the encoder starts none of
+its own: parallelism belongs to whoever issues the batches (in serving,
+the ``workers`` executor threads, which share one encoder per model
+geometry).  The compiled kernel takes a whole batch in one call, keeps
+its accumulators on the stack and reads only the immutable table, so
+calls on it take no lock and release the GIL.  The encoder's own lock
+guards the two pieces of mutable state: the cold-table build (so a
+table is built once, however many threads race the first encode) and
+the NumPy path's workspaces, whose calls it serializes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import threading
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -118,42 +106,6 @@ _SPREAD_STEPS = (
     (np.uint64(6), np.uint64(0x0303030303030303)),
     (np.uint64(3), np.uint64(0x1111111111111111)),
 )
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-#: threads one ``encode_batch`` call splits its chunks over (1 = serial);
-#: capped at 8 because every shard keeps its own scratch workspaces
-FANOUT_WIDTH = min(8, _usable_cores())
-
-#: ``(pid, executor)`` of this process's encode pool, created lazily
-_executor: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _shared_executor() -> ThreadPoolExecutor:
-    """The process's encode pool, recreated after a fork.
-
-    A forked child inherits the executor object but none of its threads,
-    so submitting to it would hang forever; a pid change drops it.  The
-    caller of ``encode_batch`` runs one shard itself, hence one thread
-    fewer than ``FANOUT_WIDTH``.  Deliberately lock-free: two racing first
-    calls each build a pool and the loser's is collected once its shards
-    finish, whereas a lock could be inherited held by a forked child.
-    """
-    global _executor
-    pid = os.getpid()
-    if _executor is None or _executor[0] != pid:
-        threads = max(1, FANOUT_WIDTH - 1)
-        _executor = (
-            pid,
-            ThreadPoolExecutor(threads, thread_name_prefix="uhd-encode"),
-        )
-    return _executor[1]
 
 
 def _spread16(x: np.ndarray) -> np.ndarray:
@@ -262,9 +214,8 @@ class PackedLevelEncoder(SobolLevelEncoder):
         self._dim_words = words_for_bits(config.dim)
         self._spread_words = 4 * self._dim_words
         self._table: _GatherTable | None = None
-        #: NumPy-path scratch keyed by (shard, rows): each fan-out shard
-        #: owns its own
-        self._workspaces: dict[tuple[int, int], _Workspace] = {}
+        #: NumPy-path scratch keyed by chunk rows
+        self._workspaces: dict[int, _Workspace] = {}
         #: guards the cold-table build and the NumPy path's workspaces
         self._lock = threading.Lock()
         #: gather tables this instance built (1 once warm, however many
@@ -325,11 +276,11 @@ class PackedLevelEncoder(SobolLevelEncoder):
                 table = self._table
         return table
 
-    def _workspace(self, table: _GatherTable, shard: int, batch: int) -> _Workspace:
-        ws = self._workspaces.get((shard, batch))
+    def _workspace(self, table: _GatherTable, batch: int) -> _Workspace:
+        ws = self._workspaces.get(batch)
         if ws is None:
             ws = _Workspace(table, batch, self._spread_words)
-            self._workspaces[shard, batch] = ws
+            self._workspaces[batch] = ws
         return ws
 
     @property
@@ -403,11 +354,11 @@ class PackedLevelEncoder(SobolLevelEncoder):
     def encode_batch(self, images: np.ndarray, chunk: int = 32) -> np.ndarray:
         """Accumulators for a batch, shape ``(batch, dim)`` int64.
 
-        Bit-exact with :meth:`SobolLevelEncoder.encode_batch`; ``chunk``
-        (>= 1) is the fan-out unit and bounds the NumPy path's gather
-        scratch exactly like the reference tensor chunk.  A batch spanning
-        two or more chunks fans out over ``FANOUT_WIDTH`` threads.  Safe
-        to call from several threads at once (see the module docstring).
+        Bit-exact with :meth:`SobolLevelEncoder.encode_batch`.  The
+        compiled kernel encodes the whole batch in one call; ``chunk``
+        (>= 1) bounds the NumPy path's gather scratch exactly like the
+        reference tensor chunk.  Safe to call from several threads at once
+        (see the module docstring).
         """
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -416,17 +367,15 @@ class PackedLevelEncoder(SobolLevelEncoder):
         out = np.empty((batch, self.dim), dtype=np.int64)
         if batch == 0:
             return out
-        # a cold encoder builds here, on the calling thread, before any fan-out
         table = self._ensure_table()
-        # the NumPy path's workspaces are shared state; the kernel keeps none
-        with self._lock if table.native is None else contextlib.nullcontext():
-            self._fan_out(
-                batch,
-                chunk,
-                lambda starts, shard: self._encode_shard(
-                    values, table, out, starts, chunk, shard
-                ),
-            )
+        if table.native is not None:
+            table.native.encode(table.lut, table.base, values, out)
+            return out
+        with self._lock:  # the NumPy path's workspaces are shared state
+            for start in range(0, batch, chunk):
+                stop = min(start + chunk, batch)
+                ws = self._workspace(table, stop - start)
+                out[start:stop] = self._encode_chunk(values[start:stop], table, ws)
         return out
 
     def predict_packed(
@@ -434,71 +383,19 @@ class PackedLevelEncoder(SobolLevelEncoder):
     ) -> np.ndarray:
         """Binarized labels, bit-exact with the inherited composition.
 
-        uint8 images on the compiled kernel take one fused call per
-        32-row chunk (:meth:`repro.fastpath.kernel.EncodeKernel.predict`):
-        pixels in, labels out, no accumulator or packed query stored;
-        chunks fan out exactly as in :meth:`encode_batch` at its default
-        chunk.  Anything else runs the inherited encode-then-pack
-        composition.
+        uint8 images on the compiled kernel take one fused call per batch
+        (:meth:`repro.fastpath.kernel.EncodeKernel.predict`): pixels in,
+        labels out, no accumulator or packed query stored.  Anything else
+        runs the inherited encode-then-pack composition.
         """
-        chunk = 32
         flat = self._flatten(images)
         table = self._ensure_table()
         if table.native is None or flat.dtype != np.uint8:
             return super().predict_packed(flat, class_words)
         class_words = np.ascontiguousarray(class_words, dtype=np.uint64)
         labels = np.empty(flat.shape[0], dtype=np.int64)
-
-        def shard(starts: range, _: int) -> None:
-            for start in starts:
-                stop = min(start + chunk, flat.shape[0])
-                table.native.predict(
-                    table.lut, self._level16, table.need_planes,
-                    flat[start:stop], class_words, labels[start:stop], self.dim,
-                )
-
-        self._fan_out(flat.shape[0], chunk, shard)
+        table.native.predict(
+            table.lut, self._level16, table.need_planes,
+            flat, class_words, labels, self.dim,
+        )
         return labels
-
-    @staticmethod
-    def _fan_out(
-        batch: int, chunk: int, shard: Callable[[range, int], None]
-    ) -> None:
-        """Run ``shard(starts, k)`` over the batch's chunk starts, dealt
-        round-robin to ``FANOUT_WIDTH`` shards; the caller runs shard 0,
-        the process's pool the rest.  Fewer than two chunks run serially.
-        """
-        starts = range(0, batch, chunk)
-        width = min(FANOUT_WIDTH, len(starts))
-        if width < 2:
-            shard(starts, 0)
-            return
-        pool = _shared_executor()
-        futures = [pool.submit(shard, starts[k::width], k) for k in range(1, width)]
-        try:  # the calling thread runs shard 0 itself
-            shard(starts[::width], 0)
-        finally:
-            wait(futures)  # no shard may outlive the call that owns its scratch
-        for future in futures:
-            future.result()  # re-raise a shard's exception here
-
-    def _encode_shard(
-        self,
-        values: np.ndarray,
-        table: _GatherTable,
-        out: np.ndarray,
-        starts: range,
-        chunk: int,
-        shard: int,
-    ) -> None:
-        """Encode the chunks beginning at ``starts`` into ``out``."""
-        batch = values.shape[0]
-        for start in starts:
-            stop = min(start + chunk, batch)
-            if table.native is not None:
-                table.native.encode(
-                    table.lut, table.base, values[start:stop], out[start:stop]
-                )
-            else:
-                ws = self._workspace(table, shard, stop - start)
-                out[start:stop] = self._encode_chunk(values[start:stop], table, ws)

@@ -3,13 +3,11 @@
 Under the paper's binarized policy both sides of the similarity are +-1
 vectors of equal norm ``sqrt(D)``, so cosine ranking reduces to the integer
 dot product ``D - 2 * hamming`` — computable entirely on packed words with
-the same ties-to-+1 binarization as the reference.  Predictions match the
-reference ``binarize=True`` cosine path wherever the ranking is
-well-defined; on *exact* integer-dot ties the reference argmax follows
-float rounding noise (and even varies with batch shape through BLAS
-blocking), while this path deterministically picks the lowest class index.
-The similarity *values* returned here are ``dot / D``, equal to the
-reference cosine up to one float ulp.
+the same ties-to-+1 binarization as the reference.  Predictions are
+identical to the reference ``binarize=True`` path, which ranks by the
+same integer dot with ties to the lowest class index.  The similarity
+*values* returned here are ``dot / D``, equal to the reference cosine up
+to one float ulp.
 """
 
 from __future__ import annotations

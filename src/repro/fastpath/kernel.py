@@ -57,9 +57,9 @@ AVX2 and the baseline and picks one at load time; nothing is built with
 Under GCC and Clang the counters work on 8-word GNU C vectors, which
 each clone lowers to its own registers; other compilers count one word
 at a time.
-cffi releases the GIL around every call, which is what lets the
-encoder's thread fan-out run shards in parallel and serving executor
-threads predict side by side.
+Each call takes a whole batch and keeps its state on the stack; cffi
+releases the GIL around it, which is what lets serving executor threads
+predict side by side.
 """
 
 from __future__ import annotations

@@ -5,12 +5,17 @@ Both designs accumulate level-hypervector bits with a popcount counter
 how the sign decision is made:
 
 * :func:`build_masking_binarizer` — uHD: the counter bits corresponding to
-  the set bits of TOB = H/2 are hardwired into an AND tree whose output is
-  caught by a sticky flip-flop.  No comparator, no subtractor
+  the set bits of TOB = ceil(H/2) are hardwired into an AND tree whose
+  output is caught by a sticky flip-flop.  No comparator, no subtractor
   (contribution ⑤).
 * :func:`build_comparator_binarizer` — baseline: a full magnitude
   comparator evaluates ``count >= TOB`` every cycle (the "separate module
   for thresholding or subtraction").
+
+TOB is ``(H + 1) // 2`` for every parity, the software sign rule of
+:func:`repro.core.unary_encoder.masking_binarize` and
+:func:`repro.hdc.ops.binarize` (``2 * count - H >= 0``): at even H the tie
+count H/2 sets the bit, at odd H it takes (H+1)/2 ones.
 """
 
 from __future__ import annotations
@@ -42,11 +47,11 @@ def build_masking_binarizer(h: int) -> Netlist:
     """Popcount + hardwired masking logic + sticky sign flop (uHD).
 
     Input ``bit`` streams the level hypervector; output ``sign`` latches 1
-    once the ones-count reaches TOB = H/2.
+    one cycle after the ones-count reaches TOB = ceil(H/2).
     """
     if h < 2:
         raise ValueError(f"h must be >= 2, got {h}")
-    tob = h // 2
+    tob = (h + 1) // 2
     nl = Netlist(name=f"masking_binarizer_h{h}")
     bit = nl.add_input("bit")
     count = sync_counter(nl, _popcount_width(h), enable=bit)
@@ -58,10 +63,11 @@ def build_masking_binarizer(h: int) -> Netlist:
 
 
 def build_comparator_binarizer(h: int) -> Netlist:
-    """Popcount + full comparator against TOB (the baseline binarizer)."""
+    """Popcount + full comparator against TOB = ceil(H/2) (the baseline
+    binarizer)."""
     if h < 2:
         raise ValueError(f"h must be >= 2, got {h}")
-    tob = h // 2
+    tob = (h + 1) // 2
     nl = Netlist(name=f"comparator_binarizer_h{h}")
     bit = nl.add_input("bit")
     width = _popcount_width(h)

@@ -62,11 +62,9 @@ class CentroidClassifier:
 
     Under ``binarize=True`` and ``backend != "reference"`` inference runs
     on packed words (class HVs and queries XORed and popcounted, see
-    :mod:`repro.fastpath.inference`): predictions match the reference
-    cosine path wherever the ranking is well-defined (exact integer-dot
-    ties are decided by rounding noise in the reference and by lowest
-    class index here — see :meth:`predict`), similarity values equal up
-    to one float ulp.
+    :mod:`repro.fastpath.inference`): predictions are identical to the
+    reference path (see :meth:`predict`), similarity values equal up to
+    one float ulp.
     """
 
     def __init__(
@@ -193,13 +191,11 @@ class CentroidClassifier:
     def predict(self, encoded: np.ndarray) -> np.ndarray:
         """Winner-take-all class labels for a batch of encoded vectors.
 
-        Identical labels on every backend wherever the ranking is
-        well-defined: the packed path ranks by the integer dot product, a
-        monotone transform of the binarized cosine.  Where two classes sit
-        at *exactly* the same integer dot the ranking has no answer — the
-        reference argmax then follows float rounding noise in the cosines
-        (which varies with BLAS blocking, i.e. with the batch shape), while
-        the packed path deterministically picks the lowest class index.
+        Binarized labels are identical on every backend: both rank by the
+        exact integer dot of the +-1 vectors (a monotone transform of the
+        binarized cosine), ties to the lowest class index.  The packed
+        path derives the dot from XOR + popcount; the reference takes it
+        as an int64 matrix product.
         """
         if self._use_packed():
             from ..fastpath.inference import packed_predict
@@ -207,6 +203,9 @@ class CentroidClassifier:
             class_words = self._packed_class_words()  # raises when unfitted
             queries = np.atleast_2d(np.asarray(encoded))
             return packed_predict(queries, class_words, self.dim)
+        if self.binarize:
+            queries = binarize(np.atleast_2d(np.asarray(encoded))).astype(np.int64)
+            return classify(queries @ self.class_hypervectors.astype(np.int64).T)
         return classify(self.similarities(encoded))
 
     def score(self, encoded: np.ndarray, labels: np.ndarray) -> float:

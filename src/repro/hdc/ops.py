@@ -66,8 +66,8 @@ def binarize(accumulator: np.ndarray, threshold: float = 0.0) -> np.ndarray:
     """Sign of an accumulator with the paper's tie rule (ties -> +1).
 
     ``threshold`` shifts the decision point; the hardware realisation
-    compares a popcount against TOB = H/2, which in the +-1 domain is the
-    accumulator reaching zero.
+    compares a popcount against TOB = ceil(H/2), which in the +-1 domain
+    is the accumulator reaching zero.
     """
     accumulator = np.asarray(accumulator)
     return np.where(accumulator >= threshold, 1, -1).astype(np.int8)

@@ -70,7 +70,7 @@ def _draw_images(data, batch: int, pixels: int) -> np.ndarray:
 
 class TestContractOneGenerated:
     """Packed encode == ``SobolLevelEncoder.encode_batch`` over drawn
-    geometry, for both kernels, across chunk and fan-out boundaries."""
+    geometry, for both kernels, across chunk boundaries."""
 
     @pytest.mark.filterwarnings("ignore:levels=.*power of two")
     @settings(
@@ -94,12 +94,10 @@ class TestContractOneGenerated:
         loaded = PackedLevelEncoder(pixels, config)
         fallback = _numpy_encoder(pixels, config)
         assert loaded.kernel == "c"
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(encoder_module, "FANOUT_WIDTH", 2)  # 33+ rows fan out
-            for encoder in (loaded, fallback):
-                got = encoder.encode_batch(images)
-                assert got.dtype == np.int64 and got.shape == (batch, dim)
-                assert np.array_equal(got, expected)
+        for encoder in (loaded, fallback):
+            got = encoder.encode_batch(images)
+            assert got.dtype == np.int64 and got.shape == (batch, dim)
+            assert np.array_equal(got, expected)
 
     def test_counts_past_every_lane_width(self, compiled):
         """H = 600 saturated pixels: per-dimension counts pass the 4-plane
@@ -129,7 +127,7 @@ class TestContractOneGenerated:
 class TestFusedPredictGenerated:
     """``predict_packed`` == ``packed_predict(SobolLevelEncoder.encode_batch(x))``
     over drawn geometry and random class words, for both kernels, across
-    tiles (``dim > 1024``) and the fan-out boundary."""
+    tiles (``dim > 1024``) and the chunk boundary."""
 
     @pytest.mark.filterwarnings("ignore:levels=.*power of two")
     @settings(
@@ -169,12 +167,10 @@ class TestFusedPredictGenerated:
             assert np.unique(expected).size >= 2
         loaded = PackedLevelEncoder(pixels, config)
         fallback = _numpy_encoder(pixels, config)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(encoder_module, "FANOUT_WIDTH", 2)  # 33+ rows fan out
-            for encoder in (loaded, fallback):
-                got = encoder.predict_packed(images, class_words)
-                assert got.dtype == np.int64 and got.shape == (batch,)
-                assert np.array_equal(got, expected)
+        for encoder in (loaded, fallback):
+            got = encoder.predict_packed(images, class_words)
+            assert got.dtype == np.int64 and got.shape == (batch,)
+            assert np.array_equal(got, expected)
         assert loaded.kernel == "c"
 
     def test_ties_go_to_the_lowest_class(self, compiled):

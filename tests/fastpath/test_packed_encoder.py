@@ -2,8 +2,8 @@
 
 The property mirrors the paper's hardware-substitution claim the same way
 the unary-domain tests do: every accumulator bit must match, across
-dimensions not divisible by 64 and odd/even pixel counts — serial or
-fanned out over threads.  ``test_kernel.py`` holds the same contract over
+dimensions not divisible by 64, odd/even pixel counts and chunk
+boundaries.  ``test_kernel.py`` holds the same contract over
 generated geometry for both encode kernels.
 """
 
@@ -17,8 +17,7 @@ import pytest
 from repro.core import SobolLevelEncoder, UHDConfig
 from repro.api import get_backend
 from repro.core.model import UHDClassifier
-from repro.fastpath import PackedLevelEncoder
-from repro.fastpath import encoder as encoder_module
+from repro.fastpath import PackedLevelEncoder, pack_bits, packed_predict
 from repro.fastpath import kernel as kernel_module
 
 
@@ -68,6 +67,25 @@ class TestBitExactness:
         image = _images(rng, 1, 9)[0]
         np.testing.assert_array_equal(packed.encode(image), reference.encode(image))
 
+    @pytest.mark.parametrize("kernel", ["c", "numpy"])
+    @pytest.mark.parametrize("batch", [1, 7, 33, 70])
+    def test_batches_across_chunks_match_reference(self, monkeypatch, batch, kernel):
+        """The compiled kernel takes each batch in one call; the NumPy path
+        walks it in 16-row chunks with a short last one."""
+        if kernel == "numpy":
+            monkeypatch.setattr(kernel_module, "load", lambda: None)
+        rng = np.random.default_rng(2718)  # leaves the session stream alone
+        config = UHDConfig(dim=128)
+        reference = SobolLevelEncoder(49, config)
+        packed = PackedLevelEncoder(49, config)
+        if packed.kernel != kernel:
+            pytest.skip("compiled encode kernel unavailable here")
+        images = _images(rng, batch, 49)
+        np.testing.assert_array_equal(
+            packed.encode_batch(images, chunk=16),
+            reference.encode_batch(images, chunk=16),
+        )
+
     def test_batch_chunking_invariant(self, rng):
         config = UHDConfig(dim=64)
         packed = PackedLevelEncoder(25, config)
@@ -94,21 +112,8 @@ def _encode_in_child(encoder, images, conn):
     conn.close()
 
 
-def _spy_shards(monkeypatch, encoder) -> set:
-    """The shard indices ``encoder.encode_batch`` runs from now on."""
-    used: set = set()
-    original = encoder._encode_shard
-
-    def spy(*args):
-        used.add(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(encoder, "_encode_shard", spy)
-    return used
-
-
-class TestFanOut:
-    """Batches of two or more chunks split over ``FANOUT_WIDTH`` threads."""
+class TestOneThreadPerCall:
+    """Every call runs on its caller's thread: the encoder starts none."""
 
     @pytest.fixture()
     def rng(self):
@@ -116,82 +121,81 @@ class TestFanOut:
         the statistical asserts at fixed positions of it) untouched."""
         return np.random.default_rng(2718)
 
-    @pytest.mark.parametrize("width", [1, 4])
-    @pytest.mark.parametrize("batch", [1, 7, 33, 70])
-    def test_bit_exact_with_reference(self, rng, monkeypatch, width, batch):
-        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", width)
-        config = UHDConfig(dim=128)
-        reference = SobolLevelEncoder(49, config)
-        packed = PackedLevelEncoder(49, config)
-        images = _images(rng, batch, 49)
-        used = _spy_shards(monkeypatch, packed)
-        np.testing.assert_array_equal(
-            packed.encode_batch(images, chunk=16),
-            reference.encode_batch(images, chunk=16),
-        )
-        shards = min(width, -(-batch // 16))
-        assert used == (set(range(shards)) if shards > 1 else {0})
-
-    def test_more_shards_than_cores_under_frequent_switching(
-        self, rng, monkeypatch
-    ):
-        """Eight shards write disjoint rows of one output while threads
-        switch every microsecond — through the loaded kernel, and through
-        the NumPy path, whose shards also share the workspace dict."""
-        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 8)
-        monkeypatch.setattr(encoder_module, "_executor", None)  # 7 threads
-        config = UHDConfig(dim=128)
-        reference = SobolLevelEncoder(49, config)
-        loaded = PackedLevelEncoder(49, config)
-        with monkeypatch.context() as patch:
-            patch.setattr(kernel_module, "load", lambda: None)
-            fallback = PackedLevelEncoder(49, config)
-            fallback._ensure_table()  # binds the NumPy path
-        assert fallback.kernel == "numpy"
+    def test_one_kernel_call_per_batch_and_no_thread(self, rng, monkeypatch):
+        """A 70-row batch spans three default chunks; the compiled kernel
+        still takes it in one call, on the calling thread."""
+        packed = PackedLevelEncoder(49, UHDConfig(dim=1100))
+        if packed.kernel != "c":
+            pytest.skip("compiled encode kernel unavailable here")
         images = _images(rng, 70, 49)
-        expected = reference.encode_batch(images)
-        for packed in (loaded, fallback):
-            used = _spy_shards(monkeypatch, packed)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for _ in range(5):
-                    np.testing.assert_array_equal(
-                        packed.encode_batch(images, chunk=4), expected
-                    )
-            finally:
-                sys.setswitchinterval(interval)
-            assert used == set(range(8))
-        assert {shard for shard, _ in fallback._workspaces} == set(range(8))
+        class_words = pack_bits(rng.random((3, 1100)) < 0.5)
+        reference = SobolLevelEncoder(49, UHDConfig(dim=1100))
+        expected_acc = reference.encode_batch(images)
+        expected_labels = packed_predict(expected_acc, class_words, 1100)
+        calls: list[tuple[str, int]] = []
+        started: list[threading.Thread] = []
 
-    def test_width_one_never_creates_an_executor(self, rng, monkeypatch):
-        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 1)
-        monkeypatch.setattr(encoder_module, "_executor", None)
-        packed = PackedLevelEncoder(49, UHDConfig(dim=64))
-        packed.encode_batch(_images(rng, 70, 49), chunk=16)
-        assert encoder_module._executor is None
+        def spy(name):
+            original = getattr(kernel_module.EncodeKernel, name)
 
-    def test_executor_recreated_when_pid_changes(self, monkeypatch):
-        first = encoder_module._shared_executor()
-        assert encoder_module._shared_executor() is first  # cached per process
-        # what a forked child sees: an executor recorded under another pid
-        monkeypatch.setattr(encoder_module, "_executor", (-1, first))
-        second = encoder_module._shared_executor()
-        assert second is not first
-        assert second.submit(lambda: 21 * 2).result(timeout=5.0) == 42
+            def call(self, *args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return original(self, *args, **kwargs)
+
+            return call
+
+        for name in ("encode", "predict"):
+            monkeypatch.setattr(kernel_module.EncodeKernel, name, spy(name))
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        np.testing.assert_array_equal(packed.encode_batch(images), expected_acc)
+        np.testing.assert_array_equal(
+            packed.predict_packed(images, class_words), expected_labels
+        )
+        caller = threading.get_ident()
+        assert calls == [("encode", caller), ("predict", caller)]
+        assert started == []
+
+    def test_numpy_path_loops_chunks_on_the_calling_thread(self, rng, monkeypatch):
+        """Without the kernel, a 70-row batch runs as chunks of 32, 32 and 6
+        rows under the encoder lock: no thread, one workspace per row count."""
+        monkeypatch.setattr(kernel_module, "load", lambda: None)
+        packed = PackedLevelEncoder(49, UHDConfig(dim=1100))
+        assert packed.kernel == "numpy"
+        images = _images(rng, 70, 49)
+        class_words = pack_bits(rng.random((3, 1100)) < 0.5)
+        expected_acc = SobolLevelEncoder(49, UHDConfig(dim=1100)).encode_batch(images)
+        expected_labels = packed_predict(expected_acc, class_words, 1100)
+        started: list[threading.Thread] = []
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        np.testing.assert_array_equal(packed.encode_batch(images), expected_acc)
+        np.testing.assert_array_equal(
+            packed.predict_packed(images, class_words), expected_labels
+        )
+        assert started == []
+        assert sorted(packed._workspaces) == [6, 32]
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs the fork start method",
     )
-    def test_forked_child_encodes_after_parent_fanned_out(self, rng, monkeypatch):
-        """A child inherits the parent's executor object but not its
-        threads; it must start its own pool instead of hanging."""
-        monkeypatch.setattr(encoder_module, "FANOUT_WIDTH", 4)
+    def test_forked_child_encodes_like_parent(self, rng):
+        """A child forked from a parent with a warm encoder (table built,
+        kernel loaded) encodes the same multi-chunk batch bit-exactly."""
         packed = PackedLevelEncoder(49, UHDConfig(dim=128))
         images = _images(rng, 64, 49)
-        expected = packed.encode_batch(images)  # two chunks: fans out
-        assert encoder_module._executor is not None
+        expected = packed.encode_batch(images)  # warm in the parent
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
         child = context.Process(

@@ -23,39 +23,22 @@ def _fitted_pair(rng, dim, n=40, classes=4):
     return reference.fit(encoded, labels), packed.fit(encoded, labels), encoded
 
 
-def _untied_rows(queries, classifier):
-    """Rows whose binarized ranking is well-defined (unique max dot).
-
-    On exact integer-dot ties the reference argmax follows float rounding
-    that can differ across BLAS builds, so cross-backend equality is only
-    a deterministic property off those rows (see CentroidClassifier.predict).
-    """
-    dots = (
-        binarize(queries).astype(np.int64)
-        @ binarize(classifier.accumulators).astype(np.int64).T
-    )
-    return (dots == dots.max(axis=1, keepdims=True)).sum(axis=1) == 1
-
-
 class TestPackedPredict:
     @pytest.mark.parametrize("dim", [37, 64, 100, 1024])  # incl. D % 64 != 0
     def test_predictions_match_reference(self, dim, rng):
         reference, packed, encoded = _fitted_pair(rng, dim)
         queries = rng.integers(-100, 101, size=(25, dim), dtype=np.int64)
-        untied = _untied_rows(queries, reference)
-        assert untied.sum() >= 20  # the property covers essentially all rows
         np.testing.assert_array_equal(
-            packed.predict(queries)[untied], reference.predict(queries)[untied]
+            packed.predict(queries), reference.predict(queries)
         )
 
     def test_tie_handling_contract(self):
-        """Disagreements can only happen on exact integer-dot ties.
+        """Exact integer-dot ties go to the lowest class index on both
+        backends, so every row agrees.
 
-        D = 128 makes sqrt(D) inexact, so the reference's float cosines
-        break exact ties by rounding noise (batch-shape dependent via BLAS
-        blocking) rather than by any reproducible rule; 512 queries
-        reliably produce such ties.  The packed contract: identical labels
-        on every well-defined row, lowest tied class index otherwise.
+        D = 128 makes sqrt(D) inexact, so a float-cosine ranking would
+        break these ties by rounding noise (batch-shape dependent via BLAS
+        blocking); 512 queries reliably produce such ties.
         """
         local = np.random.default_rng(0)
         dim = 128
@@ -71,11 +54,12 @@ class TestPackedPredict:
         )
         tied = (dots == dots.max(axis=1, keepdims=True)).sum(axis=1) > 1
         assert tied.any()  # the scenario actually exercises ties
-        ref_pred = reference.predict(encoded)
         packed_pred = packed.predict(encoded)
-        np.testing.assert_array_equal(packed_pred[~tied], ref_pred[~tied])
-        # tied rows: deterministic lowest-index rule, and still a max dot
-        np.testing.assert_array_equal(packed_pred[tied], dots[tied].argmax(axis=1))
+        np.testing.assert_array_equal(packed_pred, reference.predict(encoded))
+        np.testing.assert_array_equal(packed_pred, dots.argmax(axis=1))
+        # the rule does not depend on the batch: one row at a time agrees
+        rows = np.concatenate([reference.predict(row) for row in encoded[tied]])
+        np.testing.assert_array_equal(rows, packed_pred[tied])
 
     def test_dots_match_integer_matmul(self, rng):
         dim = 100
@@ -109,9 +93,8 @@ class TestPackedPredict:
         packed = CentroidClassifier(2, dim, binarize=True, backend="packed")
         reference.fit(encoded, labels)
         packed.fit(encoded, labels)
-        untied = _untied_rows(encoded, reference)
         np.testing.assert_array_equal(
-            packed.predict(encoded)[untied], reference.predict(encoded)[untied]
+            packed.predict(encoded), reference.predict(encoded)
         )
         # the zero accumulator binarizes to all +1 = all bits set
         words = packed._packed_class_words()
@@ -122,9 +105,8 @@ class TestPackedPredict:
     def test_zero_query_accumulator(self, rng):
         reference, packed, _ = _fitted_pair(rng, 48)
         queries = np.zeros((2, 48), dtype=np.int64)
-        untied = _untied_rows(queries, reference)
         np.testing.assert_array_equal(
-            packed.predict(queries)[untied], reference.predict(queries)[untied]
+            packed.predict(queries), reference.predict(queries)
         )
 
     def test_packed_cache_invalidated_by_retrain(self, rng):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import masking_binarize
 from repro.hardware import Simulator
 from repro.hardware.circuits import (
     UstFetchModel,
@@ -19,6 +22,7 @@ from repro.hardware.circuits import (
     unary_comparator_stimulus,
 )
 from repro.hdc.lfsr import LFSR
+from repro.hdc.ops import binarize
 from repro.unary import compare_values_via_unary
 
 
@@ -130,6 +134,37 @@ class TestBinarizers:
         sim = Simulator(build_masking_binarizer(h))
         stream = [{"bit": 1}] * (h // 2 - 1) + [{"bit": 0}] * (h // 2 + 1)
         assert sim.run(stream)[-1]["sign"] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(2, 80) | st.sampled_from([784, 785]),
+        order=st.sampled_from(["ones_first", "ones_last", "shuffled"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_sign_matches_software_rules_at_both_parities(
+        self, h, order, seed, data
+    ):
+        """Both netlists latch ``sign`` exactly when ``2 * count - H >= 0``,
+        the rule of ``masking_binarize`` and ``hdc.ops.binarize``; counts
+        are often drawn at the threshold, where odd and even H differ."""
+        tob = (h + 1) // 2
+        near = st.integers(max(0, tob - 2), min(h, tob + 1))
+        ones = data.draw(near | st.integers(0, h))
+        bits = np.zeros(h, dtype=int)
+        if order == "ones_first":
+            bits[:ones] = 1
+        elif order == "ones_last":
+            bits[h - ones:] = 1
+        else:
+            bits[np.random.default_rng(seed).permutation(h)[:ones]] = 1
+        # one idle cycle: the sticky flop latches a count reached on the last bit
+        stream = [{"bit": int(b)} for b in bits] + [{"bit": 0}]
+        accumulator = np.array([2 * ones - h])
+        want = int(masking_binarize(accumulator, h)[0] > 0)
+        assert want == int(binarize(accumulator)[0] > 0)
+        for builder in (build_masking_binarizer, build_comparator_binarizer):
+            assert Simulator(builder(h)).run(stream)[-1]["sign"] == want, builder
 
     def test_designs_agree_randomly(self):
         h = 96
